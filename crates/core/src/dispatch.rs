@@ -1,0 +1,611 @@
+//! The batch dispatch loop: the one implementation of the paper's runtime
+//! pipeline (Fig. 4, Section 3.3) after cluster locating — greedy schedule,
+//! per-DPU execution waves, host-side accounting — shared by the functional
+//! engine and trace mode.
+//!
+//! One state machine, three callers: a zero-fault engine batch, a faulted
+//! engine batch and a trace batch all run [`run`]. Per batch it
+//!
+//! 1. expands probes into tasks and schedules them, around the injector's
+//!    dead set when one is armed (`banned = None` otherwise, which keeps the
+//!    scheduler arithmetic identical to the unfiltered form);
+//! 2. drains `th3`-postponed tasks onto the DPUs still cold after the main
+//!    wave;
+//! 3. runs dispatch waves: every wave's per-DPU outcome is checked (checksum
+//!    for corruption, completion estimate for stragglers), faulted work is
+//!    re-dispatched to surviving replicas up to `recovery.max_retries`,
+//!    stragglers past the deadline are hedged, repeat offenders quarantined;
+//! 4. escalates whatever could not be placed to the host-side kernel replay
+//!    (lossless) or degrades with the loss accounted in [`FaultStats`];
+//! 5. folds meters and link-byte totals into the [`BatchReport`].
+//!
+//! Without a (non-inert) injector this is the one-wave case: no
+//! [`DpuHealth`], no ban mask, every outcome healthy, `FaultStats` left at
+//! its default. See `docs/FAULT_MODEL.md` for the recovery state machine.
+//!
+//! The single seam is *where a DPU's wave output comes from*: the `exec`
+//! closure. The engine fills it with the functional RC/LC/DC/TS kernels,
+//! trace mode with the closed-form charge functions (empty results, zero
+//! checksum). The loop mutates the [`PimSystem`] while waves execute, so
+//! `exec` must capture only state disjoint from it.
+
+use crate::config::{EngineConfig, SchedPolicy};
+use crate::layout::LayoutPlan;
+use crate::recovery::DpuHealth;
+use crate::report::{BatchReport, FaultStats};
+use crate::sched::{self, Policy, Task};
+use ann_core::topk::Neighbor;
+use rayon::prelude::*;
+use upmem_sim::fault::FaultOutcome;
+use upmem_sim::meter::DpuMeter;
+use upmem_sim::proc::ProcModel;
+use upmem_sim::system::PimSystem;
+use upmem_sim::tasklet::LockStats;
+
+/// What one DPU returns for one wave of tasks.
+pub(crate) struct DpuOutput {
+    /// Per query with work on this DPU: its local top-k, ascending.
+    pub results: Vec<(u32, Vec<Neighbor>)>,
+    /// Instruction and traffic charges of the wave.
+    pub meter: DpuMeter,
+    /// Top-k lock statistics.
+    pub lock: LockStats,
+    /// SQT lookups served from (WRAM, MRAM).
+    pub sqt_hits: (u64, u64),
+    /// Host->PIM bytes pushed for the wave (queries + task descriptors).
+    pub push_bytes: u64,
+    /// PIM->host bytes gathered (the result lists).
+    pub gather_bytes: u64,
+    /// Scanned candidates dropped by the tombstone filter.
+    pub tombstone_filtered: u64,
+    /// Detection checksum over the result payload (see
+    /// [`upmem_sim::fault::result_checksum`]); charged zero.
+    pub checksum: u64,
+}
+
+/// One batch's input to [`run`]: what cluster locating produced plus the
+/// read-only state the schedule is computed from.
+pub(crate) struct Batch<'a> {
+    /// Per query: the probed clusters.
+    pub probes: &'a [Vec<u32>],
+    /// Host seconds cluster locating cost.
+    pub cl_host_s: f64,
+    /// Engine configuration (index shape, scheduling policy, recovery).
+    pub cfg: &'a EngineConfig,
+    /// The layout plan in force.
+    pub layout: &'a LayoutPlan,
+    /// Host processor model (re-issue and fallback replay costs).
+    pub host: &'a ProcModel,
+    /// PQ sub-vector dimension (the scheduler's task-cost input).
+    pub dsub: usize,
+    /// Batch index the injector's draws key on.
+    pub fault_batch: u64,
+}
+
+/// The DPUs a schedule gave work to, paired with their task lists.
+fn wave_of(per_dpu: Vec<Vec<Task>>) -> Vec<(usize, Vec<Task>)> {
+    per_dpu
+        .into_iter()
+        .enumerate()
+        .filter(|(_, t)| !t.is_empty())
+        .collect()
+}
+
+/// Execute one batch on `system`. `exec(Some(d), tasks)` produces DPU `d`'s
+/// output for one wave; `exec(None, tasks)` is the host-side replay of
+/// unplaceable tasks through the same kernels. Returns, per query, the
+/// unmerged per-DPU result lists in dispatch order, plus the report.
+pub(crate) fn run<E>(
+    system: &mut PimSystem,
+    b: Batch<'_>,
+    exec: E,
+) -> (Vec<Vec<Vec<Neighbor>>>, BatchReport)
+where
+    E: Fn(Option<usize>, &[Task]) -> DpuOutput + Sync,
+{
+    let ndpus = system.len();
+    let nqueries = b.probes.len();
+    system.reset_meters();
+    let rec = b.cfg.recovery;
+    let batch = b.fault_batch;
+    // An armed injector travels with the health state built from it. Health
+    // is rebuilt per batch (determinism contract); the injector's static
+    // fail-stop set is the driver's allocation-time rank scan, so dead DPUs
+    // never receive work in the first place.
+    let mut armed = system
+        .fault
+        .clone()
+        .filter(|inj| !inj.is_inert())
+        .map(|inj| {
+            let health = DpuHealth::from_injector_at(&inj, ndpus, batch);
+            (inj, health)
+        });
+    let mut stats = FaultStats::default();
+
+    // --- schedule (around the dead set, if any) ---
+    let idx = b.cfg.index;
+    let tasks = sched::expand_tasks(b.probes, b.layout, |len| {
+        sched::task_cost_s(
+            len,
+            idx.m,
+            idx.cb,
+            b.dsub,
+            idx.k,
+            b.cfg.sqt,
+            &system.arch.costs,
+            system.arch.freq_hz,
+        )
+    });
+    if armed.is_some() {
+        stats.scheduled_points = tasks
+            .iter()
+            .map(|t| b.layout.slices[t.slice].len as u64)
+            .sum();
+    }
+    let policy = match b.cfg.scheduling {
+        SchedPolicy::Static => Policy::Static,
+        SchedPolicy::Greedy => Policy::Greedy { th3: b.cfg.th3 },
+    };
+    let reissue = Policy::Greedy { th3: f64::INFINITY };
+    let banned = armed.as_ref().map(|(_, health)| health.banned());
+    let mut plan =
+        sched::schedule_filtered(&tasks, b.layout, ndpus, policy, None, banned.as_deref());
+    let postponed_count = plan.postponed.len();
+    let mut fallback: Vec<Task> = std::mem::take(&mut plan.unplaceable);
+    // Postponed tasks run in a follow-up wave (the "next batch" of the
+    // paper); for result correctness we execute them now, on the same
+    // meters — the report still records how many were deferred.
+    while !plan.postponed.is_empty() {
+        let extra = sched::schedule_filtered(
+            &plan.postponed,
+            b.layout,
+            ndpus,
+            reissue,
+            Some(&plan.heat),
+            banned.as_deref(),
+        );
+        for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
+            plan.per_dpu[d].extend(ts_);
+        }
+        plan.heat = extra.heat;
+        plan.postponed = extra.postponed;
+        fallback.extend(extra.unplaceable);
+    }
+
+    // Hedging deadline: the host stops waiting for a straggler once its
+    // estimated completion exceeds this multiple of the predicted barrier
+    // (the scheduler's max heat).
+    let max_heat = plan.heat.iter().cloned().fold(0.0, f64::max);
+    let deadline = if max_heat > 0.0 {
+        rec.hedge_deadline_factor * max_heat
+    } else {
+        f64::INFINITY
+    };
+
+    // --- dispatch waves with recovery ---
+    let mut per_query_lists: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); nqueries];
+    let mut lock = LockStats::default();
+    let mut sqt_hits = (0u64, 0u64);
+    let mut push_bytes = 0u64;
+    let mut gather_bytes = 0u64;
+    let mut tombstone_filtered = 0u64;
+    let mut extra_host_s = 0.0f64;
+    let mut heat = plan.heat;
+    // DPUs already hedged this batch never get the same work re-issued
+    let mut hedged = vec![false; ndpus];
+    let mut wave = wave_of(plan.per_dpu);
+    let mut attempt: u32 = 0;
+
+    loop {
+        // parallel over DPUs; the ordered collect keeps the fold below
+        // deterministic at any host thread count
+        let outputs: Vec<DpuOutput> = wave
+            .par_iter()
+            .map(|(d, wtasks)| exec(Some(*d), wtasks))
+            .collect();
+
+        let mut to_recover: Vec<Task> = Vec::new();
+        for ((d, wtasks), out) in wave.iter().zip(outputs) {
+            let d = *d;
+            if let Some((inj, health)) = &mut armed {
+                // Host-side integrity check: the link XORs the transmitted
+                // checksum on a corrupt dispatch, so recomputing it over
+                // the gathered payload exposes the damage.
+                let wire = out.checksum ^ inj.corrupt_mask(d, batch, attempt);
+                let corrupt_detected = wire != out.checksum;
+                match inj.outcome(d, batch, attempt) {
+                    FaultOutcome::Healthy => {
+                        debug_assert!(!corrupt_detected);
+                        health.record_healthy(d);
+                    }
+                    FaultOutcome::FailStop => {
+                        // Unreachable under the allocation-time scan (dead
+                        // DPUs are pre-banned), kept as a defensive path
+                        // for injectors whose dead set is discovered late.
+                        health.record_fail_stop(d);
+                        stats.fail_stop_events += 1;
+                        stats.retried_tasks += wtasks.len();
+                        push_bytes += out.push_bytes; // the push happened
+                        to_recover.extend_from_slice(wtasks);
+                        continue;
+                    }
+                    FaultOutcome::Straggler(f) => {
+                        stats.stragglers += 1;
+                        health.record_transient(d, rec.quarantine_after);
+                        let wave_s = out.meter.time(&system.arch, system.tasklets);
+                        system.set_dpu_slowdown(d, f);
+                        if rec.hedge && wave_s * f > deadline {
+                            // hedge: stop waiting at the deadline, re-issue
+                            // on replicas; the straggler's energy is still
+                            // spent but its results never arrive
+                            system.cap_dpu_time(d, deadline);
+                            hedged[d] = true;
+                            stats.hedged_tasks += wtasks.len();
+                            system.dpus[d].meter.merge(&out.meter);
+                            push_bytes += out.push_bytes;
+                            to_recover.extend_from_slice(wtasks);
+                            continue;
+                        }
+                        // slow but worth waiting for: full accept below
+                    }
+                    FaultOutcome::Corrupt => {
+                        debug_assert!(corrupt_detected);
+                        stats.corruptions += 1;
+                        stats.retried_tasks += wtasks.len();
+                        health.record_transient(d, rec.quarantine_after);
+                        // charges stand: the DPU did the work and the
+                        // damaged payload crossed the link before the
+                        // checksum exposed it
+                        system.dpus[d].meter.merge(&out.meter);
+                        push_bytes += out.push_bytes;
+                        gather_bytes += out.gather_bytes;
+                        to_recover.extend_from_slice(wtasks);
+                        continue;
+                    }
+                }
+            }
+            // full accept (healthy, or a straggler the host waited out)
+            system.dpus[d].meter.merge(&out.meter);
+            lock.locked_updates += out.lock.locked_updates;
+            lock.pruned += out.lock.pruned;
+            sqt_hits.0 += out.sqt_hits.0;
+            sqt_hits.1 += out.sqt_hits.1;
+            push_bytes += out.push_bytes;
+            gather_bytes += out.gather_bytes;
+            tombstone_filtered += out.tombstone_filtered;
+            for (q, list) in out.results {
+                per_query_lists[q as usize].push(list);
+            }
+        }
+
+        if to_recover.is_empty() {
+            break;
+        }
+        attempt += 1;
+        if attempt as usize >= rec.max_retries {
+            fallback.extend_from_slice(&to_recover);
+            break;
+        }
+        // Re-dispatch to surviving replicas, also avoiding DPUs this batch
+        // already hedged away from. The host pays a small re-issue cost per
+        // task (descriptor re-pack + trigger).
+        let (_, health) = armed.as_ref().expect("only faults leave work to recover");
+        let mut banned_now = health.banned();
+        for (ban, &h) in banned_now.iter_mut().zip(&hedged) {
+            *ban |= h;
+        }
+        let rplan = sched::schedule_filtered(
+            &to_recover,
+            b.layout,
+            ndpus,
+            reissue,
+            Some(&heat),
+            Some(&banned_now),
+        );
+        extra_host_s += b.host.time(
+            32.0 * to_recover.len() as f64,
+            16.0 * to_recover.len() as f64,
+        );
+        heat = rplan.heat;
+        fallback.extend(rplan.unplaceable);
+        wave = wave_of(rplan.per_dpu);
+        if wave.is_empty() {
+            break;
+        }
+    }
+
+    // --- escalation: host-side kernel replay, or graceful degradation ---
+    if !fallback.is_empty() {
+        if rec.host_fallback {
+            // Replay the exact DPU kernel path on the host, so the
+            // recovered results are bit-identical to what the lost DPUs
+            // would have produced. The meter is converted to host seconds
+            // through the host's ProcModel and never touches the PIM-side
+            // accounting; no link bytes move.
+            stats.host_fallback_tasks += fallback.len();
+            let out = exec(None, &fallback);
+            let total = out.meter.total();
+            extra_host_s += b.host.time(total.cycles as f64, total.total_bytes() as f64);
+            tombstone_filtered += out.tombstone_filtered;
+            for (q, list) in out.results {
+                per_query_lists[q as usize].push(list);
+            }
+        } else {
+            // Graceful degradation: complete on the surviving probe set
+            // and account the dropped candidate mass.
+            stats.dropped_tasks += fallback.len();
+            let mut degraded: std::collections::BTreeSet<u32> = Default::default();
+            for t in &fallback {
+                stats.dropped_points += b.layout.slices[t.slice].len as u64;
+                degraded.insert(t.query);
+            }
+            stats.degraded_queries += degraded.len();
+        }
+    }
+    if let Some((inj, health)) = &armed {
+        stats.dead_dpus = health.dead_count();
+        stats.quarantined_dpus = health.quarantined_count();
+        stats.dead_ranks = inj.dead_ranks_at(ndpus, batch);
+    }
+
+    // --- timing & report (exact transfer-byte totals) ---
+    let timing = system.batch_timing(b.cl_host_s + extra_host_s, push_bytes, gather_bytes);
+    let energy = system.batch_energy(&timing, b.host.power_w);
+    let sqt_rate = if sqt_hits.0 + sqt_hits.1 == 0 {
+        1.0
+    } else {
+        sqt_hits.0 as f64 / (sqt_hits.0 + sqt_hits.1) as f64
+    };
+    let report = BatchReport::new(nqueries, timing, energy, postponed_count, lock, sqt_rate)
+        .with_tombstones(tombstone_filtered)
+        .with_fault_stats(stats);
+    (per_query_lists, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::IndexConfig;
+    use crate::layout::ClusterInfo;
+    use std::sync::Mutex;
+    use upmem_sim::fault::{FaultConfig, FaultInjector};
+    use upmem_sim::meter::Phase;
+    use upmem_sim::PimArch;
+
+    const NDPUS: usize = 4;
+    /// Result id the fake stamps on host-replay output (DPU `d` stamps `d`).
+    const HOST: u64 = u64::MAX;
+    /// Fake charge per task: seconds of DPU time, far past any hedging
+    /// deadline derived from the scheduler's microsecond-scale heat.
+    const CYCLES_PER_TASK: u64 = 1_000_000_000;
+
+    /// Every `exec` call of one batch: who ran which tasks.
+    type Log = Vec<(Option<usize>, Vec<Task>)>;
+
+    struct Rig {
+        cfg: EngineConfig,
+        layout: LayoutPlan,
+        system: PimSystem,
+        /// 6 queries x 4 probes over 8 single-slice clusters.
+        probes: Vec<Vec<u32>>,
+    }
+
+    /// `faults` is the script: rates of 0 or 1 fire never or always, and the
+    /// tests read seeded draws back through [`FaultInjector::outcome`].
+    fn rig(faults: Option<FaultConfig>) -> Rig {
+        let clusters: Vec<ClusterInfo> = (0..8)
+            .map(|id| ClusterInfo {
+                id,
+                points: 100,
+                heat: 1.0,
+            })
+            .collect();
+        let cfg = EngineConfig::drim(IndexConfig {
+            k: 10,
+            nprobe: 4,
+            nlist: 8,
+            m: 4,
+            cb: 16,
+        });
+        let layout = LayoutPlan::build(&clusters, NDPUS, &cfg, 8, 1 << 20);
+        let mut system = PimSystem::new(PimArch::upmem_sc25(), NDPUS);
+        system.fault = faults.map(|fc| FaultInjector::new(fc).unwrap());
+        Rig {
+            cfg,
+            layout,
+            system,
+            probes: (0..6u32)
+                .map(|q| (0..4).map(|p| (q + p) % 8).collect())
+                .collect(),
+        }
+    }
+
+    impl Rig {
+        fn ntasks(&self) -> usize {
+            sched::expand_tasks(&self.probes, &self.layout, |_| 0.0).len()
+        }
+
+        /// Run one batch through a fake `exec` that logs every call and
+        /// charges a fixed amount per task.
+        fn run(&mut self) -> (Log, Vec<Vec<Vec<Neighbor>>>, BatchReport) {
+            let log = Mutex::new(Log::new());
+            let batch = Batch {
+                probes: &self.probes,
+                cl_host_s: 0.0,
+                cfg: &self.cfg,
+                layout: &self.layout,
+                host: &upmem_sim::platform::procs::xeon_silver_4216(),
+                dsub: 4,
+                fault_batch: 0,
+            };
+            let (lists, report) = run(&mut self.system, batch, |who, tasks| {
+                log.lock().unwrap().push((who, tasks.to_vec()));
+                let n = tasks.len() as u64;
+                let mut meter = DpuMeter::new();
+                meter.phase_mut(Phase::Dc).charge_add(CYCLES_PER_TASK * n);
+                let mut queries: Vec<u32> = tasks.iter().map(|t| t.query).collect();
+                queries.sort_unstable();
+                queries.dedup();
+                let stamp = Neighbor {
+                    id: who.map_or(HOST, |d| d as u64),
+                    dist: 0.0,
+                };
+                DpuOutput {
+                    results: queries.into_iter().map(|q| (q, vec![stamp])).collect(),
+                    meter,
+                    lock: LockStats {
+                        locked_updates: n,
+                        pruned: 0,
+                    },
+                    sqt_hits: (n, 0),
+                    push_bytes: 10 * n,
+                    gather_bytes: 7 * n,
+                    tombstone_filtered: 0,
+                    checksum: 0x5EED,
+                }
+            });
+            (log.into_inner().unwrap(), lists, report)
+        }
+    }
+
+    fn calls_to(log: &Log, who: Option<usize>) -> Vec<&Vec<Task>> {
+        let theirs = log.iter().filter(|(w, _)| *w == who);
+        theirs.map(|(_, tasks)| tasks).collect()
+    }
+
+    fn tasks_on_dpus(log: &Log) -> u64 {
+        let on_dpu = log.iter().filter(|(who, _)| who.is_some());
+        on_dpu.map(|(_, tasks)| tasks.len() as u64).sum()
+    }
+
+    #[test]
+    fn no_injector_is_one_wave_with_default_fault_stats() {
+        for faults in [None, Some(FaultConfig::none())] {
+            let mut rig = rig(faults);
+            let (log, lists, report) = rig.run();
+            assert_eq!(report.fault, FaultStats::default());
+            assert!(calls_to(&log, None).is_empty(), "nothing to replay");
+            for d in 0..NDPUS {
+                assert!(calls_to(&log, Some(d)).len() <= 1, "one wave only");
+            }
+            assert_eq!(tasks_on_dpus(&log), rig.ntasks() as u64);
+            // a full accept folds everything the DPUs reported
+            assert_eq!(report.lock.locked_updates, rig.ntasks() as u64);
+            assert_eq!(report.timing.push_bytes, 10 * rig.ntasks() as u64);
+            assert_eq!(lists.len(), rig.probes.len());
+            assert!(lists.iter().all(|l| !l.is_empty()));
+        }
+    }
+
+    #[test]
+    fn hedged_dpu_never_gets_its_own_work_back() {
+        let script = |seed| FaultConfig {
+            seed,
+            straggler_rate: 0.5,
+            ..FaultConfig::none()
+        };
+        // the fake's charge puts every straggler past the deadline, so the
+        // DPUs that straggle in wave 0 are exactly the hedged ones
+        let hedged = |seed| -> Vec<usize> {
+            let inj = FaultInjector::new(script(seed)).unwrap();
+            let slow = |d: &usize| inj.outcome(*d, 0, 0) != FaultOutcome::Healthy;
+            (0..NDPUS).filter(slow).collect()
+        };
+        let seed = (0..64)
+            .find(|&s| (1..NDPUS).contains(&hedged(s).len()))
+            .expect("some seed slows some but not all DPUs");
+        let mut rig = rig(Some(script(seed)));
+        // every DPU hosts every slice: any DPU could take the re-issue
+        for homes in &mut rig.layout.slice_homes {
+            *homes = (0..NDPUS).collect();
+        }
+        let (log, _, report) = rig.run();
+        assert!(report.fault.hedged_tasks > 0);
+        for d in hedged(seed) {
+            let calls = calls_to(&log, Some(d));
+            assert_eq!(calls.len(), 1, "DPU {d} was dispatched to again");
+            for t in calls[0] {
+                let elsewhere =
+                    |(who, ts): &(Option<usize>, Vec<Task>)| *who != Some(d) && ts.contains(t);
+                assert!(log.iter().any(elsewhere), "{t:?} was never re-issued");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_wave_is_charged_but_its_results_are_discarded() {
+        let mut rig = rig(Some(FaultConfig {
+            corruption_rate: 1.0,
+            ..FaultConfig::none()
+        }));
+        let (log, lists, report) = rig.run();
+        // wave 0 and its one retry both corrupt, then the host replays
+        let on_dpus = tasks_on_dpus(&log);
+        assert_eq!(on_dpus, 2 * rig.ntasks() as u64);
+        assert_eq!(report.fault.corruptions, log.len() - 1);
+        // the work was done and the damaged payloads crossed the link...
+        assert_eq!(report.timing.push_bytes, 10 * on_dpus);
+        assert_eq!(report.timing.gather_bytes, 7 * on_dpus);
+        let charged = rig.system.aggregate_meter().total().cycles;
+        assert_eq!(charged, CYCLES_PER_TASK * on_dpus);
+        // ...but only the host replay's results and counters are kept
+        assert!(lists.iter().flatten().flatten().all(|n| n.id == HOST));
+        assert_eq!(report.lock.locked_updates, 0);
+        assert_eq!(report.fault.host_fallback_tasks, rig.ntasks());
+    }
+
+    #[test]
+    fn zero_retries_escalates_after_the_first_wave() {
+        let mut rig = rig(Some(FaultConfig {
+            corruption_rate: 1.0,
+            ..FaultConfig::none()
+        }));
+        rig.cfg.recovery.max_retries = 0;
+        let (log, _, report) = rig.run();
+        assert_eq!(tasks_on_dpus(&log), rig.ntasks() as u64, "one wave");
+        let replayed = calls_to(&log, None);
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed[0].len(), rig.ntasks());
+        assert_eq!(report.fault.retried_tasks, rig.ntasks());
+        assert_eq!(report.fault.host_fallback_tasks, rig.ntasks());
+    }
+
+    #[test]
+    fn tasks_with_every_home_banned_reach_the_fallback_exactly_once() {
+        let script = |seed| FaultConfig {
+            seed,
+            fail_stop_rate: 0.5,
+            ..FaultConfig::none()
+        };
+        let dead = |seed| -> Vec<bool> {
+            let inj = FaultInjector::new(script(seed)).unwrap();
+            (0..NDPUS).map(|d| inj.is_fail_stop(d)).collect()
+        };
+        let seed = (0..64)
+            .find(|&s| (1..NDPUS).contains(&dead(s).iter().filter(|&&x| x).count()))
+            .expect("some seed kills some but not all DPUs");
+        let dead = dead(seed);
+        let mut rig = rig(Some(script(seed)));
+        // one home per slice: a dead home orphans the slice
+        for homes in &mut rig.layout.slice_homes {
+            homes.truncate(1);
+        }
+        let (log, _, report) = rig.run();
+        let orphaned = |t: &Task| dead[rig.layout.slice_homes[t.slice][0]];
+        for (d, &is_dead) in dead.iter().enumerate() {
+            assert!(!is_dead || calls_to(&log, Some(d)).is_empty());
+        }
+        let replayed = calls_to(&log, None);
+        assert_eq!(replayed.len(), 1, "one host replay");
+        assert!(!replayed[0].is_empty() && replayed[0].iter().all(orphaned));
+        // fail-stop alone retries nothing: every task ran exactly once
+        let all: Vec<Task> = log.iter().flat_map(|(_, t)| t.clone()).collect();
+        assert_eq!(all.len(), rig.ntasks());
+        assert_eq!(
+            replayed[0].len(),
+            all.iter().filter(|t| orphaned(t)).count()
+        );
+        assert_eq!(report.fault.host_fallback_tasks, replayed[0].len());
+        assert_eq!(report.fault.dropped_tasks, 0);
+    }
+}

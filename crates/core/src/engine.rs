@@ -1,35 +1,40 @@
 //! The DRIM-ANN engine: build an IVF-PQ index, lay it out over the DPUs,
 //! and execute query batches through the five-phase pipeline (paper Fig. 4).
 //!
-//! Execution per batch: the host runs cluster locating and the greedy
-//! scheduler; every DPU then (in parallel on the host thread pool, one
-//! work item per DPU) runs RC -> LC -> DC -> TS over its assigned (query,
-//! slice) tasks,
-//! reusing the residual and LUT across slices of the same cluster when they
-//! were co-located; finally the per-DPU top-k lists are gathered and merged
-//! on the host. The returned [`BatchReport`] carries the simulated wall
-//! clock, energy, imbalance and phase breakdown.
+//! Execution per batch: the host runs cluster locating here, then the
+//! shared dispatch loop (`crate::dispatch`, also trace mode's) schedules
+//! greedily and drives the DPU waves; every DPU (in parallel on the host
+//! thread pool, one work item per DPU) runs RC -> LC -> DC -> TS over its
+//! assigned (query, slice) tasks, reusing the residual and LUT across
+//! slices of the same cluster when they were co-located; finally the
+//! per-DPU top-k lists are gathered and merged on the host. The returned
+//! [`BatchReport`] carries the simulated wall clock, energy, imbalance and
+//! phase breakdown. Streaming inserts, deletes and maintenance live in the
+//! `mutate` submodule.
 
-use crate::config::{ConfigError, EngineConfig, SchedPolicy};
+use crate::config::{ConfigError, EngineConfig};
+use crate::dispatch::{self, DpuOutput};
 use crate::kernels::{cl, dc, lc, rc, ts, KernelCtx};
 use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
-use crate::recovery::DpuHealth;
-use crate::report::{BatchReport, FaultStats};
-use crate::sched::{self, Policy, Task};
+use crate::report::BatchReport;
+use crate::sched::Task;
 use crate::sqt::Sqt;
 use crate::wram::{plan as wram_plan, WramPlacement};
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::quantize::ScalarQuantizer;
 use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
 use ann_core::vector::VecSet;
-use rayon::prelude::*;
-use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector, FaultOutcome};
+use std::borrow::Cow;
+use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector};
 use upmem_sim::meter::{DpuMeter, Phase};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
 use upmem_sim::tasklet::LockStats;
 use upmem_sim::{PimArch, SimConfigError};
+
+mod mutate;
+pub use mutate::{MaintenanceReport, MutationError};
 
 /// (query, cluster) groups per bulk-LC wave in the per-DPU loop: one
 /// [`lc::run_bulk`] call builds this many LUTs back-to-back, so the
@@ -77,69 +82,6 @@ impl From<ConfigError> for BuildError {
 impl From<SimConfigError> for BuildError {
     fn from(e: SimConfigError) -> Self {
         BuildError::Sim(e)
-    }
-}
-
-/// Streaming-mutation error ([`DrimEngine::insert`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MutationError {
-    /// The inserted vector's dimension does not match the index.
-    WrongDim {
-        /// Dimension of the rejected vector.
-        got: usize,
-        /// Dimension the engine was built for.
-        expected: usize,
-    },
-    /// The id is already live in the index (delete it first).
-    DuplicateId(u32),
-    /// No home DPU of the target cluster's tail slice has MRAM headroom
-    /// for one more point. Run [`DrimEngine::maintain`] (compaction or
-    /// migration frees space) and retry.
-    MramFull(u32),
-}
-
-impl std::fmt::Display for MutationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MutationError::WrongDim { got, expected } => {
-                write!(f, "inserted vector has dim {got}, index expects {expected}")
-            }
-            MutationError::DuplicateId(id) => write!(f, "id {id} is already live"),
-            MutationError::MramFull(c) => {
-                write!(f, "no MRAM headroom on cluster {c}'s home DPUs")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MutationError {}
-
-/// What one [`DrimEngine::maintain`] call did. All costs are simulated
-/// and already charged to the engine's mutation accounting
-/// ([`DrimEngine::mutation_transfer_s`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MaintenanceReport {
-    /// Clusters physically compacted (tombstones purged).
-    pub compacted_lists: usize,
-    /// Tombstoned points physically removed by compaction.
-    pub purged_points: u64,
-    /// Overgrown tail slices split in two.
-    pub split_slices: usize,
-    /// Slice copies migrated between DPUs (double-buffered).
-    pub migrated_slices: usize,
-    /// Bytes moved across the host link by splits + migrations.
-    pub moved_bytes: u64,
-    /// Simulated seconds of link time the moves cost.
-    pub transfer_s: f64,
-    /// Epoch bumps performed (one per split/migration swap; compaction
-    /// is results-neutral and bumps nothing).
-    pub epoch_swaps: usize,
-}
-
-impl MaintenanceReport {
-    /// True when the call found nothing to do.
-    pub fn is_noop(&self) -> bool {
-        *self == MaintenanceReport::default()
     }
 }
 
@@ -540,92 +482,6 @@ impl DrimEngine {
         self.nprobe_override.unwrap_or(self.cfg.index.nprobe)
     }
 
-    /// Insert one vector while serving. Assignment runs the same
-    /// nearest-centroid kernel as [`IvfPqIndex::insert`] (so a from-scratch
-    /// replay lands every point in the same cluster — the parity
-    /// contract), the residual is PQ-encoded with the frozen codebooks,
-    /// and the point is appended to the cluster's tail slice on every home
-    /// DPU. The appended bytes are metered through the host link
-    /// ([`Self::mutation_transfer_s`]). Bumps the result epoch.
-    pub fn insert(&mut self, id: u32, v: &[f32]) -> Result<(), MutationError> {
-        let dim = self.dim();
-        if v.len() != dim {
-            return Err(MutationError::WrongDim {
-                got: v.len(),
-                expected: dim,
-            });
-        }
-        if self.id_cluster.contains_key(&id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        // A tombstoned copy of this id may still sit in some list; purge it
-        // first so the re-insert cannot leave two physical copies (the old
-        // one would resurrect when its tombstone clears).
-        if let Some(&c) = self.tombstoned_cluster.get(&id) {
-            self.compact_cluster(c as usize);
-        }
-
-        // Assign + encode exactly like the host-side index insert.
-        let (c, _) = ann_core::kmeans::nearest_centroid_with_norms(
-            v,
-            &self.ivf.coarse,
-            &self.ivf.coarse_norms,
-        );
-        let c = c as usize;
-        let mut residual = vec![0.0f32; dim];
-        ann_core::ivf::residual_into(v, self.ivf.coarse.get(c), &mut residual);
-        let code = self.ivf.quant.encode(&residual);
-
-        // Capacity check on every home of the tail slice *before* any state
-        // changes, so a failed insert is a clean no-op.
-        let si = self.ensure_tail_slice(c)?;
-        let homes = self.layout.slice_homes[si].clone();
-        for &d in &homes {
-            if self.system.dpus[d].mram.free() < self.bytes_per_point {
-                return Err(MutationError::MramFull(c as u32));
-            }
-        }
-        for &d in &homes {
-            let cur = self.system.dpus[d].mram.segment("slices");
-            self.system.dpus[d]
-                .mram
-                .set("slices", cur + self.bytes_per_point)
-                .expect("pre-checked headroom");
-            // each copy crosses the link once
-            self.mutation_transfer_s += self.system.link.time_total(self.bytes_per_point);
-            self.mutation_push_bytes += self.bytes_per_point;
-        }
-
-        // Append: host list and the canonical tail-slice payload stay in
-        // lockstep (the slice covers the list's tail, so both grow at the
-        // end).
-        let list = &mut self.ivf.lists[c];
-        list.ids.push(id);
-        list.codes.extend_from_slice(&code);
-        let data = &mut self.slice_data[si];
-        data.ids.push(id);
-        data.codes.extend_from_slice(&code);
-        self.layout.slices[si].len += 1;
-
-        self.id_cluster.insert(id, c as u32);
-        self.epoch += 1;
-        Ok(())
-    }
-
-    /// Delete by id: O(1) tombstone, filtered out of every scan from the
-    /// next batch on. Returns `false` (without an epoch bump) when the id
-    /// is not live. Physical removal happens later in
-    /// [`Self::maintain`]'s compaction pass.
-    pub fn delete(&mut self, id: u32) -> bool {
-        let Some(c) = self.id_cluster.remove(&id) else {
-            return false;
-        };
-        self.tombstones[c as usize].insert(id);
-        self.tombstoned_cluster.insert(id, c);
-        self.epoch += 1;
-        true
-    }
-
     /// Number of live (inserted and not deleted) points.
     pub fn live_len(&self) -> usize {
         self.id_cluster.len()
@@ -645,287 +501,6 @@ impl DrimEngine {
     /// Bytes mutations have pushed across the host link so far.
     pub fn mutation_push_bytes(&self) -> u64 {
         self.mutation_push_bytes
-    }
-
-    /// The cluster's tail slice (creating an empty one on the least-loaded
-    /// DPU for clusters the build left sliceless).
-    fn ensure_tail_slice(&mut self, c: usize) -> Result<usize, MutationError> {
-        if let Some(&si) = self.layout.cluster_slices[c].last() {
-            return Ok(si);
-        }
-        let bytes = self.layout.dpu_bytes(self.bytes_per_point);
-        let d = (0..self.system.len())
-            .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            .ok_or(MutationError::MramFull(c as u32))?;
-        let si = self.layout.slices.len();
-        self.layout.slices.push(crate::layout::Slice {
-            cluster: c as u32,
-            start: 0,
-            len: 0,
-            heat: 0.0,
-        });
-        self.layout.slice_homes.push(vec![d]);
-        // new canonical index is the maximum, so pushing keeps the per-DPU
-        // slice list in its canonical ascending order
-        self.layout.dpu_slices[d].push(si);
-        self.layout.cluster_slices[c].push(si);
-        self.slice_data.push(SliceData::default());
-        Ok(si)
-    }
-
-    /// Physically purge a cluster's tombstones, order-preserving: every
-    /// slice's survivors keep their relative order and points never cross
-    /// slice boundaries (each slice shrinks in place), so the candidate
-    /// stream the DPUs see is *identical* to the filtered stream before
-    /// compaction — which is why this reclaims MRAM without an epoch bump.
-    /// Returns the purged-point count.
-    fn compact_cluster(&mut self, c: usize) -> u64 {
-        let tomb = std::mem::take(&mut self.tombstones[c]);
-        if tomb.is_empty() {
-            return 0;
-        }
-        let m = self.cfg.index.m;
-        let mut purged = 0u64;
-        let mut cursor = 0usize;
-        let slice_idxs = self.layout.cluster_slices[c].clone();
-        for &si in &slice_idxs {
-            let data = &mut self.slice_data[si];
-            let before = data.ids.len();
-            let mut w = 0usize;
-            for r in 0..before {
-                if tomb.contains(&data.ids[r]) {
-                    continue;
-                }
-                if w != r {
-                    data.ids[w] = data.ids[r];
-                    data.codes.copy_within(r * m..(r + 1) * m, w * m);
-                }
-                w += 1;
-            }
-            data.ids.truncate(w);
-            data.codes.truncate(w * m);
-            let removed = before - w;
-            purged += removed as u64;
-            if removed > 0 {
-                let delta = removed as u64 * self.bytes_per_point;
-                for &d in &self.layout.slice_homes[si] {
-                    let cur = self.system.dpus[d].mram.segment("slices");
-                    self.system.dpus[d]
-                        .mram
-                        .set("slices", cur.saturating_sub(delta))
-                        .expect("shrinking never overflows");
-                }
-            }
-            self.layout.slices[si].start = cursor;
-            self.layout.slices[si].len = w;
-            cursor += w;
-        }
-        // the host list is the concatenation of its slices, rebuilt to match
-        let list = &mut self.ivf.lists[c];
-        list.ids.clear();
-        list.codes.clear();
-        for &si in &slice_idxs {
-            list.ids.extend_from_slice(&self.slice_data[si].ids);
-            list.codes.extend_from_slice(&self.slice_data[si].codes);
-        }
-        for id in &tomb {
-            self.tombstoned_cluster.remove(id);
-        }
-        purged
-    }
-
-    /// One background-maintenance step (`cfg.maintenance` policy):
-    ///
-    /// 1. **Compaction** — clusters whose tombstone fraction reached
-    ///    `compact_tombstone_frac` are physically purged (results-neutral,
-    ///    no epoch bump; reclaims MRAM and scan work).
-    /// 2. **Split** — tail slices grown past `overgrown_factor * th1` are
-    ///    halved, the new half placed on the least-loaded live DPU
-    ///    (re-spreads a hot cluster that appends re-concentrated).
-    /// 3. **Migration** — up to `max_migrations` slice copies move from
-    ///    the most- to the least-loaded live DPU via a double-buffer epoch
-    ///    swap: the destination copy is allocated and filled first (the
-    ///    transfer is metered), reads keep hitting the old copy until the
-    ///    home swap, then the source MRAM is released.
-    ///
-    /// Every split/migration bumps [`Self::epoch`], so serve-side caches
-    /// and single-flight registries invalidate for free. Dead DPUs (under
-    /// an armed injector at the current fault batch) never receive moved
-    /// data.
-    pub fn maintain(&mut self) -> MaintenanceReport {
-        let mc = self.cfg.maintenance;
-        let mut rep = MaintenanceReport::default();
-
-        // --- 1. compaction ---
-        for c in 0..self.ivf.lists.len() {
-            let pending = self.tombstones[c].len();
-            if pending == 0 {
-                continue;
-            }
-            let physical = self.ivf.lists[c].len().max(1);
-            if pending as f64 >= mc.compact_tombstone_frac * physical as f64 {
-                rep.purged_points += self.compact_cluster(c);
-                rep.compacted_lists += 1;
-            }
-        }
-
-        // DPUs an armed injector has already failed must not receive data.
-        let banned = match &self.system.fault {
-            Some(inj) => {
-                DpuHealth::from_injector_at(inj, self.system.len(), self.fault_batch).banned()
-            }
-            None => vec![false; self.system.len()],
-        };
-
-        // --- 2. split overgrown slices ---
-        // (th1 == usize::MAX when partitioning is off: the product below
-        // is astronomically large and nothing ever splits, by design)
-        let split_threshold = mc.overgrown_factor * self.layout.th1 as f64;
-        for si in 0..self.layout.slices.len() {
-            let s = self.layout.slices[si];
-            if (s.len as f64) <= split_threshold || s.len < 2 {
-                continue;
-            }
-            let first = s.len / 2;
-            let second = s.len - first;
-            let move_bytes = second as u64 * self.bytes_per_point;
-            // Destination: least-loaded live DPU with headroom, preferring
-            // DPUs that do not already host this slice. A slice replicated
-            // on every DPU (hot-cluster duplication) falls back to a home
-            // DPU — the split still spreads *future* appends, and the tail
-            // bytes are already resident there, so no transfer is charged.
-            let bytes = self.layout.dpu_bytes(self.bytes_per_point);
-            let pick = |exclude_homes: bool| {
-                (0..self.system.len())
-                    .filter(|&d| !banned[d])
-                    .filter(|&d| !exclude_homes || !self.layout.slice_homes[si].contains(&d))
-                    .filter(|&d| {
-                        self.layout.slice_homes[si].contains(&d)
-                            || self.system.dpus[d].mram.free() >= move_bytes
-                    })
-                    .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            };
-            let Some(dst) = pick(true).or_else(|| pick(false)) else {
-                continue;
-            };
-            let dst_was_home = self.layout.slice_homes[si].contains(&dst);
-            // shrink the old copies, allocate + fill the new home
-            for &d in &self.layout.slice_homes[si].clone() {
-                if d == dst {
-                    continue; // keeps its bytes: they become the new slice
-                }
-                let cur = self.system.dpus[d].mram.segment("slices");
-                self.system.dpus[d]
-                    .mram
-                    .set("slices", cur.saturating_sub(move_bytes))
-                    .expect("shrinking never overflows");
-            }
-            if !dst_was_home {
-                let cur = self.system.dpus[dst].mram.segment("slices");
-                self.system.dpus[dst]
-                    .mram
-                    .set("slices", cur + move_bytes)
-                    .expect("pre-checked headroom");
-                let t = self.system.link.time_total(move_bytes);
-                self.mutation_transfer_s += t;
-                self.mutation_push_bytes += move_bytes;
-                rep.transfer_s += t;
-                rep.moved_bytes += move_bytes;
-            }
-
-            // carve the tail half out of the canonical payload
-            let m = self.cfg.index.m;
-            let data = &mut self.slice_data[si];
-            let tail = SliceData {
-                ids: data.ids.split_off(first),
-                codes: data.codes.split_off(first * m),
-            };
-            let new_si = self.layout.slices.len();
-            self.layout.slices[si].len = first;
-            self.layout.slices[si].heat = s.heat / 2.0;
-            self.layout.slices.push(crate::layout::Slice {
-                cluster: s.cluster,
-                start: s.start + first,
-                len: second,
-                heat: s.heat / 2.0,
-            });
-            self.layout.slice_homes.push(vec![dst]);
-            self.layout.dpu_slices[dst].push(new_si);
-            // cluster_slices stays in offset order: the new slice sits
-            // right after the one it was carved from
-            let cs = &mut self.layout.cluster_slices[s.cluster as usize];
-            let pos = cs.iter().position(|&x| x == si).expect("slice is owned");
-            cs.insert(pos + 1, new_si);
-            self.slice_data.push(tail);
-
-            rep.split_slices += 1;
-            rep.epoch_swaps += 1;
-            self.epoch += 1;
-        }
-
-        // --- 3. migration ---
-        for _ in 0..mc.max_migrations {
-            let bytes = self.layout.dpu_bytes(self.bytes_per_point);
-            let Some(src) = (0..self.system.len())
-                .filter(|&d| bytes[d] > 0)
-                .max_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            else {
-                break;
-            };
-            let Some(dst) = (0..self.system.len())
-                .filter(|&d| !banned[d] && d != src)
-                .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            else {
-                break;
-            };
-            if bytes[src] <= bytes[dst] {
-                break; // already balanced
-            }
-            // biggest slice on src that fits dst's headroom, is not already
-            // on dst, and actually improves balance
-            let Some(&si) = self.layout.dpu_slices[src]
-                .iter()
-                .filter(|&&si| !self.layout.slice_homes[si].contains(&dst))
-                .filter(|&&si| {
-                    let b = self.layout.slices[si].len as u64 * self.bytes_per_point;
-                    b > 0 && self.system.dpus[dst].mram.free() >= b && bytes[dst] + b < bytes[src]
-                })
-                .max_by_key(|&&si| self.layout.slices[si].len)
-            else {
-                break;
-            };
-            let move_bytes = self.layout.slices[si].len as u64 * self.bytes_per_point;
-
-            // Double buffer: allocate + fill the destination copy first
-            // (reads keep hitting the source copy until the home swap)...
-            let cur = self.system.dpus[dst].mram.segment("slices");
-            self.system.dpus[dst]
-                .mram
-                .set("slices", cur + move_bytes)
-                .expect("pre-checked headroom");
-            let t = self.system.link.time_total(move_bytes);
-            self.mutation_transfer_s += t;
-            self.mutation_push_bytes += move_bytes;
-            rep.transfer_s += t;
-            rep.moved_bytes += move_bytes;
-            // ...swap the home atomically (the epoch bump publishes it)...
-            let homes = &mut self.layout.slice_homes[si];
-            let pos = homes.iter().position(|&d| d == src).expect("src hosts it");
-            homes[pos] = dst;
-            self.layout.recompute_dpu_slices();
-            // ...then release the source copy.
-            let cur = self.system.dpus[src].mram.segment("slices");
-            self.system.dpus[src]
-                .mram
-                .set("slices", cur.saturating_sub(move_bytes))
-                .expect("shrinking never overflows");
-
-            rep.migrated_slices += 1;
-            rep.epoch_swaps += 1;
-            self.epoch += 1;
-        }
-
-        rep
     }
 
     /// DPUs per rank under the configured rank topology (`cfg.ranks`);
@@ -962,26 +537,12 @@ impl DrimEngine {
         self.cfg.index.k
     }
 
-    /// Predicted per-task scan cost in seconds (the scheduler's heat unit,
-    /// "estimated by the latency calculated by Equation 1-12").
-    fn task_cost(&self, slice_len: usize) -> f64 {
-        sched::task_cost_s(
-            slice_len,
-            self.cfg.index.m,
-            self.cfg.index.cb,
-            self.ivf.quant.pq().dsub,
-            self.cfg.index.k,
-            self.cfg.sqt,
-            &self.system.arch.costs,
-            self.system.arch.freq_hz,
-        )
-    }
-
     /// Execute one query batch. Returns per-query neighbors plus the report.
     ///
-    /// With a non-inert fault injector attached ([`Self::inject_faults`])
-    /// the batch runs through the recovery pipeline; otherwise this is the
-    /// unmodified zero-fault path, bit-for-bit.
+    /// Clean and faulted batches run the same dispatch loop: with a
+    /// non-inert fault injector attached ([`Self::inject_faults`]) its
+    /// recovery pipeline engages; without one it is the one-wave case,
+    /// bit-identical to an engine that never had an injector.
     ///
     /// With `cfg.dedup` on, bit-identical queries within the batch are
     /// computed once and their results scattered back
@@ -1002,15 +563,10 @@ impl DrimEngine {
     }
 
     /// [`Self::search_batch`] without the dedup pre-pass: every row of
-    /// `queries` is executed, duplicates included.
+    /// `queries` is executed, duplicates included. Host CL here, then the
+    /// shared dispatch loop ([`dispatch::run`]) over the functional
+    /// kernels, then the host merge.
     fn search_batch_unique(&mut self, queries: &VecSet<f32>) -> (Vec<Vec<Neighbor>>, BatchReport) {
-        if self.fault_active() {
-            return self.search_batch_recovering(queries);
-        }
-        let k = self.cfg.index.k;
-        let ndpus = self.system.len();
-        self.system.reset_meters();
-
         // --- CL (host): borrowed centroid table + the index's cached
         // norms — no per-batch norm recompute or table clone ---
         let cl_out = cl::run(
@@ -1022,423 +578,100 @@ impl DrimEngine {
             &self.host,
         );
 
-        // --- schedule ---
-        let tasks = sched::expand_tasks(&cl_out.probes, &self.layout, |len| self.task_cost(len));
-        let policy = match self.cfg.scheduling {
-            SchedPolicy::Static => Policy::Static,
-            SchedPolicy::Greedy => Policy::Greedy { th3: self.cfg.th3 },
-        };
-        let mut plan = sched::schedule(&tasks, &self.layout, ndpus, policy);
-        let postponed_count = plan.postponed.len();
-        // Postponed tasks run in a follow-up wave (the "next batch" of the
-        // paper); for result correctness we execute them now, on the same
-        // meters — the report still records how many were deferred.
-        while !plan.postponed.is_empty() {
-            let extra = sched::schedule_with_heat(
-                &plan.postponed,
-                &self.layout,
-                ndpus,
-                Policy::Greedy { th3: f64::INFINITY },
-                Some(&plan.heat),
-            );
-            for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
-                plan.per_dpu[d].extend(ts_);
-            }
-            plan.heat = extra.heat;
-            plan.postponed = extra.postponed;
-        }
-
-        // --- DPU execution (parallel over DPUs; each DPU fills its own
-        // output buffer and the ordered collect makes the merge below
-        // deterministic at any host thread count) ---
         // For OPQ the host rotates the query batch once (folded into CL);
         // DPUs then work entirely in rotated space.
-        let dpu_queries: VecSet<f32> = match &self.ivf.quant {
+        let dpu_queries: Cow<'_, VecSet<f32>> = match &self.ivf.quant {
             ann_core::ivf::PqModel::Rotated(o) => {
                 let mut rq = VecSet::with_capacity(queries.dim(), queries.len());
                 for q in queries.iter() {
                     rq.push(&o.rotation.matvec(q));
                 }
-                rq
+                Cow::Owned(rq)
             }
-            _ => queries.clone(),
+            _ => Cow::Borrowed(queries),
         };
-        let outputs: Vec<DpuOutput> = plan
-            .per_dpu
-            .par_iter()
-            .enumerate()
-            .map(|(d, tasks)| self.run_dpu(d, tasks, &dpu_queries))
-            .collect();
 
-        // fold meters + stats back into the system
-        let mut lock = LockStats::default();
-        let mut sqt_hits = (0u64, 0u64);
-        let mut push_bytes = 0u64;
-        let mut gather_bytes = 0u64;
-        let mut tombstone_filtered = 0u64;
-        for out in &outputs {
-            self.system.dpus[out.dpu].meter.merge(&out.meter);
-            lock.locked_updates += out.lock.locked_updates;
-            lock.pruned += out.lock.pruned;
-            sqt_hits.0 += out.sqt_hits.0;
-            sqt_hits.1 += out.sqt_hits.1;
-            push_bytes += out.push_bytes;
-            gather_bytes += out.gather_bytes;
-            tombstone_filtered += out.tombstone_filtered;
-        }
-
-        // --- merge on host ---
-        let mut per_query_lists: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); queries.len()];
-        for out in outputs {
-            for (q, list) in out.results {
-                per_query_lists[q as usize].push(list);
-            }
-        }
-        let results: Vec<Vec<Neighbor>> = per_query_lists
-            .into_iter()
-            .map(|lists| merge_topk(&lists, k))
-            .collect();
-
-        // --- timing & report (exact transfer-byte totals) ---
-        let timing = self
-            .system
-            .batch_timing(cl_out.host_s, push_bytes, gather_bytes);
-        let energy = self.system.batch_energy(&timing, self.host.power_w);
-        let sqt_rate = if sqt_hits.0 + sqt_hits.1 == 0 {
-            1.0
-        } else {
-            sqt_hits.0 as f64 / (sqt_hits.0 + sqt_hits.1) as f64
+        // --- DPU execution: the dispatch loop mutates `self.system` while
+        // waves run, so the kernels borrow the rest of the engine field by
+        // field, plus a per-batch copy of the cost table ---
+        let arch = &self.system.arch;
+        let costs = arch.costs.clone();
+        let dsub = self.ivf.quant.pq().dsub;
+        let kernels = DpuKernels {
+            ctx: KernelCtx {
+                costs: &costs,
+                // random accesses pay the burst x the PrIM-style derate
+                dma_burst: arch.dma_burst_bytes * arch.mram_random_penalty,
+                bits: self.cfg.bits,
+                placement: &self.placement,
+            },
+            cfg: &self.cfg,
+            layout: &self.layout,
+            dsub,
+            rquant: &self.rquant,
+            qcodebooks: &self.qcodebooks,
+            slice_data: &self.slice_data,
+            dpu_centroids: &self.dpu_centroids,
+            tombstones: &self.tombstones,
+            queries: &dpu_queries,
         };
-        let report = BatchReport::new(
-            queries.len(),
-            timing,
-            energy,
-            postponed_count,
-            lock,
-            sqt_rate,
-        )
-        .with_tombstones(tombstone_filtered);
-        (results, report)
-    }
-
-    /// The fault-tolerant variant of [`Self::search_batch`]: dispatch
-    /// routes around the injector's dead set, every wave's outcome is
-    /// checked (checksum for corruption, completion estimate for
-    /// stragglers), faulted work is re-dispatched to surviving replicas up
-    /// to `recovery.max_retries` waves, stragglers past the deadline are
-    /// hedged, and whatever cannot be placed escalates to the host-side
-    /// kernel replay (lossless) or degrades with the loss accounted in
-    /// [`FaultStats`]. See `docs/FAULT_MODEL.md` for the full state machine.
-    fn search_batch_recovering(
-        &mut self,
-        queries: &VecSet<f32>,
-    ) -> (Vec<Vec<Neighbor>>, BatchReport) {
-        let k = self.cfg.index.k;
-        let ndpus = self.system.len();
-        self.system.reset_meters();
-        let rec = self.cfg.recovery;
-        let batch = self.fault_batch;
-        let injector = self
-            .system
-            .fault
-            .clone()
-            .expect("recovery path requires an injector");
-
-        // Health is rebuilt per batch (determinism contract); the
-        // injector's static fail-stop set is the driver's allocation-time
-        // rank scan, so dead DPUs never receive work in the first place.
-        let mut health = DpuHealth::from_injector_at(&injector, ndpus, batch);
-        let mut stats = FaultStats::default();
-
-        // --- CL (host) ---
-        let cl_out = cl::run(
-            queries,
-            &self.ivf.coarse,
-            &self.ivf.coarse_norms,
-            self.effective_nprobe(),
-            &self.shape,
-            &self.host,
+        let (per_query_lists, report) = dispatch::run(
+            &mut self.system,
+            dispatch::Batch {
+                probes: &cl_out.probes,
+                cl_host_s: cl_out.host_s,
+                cfg: &self.cfg,
+                layout: &self.layout,
+                host: &self.host,
+                dsub,
+                fault_batch: self.fault_batch,
+            },
+            |_, tasks| kernels.run_dpu(tasks),
         );
 
-        // --- schedule around the dead set ---
-        let tasks = sched::expand_tasks(&cl_out.probes, &self.layout, |len| self.task_cost(len));
-        stats.scheduled_points = tasks
-            .iter()
-            .map(|t| self.layout.slices[t.slice].len as u64)
-            .sum();
-        let policy = match self.cfg.scheduling {
-            SchedPolicy::Static => Policy::Static,
-            SchedPolicy::Greedy => Policy::Greedy { th3: self.cfg.th3 },
-        };
-        let banned0 = health.banned();
-        let mut plan =
-            sched::schedule_filtered(&tasks, &self.layout, ndpus, policy, None, Some(&banned0));
-        let postponed_count = plan.postponed.len();
-        let mut fallback: Vec<Task> = std::mem::take(&mut plan.unplaceable);
-        while !plan.postponed.is_empty() {
-            let extra = sched::schedule_filtered(
-                &plan.postponed,
-                &self.layout,
-                ndpus,
-                Policy::Greedy { th3: f64::INFINITY },
-                Some(&plan.heat),
-                Some(&banned0),
-            );
-            for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
-                plan.per_dpu[d].extend(ts_);
-            }
-            plan.heat = extra.heat;
-            plan.postponed = extra.postponed;
-            fallback.extend(extra.unplaceable);
-        }
-
-        // Hedging deadline: the host stops waiting for a straggler once its
-        // estimated completion exceeds this multiple of the predicted
-        // barrier (the scheduler's max heat).
-        let max_heat = plan.heat.iter().cloned().fold(0.0, f64::max);
-        let deadline = if max_heat > 0.0 {
-            rec.hedge_deadline_factor * max_heat
-        } else {
-            f64::INFINITY
-        };
-
-        let dpu_queries: VecSet<f32> = match &self.ivf.quant {
-            ann_core::ivf::PqModel::Rotated(o) => {
-                let mut rq = VecSet::with_capacity(queries.dim(), queries.len());
-                for q in queries.iter() {
-                    rq.push(&o.rotation.matvec(q));
-                }
-                rq
-            }
-            _ => queries.clone(),
-        };
-
-        // --- dispatch waves with recovery ---
-        let mut per_query_lists: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); queries.len()];
-        let mut lock = LockStats::default();
-        let mut sqt_hits = (0u64, 0u64);
-        let mut push_bytes = 0u64;
-        let mut gather_bytes = 0u64;
-        let mut tombstone_filtered = 0u64;
-        let mut extra_host_s = 0.0f64;
-        let mut heat = plan.heat.clone();
-        // DPUs already hedged this batch never get the same work re-issued
-        let mut hedged = vec![false; ndpus];
-        let mut wave: Vec<(usize, Vec<Task>)> = plan
-            .per_dpu
-            .into_iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_empty())
-            .collect();
-        let mut attempt: u32 = 0;
-
-        loop {
-            let outputs: Vec<DpuOutput> = {
-                let this = &*self;
-                let dq = &dpu_queries;
-                wave.par_iter()
-                    .map(|(d, ts_)| this.run_dpu(*d, ts_, dq))
-                    .collect()
-            };
-
-            let mut to_recover: Vec<Task> = Vec::new();
-            for ((d, wtasks), out) in wave.iter().zip(outputs) {
-                let d = *d;
-                let outcome = injector.outcome(d, batch, attempt);
-                // Host-side integrity check: the link XORs the transmitted
-                // checksum on a corrupt dispatch, so recomputing it over
-                // the gathered payload exposes the damage.
-                let wire = out.checksum ^ injector.corrupt_mask(d, batch, attempt);
-                let corrupt_detected = wire != out.checksum;
-                match outcome {
-                    FaultOutcome::Healthy => {
-                        debug_assert!(!corrupt_detected);
-                        health.record_healthy(d);
-                    }
-                    FaultOutcome::FailStop => {
-                        // Unreachable under the allocation-time scan (dead
-                        // DPUs are pre-banned), kept as a defensive path
-                        // for injectors whose dead set is discovered late.
-                        health.record_fail_stop(d);
-                        stats.fail_stop_events += 1;
-                        stats.retried_tasks += wtasks.len();
-                        push_bytes += out.push_bytes; // the push happened
-                        to_recover.extend_from_slice(wtasks);
-                        continue;
-                    }
-                    FaultOutcome::Straggler(f) => {
-                        stats.stragglers += 1;
-                        health.record_transient(d, rec.quarantine_after);
-                        let wave_s = out.meter.time(&self.system.arch, self.system.tasklets);
-                        self.system.set_dpu_slowdown(d, f);
-                        if rec.hedge && wave_s * f > deadline {
-                            // hedge: stop waiting at the deadline, re-issue
-                            // on replicas; the straggler's energy is still
-                            // spent but its results never arrive
-                            self.system.cap_dpu_time(d, deadline);
-                            hedged[d] = true;
-                            stats.hedged_tasks += wtasks.len();
-                            self.system.dpus[d].meter.merge(&out.meter);
-                            push_bytes += out.push_bytes;
-                            to_recover.extend_from_slice(wtasks);
-                            continue;
-                        }
-                        // slow but worth waiting for: full accept below
-                    }
-                    FaultOutcome::Corrupt => {
-                        debug_assert!(corrupt_detected);
-                        stats.corruptions += 1;
-                        stats.retried_tasks += wtasks.len();
-                        health.record_transient(d, rec.quarantine_after);
-                        // charges stand: the DPU did the work and the
-                        // damaged payload crossed the link before the
-                        // checksum exposed it
-                        self.system.dpus[d].meter.merge(&out.meter);
-                        push_bytes += out.push_bytes;
-                        gather_bytes += out.gather_bytes;
-                        to_recover.extend_from_slice(wtasks);
-                        continue;
-                    }
-                }
-                // full accept (healthy, or a straggler the host waited out)
-                self.system.dpus[d].meter.merge(&out.meter);
-                lock.locked_updates += out.lock.locked_updates;
-                lock.pruned += out.lock.pruned;
-                sqt_hits.0 += out.sqt_hits.0;
-                sqt_hits.1 += out.sqt_hits.1;
-                push_bytes += out.push_bytes;
-                gather_bytes += out.gather_bytes;
-                tombstone_filtered += out.tombstone_filtered;
-                for (q, list) in out.results {
-                    per_query_lists[q as usize].push(list);
-                }
-            }
-
-            if to_recover.is_empty() {
-                break;
-            }
-            attempt += 1;
-            if attempt as usize >= rec.max_retries {
-                fallback.extend_from_slice(&to_recover);
-                break;
-            }
-            // Re-dispatch to surviving replicas, also avoiding DPUs this
-            // batch already hedged away from. The host pays a small
-            // re-issue cost per task (descriptor re-pack + trigger).
-            let mut banned_now = health.banned();
-            for (b, &h) in banned_now.iter_mut().zip(&hedged) {
-                *b |= h;
-            }
-            let rplan = sched::schedule_filtered(
-                &to_recover,
-                &self.layout,
-                ndpus,
-                Policy::Greedy { th3: f64::INFINITY },
-                Some(&heat),
-                Some(&banned_now),
-            );
-            extra_host_s += self.host.time(
-                32.0 * to_recover.len() as f64,
-                16.0 * to_recover.len() as f64,
-            );
-            heat = rplan.heat;
-            fallback.extend(rplan.unplaceable);
-            wave = rplan
-                .per_dpu
-                .into_iter()
-                .enumerate()
-                .filter(|(_, t)| !t.is_empty())
-                .collect();
-            if wave.is_empty() {
-                break;
-            }
-        }
-
-        // --- escalation: host-side kernel replay, or graceful degradation ---
-        if !fallback.is_empty() {
-            if rec.host_fallback {
-                // Replay the exact DPU u8 kernel path on the host, so the
-                // recovered results are bit-identical to what the lost DPUs
-                // would have produced. The meter is converted to host
-                // seconds through the host's ProcModel and never touches
-                // the PIM-side accounting; no link bytes move.
-                stats.host_fallback_tasks += fallback.len();
-                let out = self.run_dpu(0, &fallback, &dpu_queries);
-                let total = out.meter.total();
-                extra_host_s += self
-                    .host
-                    .time(total.cycles as f64, total.total_bytes() as f64);
-                tombstone_filtered += out.tombstone_filtered;
-                for (q, list) in out.results {
-                    per_query_lists[q as usize].push(list);
-                }
-            } else {
-                // Graceful degradation: complete on the surviving probe set
-                // and account the dropped candidate mass.
-                stats.dropped_tasks += fallback.len();
-                let mut degraded: std::collections::BTreeSet<u32> = Default::default();
-                for t in &fallback {
-                    stats.dropped_points += self.layout.slices[t.slice].len as u64;
-                    degraded.insert(t.query);
-                }
-                stats.degraded_queries += degraded.len();
-            }
-        }
-        stats.dead_dpus = health.dead_count();
-        stats.quarantined_dpus = health.quarantined_count();
-        stats.dead_ranks = injector.dead_ranks_at(ndpus, batch);
-
         // --- merge on host ---
-        let results: Vec<Vec<Neighbor>> = per_query_lists
+        let k = self.cfg.index.k;
+        let results = per_query_lists
             .into_iter()
             .map(|lists| merge_topk(&lists, k))
             .collect();
-
-        // --- timing & report ---
-        let timing =
-            self.system
-                .batch_timing(cl_out.host_s + extra_host_s, push_bytes, gather_bytes);
-        let energy = self.system.batch_energy(&timing, self.host.power_w);
-        let sqt_rate = if sqt_hits.0 + sqt_hits.1 == 0 {
-            1.0
-        } else {
-            sqt_hits.0 as f64 / (sqt_hits.0 + sqt_hits.1) as f64
-        };
-        let report = BatchReport::new(
-            queries.len(),
-            timing,
-            energy,
-            postponed_count,
-            lock,
-            sqt_rate,
-        )
-        .with_tombstones(tombstone_filtered)
-        .with_fault_stats(stats);
         (results, report)
     }
+}
 
+/// The read-only engine state one DPU's kernels touch, borrowed field by
+/// field (never through `&DrimEngine`) so [`dispatch::run`] can mutate the
+/// engine's `PimSystem` while waves execute. Built once per batch.
+struct DpuKernels<'a> {
+    ctx: KernelCtx<'a>,
+    cfg: &'a EngineConfig,
+    layout: &'a LayoutPlan,
+    /// PQ sub-vector dimension.
+    dsub: usize,
+    rquant: &'a ScalarQuantizer,
+    qcodebooks: &'a [u8],
+    slice_data: &'a [SliceData],
+    dpu_centroids: &'a VecSet<f32>,
+    tombstones: &'a [std::collections::BTreeSet<u32>],
+    /// The batch's queries in PQ working space (rotated for OPQ).
+    queries: &'a VecSet<f32>,
+}
+
+impl DpuKernels<'_> {
     /// Execute one DPU's task list.
-    fn run_dpu(&self, dpu: usize, tasks: &[Task], queries: &VecSet<f32>) -> DpuOutput {
+    fn run_dpu(&self, tasks: &[Task]) -> DpuOutput {
         let mut meter = DpuMeter::new();
+        let ctx = &self.ctx;
         let mut sqt = self.cfg.sqt.then(|| {
             Sqt::for_bits_resident_windowed(
                 self.cfg.bits,
                 self.cfg.sqt_window,
-                self.placement.is_resident("sqt"),
+                ctx.placement.is_resident("sqt"),
             )
         });
-        let costs = self.system.arch.costs.clone();
-        let ctx = KernelCtx {
-            costs: &costs,
-            // random accesses pay the burst x the PrIM-style derate
-            dma_burst: self.system.arch.dma_burst_bytes * self.system.arch.mram_random_penalty,
-            bits: self.cfg.bits,
-            placement: &self.placement,
-        };
         let m = self.cfg.index.m;
         let cb = self.cfg.index.cb;
-        let pq = self.ivf.quant.pq();
-        let dsub = pq.dsub;
+        let dsub = self.dsub;
         let k = self.cfg.index.k;
 
         // group tasks by (query, cluster) so RC + LC run once per group —
@@ -1471,17 +704,17 @@ impl DrimEngine {
         for wave in groups.chunks(LC_GROUP_BLOCK) {
             residuals.clear();
             for ((q, cluster), slices) in wave {
-                let query = queries.get(*q as usize);
+                let query = self.queries.get(*q as usize);
                 let centroid = self.dpu_centroids.get(*cluster as usize);
                 push_bytes += (query.len() * 4 + 8 * slices.len()) as u64;
 
                 // RC
                 rc::run(
-                    &ctx,
+                    ctx,
                     meter.phase_mut(Phase::Rc),
                     query,
                     centroid,
-                    &self.rquant,
+                    self.rquant,
                     &mut residual_q,
                 );
                 // zero-pad residual to m * dsub (PQ pads internally too)
@@ -1491,11 +724,11 @@ impl DrimEngine {
 
             // LC (bulk over the wave)
             lc::run_bulk(
-                &ctx,
+                ctx,
                 meter.phase_mut(Phase::Lc),
                 &residuals,
                 wave.len(),
-                &self.qcodebooks,
+                self.qcodebooks,
                 m,
                 cb,
                 dsub,
@@ -1522,7 +755,7 @@ impl DrimEngine {
                         upmem_sim::tasklet::LockPolicy::LockAlways => u64::MAX,
                     };
                     dc::run(
-                        &ctx,
+                        ctx,
                         meter.phase_mut(Phase::Dc),
                         &data.codes,
                         m,
@@ -1543,7 +776,7 @@ impl DrimEngine {
                         tombstone_filtered += (before - scanned.len()) as u64;
                     }
                     let s = ts::run(
-                        &ctx,
+                        ctx,
                         meter.phase_mut(Phase::Ts),
                         &scanned,
                         &data.ids,
@@ -1580,7 +813,6 @@ impl DrimEngine {
         }));
 
         DpuOutput {
-            dpu,
             results,
             meter,
             lock,
@@ -1642,27 +874,12 @@ fn widen(q: ScalarQuantizer, factor: f32) -> ScalarQuantizer {
     }
 }
 
-struct DpuOutput {
-    dpu: usize,
-    results: Vec<(u32, Vec<Neighbor>)>,
-    meter: DpuMeter,
-    lock: LockStats,
-    sqt_hits: (u64, u64),
-    push_bytes: u64,
-    gather_bytes: u64,
-    /// Scanned candidates dropped by the tombstone filter.
-    tombstone_filtered: u64,
-    /// Detection checksum over the result payload (see
-    /// [`upmem_sim::fault::result_checksum`]); charged zero.
-    checksum: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
 
-    fn small_workload() -> (VecSet<f32>, VecSet<f32>) {
+    pub(super) fn small_workload() -> (VecSet<f32>, VecSet<f32>) {
         let spec = datasets::SynthSpec::small("engine-test", 16, 3000, 11);
         let data = datasets::generate(&spec);
         let queries = datasets::queries::generate_queries(
@@ -1674,7 +891,7 @@ mod tests {
         (data, queries)
     }
 
-    fn small_cfg() -> EngineConfig {
+    pub(super) fn small_cfg() -> EngineConfig {
         let mut cfg = EngineConfig::drim(IndexConfig {
             k: 10,
             nprobe: 16,
@@ -1951,157 +1168,6 @@ mod tests {
         assert_eq!(e.epoch(), armed + 1);
         e.set_fault_batch(8);
         assert_eq!(e.epoch(), armed + 1, "same batch index, no bump");
-    }
-
-    #[test]
-    fn delete_tombstones_and_insert_appends() {
-        let (data, queries) = small_workload();
-        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
-        let (r0, _) = e.search_batch(&queries);
-        let e0 = e.epoch();
-
-        // delete every id the first query's top-k returned
-        let victims: Vec<u32> = r0[0].iter().map(|n| n.id as u32).collect();
-        for &id in &victims {
-            assert!(e.delete(id), "id {id} must be live");
-        }
-        assert!(!e.delete(victims[0]), "double delete is a no-op");
-        assert_eq!(e.epoch(), e0 + victims.len() as u64);
-        assert_eq!(e.pending_tombstones(), victims.len());
-        assert_eq!(e.live_len(), data.len() - victims.len());
-
-        let (r1, rep1) = e.search_batch(&queries);
-        assert!(
-            rep1.tombstone_filtered > 0,
-            "the victims were scanned and filtered"
-        );
-        assert!(rep1.summary().contains("tomb="));
-        for r in &r1 {
-            for n in r {
-                assert!(
-                    !victims.contains(&(n.id as u32)),
-                    "tombstoned id {} served",
-                    n.id
-                );
-            }
-        }
-
-        // re-insert one victim with its original vector: it becomes
-        // findable again, and the stale physical copy cannot resurrect
-        let back = victims[0];
-        let tr0 = e.mutation_transfer_s();
-        e.insert(back, data.get(back as usize)).unwrap();
-        assert!(e.mutation_transfer_s() > tr0, "appends are metered");
-        assert!(e.mutation_push_bytes() > 0);
-        let (r2, _) = e.search_batch(&queries);
-        let returned: std::collections::BTreeSet<u32> =
-            r2.iter().flatten().map(|n| n.id as u32).collect();
-        assert!(returned.contains(&back), "re-inserted id must come back");
-        assert!(
-            e.insert(back, data.get(back as usize)).is_err(),
-            "duplicate live id rejected"
-        );
-        assert!(matches!(
-            e.insert(9_999_999, &[0.0]),
-            Err(MutationError::WrongDim { .. })
-        ));
-    }
-
-    #[test]
-    fn compaction_is_results_neutral_and_reclaims_mram() {
-        let (data, queries) = small_workload();
-        let mut cfg = small_cfg();
-        cfg.maintenance.compact_tombstone_frac = 1e-9; // compact on any tombstone
-        let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
-        for id in 0..150u32 {
-            assert!(e.delete(id));
-        }
-        let (r_filtered, rep_f) = e.search_batch(&queries);
-        assert!(rep_f.tombstone_filtered > 0);
-        let mram_before: u64 = e.system.dpus.iter().map(|d| d.mram.segment("slices")).sum();
-
-        let epoch_before = e.epoch();
-        let mut cfg_frozen = e.cfg.maintenance;
-        cfg_frozen.max_migrations = 0;
-        e.cfg.maintenance = cfg_frozen;
-        let rep = e.maintain();
-        assert!(rep.compacted_lists > 0);
-        assert_eq!(rep.purged_points, 150);
-        assert_eq!(e.pending_tombstones(), 0);
-        assert_eq!(
-            e.epoch(),
-            epoch_before + rep.epoch_swaps as u64,
-            "compaction alone never bumps the epoch"
-        );
-        let mram_after: u64 = e.system.dpus.iter().map(|d| d.mram.segment("slices")).sum();
-        assert!(mram_after < mram_before, "compaction reclaims MRAM");
-
-        if rep.epoch_swaps == 0 {
-            // no split/migration happened: results must be bit-identical
-            let (r_compacted, rep_c) = e.search_batch(&queries);
-            assert_eq!(format!("{r_filtered:?}"), format!("{r_compacted:?}"));
-            assert_eq!(rep_c.tombstone_filtered, 0, "nothing left to filter");
-        }
-
-        // layout invariants survive: slices still tile every list exactly
-        let infos: Vec<crate::layout::ClusterInfo> = e
-            .ivf
-            .cluster_sizes()
-            .iter()
-            .enumerate()
-            .map(|(id, &points)| crate::layout::ClusterInfo {
-                id: id as u32,
-                points,
-                heat: 1.0,
-            })
-            .collect();
-        e.layout.validate(&infos).unwrap();
-    }
-
-    #[test]
-    fn maintain_migrates_under_skew_with_metered_transfer() {
-        let (data, queries) = small_workload();
-        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
-        // skew the load: a burst of near-identical inserts lands in one
-        // cluster's tail slice
-        let base = data.get(0).to_vec();
-        for i in 0..400u32 {
-            let mut v = base.clone();
-            v[0] += (i as f32) * 1e-4;
-            e.insert(1_000_000 + i, &v).unwrap();
-        }
-        let (r_before, _) = e.search_batch(&queries);
-        let rep = e.maintain();
-        assert!(
-            rep.migrated_slices >= 1 || rep.split_slices >= 1,
-            "400 skewed appends must trigger a move: {rep:?}"
-        );
-        assert!(rep.epoch_swaps >= 1);
-        if rep.migrated_slices >= 1 {
-            // migrations always cross the link; splits only when the new
-            // half lands on a DPU that did not already hold the bytes
-            assert!(rep.moved_bytes > 0);
-            assert!(rep.transfer_s > 0.0, "migration transfer is metered");
-        }
-        // the move is invisible to results
-        let (r_after, _) = e.search_batch(&queries);
-        assert_eq!(format!("{r_before:?}"), format!("{r_after:?}"));
-        // and the layout stays exact
-        let infos: Vec<crate::layout::ClusterInfo> = e
-            .ivf
-            .cluster_sizes()
-            .iter()
-            .enumerate()
-            .map(|(id, &points)| crate::layout::ClusterInfo {
-                id: id as u32,
-                points,
-                heat: 1.0,
-            })
-            .collect();
-        e.layout.validate(&infos).unwrap();
     }
 
     #[test]

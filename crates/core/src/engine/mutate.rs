@@ -1,0 +1,597 @@
+//! Streaming mutation of a built engine: inserts and deletes while
+//! serving, plus the background maintenance pass (compaction, slice
+//! splits, migration) that keeps the layout healthy under churn. See
+//! `docs/MUTATION.md`.
+
+use super::{DrimEngine, SliceData};
+use crate::recovery::DpuHealth;
+
+/// Streaming-mutation error ([`DrimEngine::insert`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum MutationError {
+    /// The inserted vector's dimension does not match the index.
+    WrongDim {
+        /// Dimension of the rejected vector.
+        got: usize,
+        /// Dimension the engine was built for.
+        expected: usize,
+    },
+    /// The id is already live in the index (delete it first).
+    DuplicateId(u32),
+    /// No home DPU of the target cluster's tail slice has MRAM headroom
+    /// for one more point. Run [`DrimEngine::maintain`] (compaction or
+    /// migration frees space) and retry.
+    MramFull(u32),
+}
+
+impl std::fmt::Display for MutationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MutationError::WrongDim { got, expected } => {
+                write!(f, "inserted vector has dim {got}, index expects {expected}")
+            }
+            MutationError::DuplicateId(id) => write!(f, "id {id} is already live"),
+            MutationError::MramFull(c) => {
+                write!(f, "no MRAM headroom on cluster {c}'s home DPUs")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MutationError {}
+
+/// What one [`DrimEngine::maintain`] call did. All costs are simulated
+/// and already charged to the engine's mutation accounting
+/// ([`DrimEngine::mutation_transfer_s`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MaintenanceReport {
+    /// Clusters physically compacted (tombstones purged).
+    pub compacted_lists: usize,
+    /// Tombstoned points physically removed by compaction.
+    pub purged_points: u64,
+    /// Overgrown tail slices split in two.
+    pub split_slices: usize,
+    /// Slice copies migrated between DPUs (double-buffered).
+    pub migrated_slices: usize,
+    /// Bytes moved across the host link by splits + migrations.
+    pub moved_bytes: u64,
+    /// Simulated seconds of link time the moves cost.
+    pub transfer_s: f64,
+    /// Epoch bumps performed (one per split/migration swap; compaction
+    /// is results-neutral and bumps nothing).
+    pub epoch_swaps: usize,
+}
+
+impl MaintenanceReport {
+    /// True when the call found nothing to do.
+    pub fn is_noop(&self) -> bool {
+        *self == MaintenanceReport::default()
+    }
+}
+
+impl DrimEngine {
+    /// Insert one vector while serving. Assignment runs the same
+    /// nearest-centroid kernel as [`ann_core::ivf::IvfPqIndex::insert`]
+    /// (so a from-scratch replay lands every point in the same cluster — the parity
+    /// contract), the residual is PQ-encoded with the frozen codebooks,
+    /// and the point is appended to the cluster's tail slice on every home
+    /// DPU. The appended bytes are metered through the host link
+    /// ([`Self::mutation_transfer_s`]). Bumps the result epoch.
+    pub fn insert(&mut self, id: u32, v: &[f32]) -> Result<(), MutationError> {
+        let dim = self.dim();
+        if v.len() != dim {
+            return Err(MutationError::WrongDim {
+                got: v.len(),
+                expected: dim,
+            });
+        }
+        if self.id_cluster.contains_key(&id) {
+            return Err(MutationError::DuplicateId(id));
+        }
+        // A tombstoned copy of this id may still sit in some list; purge it
+        // first so the re-insert cannot leave two physical copies (the old
+        // one would resurrect when its tombstone clears).
+        if let Some(&c) = self.tombstoned_cluster.get(&id) {
+            self.compact_cluster(c as usize);
+        }
+
+        // Assign + encode exactly like the host-side index insert.
+        let (c, _) = ann_core::kmeans::nearest_centroid_with_norms(
+            v,
+            &self.ivf.coarse,
+            &self.ivf.coarse_norms,
+        );
+        let c = c as usize;
+        let mut residual = vec![0.0f32; dim];
+        ann_core::ivf::residual_into(v, self.ivf.coarse.get(c), &mut residual);
+        let code = self.ivf.quant.encode(&residual);
+
+        // Capacity check on every home of the tail slice *before* any state
+        // changes, so a failed insert is a clean no-op.
+        let si = self.ensure_tail_slice(c)?;
+        let homes = self.layout.slice_homes[si].clone();
+        for &d in &homes {
+            if self.system.dpus[d].mram.free() < self.bytes_per_point {
+                return Err(MutationError::MramFull(c as u32));
+            }
+        }
+        for &d in &homes {
+            let cur = self.system.dpus[d].mram.segment("slices");
+            self.system.dpus[d]
+                .mram
+                .set("slices", cur + self.bytes_per_point)
+                .expect("pre-checked headroom");
+            // each copy crosses the link once
+            self.mutation_transfer_s += self.system.link.time_total(self.bytes_per_point);
+            self.mutation_push_bytes += self.bytes_per_point;
+        }
+
+        // Append: host list and the canonical tail-slice payload stay in
+        // lockstep (the slice covers the list's tail, so both grow at the
+        // end).
+        let list = &mut self.ivf.lists[c];
+        list.ids.push(id);
+        list.codes.extend_from_slice(&code);
+        let data = &mut self.slice_data[si];
+        data.ids.push(id);
+        data.codes.extend_from_slice(&code);
+        self.layout.slices[si].len += 1;
+
+        self.id_cluster.insert(id, c as u32);
+        self.epoch += 1;
+        Ok(())
+    }
+
+    /// Delete by id: O(1) tombstone, filtered out of every scan from the
+    /// next batch on. Returns `false` (without an epoch bump) when the id
+    /// is not live. Physical removal happens later in
+    /// [`Self::maintain`]'s compaction pass.
+    pub fn delete(&mut self, id: u32) -> bool {
+        let Some(c) = self.id_cluster.remove(&id) else {
+            return false;
+        };
+        self.tombstones[c as usize].insert(id);
+        self.tombstoned_cluster.insert(id, c);
+        self.epoch += 1;
+        true
+    }
+
+    /// The cluster's tail slice (creating an empty one on the least-loaded
+    /// DPU for clusters the build left sliceless).
+    fn ensure_tail_slice(&mut self, c: usize) -> Result<usize, MutationError> {
+        if let Some(&si) = self.layout.cluster_slices[c].last() {
+            return Ok(si);
+        }
+        let bytes = self.layout.dpu_bytes(self.bytes_per_point);
+        let d = (0..self.system.len())
+            .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+            .ok_or(MutationError::MramFull(c as u32))?;
+        let si = self.layout.slices.len();
+        self.layout.slices.push(crate::layout::Slice {
+            cluster: c as u32,
+            start: 0,
+            len: 0,
+            heat: 0.0,
+        });
+        self.layout.slice_homes.push(vec![d]);
+        // new canonical index is the maximum, so pushing keeps the per-DPU
+        // slice list in its canonical ascending order
+        self.layout.dpu_slices[d].push(si);
+        self.layout.cluster_slices[c].push(si);
+        self.slice_data.push(SliceData::default());
+        Ok(si)
+    }
+
+    /// Physically purge a cluster's tombstones, order-preserving: every
+    /// slice's survivors keep their relative order and points never cross
+    /// slice boundaries (each slice shrinks in place), so the candidate
+    /// stream the DPUs see is *identical* to the filtered stream before
+    /// compaction — which is why this reclaims MRAM without an epoch bump.
+    /// Returns the purged-point count.
+    fn compact_cluster(&mut self, c: usize) -> u64 {
+        let tomb = std::mem::take(&mut self.tombstones[c]);
+        if tomb.is_empty() {
+            return 0;
+        }
+        let m = self.cfg.index.m;
+        let mut purged = 0u64;
+        let mut cursor = 0usize;
+        let slice_idxs = self.layout.cluster_slices[c].clone();
+        for &si in &slice_idxs {
+            let data = &mut self.slice_data[si];
+            let before = data.ids.len();
+            let mut w = 0usize;
+            for r in 0..before {
+                if tomb.contains(&data.ids[r]) {
+                    continue;
+                }
+                if w != r {
+                    data.ids[w] = data.ids[r];
+                    data.codes.copy_within(r * m..(r + 1) * m, w * m);
+                }
+                w += 1;
+            }
+            data.ids.truncate(w);
+            data.codes.truncate(w * m);
+            let removed = before - w;
+            purged += removed as u64;
+            if removed > 0 {
+                let delta = removed as u64 * self.bytes_per_point;
+                for &d in &self.layout.slice_homes[si] {
+                    let cur = self.system.dpus[d].mram.segment("slices");
+                    self.system.dpus[d]
+                        .mram
+                        .set("slices", cur.saturating_sub(delta))
+                        .expect("shrinking never overflows");
+                }
+            }
+            self.layout.slices[si].start = cursor;
+            self.layout.slices[si].len = w;
+            cursor += w;
+        }
+        // the host list is the concatenation of its slices, rebuilt to match
+        let list = &mut self.ivf.lists[c];
+        list.ids.clear();
+        list.codes.clear();
+        for &si in &slice_idxs {
+            list.ids.extend_from_slice(&self.slice_data[si].ids);
+            list.codes.extend_from_slice(&self.slice_data[si].codes);
+        }
+        for id in &tomb {
+            self.tombstoned_cluster.remove(id);
+        }
+        purged
+    }
+
+    /// One background-maintenance step (`cfg.maintenance` policy):
+    ///
+    /// 1. **Compaction** — clusters whose tombstone fraction reached
+    ///    `compact_tombstone_frac` are physically purged (results-neutral,
+    ///    no epoch bump; reclaims MRAM and scan work).
+    /// 2. **Split** — tail slices grown past `overgrown_factor * th1` are
+    ///    halved, the new half placed on the least-loaded live DPU
+    ///    (re-spreads a hot cluster that appends re-concentrated).
+    /// 3. **Migration** — up to `max_migrations` slice copies move from
+    ///    the most- to the least-loaded live DPU via a double-buffer epoch
+    ///    swap: the destination copy is allocated and filled first (the
+    ///    transfer is metered), reads keep hitting the old copy until the
+    ///    home swap, then the source MRAM is released.
+    ///
+    /// Every split/migration bumps [`Self::epoch`], so serve-side caches
+    /// and single-flight registries invalidate for free. Dead DPUs (under
+    /// an armed injector at the current fault batch) never receive moved
+    /// data.
+    pub fn maintain(&mut self) -> MaintenanceReport {
+        let mc = self.cfg.maintenance;
+        let mut rep = MaintenanceReport::default();
+
+        // --- 1. compaction ---
+        for c in 0..self.ivf.lists.len() {
+            let pending = self.tombstones[c].len();
+            if pending == 0 {
+                continue;
+            }
+            let physical = self.ivf.lists[c].len().max(1);
+            if pending as f64 >= mc.compact_tombstone_frac * physical as f64 {
+                rep.purged_points += self.compact_cluster(c);
+                rep.compacted_lists += 1;
+            }
+        }
+
+        // DPUs an armed injector has already failed must not receive data.
+        let banned = match &self.system.fault {
+            Some(inj) => {
+                DpuHealth::from_injector_at(inj, self.system.len(), self.fault_batch).banned()
+            }
+            None => vec![false; self.system.len()],
+        };
+
+        // --- 2. split overgrown slices ---
+        // (th1 == usize::MAX when partitioning is off: the product below
+        // is astronomically large and nothing ever splits, by design)
+        let split_threshold = mc.overgrown_factor * self.layout.th1 as f64;
+        for si in 0..self.layout.slices.len() {
+            let s = self.layout.slices[si];
+            if (s.len as f64) <= split_threshold || s.len < 2 {
+                continue;
+            }
+            let first = s.len / 2;
+            let second = s.len - first;
+            let move_bytes = second as u64 * self.bytes_per_point;
+            // Destination: least-loaded live DPU with headroom, preferring
+            // DPUs that do not already host this slice. A slice replicated
+            // on every DPU (hot-cluster duplication) falls back to a home
+            // DPU — the split still spreads *future* appends, and the tail
+            // bytes are already resident there, so no transfer is charged.
+            let bytes = self.layout.dpu_bytes(self.bytes_per_point);
+            let pick = |exclude_homes: bool| {
+                (0..self.system.len())
+                    .filter(|&d| !banned[d])
+                    .filter(|&d| !exclude_homes || !self.layout.slice_homes[si].contains(&d))
+                    .filter(|&d| {
+                        self.layout.slice_homes[si].contains(&d)
+                            || self.system.dpus[d].mram.free() >= move_bytes
+                    })
+                    .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+            };
+            let Some(dst) = pick(true).or_else(|| pick(false)) else {
+                continue;
+            };
+            let dst_was_home = self.layout.slice_homes[si].contains(&dst);
+            // shrink the old copies, allocate + fill the new home
+            for &d in &self.layout.slice_homes[si].clone() {
+                if d == dst {
+                    continue; // keeps its bytes: they become the new slice
+                }
+                let cur = self.system.dpus[d].mram.segment("slices");
+                self.system.dpus[d]
+                    .mram
+                    .set("slices", cur.saturating_sub(move_bytes))
+                    .expect("shrinking never overflows");
+            }
+            if !dst_was_home {
+                let cur = self.system.dpus[dst].mram.segment("slices");
+                self.system.dpus[dst]
+                    .mram
+                    .set("slices", cur + move_bytes)
+                    .expect("pre-checked headroom");
+                let t = self.system.link.time_total(move_bytes);
+                self.mutation_transfer_s += t;
+                self.mutation_push_bytes += move_bytes;
+                rep.transfer_s += t;
+                rep.moved_bytes += move_bytes;
+            }
+
+            // carve the tail half out of the canonical payload
+            let m = self.cfg.index.m;
+            let data = &mut self.slice_data[si];
+            let tail = SliceData {
+                ids: data.ids.split_off(first),
+                codes: data.codes.split_off(first * m),
+            };
+            let new_si = self.layout.slices.len();
+            self.layout.slices[si].len = first;
+            self.layout.slices[si].heat = s.heat / 2.0;
+            self.layout.slices.push(crate::layout::Slice {
+                cluster: s.cluster,
+                start: s.start + first,
+                len: second,
+                heat: s.heat / 2.0,
+            });
+            self.layout.slice_homes.push(vec![dst]);
+            self.layout.dpu_slices[dst].push(new_si);
+            // cluster_slices stays in offset order: the new slice sits
+            // right after the one it was carved from
+            let cs = &mut self.layout.cluster_slices[s.cluster as usize];
+            let pos = cs.iter().position(|&x| x == si).expect("slice is owned");
+            cs.insert(pos + 1, new_si);
+            self.slice_data.push(tail);
+
+            rep.split_slices += 1;
+            rep.epoch_swaps += 1;
+            self.epoch += 1;
+        }
+
+        // --- 3. migration ---
+        for _ in 0..mc.max_migrations {
+            let bytes = self.layout.dpu_bytes(self.bytes_per_point);
+            let Some(src) = (0..self.system.len())
+                .filter(|&d| bytes[d] > 0)
+                .max_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+            else {
+                break;
+            };
+            let Some(dst) = (0..self.system.len())
+                .filter(|&d| !banned[d] && d != src)
+                .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+            else {
+                break;
+            };
+            if bytes[src] <= bytes[dst] {
+                break; // already balanced
+            }
+            // biggest slice on src that fits dst's headroom, is not already
+            // on dst, and actually improves balance
+            let Some(&si) = self.layout.dpu_slices[src]
+                .iter()
+                .filter(|&&si| !self.layout.slice_homes[si].contains(&dst))
+                .filter(|&&si| {
+                    let b = self.layout.slices[si].len as u64 * self.bytes_per_point;
+                    b > 0 && self.system.dpus[dst].mram.free() >= b && bytes[dst] + b < bytes[src]
+                })
+                .max_by_key(|&&si| self.layout.slices[si].len)
+            else {
+                break;
+            };
+            let move_bytes = self.layout.slices[si].len as u64 * self.bytes_per_point;
+
+            // Double buffer: allocate + fill the destination copy first
+            // (reads keep hitting the source copy until the home swap)...
+            let cur = self.system.dpus[dst].mram.segment("slices");
+            self.system.dpus[dst]
+                .mram
+                .set("slices", cur + move_bytes)
+                .expect("pre-checked headroom");
+            let t = self.system.link.time_total(move_bytes);
+            self.mutation_transfer_s += t;
+            self.mutation_push_bytes += move_bytes;
+            rep.transfer_s += t;
+            rep.moved_bytes += move_bytes;
+            // ...swap the home atomically (the epoch bump publishes it)...
+            let homes = &mut self.layout.slice_homes[si];
+            let pos = homes.iter().position(|&d| d == src).expect("src hosts it");
+            homes[pos] = dst;
+            self.layout.recompute_dpu_slices();
+            // ...then release the source copy.
+            let cur = self.system.dpus[src].mram.segment("slices");
+            self.system.dpus[src]
+                .mram
+                .set("slices", cur.saturating_sub(move_bytes))
+                .expect("shrinking never overflows");
+
+            rep.migrated_slices += 1;
+            rep.epoch_swaps += 1;
+            self.epoch += 1;
+        }
+
+        rep
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{small_cfg, small_workload};
+    use upmem_sim::PimArch;
+
+    #[test]
+    fn delete_tombstones_and_insert_appends() {
+        let (data, queries) = small_workload();
+        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
+        e.clear_faults();
+        let (r0, _) = e.search_batch(&queries);
+        let e0 = e.epoch();
+
+        // delete every id the first query's top-k returned
+        let victims: Vec<u32> = r0[0].iter().map(|n| n.id as u32).collect();
+        for &id in &victims {
+            assert!(e.delete(id), "id {id} must be live");
+        }
+        assert!(!e.delete(victims[0]), "double delete is a no-op");
+        assert_eq!(e.epoch(), e0 + victims.len() as u64);
+        assert_eq!(e.pending_tombstones(), victims.len());
+        assert_eq!(e.live_len(), data.len() - victims.len());
+
+        let (r1, rep1) = e.search_batch(&queries);
+        assert!(
+            rep1.tombstone_filtered > 0,
+            "the victims were scanned and filtered"
+        );
+        assert!(rep1.summary().contains("tomb="));
+        for r in &r1 {
+            for n in r {
+                assert!(
+                    !victims.contains(&(n.id as u32)),
+                    "tombstoned id {} served",
+                    n.id
+                );
+            }
+        }
+
+        // re-insert one victim with its original vector: it becomes
+        // findable again, and the stale physical copy cannot resurrect
+        let back = victims[0];
+        let tr0 = e.mutation_transfer_s();
+        e.insert(back, data.get(back as usize)).unwrap();
+        assert!(e.mutation_transfer_s() > tr0, "appends are metered");
+        assert!(e.mutation_push_bytes() > 0);
+        let (r2, _) = e.search_batch(&queries);
+        let returned: std::collections::BTreeSet<u32> =
+            r2.iter().flatten().map(|n| n.id as u32).collect();
+        assert!(returned.contains(&back), "re-inserted id must come back");
+        assert!(
+            e.insert(back, data.get(back as usize)).is_err(),
+            "duplicate live id rejected"
+        );
+        assert!(matches!(
+            e.insert(9_999_999, &[0.0]),
+            Err(MutationError::WrongDim { .. })
+        ));
+    }
+
+    #[test]
+    fn compaction_is_results_neutral_and_reclaims_mram() {
+        let (data, queries) = small_workload();
+        let mut cfg = small_cfg();
+        cfg.maintenance.compact_tombstone_frac = 1e-9; // compact on any tombstone
+        let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+        e.clear_faults();
+        for id in 0..150u32 {
+            assert!(e.delete(id));
+        }
+        let (r_filtered, rep_f) = e.search_batch(&queries);
+        assert!(rep_f.tombstone_filtered > 0);
+        let mram_before: u64 = e.system.dpus.iter().map(|d| d.mram.segment("slices")).sum();
+
+        let epoch_before = e.epoch();
+        let mut cfg_frozen = e.cfg.maintenance;
+        cfg_frozen.max_migrations = 0;
+        e.cfg.maintenance = cfg_frozen;
+        let rep = e.maintain();
+        assert!(rep.compacted_lists > 0);
+        assert_eq!(rep.purged_points, 150);
+        assert_eq!(e.pending_tombstones(), 0);
+        assert_eq!(
+            e.epoch(),
+            epoch_before + rep.epoch_swaps as u64,
+            "compaction alone never bumps the epoch"
+        );
+        let mram_after: u64 = e.system.dpus.iter().map(|d| d.mram.segment("slices")).sum();
+        assert!(mram_after < mram_before, "compaction reclaims MRAM");
+
+        if rep.epoch_swaps == 0 {
+            // no split/migration happened: results must be bit-identical
+            let (r_compacted, rep_c) = e.search_batch(&queries);
+            assert_eq!(format!("{r_filtered:?}"), format!("{r_compacted:?}"));
+            assert_eq!(rep_c.tombstone_filtered, 0, "nothing left to filter");
+        }
+
+        // layout invariants survive: slices still tile every list exactly
+        let infos: Vec<crate::layout::ClusterInfo> = e
+            .ivf
+            .cluster_sizes()
+            .iter()
+            .enumerate()
+            .map(|(id, &points)| crate::layout::ClusterInfo {
+                id: id as u32,
+                points,
+                heat: 1.0,
+            })
+            .collect();
+        e.layout.validate(&infos).unwrap();
+    }
+
+    #[test]
+    fn maintain_migrates_under_skew_with_metered_transfer() {
+        let (data, queries) = small_workload();
+        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
+        e.clear_faults();
+        // skew the load: a burst of near-identical inserts lands in one
+        // cluster's tail slice
+        let base = data.get(0).to_vec();
+        for i in 0..400u32 {
+            let mut v = base.clone();
+            v[0] += (i as f32) * 1e-4;
+            e.insert(1_000_000 + i, &v).unwrap();
+        }
+        let (r_before, _) = e.search_batch(&queries);
+        let rep = e.maintain();
+        assert!(
+            rep.migrated_slices >= 1 || rep.split_slices >= 1,
+            "400 skewed appends must trigger a move: {rep:?}"
+        );
+        assert!(rep.epoch_swaps >= 1);
+        if rep.migrated_slices >= 1 {
+            // migrations always cross the link; splits only when the new
+            // half lands on a DPU that did not already hold the bytes
+            assert!(rep.moved_bytes > 0);
+            assert!(rep.transfer_s > 0.0, "migration transfer is metered");
+        }
+        // the move is invisible to results
+        let (r_after, _) = e.search_batch(&queries);
+        assert_eq!(format!("{r_before:?}"), format!("{r_after:?}"));
+        // and the layout stays exact
+        let infos: Vec<crate::layout::ClusterInfo> = e
+            .ivf
+            .cluster_sizes()
+            .iter()
+            .enumerate()
+            .map(|(id, &points)| crate::layout::ClusterInfo {
+                id: id as u32,
+                points,
+                heat: 1.0,
+            })
+            .collect();
+        e.layout.validate(&infos).unwrap();
+    }
+}

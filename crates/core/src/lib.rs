@@ -21,14 +21,18 @@
 //! * **Runtime scheduling** — [`sched`]: greedy coldest-replica assignment
 //!   with `th3` postponement.
 //!
-//! On top of the paper's design, [`recovery`] and the fault-aware dispatch
-//! in [`engine`] tolerate fail-stop DPUs, stragglers, and result corruption
-//! injected by [`upmem_sim::fault`] — see `docs/FAULT_MODEL.md`.
+//! Every batch — clean, faulted, or trace — runs through one crate-private
+//! `dispatch` loop: schedule, per-DPU waves, host-side accounting. On top
+//! of the paper's design it carries the recovery state machine
+//! ([`recovery`]) that tolerates fail-stop DPUs, stragglers, and result
+//! corruption injected by [`upmem_sim::fault`] — see `docs/FAULT_MODEL.md`.
 //!
 //! [`engine::DrimEngine`] assembles everything for functional runs on real
-//! vectors; [`trace`] drives the identical layout/scheduling/costing code
-//! with full-scale statistical workloads (100M–1B points) that no test
-//! machine could materialize.
+//! vectors (`engine/mutate.rs` holds its streaming insert/delete and
+//! maintenance half); [`trace`] drives the identical
+//! layout/scheduling/dispatch code with full-scale statistical workloads
+//! (100M–1B points) that no test machine could materialize, charging
+//! closed-form costs where the engine runs kernels.
 //!
 //! ```
 //! use drim_ann::config::{EngineConfig, IndexConfig};
@@ -48,6 +52,7 @@
 //! ```
 
 pub mod config;
+mod dispatch;
 pub mod dse;
 pub mod engine;
 pub mod kernels;
@@ -56,7 +61,6 @@ pub mod perf_model;
 pub mod recovery;
 pub mod report;
 pub mod sched;
-pub mod shard;
 pub mod sqt;
 pub mod trace;
 pub mod wram;
@@ -64,5 +68,4 @@ pub mod wram;
 pub use config::{ConfigError, EngineConfig, IndexConfig, MaintenanceConfig, RecoveryConfig};
 pub use engine::{DrimEngine, MaintenanceReport, MutationError};
 pub use report::{BatchReport, FaultStats};
-pub use shard::{RoutePlan, ShardConfig, ShardError, ShardPlan};
 pub use upmem_sim::meter::Phase;

@@ -45,48 +45,7 @@ impl SchedulePlan {
     pub fn imbalance(&self) -> f64 {
         upmem_sim::stats::imbalance(&self.heat)
     }
-
-    /// [`Self::imbalance`] at rank granularity: heat folded into per-rank
-    /// sums (rank = `dpu / dpus_per_rank`) before taking max/mean. This is
-    /// what a rank-synchronous barrier actually pays; `dpus_per_rank == 0`
-    /// (no rank topology) degenerates to the per-DPU metric.
-    pub fn rank_imbalance(&self, dpus_per_rank: usize) -> f64 {
-        upmem_sim::stats::imbalance(&upmem_sim::stats::rank_sums(&self.heat, dpus_per_rank))
-    }
 }
-
-/// A scheduling request the filtered schedulers cannot satisfy. Returned by
-/// [`try_schedule_filtered`]; the panic-free contract the recovery layer
-/// relies on when ban masks come from runtime health state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedError {
-    /// The ban mask was shorter than the DPU count — a caller bug that
-    /// `schedule_filtered` tolerates leniently (missing entries = alive)
-    /// but the checked form rejects.
-    BanMaskLength {
-        /// DPU count the mask must cover.
-        expected: usize,
-        /// Entries actually provided.
-        got: usize,
-    },
-    /// Every DPU was banned: nothing can be scheduled and every task would
-    /// be unplaceable. Callers wanting that degenerate plan can still get
-    /// it from [`schedule_filtered`].
-    AllBanned,
-}
-
-impl std::fmt::Display for SchedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedError::BanMaskLength { expected, got } => {
-                write!(f, "ban mask covers {got} DPUs, expected {expected}")
-            }
-            SchedError::AllBanned => write!(f, "every DPU is banned; nothing is schedulable"),
-        }
-    }
-}
-
-impl std::error::Error for SchedError {}
 
 /// Scheduling policies.
 #[derive(Debug, Clone, Copy)]
@@ -104,23 +63,12 @@ pub enum Policy {
 
 /// Schedule `tasks` over the DPUs of `layout`.
 pub fn schedule(tasks: &[Task], layout: &LayoutPlan, ndpus: usize, policy: Policy) -> SchedulePlan {
-    schedule_with_heat(tasks, layout, ndpus, policy, None)
+    schedule_filtered(tasks, layout, ndpus, policy, None, None)
 }
 
-/// [`schedule`] continuing from pre-existing per-DPU heat — used for the
-/// postponed-task waves so deferred work lands on the DPUs that are still
-/// cold *after* the main wave.
-pub fn schedule_with_heat(
-    tasks: &[Task],
-    layout: &LayoutPlan,
-    ndpus: usize,
-    policy: Policy,
-    initial_heat: Option<&[f64]>,
-) -> SchedulePlan {
-    schedule_filtered(tasks, layout, ndpus, policy, initial_heat, None)
-}
-
-/// [`schedule_with_heat`] with an optional per-DPU ban mask: banned DPUs
+/// [`schedule`] continuing from pre-existing per-DPU heat (`initial_heat`:
+/// postponed and re-issued work lands on the DPUs still cold *after* the
+/// main wave) and with an optional per-DPU ban mask: banned DPUs
 /// (fail-stopped or quarantined) receive no work, and tasks whose every
 /// replica home is banned land in [`SchedulePlan::unplaceable`]. With
 /// `banned = None` the arithmetic is identical to the unfiltered scheduler,
@@ -139,75 +87,10 @@ pub fn schedule_filtered(
     }
 }
 
-/// [`schedule_filtered`] with the mask preconditions checked up front:
-/// rejects a short ban mask ([`SchedError::BanMaskLength`]) and an
-/// all-banned mask ([`SchedError::AllBanned`]) with typed errors instead of
-/// panicking or silently producing an all-unplaceable plan.
-pub fn try_schedule_filtered(
-    tasks: &[Task],
-    layout: &LayoutPlan,
-    ndpus: usize,
-    policy: Policy,
-    initial_heat: Option<&[f64]>,
-    banned: Option<&[bool]>,
-) -> Result<SchedulePlan, SchedError> {
-    if let Some(b) = banned {
-        if b.len() < ndpus {
-            return Err(SchedError::BanMaskLength {
-                expected: ndpus,
-                got: b.len(),
-            });
-        }
-        if ndpus > 0 && b.iter().take(ndpus).all(|&x| x) {
-            return Err(SchedError::AllBanned);
-        }
-    }
-    Ok(schedule_filtered(
-        tasks,
-        layout,
-        ndpus,
-        policy,
-        initial_heat,
-        banned,
-    ))
-}
-
-/// [`schedule_filtered`] with a *rank*-granularity ban mask: banning rank
-/// `r` bans DPUs `r * dpus_per_rank .. (r + 1) * dpus_per_rank` — the shape
-/// a rank (DIMM) fail-stop produces. The expanded mask goes through the same
-/// checked path as [`try_schedule_filtered`].
-pub fn schedule_filtered_by_rank(
-    tasks: &[Task],
-    layout: &LayoutPlan,
-    ndpus: usize,
-    dpus_per_rank: usize,
-    policy: Policy,
-    initial_heat: Option<&[f64]>,
-    banned_ranks: Option<&[bool]>,
-) -> Result<SchedulePlan, SchedError> {
-    let dpu_mask: Option<Vec<bool>> = banned_ranks.map(|ranks| {
-        (0..ndpus)
-            .map(|d| {
-                d.checked_div(dpus_per_rank)
-                    .and_then(|r| ranks.get(r).copied())
-                    .unwrap_or(false)
-            })
-            .collect()
-    });
-    try_schedule_filtered(
-        tasks,
-        layout,
-        ndpus,
-        policy,
-        initial_heat,
-        dpu_mask.as_deref(),
-    )
-}
-
 fn is_banned(banned: Option<&[bool]>, d: usize) -> bool {
     // Lenient on short masks: an entry the mask does not cover counts as
     // alive — the same convention `layout::duplication::replica_coverage`
-    // uses. The checked entry points reject short masks with a typed error.
+    // uses.
     banned
         .map(|b| b.get(d).copied().unwrap_or(false))
         .unwrap_or(false)
@@ -525,6 +408,11 @@ mod tests {
         let sp = schedule_filtered(&tasks, &plan, 4, Policy::Static, None, Some(&banned));
         assert_eq!(sp.scheduled(), 10);
         assert!(sp.per_dpu[homes[0]].is_empty());
+        // a short mask is lenient: DPUs it does not cover count as alive
+        let g = Policy::Greedy { th3: f64::INFINITY };
+        let sp = schedule_filtered(&tasks, &plan, 4, g, None, Some(&[true; 2]));
+        assert!(sp.per_dpu[0].is_empty() && sp.per_dpu[1].is_empty());
+        assert_eq!(sp.scheduled() + sp.unplaceable.len(), 10);
     }
 
     #[test]
@@ -553,71 +441,6 @@ mod tests {
             Some(&none_banned),
         );
         assert_eq!(format!("{a:?}"), format!("{c:?}"));
-    }
-
-    #[test]
-    fn checked_scheduler_rejects_bad_masks_with_typed_errors() {
-        let (_, plan) = layout(4, true);
-        let tasks = hot_tasks(6, plan.cluster_slices[0][0]);
-        let g = Policy::Greedy { th3: f64::INFINITY };
-        // short mask: lenient path treats uncovered DPUs as alive...
-        let short = vec![true; 2];
-        let sp = schedule_filtered(&tasks, &plan, 4, g, None, Some(&short));
-        assert_eq!(sp.scheduled() + sp.unplaceable.len(), 6);
-        // ...while the checked path reports the caller bug
-        assert_eq!(
-            try_schedule_filtered(&tasks, &plan, 4, g, None, Some(&short)).unwrap_err(),
-            SchedError::BanMaskLength {
-                expected: 4,
-                got: 2
-            }
-        );
-        assert_eq!(
-            try_schedule_filtered(&tasks, &plan, 4, g, None, Some(&[true; 4])).unwrap_err(),
-            SchedError::AllBanned
-        );
-        // valid masks pass through to the same plan
-        let mask = vec![false, true, false, false];
-        let a = schedule_filtered(&tasks, &plan, 4, g, None, Some(&mask));
-        let b = try_schedule_filtered(&tasks, &plan, 4, g, None, Some(&mask)).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(SchedError::AllBanned.to_string().contains("banned"));
-    }
-
-    #[test]
-    fn rank_mask_bans_whole_ranks() {
-        let (_, plan) = layout(4, true);
-        let hot_slice = plan.cluster_slices[0][0];
-        let tasks = hot_tasks(8, hot_slice);
-        let g = Policy::Greedy { th3: f64::INFINITY };
-        // 4 DPUs = 2 ranks of 2; ban rank 0 -> DPUs 0 and 1 get nothing
-        let sp =
-            schedule_filtered_by_rank(&tasks, &plan, 4, 2, g, None, Some(&[true, false])).unwrap();
-        assert!(sp.per_dpu[0].is_empty() && sp.per_dpu[1].is_empty());
-        assert_eq!(sp.scheduled() + sp.unplaceable.len(), 8);
-        // both ranks banned is the typed all-banned error
-        assert_eq!(
-            schedule_filtered_by_rank(&tasks, &plan, 4, 2, g, None, Some(&[true, true]))
-                .unwrap_err(),
-            SchedError::AllBanned
-        );
-        // no mask matches the unfiltered plan bit-for-bit
-        let a = schedule(&tasks, &plan, 4, g);
-        let b = schedule_filtered_by_rank(&tasks, &plan, 4, 2, g, None, None).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn rank_imbalance_folds_heat() {
-        let sp = SchedulePlan {
-            per_dpu: vec![Vec::new(); 4],
-            postponed: Vec::new(),
-            unplaceable: Vec::new(),
-            heat: vec![3.0, 1.0, 2.0, 2.0],
-        };
-        assert!(sp.imbalance() > 1.4);
-        assert!((sp.rank_imbalance(2) - 1.0).abs() < 1e-12);
-        assert!((sp.rank_imbalance(0) - sp.imbalance()).abs() < 1e-12);
     }
 
     #[test]

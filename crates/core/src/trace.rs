@@ -11,20 +11,19 @@
 //! the same closed-form `charge` functions the functional kernels use —
 //! unit tests in [`crate::kernels`] pin the two to produce identical totals.
 
-use crate::config::{ConfigError, EngineConfig, SchedPolicy};
+use crate::config::{ConfigError, EngineConfig};
+use crate::dispatch::{self, DpuOutput};
 use crate::kernels::{cl, dc, lc, rc, ts, KernelCtx};
 use crate::layout::{ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
-use crate::recovery::DpuHealth;
-use crate::report::{BatchReport, FaultStats};
-use crate::sched::{self, Policy, Task};
+use crate::report::BatchReport;
+use crate::sched::Task;
 use crate::sqt::Sqt;
 use crate::wram::{plan as wram_plan, WramPlacement};
 use datasets::zipf::{zipf_partition, Discrete};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use upmem_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
+use upmem_sim::fault::{FaultConfig, FaultInjector};
 use upmem_sim::meter::{DpuMeter, Phase};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
@@ -216,23 +215,11 @@ impl TraceRunner {
         self.system.fault = None;
     }
 
-    /// Scheduler heat unit (same formula as the functional engine).
-    fn task_cost(&self, slice_len: usize) -> f64 {
-        sched::task_cost_s(
-            slice_len,
-            self.cfg.index.m,
-            self.cfg.index.cb,
-            self.dsub,
-            self.cfg.index.k,
-            self.cfg.sqt,
-            &self.system.arch.costs,
-            self.system.arch.freq_hz,
-        )
-    }
-
-    /// Execute one batch; `batch_seed` varies the query sample.
+    /// Execute one batch; `batch_seed` varies the query sample (and keys
+    /// the injector's transient draws). The batch runs through the same
+    /// dispatch loop as the functional engine (`dispatch::run`); only the
+    /// per-DPU wave output differs — closed-form charges, no results.
     pub fn run_batch(&mut self, batch_seed: u64) -> BatchReport {
-        self.system.reset_meters();
         let probes = self.sample_probes(batch_seed);
 
         // CL on host (blocked-GEMM model, same as the functional engine)
@@ -243,46 +230,13 @@ impl TraceRunner {
             &self.host,
         );
 
-        // schedule (routing around the injector's dead set when one is
-        // armed; `banned = None` keeps the arithmetic bit-identical)
-        let ndpus = self.system.len();
-        let tasks = sched::expand_tasks(&probes, &self.layout, |len| self.task_cost(len));
-        let policy = match self.cfg.scheduling {
-            SchedPolicy::Static => Policy::Static,
-            SchedPolicy::Greedy => Policy::Greedy { th3: self.cfg.th3 },
-        };
-        let injector = self.system.fault.clone().filter(|f| !f.is_inert());
-        let mut health = injector
-            .as_ref()
-            .map(|inj| DpuHealth::from_injector_at(inj, ndpus, batch_seed));
-        let banned = health.as_ref().map(|h| h.banned());
-        let mut plan =
-            sched::schedule_filtered(&tasks, &self.layout, ndpus, policy, None, banned.as_deref());
-        let postponed_count = plan.postponed.len();
-        let mut fallback: Vec<Task> = std::mem::take(&mut plan.unplaceable);
-        while !plan.postponed.is_empty() {
-            let extra = sched::schedule_filtered(
-                &plan.postponed,
-                &self.layout,
-                ndpus,
-                Policy::Greedy { th3: f64::INFINITY },
-                Some(&plan.heat),
-                banned.as_deref(),
-            );
-            for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
-                plan.per_dpu[d].extend(ts_);
-            }
-            plan.heat = extra.heat;
-            plan.postponed = extra.postponed;
-            fallback.extend(extra.unplaceable);
-        }
-
-        // charge DPUs (parallel)
         let k = self.cfg.index.k;
         let m = self.cfg.index.m;
         let cb = self.cfg.index.cb;
         let dsub = self.dsub;
         let d = self.spec.dim as u64;
+        // a per-batch copy of the cost table: the dispatch loop mutates
+        // `self.system` while the charge closure runs
         let costs = self.system.arch.costs.clone();
         let ctx = KernelCtx {
             costs: &costs,
@@ -308,13 +262,12 @@ impl TraceRunner {
         let lock_policy = self.cfg.lock_policy;
         let layout = &self.layout;
 
-        // Per-DPU charge function (unchanged arithmetic) — reused by the
-        // retry waves and the host fallback replay.
-        let charge_tasks = |tasks: &[Task]| -> (DpuMeter, LockStats, u64, u64) {
+        // Per-DPU charge function: one wave's tasks -> meter, lock stats and
+        // link bytes; no results, so nothing to checksum or merge.
+        let charge_tasks = |_: Option<usize>, tasks: &[Task]| -> DpuOutput {
             let mut meter = DpuMeter::new();
             let mut lock = LockStats::default();
             let mut push_bytes = 0u64;
-            let mut gather_bytes = 0u64;
 
             // group by (query, cluster) exactly like the engine
             let mut groups: std::collections::BTreeMap<(u32, u32), Vec<usize>> = Default::default();
@@ -357,182 +310,32 @@ impl TraceRunner {
                     }
                 }
             }
-            gather_bytes += queries_seen.len() as u64 * k as u64 * 8;
-            (meter, lock, push_bytes, gather_bytes)
+            DpuOutput {
+                results: Vec::new(),
+                meter,
+                lock,
+                sqt_hits: (0, 0),
+                push_bytes,
+                gather_bytes: queries_seen.len() as u64 * k as u64 * 8,
+                tombstone_filtered: 0,
+                checksum: 0,
+            }
         };
 
-        // Dispatch waves: a single all-healthy wave without an injector
-        // (sums are integer merges, so this path is bit-identical to the
-        // pre-fault code), the engine's recovery policy with one.
-        let rec = self.cfg.recovery;
-        let mut stats = FaultStats::default();
-        if injector.is_some() {
-            stats.scheduled_points = tasks
-                .iter()
-                .map(|t| layout.slices[t.slice].len as u64)
-                .sum();
-        }
-        let max_heat = plan.heat.iter().cloned().fold(0.0, f64::max);
-        let deadline = if max_heat > 0.0 {
-            rec.hedge_deadline_factor * max_heat
-        } else {
-            f64::INFINITY
-        };
-        let mut heat = plan.heat.clone();
-        let mut hedged = vec![false; ndpus];
-        let mut lock = LockStats::default();
-        let mut push_bytes = 0u64;
-        let mut gather_bytes = 0u64;
-        let mut extra_host_s = 0.0f64;
-        let mut wave: Vec<(usize, Vec<Task>)> = plan
-            .per_dpu
-            .into_iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_empty())
-            .collect();
-        let mut attempt: u32 = 0;
-
-        loop {
-            let charged: Vec<(DpuMeter, LockStats, u64, u64)> =
-                wave.par_iter().map(|(_, ts_)| charge_tasks(ts_)).collect();
-
-            let mut to_recover: Vec<Task> = Vec::new();
-            for ((dd, wtasks), (meter, l, p, g)) in wave.iter().zip(charged) {
-                let dd = *dd;
-                let outcome = injector
-                    .as_ref()
-                    .map(|i| i.outcome(dd, batch_seed, attempt))
-                    .unwrap_or(FaultOutcome::Healthy);
-                match outcome {
-                    FaultOutcome::Healthy => {
-                        if let Some(h) = health.as_mut() {
-                            h.record_healthy(dd);
-                        }
-                    }
-                    FaultOutcome::FailStop => {
-                        // defensive: dead DPUs are pre-banned by the scan
-                        health
-                            .as_mut()
-                            .expect("injector present")
-                            .record_fail_stop(dd);
-                        stats.fail_stop_events += 1;
-                        stats.retried_tasks += wtasks.len();
-                        push_bytes += p;
-                        to_recover.extend_from_slice(wtasks);
-                        continue;
-                    }
-                    FaultOutcome::Straggler(f) => {
-                        stats.stragglers += 1;
-                        health
-                            .as_mut()
-                            .expect("injector present")
-                            .record_transient(dd, rec.quarantine_after);
-                        let wave_s = meter.time(&self.system.arch, self.system.tasklets);
-                        self.system.set_dpu_slowdown(dd, f);
-                        if rec.hedge && wave_s * f > deadline {
-                            self.system.cap_dpu_time(dd, deadline);
-                            hedged[dd] = true;
-                            stats.hedged_tasks += wtasks.len();
-                            self.system.dpus[dd].meter.merge(&meter);
-                            push_bytes += p;
-                            to_recover.extend_from_slice(wtasks);
-                            continue;
-                        }
-                    }
-                    FaultOutcome::Corrupt => {
-                        stats.corruptions += 1;
-                        stats.retried_tasks += wtasks.len();
-                        health
-                            .as_mut()
-                            .expect("injector present")
-                            .record_transient(dd, rec.quarantine_after);
-                        self.system.dpus[dd].meter.merge(&meter);
-                        push_bytes += p;
-                        gather_bytes += g;
-                        to_recover.extend_from_slice(wtasks);
-                        continue;
-                    }
-                }
-                // full accept
-                self.system.dpus[dd].meter.merge(&meter);
-                lock.locked_updates += l.locked_updates;
-                lock.pruned += l.pruned;
-                push_bytes += p;
-                gather_bytes += g;
-            }
-
-            if to_recover.is_empty() {
-                break;
-            }
-            attempt += 1;
-            if attempt as usize >= rec.max_retries {
-                fallback.extend_from_slice(&to_recover);
-                break;
-            }
-            let mut banned_now = health.as_ref().expect("injector present").banned();
-            for (b, &hd) in banned_now.iter_mut().zip(&hedged) {
-                *b |= hd;
-            }
-            let rplan = sched::schedule_filtered(
-                &to_recover,
+        dispatch::run(
+            &mut self.system,
+            dispatch::Batch {
+                probes: &probes,
+                cl_host_s: host_s,
+                cfg: &self.cfg,
                 layout,
-                ndpus,
-                Policy::Greedy { th3: f64::INFINITY },
-                Some(&heat),
-                Some(&banned_now),
-            );
-            extra_host_s += self.host.time(
-                32.0 * to_recover.len() as f64,
-                16.0 * to_recover.len() as f64,
-            );
-            heat = rplan.heat;
-            fallback.extend(rplan.unplaceable);
-            wave = rplan
-                .per_dpu
-                .into_iter()
-                .enumerate()
-                .filter(|(_, t)| !t.is_empty())
-                .collect();
-            if wave.is_empty() {
-                break;
-            }
-        }
-
-        // escalation: host-side replay (charged through the host's
-        // ProcModel), or graceful degradation with the loss accounted
-        if !fallback.is_empty() {
-            if rec.host_fallback {
-                stats.host_fallback_tasks += fallback.len();
-                let (meter, _, _, _) = charge_tasks(&fallback);
-                let total = meter.total();
-                extra_host_s += self
-                    .host
-                    .time(total.cycles as f64, total.total_bytes() as f64);
-            } else {
-                stats.dropped_tasks += fallback.len();
-                let mut degraded: std::collections::BTreeSet<u32> = Default::default();
-                for t in &fallback {
-                    stats.dropped_points += layout.slices[t.slice].len as u64;
-                    degraded.insert(t.query);
-                }
-                stats.degraded_queries += degraded.len();
-            }
-        }
-        if let Some(h) = &health {
-            stats.dead_dpus = h.dead_count();
-            stats.quarantined_dpus = h.quarantined_count();
-            if let Some(inj) = &injector {
-                stats.dead_ranks = inj.dead_ranks_at(ndpus, batch_seed);
-            }
-        }
-
-        let timing = self
-            .system
-            .batch_timing(host_s + extra_host_s, push_bytes, gather_bytes);
-        let energy = self.system.batch_energy(&timing, self.host.power_w);
-
-        BatchReport::new(self.spec.batch, timing, energy, postponed_count, lock, 1.0)
-            .with_fault_stats(stats)
+                host: &self.host,
+                dsub,
+                fault_batch: batch_seed,
+            },
+            charge_tasks,
+        )
+        .1
     }
 
     /// Run `batches` batches and return the mean QPS (steady-state estimate).

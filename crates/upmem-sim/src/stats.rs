@@ -50,20 +50,6 @@ pub fn imbalance(xs: &[f64]) -> f64 {
     }
 }
 
-/// Fold a per-DPU series into per-rank sums, where DPU `d` belongs to rank
-/// `d / dpus_per_rank` (the last rank may be partial). `dpus_per_rank == 0`
-/// means "no rank topology" and returns the input unchanged — callers can
-/// then feed either granularity to [`imbalance`] uniformly.
-pub fn rank_sums(per_dpu: &[f64], dpus_per_rank: usize) -> Vec<f64> {
-    if dpus_per_rank == 0 {
-        return per_dpu.to_vec();
-    }
-    per_dpu
-        .chunks(dpus_per_rank)
-        .map(|c| c.iter().sum())
-        .collect()
-}
-
 /// Population standard deviation.
 pub fn stddev(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -155,16 +141,6 @@ mod tests {
         let fr = fractions(&[1.0, 3.0]);
         assert_eq!(fr, [0.25, 0.75]);
         assert_eq!(fractions(&[0.0, 0.0]), [0.0, 0.0]);
-    }
-
-    #[test]
-    fn rank_sums_folds_by_rank() {
-        let per_dpu = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(rank_sums(&per_dpu, 2), vec![3.0, 7.0, 5.0]);
-        assert_eq!(rank_sums(&per_dpu, 5), vec![15.0]);
-        // no topology: identity, so imbalance() sees the same series
-        assert_eq!(rank_sums(&per_dpu, 0), per_dpu.to_vec());
-        assert_eq!(rank_sums(&[], 4), Vec::<f64>::new());
     }
 
     #[test]

@@ -85,14 +85,6 @@ impl BatchTiming {
         stats::imbalance(&self.dpu_s)
     }
 
-    /// Load imbalance at *rank* granularity: fold DPU times into per-rank
-    /// sums (rank = `dpu / dpus_per_rank`) and take max/mean. This is the
-    /// metric the sharding router minimizes; `dpus_per_rank == 0` (no rank
-    /// topology) degenerates to per-DPU [`imbalance`](Self::imbalance).
-    pub fn rank_imbalance(&self, dpus_per_rank: usize) -> f64 {
-        stats::imbalance(&stats::rank_sums(&self.dpu_s, dpus_per_rank))
-    }
-
     /// Mean DPU utilization relative to the slowest DPU, in \[0,1\].
     pub fn dpu_utilization(&self) -> f64 {
         let m = self.pim_s();
@@ -345,21 +337,6 @@ mod tests {
         let t = sys.batch_timing(0.0, 0, 0);
         assert!(t.imbalance() > 1.5, "imbalance {}", t.imbalance());
         assert!(t.dpu_utilization() < 0.7);
-    }
-
-    #[test]
-    fn rank_imbalance_folds_dpus_into_ranks() {
-        let mut sys = small_sys(); // 4 DPUs = 2 ranks of 2
-                                   // per-DPU loads 3,1,2,2: per-DPU imbalance 1.5, but both ranks sum
-                                   // to 4, so the rank barrier is perfectly balanced
-        for (d, units) in sys.dpus.iter_mut().zip([3u64, 1, 2, 2]) {
-            d.meter.phase_mut(Phase::Dc).charge_add(units * 1_000_000);
-        }
-        let t = sys.batch_timing(0.0, 0, 0);
-        assert!(t.imbalance() > 1.4);
-        assert!((t.rank_imbalance(2) - 1.0).abs() < 1e-9);
-        // no topology degenerates to the per-DPU metric
-        assert!((t.rank_imbalance(0) - t.imbalance()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,0 +1,130 @@
+//! Golden pins for the batch dispatch loop.
+//!
+//! Every hash below was recorded at the commit *before* the three dispatch
+//! loops (clean engine, recovering engine, trace mode) were merged into
+//! `drim_ann`'s single `dispatch` module, so the pins compare the merged
+//! loop against its predecessors rather than against itself. Each one
+//! digests the full Debug text of the results and the `BatchReport`
+//! (timing, energy, `FaultStats`), which is the bit-identity the parity
+//! suites promise. Re-record only for a change that is *meant* to move
+//! results or accounting: print the left-hand side of the failing assert.
+
+use drim_ann::config::{EngineConfig, IndexConfig};
+use drim_ann::engine::DrimEngine;
+use drim_ann::trace::{TraceRunner, TraceSpec};
+use upmem_sim::fault::FaultConfig;
+use upmem_sim::PimArch;
+
+fn digest(text: &str) -> u64 {
+    ann_core::hash::hash_words(0x601D, text.bytes().map(u64::from))
+}
+
+/// Run one engine batch under `faults` at `fault_batch` and digest it.
+fn engine_digest(
+    tweak: impl Fn(&mut EngineConfig),
+    faults: Option<FaultConfig>,
+    fault_batch: u64,
+    expect_fault_activity: bool,
+) -> u64 {
+    let spec = datasets::SynthSpec::small("dispatch-golden", 16, 3000, 47);
+    let data = datasets::generate(&spec);
+    let queries = datasets::queries::generate_queries(
+        &spec,
+        32,
+        datasets::queries::QuerySkew::InDistribution,
+        9,
+    );
+    let mut cfg = EngineConfig::drim(IndexConfig {
+        k: 10,
+        nprobe: 12,
+        nlist: 64,
+        m: 8,
+        cb: 32,
+    });
+    cfg.batch = 32;
+    tweak(&mut cfg);
+    let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+    // the CI fault matrices arm every engine from the environment
+    e.clear_faults();
+    if let Some(fc) = faults {
+        e.inject_faults(fc).unwrap();
+    }
+    e.set_fault_batch(fault_batch);
+    let (results, report) = e.search_batch(&queries);
+    assert_eq!(
+        report.fault.active(),
+        expect_fault_activity,
+        "{:?}",
+        report.fault
+    );
+    digest(&format!("{results:?}{report:?}"))
+}
+
+#[test]
+fn engine_batches_match_the_pre_merge_loops() {
+    // heavy fail-stop without the host fallback: the degrade branch
+    let mut lossy = FaultConfig::uniform(0xDE6, 0.05);
+    lossy.fail_stop_rate = 0.45;
+    let got = [
+        // no injector
+        engine_digest(|_| {}, None, 0, false),
+        // uniform 5% faults, host fallback on
+        engine_digest(
+            |_| {},
+            Some(FaultConfig::uniform(0xFA17_5EED, 0.05)),
+            3,
+            true,
+        ),
+        // mid-run rank kill: 8 DPUs in 4 ranks of 2, the 60% draw kills
+        // some ranks from batch 2 on
+        engine_digest(
+            |c| c.ranks = Some(4),
+            Some(FaultConfig::rank_kill(0xD1, 0.6, 2, 2)),
+            5,
+            true,
+        ),
+        engine_digest(|c| c.recovery.host_fallback = false, Some(lossy), 1, true),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x389C_8DD1_6D2E_2CBD,
+            0xF21C_AB75_2E87_D821,
+            0x1D3B_A526_519D_435C,
+            0x97E0_AC39_ABFA_3C5D,
+        ]
+    );
+}
+
+#[test]
+fn trace_batches_match_the_pre_merge_loop() {
+    let spec = TraceSpec {
+        name: "dispatch-golden-trace".into(),
+        n_points: 500_000,
+        dim: 32,
+        batch: 64,
+        cluster_size_zipf: 0.35,
+        heat_zipf: 1.0,
+        seed: 42,
+    };
+    let mut cfg = EngineConfig::drim(IndexConfig {
+        k: 10,
+        nprobe: 8,
+        nlist: 256,
+        m: 8,
+        cb: 64,
+    });
+    cfg.batch = 64;
+    let mut runner = TraceRunner::build(spec, cfg, PimArch::upmem_sc25(), 32);
+    runner.clear_faults();
+    let clean = runner.run_batch(5);
+    assert!(!clean.fault.active());
+    runner
+        .inject_faults(FaultConfig::uniform(0xBEEF, 0.12))
+        .unwrap();
+    let faulty = runner.run_batch(5);
+    assert!(faulty.fault.active());
+    // no injector, uniform 12% faults
+    let got = [format!("{clean:?}"), format!("{faulty:?}")].map(|t| digest(&t));
+    assert_eq!(got, [0x5ACC_0590_8F43_91BE, 0x851A_B6A2_9ADC_AF7F]);
+}

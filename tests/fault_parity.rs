@@ -20,7 +20,7 @@ use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
 use drim_ann::trace::{TraceRunner, TraceSpec};
 use rayon::with_num_threads;
-use upmem_sim::fault::{FaultConfig, SlowdownDist};
+use upmem_sim::fault::{FaultConfig, FaultInjector, SlowdownDist};
 use upmem_sim::PimArch;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -296,6 +296,39 @@ fn rank_kill_mid_run_is_lossless_and_thread_invariant() {
     let (r1, rep1) = early.search_batch(&queries);
     assert_eq!(rep1.fault.dead_ranks, 0, "kill gated on batch 2");
     assert_eq!(result_bits(&r1), result_bits(&r0));
+}
+
+#[test]
+fn rank_coverage_absorbs_a_rank_kill_without_the_host_fallback() {
+    let (data, queries) = workload();
+    // replication (not the host fallback) must absorb the rank loss
+    let mut cfg = cfg();
+    cfg.ranks = Some(4);
+    cfg.recovery.host_fallback = false;
+    let build = || {
+        let mut e = DrimEngine::build(&data, cfg.clone(), PimArch::upmem_sc25(), 8, None).unwrap();
+        e.clear_faults();
+        e
+    };
+    let (r0, _) = build().search_batch(&queries);
+
+    // 8 DPUs in 4 ranks of 2: a draw that takes exactly one rank, so the
+    // >= 2-rank slice coverage guarantees every slice a surviving home
+    let kill_from = 2;
+    let kill = (0u64..256)
+        .map(|s| FaultConfig::rank_kill(0xD100 + s, 0.3, 2, kill_from))
+        .find(|fc| FaultInjector::new(*fc).unwrap().dead_ranks_at(8, kill_from) == 1)
+        .expect("some seed kills exactly one rank at 30%");
+    let mut killed = build();
+    killed.inject_faults(kill).unwrap();
+    for b in 0..6 {
+        killed.set_fault_batch(b);
+        let (r, rep) = killed.search_batch(&queries);
+        assert_eq!(rep.fault.dead_ranks, usize::from(b >= kill_from));
+        assert_eq!(rep.fault.dropped_tasks, 0, "batch {b}: {:?}", rep.fault);
+        assert_eq!(rep.fault.degraded_queries, 0, "batch {b}: {:?}", rep.fault);
+        assert_eq!(result_bits(&r), result_bits(&r0), "batch {b}");
+    }
 }
 
 #[test]

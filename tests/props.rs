@@ -4,7 +4,6 @@ use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::layout::{ClusterInfo, LayoutPlan};
 use drim_ann::sched::{expand_tasks, schedule, Policy};
-use drim_ann::shard::{self, ShardConfig, ShardPlan};
 use proptest::prelude::*;
 
 fn arb_clusters() -> impl Strategy<Value = Vec<ClusterInfo>> {
@@ -262,66 +261,6 @@ proptest! {
                 prop_assert_eq!(part.get(i, j - lo).to_bits(), full.get(i, j).to_bits());
             }
         }
-    }
-
-    /// The rank router assigns every probe exactly once — no probe lost,
-    /// none duplicated, and every assignment lands on a home rank of its
-    /// cluster.
-    #[test]
-    fn router_assigns_every_probe_exactly_once(nclusters in 1usize..48,
-                                               ranks in 1usize..9,
-                                               replicas in 1usize..4,
-                                               nq in 1usize..24,
-                                               s in 0.0f64..1.6) {
-        let heat: Vec<f64> = (1..=nclusters).map(|i| 1.0 / (i as f64).powf(s)).collect();
-        let plan = ShardPlan::build(&heat, &ShardConfig::replicated(ranks, replicas)).unwrap();
-        let probes: Vec<Vec<u32>> = (0..nq)
-            .map(|q| {
-                let a = (q % nclusters) as u32;
-                let b = ((q * 5 + 2) % nclusters) as u32;
-                if a == b { vec![a] } else { vec![a, b] }
-            })
-            .collect();
-        let total: usize = probes.iter().map(Vec::len).sum();
-        let rp = shard::route(&probes, &plan, |c| heat[c as usize] + 1.0, None).unwrap();
-        prop_assert_eq!(rp.assigned(), total);
-        prop_assert!(rp.lost.is_empty());
-        let mut seen = std::collections::HashSet::new();
-        for (r, pr) in rp.per_rank.iter().enumerate() {
-            for &(q, c) in pr {
-                prop_assert!(plan.cluster_ranks[c as usize].contains(&r),
-                    "probe ({}, {}) routed off its homes", q, c);
-                prop_assert!(seen.insert((q, c)), "probe ({}, {}) assigned twice", q, c);
-            }
-        }
-    }
-
-    /// Failover preserves full probe coverage whenever every cluster has
-    /// at least two replica homes and a single rank dies: nothing is lost
-    /// and nothing lands on the dead rank.
-    #[test]
-    fn failover_covers_all_probes_at_replication_two(nclusters in 1usize..48,
-                                                     ranks in 2usize..9,
-                                                     kill in 0usize..9,
-                                                     nq in 1usize..24) {
-        let heat: Vec<f64> = (1..=nclusters).map(|i| 1.0 / (i as f64).powf(1.2)).collect();
-        let plan = ShardPlan::build(&heat, &ShardConfig::replicated(ranks, 2)).unwrap();
-        prop_assert!(plan.min_replication() >= 2);
-        let kill = kill % ranks;
-        let mut dead = vec![false; ranks];
-        dead[kill] = true;
-        let probes: Vec<Vec<u32>> = (0..nq)
-            .map(|q| {
-                let a = (q % nclusters) as u32;
-                let b = ((q * 7 + 3) % nclusters) as u32;
-                if a == b { vec![a] } else { vec![a, b] }
-            })
-            .collect();
-        let total: usize = probes.iter().map(Vec::len).sum();
-        let rp = shard::route(&probes, &plan, |_| 1.0, Some(&dead)).unwrap();
-        prop_assert!(rp.lost.is_empty(), "replication 2 must cover one dead rank");
-        prop_assert_eq!(rp.assigned(), total);
-        prop_assert!(rp.per_rank[kill].is_empty(), "dead rank must receive nothing");
     }
 
     /// In-batch dedup is invisible in results: for any duplication pattern
