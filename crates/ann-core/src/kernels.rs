@@ -6,12 +6,11 @@
 //! retires one accumulation per FP-add latency and never vectorizes. The
 //! kernels here restructure the same arithmetic three ways:
 //!
-//! 1. **Multi-accumulator unrolling** — [`l2_sq_f32`], [`l2_sq_u8`],
-//!    [`dot_f32`] keep [`LANES`] independent partial sums, one per vector
-//!    lane, so LLVM can map the loop body onto SIMD registers and the
-//!    dependency chain shrinks by `LANES` times. The final reduction is a
-//!    pairwise tree (better numerics than left-fold, and lane-order
-//!    independent).
+//! 1. **Multi-accumulator unrolling** — [`l2_sq_f32`] and [`dot_f32`]
+//!    keep [`LANES`] independent partial sums, one per vector lane, so
+//!    LLVM can map the loop body onto SIMD registers and the dependency
+//!    chain shrinks by `LANES` times. The final reduction is a pairwise
+//!    tree (better numerics than left-fold, and lane-order independent).
 //! 2. **Norm decomposition** — [`l2_sq_batch`] computes one-query-vs-N-rows
 //!    distances as `‖q‖² − 2·q·c + ‖c‖²`. With row norms precomputed once
 //!    (they are reused across every query of a batch, every Lloyd
@@ -26,11 +25,9 @@
 //!    row (`cb` entries, subspace-major layout) stays hot in L1 across
 //!    eight gathers and the eight accumulators are independent.
 //!
-//! Numerical contract: [`l2_sq_u8`] is bit-exact against the scalar
-//! reference (integer arithmetic is associative); the `f32` kernels agree
-//! with the scalar reference to within a few ULPs of reassociation error
-//! (tested at 1e-4 relative). [`l2_sq_batch`] additionally carries the
-//! cancellation error of the decomposition (clamped at zero), which is why
+//! Numerical contract: the `f32` kernels agree with the scalar reference
+//! to within a few ULPs of reassociation error (tested at 1e-4 relative).
+//! [`l2_sq_batch`] additionally carries the cancellation error of the decomposition (clamped at zero), which is why
 //! PQ encoding's nearest-codeword argmin uses [`l2_sq_rows`] — exact
 //! blocked distances without the decomposition. The ADC LUT build uses the
 //! decomposition too (GEMM-formulated in `pq`'s `lut_batch` against cached
@@ -40,9 +37,6 @@
 /// Unroll width of the f32 kernels: 8 lanes = one AVX register or two
 /// SSE/NEON registers of `f32`.
 pub const LANES: usize = 8;
-
-/// Unroll width of the u8 kernel (widened to `i32` lanes internally).
-const LANES_U8: usize = 16;
 
 /// Pairwise tree reduction of the lane accumulators.
 #[inline]
@@ -74,30 +68,6 @@ pub fn l2_sq_f32(a: &[f32], b: &[f32]) -> f32 {
         tail += d * d;
     }
     reduce8(acc) + tail
-}
-
-/// Squared L2 distance between two `u8` slices, exact in `u32`
-/// (multi-accumulator form; bit-identical to the scalar reference).
-#[inline]
-pub fn l2_sq_u8(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0u32; LANES_U8];
-    let a_chunks = a.chunks_exact(LANES_U8);
-    let b_chunks = b.chunks_exact(LANES_U8);
-    let a_rem = a_chunks.remainder();
-    let b_rem = b_chunks.remainder();
-    for (ca, cb) in a_chunks.zip(b_chunks) {
-        for l in 0..LANES_U8 {
-            let d = ca[l] as i32 - cb[l] as i32;
-            acc[l] = acc[l].wrapping_add((d * d) as u32);
-        }
-    }
-    let mut tail = 0u32;
-    for (&x, &y) in a_rem.iter().zip(b_rem.iter()) {
-        let d = x as i32 - y as i32;
-        tail = tail.wrapping_add((d * d) as u32);
-    }
-    acc.iter().fold(tail, |s, &x| s.wrapping_add(x))
 }
 
 /// Inner product of two `f32` slices (multi-accumulator form).
@@ -313,17 +283,6 @@ mod tests {
             let b = prand_f32(len, 23);
             assert_rel_close(l2_sq_f32(&a, &b), distance::l2_sq_f32(&a, &b), 1e-4);
         }
-    }
-
-    #[test]
-    fn l2_u8_matches_scalar_reference_exactly() {
-        for &len in &LENGTHS {
-            let a = prand_u8(len, 31);
-            let b = prand_u8(len, 47);
-            assert_eq!(l2_sq_u8(&a, &b), distance::l2_sq_u8(&a, &b), "len {len}");
-        }
-        // extremes
-        assert_eq!(l2_sq_u8(&[255; 33], &[0; 33]), 33 * 255 * 255);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! Running this bench (`cargo bench --bench kernels`) also writes
 //! `BENCH_kernels.json` at the workspace root with per-benchmark medians
-//! and the scalar-vs-blocked speedups, so successive PRs accumulate a perf
-//! trajectory.
+//! and the blocked-over-scalar speedups, so successive PRs accumulate a perf
+//! trajectory. It fails if simulating the SQT arm of LC costs the host more
+//! than [`LC_SQT_OVER_MULTIPLY_MAX`] times the multiply arm: the two build
+//! the same table and differ only in how the squarings are charged.
 
 use criterion::Criterion;
 use drim_ann::config::DataBits;
@@ -28,6 +30,11 @@ use upmem_sim::IsaCosts;
 /// batch >= 64 rows, dim >= 96).
 const N_ROWS: usize = 4096;
 const DIM: usize = 96;
+
+/// Ceiling on `kernels/lc_sqt` over `kernels/lc_multiply` host time (3.88
+/// while the SQT arm metered every lookup; ~1.0 since both arms share one
+/// build loop and book squarings in bulk).
+const LC_SQT_OVER_MULTIPLY_MAX: f64 = 1.5;
 
 fn pseudo_f32(n: usize, seed: u64) -> Vec<f32> {
     let mut state = seed | 1;
@@ -76,16 +83,6 @@ fn bench_host_kernels(c: &mut Criterion) {
     });
     g.bench_function("l2_pair_blocked", |b| {
         b.iter(|| std::hint::black_box(ann_core::kernels::l2_sq_f32(&q, &a2)))
-    });
-
-    // u8 (the DPU operand width)
-    let ua: Vec<u8> = (0..N_ROWS).map(|i| (i * 7 % 256) as u8).collect();
-    let ub: Vec<u8> = (0..N_ROWS).map(|i| (i * 13 % 256) as u8).collect();
-    g.bench_function("l2_u8_scalar", |b| {
-        b.iter(|| std::hint::black_box(ann_core::distance::l2_sq_u8(&ua, &ub)))
-    });
-    g.bench_function("l2_u8_blocked", |b| {
-        b.iter(|| std::hint::black_box(ann_core::kernels::l2_sq_u8(&ua, &ub)))
     });
 
     // host-side ADC scan: pointwise gathers vs the 8-wide blocked scan.
@@ -215,12 +212,13 @@ fn median(c: &Criterion, id: &str) -> Option<f64> {
     c.results().iter().find(|s| s.id == id).map(|s| s.median_ns)
 }
 
-/// Scalar-over-blocked speedup for a benchmark pair.
+/// Speedup of the blocked kernel over its scalar reference (scalar median
+/// / blocked median) for a benchmark pair.
 fn speedup(c: &Criterion, scalar: &str, blocked: &str) -> Option<f64> {
     Some(median(c, scalar)? / median(c, blocked)?)
 }
 
-fn write_json(c: &Criterion) {
+fn write_json(c: &Criterion, lc_sqt_over_multiply: Option<f64>) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let mut rows = String::new();
     for (i, s) in c.results().iter().enumerate() {
@@ -240,12 +238,15 @@ fn write_json(c: &Criterion) {
     let gelems = median(c, "host_kernels/l2_one_vs_n_blocked")
         .map(|ns| format!("{:.2}", elems / ns))
         .unwrap_or_else(|| "null".into());
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"shape\": {{\"one_vs_n_rows\": {N_ROWS}, \"dim\": {DIM}}},\n  \"speedup_scalar_over_blocked\": {{\n    \"l2_one_vs_n_f32\": {},\n    \"l2_pair_f32\": {},\n    \"l2_u8\": {},\n    \"adc_scan\": {}\n  }},\n  \"blocked_one_vs_n_gelem_per_s\": {gelems},\n  \"results\": [\n{rows}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"host_cores\": {host_cores},\n  \"shape\": {{\"one_vs_n_rows\": {N_ROWS}, \"dim\": {DIM}}},\n  \"speedup_blocked_over_scalar\": {{\n    \"l2_one_vs_n_f32\": {},\n    \"l2_pair_f32\": {},\n    \"adc_scan\": {}\n  }},\n  \"blocked_one_vs_n_gelem_per_s\": {gelems},\n  \"lc_sqt_over_multiply\": {},\n  \"results\": [\n{rows}\n  ]\n}}\n",
         fmt(speedup(c, "host_kernels/l2_one_vs_n_scalar", "host_kernels/l2_one_vs_n_blocked")),
         fmt(speedup(c, "host_kernels/l2_pair_scalar", "host_kernels/l2_pair_blocked")),
-        fmt(speedup(c, "host_kernels/l2_u8_scalar", "host_kernels/l2_u8_blocked")),
         fmt(speedup(c, "host_kernels/adc_scan_scalar", "host_kernels/adc_scan_blocked")),
+        fmt(lc_sqt_over_multiply),
     );
     match std::fs::write(path, json) {
         Ok(()) => eprintln!("wrote {path}"),
@@ -258,5 +259,13 @@ fn main() {
     bench_host_kernels(&mut c);
     bench_sim_kernels(&mut c);
     c.final_summary();
-    write_json(&c);
+    let lc_sqt_over_multiply = speedup(&c, "kernels/lc_sqt", "kernels/lc_multiply");
+    write_json(&c, lc_sqt_over_multiply);
+    if let Some(ratio) = lc_sqt_over_multiply {
+        assert!(
+            ratio <= LC_SQT_OVER_MULTIPLY_MAX,
+            "simulating LC with the SQT costs the host {ratio:.2}x the multiply arm \
+             (ceiling {LC_SQT_OVER_MULTIPLY_MAX}): the SQT arm is metering per element again"
+        );
+    }
 }

@@ -122,6 +122,13 @@ pub enum ConfigError {
     BadFault(upmem_sim::fault::FaultConfigError),
     /// `ranks` was `Some(0)` — a rank topology needs at least one rank.
     ZeroRanks,
+    /// The PQ-padded dimension (`m * dsub`) is too wide for the DC scan's
+    /// 32-bit distance accumulators: `m * dsub * 255^2` must fit a `u32`,
+    /// i.e. the padded dimension must not exceed 66,051.
+    DimTooWide {
+        /// The index's padded dimension, `m * dsub`.
+        padded_dim: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -144,6 +151,11 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadFault(e) => write!(f, "invalid fault configuration: {e}"),
             ConfigError::ZeroRanks => write!(f, "ranks must be at least 1 when set"),
+            ConfigError::DimTooWide { padded_dim } => write!(
+                f,
+                "padded dimension {padded_dim} overflows 32-bit ADC distances (at most {})",
+                crate::kernels::dc::MAX_PADDED_DIM
+            ),
         }
     }
 }

@@ -189,6 +189,11 @@ impl DrimEngine {
         system.tasklets = cfg.tasklets;
         let dim = data.dim();
         let pq = ivf.quant.pq();
+        // the DC scan sums a point's LUT entries in 32 bits
+        let padded_dim = pq.m * pq.dsub;
+        if padded_dim > dc::MAX_PADDED_DIM {
+            return Err(ConfigError::DimTooWide { padded_dim }.into());
+        }
 
         // Centroids in the quantizer's working space: rotated for OPQ,
         // verbatim otherwise. Rotating centroids once at build time (and
@@ -674,19 +679,19 @@ impl DpuKernels<'_> {
         let dsub = self.dsub;
         let k = self.cfg.index.k;
 
-        // group tasks by (query, cluster) so RC + LC run once per group —
-        // the data reuse the allocation exchange pass enables
-        let mut group_map: std::collections::BTreeMap<(u32, u32), Vec<usize>> = Default::default();
-        for t in tasks {
-            let cluster = self.layout.slices[t.slice].cluster;
-            group_map
-                .entry((t.query, cluster))
-                .or_default()
-                .push(t.slice);
-        }
-        let groups: Vec<((u32, u32), Vec<usize>)> = group_map.into_iter().collect();
+        // Group tasks by (query, cluster) so RC + LC run once per group —
+        // the data reuse the allocation exchange pass enables. The sort is
+        // stable: a group's slices keep their task order, and groups (hence
+        // the per-query heaps, results and checksum) ascend by query id.
+        let mut order: Vec<(u32, u32, usize)> = tasks
+            .iter()
+            .map(|t| (t.query, self.layout.slices[t.slice].cluster, t.slice))
+            .collect();
+        order.sort_by_key(|&(q, cluster, _)| (q, cluster));
+        let groups: Vec<&[(u32, u32, usize)]> =
+            order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
 
-        let mut heaps: std::collections::BTreeMap<u32, BoundedMaxHeap> = Default::default();
+        let mut heaps: Vec<(u32, BoundedMaxHeap)> = Vec::new();
         let mut lock = LockStats::default();
         let mut residual_q = Vec::new();
         let mut residuals = Vec::new();
@@ -703,10 +708,11 @@ impl DpuKernels<'_> {
         // per-group loop — only the build order is blocked.
         for wave in groups.chunks(LC_GROUP_BLOCK) {
             residuals.clear();
-            for ((q, cluster), slices) in wave {
-                let query = self.queries.get(*q as usize);
-                let centroid = self.dpu_centroids.get(*cluster as usize);
-                push_bytes += (query.len() * 4 + 8 * slices.len()) as u64;
+            for group in wave {
+                let (q, cluster, _) = group[0];
+                let query = self.queries.get(q as usize);
+                let centroid = self.dpu_centroids.get(cluster as usize);
+                push_bytes += (query.len() * 4 + 8 * group.len()) as u64;
 
                 // RC
                 rc::run(
@@ -737,11 +743,14 @@ impl DpuKernels<'_> {
             );
 
             // DC + TS per slice
-            for (gi, ((q, cluster), slices)) in wave.iter().enumerate() {
-                let lut = &luts[gi * m * cb..(gi + 1) * m * cb];
-                let heap = heaps.entry(*q).or_insert_with(|| BoundedMaxHeap::new(k));
-                let tomb = &self.tombstones[*cluster as usize];
-                for &si in slices {
+            for (group, lut) in wave.iter().zip(luts.chunks_exact(m * cb)) {
+                let (q, cluster, _) = group[0];
+                if heaps.last().map(|(last, _)| *last) != Some(q) {
+                    heaps.push((q, BoundedMaxHeap::new(k)));
+                }
+                let heap = &mut heaps.last_mut().expect("pushed above").1;
+                let tomb = &self.tombstones[cluster as usize];
+                for &(_, _, si) in *group {
                     let data = &self.slice_data[si];
                     let bound = match self.cfg.lock_policy {
                         upmem_sim::tasklet::LockPolicy::Forwarding => {
@@ -1190,6 +1199,28 @@ mod tests {
         let mut fc = FaultConfig::none();
         fc.fail_stop_rate = 2.0;
         assert!(engine.inject_faults(fc).is_err());
+    }
+
+    #[test]
+    fn build_rejects_dimensions_the_dc_accumulator_cannot_hold() {
+        // m * dsub * 255^2 must fit the scan's u32 sums: one padded
+        // dimension past the limit is a typed error, never a silent wrap
+        let dim = dc::MAX_PADDED_DIM + 1;
+        let mut data = VecSet::with_capacity(dim, 4);
+        for i in 0..4 {
+            data.push(&vec![i as f32; dim]);
+        }
+        let cfg = EngineConfig::drim(IndexConfig {
+            k: 1,
+            nprobe: 1,
+            nlist: 1,
+            m: 2,
+            cb: 2,
+        });
+        assert!(matches!(
+            DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 2, None),
+            Err(BuildError::Config(ConfigError::DimTooWide { padded_dim })) if padded_dim == dim
+        ));
     }
 
     #[test]

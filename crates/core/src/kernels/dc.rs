@@ -19,6 +19,10 @@ use upmem_sim::meter::PhaseMeter;
 /// kind of overhead.
 pub const GATHER_OVERHEAD_ALU: u64 = 3;
 
+/// Largest padded dimension (`m * dsub`) whose worst-case ADC distance,
+/// `m * dsub * 255^2`, still fits the scan's `u32` accumulators.
+pub(crate) const MAX_PADDED_DIM: usize = (u32::MAX / (255 * 255)) as usize;
+
 /// Closed-form cost of scanning `n_points` codes — identical totals to
 /// [`run`]. Used by trace mode.
 pub fn charge(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, n_points: u64, m: usize, cb: usize) {
@@ -47,12 +51,15 @@ pub fn charge(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, n_points: u64, m: usi
 /// Returns the number of candidates whose distance is below `bound`
 /// (candidates the TS phase will actually consider).
 ///
-/// The accumulation is register-blocked: eight points at a time with the
-/// subspace loop outermost, so one subspace-major LUT row serves eight
-/// gathers while it is hot and the eight accumulators carry no dependency
-/// on each other. Costs are booked through [`charge`] — the blocked
-/// restructuring changes how fast the host simulates the scan, never what
-/// the scan is charged.
+/// The scan is point-major, one `u32` sum per point over the LUT's rows:
+/// a point's `m` gathers land in `m` different rows however the loop is
+/// blocked, so on the host the scan is bound by its two loads per gather
+/// and the plainest loop is the fastest one measured (blocking points per
+/// row, splitting the sum over several accumulators and subspace-major
+/// codes were all slower). `u32` sums are exact while `m * dsub * 255^2`
+/// fits (padded dimension at most 66,051, enforced when an engine is
+/// built). Costs are booked through [`charge`] — how the host adds the
+/// entries up never changes what the scan is charged.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     ctx: &KernelCtx<'_>,
@@ -66,40 +73,22 @@ pub fn run(
 ) -> u64 {
     debug_assert_eq!(codes.len() % m, 0);
     debug_assert_eq!(lut.len(), m * cb);
-    const BLOCK: usize = 8;
     let n = codes.len() / m;
 
     out.clear();
     out.reserve(n);
     let mut below = 0u64;
-    let mut slot = 0u32;
-    let mut blocks = codes.chunks_exact(BLOCK * m);
-    for block in &mut blocks {
-        let mut acc = [0u64; BLOCK];
-        for s in 0..m {
-            let lut_row = &lut[s * cb..(s + 1) * cb];
-            for (b, a) in acc.iter_mut().enumerate() {
-                *a += lut_row[block[b * m + s] as usize] as u64;
-            }
-        }
-        for &a in &acc {
-            if a < bound {
-                below += 1;
-            }
-            out.push((slot, a));
-            slot += 1;
-        }
-    }
-    for code in blocks.remainder().chunks_exact(m) {
-        let mut acc = 0u64;
-        for (s, &cidx) in code.iter().enumerate() {
-            acc += lut[s * cb + cidx as usize] as u64;
-        }
-        if acc < bound {
+    for (slot, code) in codes.chunks_exact(m).enumerate() {
+        let dist: u32 = code
+            .iter()
+            .zip(lut.chunks_exact(cb))
+            .map(|(&c, row)| row[c as usize])
+            .sum();
+        let dist = dist as u64;
+        if dist < bound {
             below += 1;
         }
-        out.push((slot, acc));
-        slot += 1;
+        out.push((slot as u32, dist));
     }
 
     charge(ctx, meter, n as u64, m, cb);
@@ -179,6 +168,62 @@ mod tests {
         assert!(m2.wram_read > 0);
         // same arithmetic either way
         assert_eq!(m1.cycles, m2.cycles);
+    }
+
+    #[test]
+    fn scan_matches_a_scalar_u64_reference() {
+        let placement = WramPlacement::none();
+        let costs = IsaCosts::upmem();
+        let c = ctx(&placement, &costs);
+        // the largest entry LC can produce at dsub = 8, so sums of several
+        // rows leave the u16 range a narrower accumulator would wrap in
+        let max_entry = 8 * 255 * 255u32;
+        let mut out = Vec::new();
+        for m in [1usize, 5, 7] {
+            // cb = 1024 stores codes above 255: the u16 path
+            for cb in [16usize, 256, 1024] {
+                let lut: Vec<u32> = (0..m * cb)
+                    .map(|i| max_entry - (i as u32).wrapping_mul(2654435761) % 1000)
+                    .collect();
+                for n in [0usize, 1, 7, 8, 9] {
+                    let codes: Vec<u16> = (0..n * m)
+                        .map(|i| (i.wrapping_mul(40503) % cb) as u16)
+                        .collect();
+                    if cb > 256 && n * m >= 7 {
+                        assert!(codes.iter().any(|&j| j > 255), "no wide code generated");
+                    }
+                    let want: Vec<(u32, u64)> = codes
+                        .chunks_exact(m)
+                        .enumerate()
+                        .map(|(p, code)| {
+                            let dist = code
+                                .iter()
+                                .enumerate()
+                                .map(|(s, &j)| lut[s * cb + j as usize] as u64)
+                                .sum();
+                            (p as u32, dist)
+                        })
+                        .collect();
+                    let bound = want.get(n / 2).map_or(0, |w| w.1);
+
+                    let mut functional = PhaseMeter::default();
+                    let below = run(&c, &mut functional, &codes, m, cb, &lut, bound, &mut out);
+                    assert_eq!(out, want, "m={m} cb={cb} n={n}");
+                    let want_below = want.iter().filter(|w| w.1 < bound).count() as u64;
+                    assert_eq!(below, want_below, "m={m} cb={cb} n={n}");
+                    let mut bulk = PhaseMeter::default();
+                    charge(&c, &mut bulk, n as u64, m, cb);
+                    assert_eq!(functional, bulk, "m={m} cb={cb} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn widest_legal_shape_fits_the_accumulator() {
+        let worst = MAX_PADDED_DIM as u64 * 255 * 255;
+        assert!(worst <= u32::MAX as u64);
+        assert!(worst + 255 * 255 > u32::MAX as u64);
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! The squaring is where UPMEM's missing multiplier bites (32 cycles each);
 //! DRIM-ANN's SQT turns it into one table lookup (paper Section 3.1).
 //! Cost model: paper Eq. 6-7.
+//!
+//! The SQT is lossless, so the multiply and SQT arms differ only in what a
+//! squaring *costs* — never in the table they build. [`run_bulk`] therefore
+//! has one integer build loop for both, shaped for the host's vector units,
+//! and books the squarings once per call from an exact `(hits, misses)`
+//! count (`sqt_split`) through the same helpers the closed-form [`charge`]
+//! uses. How fast the host simulates LC says nothing about what LC is
+//! charged.
 
 use super::KernelCtx;
 use crate::sqt::Sqt;
@@ -32,31 +40,34 @@ pub fn charge(
     dsub: usize,
     square: SquareCost,
 ) {
-    let entries = (m * cb) as u64;
-    let elems = entries * dsub as u64;
-
+    let elems = (m * cb * dsub) as u64;
     match square {
         SquareCost::Multiply => meter.charge_mul(elems, ctx.costs),
         SquareCost::SqtLookup { wram_hit_rate } => {
             let hits = (elems as f64 * wram_hit_rate.clamp(0.0, 1.0)).round() as u64;
             let hits = hits.min(elems);
-            let misses = elems - hits;
-            // WRAM hits pay the calibrated pipeline cost (|diff|, addressing,
-            // dependent load, bank contention) plus the entry read ...
-            meter.charge_alu(hits * ctx.costs.sqt_lookup);
-            meter.wram_read_bytes(hits * 4);
-            // ... spills only issue the DMA (4 ALU) and pay in bandwidth
-            meter.charge_alu(misses * 4 * ctx.costs.alu);
-            meter.mram_random_read(misses, 4, ctx.dma_burst);
+            charge_sqt_lookups(ctx, meter, hits, elems - hits);
         }
     }
     charge_nonsquare(ctx, meter, m, cb, dsub);
 }
 
+/// `hits` SQT lookups served from WRAM plus `misses` spilled to MRAM —
+/// the bulk form of that many [`Sqt::square`] calls.
+fn charge_sqt_lookups(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, hits: u64, misses: u64) {
+    // WRAM hits pay the calibrated pipeline cost (|diff|, addressing,
+    // dependent load, bank contention) plus the entry read ...
+    meter.charge_alu(hits * ctx.costs.sqt_lookup);
+    meter.wram_read_bytes(hits * 4);
+    // ... spills only issue the DMA (4 ALU) and pay in bandwidth
+    meter.charge_alu(misses * 4 * ctx.costs.alu);
+    meter.mram_random_read(misses, 4, ctx.dma_burst);
+}
+
 /// Everything LC costs *besides* the squarings: subtract/accumulate ALU
 /// work, codebook + residual reads, and the LUT write. Shared verbatim by
-/// [`charge`] and [`run`], which is what keeps functional and closed-form
-/// totals identical by construction.
+/// [`charge`] and [`run_bulk`], which is what keeps functional and
+/// closed-form totals identical by construction.
 fn charge_nonsquare(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, m: usize, cb: usize, dsub: usize) {
     let b = ctx.bits.bytes();
     let entries = (m * cb) as u64;
@@ -77,19 +88,52 @@ fn charge_nonsquare(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, m: usize, cb: u
     ctx.write(meter, "lut", entries * 4);
 }
 
+/// Exact `(WRAM hits, MRAM spills)` of the `ngroups * m * cb * dsub` SQT
+/// lookups one [`run_bulk`] call performs. Operands are `u8`, so
+/// `|diff| <= 255`: a window of 256 or more entries serves every lookup, an
+/// empty one (table not resident) none, and only a window in between needs
+/// the differences counted.
+fn sqt_split(
+    window: usize,
+    residuals: &[u8],
+    ngroups: usize,
+    codebooks: &[u8],
+    m: usize,
+    cb: usize,
+    dsub: usize,
+) -> (u64, u64) {
+    let lookups = (ngroups * m * cb * dsub) as u64;
+    let hits = if window >= 256 {
+        lookups
+    } else if window == 0 {
+        0
+    } else {
+        let mut hits = 0u64;
+        for residual in residuals.chunks_exact(m * dsub).take(ngroups) {
+            for (r_sub, block) in residual
+                .chunks_exact(dsub)
+                .zip(codebooks.chunks_exact(cb * dsub))
+            {
+                for cw in block.chunks_exact(dsub) {
+                    hits += r_sub
+                        .iter()
+                        .zip(cw)
+                        .filter(|&(&r, &c)| (r.abs_diff(c) as usize) < window)
+                        .count() as u64;
+                }
+            }
+        }
+        hits
+    };
+    (hits, lookups - hits)
+}
+
 /// Build the integer ADC lookup table for one (query, cluster) residual.
 ///
 /// `residual` is the quantized residual (`dsub * m` elements after
 /// zero-padding); `codebooks` is `m * cb * dsub` quantized codewords.
-/// When `sqt` is `Some`, squarings go through the lookup table; otherwise
-/// they are charged as native multiplies.
-///
-/// The multiply path computes each LUT entry with the blocked
-/// multi-accumulator `l2_sq_u8` kernel (bit-identical to the scalar loop —
-/// integer adds are associative) and books the squarings in bulk; the SQT
-/// path stays per-element because every lookup updates the table's
-/// hit/spill counters and residency-dependent charges. Both paths share
-/// [`charge`]'s accounting, so functional and trace totals cannot drift.
+/// When `sqt` is `Some`, squarings are charged as table lookups; otherwise
+/// as native multiplies.
 ///
 /// One-group wrapper around [`run_bulk`] (identical output and charges).
 #[allow(clippy::too_many_arguments)]
@@ -112,13 +156,15 @@ pub fn run(
 /// cluster) groups.
 ///
 /// `residuals` is `ngroups * m * dsub` flat (one padded residual per
-/// group); `luts` receives `ngroups * m * cb` entries, group-major. The
-/// codeword loop runs *outside* the group loop, so each codeword streams
-/// from (simulated) MRAM once per group block instead of once per group —
-/// the same amortization the host-side `lut_batch` GEMM gets from blocking
-/// queries. Integer distance sums are associative, so entries are
-/// bit-identical to per-group [`run`] calls, and the charges are exactly
-/// `ngroups` times one [`charge`] (the accounting trace mode replays).
+/// group); `luts` receives `ngroups * m * cb` entries, group-major.
+///
+/// Each subspace's codewords are transposed once per call into a `[d][j]`
+/// block (`dsub * cb` bytes), so the `cb` entries of a LUT row are
+/// contiguous vector lanes and the block stays hot across the whole group
+/// wave. Integer sums are associative, so entries are bit-identical to any
+/// other summation order, and the charges are exactly `ngroups` times one
+/// [`charge`] at the call's measured hit rate (the accounting trace mode
+/// replays).
 #[allow(clippy::too_many_arguments)]
 pub fn run_bulk(
     ctx: &KernelCtx<'_>,
@@ -134,42 +180,55 @@ pub fn run_bulk(
 ) {
     debug_assert_eq!(codebooks.len(), m * cb * dsub);
     debug_assert!(residuals.len() >= ngroups * m * dsub);
+    assert!(dsub > 0, "a LUT entry needs at least one squared term");
 
     let lut_w = m * cb;
-    luts.clear();
+    // no zero-fill of reused storage: the first `d` term of every entry
+    // is a plain store, the remaining terms accumulate onto it
     luts.resize(ngroups * lut_w, 0);
-    match sqt {
-        None => {
-            // blocked build: one unrolled subvector distance per entry,
-            // codeword hot across the whole group block
-            for s in 0..m {
-                let cb_block = &codebooks[s * cb * dsub..(s + 1) * cb * dsub];
-                for (j, cw) in cb_block.chunks_exact(dsub).enumerate() {
-                    for g in 0..ngroups {
-                        let base = g * m * dsub;
-                        let r_sub = &residuals[base + s * dsub..base + (s + 1) * dsub];
-                        luts[g * lut_w + s * cb + j] = ann_core::kernels::l2_sq_u8(r_sub, cw);
-                    }
-                }
+    let mut lanes = vec![0u8; dsub * cb];
+    let square = |r: u8, c: u8| {
+        let diff = r.abs_diff(c) as u32;
+        diff * diff
+    };
+    for (s, block) in codebooks.chunks_exact(cb * dsub).enumerate() {
+        for (d, lane) in lanes.chunks_exact_mut(cb).enumerate() {
+            for (dst, &c) in lane.iter_mut().zip(block[d..].iter().step_by(dsub)) {
+                *dst = c;
             }
-            meter.charge_mul((ngroups * m * cb * dsub) as u64, ctx.costs);
         }
-        Some(table) => {
-            for s in 0..m {
-                let cb_block = &codebooks[s * cb * dsub..(s + 1) * cb * dsub];
-                for (j, cw) in cb_block.chunks_exact(dsub).enumerate() {
-                    for g in 0..ngroups {
-                        let base = g * m * dsub;
-                        let r_sub = &residuals[base + s * dsub..base + (s + 1) * dsub];
-                        let mut acc = 0u64;
-                        for (&r, &c) in r_sub.iter().zip(cw.iter()) {
-                            let diff = r as i32 - c as i32;
-                            acc += table.square(diff, meter, ctx.costs, ctx.dma_burst);
-                        }
-                        luts[g * lut_w + s * cb + j] = acc as u32;
-                    }
+        for g in 0..ngroups {
+            let r_sub = &residuals[(g * m + s) * dsub..][..dsub];
+            let row = &mut luts[g * lut_w + s * cb..][..cb];
+            let mut terms = r_sub.iter().zip(lanes.chunks_exact(cb));
+            if let Some((&r, lane)) = terms.next() {
+                for (entry, &c) in row.iter_mut().zip(lane) {
+                    *entry = square(r, c);
                 }
             }
+            for (&r, lane) in terms {
+                for (entry, &c) in row.iter_mut().zip(lane) {
+                    *entry += square(r, c);
+                }
+            }
+        }
+    }
+
+    match sqt {
+        None => meter.charge_mul((ngroups * lut_w * dsub) as u64, ctx.costs),
+        Some(table) => {
+            let (hits, misses) = sqt_split(
+                table.wram_window(),
+                residuals,
+                ngroups,
+                codebooks,
+                m,
+                cb,
+                dsub,
+            );
+            table.hits_wram += hits;
+            table.hits_mram += misses;
+            charge_sqt_lookups(ctx, meter, hits, misses);
         }
     }
     for _ in 0..ngroups {
@@ -271,58 +330,141 @@ mod tests {
         assert!(with_sqt.wram_read > with_mul.wram_read);
     }
 
-    #[test]
-    fn bulk_build_matches_per_group_runs() {
-        // three distinct residuals against one codebook: bulk LUTs, bulk
-        // charges and bulk SQT counters must all equal per-group run()s
-        let placement = WramPlacement::none();
-        let costs = IsaCosts::upmem();
-        let c = ctx(&placement, &costs);
-        let (m, cb, dsub) = (2usize, 4usize, 3usize);
-        let codebooks: Vec<u8> = (0..m * cb * dsub).map(|i| (i * 37 % 256) as u8).collect();
-        let residuals: Vec<u8> = (0..3 * m * dsub).map(|i| (i * 11 % 256) as u8).collect();
-
-        for use_sqt in [false, true] {
-            let mut bulk_meter = PhaseMeter::default();
-            let mut bulk_sqt = use_sqt.then(Sqt::for_u8);
-            let mut bulk = Vec::new();
-            run_bulk(
-                &c,
-                &mut bulk_meter,
-                &residuals,
-                3,
-                &codebooks,
-                m,
-                cb,
-                dsub,
-                bulk_sqt.as_mut(),
-                &mut bulk,
-            );
-
-            let mut per_meter = PhaseMeter::default();
-            let mut per_sqt = use_sqt.then(Sqt::for_u8);
-            let mut all = Vec::new();
-            let mut one = Vec::new();
-            for g in 0..3 {
-                run(
-                    &c,
-                    &mut per_meter,
-                    &residuals[g * m * dsub..(g + 1) * m * dsub],
-                    &codebooks,
-                    m,
-                    cb,
-                    dsub,
-                    per_sqt.as_mut(),
-                    &mut one,
-                );
-                all.extend_from_slice(&one);
+    /// The per-element LC the bulk kernel replaced, kept as its oracle:
+    /// one metered [`Sqt::square`] (or one charged multiply) per element.
+    #[allow(clippy::too_many_arguments)]
+    fn per_element_reference(
+        c: &KernelCtx<'_>,
+        meter: &mut PhaseMeter,
+        residuals: &[u8],
+        ngroups: usize,
+        codebooks: &[u8],
+        m: usize,
+        cb: usize,
+        dsub: usize,
+        mut sqt: Option<&mut Sqt>,
+    ) -> Vec<u32> {
+        let mut luts = Vec::with_capacity(ngroups * m * cb);
+        for g in 0..ngroups {
+            for s in 0..m {
+                let r_sub = &residuals[(g * m + s) * dsub..][..dsub];
+                for j in 0..cb {
+                    let cw = &codebooks[(s * cb + j) * dsub..][..dsub];
+                    let mut acc = 0u64;
+                    for (&r, &cv) in r_sub.iter().zip(cw) {
+                        let diff = r as i32 - cv as i32;
+                        acc += match sqt.as_deref_mut() {
+                            Some(table) => table.square(diff, meter, c.costs, c.dma_burst),
+                            None => {
+                                meter.charge_mul(1, c.costs);
+                                (diff * diff) as u64
+                            }
+                        };
+                    }
+                    luts.push(acc as u32);
+                }
             }
-            assert_eq!(bulk, all, "sqt={use_sqt}");
-            assert_eq!(bulk_meter.cycles, per_meter.cycles, "sqt={use_sqt}");
-            assert_eq!(bulk_meter.wram_read, per_meter.wram_read);
-            if let (Some(a), Some(b)) = (&bulk_sqt, &per_sqt) {
-                assert_eq!(a.hits_wram, b.hits_wram);
-                assert_eq!(a.hits_mram, b.hits_mram);
+            charge_nonsquare(c, meter, m, cb, dsub);
+        }
+        luts
+    }
+
+    #[test]
+    fn bulk_build_matches_the_per_element_reference() {
+        let costs = IsaCosts::upmem();
+        let none = WramPlacement::none();
+        let all = plan(
+            &["codebook", "residual", "lut"].map(|name| WramCandidate {
+                name,
+                bytes: 1,
+                accesses: 1.0,
+            }),
+            1 << 10,
+        );
+        // no SQT, every lookup a WRAM hit, every lookup a spill, and a
+        // 64-entry window that splits u8 differences into both
+        let tables: [(DataBits, Option<Sqt>); 4] = [
+            (DataBits::B8, None),
+            (DataBits::B8, Some(Sqt::for_u8())),
+            (
+                DataBits::B8,
+                Some(Sqt::for_bits_resident(DataBits::B8, false)),
+            ),
+            (DataBits::B16, Some(Sqt::for_u16(64))),
+        ];
+        let m = 3usize;
+        let mut state = 0x5eedu64;
+        let mut bytes = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 56) as u8
+                })
+                .collect()
+        };
+        // one LUT buffer across every shape: stale entries from a larger
+        // earlier call must never leak into a later one
+        let mut luts = Vec::new();
+        for (bits, table) in tables {
+            for placement in [&none, &all] {
+                let c = KernelCtx {
+                    costs: &costs,
+                    dma_burst: 8,
+                    bits,
+                    placement,
+                };
+                for dsub in [1usize, 3, 4, 8] {
+                    for cb in [16usize, 256] {
+                        for ngroups in [1usize, 3, 8, 9] {
+                            let codebooks = bytes(m * cb * dsub);
+                            let residuals = bytes(ngroups * m * dsub);
+                            let case = format!("{table:?} dsub={dsub} cb={cb} groups={ngroups}");
+
+                            let mut want_sqt = table.clone();
+                            let mut want_meter = PhaseMeter::default();
+                            let want = per_element_reference(
+                                &c,
+                                &mut want_meter,
+                                &residuals,
+                                ngroups,
+                                &codebooks,
+                                m,
+                                cb,
+                                dsub,
+                                want_sqt.as_mut(),
+                            );
+
+                            let mut got_sqt = table.clone();
+                            let mut got_meter = PhaseMeter::default();
+                            run_bulk(
+                                &c,
+                                &mut got_meter,
+                                &residuals,
+                                ngroups,
+                                &codebooks,
+                                m,
+                                cb,
+                                dsub,
+                                got_sqt.as_mut(),
+                                &mut luts,
+                            );
+
+                            assert_eq!(luts, want, "{case}");
+                            assert_eq!(got_meter, want_meter, "{case}");
+                            let hits =
+                                |t: &Option<Sqt>| t.as_ref().map(|t| (t.hits_wram, t.hits_mram));
+                            assert_eq!(hits(&got_sqt), hits(&want_sqt), "{case}");
+                            if let Some((wram, mram)) = hits(&got_sqt) {
+                                assert_eq!(wram + mram, (ngroups * m * cb * dsub) as u64);
+                                if bits == DataBits::B16 {
+                                    assert!(wram > 0 && mram > 0, "{case}: window must split");
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

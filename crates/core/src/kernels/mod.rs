@@ -3,10 +3,13 @@
 //!
 //! Every kernel both *computes the real result* on real data and *charges*
 //! the per-DPU meter with the instruction and traffic costs the operation
-//! would incur on the target PIM architecture. The charge functions are
-//! factored out so the full-scale trace mode (no data, statistical shapes
-//! only) charges identical costs per unit of work — keeping functional and
-//! trace timings mutually consistent.
+//! would incur on the target PIM architecture. The two are decoupled: the
+//! result comes from a plain host loop, the cost from a closed-form charge
+//! function called once per invocation with the counts the loop observed.
+//! The full-scale trace mode (no data, statistical shapes only) calls the
+//! same charge functions — keeping functional and trace timings mutually
+//! consistent, and letting the host loops be as fast as the host allows
+//! without moving a simulated number.
 //!
 //! Phase placement follows the paper: CL runs on the host ([`cl`]);
 //! RC, LC, DC and TS run on the DPUs ([`rc`], [`lc`], [`dc`], [`ts`]).

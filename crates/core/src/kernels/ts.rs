@@ -11,6 +11,12 @@
 //! (`d <= bound` takes the lock): the retained top-k is then a pure
 //! function of the candidate set, independent of stream order, which is
 //! what makes results invariant under re-slicing and migration.
+//!
+//! The cost of a candidate stream is a closed form of three counts —
+//! candidates, lock acquisitions, queue updates — so [`run`] only counts
+//! while it maintains the real queue and books the stream through
+//! [`charge`] once, the same function trace mode feeds with
+//! [`expected_updates`] estimates.
 
 use super::KernelCtx;
 use ann_core::topk::{BoundedMaxHeap, Neighbor};
@@ -77,11 +83,19 @@ pub fn charge(
     }
 }
 
+/// Candidates between two refreshes of the forwarded bound (one DC chunk).
+const FORWARD_CHUNK: usize = 32;
+
 /// Insert scanned candidates into the per-query top-k queue, charging TS
 /// costs under the chosen lock policy.
 ///
 /// `candidates` are `(local_slot, distance)` pairs from DC; `ids` maps local
 /// slots to database ids. Returns updated lock statistics.
+///
+/// Candidates stream in 32-candidate chunks (`FORWARD_CHUNK`) with the
+/// forwarded bound read once at each chunk start, so between refreshes a
+/// pruned candidate costs the host one compare; the stream is booked by
+/// one [`charge`] call fed the observed lock and update counts.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     ctx: &KernelCtx<'_>,
@@ -92,61 +106,38 @@ pub fn run(
     k: usize,
     policy: LockPolicy,
 ) -> LockStats {
-    let mut stats = LockStats::default();
-    let log_k = (k.max(2) as f64).log2().ceil() as u64;
-    let b_entry = 8u64; // distance (u32/f32) + id (u32) per queue record
-
-    // The forwarded bound: refreshed at chunk granularity (stale between
-    // refreshes, exactly like the real forwarding).
-    let mut forwarded = heap.bound();
-
-    for (i, &(slot, dist)) in candidates.iter().enumerate() {
-        let d = dist as f32;
-        // candidate fetch + loop bookkeeping
-        meter.charge_alu(2 * ctx.costs.alu);
-        match policy {
-            LockPolicy::LockAlways => {
-                // every candidate locks, compares, possibly updates
-                meter.lock();
-                meter.charge_cmp(log_k * ctx.costs.cmp);
-                ctx.read(meter, "topk", b_entry, true);
-                let updated = heap.push(Neighbor::new(ids[slot as usize] as u64, d));
-                if updated {
-                    ctx.write(meter, "topk", b_entry);
-                }
-                stats.locked_updates += 1;
+    let n = candidates.len() as u64;
+    let mut locked = 0u64;
+    let mut retained = 0u64;
+    for chunk in candidates.chunks(FORWARD_CHUNK) {
+        // The forwarded bound: stale between refreshes, exactly like the
+        // real forwarding. LockAlways has no bound — everything locks.
+        let forwarded = match policy {
+            LockPolicy::LockAlways => f32::INFINITY,
+            LockPolicy::Forwarding => heap.bound(),
+        };
+        for &(slot, dist) in chunk {
+            let d = dist as f32;
+            // `<=` (not `<`): a candidate tying the bound may still be
+            // retained by the heap's (dist, id) tie-break, so pruning it
+            // would make the retained set depend on the order candidates
+            // streamed in. Tie-inclusive pruning keeps the per-queue
+            // top-k a pure function of the candidate *set* — the
+            // invariant the mutation/migration parity suite relies on —
+            // at the cost of a lock on exact ties (rare with 64-bit
+            // accumulated distances). Matches the host-side IVF scan's
+            // `<=` prune.
+            if d <= forwarded {
+                locked += 1;
+                retained += heap.push(Neighbor::new(ids[slot as usize] as u64, d)) as u64;
             }
-            LockPolicy::Forwarding => {
-                // One comparison against the forwarded bound, no lock.
-                // `<=` (not `<`): a candidate tying the bound may still be
-                // retained by the heap's (dist, id) tie-break, so pruning it
-                // would make the retained set depend on the order candidates
-                // streamed in. Tie-inclusive pruning keeps the per-queue
-                // top-k a pure function of the candidate *set* — the
-                // invariant the mutation/migration parity suite relies on —
-                // at the cost of a lock on exact ties (rare with 64-bit
-                // accumulated distances). Matches the host-side IVF scan's
-                // `<=` prune.
-                meter.charge_cmp(ctx.costs.cmp);
-                if d <= forwarded {
-                    meter.lock();
-                    meter.charge_cmp(log_k * ctx.costs.cmp);
-                    ctx.read(meter, "topk", b_entry, true);
-                    if heap.push(Neighbor::new(ids[slot as usize] as u64, d)) {
-                        ctx.write(meter, "topk", b_entry);
-                    }
-                    stats.locked_updates += 1;
-                } else {
-                    stats.pruned += 1;
-                }
-            }
-        }
-        // refresh the forwarded record every 32 candidates (one DC chunk)
-        if i % 32 == 31 {
-            forwarded = heap.bound();
         }
     }
-    stats
+    charge(ctx, meter, n, k, policy, locked, retained);
+    LockStats {
+        locked_updates: locked,
+        pruned: n - locked,
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +161,133 @@ mod tests {
         let cands: Vec<(u32, u64)> = (0..n).map(|i| (i as u32, (n - i) as u64)).collect();
         let ids: Vec<u32> = (0..n as u32).collect();
         (cands, ids)
+    }
+
+    /// The per-candidate TS the chunked kernel replaced, kept as its
+    /// oracle: every candidate meters its own fetch, compare, lock, queue
+    /// read and queue write, and the bound refreshes after every 32nd.
+    fn per_candidate_reference(
+        ctx: &KernelCtx<'_>,
+        meter: &mut PhaseMeter,
+        candidates: &[(u32, u64)],
+        ids: &[u32],
+        heap: &mut BoundedMaxHeap,
+        k: usize,
+        policy: LockPolicy,
+    ) -> LockStats {
+        let mut stats = LockStats::default();
+        let log_k = (k.max(2) as f64).log2().ceil() as u64;
+        let b_entry = 8u64;
+        let mut forwarded = heap.bound();
+        for (i, &(slot, dist)) in candidates.iter().enumerate() {
+            let d = dist as f32;
+            meter.charge_alu(2 * ctx.costs.alu);
+            let takes_lock = match policy {
+                LockPolicy::LockAlways => true,
+                LockPolicy::Forwarding => {
+                    meter.charge_cmp(ctx.costs.cmp);
+                    d <= forwarded
+                }
+            };
+            if takes_lock {
+                meter.lock();
+                meter.charge_cmp(log_k * ctx.costs.cmp);
+                ctx.read(meter, "topk", b_entry, true);
+                if heap.push(Neighbor::new(ids[slot as usize] as u64, d)) {
+                    ctx.write(meter, "topk", b_entry);
+                }
+                stats.locked_updates += 1;
+            } else {
+                stats.pruned += 1;
+            }
+            if i % 32 == 31 {
+                forwarded = heap.bound();
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn chunked_run_matches_the_per_candidate_reference() {
+        let costs = IsaCosts::upmem();
+        let none = WramPlacement::none();
+        let resident = crate::wram::plan(
+            &[crate::wram::WramCandidate {
+                name: "topk",
+                bytes: 80,
+                accesses: 1e9,
+            }],
+            1024,
+        );
+        let k = 4usize;
+        for placement in [&none, &resident] {
+            let c = ctx(placement, &costs);
+            for policy in [LockPolicy::Forwarding, LockPolicy::LockAlways] {
+                for n in [0usize, 1, 31, 32, 33, 100] {
+                    // few distinct distances, so once the queue fills many
+                    // candidates tie its bound exactly
+                    let cands: Vec<(u32, u64)> = (0..n as u32)
+                        .map(|i| (i, 10 + (i as u64).wrapping_mul(2654435761) % 7))
+                        .collect();
+                    let ids: Vec<u32> = (0..n as u32).map(|i| 1000 - i).collect();
+                    let case = format!(
+                        "{policy:?} n={n} resident={}",
+                        placement.is_resident("topk")
+                    );
+
+                    let mut want_heap = BoundedMaxHeap::new(k);
+                    let mut want_meter = PhaseMeter::default();
+                    let want = per_candidate_reference(
+                        &c,
+                        &mut want_meter,
+                        &cands,
+                        &ids,
+                        &mut want_heap,
+                        k,
+                        policy,
+                    );
+                    let mut got_heap = BoundedMaxHeap::new(k);
+                    let mut got_meter = PhaseMeter::default();
+                    let got = run(&c, &mut got_meter, &cands, &ids, &mut got_heap, k, policy);
+
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(got_meter, want_meter, "{case}");
+                    assert_eq!(got_heap.into_sorted(), want_heap.into_sorted(), "{case}");
+                    if policy == LockPolicy::Forwarding && n == 100 {
+                        assert!(got.pruned > 0 && got.locked_updates > k as u64, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forwarded_bound_refreshes_between_candidates_31_and_32() {
+        // k = 1: candidate 0 sets the true bound to 100 at once, but the
+        // forwarded copy stays infinite until the first chunk ends — so
+        // candidate 31 (distance 200) still takes the lock, and candidate
+        // 32 is the first one the refreshed bound prunes.
+        let placement = WramPlacement::none();
+        let costs = IsaCosts::upmem();
+        let c = ctx(&placement, &costs);
+        let mut cands: Vec<(u32, u64)> = (0..33).map(|i| (i, 200)).collect();
+        cands[0].1 = 100;
+        let ids: Vec<u32> = (0..33).collect();
+        let mut heap = BoundedMaxHeap::new(1);
+        let mut meter = PhaseMeter::default();
+        let stats = run(
+            &c,
+            &mut meter,
+            &cands,
+            &ids,
+            &mut heap,
+            1,
+            LockPolicy::Forwarding,
+        );
+        assert_eq!(stats.locked_updates, 32, "candidates 0..=31 lock");
+        assert_eq!(stats.pruned, 1, "candidate 32 is pruned");
+        assert_eq!(meter.lock_acquires, 32);
+        assert_eq!(heap.into_sorted(), vec![Neighbor::new(0, 100.0)]);
     }
 
     #[test]

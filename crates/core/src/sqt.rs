@@ -14,6 +14,13 @@
 //!   by construction ("the squaring operands are the residuals between
 //!   vectors, their values typically fall within a narrow range"), so the
 //!   window absorbs most lookups.
+//!
+//! Because the table is lossless, the simulator never needs to *perform* a
+//! lookup to get a kernel's result — only to know what it costs. [`Sqt`]
+//! therefore carries the placement (which `|diff|` hit WRAM) and the
+//! lookup counters; the LC kernel squares with a host multiply, splits its
+//! lookups into hits and spills from the window, and advances
+//! `hits_wram` / `hits_mram` once per call.
 
 use crate::config::DataBits;
 use upmem_sim::meter::PhaseMeter;
@@ -110,6 +117,12 @@ impl Sqt {
         }
     }
 
+    /// Entries resident in WRAM: lookups of `|diff|` below this hit WRAM,
+    /// the rest spill to MRAM.
+    pub(crate) fn wram_window(&self) -> usize {
+        self.wram_entries
+    }
+
     /// WRAM bytes this table occupies.
     pub fn wram_bytes(&self) -> u64 {
         self.wram_entries as u64 * self.entry_bytes
@@ -123,6 +136,11 @@ impl Sqt {
     /// Functional + metered lookup: returns `diff^2` while charging the
     /// access to `meter`. `diff` may be negative; `|diff|` must be within
     /// the domain.
+    ///
+    /// This is the *definition* of what one lookup costs. The LC kernel
+    /// never calls it per element: it counts its lookups' (hits, spills)
+    /// exactly and books them in bulk (`kernels::lc`), and its tests hold
+    /// that bulk form to a loop over this function.
     #[inline]
     pub fn square(
         &mut self,

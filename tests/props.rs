@@ -158,16 +158,45 @@ proptest! {
         }
     }
 
-    /// Blocked u8 distance is bit-exact against the scalar reference for
-    /// any length (including odd lengths and non-multiple-of-16 tails).
+    /// The bulk LC build is bit-exact against the scalar u8 distance for
+    /// any shape, with the SQT or without, and an 8-bit SQT serves every
+    /// one of its lookups from WRAM.
     #[test]
-    fn blocked_u8_kernel_is_exact(a in prop::collection::vec(0u16..256, 0..200)) {
-        let a: Vec<u8> = a.into_iter().map(|x| x as u8).collect();
-        let b: Vec<u8> = a.iter().rev().cloned().collect();
-        prop_assert_eq!(
-            ann_core::kernels::l2_sq_u8(&a, &b),
-            ann_core::distance::l2_sq_u8(&a, &b)
-        );
+    fn lc_lut_is_exact(m in 1usize..5, cb in 2usize..40, dsub in 1usize..10,
+                       ngroups in 1usize..4, seed in 0u64..1000) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut bytes = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect() };
+        let codebooks = bytes(m * cb * dsub);
+        let residuals = bytes(ngroups * m * dsub);
+        let placement = drim_ann::wram::WramPlacement::none();
+        let costs = upmem_sim::IsaCosts::upmem();
+        let ctx = drim_ann::kernels::KernelCtx {
+            costs: &costs,
+            dma_burst: 8,
+            bits: drim_ann::config::DataBits::B8,
+            placement: &placement,
+        };
+        for use_sqt in [false, true] {
+            let mut sqt = use_sqt.then(drim_ann::sqt::Sqt::for_u8);
+            let mut meter = upmem_sim::meter::PhaseMeter::default();
+            let mut luts = Vec::new();
+            drim_ann::kernels::lc::run_bulk(
+                &ctx, &mut meter, &residuals, ngroups, &codebooks, m, cb, dsub, sqt.as_mut(), &mut luts,
+            );
+            prop_assert_eq!(luts.len(), ngroups * m * cb);
+            for (e, &got) in luts.iter().enumerate() {
+                let (g, s, j) = (e / (m * cb), e / cb % m, e % cb);
+                let want = ann_core::distance::l2_sq_u8(
+                    &residuals[(g * m + s) * dsub..][..dsub],
+                    &codebooks[(s * cb + j) * dsub..][..dsub],
+                );
+                prop_assert_eq!(got, want);
+            }
+            if let Some(t) = sqt {
+                prop_assert_eq!((t.hits_wram, t.hits_mram), ((ngroups * m * cb * dsub) as u64, 0));
+            }
+        }
     }
 
     /// Blocked f32 distance and dot agree with the scalar references to
