@@ -43,8 +43,7 @@
 //! `driver_parity` at 1/2/4/8 threads).
 //!
 //! The pre-existing i-k-j loop is kept as [`Matrix::matmul_naive`]: it is
-//! the parity reference for tests and the baseline the `gemm` bench
-//! measures speedups against.
+//! the parity reference for tests.
 
 /// Dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,8 +126,7 @@ impl Matrix {
     }
 
     /// Reference i-k-j product (the pre-tiling implementation). Kept as the
-    /// parity baseline for tests and the `gemm` bench; use [`Self::matmul`]
-    /// everywhere else.
+    /// parity baseline for tests; use [`Self::matmul`] everywhere else.
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.cols);

@@ -1,7 +1,7 @@
 //! The hot-query result cache: sharded, exact-match, epoch-invalidated.
 //!
 //! Production ANN traffic is Zipf-skewed over a finite pool of queries
-//! (the workload `datasets::queries::zipfian_query_trace` models), so a
+//! (the workload `datasets::queries::zipfian_indices` models), so a
 //! large fraction of submissions are *bit-identical* repeats. The engine's
 //! purity contract — per-query results are a function of the query alone,
 //! at a fixed engine state — makes exact-match caching sound: a cached

@@ -12,6 +12,7 @@ use ann_serve::{
 use datasets::synth::{generate, SynthSpec};
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
+use upmem_sim::{FaultConfig, FaultInjector};
 
 fn small_engine() -> (DrimEngine, ann_core::VecSet<f32>) {
     let data = generate(&SynthSpec::small("serve-e2e", 16, 512, 42));
@@ -283,69 +284,118 @@ fn degrade_policy_sheds_quality_under_backlog_and_recovers() {
 }
 
 /// Acceptance criterion: a served micro-batch stream returns bit-identical
-/// per-query results to one offline `search_batch`, at host thread counts
-/// 1, 2, 4 and 8, with multiple concurrent producers and arbitrary
-/// micro-batch compositions.
+/// per-query results to one offline `search_batch` — at host thread counts
+/// 1, 2, 4 and 8, under 1% uniform faults and under a mid-run rank kill
+/// (host-fallback recovery is lossless), each with the result cache off and
+/// on — with multiple concurrent producers and arbitrary micro-batch
+/// compositions. The trace is duplicate-heavy (Zipf 1.2 over a 64-row
+/// pool), so the cached legs answer most of it from the cache or a
+/// single-flight leader and must still return every row's offline bits.
 #[test]
 fn served_results_match_offline_bits_across_thread_counts() {
+    const POOL: usize = 64;
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: usize = 40;
     let (mut engine, data) = small_engine();
 
-    let n_queries = 32;
-    let mut queries = ann_core::VecSet::with_capacity(16, n_queries);
-    for i in 0..n_queries {
-        queries.push(data.get(i * 3));
+    let mut pool = ann_core::VecSet::with_capacity(16, POOL);
+    for i in 0..POOL {
+        pool.push(data.get(i * 3));
     }
-    let (offline, _report) = engine.search_batch(&queries);
+    let (offline, _report) = engine.search_batch(&pool);
     let offline_bits: Vec<String> = offline.iter().map(|r| format!("{r:?}")).collect();
+    let trace = datasets::queries::zipfian_indices(POOL, PRODUCERS * PER_PRODUCER, 1.2, 29)
+        .expect("non-empty pool");
 
-    for threads in [1usize, 2, 4, 8] {
-        // Small batches + tight deadline force many different micro-batch
-        // compositions across producers; parity must hold regardless.
-        let cfg = ServeConfig {
-            max_batch: 5,
-            max_delay: Duration::from_micros(200),
-            queue_cap: 64,
-            tenants: vec![TenantConfig::default()],
-            host_threads: Some(threads),
-            ..ServeConfig::default()
-        };
-        let server = AnnServer::start(engine, cfg).unwrap();
+    let rank_kill = FaultConfig::rank_kill(7, 0.5, 2, 1);
+    assert!(
+        FaultInjector::new(rank_kill)
+            .expect("valid config")
+            .dead_ranks_at(8, 1)
+            > 0,
+        "the rank-kill leg must actually kill a rank"
+    );
+    let legs = [
+        (Some(1usize), None),
+        (Some(2), None),
+        (Some(4), None),
+        (Some(8), None),
+        (None, Some(FaultConfig::uniform(2025, 0.01))),
+        (None, Some(rank_kill)),
+    ];
+    for (threads, fault) in legs {
+        let leg = format!("host_threads={threads:?} fault={}", fault.is_some());
+        if let Some(f) = fault {
+            engine.inject_faults(f).expect("fault config");
+        }
+        let mut uncached_energy_j = 0.0;
+        for cache in [None, Some(CacheConfig::default())] {
+            let cached = cache.is_some();
+            // Small batches + tight deadline force many different micro-batch
+            // compositions across producers; parity must hold regardless.
+            let cfg = ServeConfig {
+                max_batch: 5,
+                max_delay: Duration::from_micros(200),
+                queue_cap: 256,
+                tenants: vec![TenantConfig::default()],
+                host_threads: threads,
+                cache,
+                ..ServeConfig::default()
+            };
+            let server = AnnServer::start(engine, cfg).unwrap();
 
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let handle = server.handle();
-                let chunk: Vec<Vec<f32>> = (p * 8..(p + 1) * 8)
-                    .map(|i| queries.get(i).to_vec())
-                    .collect();
-                std::thread::spawn(move || {
-                    let tickets: Vec<_> = chunk
-                        .iter()
-                        .map(|q| handle.submit(0, q).expect("submit"))
-                        .collect();
-                    tickets
-                        .into_iter()
-                        .map(|t| t.wait().expect("serve"))
-                        .collect::<Vec<_>>()
+            let producers: Vec<_> = trace
+                .chunks(PER_PRODUCER)
+                .map(|rows| {
+                    let handle = server.handle();
+                    let chunk: Vec<Vec<f32>> = rows.iter().map(|&r| pool.get(r).to_vec()).collect();
+                    std::thread::spawn(move || {
+                        let tickets: Vec<_> = chunk
+                            .iter()
+                            .map(|q| handle.submit(0, q).expect("submit"))
+                            .collect();
+                        tickets
+                            .into_iter()
+                            .map(|t| t.wait().expect("serve"))
+                            .collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        for (p, producer) in producers.into_iter().enumerate() {
-            let got = producer.join().unwrap();
-            for (j, res) in got.iter().enumerate() {
-                let idx = p * 8 + j;
-                assert_eq!(
-                    format!("{res:?}"),
-                    offline_bits[idx],
-                    "query {idx} diverged at host_threads={threads}"
+            for (p, producer) in producers.into_iter().enumerate() {
+                let got = producer.join().unwrap();
+                for (j, res) in got.iter().enumerate() {
+                    let row = trace[p * PER_PRODUCER + j];
+                    assert_eq!(
+                        format!("{res:?}"),
+                        offline_bits[row],
+                        "pool row {row} diverged at {leg} cached={cached}"
+                    );
+                }
+            }
+
+            let (eng, stats) = server.shutdown();
+            engine = eng;
+            let answered = stats.cache_hits + stats.collapsed + stats.served;
+            assert_eq!(answered, trace.len() as u64, "{}", stats.summary());
+            if cached {
+                // Simulated energy is deterministic per dispatched query, so
+                // collapsing duplicates must strictly cut it.
+                assert!(stats.served < trace.len() as u64, "{}", stats.summary());
+                assert!(
+                    stats.sim_energy_j < uncached_energy_j,
+                    "{leg}: cached run dispatched {} J, uncached {uncached_energy_j} J",
+                    stats.sim_energy_j
                 );
+            } else {
+                assert_eq!(stats.served, trace.len() as u64);
+                assert!(stats.batches >= 32, "{}", stats.summary());
+                uncached_energy_j = stats.sim_energy_j;
             }
         }
-
-        let (eng, stats) = server.shutdown();
-        engine = eng;
-        assert_eq!(stats.served, n_queries as u64);
-        assert!(stats.batches >= 7, "{}", stats.summary());
+        if fault.is_some() {
+            engine.clear_faults();
+        }
     }
 }
 

@@ -2,49 +2,73 @@
 //!
 //! ```text
 //! repro [--full|--quick] [table1|fig2|fig7|fig8|fig9|fig10|fig11a|fig11b|
-//!        fig12a|fig12b|fig13|fig14|fig15|table3|all]
+//!        fig12a|fig12b|fig13|fig14|fig15|table3|ablations|all]
 //! ```
 //!
 //! Output: paper-style text tables on stdout plus CSVs under `results/`.
+//! An unknown target or flag exits with status 2 before anything runs.
 
 use bench::experiments as ex;
 use bench::table::Table;
 use datasets::catalog;
 use std::path::PathBuf;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Every target `repro` can regenerate, in `all` order.
+const TARGETS: [&str; 15] = [
+    "table1",
+    "fig2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11a",
+    "fig11b",
+    "fig12a",
+    "fig12b",
+    "fig13",
+    "fig14",
+    "fig15",
+    "table3",
+    "ablations",
+];
+
+/// Scale and target list from the command line. Nothing runs unless every
+/// argument is known: a typo must not look like a successful regeneration.
+fn parse_args(args: &[String]) -> Result<(ex::PaperScale, Vec<&'static str>), String> {
     let mut scale = ex::PaperScale::default();
     let mut targets = Vec::new();
-    for a in &args {
+    let mut all = false;
+    for a in args {
         match a.as_str() {
             "--full" => scale = ex::PaperScale::full(),
             "--quick" => scale = ex::PaperScale::quick(),
-            other => targets.push(other.to_string()),
+            "all" => all = true,
+            other => match TARGETS.iter().find(|t| **t == other) {
+                Some(t) => targets.push(*t),
+                None if other.starts_with("--") => {
+                    return Err(format!("unknown flag `{other}` (valid: --full, --quick)"))
+                }
+                None => {
+                    return Err(format!(
+                        "unknown target `{other}` (valid: {}, all)",
+                        TARGETS.join(", ")
+                    ))
+                }
+            },
         }
     }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = vec![
-            "table1",
-            "fig2",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11a",
-            "fig11b",
-            "fig12a",
-            "fig12b",
-            "fig13",
-            "fig14",
-            "fig15",
-            "table3",
-            "ablations",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if all || targets.is_empty() {
+        targets = TARGETS.to_vec();
     }
+    Ok((scale, targets))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, targets) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
 
     let outdir = PathBuf::from("results");
     let emit = |name: &str, t: Table| {
@@ -56,7 +80,7 @@ fn main() {
 
     for target in targets {
         let t0 = std::time::Instant::now();
-        match target.as_str() {
+        match target {
             "table1" => emit("table1", ex::table1()),
             "fig2" => emit("fig2", ex::fig2()),
             "fig7" => emit("fig7", ex::fig7_8(&catalog::sift100m(), &scale)),
@@ -75,8 +99,33 @@ fn main() {
             "fig15" => emit("fig15", ex::fig15(&scale)),
             "table3" => emit("table3", ex::table3(&scale)),
             "ablations" => emit("ablations", ex::ablations(&scale)),
-            other => eprintln!("unknown target `{other}`"),
+            other => unreachable!("`{other}` is in TARGETS but has no runner"),
         }
         eprintln!("[{target} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(ex::PaperScale, Vec<&'static str>), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_targets_and_flags_are_rejected_before_anything_runs() {
+        let (scale, targets) = parse(&["--quick", "fig12b", "table1"]).unwrap();
+        assert_eq!(scale.batch, ex::PaperScale::quick().batch);
+        assert_eq!(targets, ["fig12b", "table1"]);
+        assert_eq!(parse(&[]).unwrap().1, TARGETS);
+        assert_eq!(parse(&["--full"]).unwrap().1, TARGETS);
+        assert_eq!(parse(&["fig9", "all"]).unwrap().1, TARGETS);
+
+        // one bad argument rejects the whole line, valid neighbours included
+        let err = parse(&["fig9", "fig99"]).unwrap_err();
+        assert!(err.contains("fig99") && err.contains("fig12b"), "{err}");
+        let err = parse(&["--fast", "fig9"]).unwrap_err();
+        assert!(err.contains("--fast") && err.contains("--quick"), "{err}");
     }
 }

@@ -238,88 +238,99 @@ pub fn fig7_8(desc: &DatasetDescriptor, scale: &PaperScale) -> Table {
     t
 }
 
+/// One point of the Fig. 9 / Fig. 10 sweeps on SIFT100M.
+pub struct SweepPoint {
+    /// Swept knob: `"nprobe"` (at nlist 2^14) or `"nlist"` (at nprobe 96).
+    pub sweep: &'static str,
+    /// The knob's value.
+    pub value: usize,
+    /// Trace-mode batch report at this point.
+    pub report: drim_ann::BatchReport,
+    /// Modelled Faiss-CPU energy, normalized to the paper's 10k-query batch.
+    pub cpu_j_10k: f64,
+    /// DRIM-ANN energy, normalized the same way.
+    pub drim_j_10k: f64,
+}
+
+impl SweepPoint {
+    /// The value as the figures print it (nlist as a power of two).
+    fn label(&self) -> String {
+        match self.sweep {
+            "nlist" => format!("2^{}", self.value.trailing_zeros()),
+            _ => self.value.to_string(),
+        }
+    }
+}
+
+/// The SIFT100M sweeps behind Figs. 9 and 10: [`NPROBE_SWEEP`] at nlist
+/// 2^14, then [`NLIST_SWEEP`] at nprobe 96.
+pub fn sweep_points(scale: &PaperScale) -> Vec<SweepPoint> {
+    let desc = catalog::sift100m();
+    let cpu = CpuModel::xeon_gold_5218();
+    // scale both sides to the paper's 10k-query batch for J readability
+    let norm = 10_000.0 / scale.batch as f64;
+    let nprobes = NPROBE_SWEEP.iter().map(|&p| ("nprobe", p, 1 << 14, p));
+    let nlists = NLIST_SWEEP.iter().map(|&l| ("nlist", l, l, 96));
+    nprobes
+        .chain(nlists)
+        .map(|(sweep, value, nlist, nprobe)| {
+            let index = paper_index(nlist, nprobe);
+            let shape = comparison_shape(&desc, &index, scale.batch, BitWidths::f32_regime());
+            let report = drim_report(
+                &desc,
+                EngineConfig::drim(index),
+                PimArch::upmem_sc25(),
+                scale,
+            );
+            SweepPoint {
+                sweep,
+                value,
+                cpu_j_10k: cpu.energy_j(&shape) * norm,
+                drim_j_10k: report.energy_j * norm,
+                report,
+            }
+        })
+        .collect()
+}
+
 /// Fig. 9: PIM latency breakdown by kernel.
 pub fn fig9(scale: &PaperScale) -> Table {
-    let desc = catalog::sift100m();
+    use drim_ann::Phase;
     let mut t = Table::new(
         "Fig 9: Performance breakdown on SIFT100M (fraction of PIM latency)",
         &["Sweep", "Value", "RC", "LC", "DC", "TS", "Others"],
     );
-    let mut push = |sweep: &str, label: String, cfg: EngineConfig| {
-        let rep = drim_report(&desc, cfg, PimArch::upmem_sc25(), scale);
-        use drim_ann::Phase;
+    for p in sweep_points(scale) {
+        let rep = &p.report;
         t.row(vec![
-            sweep.into(),
-            label,
+            p.sweep.into(),
+            p.label(),
             f(rep.fraction(Phase::Rc), 3),
             f(rep.fraction(Phase::Lc), 3),
             f(rep.fraction(Phase::Dc), 3),
             f(rep.fraction(Phase::Ts), 3),
             f(rep.fraction(Phase::Cl) + rep.fraction(Phase::Other), 3),
         ]);
-    };
-    for &nprobe in &NPROBE_SWEEP {
-        push(
-            "nprobe",
-            nprobe.to_string(),
-            EngineConfig::drim(paper_index(1 << 14, nprobe)),
-        );
-    }
-    for &nlist in &NLIST_SWEEP {
-        push(
-            "nlist",
-            format!("2^{}", nlist.trailing_zeros()),
-            EngineConfig::drim(paper_index(nlist, 96)),
-        );
     }
     t
 }
 
 /// Fig. 10: energy per batch, DRIM-ANN vs Faiss-CPU.
 pub fn fig10(scale: &PaperScale) -> Table {
-    let desc = catalog::sift100m();
-    let cpu = CpuModel::xeon_gold_5218();
     let mut t = Table::new(
         "Fig 10: Energy on SIFT100M (J per 10k-query batch)",
         &["Sweep", "Value", "Faiss-CPU J", "DRIM-ANN J", "Improvement"],
     );
     let mut ratios = Vec::new();
-    let mut push = |sweep: &str, label: String, index: IndexConfig, ratios: &mut Vec<f64>| {
-        let shape = comparison_shape(&desc, &index, scale.batch, BitWidths::f32_regime());
-        // scale both sides to the paper's 10k-query batch for J readability
-        let norm = 10_000.0 / scale.batch as f64;
-        let cpu_j = cpu.energy_j(&shape) * norm;
-        let rep = drim_report(
-            &desc,
-            EngineConfig::drim(index),
-            PimArch::upmem_sc25(),
-            scale,
-        );
-        let drim_j = rep.energy_j * norm;
-        ratios.push(cpu_j / drim_j);
+    for p in sweep_points(scale) {
+        ratios.push(p.cpu_j_10k / p.drim_j_10k);
         t.row(vec![
-            sweep.into(),
-            label,
-            f(cpu_j, 0),
-            f(drim_j, 0),
-            f(cpu_j / drim_j, 2),
+            p.sweep.into(),
+            p.label(),
+            f(p.cpu_j_10k, 0),
+            f(p.drim_j_10k, 0),
+            f(p.cpu_j_10k / p.drim_j_10k, 2),
         ]);
-    };
-    for &nprobe in &NPROBE_SWEEP {
-        push(
-            "nprobe",
-            nprobe.to_string(),
-            paper_index(1 << 14, nprobe),
-            &mut ratios,
-        );
-    }
-    for &nlist in &NLIST_SWEEP {
-        push(
-            "nlist",
-            format!("2^{}", nlist.trailing_zeros()),
-            paper_index(nlist, 96),
-            &mut ratios,
-        );
     }
     t.row(vec![
         "geomean".into(),

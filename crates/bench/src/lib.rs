@@ -2,7 +2,8 @@
 //!
 //! The figure/table regeneration harness: one runner per experiment of the
 //! DRIM-ANN paper. The `repro` binary drives these and prints paper-style
-//! rows; `benches/` wraps them in Criterion for regression tracking.
+//! rows; `tests/paper_shapes.rs` gates the figures' shape claims.
+//! Performance is measured elsewhere, by `benchmark/` (`BENCHMARK.json`).
 //!
 //! Scale notes (see DESIGN.md): paper-scale experiments run in *trace
 //! mode* — real layout/scheduling/cost code over statistical workload

@@ -62,8 +62,8 @@ pub fn generate_queries(
     out
 }
 
-/// Rejected query-trace request — returned instead of panicking so serving
-/// layers and benches can surface the misconfiguration (same convention as
+/// Rejected query-trace request — returned instead of panicking so callers
+/// can surface the misconfiguration (same convention as
 /// `drim_ann::config::ConfigError`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceError {
@@ -111,23 +111,6 @@ pub fn zipfian_indices(
     Ok((0..len)
         .map(|_| rank_to_idx[sampler.sample(&mut rng)])
         .collect())
-}
-
-/// Resample an existing query set into a `len`-query *traffic trace* with
-/// Zipf(`s`)-skewed repetition: hot queries recur, which concentrates probe
-/// heat on their clusters. This is the workload regime the fault-tolerance
-/// benchmarks use to stress replica scheduling under stragglers.
-pub fn zipfian_query_trace(
-    queries: &VecSet<f32>,
-    len: usize,
-    s: f64,
-    seed: u64,
-) -> Result<VecSet<f32>, TraceError> {
-    let mut out = VecSet::with_capacity(queries.dim(), len);
-    for i in zipfian_indices(queries.len(), len, s, seed)? {
-        out.push(queries.get(i));
-    }
-    Ok(out)
 }
 
 /// Empirical heat (sample counts) each component receives under `skew`,
@@ -235,20 +218,6 @@ mod tests {
         }
         let umax = *ucounts.iter().max().unwrap();
         assert!(umax < 3 * (u.len() / 100), "uniform hottest {umax}");
-
-        // the vector trace replays rows of the pool verbatim
-        let s = spec();
-        let pool = generate_queries(&s, 16, QuerySkew::InDistribution, 3);
-        let trace = zipfian_query_trace(&pool, 64, 1.1, 9).unwrap();
-        assert_eq!(trace.len(), 64);
-        assert_eq!(trace.dim(), pool.dim());
-        let rows: std::collections::HashSet<Vec<u32>> = (0..pool.len())
-            .map(|i| pool.get(i).iter().map(|v| v.to_bits()).collect())
-            .collect();
-        for i in 0..trace.len() {
-            let row: Vec<u32> = trace.get(i).iter().map(|v| v.to_bits()).collect();
-            assert!(rows.contains(&row), "trace row {i} not from the pool");
-        }
     }
 
     #[test]
@@ -279,11 +248,6 @@ mod tests {
     #[test]
     fn empty_pool_is_a_typed_error() {
         assert_eq!(zipfian_indices(0, 10, 1.0, 1), Err(TraceError::EmptyPool));
-        let empty = VecSet::<f32>::new(8);
-        assert_eq!(
-            zipfian_query_trace(&empty, 10, 1.0, 1),
-            Err(TraceError::EmptyPool)
-        );
         assert!(TraceError::EmptyPool.to_string().contains("non-empty"));
     }
 

@@ -162,20 +162,6 @@ impl EnergyBreakdown {
         crate::stats::fractions(&self.phase_dynamic_j)[p.idx()]
     }
 
-    /// The six component fractions of the total, in declaration order
-    /// (`[pipeline, mram, wram, transfer, host_busy, static]`); zeros when
-    /// the total is zero.
-    pub fn component_fractions(&self) -> [f64; 6] {
-        crate::stats::fractions(&[
-            self.dpu_pipeline_j,
-            self.dpu_mram_j,
-            self.dpu_wram_j,
-            self.transfer_j,
-            self.host_busy_j,
-            self.static_j,
-        ])
-    }
-
     /// Queries per joule for a batch of `queries`.
     pub fn queries_per_joule(&self, queries: usize) -> f64 {
         queries as f64 / self.total_j().max(1e-12)
@@ -356,7 +342,6 @@ mod tests {
         assert_eq!(b.dynamic_j(), 0.0);
         assert_eq!(b.total_j(), 0.0);
         assert_eq!(b.phase_dynamic_j, [0.0; 6]);
-        assert_eq!(b.component_fractions(), [0.0; 6]);
         // with a nonzero wall clock, only static energy accrues
         let b2 = e.breakdown(&DpuMeter::new(), &isa, 1.0, 0.0, 100.0, 0);
         assert_eq!(b2.dynamic_j(), 0.0);
@@ -446,8 +431,5 @@ mod tests {
         assert!((b.total_j() - 5.0).abs() < 1e-12);
         assert!((b.queries_per_joule(100) - 20.0).abs() < 1e-9);
         assert!((b.edp_js(2.0) - 10.0).abs() < 1e-12);
-        let fr = b.component_fractions();
-        assert!((fr.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((fr[5] - 0.4).abs() < 1e-12);
     }
 }
