@@ -39,19 +39,6 @@ pub fn l2_sq_u8(a: &[u8], b: &[u8]) -> u32 {
     acc
 }
 
-/// Asymmetric squared L2: `f32` query against a `u8`-quantized point that
-/// decodes as `scale * q + offset` per element.
-#[inline]
-pub fn l2_sq_asym(query: &[f32], point: &[u8], scale: f32, offset: f32) -> f32 {
-    debug_assert_eq!(query.len(), point.len());
-    let mut acc = 0.0f32;
-    for (&x, &q) in query.iter().zip(point.iter()) {
-        let d = x - (scale * q as f32 + offset);
-        acc += d * d;
-    }
-    acc
-}
-
 /// Inner product of two `f32` slices.
 #[inline]
 pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
@@ -63,23 +50,6 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn norm_sq_f32(a: &[f32]) -> f32 {
     dot_f32(a, a)
-}
-
-/// Index of the nearest vector in `set` (row-major flat, `dim`-wide) to
-/// `query`, together with the squared distance. Returns `None` for an empty
-/// set. Distances go through the blocked kernel ([`crate::kernels`]).
-pub fn nearest_f32(query: &[f32], set_flat: &[f32], dim: usize) -> Option<(usize, f32)> {
-    if set_flat.is_empty() {
-        return None;
-    }
-    let mut best = (0usize, f32::INFINITY);
-    for (i, row) in set_flat.chunks_exact(dim).enumerate() {
-        let d = crate::kernels::l2_sq_f32(query, row);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    Some(best)
 }
 
 #[cfg(test)]
@@ -113,35 +83,8 @@ mod tests {
     }
 
     #[test]
-    fn asym_with_identity_codec_matches_f32() {
-        let q = [0.5f32, 2.0, -1.0];
-        let p = [1u8, 2, 3];
-        let pf: Vec<f32> = p.iter().map(|&x| x as f32).collect();
-        let d1 = l2_sq_asym(&q, &p, 1.0, 0.0);
-        let d2 = l2_sq_f32(&q, &pf);
-        assert!((d1 - d2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn asym_applies_scale_offset() {
-        let q = [10.0f32];
-        let p = [2u8];
-        // decoded point = 3*2 + 1 = 7; d² = 9
-        assert!((l2_sq_asym(&q, &p, 3.0, 1.0) - 9.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn dot_and_norm() {
         assert_eq!(dot_f32(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm_sq_f32(&[3.0, 4.0]), 25.0);
-    }
-
-    #[test]
-    fn nearest_picks_minimum() {
-        let set = [0.0f32, 0.0, 5.0, 5.0, 1.0, 1.0];
-        let (i, d) = nearest_f32(&[1.2, 1.2], &set, 2).unwrap();
-        assert_eq!(i, 2);
-        assert!(d < 0.1);
-        assert!(nearest_f32(&[1.0], &[], 1).is_none());
     }
 }

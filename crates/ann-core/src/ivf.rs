@@ -381,20 +381,36 @@ impl IvfPqIndex {
         heap.into_sorted()
     }
 
+    /// Nearest coarse cluster of `v`, with `residual = v - centroid` left in
+    /// the caller's buffer: the assignment every point takes on its way
+    /// into a list, whoever appends it.
+    pub fn assign_residual(&self, v: &[f32], residual: &mut [f32]) -> usize {
+        let (c, _) =
+            crate::kmeans::nearest_centroid_with_norms(v, &self.coarse, &self.coarse_norms);
+        residual_into(v, self.coarse.get(c as usize), residual);
+        c as usize
+    }
+
+    /// Where a new vector goes and what is stored for it: its nearest
+    /// cluster and the PQ code of its residual against the frozen
+    /// codebooks. [`Self::insert`] appends the pair; an owner that must
+    /// check capacity first (the engine's MRAM headroom) calls this, checks,
+    /// then appends to `lists[cluster]` itself.
+    pub fn assign_encode(&self, v: &[f32]) -> (usize, Vec<u16>) {
+        assert_eq!(v.len(), self.dim, "inserted vector has wrong dimension");
+        let mut residual = vec![0.0f32; self.dim];
+        let c = self.assign_residual(v, &mut residual);
+        (c, self.quant.encode(&residual))
+    }
+
     /// Insert one vector with the given id (dynamic corpora — the paper
     /// notes cluster-based indices are "especially friendly to dynamic
     /// vector data"). The vector is assigned to its nearest coarse centroid
     /// and PQ-encoded; centroids and codebooks are not retrained.
     pub fn insert(&mut self, id: u32, v: &[f32]) {
-        assert_eq!(v.len(), self.dim, "inserted vector has wrong dimension");
-        let (c, _) =
-            crate::kmeans::nearest_centroid_with_norms(v, &self.coarse, &self.coarse_norms);
-        let mut residual = vec![0.0f32; self.dim];
-        residual_into(v, self.coarse.get(c as usize), &mut residual);
-        let code = self.quant.encode(&residual);
-        let list = &mut self.lists[c as usize];
-        list.ids.push(id);
-        list.codes.extend_from_slice(&code);
+        let (c, code) = self.assign_encode(v);
+        self.lists[c].ids.push(id);
+        self.lists[c].codes.extend_from_slice(&code);
     }
 
     /// Remove a vector by id; returns `true` when found. O(n) over the
@@ -425,15 +441,6 @@ impl IvfPqIndex {
     /// Cluster size distribution.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         self.lists.iter().map(|l| l.len()).collect()
-    }
-
-    /// Total bytes of the PQ codes + ids (the PIM-resident payload).
-    pub fn payload_bytes(&self) -> u64 {
-        let code_b = self.quant.pq().code_bytes() as u64;
-        self.lists
-            .iter()
-            .map(|l| l.ids.len() as u64 * 4 + l.ids.len() as u64 * self.params.m as u64 * code_b)
-            .sum()
     }
 }
 
@@ -555,14 +562,6 @@ mod tests {
         );
         let res = idx.search(data.get(0), 4, 5);
         assert_eq!(res.len(), 5);
-    }
-
-    #[test]
-    fn payload_bytes_matches_code_layout() {
-        let data = clustered_data(100, 8, 19);
-        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(4).m(4).cb(16));
-        // 100 ids x 4B + 100 codes x 4 subcodes x 1B
-        assert_eq!(idx.payload_bytes(), 100 * 4 + 100 * 4);
     }
 
     #[test]

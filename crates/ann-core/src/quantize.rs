@@ -42,11 +42,6 @@ impl ScalarQuantizer {
         Self::fit(data, 256)
     }
 
-    /// Fit a 16-bit quantizer.
-    pub fn fit_u16(data: &VecSet<f32>) -> Self {
-        Self::fit(data, 65536)
-    }
-
     /// Quantize one value to a code.
     #[inline]
     pub fn encode(&self, x: f32) -> u32 {
@@ -67,29 +62,6 @@ impl ScalarQuantizer {
             data.as_flat()
                 .iter()
                 .map(|&x| self.encode(x) as u8)
-                .collect(),
-        )
-    }
-
-    /// Quantize a whole set to `u16`.
-    pub fn quantize_u16(&self, data: &VecSet<f32>) -> VecSet<u16> {
-        assert!(self.levels <= 65536);
-        VecSet::from_flat(
-            data.dim(),
-            data.as_flat()
-                .iter()
-                .map(|&x| self.encode(x) as u16)
-                .collect(),
-        )
-    }
-
-    /// Reconstruct an f32 set from u8 codes.
-    pub fn dequantize_u8(&self, data: &VecSet<u8>) -> VecSet<f32> {
-        VecSet::from_flat(
-            data.dim(),
-            data.as_flat()
-                .iter()
-                .map(|&q| self.decode(q as u32))
                 .collect(),
         )
     }
@@ -126,14 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn u16_is_finer_than_u8() {
-        let data = ramp();
-        let q8 = ScalarQuantizer::fit_u8(&data);
-        let q16 = ScalarQuantizer::fit_u16(&data);
-        assert!(q16.max_error() < q8.max_error() / 100.0);
-    }
-
-    #[test]
     fn encode_clamps_out_of_range() {
         let q = ScalarQuantizer::fit_u8(&ramp());
         assert_eq!(q.encode(-100.0), 0);
@@ -155,9 +119,8 @@ mod tests {
         let u8s = q.quantize_u8(&data);
         assert_eq!(u8s.dim(), data.dim());
         assert_eq!(u8s.len(), data.len());
-        let back = q.dequantize_u8(&u8s);
-        for (a, b) in back.as_flat().iter().zip(data.as_flat()) {
-            assert!((a - b).abs() <= q.max_error() + 1e-5);
+        for (&code, &x) in u8s.as_flat().iter().zip(data.as_flat()) {
+            assert!((q.decode(code as u32) - x).abs() <= q.max_error() + 1e-5);
         }
     }
 }

@@ -2,14 +2,10 @@
 //!
 //! The paper's TS phase maintains the k best candidates either with a
 //! priority queue or a bitonic sorting network (Fig. 1); DRIM-ANN uses a
-//! shared bounded priority queue per DPU. Both structures live here:
-//!
-//! * [`BoundedMaxHeap`] — keeps the k smallest distances seen; the root is
-//!   the current k-th best, which is exactly the bound DRIM-ANN *forwards*
-//!   into the distance loop for lock pruning;
-//! * [`bitonic_sort`] — a comparison network for power-of-two arrays whose
-//!   comparison count is data-independent (what a fixed-function sorter on
-//!   a DPU would execute).
+//! shared bounded priority queue per DPU, [`BoundedMaxHeap`]: it keeps the
+//! k smallest distances seen, and its root is the current k-th best, which
+//! is exactly the bound DRIM-ANN *forwards* into the distance loop for lock
+//! pruning.
 
 /// One search result: vector id plus squared distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,46 +150,6 @@ pub fn merge_topk(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
     heap.into_sorted()
 }
 
-/// In-place bitonic sort (ascending) of a power-of-two-length slice.
-///
-/// Returns the number of compare-exchange operations performed, which is
-/// data-independent: `(n/2) * log2(n) * (log2(n)+1) / 2`.
-pub fn bitonic_sort(xs: &mut [f32]) -> u64 {
-    let n = xs.len();
-    assert!(
-        n.is_power_of_two(),
-        "bitonic sort needs a power-of-two length"
-    );
-    let mut comparisons = 0u64;
-    let mut k = 2;
-    while k <= n {
-        let mut j = k / 2;
-        while j > 0 {
-            for i in 0..n {
-                let l = i ^ j;
-                if l > i {
-                    comparisons += 1;
-                    let ascending = (i & k) == 0;
-                    if (ascending && xs[i] > xs[l]) || (!ascending && xs[i] < xs[l]) {
-                        xs.swap(i, l);
-                    }
-                }
-            }
-            j /= 2;
-        }
-        k *= 2;
-    }
-    comparisons
-}
-
-/// Comparison count of a bitonic sort over `n` (power-of-two) elements
-/// without running it.
-pub fn bitonic_comparisons(n: usize) -> u64 {
-    assert!(n.is_power_of_two());
-    let log = n.trailing_zeros() as u64;
-    (n as u64 / 2) * log * (log + 1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,31 +203,6 @@ mod tests {
         let merged = merge_topk(&[a, b], 3);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn bitonic_sorts_correctly() {
-        let mut xs = vec![5.0f32, 1.0, 7.0, 3.0, 2.0, 8.0, 6.0, 4.0];
-        let mut expect = xs.clone();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let cmps = bitonic_sort(&mut xs);
-        assert_eq!(xs, expect);
-        assert_eq!(cmps, bitonic_comparisons(8));
-    }
-
-    #[test]
-    fn bitonic_comparison_count_formula() {
-        // n=8: log=3 -> 4 * 3*4/2 = 24
-        assert_eq!(bitonic_comparisons(8), 24);
-        assert_eq!(bitonic_comparisons(1), 0);
-        assert_eq!(bitonic_comparisons(2), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn bitonic_rejects_non_power_of_two() {
-        let mut xs = vec![1.0f32, 2.0, 3.0];
-        bitonic_sort(&mut xs);
     }
 
     #[test]

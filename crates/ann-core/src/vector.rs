@@ -6,8 +6,6 @@
 
 /// Element types storable in a [`VecSet`].
 pub trait Scalar: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
-    /// Widen to `f32` for exact arithmetic.
-    fn to_f32(self) -> f32;
     /// Narrow from `f32`, saturating to the representable range.
     fn from_f32(x: f32) -> Self;
     /// Size of one element in bytes.
@@ -15,10 +13,6 @@ pub trait Scalar: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + '
 }
 
 impl Scalar for f32 {
-    #[inline]
-    fn to_f32(self) -> f32 {
-        self
-    }
     #[inline]
     fn from_f32(x: f32) -> Self {
         x
@@ -28,10 +22,6 @@ impl Scalar for f32 {
 
 impl Scalar for u8 {
     #[inline]
-    fn to_f32(self) -> f32 {
-        self as f32
-    }
-    #[inline]
     fn from_f32(x: f32) -> Self {
         x.round().clamp(0.0, 255.0) as u8
     }
@@ -40,10 +30,6 @@ impl Scalar for u8 {
 
 impl Scalar for i8 {
     #[inline]
-    fn to_f32(self) -> f32 {
-        self as f32
-    }
-    #[inline]
     fn from_f32(x: f32) -> Self {
         x.round().clamp(-128.0, 127.0) as i8
     }
@@ -51,10 +37,6 @@ impl Scalar for i8 {
 }
 
 impl Scalar for u16 {
-    #[inline]
-    fn to_f32(self) -> f32 {
-        self as f32
-    }
     #[inline]
     fn from_f32(x: f32) -> Self {
         x.round().clamp(0.0, 65535.0) as u16
@@ -175,14 +157,6 @@ impl<T: Scalar> VecSet<T> {
         }
         out
     }
-
-    /// Convert every element to `f32`.
-    pub fn to_f32(&self) -> VecSet<f32> {
-        VecSet {
-            dim: self.dim,
-            data: self.data.iter().map(|&x| x.to_f32()).collect(),
-        }
-    }
 }
 
 impl VecSet<f32> {
@@ -254,12 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_u8_conversion_roundtrip() {
+    fn f32_u8_conversion_rounds() {
         let f = VecSet::from_flat(2, vec![1.2f32, 250.7, 0.0, 99.5]);
         let q: VecSet<u8> = f.quantize_cast();
         assert_eq!(q.as_flat(), &[1, 251, 0, 100]);
-        let back = q.to_f32();
-        assert_eq!(back.get(0), &[1.0, 251.0]);
     }
 
     #[test]

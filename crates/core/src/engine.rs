@@ -18,7 +18,7 @@ use crate::kernels::{cl, dc, lc, rc, ts, KernelCtx};
 use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
-use crate::sched::Task;
+use crate::sched::{self, Task};
 use crate::sqt::Sqt;
 use crate::wram::{plan as wram_plan, WramPlacement};
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
@@ -41,14 +41,6 @@ pub use mutate::{MaintenanceReport, MutationError};
 /// quantized codebook streams once per wave instead of once per group.
 /// Bounds the wave's LUT slab to `LC_GROUP_BLOCK * m * cb` entries.
 const LC_GROUP_BLOCK: usize = 8;
-
-/// Per-slice PIM-resident payload: ids + codes, sliced out of the IVF lists
-/// according to the layout plan.
-#[derive(Debug, Clone, Default)]
-struct SliceData {
-    ids: Vec<u32>,
-    codes: Vec<u16>,
-}
 
 /// Build-time error.
 #[derive(Debug)]
@@ -89,7 +81,9 @@ impl From<SimConfigError> for BuildError {
 pub struct DrimEngine {
     /// Engine configuration.
     pub cfg: EngineConfig,
-    /// Host-side IVF-PQ index (coarse centroids live here).
+    /// The IVF-PQ index: coarse centroids for the host's CL, and the one
+    /// copy of every point's id and code — a DPU slice is the window
+    /// `[start, start + len)` of its cluster's list (paper Fig. 14a).
     pub ivf: IvfPqIndex,
     /// The layout plan in force.
     pub layout: LayoutPlan,
@@ -105,8 +99,6 @@ pub struct DrimEngine {
     rquant: ScalarQuantizer,
     /// Quantized codebooks, `m * cb * dsub`.
     qcodebooks: Vec<u8>,
-    /// Per canonical slice: the PIM payload.
-    slice_data: Vec<SliceData>,
     /// Coarse centroids in the PQ's working space: for OPQ these are the
     /// *rotated* centroids, so the DPU residual `R q - R c = R (q - c)`
     /// lands in codebook space without per-pair rotation work (the
@@ -226,12 +218,7 @@ impl DrimEngine {
         let sample_stride = (data.len() / 512).max(1);
         let mut rbuf = vec![0.0f32; dim];
         for i in (0..data.len()).step_by(sample_stride) {
-            let (c, _) = ann_core::kmeans::nearest_centroid_with_norms(
-                data.get(i),
-                &ivf.coarse,
-                &ivf.coarse_norms,
-            );
-            ann_core::ivf::residual_into(data.get(i), ivf.coarse.get(c as usize), &mut rbuf);
+            ivf.assign_residual(data.get(i), &mut rbuf);
             for v in to_pq_space(&rbuf) {
                 extremes.push(&[v]);
             }
@@ -292,20 +279,6 @@ impl DrimEngine {
                 .map_err(BuildError::MramOverflow)?;
         }
 
-        // Slice payloads.
-        let slice_data: Vec<SliceData> = layout
-            .slices
-            .iter()
-            .map(|s| {
-                let list = &ivf.lists[s.cluster as usize];
-                let m = cfg.index.m;
-                SliceData {
-                    ids: list.ids[s.start..s.start + s.len].to_vec(),
-                    codes: list.codes[s.start * m..(s.start + s.len) * m].to_vec(),
-                }
-            })
-            .collect();
-
         // MRAM accounting on the already-validated system.
         for (d, dpu) in system.dpus.iter_mut().enumerate() {
             dpu.mram
@@ -361,7 +334,6 @@ impl DrimEngine {
             shape,
             rquant,
             qcodebooks,
-            slice_data,
             dpu_centroids,
             fault_batch: 0,
             nprobe_override: None,
@@ -615,7 +587,7 @@ impl DrimEngine {
             dsub,
             rquant: &self.rquant,
             qcodebooks: &self.qcodebooks,
-            slice_data: &self.slice_data,
+            lists: &self.ivf.lists,
             dpu_centroids: &self.dpu_centroids,
             tombstones: &self.tombstones,
             queries: &dpu_queries,
@@ -655,7 +627,7 @@ struct DpuKernels<'a> {
     dsub: usize,
     rquant: &'a ScalarQuantizer,
     qcodebooks: &'a [u8],
-    slice_data: &'a [SliceData],
+    lists: &'a [ann_core::ivf::IvfList],
     dpu_centroids: &'a VecSet<f32>,
     tombstones: &'a [std::collections::BTreeSet<u32>],
     /// The batch's queries in PQ working space (rotated for OPQ).
@@ -679,17 +651,11 @@ impl DpuKernels<'_> {
         let dsub = self.dsub;
         let k = self.cfg.index.k;
 
-        // Group tasks by (query, cluster) so RC + LC run once per group —
-        // the data reuse the allocation exchange pass enables. The sort is
-        // stable: a group's slices keep their task order, and groups (hence
-        // the per-query heaps, results and checksum) ascend by query id.
-        let mut order: Vec<(u32, u32, usize)> = tasks
-            .iter()
-            .map(|t| (t.query, self.layout.slices[t.slice].cluster, t.slice))
-            .collect();
-        order.sort_by_key(|&(q, cluster, _)| (q, cluster));
-        let groups: Vec<&[(u32, u32, usize)]> =
-            order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
+        // RC + LC run once per (query, cluster) group — the data reuse the
+        // allocation exchange pass enables. Groups (hence the per-query
+        // heaps, results and checksum) ascend by query id.
+        let mut order = Vec::new();
+        let groups: Vec<_> = sched::group_tasks(tasks, self.layout, &mut order).collect();
 
         let mut heaps: Vec<(u32, BoundedMaxHeap)> = Vec::new();
         let mut lock = LockStats::default();
@@ -750,8 +716,11 @@ impl DpuKernels<'_> {
                 }
                 let heap = &mut heaps.last_mut().expect("pushed above").1;
                 let tomb = &self.tombstones[cluster as usize];
+                let list = &self.lists[cluster as usize];
                 for &(_, _, si) in *group {
-                    let data = &self.slice_data[si];
+                    let s = &self.layout.slices[si];
+                    let ids = &list.ids[s.start..s.start + s.len];
+                    let codes = &list.codes[s.start * m..(s.start + s.len) * m];
                     let bound = match self.cfg.lock_policy {
                         upmem_sim::tasklet::LockPolicy::Forwarding => {
                             let b = heap.bound();
@@ -766,7 +735,7 @@ impl DpuKernels<'_> {
                     dc::run(
                         ctx,
                         meter.phase_mut(Phase::Dc),
-                        &data.codes,
+                        codes,
                         m,
                         cb,
                         lut,
@@ -781,14 +750,14 @@ impl DpuKernels<'_> {
                     // the compaction-neutrality invariant.
                     if !tomb.is_empty() {
                         let before = scanned.len();
-                        scanned.retain(|&(slot, _)| !tomb.contains(&data.ids[slot as usize]));
+                        scanned.retain(|&(slot, _)| !tomb.contains(&ids[slot as usize]));
                         tombstone_filtered += (before - scanned.len()) as u64;
                     }
                     let s = ts::run(
                         ctx,
                         meter.phase_mut(Phase::Ts),
                         &scanned,
-                        &data.ids,
+                        ids,
                         heap,
                         k,
                         self.cfg.lock_policy,

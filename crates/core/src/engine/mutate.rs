@@ -3,8 +3,9 @@
 //! splits, migration) that keeps the layout healthy under churn. See
 //! `docs/MUTATION.md`.
 
-use super::{DrimEngine, SliceData};
+use super::DrimEngine;
 use crate::recovery::DpuHealth;
+use upmem_sim::system::PimSystem;
 
 /// Streaming-mutation error ([`DrimEngine::insert`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -62,21 +63,15 @@ pub struct MaintenanceReport {
     pub epoch_swaps: usize,
 }
 
-impl MaintenanceReport {
-    /// True when the call found nothing to do.
-    pub fn is_noop(&self) -> bool {
-        *self == MaintenanceReport::default()
-    }
-}
-
 impl DrimEngine {
-    /// Insert one vector while serving. Assignment runs the same
-    /// nearest-centroid kernel as [`ann_core::ivf::IvfPqIndex::insert`]
-    /// (so a from-scratch replay lands every point in the same cluster — the parity
-    /// contract), the residual is PQ-encoded with the frozen codebooks,
-    /// and the point is appended to the cluster's tail slice on every home
-    /// DPU. The appended bytes are metered through the host link
-    /// ([`Self::mutation_transfer_s`]). Bumps the result epoch.
+    /// Insert one vector while serving. Cluster and code come from
+    /// [`ann_core::ivf::IvfPqIndex::assign_encode`], the step
+    /// [`ann_core::ivf::IvfPqIndex::insert`] takes (so a from-scratch replay
+    /// lands every point in the same cluster with the same code — the parity
+    /// contract). The point is appended to the cluster's list, which grows
+    /// the tail slice's window on every home DPU; the appended bytes are
+    /// metered through the host link ([`Self::mutation_transfer_s`]). Bumps
+    /// the result epoch.
     pub fn insert(&mut self, id: u32, v: &[f32]) -> Result<(), MutationError> {
         let dim = self.dim();
         if v.len() != dim {
@@ -94,47 +89,30 @@ impl DrimEngine {
         if let Some(&c) = self.tombstoned_cluster.get(&id) {
             self.compact_cluster(c as usize);
         }
+        let (c, code) = self.ivf.assign_encode(v);
 
-        // Assign + encode exactly like the host-side index insert.
-        let (c, _) = ann_core::kmeans::nearest_centroid_with_norms(
-            v,
-            &self.ivf.coarse,
-            &self.ivf.coarse_norms,
-        );
-        let c = c as usize;
-        let mut residual = vec![0.0f32; dim];
-        ann_core::ivf::residual_into(v, self.ivf.coarse.get(c), &mut residual);
-        let code = self.ivf.quant.encode(&residual);
-
-        // Capacity check on every home of the tail slice *before* any state
-        // changes, so a failed insert is a clean no-op.
-        let si = self.ensure_tail_slice(c)?;
+        // Every cluster has a tail slice (the build gives even an empty
+        // list one; compaction shrinks slices, never drops them). Headroom
+        // is checked on each of its homes before any state changes, so a
+        // failed insert is a clean no-op.
+        let si = *self.layout.cluster_slices[c]
+            .last()
+            .expect("every cluster keeps a tail slice");
         let homes = self.layout.slice_homes[si].clone();
-        for &d in &homes {
-            if self.system.dpus[d].mram.free() < self.bytes_per_point {
-                return Err(MutationError::MramFull(c as u32));
-            }
+        if homes
+            .iter()
+            .any(|&d| self.system.dpus[d].mram.free() < self.bytes_per_point)
+        {
+            return Err(MutationError::MramFull(c as u32));
         }
         for &d in &homes {
-            let cur = self.system.dpus[d].mram.segment("slices");
-            self.system.dpus[d]
-                .mram
-                .set("slices", cur + self.bytes_per_point)
-                .expect("pre-checked headroom");
             // each copy crosses the link once
-            self.mutation_transfer_s += self.system.link.time_total(self.bytes_per_point);
-            self.mutation_push_bytes += self.bytes_per_point;
+            self.push_to_dpu(d, self.bytes_per_point);
         }
-
-        // Append: host list and the canonical tail-slice payload stay in
-        // lockstep (the slice covers the list's tail, so both grow at the
-        // end).
-        let list = &mut self.ivf.lists[c];
-        list.ids.push(id);
-        list.codes.extend_from_slice(&code);
-        let data = &mut self.slice_data[si];
-        data.ids.push(id);
-        data.codes.extend_from_slice(&code);
+        // The tail slice ends where the list ends, so the append lands in
+        // its window.
+        self.ivf.lists[c].ids.push(id);
+        self.ivf.lists[c].codes.extend_from_slice(&code);
         self.layout.slices[si].len += 1;
 
         self.id_cluster.insert(id, c as u32);
@@ -156,87 +134,56 @@ impl DrimEngine {
         true
     }
 
-    /// The cluster's tail slice (creating an empty one on the least-loaded
-    /// DPU for clusters the build left sliceless).
-    fn ensure_tail_slice(&mut self, c: usize) -> Result<usize, MutationError> {
-        if let Some(&si) = self.layout.cluster_slices[c].last() {
-            return Ok(si);
-        }
-        let bytes = self.layout.dpu_bytes(self.bytes_per_point);
-        let d = (0..self.system.len())
-            .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            .ok_or(MutationError::MramFull(c as u32))?;
-        let si = self.layout.slices.len();
-        self.layout.slices.push(crate::layout::Slice {
-            cluster: c as u32,
-            start: 0,
-            len: 0,
-            heat: 0.0,
-        });
-        self.layout.slice_homes.push(vec![d]);
-        // new canonical index is the maximum, so pushing keeps the per-DPU
-        // slice list in its canonical ascending order
-        self.layout.dpu_slices[d].push(si);
-        self.layout.cluster_slices[c].push(si);
-        self.slice_data.push(SliceData::default());
-        Ok(si)
+    /// Grow DPU `d`'s slice storage by `bytes` that cross the host link to
+    /// get there; returns the simulated link seconds, already added to the
+    /// engine's mutation accounting.
+    fn push_to_dpu(&mut self, d: usize, bytes: u64) -> f64 {
+        resize_slices(&mut self.system, d, bytes as i64);
+        let t = self.system.link.time_total(bytes);
+        self.mutation_transfer_s += t;
+        self.mutation_push_bytes += bytes;
+        t
     }
 
-    /// Physically purge a cluster's tombstones, order-preserving: every
-    /// slice's survivors keep their relative order and points never cross
-    /// slice boundaries (each slice shrinks in place), so the candidate
-    /// stream the DPUs see is *identical* to the filtered stream before
-    /// compaction — which is why this reclaims MRAM without an epoch bump.
-    /// Returns the purged-point count.
+    /// Physically purge a cluster's tombstones in one order-preserving pass
+    /// over its list. Survivors never cross slice boundaries — each slice's
+    /// window slides down and shrinks around its own survivors — so the
+    /// candidate stream the DPUs see is *identical* to the filtered stream
+    /// before compaction, which is why this reclaims MRAM without an epoch
+    /// bump. Returns the purged-point count.
     fn compact_cluster(&mut self, c: usize) -> u64 {
         let tomb = std::mem::take(&mut self.tombstones[c]);
         if tomb.is_empty() {
             return 0;
         }
         let m = self.cfg.index.m;
-        let mut purged = 0u64;
-        let mut cursor = 0usize;
-        let slice_idxs = self.layout.cluster_slices[c].clone();
-        for &si in &slice_idxs {
-            let data = &mut self.slice_data[si];
-            let before = data.ids.len();
-            let mut w = 0usize;
-            for r in 0..before {
-                if tomb.contains(&data.ids[r]) {
+        let list = &mut self.ivf.lists[c];
+        let mut w = 0usize;
+        for &si in &self.layout.cluster_slices[c] {
+            let old = self.layout.slices[si];
+            let start = w;
+            for r in old.start..old.start + old.len {
+                if tomb.contains(&list.ids[r]) {
                     continue;
                 }
                 if w != r {
-                    data.ids[w] = data.ids[r];
-                    data.codes.copy_within(r * m..(r + 1) * m, w * m);
+                    list.ids[w] = list.ids[r];
+                    list.codes.copy_within(r * m..(r + 1) * m, w * m);
                 }
                 w += 1;
             }
-            data.ids.truncate(w);
-            data.codes.truncate(w * m);
-            let removed = before - w;
-            purged += removed as u64;
-            if removed > 0 {
-                let delta = removed as u64 * self.bytes_per_point;
+            self.layout.slices[si].start = start;
+            self.layout.slices[si].len = w - start;
+            let freed = (old.len - (w - start)) as u64 * self.bytes_per_point;
+            if freed > 0 {
                 for &d in &self.layout.slice_homes[si] {
-                    let cur = self.system.dpus[d].mram.segment("slices");
-                    self.system.dpus[d]
-                        .mram
-                        .set("slices", cur.saturating_sub(delta))
-                        .expect("shrinking never overflows");
+                    resize_slices(&mut self.system, d, -(freed as i64));
                 }
             }
-            self.layout.slices[si].start = cursor;
-            self.layout.slices[si].len = w;
-            cursor += w;
         }
-        // the host list is the concatenation of its slices, rebuilt to match
-        let list = &mut self.ivf.lists[c];
-        list.ids.clear();
-        list.codes.clear();
-        for &si in &slice_idxs {
-            list.ids.extend_from_slice(&self.slice_data[si].ids);
-            list.codes.extend_from_slice(&self.slice_data[si].codes);
-        }
+        let purged = (list.len() - w) as u64;
+        list.ids.truncate(w);
+        list.codes.truncate(w * m);
         for id in &tomb {
             self.tombstoned_cluster.remove(id);
         }
@@ -296,76 +243,34 @@ impl DrimEngine {
                 continue;
             }
             let first = s.len / 2;
-            let second = s.len - first;
-            let move_bytes = second as u64 * self.bytes_per_point;
+            let move_bytes = (s.len - first) as u64 * self.bytes_per_point;
             // Destination: least-loaded live DPU with headroom, preferring
             // DPUs that do not already host this slice. A slice replicated
             // on every DPU (hot-cluster duplication) falls back to a home
             // DPU — the split still spreads *future* appends, and the tail
             // bytes are already resident there, so no transfer is charged.
             let bytes = self.layout.dpu_bytes(self.bytes_per_point);
-            let pick = |exclude_homes: bool| {
-                (0..self.system.len())
-                    .filter(|&d| !banned[d])
-                    .filter(|&d| !exclude_homes || !self.layout.slice_homes[si].contains(&d))
-                    .filter(|&d| {
-                        self.layout.slice_homes[si].contains(&d)
-                            || self.system.dpus[d].mram.free() >= move_bytes
-                    })
-                    .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
-            };
-            let Some(dst) = pick(true).or_else(|| pick(false)) else {
+            let homes = self.layout.slice_homes[si].clone();
+            let Some(dst) = (0..self.system.len())
+                .filter(|&d| !banned[d])
+                .filter(|&d| homes.contains(&d) || self.system.dpus[d].mram.free() >= move_bytes)
+                .min_by_key(|&d| (homes.contains(&d), bytes[d]))
+            else {
                 continue;
             };
-            let dst_was_home = self.layout.slice_homes[si].contains(&dst);
-            // shrink the old copies, allocate + fill the new home
-            for &d in &self.layout.slice_homes[si].clone() {
-                if d == dst {
-                    continue; // keeps its bytes: they become the new slice
-                }
-                let cur = self.system.dpus[d].mram.segment("slices");
-                self.system.dpus[d]
-                    .mram
-                    .set("slices", cur.saturating_sub(move_bytes))
-                    .expect("shrinking never overflows");
+            // The old copies give up the tail half (a home chosen as `dst`
+            // keeps its bytes: they become the new slice); a new home is
+            // allocated and filled across the link.
+            for &d in homes.iter().filter(|&&d| d != dst) {
+                resize_slices(&mut self.system, d, -(move_bytes as i64));
             }
-            if !dst_was_home {
-                let cur = self.system.dpus[dst].mram.segment("slices");
-                self.system.dpus[dst]
-                    .mram
-                    .set("slices", cur + move_bytes)
-                    .expect("pre-checked headroom");
-                let t = self.system.link.time_total(move_bytes);
-                self.mutation_transfer_s += t;
-                self.mutation_push_bytes += move_bytes;
-                rep.transfer_s += t;
+            if !homes.contains(&dst) {
+                rep.transfer_s += self.push_to_dpu(dst, move_bytes);
                 rep.moved_bytes += move_bytes;
             }
-
-            // carve the tail half out of the canonical payload
-            let m = self.cfg.index.m;
-            let data = &mut self.slice_data[si];
-            let tail = SliceData {
-                ids: data.ids.split_off(first),
-                codes: data.codes.split_off(first * m),
-            };
-            let new_si = self.layout.slices.len();
-            self.layout.slices[si].len = first;
-            self.layout.slices[si].heat = s.heat / 2.0;
-            self.layout.slices.push(crate::layout::Slice {
-                cluster: s.cluster,
-                start: s.start + first,
-                len: second,
-                heat: s.heat / 2.0,
-            });
-            self.layout.slice_homes.push(vec![dst]);
-            self.layout.dpu_slices[dst].push(new_si);
-            // cluster_slices stays in offset order: the new slice sits
-            // right after the one it was carved from
-            let cs = &mut self.layout.cluster_slices[s.cluster as usize];
-            let pos = cs.iter().position(|&x| x == si).expect("slice is owned");
-            cs.insert(pos + 1, new_si);
-            self.slice_data.push(tail);
+            // the points stay where they are in the list: the tail half of
+            // the window becomes a slice of its own
+            self.layout.split_slice(si, first, dst);
 
             rep.split_slices += 1;
             rep.epoch_swaps += 1;
@@ -377,13 +282,13 @@ impl DrimEngine {
             let bytes = self.layout.dpu_bytes(self.bytes_per_point);
             let Some(src) = (0..self.system.len())
                 .filter(|&d| bytes[d] > 0)
-                .max_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+                .max_by_key(|&d| bytes[d])
             else {
                 break;
             };
             let Some(dst) = (0..self.system.len())
                 .filter(|&d| !banned[d] && d != src)
-                .min_by(|&a, &b| bytes[a].cmp(&bytes[b]))
+                .min_by_key(|&d| bytes[d])
             else {
                 break;
             };
@@ -406,28 +311,13 @@ impl DrimEngine {
             let move_bytes = self.layout.slices[si].len as u64 * self.bytes_per_point;
 
             // Double buffer: allocate + fill the destination copy first
-            // (reads keep hitting the source copy until the home swap)...
-            let cur = self.system.dpus[dst].mram.segment("slices");
-            self.system.dpus[dst]
-                .mram
-                .set("slices", cur + move_bytes)
-                .expect("pre-checked headroom");
-            let t = self.system.link.time_total(move_bytes);
-            self.mutation_transfer_s += t;
-            self.mutation_push_bytes += move_bytes;
-            rep.transfer_s += t;
+            // (reads keep hitting the source copy until the home swap),
+            // swap the home atomically (the epoch bump publishes it), then
+            // release the source copy.
+            rep.transfer_s += self.push_to_dpu(dst, move_bytes);
             rep.moved_bytes += move_bytes;
-            // ...swap the home atomically (the epoch bump publishes it)...
-            let homes = &mut self.layout.slice_homes[si];
-            let pos = homes.iter().position(|&d| d == src).expect("src hosts it");
-            homes[pos] = dst;
-            self.layout.recompute_dpu_slices();
-            // ...then release the source copy.
-            let cur = self.system.dpus[src].mram.segment("slices");
-            self.system.dpus[src]
-                .mram
-                .set("slices", cur.saturating_sub(move_bytes))
-                .expect("shrinking never overflows");
+            self.layout.swap_home(si, src, dst);
+            resize_slices(&mut self.system, src, -(move_bytes as i64));
 
             rep.migrated_slices += 1;
             rep.epoch_swaps += 1;
@@ -438,11 +328,26 @@ impl DrimEngine {
     }
 }
 
+/// Grow (`delta > 0`, the caller has checked headroom) or shrink DPU `d`'s
+/// MRAM `"slices"` segment, the accounting of every slice copy it hosts.
+fn resize_slices(system: &mut PimSystem, d: usize, delta: i64) {
+    let mram = &mut system.dpus[d].mram;
+    let bytes = mram.segment("slices").saturating_add_signed(delta);
+    mram.set("slices", bytes)
+        .expect("growth is pre-checked against free MRAM");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::tests::{small_cfg, small_workload};
     use upmem_sim::PimArch;
+
+    /// The engine's lists as `validate` wants them: the slices must tile
+    /// exactly these sizes.
+    fn cluster_infos(e: &DrimEngine) -> Vec<crate::layout::ClusterInfo> {
+        crate::layout::heat::cluster_heat(&e.ivf.cluster_sizes(), None, e.cfg.index.nprobe)
+    }
 
     #[test]
     fn delete_tombstones_and_insert_appends() {
@@ -500,6 +405,71 @@ mod tests {
     }
 
     #[test]
+    fn mram_full_insert_is_a_clean_noop() {
+        let (data, queries) = small_workload();
+        let cfg = small_cfg();
+        let params = ann_core::ivf::IvfPqParams::new(cfg.index.nlist)
+            .m(cfg.index.m)
+            .cb(cfg.index.cb);
+        let mut ivf = ann_core::ivf::IvfPqIndex::build(&data, &params);
+        // one list emptied before the engine is built: the layout still
+        // gives it a tail slice, an empty one, so inserts have homes to check
+        let (empty, full) = (3usize, 4usize);
+        for id in ivf.lists[empty].ids.clone() {
+            assert!(ivf.remove(id));
+        }
+        let mut e =
+            DrimEngine::from_index(ivf, &data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+        e.clear_faults();
+        assert_eq!(e.layout.cluster_slices[empty].len(), 1);
+        // fill every DPU to one byte short of a point's worth of headroom
+        for dpu in &mut e.system.dpus {
+            let filler = dpu.mram.free() - (e.bytes_per_point - 1);
+            dpu.mram.alloc("filler", filler).unwrap();
+        }
+
+        let snapshot = |e: &mut DrimEngine| {
+            let slices_bytes: Vec<u64> = (e.system.dpus.iter())
+                .map(|d| d.mram.segment("slices"))
+                .collect();
+            (
+                e.epoch(),
+                e.live_len(),
+                e.ivf.cluster_sizes(),
+                e.layout.slices.clone(),
+                e.layout.slice_homes.clone(),
+                slices_bytes,
+                e.mutation_push_bytes(),
+                format!("{:?}", e.search_batch(&queries).0),
+            )
+        };
+        let before = snapshot(&mut e);
+        for c in [empty, full] {
+            let v = e.ivf.coarse.get(c).to_vec();
+            assert_eq!(
+                e.ivf.assign_encode(&v).0,
+                c,
+                "a centroid is its own nearest"
+            );
+            assert_eq!(
+                e.insert(7_000_000 + c as u32, &v),
+                Err(MutationError::MramFull(c as u32))
+            );
+        }
+        assert_eq!(snapshot(&mut e), before, "a refused insert changes nothing");
+
+        // one more byte of headroom on the homes and the same insert lands
+        for dpu in &mut e.system.dpus {
+            let filler = dpu.mram.segment("filler");
+            dpu.mram.set("filler", filler - 1).unwrap();
+        }
+        let v = e.ivf.coarse.get(empty).to_vec();
+        e.insert(7_000_000, &v).unwrap();
+        assert_eq!(e.ivf.lists[empty].ids, [7_000_000]);
+        e.layout.validate(&cluster_infos(&e)).unwrap();
+    }
+
+    #[test]
     fn compaction_is_results_neutral_and_reclaims_mram() {
         let (data, queries) = small_workload();
         let mut cfg = small_cfg();
@@ -537,18 +507,7 @@ mod tests {
         }
 
         // layout invariants survive: slices still tile every list exactly
-        let infos: Vec<crate::layout::ClusterInfo> = e
-            .ivf
-            .cluster_sizes()
-            .iter()
-            .enumerate()
-            .map(|(id, &points)| crate::layout::ClusterInfo {
-                id: id as u32,
-                points,
-                heat: 1.0,
-            })
-            .collect();
-        e.layout.validate(&infos).unwrap();
+        e.layout.validate(&cluster_infos(&e)).unwrap();
     }
 
     #[test]
@@ -581,17 +540,6 @@ mod tests {
         let (r_after, _) = e.search_batch(&queries);
         assert_eq!(format!("{r_before:?}"), format!("{r_after:?}"));
         // and the layout stays exact
-        let infos: Vec<crate::layout::ClusterInfo> = e
-            .ivf
-            .cluster_sizes()
-            .iter()
-            .enumerate()
-            .map(|(id, &points)| crate::layout::ClusterInfo {
-                id: id as u32,
-                points,
-                heat: 1.0,
-            })
-            .collect();
-        e.layout.validate(&infos).unwrap();
+        e.layout.validate(&cluster_infos(&e)).unwrap();
     }
 }

@@ -19,6 +19,12 @@ use upmem_sim::meter::PhaseMeter;
 /// kind of overhead.
 pub const GATHER_OVERHEAD_ALU: u64 = 3;
 
+/// Sub-codes gathered per straight-line block of the scan (see [`run`]).
+/// In isolation at `m = 32, cb = 256`, over seven code placements, blocks
+/// of 4 scan a point in 12.1-13.3 ns, of 2 in 13.3-14.5, of 8 in 14.9-15.7,
+/// of 16 in 23.5.
+const GATHER_BLOCK: usize = 4;
+
 /// Largest padded dimension (`m * dsub`) whose worst-case ADC distance,
 /// `m * dsub * 255^2`, still fits the scan's `u32` accumulators.
 pub(crate) const MAX_PADDED_DIM: usize = (u32::MAX / (255 * 255)) as usize;
@@ -54,12 +60,22 @@ pub fn charge(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, n_points: u64, m: usi
 /// The scan is point-major, one `u32` sum per point over the LUT's rows:
 /// a point's `m` gathers land in `m` different rows however the loop is
 /// blocked, so on the host the scan is bound by its two loads per gather
-/// and the plainest loop is the fastest one measured (blocking points per
-/// row, splitting the sum over several accumulators and subspace-major
-/// codes were all slower). `u32` sums are exact while `m * dsub * 255^2`
-/// fits (padded dimension at most 66,051, enforced when an engine is
-/// built). Costs are booked through [`charge`] — how the host adds the
-/// entries up never changes what the scan is charged.
+/// (blocking points per row, splitting the sum over several accumulators
+/// and subspace-major codes were all measured slower). A point's sub-codes
+/// are taken `GATHER_BLOCK` at a time as straight-line gathers, which is
+/// not for speed but for a speed that does not depend on where the linker
+/// puts this function: as one `m`-trip loop per point the same machine
+/// code read 14.3 or 23.0 ns per point from one build directory to the
+/// next, and with every loop aligned to a cache line (`.cargo/config.toml`)
+/// still 13.9 or 17.4 from one edit elsewhere to the next (the likely
+/// cause, unverified without performance counters: its exit branch, taken
+/// once in `m`, is predicted or not by address bits no alignment
+/// controls). In blocks, loops aligned, it reads 13.2-13.7 ns in every
+/// build tried.
+/// `u32` sums are exact while `m * dsub * 255^2` fits (padded dimension at
+/// most 66,051, enforced when an engine is built). Costs are booked through
+/// [`charge`] — how the host adds the entries up never changes what the
+/// scan is charged.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     ctx: &KernelCtx<'_>,
@@ -72,19 +88,27 @@ pub fn run(
     out: &mut Vec<(u32, u64)>,
 ) -> u64 {
     debug_assert_eq!(codes.len() % m, 0);
-    debug_assert_eq!(lut.len(), m * cb);
+    assert_eq!(lut.len(), m * cb);
     let n = codes.len() / m;
 
     out.clear();
     out.reserve(n);
     let mut below = 0u64;
+    // the LUT entries of a run of sub-codes, `rows` starting at the first one's row
+    let gather = |block: &[u16], rows: &[u32]| -> u32 {
+        let entry = |(u, &c): (usize, &u16)| rows[u * cb..(u + 1) * cb][c as usize];
+        block.iter().enumerate().map(entry).sum()
+    };
     for (slot, code) in codes.chunks_exact(m).enumerate() {
-        let dist: u32 = code
-            .iter()
-            .zip(lut.chunks_exact(cb))
-            .map(|(&c, row)| row[c as usize])
-            .sum();
-        let dist = dist as u64;
+        let (blocks, tail) = code.as_chunks::<GATHER_BLOCK>();
+        let mut dist = 0u32;
+        let mut rest = lut;
+        for block in blocks {
+            let (rows, after) = rest.split_at(GATHER_BLOCK * cb);
+            dist += gather(block, rows);
+            rest = after;
+        }
+        let dist = (dist + gather(tail, rest)) as u64;
         if dist < bound {
             below += 1;
         }

@@ -189,6 +189,40 @@ impl LayoutPlan {
         self.dpu_slices = dpu_slices;
     }
 
+    /// Cut slice `si` after its first `first` points: the rest becomes a
+    /// new slice with one copy, on `home`, right after `si` in the cluster's
+    /// offset order. Heat halves. Returns the new slice's index.
+    pub fn split_slice(&mut self, si: usize, first: usize, home: usize) -> usize {
+        let s = self.slices[si];
+        self.slices[si].len = first;
+        self.slices[si].heat = s.heat / 2.0;
+        let new_si = self.slices.len();
+        self.slices.push(Slice {
+            cluster: s.cluster,
+            start: s.start + first,
+            len: s.len - first,
+            heat: s.heat / 2.0,
+        });
+        self.slice_homes.push(vec![home]);
+        // the new index is the maximum, so the DPU's list stays ascending
+        self.dpu_slices[home].push(new_si);
+        let cs = &mut self.cluster_slices[s.cluster as usize];
+        let pos = cs.iter().position(|&x| x == si).expect("slice is owned");
+        cs.insert(pos + 1, new_si);
+        new_si
+    }
+
+    /// Move slice `si`'s copy on DPU `from` to DPU `to`.
+    pub fn swap_home(&mut self, si: usize, from: usize, to: usize) {
+        let homes = &mut self.slice_homes[si];
+        let pos = homes
+            .iter()
+            .position(|&d| d == from)
+            .expect("from hosts it");
+        homes[pos] = to;
+        self.recompute_dpu_slices();
+    }
+
     /// Total copies across all slices.
     pub fn total_copies(&self) -> usize {
         self.slice_homes.iter().map(|h| h.len()).sum()
@@ -220,7 +254,8 @@ impl LayoutPlan {
     }
 
     /// Sanity checks: every slice placed at least once, copies on distinct
-    /// DPUs, slice coverage of every cluster is exact and disjoint.
+    /// DPUs, the per-DPU lists name exactly the placed copies, slice
+    /// coverage of every cluster is exact and disjoint.
     pub fn validate(&self, clusters: &[ClusterInfo]) -> Result<(), String> {
         for (i, homes) in self.slice_homes.iter().enumerate() {
             if homes.is_empty() {
@@ -229,6 +264,18 @@ impl LayoutPlan {
             let set: std::collections::HashSet<_> = homes.iter().collect();
             if set.len() != homes.len() {
                 return Err(format!("slice {i} has duplicate copies on one DPU"));
+            }
+        }
+        let listed: usize = self.dpu_slices.iter().map(Vec::len).sum();
+        if listed != self.total_copies() {
+            return Err(format!(
+                "DPUs list {listed} copies, slices have {}",
+                self.total_copies()
+            ));
+        }
+        for (d, ss) in self.dpu_slices.iter().enumerate() {
+            if let Some(si) = ss.iter().find(|&&si| !self.slice_homes[si].contains(&d)) {
+                return Err(format!("DPU {d} lists slice {si}, which has no copy there"));
             }
         }
         for c in clusters {
@@ -337,12 +384,38 @@ mod tests {
         plan.recompute_dpu_slices();
         plan.validate(&cs).unwrap();
         assert!(duplication::min_rank_span(&plan.slice_homes, 2) >= 2);
-        // dpu_slices is consistent with slice_homes again
-        for (d, ss) in plan.dpu_slices.iter().enumerate() {
-            for &si in ss {
-                assert!(plan.slice_homes[si].contains(&d));
-            }
-        }
+    }
+
+    #[test]
+    fn split_and_home_swap_keep_the_tables_in_step() {
+        let cs = clusters();
+        let mut plan = LayoutPlan::build(&cs, 8, &cfg(), 20, 1 << 20);
+        let si = (0..plan.slices.len())
+            .max_by_key(|&i| plan.slices[i].len)
+            .unwrap();
+        let (old, n) = (plan.slices[si], plan.slices.len());
+        let first = old.len / 3;
+        let new_si = plan.split_slice(si, first, 5);
+        assert_eq!(new_si, n);
+        assert_eq!(
+            (plan.slices[si].start, plan.slices[si].len),
+            (old.start, first)
+        );
+        let tail = plan.slices[new_si];
+        assert_eq!(
+            (tail.cluster, tail.start, tail.len),
+            (old.cluster, old.start + first, old.len - first)
+        );
+        assert_eq!(plan.slice_homes[new_si], [5]);
+        plan.validate(&cs).unwrap();
+
+        plan.swap_home(new_si, 5, 6);
+        assert_eq!(plan.slice_homes[new_si], [6]);
+        assert!(plan.dpu_slices[6].contains(&new_si) && !plan.dpu_slices[5].contains(&new_si));
+        plan.validate(&cs).unwrap();
+        // a home table edited behind the plan's back is caught
+        plan.slice_homes[new_si][0] = 5;
+        assert!(plan.validate(&cs).is_err());
     }
 
     #[test]

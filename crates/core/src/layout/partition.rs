@@ -134,13 +134,6 @@ pub fn lpt_makespan_weights(weights: &[f64], ndpus: usize) -> f64 {
     heap.into_iter().map(|MinLoad(l)| l).fold(0.0, f64::max)
 }
 
-/// Longest-processing-time greedy makespan of slice heats over `ndpus`,
-/// using a min-heap of DPU loads (O(n log p)).
-pub fn lpt_makespan(slices: &[Slice], ndpus: usize) -> f64 {
-    let weights: Vec<f64> = slices.iter().map(|s| s.heat).collect();
-    lpt_makespan_weights(&weights, ndpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,8 +200,11 @@ mod tests {
         let th1 = search_th1(&cs, 8, 0.0);
         assert!(th1 < 10_000, "th1 {th1} should split the giant cluster");
         // and the resulting makespan improves over no-split
-        let split = lpt_makespan(&partition(&cs, th1), 8);
-        let whole = lpt_makespan(&partition(&cs, usize::MAX), 8);
+        let makespan = |th1| {
+            let heats: Vec<f64> = partition(&cs, th1).iter().map(|s| s.heat).collect();
+            lpt_makespan_weights(&heats, 8)
+        };
+        let (split, whole) = (makespan(th1), makespan(usize::MAX));
         assert!(split < whole, "split {split} whole {whole}");
     }
 
@@ -222,9 +218,7 @@ mod tests {
 
     #[test]
     fn lpt_makespan_balances() {
-        let cs = vec![mk(0, 100, 4.0), mk(1, 100, 3.0), mk(2, 100, 3.0)];
-        let slices = partition(&cs, usize::MAX);
         // 2 DPUs: LPT gives {4} and {3,3} -> makespan 6
-        assert!((lpt_makespan(&slices, 2) - 6.0).abs() < 1e-9);
+        assert!((lpt_makespan_weights(&[4.0, 3.0, 3.0], 2) - 6.0).abs() < 1e-9);
     }
 }

@@ -109,11 +109,6 @@ impl DpuHealth {
     pub fn quarantined_count(&self) -> usize {
         self.quarantined.iter().filter(|&&q| q).count()
     }
-
-    /// Surviving (schedulable) DPU count.
-    pub fn alive_count(&self) -> usize {
-        self.dead.len() - self.banned().iter().filter(|&&b| b).count()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,6 @@ mod tests {
         h.record_transient(2, 3);
         assert!(h.is_banned(2));
         assert_eq!(h.quarantined_count(), 1);
-        assert_eq!(h.alive_count(), 3);
     }
 
     #[test]

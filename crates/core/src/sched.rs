@@ -254,6 +254,27 @@ pub fn expand_tasks(
     tasks
 }
 
+/// Sort one DPU's tasks into `order` as `(query, cluster, slice)` and
+/// return its `(query, cluster)` groups — the unit RC + LC run once for.
+/// Groups ascend by `(query, cluster)`; the sort is stable, so a group's
+/// slices keep their task order. The functional engine and trace mode
+/// both walk tasks through here, so they charge the same groups in the
+/// same order.
+pub(crate) fn group_tasks<'a>(
+    tasks: &[Task],
+    layout: &LayoutPlan,
+    order: &'a mut Vec<(u32, u32, usize)>,
+) -> impl Iterator<Item = &'a [(u32, u32, usize)]> {
+    order.clear();
+    order.extend(
+        tasks
+            .iter()
+            .map(|t| (t.query, layout.slices[t.slice].cluster, t.slice)),
+    );
+    order.sort_by_key(|&(q, cluster, _)| (q, cluster));
+    order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

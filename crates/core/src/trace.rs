@@ -269,19 +269,14 @@ impl TraceRunner {
             let mut lock = LockStats::default();
             let mut push_bytes = 0u64;
 
-            // group by (query, cluster) exactly like the engine
-            let mut groups: std::collections::BTreeMap<(u32, u32), Vec<usize>> = Default::default();
-            for t in tasks {
-                let cluster = layout.slices[t.slice].cluster;
-                groups.entry((t.query, cluster)).or_default().push(t.slice);
-            }
+            let mut order = Vec::new();
             let mut queries_seen = std::collections::HashSet::new();
-            for ((q, _cluster), slices) in groups {
-                queries_seen.insert(q);
-                push_bytes += d * 4 + 8 * slices.len() as u64;
+            for group in crate::sched::group_tasks(tasks, layout, &mut order) {
+                queries_seen.insert(group[0].0);
+                push_bytes += d * 4 + 8 * group.len() as u64;
                 rc::charge(&ctx, meter.phase_mut(Phase::Rc), d);
                 lc::charge(&ctx, meter.phase_mut(Phase::Lc), m, cb, dsub, square);
-                for &si in &slices {
+                for &(_, _, si) in group {
                     let n = layout.slices[si].len as u64;
                     dc::charge(&ctx, meter.phase_mut(Phase::Dc), n, m, cb);
                     let (locked, retained) = match lock_policy {

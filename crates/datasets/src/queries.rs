@@ -113,20 +113,6 @@ pub fn zipfian_indices(
         .collect())
 }
 
-/// Empirical heat (sample counts) each component receives under `skew`,
-/// normalized to sum to 1. Used by trace-mode experiments to drive layout
-/// decisions without materializing queries.
-///
-/// The in-distribution arm mirrors [`generate_queries`]: component heat
-/// follows the corpus' own mass skew `spec.zipf_s` (not a hardcoded
-/// default), so heat stays faithful for corpora with non-default skew.
-pub fn component_heat(spec: &SynthSpec, skew: QuerySkew) -> Vec<f64> {
-    match skew {
-        QuerySkew::InDistribution => crate::zipf::zipf_weights(spec.n_components, spec.zipf_s),
-        QuerySkew::Hot { s } => crate::zipf::zipf_weights(spec.n_components, s),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,37 +147,6 @@ mod tests {
             let radius = 8.0 * s.cluster_std * s.cluster_std * s.dim as f32;
             assert!(d < radius, "query {qi} nearest dist {d} radius {radius}");
         }
-    }
-
-    #[test]
-    fn hot_skew_concentrates_mass() {
-        let mut s = spec();
-        s.n_components = 50;
-        let heat_uniformish = component_heat(&s, QuerySkew::InDistribution);
-        let heat_hot = component_heat(&s, QuerySkew::Hot { s: 1.5 });
-        assert_eq!(heat_uniformish.len(), 50);
-        assert!(heat_hot[0] > heat_uniformish[0]);
-        // top-5 hot components carry the majority of hot traffic
-        let top5: f64 = heat_hot.iter().take(5).sum();
-        assert!(top5 > 0.5, "top5 {top5}");
-    }
-
-    #[test]
-    fn in_distribution_heat_follows_corpus_skew() {
-        let mut flat = spec();
-        flat.n_components = 32;
-        flat.zipf_s = 0.2;
-        let mut steep = flat.clone();
-        steep.zipf_s = 1.3;
-        let h_flat = component_heat(&flat, QuerySkew::InDistribution);
-        let h_steep = component_heat(&steep, QuerySkew::InDistribution);
-        // the corpus' own mass skew must come through, not a hardcoded 0.9
-        assert_eq!(h_flat, crate::zipf::zipf_weights(32, 0.2));
-        assert_eq!(h_steep, crate::zipf::zipf_weights(32, 1.3));
-        assert!(h_steep[0] > h_flat[0]);
-        // Hot skew is independent of the corpus skew
-        let hot = component_heat(&flat, QuerySkew::Hot { s: 1.3 });
-        assert_eq!(hot, h_steep);
     }
 
     #[test]

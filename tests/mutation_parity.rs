@@ -18,6 +18,7 @@ use ann_core::topk::Neighbor;
 use ann_core::vector::VecSet;
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
+use drim_ann::layout::heat::cluster_heat;
 use rayon::with_num_threads;
 use upmem_sim::PimArch;
 
@@ -70,7 +71,18 @@ fn apply_to_engine(engine: &mut DrimEngine, ops: &[Op]) {
             Op::Delete(id) => assert!(engine.delete(*id), "delete of a live id"),
         }
         assert!(engine.epoch() > before, "every mutation bumps the epoch");
+        assert_tiled(engine);
     }
+}
+
+/// The slices of every cluster tile its inverted list exactly — they are
+/// windows into it, so a gap or an overlap is a lost or a doubled point.
+fn assert_tiled(engine: &DrimEngine) {
+    let lists = cluster_heat(&engine.ivf.cluster_sizes(), None, engine.cfg.index.nprobe);
+    engine
+        .layout
+        .validate(&lists)
+        .expect("slices tile the lists");
 }
 
 /// From-scratch build over the post-mutation logical corpus: rebuild the
@@ -166,6 +178,7 @@ fn maintenance_after_churn_preserves_parity() {
     assert_eq!(engine.pending_tombstones(), 40);
     let epoch_before = engine.epoch();
     let rep = engine.maintain();
+    assert_tiled(&engine);
     assert_eq!(rep.purged_points, 40);
     // Compaction alone never bumps the epoch; only splits/migrations do,
     // and each swap bumps it exactly once.
@@ -225,6 +238,7 @@ fn split_and_migration_preserve_parity() {
 
     let epoch_before = engine.epoch();
     let rep = engine.maintain();
+    assert_tiled(&engine);
     assert!(
         rep.split_slices + rep.migrated_slices > 0,
         "skewed load must trigger a split or migration: {rep:?}"
