@@ -25,7 +25,7 @@ while read -r workload qps qpj; do
         fi
     done
 done <<PINS
-trace_paper 8216.777651964201 26.772461149132376
-offline_batch 4471.20897968986 17.555516135074747
+trace_paper 8212.27214290727 26.760352806330534
+offline_batch 4471.169075374865 17.55536009407042
 PINS
 exit "$status"

@@ -388,13 +388,12 @@ pub fn fig11b(scale: &PaperScale) -> Table {
         for &nlist in &NLIST_SWEEP {
             let index = paper_index(nlist, 96);
             let shape = comparison_shape(&desc, &index, scale.batch, BitWidths::u8_regime());
-            let ideal = predict(&shape, &PimArch::upmem_sc25(), &host, true).qps;
-            let actual = drim_qps(
-                &desc,
-                EngineConfig::drim(index),
-                PimArch::upmem_sc25(),
-                scale,
-            );
+            // the model must describe the machine the trace instantiates
+            let cfg = EngineConfig::drim(index);
+            let mut arch = PimArch::upmem_sc25();
+            arch.num_dpus = scale.ndpus;
+            let ideal = predict(&shape, &cfg, &arch, &host).qps;
+            let actual = drim_qps(&desc, cfg, arch, scale);
             t.row(vec![
                 desc.name.to_string(),
                 format!("2^{}", nlist.trailing_zeros()),

@@ -30,6 +30,7 @@
 //! `exec` must capture only state disjoint from it.
 
 use crate::config::{EngineConfig, SchedPolicy};
+use crate::kernels::GroupCost;
 use crate::layout::LayoutPlan;
 use crate::recovery::DpuHealth;
 use crate::report::{BatchReport, FaultStats};
@@ -76,8 +77,8 @@ pub(crate) struct Batch<'a> {
     pub layout: &'a LayoutPlan,
     /// Host processor model (re-issue and fallback replay costs).
     pub host: &'a ProcModel,
-    /// PQ sub-vector dimension (the scheduler's task-cost input).
-    pub dsub: usize,
+    /// The batch's cost statement (the scheduler's heat comes from it).
+    pub cost: &'a GroupCost<'a>,
     /// Batch index the injector's draws key on.
     pub fault_batch: u64,
 }
@@ -123,19 +124,8 @@ where
     let mut stats = FaultStats::default();
 
     // --- schedule (around the dead set, if any) ---
-    let idx = b.cfg.index;
-    let tasks = sched::expand_tasks(b.probes, b.layout, |len| {
-        sched::task_cost_s(
-            len,
-            idx.m,
-            idx.cb,
-            b.dsub,
-            idx.k,
-            b.cfg.sqt,
-            &system.arch.costs,
-            system.arch.freq_hz,
-        )
-    });
+    let (heat, freq_hz) = (b.cost.heat(), system.arch.freq_hz);
+    let tasks = sched::expand_tasks(b.probes, b.layout, |len| heat(len) as f64 / freq_hz);
     if armed.is_some() {
         stats.scheduled_points = tasks
             .iter()
@@ -407,8 +397,10 @@ mod tests {
             m: 4,
             cb: 16,
         });
-        let layout = LayoutPlan::build(&clusters, NDPUS, &cfg, 8, 1 << 20);
         let mut system = PimSystem::new(PimArch::upmem_sc25(), NDPUS);
+        let layout = LayoutPlan::build(&clusters, NDPUS, &cfg, 8, 1 << 20, |len| {
+            sched::task_cost_s(len, 4, 16, 4, 10, true, &system.arch.costs, 1.0)
+        });
         system.fault = faults.map(|fc| FaultInjector::new(fc).unwrap());
         Rig {
             cfg,
@@ -429,20 +421,24 @@ mod tests {
         /// charges a fixed amount per task.
         fn run(&mut self) -> (Log, Vec<Vec<Vec<Neighbor>>>, BatchReport) {
             let log = Mutex::new(Log::new());
+            let placement = crate::wram::WramPlacement::none();
+            let cost = GroupCost::new(&self.cfg, &self.system.arch, &placement, 16);
+            let costs = self.system.arch.costs.clone();
             let batch = Batch {
                 probes: &self.probes,
                 cl_host_s: 0.0,
                 cfg: &self.cfg,
                 layout: &self.layout,
                 host: &upmem_sim::platform::procs::xeon_silver_4216(),
-                dsub: 4,
+                cost: &cost,
                 fault_batch: 0,
             };
             let (lists, report) = run(&mut self.system, batch, |who, tasks| {
                 log.lock().unwrap().push((who, tasks.to_vec()));
                 let n = tasks.len() as u64;
                 let mut meter = DpuMeter::new();
-                meter.phase_mut(Phase::Dc).charge_add(CYCLES_PER_TASK * n);
+                let dc = meter.phase_mut(Phase::Dc);
+                dc.charge_add_c(CYCLES_PER_TASK * n, &costs);
                 let mut queries: Vec<u32> = tasks.iter().map(|t| t.query).collect();
                 queries.sort_unstable();
                 queries.dedup();

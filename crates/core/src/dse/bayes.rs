@@ -10,7 +10,7 @@
 
 use super::gp::{normal_pdf, Gp};
 use super::space::{DseObjective, ParamSpace};
-use crate::config::IndexConfig;
+use crate::config::{EngineConfig, IndexConfig};
 use crate::perf_model::{predict, BitWidths, Prediction, WorkloadShape};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::PimArch;
@@ -174,7 +174,7 @@ pub fn optimize(
 
     let pred_of = |cfg: &IndexConfig| -> Prediction {
         let shape = WorkloadShape::new(n_points, batch, dim, cfg, BitWidths::u8_regime());
-        predict(&shape, arch, host, true)
+        predict(&shape, &EngineConfig::drim(*cfg), arch, host)
     };
     // One scalar to maximize among feasible configurations: QPS,
     // queries-per-joule, or inverse EDP depending on the space's objective.
@@ -355,7 +355,7 @@ pub fn optimize(
     let shape = WorkloadShape::new(n_points, batch, dim, &chosen.cfg, BitWidths::u8_regime());
     let capacity = arch
         .wram_bytes
-        .saturating_sub(crate::config::EngineConfig::drim(chosen.cfg).tasklets as u64 * 1024);
+        .saturating_sub(EngineConfig::drim(chosen.cfg).tasklets as u64 * 1024);
     let best_sqt_window = crate::wram::choose_sqt_window(&shape, &space.sqt_window, capacity, 0, 1);
 
     DseResult {

@@ -14,13 +14,13 @@
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::dispatch::{self, DpuOutput};
-use crate::kernels::{cl, dc, lc, rc, ts, KernelCtx};
+use crate::kernels::{cl, dc, lc, rc, ts, GroupCost};
 use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
 use crate::sched::{self, Task};
 use crate::sqt::Sqt;
-use crate::wram::{plan as wram_plan, WramPlacement};
+use crate::wram::WramPlacement;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::quantize::ScalarQuantizer;
 use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
@@ -253,7 +253,23 @@ impl DrimEngine {
         let reserved =
             qcodebooks.len() as u64 + (dim as u64 * 4 * cfg.index.nlist as u64 / ndpus as u64);
         let mram_budget = arch.mram_bytes.saturating_sub(reserved);
-        let mut layout = LayoutPlan::build(&clusters, ndpus, &cfg, bytes_per_point, mram_budget);
+        let shape = WorkloadShape::new(
+            ivf.len() as u64,
+            cfg.batch,
+            dim,
+            &cfg.index,
+            BitWidths::u8_regime(),
+        );
+        let heat = GroupCost::layout_heat(&cfg, &arch, &shape, ndpus);
+        let slice_cost = |len| heat(len) as f64;
+        let mut layout = LayoutPlan::build(
+            &clusters,
+            ndpus,
+            &cfg,
+            bytes_per_point,
+            mram_budget,
+            slice_cost,
+        );
         layout
             .validate(&clusters)
             .map_err(BuildError::MramOverflow)?;
@@ -293,25 +309,9 @@ impl DrimEngine {
                 .map_err(|e| BuildError::MramOverflow(e.to_string()))?;
         }
 
-        // Workload shape + WRAM plan.
-        let shape = WorkloadShape::new(
-            ivf.len() as u64,
-            cfg.batch,
-            dim,
-            &cfg.index,
-            BitWidths::u8_regime(),
-        );
-        let placement = if cfg.wram_buffers {
-            let sqt_bytes = Sqt::for_bits_windowed(cfg.bits, cfg.sqt_window).wram_bytes();
-            let local_clusters = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
-            let capacity = arch.wram_bytes.saturating_sub(cfg.tasklets as u64 * 1024);
-            wram_plan(
-                &crate::wram::standard_candidates(&shape, sqt_bytes, local_clusters, ndpus),
-                capacity,
-            )
-        } else {
-            WramPlacement::none()
-        };
+        // WRAM plan.
+        let local_clusters = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
+        let placement = crate::wram::plan_for(&cfg, &arch, &shape, local_clusters, ndpus);
 
         // Live-id directory for the mutation paths: every id the build
         // ingested is live, owned by the list that holds it.
@@ -570,21 +570,13 @@ impl DrimEngine {
 
         // --- DPU execution: the dispatch loop mutates `self.system` while
         // waves run, so the kernels borrow the rest of the engine field by
-        // field, plus a per-batch copy of the cost table ---
-        let arch = &self.system.arch;
-        let costs = arch.costs.clone();
-        let dsub = self.ivf.quant.pq().dsub;
+        // field, and the batch's cost statement owns its cost table ---
+        let cost = GroupCost::new(&self.cfg, &self.system.arch, &self.placement, self.dim());
         let kernels = DpuKernels {
-            ctx: KernelCtx {
-                costs: &costs,
-                // random accesses pay the burst x the PrIM-style derate
-                dma_burst: arch.dma_burst_bytes * arch.mram_random_penalty,
-                bits: self.cfg.bits,
-                placement: &self.placement,
-            },
+            cost: &cost,
             cfg: &self.cfg,
             layout: &self.layout,
-            dsub,
+            dsub: self.ivf.quant.pq().dsub,
             rquant: &self.rquant,
             qcodebooks: &self.qcodebooks,
             lists: &self.ivf.lists,
@@ -600,7 +592,7 @@ impl DrimEngine {
                 cfg: &self.cfg,
                 layout: &self.layout,
                 host: &self.host,
-                dsub,
+                cost: &cost,
                 fault_batch: self.fault_batch,
             },
             |_, tasks| kernels.run_dpu(tasks),
@@ -620,7 +612,7 @@ impl DrimEngine {
 /// field (never through `&DrimEngine`) so [`dispatch::run`] can mutate the
 /// engine's `PimSystem` while waves execute. Built once per batch.
 struct DpuKernels<'a> {
-    ctx: KernelCtx<'a>,
+    cost: &'a GroupCost<'a>,
     cfg: &'a EngineConfig,
     layout: &'a LayoutPlan,
     /// PQ sub-vector dimension.
@@ -638,7 +630,7 @@ impl DpuKernels<'_> {
     /// Execute one DPU's task list.
     fn run_dpu(&self, tasks: &[Task]) -> DpuOutput {
         let mut meter = DpuMeter::new();
-        let ctx = &self.ctx;
+        let ctx = &self.cost.ctx();
         let mut sqt = self.cfg.sqt.then(|| {
             Sqt::for_bits_resident_windowed(
                 self.cfg.bits,
@@ -678,7 +670,7 @@ impl DpuKernels<'_> {
                 let (q, cluster, _) = group[0];
                 let query = self.queries.get(q as usize);
                 let centroid = self.dpu_centroids.get(cluster as usize);
-                push_bytes += (query.len() * 4 + 8 * group.len()) as u64;
+                push_bytes += self.cost.push_bytes(group.len());
 
                 // RC
                 rc::run(

@@ -107,11 +107,18 @@ pub fn run(
     ClOutput { probes, host_s }
 }
 
-/// Blocked-GEMM host time for CL over `q` queries and `nlist` centroids
-/// (delegates to [`crate::perf_model::host_cl_time`] so the engine, trace
-/// mode and the analytic model all charge the identical CL cost).
+/// Blocked-GEMM host time for CL over `q` queries and `nlist` centroids:
+/// compute follows Eq. 1, but the centroid table streams once per *batch*
+/// (Faiss blocks the query-centroid distance computation), not once per
+/// query. The engine, trace mode and the analytic model all charge CL
+/// through here.
 pub fn host_cl_time(q: usize, nlist: usize, shape: &WorkloadShape, host: &ProcModel) -> f64 {
-    crate::perf_model::host_cl_time(q as f64, nlist as f64, shape, host)
+    let (q, nlist) = (q as f64, nlist as f64);
+    let ops = q * nlist * (WorkloadShape::dist_ops(shape.d) + (shape.p.log2() - 1.0).max(0.0));
+    let bytes = nlist * shape.d * 4.0
+        + q * shape.d * 4.0
+        + q * (shape.bits.b_l + shape.bits.b_a) * (shape.p.log2() + 1.0);
+    host.time(ops, bytes)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use upmem_sim::meter::PhaseMeter;
 /// are several instructions per element (PrIM's scan kernels run 4-6), and
 /// the paper's 71.8–99.9 % model-accuracy gap (Fig. 11b) is exactly this
 /// kind of overhead.
-pub const GATHER_OVERHEAD_ALU: u64 = 3;
+const GATHER_OVERHEAD_ALU: u64 = 3;
 
 /// Sub-codes gathered per straight-line block of the scan (see [`run`]).
 /// In isolation at `m = 32, cb = 256`, over seven code placements, blocks

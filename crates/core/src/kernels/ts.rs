@@ -51,7 +51,8 @@ pub fn charge(
     locked: u64,
     retained: u64,
 ) {
-    let log_k = (k.max(2) as f64).log2().ceil() as u64;
+    // ceil(log2 k), in integers: this runs once per slice in trace mode
+    let log_k = u64::from(k.max(2).next_power_of_two().trailing_zeros());
     let b_entry = 8u64;
     // candidate fetch + loop bookkeeping, regardless of policy
     meter.charge_alu(2 * n * ctx.costs.alu);
@@ -190,7 +191,7 @@ mod tests {
                 }
             };
             if takes_lock {
-                meter.lock();
+                meter.lock_n(1);
                 meter.charge_cmp(log_k * ctx.costs.cmp);
                 ctx.read(meter, "topk", b_entry, true);
                 if heap.push(Neighbor::new(ids[slot as usize] as u64, d)) {

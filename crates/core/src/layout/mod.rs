@@ -76,43 +76,24 @@ impl LayoutPlan {
     /// Build the full plan from cluster descriptors under `cfg`.
     ///
     /// `ndpus` is the DPU count; `bytes_per_point` converts slice sizes to
-    /// MRAM footprints; `mram_budget` bounds per-DPU bytes.
+    /// MRAM footprints; `mram_budget` bounds per-DPU bytes. `slice_cost`
+    /// prices the split-threshold search: every extra slice of a probed
+    /// cluster re-runs LC on whichever DPU receives it, so a candidate
+    /// slice of the given length weighs what the scheduler will charge for
+    /// it — the heat of the configuration in force
+    /// ([`crate::kernels::GroupCost::heat`]).
     pub fn build(
         clusters: &[ClusterInfo],
         ndpus: usize,
         cfg: &EngineConfig,
         bytes_per_point: u64,
         mram_budget: u64,
-    ) -> LayoutPlan {
-        // LC table-build cost in point-scan equivalents: splitting a probed
-        // cluster re-runs LC per extra slice, so the threshold search must
-        // price it (see sched::lc_equiv_points)
-        let dsub_guess = 8; // refined by build_with_lc_equiv callers
-        let lc_equiv = crate::sched::lc_equiv_points(
-            cfg.index.m,
-            cfg.index.cb,
-            dsub_guess,
-            cfg.index.k,
-            cfg.sqt,
-            &upmem_sim::IsaCosts::upmem(),
-        );
-        Self::build_with_lc_equiv(clusters, ndpus, cfg, bytes_per_point, mram_budget, lc_equiv)
-    }
-
-    /// [`Self::build`] with an explicit LC cost (in point-scan equivalents)
-    /// for the partition threshold search.
-    pub fn build_with_lc_equiv(
-        clusters: &[ClusterInfo],
-        ndpus: usize,
-        cfg: &EngineConfig,
-        bytes_per_point: u64,
-        mram_budget: u64,
-        lc_equiv: f64,
+        slice_cost: impl Fn(usize) -> f64,
     ) -> LayoutPlan {
         // 1. partition
         let th1 = if cfg.partition {
             cfg.split_granularity
-                .unwrap_or_else(|| partition::search_th1(clusters, ndpus, lc_equiv))
+                .unwrap_or_else(|| partition::search_th1(clusters, ndpus, slice_cost))
         } else {
             usize::MAX
         };
@@ -304,6 +285,7 @@ impl LayoutPlan {
 mod tests {
     use super::*;
     use crate::config::{EngineConfig, IndexConfig};
+    use upmem_sim::IsaCosts;
 
     fn clusters() -> Vec<ClusterInfo> {
         (0..32)
@@ -325,10 +307,23 @@ mod tests {
         })
     }
 
+    /// The scheduler's heat (in cycles) for `cfg`'s index over
+    /// `dsub`-dimensional sub-vectors on `costs`.
+    fn heat(cfg: &EngineConfig, dsub: usize, costs: &IsaCosts) -> impl Fn(usize) -> f64 {
+        let (i, sqt, costs) = (cfg.index, cfg.sqt, costs.clone());
+        move |len| crate::sched::task_cost_s(len, i.m, i.cb, dsub, i.k, sqt, &costs, 1.0)
+    }
+
+    /// The plan over 8 DPUs at 20 bytes per point, priced at `dsub = 8` on
+    /// UPMEM costs.
+    fn build(cs: &[ClusterInfo], cfg: &EngineConfig, budget: u64) -> LayoutPlan {
+        LayoutPlan::build(cs, 8, cfg, 20, budget, heat(cfg, 8, &IsaCosts::upmem()))
+    }
+
     #[test]
     fn full_plan_validates() {
         let cs = clusters();
-        let plan = LayoutPlan::build(&cs, 8, &cfg(), 20, 1 << 20);
+        let plan = build(&cs, &cfg(), 1 << 20);
         plan.validate(&cs).unwrap();
         assert!(plan.total_copies() >= plan.slices.len());
     }
@@ -337,7 +332,7 @@ mod tests {
     fn naive_plan_validates_too() {
         let cs = clusters();
         let naive = EngineConfig::naive(cfg().index);
-        let plan = LayoutPlan::build(&cs, 8, &naive, 20, 1 << 20);
+        let plan = build(&cs, &naive, 1 << 20);
         plan.validate(&cs).unwrap();
         // no partition, no duplication: one slice per cluster, one copy
         assert_eq!(plan.slices.len(), cs.len());
@@ -347,9 +342,9 @@ mod tests {
     #[test]
     fn heat_balancing_beats_round_robin() {
         let cs = clusters();
-        let balanced = LayoutPlan::build(&cs, 8, &cfg(), 20, 1 << 20);
+        let balanced = build(&cs, &cfg(), 1 << 20);
         let naive = EngineConfig::naive(cfg().index);
-        let rr = LayoutPlan::build(&cs, 8, &naive, 20, 1 << 20);
+        let rr = build(&cs, &naive, 1 << 20);
         let imb = |heat: &[f64]| {
             let max = heat.iter().cloned().fold(0.0, f64::max);
             let mean = heat.iter().sum::<f64>() / heat.len() as f64;
@@ -366,7 +361,7 @@ mod tests {
     #[test]
     fn rank_coverage_post_pass_keeps_the_plan_valid() {
         let cs = clusters();
-        let mut plan = LayoutPlan::build(&cs, 8, &cfg(), 20, 1 << 20);
+        let mut plan = build(&cs, &cfg(), 1 << 20);
         // 8 DPUs = 4 ranks of 2: force every slice onto >= 2 ranks
         let rep = duplication::ensure_rank_coverage(
             &mut plan.slice_homes,
@@ -389,7 +384,7 @@ mod tests {
     #[test]
     fn split_and_home_swap_keep_the_tables_in_step() {
         let cs = clusters();
-        let mut plan = LayoutPlan::build(&cs, 8, &cfg(), 20, 1 << 20);
+        let mut plan = build(&cs, &cfg(), 1 << 20);
         let si = (0..plan.slices.len())
             .max_by_key(|&i| plan.slices[i].len)
             .unwrap();
@@ -419,10 +414,34 @@ mod tests {
     }
 
     #[test]
+    fn split_threshold_follows_the_price_of_an_lc_rebuild() {
+        // One giant cluster among small ones: how finely it pays to split
+        // the giant depends on what each extra slice's LUT rebuild costs
+        // against the scan it spreads — on `dsub` and on the cost table.
+        let cluster = |id, points| ClusterInfo {
+            id,
+            points,
+            heat: points as f64,
+        };
+        let mut cs = vec![cluster(0, 400_000)];
+        cs.extend((1..64).map(|id| cluster(id, 2_000)));
+        let mut cfg = cfg();
+        (cfg.index.m, cfg.index.cb) = (16, 256);
+        let th1 = |dsub, costs: &IsaCosts| {
+            LayoutPlan::build(&cs, 16, &cfg, 20, u64::MAX / 2, heat(&cfg, dsub, costs)).th1
+        };
+        let (upmem, mac) = (IsaCosts::upmem(), IsaCosts::with_hw_multiplier());
+        // a dsub-2 LUT is cheap to rebuild, so the giant splits finer ...
+        assert!(th1(2, &upmem) < th1(16, &upmem));
+        // ... and so is one built from 2-cycle SQT lookups
+        assert!(th1(8, &mac) < th1(8, &upmem));
+    }
+
+    #[test]
     fn dpu_bytes_respect_budget() {
         let cs = clusters();
         let budget = 200_000u64;
-        let plan = LayoutPlan::build(&cs, 8, &cfg(), 20, budget);
+        let plan = build(&cs, &cfg(), budget);
         for (d, &b) in plan.dpu_bytes(20).iter().enumerate() {
             assert!(b <= budget, "dpu {d} holds {b} > {budget}");
         }

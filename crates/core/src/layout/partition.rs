@@ -53,12 +53,13 @@ pub const SLICE_META_BYTES: u64 = 24;
 /// the paper's iterative procedure ("th1 is set as the size of the smallest
 /// cluster at the beginning and iterates with a dynamic learning rate").
 ///
-/// `lc_equiv_points` is the LC table-build cost expressed in point-scans
-/// (see [`crate::sched::lc_equiv_points`]): every extra slice of a probed
-/// cluster re-runs LC on its DPU, so fine splits trade balance against
-/// duplicated LUT construction — which is why the useful granularity sits
-/// in the 10^4-point range (paper Fig. 14a), not at a few hundred points.
-pub fn search_th1(clusters: &[ClusterInfo], ndpus: usize, lc_equiv_points: f64) -> usize {
+/// `cost_of` is what one probe of a slice of the given length costs its DPU
+/// (the scheduler's heat, [`crate::kernels::GroupCost::heat`]): besides the scan
+/// of its points, every extra slice of a probed cluster re-runs LC, so fine
+/// splits trade balance against duplicated LUT construction — which is why
+/// the useful granularity sits in the 10^4-point range (paper Fig. 14a),
+/// not at a few hundred points.
+pub fn search_th1(clusters: &[ClusterInfo], ndpus: usize, cost_of: impl Fn(usize) -> f64) -> usize {
     let min_size = clusters
         .iter()
         .map(|c| c.points)
@@ -91,12 +92,8 @@ pub fn search_th1(clusters: &[ClusterInfo], ndpus: usize, lc_equiv_points: f64) 
         }
         // Per-probe cost of one slice under *random* (uniform) query
         // distribution — the paper profiles th1 exactly this way; query
-        // skew is duplication's job, not partition's. Every slice pays the
-        // scan of its points plus one LC table build.
-        let weights: Vec<f64> = slices
-            .iter()
-            .map(|s| s.len as f64 + lc_equiv_points)
-            .collect();
+        // skew is duplication's job, not partition's.
+        let weights: Vec<f64> = slices.iter().map(|s| cost_of(s.len)).collect();
         let makespan = lpt_makespan_weights(&weights, ndpus);
         if makespan < best.1 {
             best = (cand, makespan);
@@ -197,7 +194,7 @@ mod tests {
         // the giant so its load can spread
         let mut cs: Vec<ClusterInfo> = (1..32).map(|i| mk(i, 100, 1.0)).collect();
         cs.push(mk(0, 10_000, 100.0));
-        let th1 = search_th1(&cs, 8, 0.0);
+        let th1 = search_th1(&cs, 8, |len| len as f64);
         assert!(th1 < 10_000, "th1 {th1} should split the giant cluster");
         // and the resulting makespan improves over no-split
         let makespan = |th1| {
@@ -211,7 +208,7 @@ mod tests {
     #[test]
     fn search_th1_keeps_uniform_clusters_whole() {
         let cs: Vec<ClusterInfo> = (0..64).map(|i| mk(i, 100, 1.0)).collect();
-        let th1 = search_th1(&cs, 8, 0.0);
+        let th1 = search_th1(&cs, 8, |len| len as f64);
         // uniform small clusters: no benefit from splitting below their size
         assert!(th1 >= 100, "th1 {th1}");
     }

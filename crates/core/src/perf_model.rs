@@ -1,16 +1,28 @@
 //! The analytic ANNS performance model — paper Equations 1–13.
 //!
-//! For each of the five phases the model counts compute operations `C_x` and
-//! memory traffic `IO_x` as closed forms in the index parameters
-//! `(K, P, C, M, CB)`, the dataset shape `(N, Q, D, B_*)` and the platform
-//! `(F, #PE, BW)`, then applies the overlap law
-//! `t_x = max(C_x / (F * #PE), IO_x / BW_x)` (Eq. 12). It serves three
-//! roles, exactly as in the paper:
+//! The paper gives the model three roles and one set of equations. Here
+//! the equations have one executable statement — the DPU kernels' `charge`
+//! functions, bound to a configuration by [`crate::kernels::GroupCost`] —
+//! and each role is a call into it:
 //!
-//! 1. surrogate for the design-space exploration (Section 4);
-//! 2. heat estimator for the runtime scheduler (Section 3.3);
-//! 3. validation target for the simulator (Fig. 11b: the real engine reaches
-//!    71.8–99.9 % of the model's prediction).
+//! 1. **surrogate for the design-space exploration** (Section 4):
+//!    [`predict`], which charges a perfectly balanced DPU's share of the
+//!    batch through [`GroupCost::charge`](crate::kernels::GroupCost::charge)
+//!    and reads phase times off the meter's Eq. 12 overlap law
+//!    `t_x = max(C_x / (F * #PE), IO_x / BW_x)`;
+//! 2. **heat estimator for the runtime scheduler** (Section 3.3):
+//!    [`GroupCost::heat`](crate::kernels::GroupCost::heat), the compute
+//!    cycles those same charges book per task (see [`crate::sched`]);
+//! 3. **validation target for the simulator** (Fig. 11b: the real engine
+//!    reaches 71.8–99.9 % of the model's prediction): [`predict`] again —
+//!    trace mode books its batches with the same method, so what separates
+//!    the two is load imbalance and scheduling, the effects Fig. 11b
+//!    quantifies (`tests/model_vs_sim.rs`).
+//!
+//! [`WorkloadShape`] keeps the paper's platform-neutral counts `C_x` and
+//! `IO_x` (Eq. 1–11) as closed forms in the index parameters
+//! `(K, P, C, M, CB)` and the dataset shape `(N, Q, D, B_*)`: the CPU/GPU
+//! baselines, the roofline (Fig. 2) and the WRAM planner read those.
 //!
 //! Notation note: the paper's Table 2 glosses `N` as "the amount of clusters
 //! on a PU", but Eq. 1 multiplies `Q x N/C`, which only types as *points /
@@ -19,8 +31,12 @@
 //! as `M x dist(D/M)` (cost of `M` sub-distances of dimension `D/M`); the
 //! two agree to within `O(M - D)` out of `~3D` operations.
 
+use crate::config::EngineConfig;
+use crate::kernels::{cl, GroupCost};
+use upmem_sim::meter::{DpuMeter, Phase};
 use upmem_sim::proc::ProcModel;
-use upmem_sim::PimArch;
+use upmem_sim::system::BatchTiming;
+use upmem_sim::{EnergyModel, HostLink, PimArch};
 
 /// Element byte-widths of the paper's Table 2 (`B_c`, `B_q`, ...).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,12 +243,9 @@ pub struct Prediction {
     pub total_s: f64,
     /// Predicted queries per second.
     pub qps: f64,
-    /// Predicted batch energy, joules: closed-form dynamic DPU energy
-    /// (cycles/bytes per phase at the [`upmem_sim::EnergyCosts`]
-    /// coefficients) + transfer + host-busy + static over `total_s`. The
-    /// analytic counterpart of the simulator's metered
-    /// [`upmem_sim::EnergyBreakdown`] — same coefficients, closed-form
-    /// counts — which is what makes it a usable DSE energy surrogate
+    /// Predicted batch energy, joules: [`EnergyModel::breakdown`] of the
+    /// batch's charges — the simulator's own accounting, on the balanced
+    /// machine — which is what makes it a usable DSE energy surrogate
     /// (validated in `tests/model_vs_sim.rs`).
     pub energy_j: f64,
 }
@@ -264,102 +277,66 @@ impl Prediction {
     }
 }
 
-/// Host cluster-locating time as a blocked GEMM: compute follows Eq. 1,
-/// but the centroid table streams once per *batch* (Faiss blocks the
-/// query-centroid distance computation), not once per query.
-pub fn host_cl_time(q: f64, nlist: f64, shape: &WorkloadShape, host: &ProcModel) -> f64 {
-    let ops = q * nlist * (WorkloadShape::dist_ops(shape.d) + (shape.p.log2() - 1.0).max(0.0));
-    let bytes = nlist * shape.d * 4.0
-        + q * shape.d * 4.0
-        + q * (shape.bits.b_l + shape.bits.b_a) * (shape.p.log2() + 1.0);
-    host.time(ops, bytes)
-}
-
 /// The performance model: CL on the host, RC/LC/DC/TS on the PIM, perfectly
-/// balanced across `#PE` DPUs (the *ideal* the layout optimizer approaches).
+/// balanced across `arch.num_dpus` DPUs (the *ideal* the layout optimizer
+/// approaches), for the engine configuration `cfg`.
 ///
-/// `sqt` converts LC multiplies into lookups: the multiply share of
-/// `dist(D/M)` (one per element) is recosted from `mul_cost` cycles to the
-/// calibrated `sqt_lookup` cost plus one `B_l` WRAM read. Per-iteration
-/// pipeline overheads mirror the kernel charges (`dc::GATHER_OVERHEAD_ALU`,
-/// two ALU ops per TS candidate) so that the simulator's deviation from
-/// this model reflects *load imbalance and scheduling*, the effects the
-/// paper's Fig. 11b quantifies, rather than bookkeeping differences.
-pub fn predict(shape: &WorkloadShape, arch: &PimArch, host: &ProcModel, sqt: bool) -> Prediction {
-    let host_s = host_cl_time(shape.q, shape.n_points / shape.c, shape, host);
+/// `shape` is the workload: `Q`, `D`, and the mean scanned cluster
+/// population `C` — which callers may scale when probes favour large
+/// clusters. The batch is `Q x P` groups of one `C`-point slice each; the
+/// charges are linear, so the whole batch is booked into one meter and a
+/// balanced DPU takes `1 / #PE` of each phase's Eq. 12 time. `C` is rounded
+/// to whole points, the model's only round-off.
+pub fn predict(
+    shape: &WorkloadShape,
+    cfg: &EngineConfig,
+    arch: &PimArch,
+    host: &ProcModel,
+) -> Prediction {
+    let ndpus = arch.num_dpus;
+    let nlist = cfg.index.nlist;
+    let host_s = cl::host_cl_time(shape.q as usize, nlist, shape, host);
 
-    let ndpus = arch.num_dpus as f64;
-    let f_total = arch.freq_hz * ndpus * arch.simd_lanes as f64;
-    let bw_total = arch.total_bandwidth();
-    let wram_bw_total = bw_total * arch.wram_amplification;
-    let ecosts = upmem_sim::EnergyCosts::for_arch(arch);
-    let mut dyn_dpu_j = 0.0f64;
+    let placement = crate::wram::plan_for(cfg, arch, shape, nlist.div_ceil(ndpus), ndpus);
+    let cost = GroupCost::new(cfg, arch, &placement, shape.d as usize);
+    let groups = (shape.q * shape.p) as u64;
+    let mut group = DpuMeter::new();
+    cost.charge(&mut group, [shape.c.round() as u64]);
+    let batch = group.scaled(groups);
 
-    let mut pim_phase_s = [0.0f64; 4];
-    let compute = shape.pim_compute();
-    let io = shape.pim_io();
-    for (i, (&c_ops, &io_bytes)) in compute.iter().zip(io.iter()).enumerate() {
-        // phase-specific adjustments
-        let (mut cycles, mut mram_bytes, mut wram_bytes) = (c_ops, io_bytes, 0.0);
-        match i {
-            1 => {
-                // LC: one multiply per element of every distance; mul is
-                // mul_cost cycles natively, `sqt_lookup` cycles + one LUT
-                // read via the SQT.
-                let muls = shape.q * shape.p * shape.cb * shape.d;
-                if sqt {
-                    cycles += muls * (arch.costs.sqt_lookup as f64 - 1.0);
-                    wram_bytes += muls * shape.bits.b_l; // SQT lookups
-                } else {
-                    cycles += muls * (arch.costs.mul as f64 - 1.0);
-                }
-                // codebook + LUT traffic is streaming-ish; keep in MRAM leg
-            }
-            2 => {
-                // DC: per-gather loop overhead, then the gathers themselves
-                // move to WRAM when the LUT fits
-                let gathers = shape.q * shape.p * shape.c * shape.m;
-                cycles += gathers * crate::kernels::dc::GATHER_OVERHEAD_ALU as f64;
-                let lut_bytes = shape.m * shape.cb * shape.bits.b_l;
-                if lut_bytes <= arch.wram_bytes as f64 / 2.0 {
-                    let gathered = gathers * shape.bits.b_l;
-                    wram_bytes += gathered;
-                    mram_bytes -= gathered.min(mram_bytes);
-                }
-            }
-            3 => {
-                // TS: candidate fetch + loop bookkeeping
-                cycles += shape.q * shape.p * shape.c * 2.0;
-            }
-            _ => {}
-        }
-        let t_c = cycles / f_total;
-        let t_io = mram_bytes / bw_total + wram_bytes / wram_bw_total;
-        pim_phase_s[i] = t_c.max(t_io);
-        // dynamic DPU energy of the phase (the closed-form counterpart of
-        // EnergyModel::breakdown; DMA activation energy is folded into the
-        // byte coefficient because the model does not count transfers)
-        dyn_dpu_j += cycles * ecosts.pipeline_j_per_cycle
-            + mram_bytes * ecosts.mram_j_per_byte
-            + wram_bytes * ecosts.wram_j_per_byte;
+    let mut phase_s = batch.phase_times(arch, cfg.tasklets);
+    for t in &mut phase_s {
+        *t /= ndpus as f64;
     }
-
-    let pim_s: f64 = pim_phase_s.iter().sum();
-    let total_s = host_s.max(pim_s);
-    // transfer leg: f32 queries pushed once per probed cluster, id+distance
-    // pairs gathered per result (mirrors the engine's push/gather tallies)
-    let xfer_bytes = shape.q * (shape.p * shape.d * 4.0 + shape.k * 8.0);
-    let static_w = arch.host_base_power_w + ecosts.dimm_static_w * arch.num_dimms() as f64;
-    let energy_j = dyn_dpu_j
-        + xfer_bytes * ecosts.link_j_per_byte
-        + upmem_sim::energy::HOST_ACTIVE_FRACTION * host.power_w * host_s
-        + static_w * total_s;
+    // transfer leg: every group's push, and each query's result list
+    // gathered once (the fewest DPUs a query can touch)
+    let link = HostLink::for_arch(arch);
+    let push_bytes = groups * cost.push_bytes(1);
+    let gather_bytes = shape.q as u64 * cfg.index.k as u64 * 8;
+    let timing = BatchTiming {
+        host_s,
+        dpu_s: vec![phase_s.iter().sum()],
+        push_s: link.time_total(push_bytes),
+        gather_s: link.time_total(gather_bytes),
+        push_bytes,
+        gather_bytes,
+        phase_s,
+    };
+    let total_s = timing.total_s();
+    let energy = EnergyModel::for_arch(arch).breakdown(
+        &batch,
+        &arch.costs,
+        total_s,
+        host_s,
+        host.power_w,
+        push_bytes + gather_bytes,
+    );
     Prediction {
         host_s,
-        pim_phase_s,
+        pim_phase_s: [Phase::Rc, Phase::Lc, Phase::Dc, Phase::Ts].map(|p| phase_s[p.idx()]),
         total_s,
         qps: shape.q / total_s.max(1e-12),
-        energy_j,
+        energy_j: energy.total_j(),
     }
 }
 
@@ -369,15 +346,27 @@ mod tests {
     use crate::config::IndexConfig;
     use upmem_sim::platform::procs;
 
-    fn sift_shape(nlist: usize, nprobe: usize) -> WorkloadShape {
-        let cfg = IndexConfig {
+    fn sift_cfg(nlist: usize, nprobe: usize) -> EngineConfig {
+        EngineConfig::drim(IndexConfig {
             k: 10,
             nprobe,
             nlist,
             m: 16,
             cb: 256,
-        };
-        WorkloadShape::new(100_000_000, 10_000, 128, &cfg, BitWidths::u8_regime())
+        })
+    }
+
+    fn sift_shape(nlist: usize, nprobe: usize) -> WorkloadShape {
+        let index = sift_cfg(nlist, nprobe).index;
+        WorkloadShape::new(100_000_000, 10_000, 128, &index, BitWidths::u8_regime())
+    }
+
+    /// The DRIM configuration (SQT switched as given) on SIFT100M shapes.
+    fn predict_sift(nlist: usize, nprobe: usize, arch: &PimArch, sqt: bool) -> Prediction {
+        let mut cfg = sift_cfg(nlist, nprobe);
+        cfg.sqt = sqt;
+        let host = procs::xeon_silver_4216();
+        predict(&sift_shape(nlist, nprobe), &cfg, arch, &host)
     }
 
     #[test]
@@ -403,9 +392,8 @@ mod tests {
     fn dc_lc_bottleneck_shifts_with_nlist() {
         // Paper Fig. 9: bottleneck moves DC -> LC as nlist grows.
         let arch = PimArch::upmem_sc25();
-        let host = procs::xeon_silver_4216();
-        let small = predict(&sift_shape(1 << 13, 96), &arch, &host, true);
-        let large = predict(&sift_shape(1 << 16, 96), &arch, &host, true);
+        let small = predict_sift(1 << 13, 96, &arch, true);
+        let large = predict_sift(1 << 16, 96, &arch, true);
         // at small nlist DC dominates LC...
         assert!(
             small.pim_phase_s[2] > small.pim_phase_s[1],
@@ -425,10 +413,8 @@ mod tests {
     #[test]
     fn sqt_speeds_up_lc() {
         let arch = PimArch::upmem_sc25();
-        let host = procs::xeon_silver_4216();
-        let shape = sift_shape(1 << 16, 96);
-        let with = predict(&shape, &arch, &host, true);
-        let without = predict(&shape, &arch, &host, false);
+        let with = predict_sift(1 << 16, 96, &arch, true);
+        let without = predict_sift(1 << 16, 96, &arch, false);
         let lc_speedup = without.pim_phase_s[1] / with.pim_phase_s[1];
         // Paper Fig. 11a: ~1.93x LC speedup (far below 32x because the
         // conversion makes LC bandwidth-bound).
@@ -442,9 +428,7 @@ mod tests {
 
     #[test]
     fn rc_and_ts_are_minor_phases() {
-        let arch = PimArch::upmem_sc25();
-        let host = procs::xeon_silver_4216();
-        let p = predict(&sift_shape(1 << 14, 96), &arch, &host, true);
+        let p = predict_sift(1 << 14, 96, &PimArch::upmem_sc25(), true);
         let total = p.pim_s();
         assert!(p.pim_phase_s[0] < 0.1 * total, "RC should be minor");
         // LC + DC dominate (paper Fig. 9)
@@ -453,10 +437,8 @@ mod tests {
 
     #[test]
     fn pim_time_scales_with_dpus() {
-        let host = procs::xeon_silver_4216();
-        let shape = sift_shape(1 << 14, 96);
-        let a16 = predict(&shape, &PimArch::upmem_dimms(16), &host, true);
-        let a32 = predict(&shape, &PimArch::upmem_dimms(32), &host, true);
+        let a16 = predict_sift(1 << 14, 96, &PimArch::upmem_dimms(16), true);
+        let a32 = predict_sift(1 << 14, 96, &PimArch::upmem_dimms(32), true);
         // the PIM leg halves with double the DIMMs; end-to-end QPS can then
         // become host-CL-bound (total = max(host, pim)), so compare PIM legs
         assert!(
@@ -499,9 +481,8 @@ mod tests {
     #[test]
     fn predicted_energy_scales_with_work_and_beats_flat_bound() {
         let arch = PimArch::upmem_sc25();
-        let host = procs::xeon_silver_4216();
-        let small = predict(&sift_shape(1 << 14, 32), &arch, &host, true);
-        let large = predict(&sift_shape(1 << 14, 128), &arch, &host, true);
+        let small = predict_sift(1 << 14, 32, &arch, true);
+        let large = predict_sift(1 << 14, 128, &arch, true);
         // 4x the probes: strictly more energy, less energy-efficient
         assert!(large.energy_j > small.energy_j);
         assert!(small.queries_per_joule(10_000.0) > large.queries_per_joule(10_000.0));

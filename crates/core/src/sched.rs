@@ -2,12 +2,31 @@
 //!
 //! Per batch, every (query, slice) pair the cluster-locating phase produced
 //! becomes a task. The greedy scheduler assigns each task to the coldest
-//! DPU holding a copy of that slice, where "heat" is the predicted latency
-//! accumulated on the DPU (Equations 1-12 with per-DPU live values). Tasks
-//! that would push a DPU beyond `(1 + th3) x` the mean heat are postponed to
-//! the next batch, bounding the long tail.
+//! DPU holding a copy of that slice. Tasks that would push a DPU beyond
+//! `(1 + th3) x` the mean heat are postponed to the next batch, bounding
+//! the long tail.
+//!
+//! A task's heat is the compute cycles the kernels will book for it on its
+//! DPU, at the DPU clock: the dispatch loop takes it from the batch's
+//! [`GroupCost::heat`] — the kernels' own `charge` functions under the
+//! configuration in force — as does the layout's split-threshold search,
+//! and [`task_cost_s`] is the same evaluation for a caller that holds only
+//! index parameters (the benchmark's scheduler probe).
+//!
+//! Known limits, both set by [`task_cost_s`]'s signature, which
+//! `benchmark/` imports and which carries one slice length, no `PimArch`
+//! and no WRAM placement. Heat is compute-only: a configuration whose
+//! phases are bound by MRAM traffic (the buffers-off ablation) is weighed
+//! by its cycles all the same. And a caller of [`task_cost_s`] pays for
+//! the heat rates on every call (five unit charges, ~70 ns) where the
+//! dispatch loop derives them once per batch. Lifting either needs the
+//! benchmark's probe to change first.
 
+use crate::config::DataBits;
+use crate::kernels::{square_cost, GroupCost};
 use crate::layout::LayoutPlan;
+use crate::wram::WramPlacement;
+use upmem_sim::tasklet::LockPolicy;
 
 /// One unit of schedulable work: scan `slice` for `query`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,7 +35,7 @@ pub struct Task {
     pub query: u32,
     /// Canonical slice index into [`LayoutPlan::slices`].
     pub slice: usize,
-    /// Predicted DPU latency of the scan (seconds; from the perf model).
+    /// Predicted DPU seconds of the scan (see [`task_cost_s`]).
     pub cost: f64,
 }
 
@@ -184,11 +203,13 @@ fn schedule_greedy(
     }
 }
 
-/// Predicted DPU seconds for one (query, slice) task — the scheduler's
+/// DPU seconds of compute for one (query, slice) task — the scheduler's
 /// heat unit ("estimated by the latency calculated by Equation 1-12" with
-/// live values). Mirrors the kernel charge structure: an LC table build of
-/// `cb x m x dsub` elements at the lookup (or multiply) cost, plus the
-/// DC/TS per-point pipeline work.
+/// live values): [`GroupCost::heat`] for the index shape and cost table
+/// given, at the DRIM defaults the arguments cannot express — 8-bit
+/// operands over `m * dsub` dimensions, a WRAM-resident SQT and the
+/// forwarding lock. (The burst and the empty placement decide bytes, which
+/// heat never reads.)
 #[allow(clippy::too_many_arguments)]
 pub fn task_cost_s(
     slice_len: usize,
@@ -200,33 +221,20 @@ pub fn task_cost_s(
     costs: &upmem_sim::IsaCosts,
     freq_hz: f64,
 ) -> f64 {
-    let square = if sqt { costs.sqt_lookup } else { costs.mul };
-    let lc_cycles = (cb * m * dsub) as u64 * (square + 2 * costs.add);
-    let per_point = m as u64 * (crate::kernels::dc::GATHER_OVERHEAD_ALU + costs.add)
-        + (k.max(2) as f64).log2() as u64
-        + 3;
-    let cycles = lc_cycles + slice_len as u64 * per_point;
-    cycles as f64 / freq_hz
-}
-
-/// How many point-scans one LC table build is worth — the quantity that
-/// makes cluster splitting expensive: every extra slice of a probed cluster
-/// re-runs LC on whichever DPU received it (unless co-located). Used by the
-/// partition threshold search.
-pub fn lc_equiv_points(
-    m: usize,
-    cb: usize,
-    dsub: usize,
-    k: usize,
-    sqt: bool,
-    costs: &upmem_sim::IsaCosts,
-) -> f64 {
-    let square = if sqt { costs.sqt_lookup } else { costs.mul };
-    let lc_cycles = (cb * m * dsub) as u64 * (square + 2 * costs.add);
-    let per_point = m as u64 * (crate::kernels::dc::GATHER_OVERHEAD_ALU + costs.add)
-        + (k.max(2) as f64).log2() as u64
-        + 3;
-    lc_cycles as f64 / per_point as f64
+    let cost = GroupCost {
+        costs: costs.clone(),
+        dma_burst: 8,
+        bits: DataBits::B8,
+        placement: &WramPlacement::none(),
+        d: (m * dsub) as u64,
+        m,
+        cb,
+        dsub,
+        k,
+        square: square_cost(sqt, DataBits::B8, true),
+        lock_policy: LockPolicy::Forwarding,
+    };
+    cost.heat()(slice_len) as f64 / freq_hz
 }
 
 /// Build the task list for a batch given per-query probed clusters.
@@ -297,7 +305,10 @@ mod tests {
             cb: 16,
         });
         cfg.duplication = dup;
-        let plan = LayoutPlan::build(&clusters, ndpus, &cfg, 8, 1 << 20);
+        let costs = upmem_sim::IsaCosts::upmem();
+        let plan = LayoutPlan::build(&clusters, ndpus, &cfg, 8, 1 << 20, |len| {
+            task_cost_s(len, 4, 16, 8, 10, true, &costs, 1.0)
+        });
         (clusters, plan)
     }
 

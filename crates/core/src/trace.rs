@@ -8,26 +8,26 @@
 //! require vector payloads. Trace mode samples cluster sizes from a Zipf
 //! partition (k-means over natural data is uneven), samples each query's
 //! probed clusters from a Zipf heat law, and charges the DPU meters through
-//! the same closed-form `charge` functions the functional kernels use —
-//! unit tests in [`crate::kernels`] pin the two to produce identical totals.
+//! [`GroupCost::charge`] — the closed-form `charge` functions the
+//! functional kernels book themselves with (`tests/charge_parity.rs` pins
+//! the two to identical totals).
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::dispatch::{self, DpuOutput};
-use crate::kernels::{cl, dc, lc, rc, ts, KernelCtx};
+use crate::kernels::{cl, GroupCost};
 use crate::layout::{ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
 use crate::sched::Task;
-use crate::sqt::Sqt;
-use crate::wram::{plan as wram_plan, WramPlacement};
+use crate::wram::WramPlacement;
 use datasets::zipf::{zipf_partition, Discrete};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use upmem_sim::fault::{FaultConfig, FaultInjector};
-use upmem_sim::meter::{DpuMeter, Phase};
+use upmem_sim::meter::DpuMeter;
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
-use upmem_sim::tasklet::{LockPolicy, LockStats};
+use upmem_sim::tasklet::LockStats;
 use upmem_sim::PimArch;
 
 /// Statistical description of a full-scale workload.
@@ -83,8 +83,6 @@ pub struct TraceRunner {
     pub shape: WorkloadShape,
     /// Probe distribution over clusters (size-proportional x Zipf boost).
     probe_sampler: Discrete,
-    /// PQ sub-vector dimension.
-    dsub: usize,
 }
 
 impl TraceRunner {
@@ -144,11 +142,6 @@ impl TraceRunner {
         let dsub = spec.dim.div_ceil(cfg.index.m);
         let codebook_bytes = (cfg.index.m * cfg.index.cb * dsub) as u64;
         let mram_budget = arch.mram_bytes.saturating_sub(codebook_bytes);
-        let layout = LayoutPlan::build(&clusters, ndpus, &cfg, bytes_per_point, mram_budget);
-
-        let mut system = PimSystem::new(arch.clone(), ndpus);
-        system.tasklets = cfg.tasklets;
-
         let shape = WorkloadShape::new(
             spec.n_points,
             spec.batch,
@@ -156,17 +149,22 @@ impl TraceRunner {
             &cfg.index,
             BitWidths::u8_regime(),
         );
-        let placement = if cfg.wram_buffers {
-            let sqt_bytes = Sqt::for_bits_windowed(cfg.bits, cfg.sqt_window).wram_bytes();
-            let local = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
-            let capacity = arch.wram_bytes.saturating_sub(cfg.tasklets as u64 * 1024);
-            wram_plan(
-                &crate::wram::standard_candidates(&shape, sqt_bytes, local, ndpus),
-                capacity,
-            )
-        } else {
-            WramPlacement::none()
-        };
+        let heat = GroupCost::layout_heat(&cfg, &arch, &shape, ndpus);
+        let slice_cost = |len| heat(len) as f64;
+        let layout = LayoutPlan::build(
+            &clusters,
+            ndpus,
+            &cfg,
+            bytes_per_point,
+            mram_budget,
+            slice_cost,
+        );
+
+        let mut system = PimSystem::new(arch.clone(), ndpus);
+        system.tasklets = cfg.tasklets;
+
+        let local = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
+        let placement = crate::wram::plan_for(&cfg, &arch, &shape, local, ndpus);
 
         TraceRunner {
             cfg,
@@ -177,7 +175,6 @@ impl TraceRunner {
             host: upmem_sim::platform::procs::xeon_silver_4216(),
             shape,
             probe_sampler,
-            dsub,
         }
     }
 
@@ -230,36 +227,10 @@ impl TraceRunner {
             &self.host,
         );
 
-        let k = self.cfg.index.k;
-        let m = self.cfg.index.m;
-        let cb = self.cfg.index.cb;
-        let dsub = self.dsub;
-        let d = self.spec.dim as u64;
-        // a per-batch copy of the cost table: the dispatch loop mutates
-        // `self.system` while the charge closure runs
-        let costs = self.system.arch.costs.clone();
-        let ctx = KernelCtx {
-            costs: &costs,
-            // random accesses pay the burst x the PrIM-style derate
-            dma_burst: self.system.arch.dma_burst_bytes * self.system.arch.mram_random_penalty,
-            bits: self.cfg.bits,
-            placement: &self.placement,
-        };
-        let square = if self.cfg.sqt {
-            let resident = self.placement.is_resident("sqt");
-            lc::SquareCost::SqtLookup {
-                wram_hit_rate: match (self.cfg.bits, resident) {
-                    (_, false) => 0.0, // spilled entirely (Fig. 12b ablation)
-                    (crate::config::DataBits::B8, true) => 1.0,
-                    // 16-bit: the WRAM window absorbs most lookups because
-                    // residuals are small (paper Section 3.1)
-                    (crate::config::DataBits::B16, true) => 0.9,
-                },
-            }
-        } else {
-            lc::SquareCost::Multiply
-        };
-        let lock_policy = self.cfg.lock_policy;
+        // owns its cost table: the dispatch loop mutates `self.system`
+        // while the charge closure runs
+        let cost = GroupCost::new(&self.cfg, &self.system.arch, &self.placement, self.spec.dim);
+        let k = self.cfg.index.k as u64;
         let layout = &self.layout;
 
         // Per-DPU charge function: one wave's tasks -> meter, lock stats and
@@ -273,37 +244,11 @@ impl TraceRunner {
             let mut queries_seen = std::collections::HashSet::new();
             for group in crate::sched::group_tasks(tasks, layout, &mut order) {
                 queries_seen.insert(group[0].0);
-                push_bytes += d * 4 + 8 * group.len() as u64;
-                rc::charge(&ctx, meter.phase_mut(Phase::Rc), d);
-                lc::charge(&ctx, meter.phase_mut(Phase::Lc), m, cb, dsub, square);
-                for &(_, _, si) in group {
-                    let n = layout.slices[si].len as u64;
-                    dc::charge(&ctx, meter.phase_mut(Phase::Dc), n, m, cb);
-                    let (locked, retained) = match lock_policy {
-                        LockPolicy::LockAlways => (n, ts::expected_updates(n, k)),
-                        LockPolicy::Forwarding => {
-                            let u = ts::expected_updates(n, k);
-                            (u, u)
-                        }
-                    };
-                    ts::charge(
-                        &ctx,
-                        meter.phase_mut(Phase::Ts),
-                        n,
-                        k,
-                        lock_policy,
-                        locked,
-                        retained,
-                    );
-                    match lock_policy {
-                        LockPolicy::LockAlways => lock.locked_updates += n,
-                        LockPolicy::Forwarding => {
-                            let u = ts::expected_updates(n, k);
-                            lock.locked_updates += u;
-                            lock.pruned += n - u.min(n);
-                        }
-                    }
-                }
+                push_bytes += cost.push_bytes(group.len());
+                let lens = group.iter().map(|&(_, _, si)| layout.slices[si].len as u64);
+                let s = cost.charge(&mut meter, lens);
+                lock.locked_updates += s.locked_updates;
+                lock.pruned += s.pruned;
             }
             DpuOutput {
                 results: Vec::new(),
@@ -311,7 +256,7 @@ impl TraceRunner {
                 lock,
                 sqt_hits: (0, 0),
                 push_bytes,
-                gather_bytes: queries_seen.len() as u64 * k as u64 * 8,
+                gather_bytes: queries_seen.len() as u64 * k * 8,
                 tombstone_filtered: 0,
                 checksum: 0,
             }
@@ -325,7 +270,7 @@ impl TraceRunner {
                 cfg: &self.cfg,
                 layout,
                 host: &self.host,
-                dsub,
+                cost: &cost,
                 fault_batch: batch_seed,
             },
             charge_tasks,

@@ -140,6 +140,27 @@ pub fn standard_candidates(
     ]
 }
 
+/// The WRAM plan of one DPU under `cfg` on `arch`: the greedy [`plan`] over
+/// the [`standard_candidates`], with the configured SQT window and 1 KiB of
+/// stack per tasklet held back — or nothing resident with buffers off.
+pub fn plan_for(
+    cfg: &crate::config::EngineConfig,
+    arch: &upmem_sim::PimArch,
+    shape: &WorkloadShape,
+    local_clusters: usize,
+    ndpus: usize,
+) -> WramPlacement {
+    if !cfg.wram_buffers {
+        return WramPlacement::none();
+    }
+    let sqt_bytes = Sqt::for_bits_windowed(cfg.bits, cfg.sqt_window).wram_bytes();
+    let capacity = arch.wram_bytes.saturating_sub(cfg.tasklets as u64 * 1024);
+    plan(
+        &standard_candidates(shape, sqt_bytes, local_clusters, ndpus),
+        capacity,
+    )
+}
+
 /// Co-optimize the 16-bit SQT WRAM window with the buffer planner: among
 /// `windows` (candidate entry counts, any order), pick the **largest**
 /// window whose greedy placement still

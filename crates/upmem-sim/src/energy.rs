@@ -268,6 +268,8 @@ mod tests {
     use super::*;
     use crate::isa::IsaCosts;
 
+    const ISA: IsaCosts = IsaCosts::upmem();
+
     fn model() -> EnergyModel {
         EnergyModel::for_arch(&PimArch::upmem_sc25())
     }
@@ -316,7 +318,7 @@ mod tests {
         let e = model();
         let isa = IsaCosts::upmem();
         let mut agg = DpuMeter::new();
-        agg.phase_mut(Phase::Lc).charge_add(1_234_567);
+        agg.phase_mut(Phase::Lc).charge_add_c(1_234_567, &ISA);
         agg.phase_mut(Phase::Lc).mram_stream_read(98_765);
         agg.phase_mut(Phase::Dc).wram_read_bytes(55_555);
         agg.phase_mut(Phase::Ts).lock_n(321);
@@ -358,7 +360,8 @@ mod tests {
         let mut agg = DpuMeter::new();
         for _ in 0..4 {
             let mut one = DpuMeter::new();
-            one.phase_mut(Phase::Dc).charge_add(arch.freq_hz as u64);
+            one.phase_mut(Phase::Dc)
+                .charge_add_c(arch.freq_hz as u64, &ISA);
             one.phase_mut(Phase::Dc)
                 .mram_stream_read(arch.mram_bw_per_dpu as u64);
             agg.merge(&one);
@@ -377,8 +380,8 @@ mod tests {
         let e = model();
         let isa = IsaCosts::upmem();
         let mut agg = DpuMeter::new();
-        agg.phase_mut(Phase::Dc).charge_add(3_000_000);
-        agg.phase_mut(Phase::Lc).charge_add(1_000_000);
+        agg.phase_mut(Phase::Dc).charge_add_c(3_000_000, &ISA);
+        agg.phase_mut(Phase::Lc).charge_add_c(1_000_000, &ISA);
         let b = e.breakdown(&agg, &isa, 0.001, 0.0, 0.0, 0);
         assert!(b.phase_fraction(Phase::Dc) > b.phase_fraction(Phase::Lc));
         assert!((b.phase_fraction(Phase::Dc) - 0.75).abs() < 1e-9);
@@ -390,9 +393,9 @@ mod tests {
         let e = model();
         let isa = IsaCosts::upmem();
         let mut a = DpuMeter::new();
-        a.phase_mut(Phase::Ts).charge_add(1000);
+        a.phase_mut(Phase::Ts).charge_add_c(1000, &ISA);
         let mut b = DpuMeter::new();
-        b.phase_mut(Phase::Ts).charge_add(1000);
+        b.phase_mut(Phase::Ts).charge_add_c(1000, &ISA);
         b.phase_mut(Phase::Ts).lock_n(100);
         let ea = e.breakdown(&a, &isa, 0.0, 0.0, 0.0, 0);
         let eb = e.breakdown(&b, &isa, 0.0, 0.0, 0.0, 0);

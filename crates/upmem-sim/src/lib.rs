@@ -36,10 +36,11 @@
 //! use upmem_sim::{PimArch, system::PimSystem, meter::Phase};
 //!
 //! let arch = PimArch::upmem_sc25();
+//! let costs = arch.costs.clone();
 //! let mut sys = PimSystem::new(arch, 4); // 4 DPUs for the example
 //! // run a toy kernel on DPU 0: 1000 additions + 1 KiB streamed from MRAM
 //! let dpu = &mut sys.dpus[0];
-//! dpu.meter.phase_mut(Phase::Dc).charge_add(1000);
+//! dpu.meter.phase_mut(Phase::Dc).charge_add_c(1000, &costs);
 //! dpu.meter.phase_mut(Phase::Dc).mram_stream_read(1024);
 //! let t = sys.dpu_time(0, 16);
 //! assert!(t > 0.0);
@@ -57,7 +58,6 @@ pub mod proc;
 pub mod stats;
 pub mod system;
 pub mod tasklet;
-pub mod timeline;
 
 pub use config::{PimArch, SimConfigError};
 pub use energy::{EnergyBreakdown, EnergyCosts, EnergyModel};

@@ -95,6 +95,19 @@ impl PhaseMeter {
         self.lock_acquires += other.lock_acquires;
     }
 
+    /// This meter's counters `n` times over — `n` merges of it.
+    pub fn scaled(&self, n: u64) -> PhaseMeter {
+        PhaseMeter {
+            cycles: self.cycles * n,
+            mram_read: self.mram_read * n,
+            mram_write: self.mram_write * n,
+            wram_read: self.wram_read * n,
+            wram_write: self.wram_write * n,
+            mram_transfers: self.mram_transfers * n,
+            lock_acquires: self.lock_acquires * n,
+        }
+    }
+
     /// Total MRAM traffic in bytes.
     #[inline]
     pub fn mram_bytes(&self) -> u64 {
@@ -184,6 +197,13 @@ impl DpuMeter {
         }
     }
 
+    /// Every phase `n` times over — the meter of `n` identical work items.
+    pub fn scaled(&self, n: u64) -> DpuMeter {
+        DpuMeter {
+            phases: self.phases.map(|p| p.scaled(n)),
+        }
+    }
+
     /// Sum of all phases into one meter.
     pub fn total(&self) -> PhaseMeter {
         let mut t = PhaseMeter::default();
@@ -216,12 +236,6 @@ impl DpuMeter {
 /// the operations they model.
 impl PhaseMeter {
     /// Charge `n` additions/subtractions.
-    #[inline]
-    pub fn charge_add(&mut self, n: u64) {
-        self.cycles += n; // add cost folded: callers use arch-independent 1:1
-    }
-
-    /// Charge `n` additions with an explicit cost table.
     #[inline]
     pub fn charge_add_c(&mut self, n: u64, costs: &crate::isa::IsaCosts) {
         self.cycles += n * costs.add;
@@ -285,7 +299,7 @@ impl PhaseMeter {
         self.mram_transfers += n_transfers;
     }
 
-    /// Acquire the shared-state lock `n` times (bulk form of [`Self::lock`]).
+    /// Acquire the shared-state lock `n` times.
     #[inline]
     pub fn lock_n(&mut self, n: u64) {
         self.lock_acquires += n;
@@ -302,17 +316,14 @@ impl PhaseMeter {
     pub fn wram_write_bytes(&mut self, bytes: u64) {
         self.wram_write += bytes;
     }
-
-    /// Acquire the shared-state lock once.
-    #[inline]
-    pub fn lock(&mut self) {
-        self.lock_acquires += 1;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::IsaCosts;
+
+    const ISA: IsaCosts = IsaCosts::upmem();
 
     fn arch() -> PimArch {
         PimArch::upmem_sc25()
@@ -332,7 +343,7 @@ mod tests {
     fn compute_bound_phase_time() {
         let a = arch();
         let mut m = PhaseMeter::default();
-        m.charge_add(350_000_000); // exactly one second of adds at 1 IPC
+        m.charge_add_c(350_000_000, &ISA); // exactly one second of adds at 1 IPC
         let t = m.time(&a, 16);
         assert!((t - 1.0).abs() < 1e-9, "t = {t}");
     }
@@ -350,7 +361,7 @@ mod tests {
     fn overlap_takes_max_not_sum() {
         let a = arch();
         let mut m = PhaseMeter::default();
-        m.charge_add(350_000_000); // one second of adds at 350 MHz
+        m.charge_add_c(350_000_000, &ISA); // one second of adds at 350 MHz
         m.mram_stream_read(a.mram_bw_per_dpu as u64); // one second of IO
         let t = m.time(&a, 16);
         assert!((t - 1.0).abs() < 1e-3, "t = {t}");
@@ -360,7 +371,7 @@ mod tests {
     fn few_tasklets_slow_compute() {
         let a = arch();
         let mut m = PhaseMeter::default();
-        m.charge_add(1_000_000);
+        m.charge_add_c(1_000_000, &ISA);
         let t1 = m.time(&a, 1);
         let t11 = m.time(&a, 11);
         assert!(t1 > 10.0 * t11, "t1={t1} t11={t11}");
@@ -394,10 +405,10 @@ mod tests {
     fn lock_acquires_add_compute_time() {
         let a = arch();
         let mut m = PhaseMeter::default();
-        m.charge_add(1000);
+        m.charge_add_c(1000, &ISA);
         let t0 = m.time(&a, 16);
         for _ in 0..1000 {
-            m.lock();
+            m.lock_n(1);
         }
         let t1 = m.time(&a, 16);
         assert!(t1 > t0);
@@ -407,8 +418,8 @@ mod tests {
     fn dpu_meter_sums_phases() {
         let a = arch();
         let mut m = DpuMeter::new();
-        m.phase_mut(Phase::Lc).charge_add(350_000_000);
-        m.phase_mut(Phase::Dc).charge_add(350_000_000);
+        m.phase_mut(Phase::Lc).charge_add_c(350_000_000, &ISA);
+        m.phase_mut(Phase::Dc).charge_add_c(350_000_000, &ISA);
         let t = m.time(&a, 16);
         assert!((t - 2.0).abs() < 1e-9);
         let times = m.phase_times(&a, 16);
@@ -420,9 +431,9 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = DpuMeter::new();
-        a.phase_mut(Phase::Dc).charge_add(10);
+        a.phase_mut(Phase::Dc).charge_add_c(10, &ISA);
         let mut b = DpuMeter::new();
-        b.phase_mut(Phase::Dc).charge_add(5);
+        b.phase_mut(Phase::Dc).charge_add_c(5, &ISA);
         b.phase_mut(Phase::Dc).mram_stream_read(64);
         a.merge(&b);
         assert_eq!(a.phase(Phase::Dc).cycles, 15);
@@ -433,7 +444,7 @@ mod tests {
     fn c2io_reports_ratio() {
         let mut m = PhaseMeter::default();
         assert!(m.c2io().is_none());
-        m.charge_add(100);
+        m.charge_add_c(100, &ISA);
         m.mram_stream_read(50);
         assert_eq!(m.c2io(), Some(2.0));
     }
@@ -441,7 +452,7 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let mut m = DpuMeter::new();
-        m.phase_mut(Phase::Ts).lock();
+        m.phase_mut(Phase::Ts).lock_n(1);
         m.reset();
         assert_eq!(m.total(), PhaseMeter::default());
     }

@@ -1,5 +1,5 @@
-//! Whole-system assembly: a set of DPUs plus the host link, and the batch
-//! execution timeline.
+//! Whole-system assembly: a set of DPUs plus the host link, and the timing
+//! of one batch ([`BatchTiming::total_s`], also a batch stream's period).
 //!
 //! DRIM-ANN's execution model (paper Fig. 4): per batch, the host runs
 //! cluster locating and pushes tasks; all DPUs are triggered synchronously
@@ -306,7 +306,10 @@ impl PimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::IsaCosts;
     use crate::meter::Phase;
+
+    const ISA: IsaCosts = IsaCosts::upmem();
 
     fn small_sys() -> PimSystem {
         PimSystem::new(PimArch::upmem_sc25(), 4)
@@ -318,7 +321,7 @@ mod tests {
         sys.dpus[2]
             .meter
             .phase_mut(Phase::Dc)
-            .charge_add(350_000_000); // 1 s on DPU 2
+            .charge_add_c(350_000_000, &ISA); // 1 s on DPU 2
         let t = sys.batch_timing(0.5, 0, 0);
         assert!((t.pim_s() - 1.0).abs() < 1e-9);
         assert!(t.total_s() >= 1.0);
@@ -331,9 +334,12 @@ mod tests {
     fn imbalance_detected() {
         let mut sys = small_sys();
         for d in &mut sys.dpus {
-            d.meter.phase_mut(Phase::Dc).charge_add(1_000_000);
+            d.meter.phase_mut(Phase::Dc).charge_add_c(1_000_000, &ISA);
         }
-        sys.dpus[0].meter.phase_mut(Phase::Dc).charge_add(3_000_000);
+        sys.dpus[0]
+            .meter
+            .phase_mut(Phase::Dc)
+            .charge_add_c(3_000_000, &ISA);
         let t = sys.batch_timing(0.0, 0, 0);
         assert!(t.imbalance() > 1.5, "imbalance {}", t.imbalance());
         assert!(t.dpu_utilization() < 0.7);
@@ -343,7 +349,7 @@ mod tests {
     fn balanced_system_has_unit_imbalance() {
         let mut sys = small_sys();
         for d in &mut sys.dpus {
-            d.meter.phase_mut(Phase::Lc).charge_add(42_000);
+            d.meter.phase_mut(Phase::Lc).charge_add_c(42_000, &ISA);
         }
         let t = sys.batch_timing(0.0, 0, 0);
         assert!((t.imbalance() - 1.0).abs() < 1e-9);
@@ -353,7 +359,10 @@ mod tests {
     #[test]
     fn transfers_add_to_pim_side() {
         let mut sys = small_sys();
-        sys.dpus[0].meter.phase_mut(Phase::Dc).charge_add(1000);
+        sys.dpus[0]
+            .meter
+            .phase_mut(Phase::Dc)
+            .charge_add_c(1000, &ISA);
         let t0 = sys.batch_timing(0.0, 0, 0);
         let t1 = sys.batch_timing(0.0, 1 << 20, 1 << 16);
         assert!(t1.total_s() > t0.total_s());
@@ -363,7 +372,10 @@ mod tests {
     #[test]
     fn reset_meters_clears_times() {
         let mut sys = small_sys();
-        sys.dpus[1].meter.phase_mut(Phase::Ts).charge_add(1000);
+        sys.dpus[1]
+            .meter
+            .phase_mut(Phase::Ts)
+            .charge_add_c(1000, &ISA);
         sys.reset_meters();
         let t = sys.batch_timing(0.0, 0, 0);
         assert_eq!(t.pim_s(), 0.0);
@@ -375,11 +387,11 @@ mod tests {
         sys.dpus[1]
             .meter
             .phase_mut(Phase::Lc)
-            .charge_add(350_000_000);
+            .charge_add_c(350_000_000, &ISA);
         sys.dpus[2]
             .meter
             .phase_mut(Phase::Dc)
-            .charge_add(35_000_000);
+            .charge_add_c(35_000_000, &ISA);
         let t = sys.batch_timing(0.0, 0, 0);
         // DPU 1 is critical; its breakdown is all LC.
         assert!(t.phase_s[Phase::Lc.idx()] > 0.9);
@@ -400,7 +412,7 @@ mod tests {
         sys.dpus[0]
             .meter
             .phase_mut(Phase::Dc)
-            .charge_add(10_000_000);
+            .charge_add_c(10_000_000, &ISA);
         let t = sys.batch_timing(0.001, 1 << 16, 1 << 12);
         let e = sys.batch_energy(&t, 100.0);
         assert!(e.dpu_pipeline_j > 0.0);
@@ -420,7 +432,7 @@ mod tests {
     fn slowdown_and_cap_reshape_the_barrier() {
         let mut sys = small_sys();
         for d in &mut sys.dpus {
-            d.meter.phase_mut(Phase::Dc).charge_add(350_000_000); // ~1 s each
+            d.meter.phase_mut(Phase::Dc).charge_add_c(350_000_000, &ISA); // ~1 s each
         }
         let base = sys.batch_timing(0.0, 0, 0);
         assert!((base.pim_s() - 1.0).abs() < 1e-6);
@@ -438,7 +450,7 @@ mod tests {
         let t = sys.batch_timing(0.0, 0, 0);
         assert_eq!(t.pim_s(), 0.0);
         for d in &mut sys.dpus {
-            d.meter.phase_mut(Phase::Dc).charge_add(1000);
+            d.meter.phase_mut(Phase::Dc).charge_add_c(1000, &ISA);
         }
         let clean = sys.batch_timing(0.0, 0, 0);
         assert!((clean.imbalance() - 1.0).abs() < 1e-9);
@@ -472,7 +484,7 @@ mod tests {
     fn aggregate_meter_merges_all() {
         let mut sys = small_sys();
         for d in &mut sys.dpus {
-            d.meter.phase_mut(Phase::Rc).charge_add(10);
+            d.meter.phase_mut(Phase::Rc).charge_add_c(10, &ISA);
         }
         let agg = sys.aggregate_meter();
         assert_eq!(agg.phase(Phase::Rc).cycles, 40);

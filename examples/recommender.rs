@@ -39,7 +39,7 @@ fn main() {
         let dimms = ((payload as f64 * 1.25) / (128.0 * 64.0 * 1024.0 * 1024.0)).ceil() as usize;
         let arch = PimArch::upmem_dimms(dimms.max(8));
         let shape = WorkloadShape::new(n_items, 10_000, 96, &index, BitWidths::u8_regime());
-        let p = predict(&shape, &arch, &host, true);
+        let p = predict(&shape, &EngineConfig::drim(index), &arch, &host);
         let raw = n_items * 96;
         println!(
             "{:>12} {:>9}M {:>12} {:>14.0} {:>12}",

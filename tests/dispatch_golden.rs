@@ -1,13 +1,18 @@
 //! Golden pins for the batch dispatch loop.
 //!
-//! Every hash below was recorded at the commit *before* the three dispatch
+//! The hashes were first recorded at the commit *before* the three dispatch
 //! loops (clean engine, recovering engine, trace mode) were merged into
-//! `drim_ann`'s single `dispatch` module, so the pins compare the merged
-//! loop against its predecessors rather than against itself. Each one
-//! digests the full Debug text of the results and the `BatchReport`
-//! (timing, energy, `FaultStats`), which is the bit-identity the parity
-//! suites promise. Re-record only for a change that is *meant* to move
-//! results or accounting: print the left-hand side of the failing assert.
+//! `drim_ann`'s single `dispatch` module, so that the merged loop was
+//! compared against its predecessors rather than against itself. They were
+//! re-recorded once since, when the scheduler's heat became the compute
+//! cycles the kernels' `charge` functions book (it had been a hand-written
+//! estimate that left out RC, the lock and forwarded TS): with the old
+//! estimate put back into that tree's dispatch loop, every old hash still
+//! reproduced. Each one digests the full Debug text of the results and the
+//! `BatchReport` (timing, energy, `FaultStats`), which is the bit-identity
+//! the parity suites promise. Re-record only for a change that is *meant*
+//! to move results or accounting: print the left-hand side of the failing
+//! assert.
 
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
@@ -88,10 +93,10 @@ fn engine_batches_match_the_pre_merge_loops() {
     assert_eq!(
         got,
         [
-            0x389C_8DD1_6D2E_2CBD,
-            0xF21C_AB75_2E87_D821,
-            0x1D3B_A526_519D_435C,
-            0x97E0_AC39_ABFA_3C5D,
+            0x14E3_EDDC_307A_CC7F,
+            0xA67C_65F5_0F31_0BF7,
+            0x072E_DE77_4B9C_5B0B,
+            0x117F_99DE_4001_07AD,
         ]
     );
 }
@@ -126,5 +131,5 @@ fn trace_batches_match_the_pre_merge_loop() {
     assert!(faulty.fault.active());
     // no injector, uniform 12% faults
     let got = [format!("{clean:?}"), format!("{faulty:?}")].map(|t| digest(&t));
-    assert_eq!(got, [0x5ACC_0590_8F43_91BE, 0x851A_B6A2_9ADC_AF7F]);
+    assert_eq!(got, [0x22A9_6A5B_968A_370E, 0xABB7_5C0D_3977_477F]);
 }

@@ -152,9 +152,9 @@ fn dse_beats_the_default_config_on_throughput() {
             &default_cfg,
             BitWidths::u8_regime(),
         ),
+        &drim_ann::config::EngineConfig::drim(default_cfg),
         &PimArch::upmem_sc25(),
         &procs::xeon_silver_4216(),
-        true,
     )
     .qps;
     assert!(proxy.eval(&res.best) >= 0.8);

@@ -1,19 +1,57 @@
 //! Simulator-vs-analytic-model agreement (the property paper Fig. 11b
 //! validates: the real engine achieves 71.8–99.9 % of the model's
 //! prediction).
+//!
+//! `predict` and trace mode book work through the same
+//! `kernels::GroupCost::charge`, so in the uniform regime what separates
+//! them is what the model leaves out on purpose: the scheduler's residual
+//! imbalance and the result lists a query gathers from more than one DPU.
 
 use drim_ann::config::{EngineConfig, IndexConfig};
-use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
+use drim_ann::perf_model::{predict, BitWidths, Prediction, WorkloadShape};
 use drim_ann::trace::{TraceRunner, TraceSpec};
 use upmem_sim::platform::procs;
 use upmem_sim::PimArch;
 
+/// The model rounds the mean cluster population `C` to whole points while
+/// the trace scans integer-sized clusters around it: half a point in the
+/// smallest `C` used here (2,441) bounds how far the "ideal" can sit below
+/// a perfectly balanced run.
+const C_ROUND_OFF: f64 = 0.5 / 2441.0;
+
+/// The paper's floor on actual / predicted throughput (Fig. 11b).
+const PAPER_FLOOR: f64 = 0.70;
+
+fn sift_index(nprobe: usize, nlist: usize) -> IndexConfig {
+    IndexConfig {
+        k: 10,
+        nprobe,
+        nlist,
+        m: 16,
+        cb: 256,
+    }
+}
+
+/// The model's prediction and a trace runner for the DRIM configuration of
+/// `index` — one machine of `ndpus` DPUs, described to both.
+///
 /// Uniform cluster sizes and heat: the regime where the perfectly-balanced
 /// analytic model and the simulator should coincide. (Skewed regimes
 /// intentionally diverge — that gap *is* the load-imbalance signal the
 /// paper's optimizations close; see `tests/load_balance.rs`.)
-fn spec(n: u64, dim: usize, batch: usize) -> TraceSpec {
-    TraceSpec {
+fn model_and_sim(
+    index: IndexConfig,
+    n: u64,
+    dim: usize,
+    batch: usize,
+    ndpus: usize,
+) -> (Prediction, TraceRunner) {
+    let mut arch = PimArch::upmem_sc25();
+    arch.num_dpus = ndpus;
+    let cfg = EngineConfig::drim(index);
+    let shape = WorkloadShape::new(n, batch, dim, &index, BitWidths::u8_regime());
+    let model = predict(&shape, &cfg, &arch, &procs::xeon_silver_4216());
+    let spec = TraceSpec {
         name: "model-vs-sim".into(),
         n_points: n,
         dim,
@@ -21,40 +59,23 @@ fn spec(n: u64, dim: usize, batch: usize) -> TraceSpec {
         cluster_size_zipf: 0.0,
         heat_zipf: 0.0,
         seed: 99,
-    }
+    };
+    (model, TraceRunner::build(spec, cfg, arch, ndpus))
 }
 
 #[test]
 fn trace_qps_tracks_model_prediction() {
-    // the model must describe the same machine the trace instantiates
-    let mut arch = PimArch::upmem_sc25();
-    arch.num_dpus = 512;
-    let host = procs::xeon_silver_4216();
     for nlist in [1usize << 10, 1 << 12] {
-        let index = IndexConfig {
-            k: 10,
-            nprobe: 32,
-            nlist,
-            m: 16,
-            cb: 256,
-        };
-        let shape = WorkloadShape::new(10_000_000, 512, 128, &index, BitWidths::u8_regime());
-        let ideal = predict(&shape, &arch, &host, true).qps;
-
-        let mut runner = TraceRunner::build(
-            spec(10_000_000, 128, 512),
-            EngineConfig::drim(index),
-            arch.clone(),
-            512,
-        );
+        let (model, mut runner) = model_and_sim(sift_index(32, nlist), 10_000_000, 128, 512, 512);
         let actual = runner.mean_qps(2);
-        let ratio = actual / ideal;
-        // the model is an *ideal* (perfect balance, no overheads): the
-        // simulator must come in below it but within the paper's band,
-        // widened for our reduced-scale run
+        let ratio = actual / model.qps;
+        // the model is an *ideal* (perfect balance, fewest gathers): the
+        // simulator comes in below it, within the paper's band (measured:
+        // 0.966 and 0.964)
         assert!(
-            (0.25..=1.6).contains(&ratio),
-            "nlist {nlist}: actual {actual:.0} / ideal {ideal:.0} = {ratio:.2}"
+            (PAPER_FLOOR..=1.0 + C_ROUND_OFF).contains(&ratio),
+            "nlist {nlist}: actual {actual:.0} / ideal {:.0} = {ratio:.4}",
+            model.qps
         );
     }
 }
@@ -64,78 +85,49 @@ fn model_and_sim_agree_on_sweep_direction() {
     // if the model says nprobe=128 is slower than nprobe=32, the simulator
     // must agree (and vice versa) — directional consistency is what makes
     // the model a usable DSE surrogate
-    let arch = PimArch::upmem_sc25();
-    let host = procs::xeon_silver_4216();
     let qps_pair = |nprobe: usize| {
-        let index = IndexConfig {
-            k: 10,
-            nprobe,
-            nlist: 1 << 10,
-            m: 16,
-            cb: 256,
-        };
-        let shape = WorkloadShape::new(5_000_000, 256, 96, &index, BitWidths::u8_regime());
-        let model = predict(&shape, &arch, &host, true).qps;
-        let mut runner = TraceRunner::build(
-            spec(5_000_000, 96, 256),
-            EngineConfig::drim(index),
-            arch.clone(),
-            256,
-        );
-        (model, runner.mean_qps(1))
+        let (model, mut runner) =
+            model_and_sim(sift_index(nprobe, 1 << 10), 5_000_000, 96, 256, 256);
+        (model.qps, runner.mean_qps(1))
     };
     let (m32, s32) = qps_pair(32);
     let (m128, s128) = qps_pair(128);
     assert!(m32 > m128, "model: fewer probes must be faster");
     assert!(s32 > s128, "sim: fewer probes must be faster");
-    // and the *magnitude* of the slowdown should be comparable (within 2x)
+    // and the *magnitude* of the slowdown should be comparable (measured:
+    // 4.00x in the model, 3.91x in the simulator)
     let model_ratio = m32 / m128;
     let sim_ratio = s32 / s128;
     assert!(
-        (model_ratio / sim_ratio) < 2.0 && (sim_ratio / model_ratio) < 2.0,
+        (model_ratio / sim_ratio) < 1.05 && (sim_ratio / model_ratio) < 1.05,
         "model ratio {model_ratio:.2} vs sim ratio {sim_ratio:.2}"
     );
 }
 
 #[test]
 fn model_energy_tracks_metered_energy() {
-    // The analytic Prediction::energy_j uses the same EnergyCosts
-    // coefficients as the simulator's metered breakdown, with closed-form
-    // counts instead of charged counters. In the uniform regime the two
+    // Prediction::energy_j is the simulator's own EnergyModel::breakdown
+    // over the balanced machine's charges. In the uniform regime the two
     // must agree within a small band, and both must order a probe sweep
     // the same way — that consistency is what makes the analytic estimate
     // a usable surrogate for the energy-aware DSE objectives.
-    let mut arch = PimArch::upmem_sc25();
-    arch.num_dpus = 512;
-    let host = procs::xeon_silver_4216();
     let pair = |nprobe: usize| {
-        let index = IndexConfig {
-            k: 10,
-            nprobe,
-            nlist: 1 << 12,
-            m: 16,
-            cb: 256,
-        };
-        let shape = WorkloadShape::new(10_000_000, 512, 128, &index, BitWidths::u8_regime());
-        let model = predict(&shape, &arch, &host, true);
-        let mut runner = TraceRunner::build(
-            spec(10_000_000, 128, 512),
-            EngineConfig::drim(index),
-            arch.clone(),
-            512,
-        );
-        let rep = runner.run_batch(1);
-        (model, rep)
+        let (model, mut runner) =
+            model_and_sim(sift_index(nprobe, 1 << 12), 10_000_000, 128, 512, 512);
+        (model, runner.run_batch(1))
     };
     let (m32, s32) = pair(32);
     let (m96, s96) = pair(96);
+    let arch = PimArch::upmem_sc25();
     for (m, s, label) in [(&m32, &s32, "nprobe=32"), (&m96, &s96, "nprobe=96")] {
         let ratio = s.energy_j / m.energy_j;
         // the model is an ideal (perfect balance); imbalance stretches the
-        // simulated batch and with it the static-energy window, so the
-        // simulator lands above the model but within a modest band
+        // simulated batch and with it the static-energy window — nearly all
+        // of the energy at this scale — so the simulator lands above the
+        // model by about what it loses in throughput (measured: 1.035 and
+        // 1.017, beside 1 / 0.964 = 1.037)
         assert!(
-            (0.5..=3.0).contains(&ratio),
+            (1.0 - C_ROUND_OFF..=1.05).contains(&ratio),
             "{label}: sim {:.1} J / model {:.1} J = {ratio:.2}",
             s.energy_j,
             m.energy_j
@@ -162,21 +154,8 @@ fn model_energy_tracks_metered_energy() {
 fn c2io_predicts_which_phase_dominates() {
     // the model's DC-vs-LC bottleneck shift with nlist (paper Fig. 9) must
     // appear in the simulator's phase breakdown
-    let arch = PimArch::upmem_sc25();
     let report_for = |nlist: usize| {
-        let index = IndexConfig {
-            k: 10,
-            nprobe: 32,
-            nlist,
-            m: 16,
-            cb: 256,
-        };
-        let mut runner = TraceRunner::build(
-            spec(10_000_000, 128, 256),
-            EngineConfig::drim(index),
-            arch.clone(),
-            256,
-        );
+        let (_, mut runner) = model_and_sim(sift_index(32, nlist), 10_000_000, 128, 256, 256);
         runner.run_batch(1)
     };
     use drim_ann::Phase;

@@ -44,7 +44,7 @@ proptest! {
                            duplication in any::<bool>()) {
         let total_points: usize = clusters.iter().map(|c| c.points).sum();
         let budget = ((total_points * 8 / ndpus) as u64 + 4096) * 2;
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(partition, duplication), 8, budget);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(partition, duplication), 8, budget, |len| len as f64);
         prop_assert!(plan.validate(&clusters).is_ok(), "{:?}", plan.validate(&clusters));
         // duplicates never exceed one copy per DPU
         for homes in &plan.slice_homes {
@@ -59,7 +59,7 @@ proptest! {
                               ndpus in 1usize..16,
                               nq in 1usize..20,
                               th3 in prop::option::of(0.01f64..2.0)) {
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
         let probes: Vec<Vec<u32>> = (0..nq)
             .map(|q| {
                 let a = (q % clusters.len()) as u32;
