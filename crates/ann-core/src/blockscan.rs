@@ -48,9 +48,10 @@
 //! pure function of the *input*, never of the execution environment:
 //!
 //! * **Block cuts** are a pure function of the caller's query range
-//!   (fixed [`BLOCK`]-row steps from the range start), and chunk
-//!   geometry in any parallel region above the driver is a pure function
-//!   of input length (the rayon shim's contract) — so splitting a query
+//!   (fixed [`BLOCK`]-row steps from the range start), and the task
+//!   ranges of any parallel region above the driver are a pure function
+//!   of input length (callers cut them; the pool only maps task
+//!   indices) — so splitting a query
 //!   set across tasks cannot move a query to a different block phase.
 //! * **Per-element GEMM accumulation is strictly ascending-k**
 //!   (`linalg`'s contract), so a cross term's bits do not depend on the

@@ -1,10 +1,9 @@
 //! Exact (brute-force) nearest-neighbor search, used for ground truth and
-//! recall measurement. Parallelized over queries with rayon.
+//! recall measurement. Parallelized over queries on the host pool.
 
 use crate::kernels::l2_sq_f32;
 use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
-use rayon::prelude::*;
 
 /// Exact top-k of `query` against every vector in `data`.
 pub fn exact_search(query: &[f32], data: &VecSet<f32>, k: usize) -> Vec<Neighbor> {
@@ -21,10 +20,7 @@ pub fn exact_search_batch(
     data: &VecSet<f32>,
     k: usize,
 ) -> Vec<Vec<Neighbor>> {
-    (0..queries.len())
-        .into_par_iter()
-        .map(|qi| exact_search(queries.get(qi), data, k))
-        .collect()
+    rayon::par_map(queries.len(), |qi| exact_search(queries.get(qi), data, k))
 }
 
 /// Ground-truth id lists (`queries.len() x k`).

@@ -328,10 +328,6 @@ impl IvfPqIndex {
         out
     }
 
-    /// Queries per [`Self::locate_batch`] GEMM block (the shared driver's
-    /// fixed block width, matching the engine's CL query block).
-    pub const LOCATE_BLOCK: usize = crate::blockscan::BLOCK;
-
     /// Full search: returns the `k` nearest neighbors by ADC distance.
     ///
     /// LUTs for all probed (non-empty) clusters of the query are built in

@@ -10,7 +10,6 @@ use crate::kernels::{self, l2_sq_f32};
 use crate::vector::VecSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// k-means configuration.
 #[derive(Debug, Clone)]
@@ -213,30 +212,27 @@ fn assign_partials(
     let dim = data.dim();
     let chunk = data.len().div_ceil(LLOYD_CHUNKS).max(1);
     let nchunks = data.len().div_ceil(chunk);
-    (0..nchunks)
-        .into_par_iter()
-        .map(|ci| {
-            let s = ci * chunk;
-            let e = (s + chunk).min(data.len());
-            let mut part = AssignPartial {
-                assign: Vec::with_capacity(e - s),
-                sums: vec![0.0f64; k * dim],
-                counts: vec![0usize; k],
-                inertia: 0.0,
-            };
-            assign_range_gemm(data, s, e, centroids, cnorms, &mut part.assign);
-            for (off, &(a, d)) in part.assign.iter().enumerate() {
-                let v = data.get(s + off);
-                part.inertia += d as f64;
-                part.counts[a as usize] += 1;
-                let row = &mut part.sums[a as usize * dim..(a as usize + 1) * dim];
-                for (sm, &x) in row.iter_mut().zip(v.iter()) {
-                    *sm += x as f64;
-                }
+    rayon::par_map(nchunks, |ci| {
+        let s = ci * chunk;
+        let e = (s + chunk).min(data.len());
+        let mut part = AssignPartial {
+            assign: Vec::with_capacity(e - s),
+            sums: vec![0.0f64; k * dim],
+            counts: vec![0usize; k],
+            inertia: 0.0,
+        };
+        assign_range_gemm(data, s, e, centroids, cnorms, &mut part.assign);
+        for (off, &(a, d)) in part.assign.iter().enumerate() {
+            let v = data.get(s + off);
+            part.inertia += d as f64;
+            part.counts[a as usize] += 1;
+            let row = &mut part.sums[a as usize * dim..(a as usize + 1) * dim];
+            for (sm, &x) in row.iter_mut().zip(v.iter()) {
+                *sm += x as f64;
             }
-            part
-        })
-        .collect()
+        }
+        part
+    })
 }
 
 /// Points per GEMM block of the blocked assignment path (the shared
@@ -287,27 +283,14 @@ pub fn assign(data: &VecSet<f32>, centroids: &VecSet<f32>) -> Vec<u32> {
     let cnorms = kernels::row_norms_f32(centroids.as_flat(), centroids.dim());
     let task_points = 32 * ASSIGN_BLOCK;
     let ntasks = data.len().div_ceil(task_points);
-    (0..ntasks)
-        .into_par_iter()
-        .flat_map_iter(|t| {
-            let lo = t * task_points;
-            let hi = (lo + task_points).min(data.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            assign_range_gemm(data, lo, hi, centroids, &cnorms, &mut out);
-            out.into_iter().map(|(a, _)| a)
-        })
-        .collect()
-}
-
-/// Nearest centroid index + squared distance.
-///
-/// Computes centroid norms on the fly; callers that hold a centroid set
-/// across many lookups should cache [`kernels::row_norms_f32`] once and use
-/// [`nearest_centroid_with_norms`] instead.
-#[inline]
-pub fn nearest_centroid(v: &[f32], centroids: &VecSet<f32>) -> (u32, f32) {
-    let cnorms = kernels::row_norms_f32(centroids.as_flat(), centroids.dim());
-    nearest_centroid_with_norms(v, centroids, &cnorms)
+    let per_task = rayon::par_map(ntasks, |t| {
+        let lo = t * task_points;
+        let hi = (lo + task_points).min(data.len());
+        let mut out = Vec::with_capacity(hi - lo);
+        assign_range_gemm(data, lo, hi, centroids, &cnorms, &mut out);
+        out
+    });
+    per_task.iter().flatten().map(|&(a, _)| a).collect()
 }
 
 /// Nearest centroid via the `‖q‖² − 2·q·c + ‖c‖²` decomposition with cached
@@ -323,6 +306,9 @@ pub fn nearest_centroid_with_norms(
     (i as u32, d)
 }
 
+/// Points per parallel task of the seeding's nearest-seed update.
+const SEED_CHUNK: usize = 1024;
+
 /// k-means++ seeding: first centroid uniform, then D²-weighted sampling.
 fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> {
     let dim = data.dim();
@@ -331,10 +317,7 @@ fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> 
     let first = rng.gen_range(0..n);
     centroids.push(data.get(first));
 
-    let mut d2: Vec<f32> = (0..n)
-        .into_par_iter()
-        .map(|i| l2_sq_f32(data.get(i), centroids.get(0)))
-        .collect();
+    let mut d2: Vec<f32> = rayon::par_map(n, |i| l2_sq_f32(data.get(i), centroids.get(0)));
 
     for _ in 1..k {
         let total: f64 = d2.iter().map(|&d| d as f64).sum();
@@ -354,10 +337,12 @@ fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> 
         };
         centroids.push(data.get(choice));
         let new_c = centroids.len() - 1;
-        d2.par_iter_mut().enumerate().for_each(|(i, d)| {
-            let nd = l2_sq_f32(data.get(i), centroids.get(new_c));
-            if nd < *d {
-                *d = nd;
+        rayon::par_chunks_mut(&mut d2, SEED_CHUNK, |c, chunk| {
+            for (o, d) in chunk.iter_mut().enumerate() {
+                let nd = l2_sq_f32(data.get(c * SEED_CHUNK + o), centroids.get(new_c));
+                if nd < *d {
+                    *d = nd;
+                }
             }
         });
     }
@@ -454,8 +439,9 @@ mod tests {
         let data = blobs();
         let res = kmeans(&data, &KMeansParams::new(3).iters(8));
         let assigned = assign(&data, &res.centroids);
+        let cnorms = kernels::row_norms_f32(res.centroids.as_flat(), res.centroids.dim());
         for (i, &a) in assigned.iter().enumerate() {
-            let (c, _) = nearest_centroid(data.get(i), &res.centroids);
+            let (c, _) = nearest_centroid_with_norms(data.get(i), &res.centroids, &cnorms);
             assert_eq!(a, c);
         }
     }

@@ -41,9 +41,6 @@
 //! stripe runs the identical serial kernel, so the product is
 //! **bit-identical at any thread count** (pinned by `parallel_parity` and
 //! `driver_parity` at 1/2/4/8 threads).
-//!
-//! The pre-existing i-k-j loop is kept as [`Matrix::matmul_naive`]: it is
-//! the parity reference for tests.
 
 /// Dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,28 +122,6 @@ impl Matrix {
         self.view().matmul(&other.view())
     }
 
-    /// Reference i-k-j product (the pre-tiling implementation). Kept as the
-    /// parity baseline for tests; use [`Self::matmul`] everywhere else.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// Apply to a vector: `y = self * x`.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(self.cols, x.len());
@@ -154,34 +129,6 @@ impl Matrix {
             .chunks_exact(self.cols)
             .map(|row| row.iter().zip(x.iter()).map(|(&a, &b)| a * b).sum())
             .collect()
-    }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Max |off-diagonal Gram entry| / |diagonal|: 0 for orthogonal columns.
-    /// Diagnostic used by tests and by callers validating learned rotations.
-    pub fn column_orthogonality_defect(&self) -> f32 {
-        let mut worst = 0.0f32;
-        for i in 0..self.cols {
-            for j in (i + 1)..self.cols {
-                let (mut dij, mut dii, mut djj) = (0.0f32, 0.0f32, 0.0f32);
-                for r in 0..self.rows {
-                    let a = self.get(r, i);
-                    let b = self.get(r, j);
-                    dij += a * b;
-                    dii += a * a;
-                    djj += b * b;
-                }
-                let denom = (dii * djj).sqrt();
-                if denom > 0.0 {
-                    worst = worst.max(dij.abs() / denom);
-                }
-            }
-        }
-        worst
     }
 }
 
@@ -302,7 +249,6 @@ impl<'a> MatrixView<'a> {
             self.matmul_t_into(other, out, ldc);
             return;
         }
-        use rayon::prelude::*;
         // out rows are contiguous, so a GEMM_PAR_M_TILE-row stripe of the
         // product owns an exclusive `tile * ldc` sub-slice of `out` (the
         // last stripe is whatever remains, possibly short of a full row
@@ -310,19 +256,16 @@ impl<'a> MatrixView<'a> {
         // Trimming to the touched extent keeps the chunk count equal to the
         // stripe count even when the caller's buffer is oversized.
         let touched = (self.rows - 1) * ldc + n;
-        out[..touched]
-            .par_chunks_mut(GEMM_PAR_M_TILE * ldc)
-            .enumerate()
-            .for_each(|(t, chunk)| {
-                let i0 = t * GEMM_PAR_M_TILE;
-                let rows = GEMM_PAR_M_TILE.min(self.rows - i0);
-                let stripe = MatrixView::new(
-                    rows,
-                    self.cols,
-                    &self.data[i0 * self.cols..(i0 + rows) * self.cols],
-                );
-                stripe.matmul_t_into(other, chunk, ldc);
-            });
+        rayon::par_chunks_mut(&mut out[..touched], GEMM_PAR_M_TILE * ldc, |t, chunk| {
+            let i0 = t * GEMM_PAR_M_TILE;
+            let rows = GEMM_PAR_M_TILE.min(self.rows - i0);
+            let stripe = MatrixView::new(
+                rows,
+                self.cols,
+                &self.data[i0 * self.cols..(i0 + rows) * self.cols],
+            );
+            stripe.matmul_t_into(other, chunk, ldc);
+        });
     }
 }
 
@@ -706,7 +649,29 @@ mod tests {
         let b = Matrix::from_rows(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
         assert_eq!(c.data, vec![19.0, 22.0, 43.0, 50.0]);
-        assert_eq!(a.matmul_naive(&b).data, c.data);
+        assert_eq!(matmul_naive(&a, &b).data, c.data);
+    }
+
+    /// Reference i-k-j product (the pre-tiling implementation): the parity
+    /// baseline for the tiled GEMM.
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a.data[i * a.cols + k];
+                if x == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, &y) in out_row.iter_mut().zip(brow.iter()) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
     }
 
     /// Deterministic pseudo-random matrix.
@@ -732,7 +697,7 @@ mod tests {
         let abs = |m: &Matrix| {
             Matrix::from_rows(m.rows, m.cols, m.data.iter().map(|x| x.abs()).collect())
         };
-        let scale = abs(a).matmul_naive(&abs(b));
+        let scale = matmul_naive(&abs(a), &abs(b));
         for i in 0..got.data.len() {
             let s = scale.data[i].max(1.0);
             assert!(
@@ -762,7 +727,7 @@ mod tests {
             let a = prand_matrix(m, k, 11 + si as u64);
             let b = prand_matrix(k, n, 97 + si as u64);
             let tiled = a.matmul(&b);
-            let naive = a.matmul_naive(&b);
+            let naive = matmul_naive(&a, &b);
             assert_products_close(&a, &b, &tiled, &naive);
         }
     }

@@ -68,6 +68,12 @@ pub fn save<W: Write>(idx: &IvfPqIndex, mut w: W) -> io::Result<()> {
 }
 
 /// Deserialize an index from a reader.
+///
+/// The header is untrusted: section sizes are computed with checked
+/// arithmetic and bodies are read through [`Read::take`], so memory grows
+/// only with bytes actually present — a short or hostile stream is an
+/// `Err` (`UnexpectedEof` / `InvalidData`), never a panic or an
+/// allocation the input did not pay for.
 pub fn load<R: Read>(mut r: R) -> io::Result<IvfPqIndex> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -85,39 +91,32 @@ pub fn load<R: Read>(mut r: R) -> io::Result<IvfPqIndex> {
     let mut variant_byte = [0u8; 1];
     r.read_exact(&mut variant_byte)?;
     let dsub = get_u32(&mut r)? as usize;
-    if dim == 0 || nlist == 0 || m == 0 || cb < 2 || dsub == 0 {
+    if dim == 0 || nlist == 0 || m == 0 || cb < 2 || dsub != dim.div_ceil(m) {
         return Err(bad("implausible header"));
     }
 
-    let coarse = VecSet::from_flat(dim, get_f32s(&mut r, nlist * dim)?);
-    let codebooks = get_f32s(&mut r, m * cb * dsub)?;
+    let coarse = VecSet::from_flat(dim, get_le(&mut r, &[nlist, dim], f32::from_le_bytes)?);
+    let codebooks = get_le(&mut r, &[m, cb, dsub], f32::from_le_bytes)?;
     let pq = ProductQuantizer::from_codebooks(dim, m, cb, codebooks);
 
     let (variant, quant) = match variant_byte[0] {
         0 => (PqVariant::Pq, PqModel::Plain(pq)),
         1 => {
-            let rot = Matrix::from_rows(dim, dim, get_f32s(&mut r, dim * dim)?);
+            let rot = Matrix::from_rows(dim, dim, get_le(&mut r, &[dim, dim], f32::from_le_bytes)?);
             (PqVariant::Opq, PqModel::Rotated(Opq { rotation: rot, pq }))
         }
         2 => (PqVariant::Dpq, PqModel::Refined(crate::dpq::Dpq { pq })),
         other => return Err(bad(&format!("unknown variant tag {other}"))),
     };
 
-    let mut lists = Vec::with_capacity(nlist);
-    for _ in 0..nlist {
-        let len = get_u32(&mut r)? as usize;
-        let mut ids = Vec::with_capacity(len);
-        for _ in 0..len {
-            ids.push(get_u32(&mut r)?);
-        }
-        let mut codes = Vec::with_capacity(len * m);
-        let mut buf = [0u8; 2];
-        for _ in 0..len * m {
-            r.read_exact(&mut buf)?;
-            codes.push(u16::from_le_bytes(buf));
-        }
-        lists.push(IvfList { ids, codes });
-    }
+    let lists = (0..nlist)
+        .map(|_| {
+            let len = get_u32(&mut r)? as usize;
+            let ids = get_le(&mut r, &[len], u32::from_le_bytes)?;
+            let codes = get_le(&mut r, &[len, m], u16::from_le_bytes)?;
+            Ok(IvfList { ids, codes })
+        })
+        .collect::<io::Result<Vec<_>>>()?;
 
     // derived, not serialized: rebuild the cached centroid norms
     let coarse_norms = crate::kernels::row_norms_f32(coarse.as_flat(), dim);
@@ -141,12 +140,24 @@ fn get_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
-fn get_f32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
+/// Read `shape.iter().product()` little-endian `N`-byte elements.
+fn get_le<R: Read, T, const N: usize>(
+    r: &mut R,
+    shape: &[usize],
+    from_le: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let nbytes = shape
+        .iter()
+        .try_fold(N, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| bad("section size overflows"))?;
+    let mut bytes = Vec::new();
+    r.take(nbytes as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != nbytes {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .chunks_exact(N)
+        .map(|b| from_le(b.try_into().expect("chunks_exact yields N bytes")))
         .collect())
 }
 
@@ -225,6 +236,106 @@ mod tests {
         save(&idx, &mut truncated).unwrap();
         truncated.truncate(truncated.len() / 2);
         assert!(load(&truncated[..]).is_err());
+    }
+
+    /// Offsets of a saved blob's section boundaries: header end, coarse,
+    /// codebooks, [rotation], then each list's length / ids / codes.
+    fn section_boundaries(idx: &IvfPqIndex) -> Vec<usize> {
+        let (dim, m) = (idx.dim, idx.params.m);
+        let pq = idx.quant.pq();
+        let mut cuts = vec![4, 8, 29];
+        let mut at = 29;
+        let mut advance = |bytes: usize| {
+            at += bytes;
+            cuts.push(at);
+        };
+        advance(idx.params.nlist * dim * 4);
+        advance(pq.codebooks_flat().len() * 4);
+        if matches!(idx.quant, PqModel::Rotated(_)) {
+            advance(dim * dim * 4);
+        }
+        for list in &idx.lists {
+            advance(4);
+            advance(list.ids.len() * 4);
+            advance(list.ids.len() * m * 2);
+        }
+        cuts
+    }
+
+    #[test]
+    fn truncation_at_every_section_boundary_is_an_error() {
+        let data = toy_data(60, 4, 5);
+        for variant in [PqVariant::Pq, PqVariant::Opq] {
+            let idx = IvfPqIndex::build(&data, &IvfPqParams::new(3).m(2).cb(4).variant(variant));
+            let mut buf = Vec::new();
+            save(&idx, &mut buf).unwrap();
+            let cuts = section_boundaries(&idx);
+            assert_eq!(
+                *cuts.last().unwrap(),
+                buf.len(),
+                "boundaries cover the blob"
+            );
+            assert!(load(&buf[..]).is_ok());
+            for cut in cuts.into_iter().filter(|&c| c < buf.len()) {
+                for at in [cut.saturating_sub(1), cut, cut + 1] {
+                    let err = load(&buf[..at.min(buf.len() - 1)]).err();
+                    let kind = err.map(|e| e.kind());
+                    assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof), "cut at {at}");
+                }
+            }
+        }
+    }
+
+    /// A 29-byte header with the given `dim, nlist, m, cb, dsub`.
+    fn header(dim: u32, nlist: u32, m: u32, cb: u32, variant: u8, dsub: u32) -> Vec<u8> {
+        let mut h = MAGIC.to_vec();
+        for x in [VERSION, dim, nlist, m, cb] {
+            h.extend_from_slice(&x.to_le_bytes());
+        }
+        h.push(variant);
+        h.extend_from_slice(&dsub.to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn header_claiming_a_huge_index_is_an_error_not_an_allocation() {
+        // nlist * dim * 4 overflows 64 bits; the smaller shapes would be
+        // 16 GiB .. 64 EiB allocations if the header were believed
+        for (dim, nlist, m, cb) in [
+            (u32::MAX, u32::MAX, 1, 2),
+            (u32::MAX, u32::MAX, u32::MAX, u32::MAX),
+            (1, u32::MAX, 1, 2),
+            (8, 4, 4, u32::MAX),
+        ] {
+            for variant in [0, 1, 2] {
+                let dsub = dim.div_ceil(m);
+                let mut blob = header(dim, nlist, m, cb, variant, dsub);
+                assert!(
+                    load(&blob[..]).is_err(),
+                    "bare header {dim} {nlist} {m} {cb}"
+                );
+                blob.extend_from_slice(&[0u8; 64]);
+                assert!(
+                    load(&blob[..]).is_err(),
+                    "header + tail {dim} {nlist} {m} {cb}"
+                );
+            }
+        }
+        // a dsub that contradicts dim / m is rejected before any body read
+        assert!(load(&header(8, 4, 4, 16, 0, 3)[..]).is_err());
+    }
+
+    #[test]
+    fn list_length_beyond_the_stream_is_an_error_not_an_allocation() {
+        // valid header + coarse + codebooks, then a list claiming
+        // u32::MAX entries over a 10-byte tail
+        let (dim, nlist, m, cb) = (2u32, 1u32, 2u32, 2u32);
+        let mut blob = header(dim, nlist, m, cb, 0, 1);
+        blob.extend_from_slice(&vec![0u8; ((nlist * dim + m * cb) * 4) as usize]);
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.extend_from_slice(&[7u8; 10]);
+        let kind = load(&blob[..]).err().map(|e| e.kind());
+        assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof));
     }
 
     #[test]

@@ -115,16 +115,6 @@ impl ProductQuantizer {
         }
     }
 
-    /// Recompute the cached codeword norms of every subspace.
-    pub fn refresh_codebook_norms(&mut self) {
-        self.cb_norms = crate::kernels::row_norms_f32(&self.codebooks, self.dsub);
-    }
-
-    /// Cached squared codeword norms, `m * cb` flat (subspace-major).
-    pub fn codebook_norms(&self) -> &[f32] {
-        &self.cb_norms
-    }
-
     /// Codebook of subspace `s`: `cb * dsub` flat.
     #[inline]
     pub fn codebook(&self, s: usize) -> &[f32] {
@@ -159,11 +149,6 @@ impl ProductQuantizer {
         }
     }
 
-    /// Bytes of one encoded vector.
-    pub fn encoded_bytes(&self) -> usize {
-        self.m * self.code_bytes()
-    }
-
     /// Encode one vector into `m` codeword indices.
     ///
     /// Nearest-codeword distances use the blocked *exact* row kernel
@@ -187,15 +172,6 @@ impl ProductQuantizer {
             code.push(best.0);
         }
         code
-    }
-
-    /// Encode a whole set; returns `n * m` codes flat.
-    pub fn encode_set(&self, data: &VecSet<f32>) -> Vec<u16> {
-        use rayon::prelude::*;
-        (0..data.len())
-            .into_par_iter()
-            .flat_map_iter(|i| self.encode(data.get(i)))
-            .collect()
     }
 
     /// Decode a code back to the reconstructed vector.
@@ -406,21 +382,8 @@ mod tests {
         let data = toy_data(300, 8);
         let small = ProductQuantizer::train(&data, &PqParams::new(4, 16));
         assert_eq!(small.code_bytes(), 1);
-        assert_eq!(small.encoded_bytes(), 4);
         let big = ProductQuantizer::from_codebooks(8, 4, 300, vec![0.0; 4 * 300 * 2]);
         assert_eq!(big.code_bytes(), 2);
-        assert_eq!(big.encoded_bytes(), 8);
-    }
-
-    #[test]
-    fn encode_set_matches_pointwise() {
-        let data = toy_data(50, 8);
-        let pq = ProductQuantizer::train(&data, &PqParams::new(4, 8));
-        let all = pq.encode_set(&data);
-        assert_eq!(all.len(), 50 * 4);
-        for i in [0usize, 17, 49] {
-            assert_eq!(&all[i * 4..(i + 1) * 4], pq.encode(data.get(i)).as_slice());
-        }
     }
 
     #[test]

@@ -54,18 +54,6 @@ impl ScalarQuantizer {
         self.lo + self.scale * q as f32
     }
 
-    /// Quantize a whole set to `u8` (requires `levels <= 256`).
-    pub fn quantize_u8(&self, data: &VecSet<f32>) -> VecSet<u8> {
-        assert!(self.levels <= 256);
-        VecSet::from_flat(
-            data.dim(),
-            data.as_flat()
-                .iter()
-                .map(|&x| self.encode(x) as u8)
-                .collect(),
-        )
-    }
-
     /// Worst-case absolute reconstruction error (half a step).
     pub fn max_error(&self) -> f32 {
         self.scale / 2.0
@@ -110,17 +98,5 @@ mod tests {
         let q = ScalarQuantizer::fit_u8(&data);
         let code = q.encode(5.0);
         assert!((q.decode(code) - 5.0).abs() <= q.max_error() + 1e-6);
-    }
-
-    #[test]
-    fn quantize_set_shapes() {
-        let data = ramp();
-        let q = ScalarQuantizer::fit_u8(&data);
-        let u8s = q.quantize_u8(&data);
-        assert_eq!(u8s.dim(), data.dim());
-        assert_eq!(u8s.len(), data.len());
-        for (&code, &x) in u8s.as_flat().iter().zip(data.as_flat()) {
-            assert!((q.decode(code as u32) - x).abs() <= q.max_error() + 1e-5);
-        }
     }
 }

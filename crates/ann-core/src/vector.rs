@@ -8,8 +8,6 @@
 pub trait Scalar: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
     /// Narrow from `f32`, saturating to the representable range.
     fn from_f32(x: f32) -> Self;
-    /// Size of one element in bytes.
-    const BYTES: usize;
 }
 
 impl Scalar for f32 {
@@ -17,7 +15,6 @@ impl Scalar for f32 {
     fn from_f32(x: f32) -> Self {
         x
     }
-    const BYTES: usize = 4;
 }
 
 impl Scalar for u8 {
@@ -25,7 +22,6 @@ impl Scalar for u8 {
     fn from_f32(x: f32) -> Self {
         x.round().clamp(0.0, 255.0) as u8
     }
-    const BYTES: usize = 1;
 }
 
 impl Scalar for i8 {
@@ -33,7 +29,6 @@ impl Scalar for i8 {
     fn from_f32(x: f32) -> Self {
         x.round().clamp(-128.0, 127.0) as i8
     }
-    const BYTES: usize = 1;
 }
 
 impl Scalar for u16 {
@@ -41,7 +36,6 @@ impl Scalar for u16 {
     fn from_f32(x: f32) -> Self {
         x.round().clamp(0.0, 65535.0) as u16
     }
-    const BYTES: usize = 2;
 }
 
 /// A set of `len` vectors of dimension `dim`, stored row-major.
@@ -144,11 +138,6 @@ impl<T: Scalar> VecSet<T> {
         self.data
     }
 
-    /// Bytes occupied by the raw vector data.
-    pub fn nbytes(&self) -> u64 {
-        (self.data.len() * T::BYTES) as u64
-    }
-
     /// Gather a subset of rows into a new set.
     pub fn select(&self, rows: &[usize]) -> VecSet<T> {
         let mut out = VecSet::with_capacity(self.dim, rows.len());
@@ -200,14 +189,6 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn from_flat_rejects_ragged() {
         let _ = VecSet::from_flat(3, vec![1u8, 2, 3, 4]);
-    }
-
-    #[test]
-    fn nbytes_accounts_for_width() {
-        let f = VecSet::from_flat(2, vec![0.0f32; 4]);
-        let b = VecSet::from_flat(2, vec![0u8; 4]);
-        assert_eq!(f.nbytes(), 16);
-        assert_eq!(b.nbytes(), 4);
     }
 
     #[test]

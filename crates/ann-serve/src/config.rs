@@ -84,8 +84,8 @@ pub struct ServeConfig {
     /// The tenant table. Index = tenant id.
     pub tenants: Vec<TenantConfig>,
     /// Host threads the driver uses for each `search_batch` call.
-    /// `None` inherits the process-wide setting (`DRIM_ANN_THREADS` /
-    /// `RAYON_NUM_THREADS`). The rayon shim's thread override is
+    /// `None` inherits the process-wide setting (`DRIM_ANN_THREADS`).
+    /// The pool's thread override is
     /// thread-local, so the driver re-applies this on its own thread —
     /// callers cannot use `rayon::with_num_threads` around `start` and
     /// expect it to propagate.

@@ -72,6 +72,8 @@
 //!
 //! [`DrimEngine::search_batch`]: drim_ann::engine::DrimEngine::search_batch
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod error;

@@ -20,7 +20,6 @@ use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::topk::Neighbor;
 use ann_core::vector::VecSet;
 use drim_ann::perf_model::WorkloadShape;
-use rayon::prelude::*;
 
 /// A real multithreaded IVF-PQ searcher (the functional Faiss-CPU
 /// stand-in).
@@ -55,23 +54,9 @@ impl CpuIvfPq {
         nprobe: usize,
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
-        (0..queries.len())
-            .into_par_iter()
-            .map(|qi| self.index.search(queries.get(qi), nprobe, k))
-            .collect()
-    }
-
-    /// Batch search with wall-clock measurement; returns (results, QPS).
-    pub fn search_batch_timed(
-        &self,
-        queries: &VecSet<f32>,
-        nprobe: usize,
-        k: usize,
-    ) -> (Vec<Vec<Neighbor>>, f64) {
-        let t0 = std::time::Instant::now();
-        let results = self.search_batch(queries, nprobe, k);
-        let dt = t0.elapsed().as_secs_f64();
-        (results, queries.len() as f64 / dt.max(1e-12))
+        rayon::par_map(queries.len(), |qi| {
+            self.index.search(queries.get(qi), nprobe, k)
+        })
     }
 }
 
@@ -286,8 +271,6 @@ mod tests {
         let truth = ann_core::flat::ground_truth(&queries, &data, 10);
         let recall = ann_core::recall::mean_recall(&results, &truth, 10);
         assert!(recall > 0.6, "recall {recall}");
-        let (_, qps) = cpu.search_batch_timed(&queries, 8, 10);
-        assert!(qps > 0.0);
     }
 
     #[test]

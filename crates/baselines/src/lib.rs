@@ -3,7 +3,7 @@
 //! The comparison systems of the DRIM-ANN evaluation:
 //!
 //! * [`cpu`] — the Faiss-CPU baseline, in two forms: a *real* multithreaded
-//!   IVF-PQ scan (rayon) used for correctness/recall parity, and a
+//!   IVF-PQ scan (on the host pool) used for correctness/recall parity, and a
 //!   calibrated roofline timing model of the paper's Xeon Gold 5218 used
 //!   for cross-platform QPS ratios (comparing our laptop's wall clock to a
 //!   simulated PIM would be meaningless — see DESIGN.md);
@@ -13,6 +13,8 @@
 //! * [`memanns`] — reported numbers of the contemporaneous MemANNS system
 //!   (closed source; the paper also compares against its published
 //!   figures, Table 3).
+
+#![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod gpu;

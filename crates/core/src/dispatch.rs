@@ -36,7 +36,6 @@ use crate::recovery::DpuHealth;
 use crate::report::{BatchReport, FaultStats};
 use crate::sched::{self, Policy, Task};
 use ann_core::topk::Neighbor;
-use rayon::prelude::*;
 use upmem_sim::fault::FaultOutcome;
 use upmem_sim::meter::DpuMeter;
 use upmem_sim::proc::ProcModel;
@@ -189,10 +188,10 @@ where
     loop {
         // parallel over DPUs; the ordered collect keeps the fold below
         // deterministic at any host thread count
-        let outputs: Vec<DpuOutput> = wave
-            .par_iter()
-            .map(|(d, wtasks)| exec(Some(*d), wtasks))
-            .collect();
+        let outputs: Vec<DpuOutput> = rayon::par_map(wave.len(), |w| {
+            let (d, wtasks) = &wave[w];
+            exec(Some(*d), wtasks)
+        });
 
         let mut to_recover: Vec<Task> = Vec::new();
         for ((d, wtasks), out) in wave.iter().zip(outputs) {

@@ -28,7 +28,6 @@ use crate::perf_model::WorkloadShape;
 use ann_core::blockscan::{self, TopNWithCharge};
 use ann_core::linalg::MatrixView;
 use ann_core::vector::VecSet;
-use rayon::prelude::*;
 use upmem_sim::proc::ProcModel;
 
 /// Queries per GEMM block (the shared driver's fixed block width). A
@@ -76,22 +75,19 @@ pub fn run(
     // to the range split, so the parallel cut is invisible) and reports the
     // rows it scanned for the host-time charge.
     let nblocks = queries.len().div_ceil(QUERY_BLOCK);
-    let per_block: Vec<(Vec<Vec<u32>>, u64)> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * QUERY_BLOCK;
-            let hi = (lo + QUERY_BLOCK).min(queries.len());
-            let mut ids = Vec::with_capacity(hi - lo);
-            let mut consumer = TopNWithCharge {
-                n: nprobe,
-                out: &mut ids,
-                rows_scanned: 0,
-            };
-            blockscan::scan_range(queries, lo, hi, cmat, centroid_norms, &mut consumer);
-            let rows = consumer.rows_scanned;
-            (ids, rows)
-        })
-        .collect();
+    let per_block: Vec<(Vec<Vec<u32>>, u64)> = rayon::par_map(nblocks, |b| {
+        let lo = b * QUERY_BLOCK;
+        let hi = (lo + QUERY_BLOCK).min(queries.len());
+        let mut ids = Vec::with_capacity(hi - lo);
+        let mut consumer = TopNWithCharge {
+            n: nprobe,
+            out: &mut ids,
+            rows_scanned: 0,
+        };
+        blockscan::scan_range(queries, lo, hi, cmat, centroid_norms, &mut consumer);
+        let rows = consumer.rows_scanned;
+        (ids, rows)
+    });
     let mut probes: Vec<Vec<u32>> = Vec::with_capacity(queries.len());
     let mut rows_scanned = 0u64;
     for (ids, rows) in per_block {

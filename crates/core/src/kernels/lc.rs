@@ -53,7 +53,7 @@ pub fn charge(
 }
 
 /// `hits` SQT lookups served from WRAM plus `misses` spilled to MRAM —
-/// the bulk form of that many [`Sqt::square`] calls.
+/// the bulk form of that many `Sqt::square` calls.
 fn charge_sqt_lookups(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, hits: u64, misses: u64) {
     // WRAM hits pay the calibrated pipeline cost (|diff|, addressing,
     // dependent load, bank contention) plus the entry read ...
@@ -331,7 +331,7 @@ mod tests {
     }
 
     /// The per-element LC the bulk kernel replaced, kept as its oracle:
-    /// one metered [`Sqt::square`] (or one charged multiply) per element.
+    /// one metered `Sqt::square` (or one charged multiply) per element.
     #[allow(clippy::too_many_arguments)]
     fn per_element_reference(
         c: &KernelCtx<'_>,

@@ -308,32 +308,6 @@ fn exchange_for_colocation(
     }
 }
 
-/// Fraction of multi-slice clusters whose primary slices share one DPU —
-/// the co-location rate the exchange pass improves. Partially co-located
-/// clusters count fractionally (majority share).
-pub fn colocation_rate(slices: &[Slice], slice_homes: &[Vec<usize>]) -> f64 {
-    let mut by_cluster: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
-    for (i, s) in slices.iter().enumerate() {
-        by_cluster.entry(s.cluster).or_default().push(i);
-    }
-    let multi: Vec<_> = by_cluster.values().filter(|m| m.len() > 1).collect();
-    if multi.is_empty() {
-        return 1.0;
-    }
-    let score: f64 = multi
-        .iter()
-        .map(|m| {
-            let mut counts: std::collections::HashMap<usize, usize> = Default::default();
-            for &i in m.iter() {
-                *counts.entry(slice_homes[i][0]).or_insert(0) += 1;
-            }
-            let majority = counts.values().max().copied().unwrap_or(0);
-            majority as f64 / m.len() as f64
-        })
-        .sum();
-    score / multi.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,10 +382,10 @@ mod tests {
         }
         let copies = vec![1usize; slices.len()];
         let (homes, _) = heat_balanced(&slices, &copies, 4, 1, BIG);
-        let rate = colocation_rate(&slices, &homes);
         // swap-based exchange with equal-heat partners should gather most
-        // of the cluster on one DPU
-        assert!(rate > 0.5, "colocation rate {rate}");
+        // of the cluster (slices 0..3) on one DPU
+        let h = [homes[0][0], homes[1][0], homes[2][0]];
+        assert!(h[0] == h[1] || h[1] == h[2] || h[0] == h[2], "homes {h:?}");
         // and balance must not be destroyed
         let imb = imbalance(&loads(&slices, &homes, 4));
         assert!(imb < 1.5, "imbalance {imb}");
@@ -447,20 +421,5 @@ mod tests {
         let slices = vec![mk(0, 10, 5.0)];
         let (homes, _) = heat_balanced(&slices, &[10], 3, 1, BIG);
         assert_eq!(homes[0].len(), 3);
-    }
-
-    #[test]
-    fn colocation_rate_trivial_cases() {
-        let slices = vec![mk(0, 10, 1.0), mk(1, 10, 1.0)];
-        let homes = vec![vec![0], vec![1]];
-        // no multi-slice clusters -> rate 1.0
-        assert_eq!(colocation_rate(&slices, &homes), 1.0);
-    }
-
-    #[test]
-    fn colocation_rate_partial_credit() {
-        let slices = vec![mk(0, 10, 1.0), mk(0, 10, 1.0), mk(0, 10, 1.0)];
-        let homes = vec![vec![0], vec![0], vec![1]];
-        assert!((colocation_rate(&slices, &homes) - 2.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -97,21 +97,6 @@ pub fn plan_copies(
     copies
 }
 
-/// Extra duplicate bytes per DPU a copy plan implies (mean).
-pub fn extra_bytes_per_dpu(
-    slices: &[Slice],
-    copies: &[usize],
-    ndpus: usize,
-    bytes_per_point: u64,
-) -> f64 {
-    let extra: u64 = slices
-        .iter()
-        .zip(copies.iter())
-        .map(|(s, &c)| (c.saturating_sub(1)) as u64 * s.len as u64 * bytes_per_point)
-        .sum();
-    extra as f64 / ndpus.max(1) as f64
-}
-
 /// Fraction of slices with at least one copy on a surviving (non-banned)
 /// DPU — the quantity that decides whether a fault pattern is recoverable
 /// by re-dispatch alone or needs the host fallback. Duplication is what
@@ -302,7 +287,6 @@ mod tests {
         let slices = vec![mk_slice(0, 100, 50.0), mk_slice(1, 50, 25.0)];
         let copies = plan_copies(&slices, &[], 8, 4, u64::MAX, Some(0));
         assert!(copies.iter().all(|&c| c == 1));
-        assert_eq!(extra_bytes_per_dpu(&slices, &copies, 8, 4), 0.0);
     }
 
     #[test]
@@ -312,14 +296,6 @@ mod tests {
         let copies = plan_copies(&slices, &[], 2, 1, 1000, None);
         let extra: usize = copies.iter().map(|&c| c - 1).sum();
         assert!(extra <= 3, "copies {copies:?}"); // 1200/400 = 3 extra max
-    }
-
-    #[test]
-    fn extra_bytes_accounting() {
-        let slices = vec![mk_slice(0, 100, 5.0)];
-        let e = extra_bytes_per_dpu(&slices, &[3], 4, 2);
-        // 2 extra copies x 100 points x 2 B / 4 dpus = 100
-        assert!((e - 100.0).abs() < 1e-9);
     }
 
     #[test]

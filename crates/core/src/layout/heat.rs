@@ -29,19 +29,6 @@ impl HeatProfile {
         self.n_queries += 1;
     }
 
-    /// Build a profile from per-query probe lists.
-    pub fn from_probes(lists: &[Vec<u32>], n_clusters: usize) -> Self {
-        let mut p = HeatProfile {
-            probes: vec![0; n_clusters],
-            n_queries: 0,
-        };
-        for l in lists {
-            p.record(l);
-        }
-        p.probes.resize(p.probes.len().max(n_clusters), 0);
-        p
-    }
-
     /// Expected probes per query for cluster `c`.
     pub fn frequency(&self, c: usize) -> f64 {
         if self.n_queries == 0 {
@@ -85,6 +72,12 @@ pub fn cluster_heat(
 mod tests {
     use super::*;
 
+    fn profile(lists: &[&[u32]]) -> HeatProfile {
+        let mut p = HeatProfile::default();
+        lists.iter().for_each(|l| p.record(l));
+        p
+    }
+
     #[test]
     fn record_counts_probes() {
         let mut p = HeatProfile::default();
@@ -98,17 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn from_probes_builds_dense_profile() {
-        let p = HeatProfile::from_probes(&[vec![1], vec![1, 3]], 6);
-        assert_eq!(p.probes.len(), 6);
-        assert_eq!(p.frequency(1), 1.0);
-        assert_eq!(p.frequency(5), 0.0);
-    }
-
-    #[test]
     fn heat_reflects_both_size_and_frequency() {
         let sizes = vec![100, 100, 1000];
-        let p = HeatProfile::from_probes(&[vec![0], vec![0], vec![2]], 3);
+        let p = profile(&[&[0], &[0], &[2]]);
         let infos = cluster_heat(&sizes, Some(&p), 1);
         // cluster 0: freq 1.0 x 100; cluster 2: freq 0.5 x 1000
         assert!(infos[2].heat > infos[0].heat);
@@ -126,7 +111,7 @@ mod tests {
     #[test]
     fn unprobed_clusters_keep_residual_heat() {
         let sizes = vec![50, 50];
-        let p = HeatProfile::from_probes(&[vec![0]], 2);
+        let p = profile(&[&[0]]);
         let infos = cluster_heat(&sizes, Some(&p), 1);
         assert!(infos[1].heat > 0.0);
         assert!(infos[0].heat > 10.0 * infos[1].heat);

@@ -48,15 +48,6 @@ pub struct Slice {
     pub heat: f64,
 }
 
-/// One placed copy of a slice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Placed {
-    /// Index into [`LayoutPlan::slices`].
-    pub slice: usize,
-    /// Hosting DPU.
-    pub dpu: usize,
-}
-
 /// The complete placement decision.
 #[derive(Debug, Clone)]
 pub struct LayoutPlan {
@@ -221,19 +212,6 @@ impl LayoutPlan {
             .collect()
     }
 
-    /// Per-DPU accumulated heat (the quantity allocation balances).
-    pub fn dpu_heat(&self) -> Vec<f64> {
-        let mut heat = vec![0.0; self.dpu_slices.len()];
-        for (slice_idx, homes) in self.slice_homes.iter().enumerate() {
-            // heat divides across copies: the scheduler spreads the load
-            let share = self.slices[slice_idx].heat / homes.len() as f64;
-            for &d in homes {
-                heat[d] += share;
-            }
-        }
-        heat
-    }
-
     /// Sanity checks: every slice placed at least once, copies on distinct
     /// DPUs, the per-DPU lists name exactly the placed copies, slice
     /// coverage of every cluster is exact and disjoint.
@@ -345,16 +323,25 @@ mod tests {
         let balanced = build(&cs, &cfg(), 1 << 20);
         let naive = EngineConfig::naive(cfg().index);
         let rr = build(&cs, &naive, 1 << 20);
+        // per-DPU heat, a slice's heat divided across its copies
+        let dpu_heat = |plan: &LayoutPlan| {
+            let mut heat = vec![0.0; plan.dpu_slices.len()];
+            for (slice, homes) in plan.slices.iter().zip(&plan.slice_homes) {
+                for &d in homes {
+                    heat[d] += slice.heat / homes.len() as f64;
+                }
+            }
+            heat
+        };
         let imb = |heat: &[f64]| {
             let max = heat.iter().cloned().fold(0.0, f64::max);
             let mean = heat.iter().sum::<f64>() / heat.len() as f64;
             max / mean
         };
+        let (balanced, rr) = (dpu_heat(&balanced), dpu_heat(&rr));
         assert!(
-            imb(&balanced.dpu_heat()) <= imb(&rr.dpu_heat()) + 1e-9,
-            "balanced {:?} rr {:?}",
-            balanced.dpu_heat(),
-            rr.dpu_heat()
+            imb(&balanced) <= imb(&rr) + 1e-9,
+            "balanced {balanced:?} rr {rr:?}"
         );
     }
 

@@ -51,6 +51,8 @@
 //! assert!(report.qps > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 mod dispatch;
 pub mod dse;

@@ -199,16 +199,6 @@ impl WorkloadShape {
         (self.bits.b_l + self.bits.b_a) * self.q * self.p * self.c * (self.k.log2() + 1.0)
     }
 
-    /// Compute counts for all PIM phases, in `[RC, LC, DC, TS]` order.
-    pub fn pim_compute(&self) -> [f64; 4] {
-        [self.c_rc(), self.c_lc(), self.c_dc(), self.c_ts()]
-    }
-
-    /// Traffic for all PIM phases, in `[RC, LC, DC, TS]` order.
-    pub fn pim_io(&self) -> [f64; 4] {
-        [self.io_rc(), self.io_lc(), self.io_dc(), self.io_ts()]
-    }
-
     /// Eq. 13: compute-to-I/O ratio per phase.
     pub fn c2io(&self, phase: crate::Phase) -> f64 {
         use crate::Phase;
@@ -226,8 +216,8 @@ impl WorkloadShape {
     /// Total arithmetic intensity (ops/byte) over all five phases — the
     /// x-axis of the paper's roofline (Fig. 2).
     pub fn arithmetic_intensity(&self) -> f64 {
-        let ops = self.c_cl() + self.pim_compute().iter().sum::<f64>();
-        let bytes = self.io_cl() + self.pim_io().iter().sum::<f64>();
+        let ops = self.c_cl() + (self.c_rc() + self.c_lc() + self.c_dc() + self.c_ts());
+        let bytes = self.io_cl() + (self.io_rc() + self.io_lc() + self.io_dc() + self.io_ts());
         ops / bytes.max(1e-12)
     }
 }

@@ -23,8 +23,8 @@
 //! `hits_wram` / `hits_mram` once per call.
 
 use crate::config::DataBits;
-use upmem_sim::meter::PhaseMeter;
-use upmem_sim::IsaCosts;
+#[cfg(test)]
+use upmem_sim::{meter::PhaseMeter, IsaCosts};
 
 /// Default 16-bit WRAM window: 8Ki entries = 32 KiB, half the scratchpad
 /// (16Ki entries = 64 KiB would exceed WRAM). The starting point of the
@@ -69,12 +69,6 @@ impl Sqt {
             hits_wram: 0,
             hits_mram: 0,
         }
-    }
-
-    /// Build for a bit regime with the default 16-bit window
-    /// ([`DEFAULT_U16_WINDOW`]).
-    pub fn for_bits(bits: DataBits) -> Self {
-        Self::for_bits_windowed(bits, DEFAULT_U16_WINDOW)
     }
 
     /// Build for a bit regime with an explicit 16-bit WRAM window (in
@@ -141,8 +135,8 @@ impl Sqt {
     /// never calls it per element: it counts its lookups' (hits, spills)
     /// exactly and books them in bulk (`kernels::lc`), and its tests hold
     /// that bulk form to a loop over this function.
-    #[inline]
-    pub fn square(
+    #[cfg(test)]
+    pub(crate) fn square(
         &mut self,
         diff: i32,
         meter: &mut PhaseMeter,
@@ -179,21 +173,6 @@ impl Sqt {
             self.hits_wram as f64 / total as f64
         }
     }
-
-    /// Reset hit counters.
-    pub fn reset_stats(&mut self) {
-        self.hits_wram = 0;
-        self.hits_mram = 0;
-    }
-}
-
-/// The raw 8-bit table — exposed so tests can verify losslessness directly.
-pub fn table_u8() -> [u32; 256] {
-    let mut t = [0u32; 256];
-    for (i, slot) in t.iter_mut().enumerate() {
-        *slot = (i * i) as u32;
-    }
-    t
 }
 
 #[cfg(test)]
@@ -217,14 +196,6 @@ mod tests {
                     (d as i64 * d as i64) as u64
                 );
             }
-        }
-    }
-
-    #[test]
-    fn u8_table_matches_squares() {
-        let t = table_u8();
-        for (i, &v) in t.iter().enumerate() {
-            assert_eq!(v, (i * i) as u32);
         }
     }
 
@@ -283,15 +254,6 @@ mod tests {
         assert_eq!(s16.wram_bytes(), 32 << 10);
         assert_eq!(s16.mram_bytes(), (65536 - 8192) * 4);
         // the default 16-bit window must fit in 64 KiB WRAM
-        assert!(Sqt::for_bits(DataBits::B16).wram_bytes() < 64 << 10);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut sqt = Sqt::for_u8();
-        let mut m = meter();
-        sqt.square(3, &mut m, &IsaCosts::upmem(), 8);
-        sqt.reset_stats();
-        assert_eq!(sqt.hits_wram + sqt.hits_mram, 0);
+        assert!(Sqt::for_u16(DEFAULT_U16_WINDOW).wram_bytes() < 64 << 10);
     }
 }

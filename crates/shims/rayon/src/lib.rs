@@ -1,196 +1,78 @@
-//! Offline stand-in for the `rayon` crate — a real, persistent thread
-//! pool.
+//! The workspace's host thread pool: two parallel loops over persistent
+//! parked workers.
 //!
-//! The build environment has no crates.io access. This shim keeps the
-//! rayon *surface syntax* (`into_par_iter`, `par_iter`, `par_iter_mut`,
-//! `par_chunks`, `par_chunks_mut`, `flat_map_iter`, `join`) so every call
-//! site keeps compiling against the real rayon if the dependency is ever
-//! swapped back in. The `par_*` entry points execute on a persistent
-//! pinned worker pool ([`pool`]): workers are spawned lazily on first
-//! demand and parked on a condvar between regions, so dispatching a
-//! region costs one publish + wake instead of per-region thread spawns.
-//! Sizing comes from [`std::thread::available_parallelism`], overridable
-//! via the `DRIM_ANN_THREADS` (or `RAYON_NUM_THREADS`) env var and
-//! [`with_num_threads`].
+//! * [`par_map`]`(n, f)` — `out[i] == f(i)` for `i in 0..n`;
+//! * [`par_chunks_mut`]`(slice, size, f)` — `f(c, chunk)` over the
+//!   disjoint `size`-element `&mut` chunks of a slice.
 //!
-//! **Determinism.** Results are bit-identical across thread counts — *not*
-//! because execution is sequential (it is not), but because chunk
-//! boundaries are a pure function of the input length and every ordered
-//! operation (`collect`, `reduce`, `sum`) recombines chunk results in
-//! ascending chunk order. See [`pool`] for the invariants and
-//! `tests/parallel_parity.rs` at the workspace root for the end-to-end
-//! proof against the search/k-means pipelines.
+//! Every host-side parallel loop of the workspace (CL's blocked GEMM, the
+//! per-DPU dispatch wave, k-means, ground truth) is one of these. Workers
+//! are spawned lazily on first demand and parked on a condvar between
+//! regions, so dispatching a region costs one publish + wake instead of
+//! per-region thread spawns. Sizing comes from
+//! [`std::thread::available_parallelism`], overridable via the
+//! `DRIM_ANN_THREADS` env var and [`with_num_threads`]. [`sync`] exports
+//! the pool's condvar-parking idiom for `ann-serve`'s request path.
+//!
+//! **Determinism.** Neither entry point combines items, so a caller cannot
+//! observe how the range was cut or which thread ran which piece: with a
+//! pure `f`, results are bit-identical at every thread count because
+//! `out[i] = f(i)`. `tests/parallel_parity.rs` at the workspace root holds
+//! the search/k-means pipelines to that.
 //!
 //! Nested parallel regions run inline on the worker that encounters them
 //! (no thread explosion, trivially deadlock-free), and a panic in any
 //! worker propagates to the thread that dispatched the region after the
 //! region barrier.
+//!
+//! The package is named `rayon` for the manifests that depend on it by
+//! that name; it shares nothing else with the crates.io crate.
 
-pub mod iter;
-pub mod pool;
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
+mod pool;
 pub mod sync;
 
-pub use pool::{current_num_threads, join, with_num_threads};
-
-/// The adapter traits and types, for `use rayon::prelude::*`.
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
-}
+pub use pool::{current_num_threads, par_chunks_mut, par_map, with_num_threads};
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-    use super::{current_num_threads, join, with_num_threads};
+    use super::{current_num_threads, par_chunks_mut, par_map, with_num_threads};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn into_par_iter_over_range() {
-        let squares: Vec<usize> = (0..5usize).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-    }
-
-    #[test]
-    fn into_par_iter_over_u32_range() {
-        let out: Vec<u32> = (3..7u32).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(out, vec![6, 8, 10, 12]);
-    }
-
-    #[test]
-    fn empty_range_collects_empty() {
-        let out: Vec<usize> = (5..5usize).into_par_iter().map(|i| i).collect();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_iter_and_mut() {
-        let v = vec![1, 2, 3];
-        let doubled: Vec<i32> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6]);
-        let mut w = vec![1, 2, 3];
-        w.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, x)| *x += i as i32);
-        assert_eq!(w, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn par_iter_mut_covers_every_element_in_parallel() {
-        let mut v = vec![0usize; 10_000];
-        with_num_threads(4, || {
-            v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * 3);
-        });
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3));
-    }
-
-    #[test]
-    fn flat_map_iter_flattens_in_order() {
-        let out: Vec<u32> = (0..3u32)
-            .into_par_iter()
-            .flat_map_iter(|i| vec![i, i])
-            .collect();
-        assert_eq!(out, vec![0, 0, 1, 1, 2, 2]);
-        let wide: Vec<usize> = with_num_threads(8, || {
-            (0..500usize)
-                .into_par_iter()
-                .flat_map_iter(|i| (0..i % 4).map(move |j| i * 10 + j))
-                .collect()
-        });
-        let seq: Vec<usize> = (0..500usize)
-            .flat_map(|i| (0..i % 4).map(move |j| i * 10 + j))
-            .collect();
-        assert_eq!(wide, seq);
-    }
-
-    #[test]
-    fn par_chunks_sees_every_chunk() {
-        let v: Vec<usize> = (0..103).collect();
-        let lens: Vec<usize> = v.par_chunks(10).map(|c| c.len()).collect();
-        assert_eq!(lens.len(), 11);
-        assert_eq!(lens.iter().sum::<usize>(), 103);
-        assert_eq!(*lens.last().unwrap(), 3);
-    }
-
-    #[test]
-    fn par_chunks_mut_fills_disjointly() {
-        let mut v = vec![0usize; 97];
-        with_num_threads(4, || {
-            v.par_chunks_mut(8)
-                .enumerate()
-                .for_each(|(c, ch)| ch.iter_mut().for_each(|x| *x = c));
-        });
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i / 8);
-        }
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
-        let (a, b) = with_num_threads(2, || join(|| 40 + 2, || 6 * 7));
-        assert_eq!((a, b), (42, 42));
-    }
-
-    // --- thread-pool behaviour ---------------------------------------
-
-    #[test]
-    fn collect_is_ordered_at_every_thread_count() {
-        let baseline: Vec<usize> = with_num_threads(1, || {
-            (0..1000usize).into_par_iter().map(|i| i * 7).collect()
-        });
-        for threads in [2, 3, 4, 8] {
-            let out: Vec<usize> = with_num_threads(threads, || {
-                (0..1000usize).into_par_iter().map(|i| i * 7).collect()
-            });
+    fn par_map_is_ordered_at_every_thread_count() {
+        assert!(par_map(0, |i| i).is_empty());
+        assert_eq!(par_map(5, |i| i * i), vec![0, 1, 4, 9, 16]);
+        let baseline: Vec<usize> = (0..1000).map(|i| i * 7).collect();
+        for threads in [1, 2, 3, 4, 8] {
+            let out = with_num_threads(threads, || par_map(1000, |i| i * 7));
             assert_eq!(out, baseline, "threads = {threads}");
         }
     }
 
     #[test]
-    fn float_reduce_is_bit_identical_across_thread_counts() {
-        // 1/(i+1) sums are order-sensitive in f32: identical results across
-        // thread counts prove the chunk geometry is thread-count-independent
-        // and the combine is ordered.
-        let sum_with = |threads: usize| -> f32 {
+    fn par_chunks_mut_fills_disjointly() {
+        par_chunks_mut(&mut [0u8; 0], 4, |_, _| {
+            panic!("no chunk of an empty slice")
+        });
+        for threads in [1, 4] {
+            let mut v = vec![0usize; 97];
             with_num_threads(threads, || {
-                (0..10_000usize)
-                    .into_par_iter()
-                    .map(|i| 1.0f32 / (i as f32 + 1.0))
-                    .reduce(|| 0.0f32, |a, b| a + b)
-            })
-        };
-        let one = sum_with(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(sum_with(threads).to_bits(), one.to_bits());
+                par_chunks_mut(&mut v, 8, |c, ch| ch.iter_mut().for_each(|x| *x += c + 1));
+            });
+            for (i, &x) in v.iter().enumerate() {
+                assert_eq!(x, i / 8 + 1, "threads = {threads}");
+            }
         }
-        let sum: f32 = with_num_threads(4, || {
-            (0..10_000usize)
-                .into_par_iter()
-                .map(|i| 1.0f32 / (i as f32 + 1.0))
-                .sum()
-        });
-        let sum1: f32 = with_num_threads(1, || {
-            (0..10_000usize)
-                .into_par_iter()
-                .map(|i| 1.0f32 / (i as f32 + 1.0))
-                .sum()
-        });
-        assert_eq!(sum.to_bits(), sum1.to_bits());
     }
 
     #[test]
-    fn work_actually_lands_on_multiple_threads() {
-        // collect distinct worker thread ids; with enough chunks and a
-        // blocking-free workload, a 4-thread pool should use >1 thread —
-        // unless the host genuinely has 1 core, where preemption timing can
-        // serialize everything, so only assert the inverse at threads = 1.
+    fn one_thread_pool_runs_on_the_caller() {
         let ids = std::sync::Mutex::new(std::collections::HashSet::new());
         with_num_threads(1, || {
-            (0..64usize).into_par_iter().for_each(|_| {
+            par_map(64, |_| {
                 ids.lock().unwrap().insert(std::thread::current().id());
             });
         });
@@ -198,28 +80,25 @@ mod tests {
     }
 
     #[test]
-    fn nested_par_iter_inside_worker_does_not_deadlock() {
-        let total: usize = with_num_threads(4, || {
-            (0..16usize)
-                .into_par_iter()
-                .map(|i| {
-                    // nested region: runs inline on the worker
-                    assert_eq!(current_num_threads(), 1, "nested regions are inline");
-                    (0..100usize).into_par_iter().map(|j| i + j).sum::<usize>()
-                })
-                .sum()
+    fn nested_region_inside_worker_runs_inline() {
+        let nested = with_num_threads(4, || {
+            par_map(16, |i| {
+                assert_eq!(current_num_threads(), 1, "nested regions are inline");
+                par_map(100, |j| i + j)
+            })
         });
-        let seq: usize = (0..16)
-            .map(|i| (0..100).map(|j| i + j).sum::<usize>())
-            .sum();
-        assert_eq!(total, seq);
+        for (i, row) in nested.iter().enumerate() {
+            assert!(row.iter().enumerate().all(|(j, &x)| x == i + j));
+        }
     }
 
     #[test]
-    fn worker_panic_propagates_to_caller() {
+    fn worker_panic_propagates_and_pool_keeps_serving() {
+        // a panicking region must not wedge the parked workers: subsequent
+        // regions still produce complete, ordered results
         let caught = std::panic::catch_unwind(|| {
             with_num_threads(4, || {
-                (0..1000usize).into_par_iter().for_each(|i| {
+                par_map(1000, |i| {
                     if i == 613 {
                         panic!("worker boom");
                     }
@@ -227,17 +106,10 @@ mod tests {
             });
         });
         assert!(caught.is_err(), "panic must cross the pool boundary");
-        // pool stays usable afterwards
-        let v: Vec<usize> = (0..10usize).into_par_iter().map(|i| i).collect();
-        assert_eq!(v.len(), 10);
-    }
-
-    #[test]
-    fn join_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            with_num_threads(2, || join(|| 1, || panic!("join boom")));
-        });
-        assert!(caught.is_err());
+        for _ in 0..5 {
+            let v = with_num_threads(4, || par_map(1000, |i| i * 3));
+            assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3) && v.len() == 1000);
+        }
     }
 
     #[test]
@@ -263,8 +135,8 @@ mod tests {
         assert_eq!(current_num_threads(), 3);
         with_num_threads(6, || assert_eq!(current_num_threads(), 6));
         std::env::set_var(super::pool::THREADS_ENV, "not-a-number");
-        // unparseable values fall through (to RAYON_NUM_THREADS or the
-        // hardware default) instead of panicking
+        // unparseable values fall through to the hardware default instead
+        // of panicking
         assert!(current_num_threads() >= 1);
         std::env::remove_var(super::pool::THREADS_ENV);
     }
@@ -280,19 +152,11 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(1)
             .max(8);
-        with_num_threads(width, || {
-            (0..256usize).into_par_iter().for_each(|_| {
-                std::hint::black_box(0u64);
-            });
-        });
+        with_num_threads(width, || par_map(256, |_| std::hint::black_box(0u64)));
         let warmed = super::pool::pool_workers_spawned();
         assert!(warmed >= width - 1, "pool should have grown to {width} - 1");
         for _ in 0..50 {
-            with_num_threads(width, || {
-                (0..256usize).into_par_iter().for_each(|_| {
-                    std::hint::black_box(0u64);
-                });
-            });
+            with_num_threads(width, || par_map(256, |_| std::hint::black_box(0u64)));
         }
         assert_eq!(
             super::pool::pool_workers_spawned(),
@@ -302,36 +166,49 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_panic_and_keeps_serving() {
-        // a panicking region must not wedge the parked workers: subsequent
-        // parallel regions still produce complete, ordered results
-        let caught = std::panic::catch_unwind(|| {
-            with_num_threads(4, || {
-                (0..512usize).into_par_iter().for_each(|i| {
-                    if i == 100 {
-                        panic!("region boom");
-                    }
-                });
-            });
-        });
-        assert!(caught.is_err());
-        for _ in 0..5 {
-            let v: Vec<usize> = with_num_threads(4, || {
-                (0..1000usize).into_par_iter().map(|i| i * 3).collect()
-            });
-            assert_eq!(v.len(), 1000);
-            assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3));
-        }
-    }
-
-    #[test]
     fn every_index_produced_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..997).map(|_| AtomicUsize::new(0)).collect();
         with_num_threads(8, || {
-            (0..997usize).into_par_iter().for_each(|i| {
+            par_map(997, |i| {
                 counts[i].fetch_add(1, Ordering::Relaxed);
             });
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn concurrent_dispatchers_each_get_complete_ordered_results() {
+        // Several dispatching threads put more than one `Region` in the
+        // pool's job list at once — what `worker_main`'s oldest-claimable
+        // rule is for, and what `ann-serve`'s driver creates beside any
+        // caller's own engine. Every region must still see all of its own
+        // indices, in order, and none of anyone else's. The barrier inside
+        // item 0 holds each round's four regions open together (whoever
+        // claimed a region's first chunk waits there; its dispatcher and
+        // the other helpers keep draining the rest).
+        let together = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let dispatchers: Vec<_> = (0..4usize)
+            .map(|t| {
+                let together = std::sync::Arc::clone(&together);
+                std::thread::spawn(move || {
+                    (0..50usize).all(|round| {
+                        let salt = t * 1_000_003 + round * 7919;
+                        let out = with_num_threads(4, || {
+                            par_map(513, |i| {
+                                if i == 0 {
+                                    together.wait();
+                                }
+                                i * 3 + salt
+                            })
+                        });
+                        out.len() == 513 && out.iter().enumerate().all(|(i, &x)| x == i * 3 + salt)
+                    })
+                })
+            })
+            .collect();
+        for d in dispatchers {
+            let complete_and_ordered = d.join().expect("dispatcher panicked");
+            assert!(complete_and_ordered);
+        }
     }
 }

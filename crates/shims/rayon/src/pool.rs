@@ -1,14 +1,15 @@
-//! The persistent pinned worker pool behind every `par_*` driver.
+//! The persistent pinned worker pool behind [`par_map`] and
+//! [`par_chunks_mut`].
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Determinism across thread counts.** Chunk boundaries are a pure
-//!    function of `(len, min_len)` — never of the thread count — and every
-//!    ordered operation (collect, reduce, sum) combines chunk results in
-//!    ascending chunk order. Running with 1 thread or 64 therefore produces
-//!    bit-identical outputs, including float reductions; only the
-//!    *assignment of chunks to workers* varies. `tests/parallel_parity.rs`
-//!    at the workspace root pins this down end to end.
+//! 1. **Determinism across thread counts.** `par_map(n, f)` returns
+//!    `out[i] = f(i)` and `par_chunks_mut` hands every chunk to `f` exactly
+//!    once, each with its own index. Neither has an operation that combines
+//!    items, so no caller can observe how the pool cut the range or which
+//!    thread ran which piece: a pure `f` gives bit-identical results at 1
+//!    thread or 64. `tests/parallel_parity.rs` at the workspace root pins
+//!    this down end to end.
 //! 2. **Persistent workers, no `'static` gymnastics.** Workers are spawned
 //!    lazily on first demand and then *parked* between regions — a region
 //!    costs one mutex publish + condvar wake instead of thread spawns,
@@ -25,8 +26,8 @@
 //!    balancing the workspace's regular-shaped loops need.
 //!
 //! Sizing: [`current_num_threads`] reads, in order, a thread-local override
-//! (see [`with_num_threads`]), the `DRIM_ANN_THREADS` env var, rayon's own
-//! `RAYON_NUM_THREADS`, and finally [`std::thread::available_parallelism`].
+//! (see [`with_num_threads`]), the `DRIM_ANN_THREADS` env var, and finally
+//! [`std::thread::available_parallelism`].
 //! Inside a pool worker it reports 1: nested parallel regions run inline on
 //! the worker, which both avoids thread explosion and makes nesting
 //! trivially deadlock-free (no worker ever waits on another's queue).
@@ -34,8 +35,7 @@
 //! Lifecycle: the pool grows to the largest helper count any region has
 //! demanded (capped at [`MAX_THREADS`]) and never shrinks. Parked workers
 //! hold no locks and own no borrowed state, so process exit while they
-//! sleep on the condvar is clean — the same teardown contract as real
-//! rayon's detached global pool. Worker panics are caught, carried back in
+//! sleep on the condvar is clean. Worker panics are caught, carried back in
 //! the region record, and re-raised on the dispatching thread after the
 //! region barrier (never across it).
 
@@ -45,20 +45,15 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Primary env knob for the pool width (`DRIM_ANN_THREADS=4 cargo test`).
-pub const THREADS_ENV: &str = "DRIM_ANN_THREADS";
-
-/// Fallback env knob, honored for parity with real rayon.
-pub const RAYON_THREADS_ENV: &str = "RAYON_NUM_THREADS";
+/// Env knob for the pool width (`DRIM_ANN_THREADS=4 cargo test`).
+pub(crate) const THREADS_ENV: &str = "DRIM_ANN_THREADS";
 
 /// Hard cap on pool width (worker-count sanity, not a scheduling limit).
-pub const MAX_THREADS: usize = 512;
+const MAX_THREADS: usize = 512;
 
-/// Upper bound on chunks per region. Chunk size is
-/// `max(min_len, ceil(len / MAX_CHUNKS))`: enough chunks that an early
-/// finisher can steal more work, few enough that per-chunk bookkeeping
-/// stays invisible. Must stay independent of the thread count (see module
-/// docs).
+/// Upper bound on chunks per [`par_map`] region. Chunk size is
+/// `ceil(len / MAX_CHUNKS)`: enough chunks that an early finisher can steal
+/// more work, few enough that per-chunk bookkeeping stays invisible.
 const MAX_CHUNKS: usize = 64;
 
 thread_local! {
@@ -78,12 +73,10 @@ pub fn current_num_threads() -> usize {
     if ov != 0 {
         return ov.min(MAX_THREADS);
     }
-    for key in [THREADS_ENV, RAYON_THREADS_ENV] {
-        if let Ok(raw) = std::env::var(key) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n.min(MAX_THREADS);
-                }
+    if let Ok(raw) = std::env::var(THREADS_ENV) {
+        if let Ok(n) = raw.trim().parse::<usize>() {
+            if n >= 1 {
+                return n.min(MAX_THREADS);
             }
         }
     }
@@ -93,7 +86,7 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Run `f` with the pool width pinned to `threads` on this thread
-/// (overrides the env vars; does not propagate into pool workers, where
+/// (overrides the env var; does not propagate into pool workers, where
 /// nested regions are sequential anyway). Restores the previous override
 /// even if `f` panics. The parity tests use this to compare 1-thread and
 /// N-thread runs inside one process.
@@ -127,13 +120,6 @@ fn enter_pool<R>(f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Chunk size for a region: a pure function of `(len, min_len)` so that
-/// chunk boundaries — and therefore all ordered combines — are identical at
-/// every thread count.
-pub(crate) fn chunk_size(len: usize, min_len: usize) -> usize {
-    len.div_ceil(MAX_CHUNKS).max(min_len).max(1)
-}
-
 // ---------------------------------------------------------------------------
 // The persistent pool
 // ---------------------------------------------------------------------------
@@ -158,6 +144,22 @@ struct RegionDone {
 }
 
 /// One published parallel region.
+///
+/// The protocol's invariants — [`run_region`] is the one place that drives
+/// a region through them, so the one place they must hold:
+///
+/// 1. `tickets` only decreases: a successful [`Region::claim`] takes one,
+///    [`Region::revoke`] takes all that are left, nothing adds any.
+/// 2. No claim succeeds after `revoke`: it leaves `tickets == 0` and a
+///    claim is a CAS from a non-zero value, so the dispatcher learns
+///    exactly how many runs were started (`extra - unclaimed`).
+/// 3. [`Region::wait`]`(claimed)` returns only after `finished == claimed`:
+///    each claimed run bumps `finished` exactly once, under `done`, after
+///    its call of the closure has returned or unwound.
+/// 4. `work` is dereferenced only between a successful claim and the
+///    matching `finished += 1` (in [`Region::run_claimed`]). By 2 and 3
+///    that interval ends before `run_region` returns, which is what makes
+///    the lifetime erasure in [`Region::new`] sound.
 struct Region {
     work: WorkPtr,
     /// Helper tickets still claimable. Claimed via CAS; zeroed by
@@ -263,8 +265,9 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Number of persistent workers spawned so far (diagnostics/tests).
-pub fn pool_workers_spawned() -> usize {
+/// Number of persistent workers spawned so far.
+#[cfg(test)]
+pub(crate) fn pool_workers_spawned() -> usize {
     lock_unpoisoned(&pool().mu).spawned
 }
 
@@ -343,135 +346,56 @@ fn run_region(extra: usize, work: &(dyn Fn() + Sync)) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked drivers (shared by the iterator layer)
+// The two entry points
 // ---------------------------------------------------------------------------
 
-/// Core driver: run `work(start, end)` over every chunk of `[0, len)`.
+/// `out[i] == f(i)` for every `i in 0..n`, computed on the pool.
 ///
-/// Chunks are claimed through an atomic cursor; the caller participates as
-/// a worker. Panics in any worker propagate to the caller after the region
-/// barrier.
-pub(crate) fn run_chunked<F>(len: usize, min_len: usize, work: &F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let chunk = chunk_size(len, min_len);
-    let nchunks = len.div_ceil(chunk);
-    let threads = current_num_threads().min(nchunks);
-    if threads <= 1 {
-        // same chunk walk as the parallel path, on the caller's thread
-        enter_pool(|| {
-            let mut s = 0;
-            while s < len {
-                let e = (s + chunk).min(len);
-                work(s, e);
-                s = e;
-            }
-        });
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    run_region(threads - 1, &|| drain(&cursor, chunk, len, work));
-}
-
-/// Claim chunks off the shared cursor until the range is exhausted.
-fn drain<F: Fn(usize, usize)>(cursor: &AtomicUsize, chunk: usize, len: usize, work: &F) {
-    loop {
-        let s = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if s >= len {
-            break;
-        }
-        work(s, (s + chunk).min(len));
-    }
-}
-
-/// Run `make(start, end) -> Vec<T>` over every chunk and concatenate the
-/// chunk outputs in ascending chunk order — the ordered-collect primitive.
-pub(crate) fn collect_chunks<T, F>(len: usize, min_len: usize, make: &F) -> Vec<T>
+/// `[0, n)` is cut into at most 64 contiguous chunks claimed
+/// through an atomic cursor; the caller participates as a worker. Panics in
+/// any worker propagate to the caller after the region barrier.
+pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, usize) -> Vec<T> + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    if len == 0 {
+    if n == 0 {
         return Vec::new();
     }
+    let chunk = n.div_ceil(MAX_CHUNKS);
+    let threads = current_num_threads().min(n.div_ceil(chunk));
+    if threads <= 1 {
+        return enter_pool(|| (0..n).map(f).collect());
+    }
+    let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    run_chunked(len, min_len, &|s, e| {
-        let part = make(s, e);
+    run_region(threads - 1, &|| loop {
+        let s = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if s >= n {
+            break;
+        }
+        let part = (s..(s + chunk).min(n)).map(&f).collect();
         lock_unpoisoned(&parts).push((s, part));
     });
     let mut parts = parts.into_inner().unwrap_or_else(|p| p.into_inner());
     parts.sort_unstable_by_key(|&(s, _)| s);
-    let total: usize = parts.iter().map(|(_, p)| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(n);
     for (_, p) in parts {
         out.extend(p);
     }
     out
 }
 
-/// Exclusive per-element driver: `f(index, &mut element)` over a mutable
-/// slice, chunks handed to workers as disjoint sub-slices.
-pub(crate) fn for_each_mut<T, F>(slice: &mut [T], min_len: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = slice.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = chunk_size(len, min_len);
-    let threads = current_num_threads().min(len.div_ceil(chunk));
-    if threads <= 1 {
-        enter_pool(|| {
-            for (i, x) in slice.iter_mut().enumerate() {
-                f(i, x);
-            }
-        });
-        return;
-    }
-    let queue: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
-        slice
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, ch)| (c * chunk, ch))
-            .collect(),
-    );
-    run_region(threads - 1, &|| drain_mut(&queue, f));
-}
-
-/// Pop `(base_index, chunk)` pairs until the queue is empty.
-fn drain_mut<T, F: Fn(usize, &mut T)>(queue: &Mutex<Vec<(usize, &mut [T])>>, f: &F) {
-    loop {
-        let item = lock_unpoisoned(queue).pop();
-        match item {
-            Some((base, ch)) => {
-                for (o, x) in ch.iter_mut().enumerate() {
-                    f(base + o, x);
-                }
-            }
-            None => break,
-        }
-    }
-}
-
-/// Exclusive per-chunk driver for `par_chunks_mut`: `f(chunk_index,
-/// chunk_slice)` with the *user's* chunk size (not the pool's).
-pub(crate) fn for_each_chunk_mut<T, F>(slice: &mut [T], size: usize, f: &F)
+/// `f(c, chunk)` for the `c`-th `size`-element chunk of `slice` (the last
+/// may be shorter), each chunk handed to exactly one thread as a disjoint
+/// `&mut` sub-slice.
+pub fn par_chunks_mut<T, F>(slice: &mut [T], size: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = slice.len();
-    if len == 0 {
-        return;
-    }
-    let nchunks = len.div_ceil(size);
-    let threads = current_num_threads().min(nchunks);
+    assert!(size > 0, "chunk size must be non-zero");
+    let threads = current_num_threads().min(slice.len().div_ceil(size));
     if threads <= 1 {
         enter_pool(|| {
             for (c, ch) in slice.chunks_mut(size).enumerate() {
@@ -482,69 +406,11 @@ where
     }
     let queue: Mutex<Vec<(usize, &mut [T])>> =
         Mutex::new(slice.chunks_mut(size).enumerate().collect());
-    run_region(threads - 1, &|| drain_chunks_mut(&queue, f));
-}
-
-/// Pop `(chunk_index, chunk)` pairs until the queue is empty.
-fn drain_chunks_mut<T, F: Fn(usize, &mut [T])>(queue: &Mutex<Vec<(usize, &mut [T])>>, f: &F) {
-    loop {
-        let item = lock_unpoisoned(queue).pop();
+    run_region(threads - 1, &|| loop {
+        let item = lock_unpoisoned(&queue).pop();
         match item {
             Some((c, ch)) => f(c, ch),
             None => break,
         }
-    }
-}
-
-/// rayon's `join`: run both closures, potentially in parallel; both results
-/// returned, panics propagated.
-///
-/// `b` is offered to the pool as a single-ticket region; if no parked
-/// worker claims it by the time `a` finishes on the caller, the caller
-/// revokes the ticket and runs `b` itself — `b` runs exactly once either
-/// way.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let b_fn = Mutex::new(Some(b));
-    let b_out: Mutex<Option<RB>> = Mutex::new(None);
-    let run_b = || {
-        let f = lock_unpoisoned(&b_fn).take();
-        if let Some(f) = f {
-            let r = f();
-            *lock_unpoisoned(&b_out) = Some(r);
-        }
-    };
-    let region = publish(1, &run_b);
-    let ra = catch_unwind(AssertUnwindSafe(|| enter_pool(a)));
-    let unclaimed = region.revoke();
-    let caller_b = if unclaimed == 1 {
-        catch_unwind(AssertUnwindSafe(|| enter_pool(run_b)))
-    } else {
-        Ok(())
-    };
-    let helper_panic = region.wait(1 - unclaimed);
-    retire(&region);
-    match ra {
-        Err(p) => resume_unwind(p),
-        Ok(ra) => {
-            if let Err(p) = caller_b {
-                resume_unwind(p);
-            }
-            if let Some(p) = helper_panic {
-                resume_unwind(p);
-            }
-            let rb = lock_unpoisoned(&b_out)
-                .take()
-                .expect("join: b ran exactly once");
-            (ra, rb)
-        }
-    }
+    });
 }

@@ -1,13 +1,11 @@
 //! Parking primitives shared by the persistent pool and the serving
 //! layer's batch inbox.
 //!
-//! This module is *not* part of real rayon's surface — it is the
-//! workspace-local home for the condvar-parking idiom the pool already
+//! The workspace-local home for the condvar-parking idiom the pool
 //! relies on, exported so `ann-serve` can build its futures-free request
 //! path (producers parked on [`OneShot`] response slots, the batch driver
 //! parked on its inbox condvar) on exactly the same machinery instead of
-//! reinventing it. Swapping the shim back to crates.io rayon would move
-//! this module, not delete it.
+//! reinventing it.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 

@@ -151,11 +151,6 @@ impl EnergyBreakdown {
         self.dpu_pipeline_j + self.dpu_mram_j + self.dpu_wram_j + self.transfer_j + self.host_busy_j
     }
 
-    /// Dynamic DPU energy of one ANNS phase.
-    pub fn phase_j(&self, p: Phase) -> f64 {
-        self.phase_dynamic_j[p.idx()]
-    }
-
     /// Fraction of the dynamic DPU energy spent in `p`; 0 when no dynamic
     /// DPU energy was spent.
     pub fn phase_fraction(&self, p: Phase) -> f64 {

@@ -9,17 +9,6 @@
 
 use crate::config::PimArch;
 
-/// Kinds of host<->PIM transfer, mirroring the UPMEM SDK primitives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XferKind {
-    /// Same buffer copied to every target DPU (`dpu_broadcast_to`).
-    Broadcast,
-    /// Distinct per-DPU buffers pushed in parallel (`dpu_push_xfer`).
-    Scatter,
-    /// Distinct per-DPU buffers pulled in parallel.
-    Gather,
-}
-
 /// The host link with its sustained bandwidth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostLink {
@@ -40,22 +29,9 @@ impl HostLink {
         }
     }
 
-    /// Time to move `bytes_per_dpu` to/from each of `ndpus` DPUs.
-    ///
-    /// Scatter/gather traffic sums across DPUs; a broadcast sends one copy
-    /// over the bus (the DIMM fans it out to ranks).
-    pub fn time(&self, kind: XferKind, bytes_per_dpu: u64, ndpus: usize) -> f64 {
-        let total = match kind {
-            XferKind::Broadcast => bytes_per_dpu as f64,
-            XferKind::Scatter | XferKind::Gather => bytes_per_dpu as f64 * ndpus as f64,
-        };
-        self.call_latency_s + total / self.bw_bytes_per_sec
-    }
-
     /// Time for one scatter/gather call moving `total_bytes` in aggregate
-    /// across all target DPUs — the form for callers that tally exact
-    /// totals (the engine's push/gather byte counts) rather than a
-    /// per-DPU mean, so no bytes are lost to integer division.
+    /// across all target DPUs (callers tally exact totals — the engine's
+    /// push/gather byte counts — so no bytes are lost to a per-DPU mean).
     pub fn time_total(&self, total_bytes: u64) -> f64 {
         self.call_latency_s + total_bytes as f64 / self.bw_bytes_per_sec
     }
@@ -64,17 +40,6 @@ impl HostLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scatter_scales_with_dpus_broadcast_does_not() {
-        let link = HostLink {
-            bw_bytes_per_sec: 1e9,
-            call_latency_s: 0.0,
-        };
-        let b = link.time(XferKind::Broadcast, 1_000_000, 100);
-        let s = link.time(XferKind::Scatter, 1_000_000, 100);
-        assert!((s / b - 100.0).abs() < 1e-9);
-    }
 
     #[test]
     fn link_is_fraction_of_pim_bandwidth() {
@@ -90,7 +55,7 @@ mod tests {
             bw_bytes_per_sec: 1e9,
             call_latency_s: 1e-3,
         };
-        let t = link.time(XferKind::Gather, 1, 1);
+        let t = link.time_total(1);
         assert!(t >= 1e-3);
     }
 }

@@ -18,12 +18,8 @@ pub struct IsaCosts {
     pub add: u64,
     /// Integer multiplication (software shift-add on UPMEM: ~32 cycles).
     pub mul: u64,
-    /// Integer division (software: slower than multiplication).
-    pub div: u64,
     /// Comparison / branch.
     pub cmp: u64,
-    /// WRAM load or store (scratchpad, single cycle once pipelined).
-    pub wram_access: u64,
     /// Generic ALU op (shift, mask, address arithmetic).
     pub alu: u64,
     /// Cost of acquiring an uncontended mutex guarding shared WRAM state.
@@ -43,9 +39,7 @@ impl IsaCosts {
         IsaCosts {
             add: 1,
             mul: 32,
-            div: 64,
             cmp: 1,
-            wram_access: 1,
             alu: 1,
             lock: 16,
             sqt_lookup: 14,
@@ -58,9 +52,7 @@ impl IsaCosts {
         IsaCosts {
             add: 1,
             mul: 1,
-            div: 16,
             cmp: 1,
-            wram_access: 1,
             alu: 1,
             lock: 16,
             sqt_lookup: 2,
@@ -88,7 +80,6 @@ mod tests {
     fn hw_multiplier_makes_mul_cheap() {
         let c = IsaCosts::with_hw_multiplier();
         assert_eq!(c.mul, c.add);
-        assert!(c.div < IsaCosts::upmem().div);
     }
 
     #[test]

@@ -153,12 +153,6 @@ impl PhaseMeter {
             + dma_setup as f64 / arch.freq_hz;
         compute.max(io)
     }
-
-    /// Compute-to-IO ratio (paper Eq. 13); `None` when no bytes moved.
-    pub fn c2io(&self) -> Option<f64> {
-        let bytes = self.total_bytes();
-        (bytes > 0).then(|| self.cycles as f64 / bytes as f64)
-    }
 }
 
 /// A full per-DPU meter: one [`PhaseMeter`] per ANNS phase.
@@ -438,15 +432,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.phase(Phase::Dc).cycles, 15);
         assert_eq!(a.phase(Phase::Dc).mram_read, 64);
-    }
-
-    #[test]
-    fn c2io_reports_ratio() {
-        let mut m = PhaseMeter::default();
-        assert!(m.c2io().is_none());
-        m.charge_add_c(100, &ISA);
-        m.mram_stream_read(50);
-        assert_eq!(m.c2io(), Some(2.0));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use crate::config::{PimArch, SimConfigError};
 use crate::energy::EnergyModel;
-use crate::fault::{FaultInjector, FaultOutcome};
+use crate::fault::FaultInjector;
 use crate::host::HostLink;
 use crate::memory::MemTracker;
-use crate::meter::{DpuMeter, Phase};
+use crate::meter::DpuMeter;
 use crate::stats;
 
 /// One simulated DPU: capacity trackers plus the op/IO meter.
@@ -147,12 +147,6 @@ impl PimSystem {
         Ok(Self::new(arch, ndpus))
     }
 
-    /// Build with the architecture's full DPU count.
-    pub fn full(arch: PimArch) -> Self {
-        let n = arch.num_dpus;
-        Self::new(arch, n)
-    }
-
     /// Number of instantiated DPUs.
     pub fn len(&self) -> usize {
         self.dpus.len()
@@ -170,15 +164,6 @@ impl PimSystem {
         }
         self.slowdown.clear();
         self.time_cap.clear();
-    }
-
-    /// Fault outcome of dispatching wave `attempt` of batch `batch` to DPU
-    /// `dpu` — [`FaultOutcome::Healthy`] when no injector is attached.
-    pub fn fault_outcome(&self, dpu: usize, batch: u64, attempt: u32) -> FaultOutcome {
-        match &self.fault {
-            Some(inj) => inj.outcome(dpu, batch, attempt),
-            None => FaultOutcome::Healthy,
-        }
     }
 
     /// Record a straggler: DPU `i`'s batch time is multiplied by `factor`.
@@ -289,18 +274,6 @@ impl PimSystem {
         }
         total
     }
-
-    /// Convenience: sum of a phase's time across no DPU — the *mean* phase
-    /// time weighted by the slowest DPU is already in [`BatchTiming`]; this
-    /// returns the mean per-DPU time of one phase for diagnostics.
-    pub fn mean_phase_time(&self, p: Phase) -> f64 {
-        let times: Vec<f64> = self
-            .dpus
-            .iter()
-            .map(|d| d.meter.phase(p).time(&self.arch, self.tasklets))
-            .collect();
-        stats::mean(&times)
-    }
 }
 
 #[cfg(test)]
@@ -399,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn full_system_instantiates_arch_count() {
-        let arch = PimArch::upmem_dimms(1);
-        let sys = PimSystem::full(arch);
-        assert_eq!(sys.len(), 128);
-        assert!(!sys.is_empty());
-    }
-
-    #[test]
     fn batch_energy_tracks_work_and_transfers() {
         let mut sys = small_sys();
         sys.dpus[0]
@@ -419,8 +384,8 @@ mod tests {
         assert!(e.transfer_j > 0.0);
         assert!(e.host_busy_j > 0.0);
         assert!(e.static_j > 0.0);
-        assert!(e.phase_j(Phase::Dc) > 0.0);
-        assert_eq!(e.phase_j(Phase::Lc), 0.0);
+        assert!(e.phase_dynamic_j[Phase::Dc.idx()] > 0.0);
+        assert_eq!(e.phase_dynamic_j[Phase::Lc.idx()], 0.0);
         // recorded link bytes are the exact totals the caller tallied
         assert_eq!(t.push_bytes, 1u64 << 16);
         assert_eq!(t.gather_bytes, 1u64 << 12);
@@ -454,15 +419,6 @@ mod tests {
         }
         let clean = sys.batch_timing(0.0, 0, 0);
         assert!((clean.imbalance() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fault_outcome_defaults_to_healthy_without_injector() {
-        let sys = small_sys();
-        assert_eq!(
-            sys.fault_outcome(0, 0, 0),
-            crate::fault::FaultOutcome::Healthy
-        );
     }
 
     #[test]

@@ -10,46 +10,6 @@
 //! total latency, removed by forwarding the current k-th distance into the
 //! distance-calculation loop.
 
-use crate::config::PimArch;
-
-/// Static description of how a kernel spreads work across tasklets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskletPlan {
-    /// Resident tasklets executing the kernel.
-    pub tasklets: usize,
-    /// Per-batch synchronisation barriers (e.g. phase boundaries).
-    pub barriers: u64,
-    /// Extra WRAM bytes consumed per additional tasklet (private buffers).
-    pub wram_per_tasklet: u64,
-}
-
-impl TaskletPlan {
-    /// A plan using `tasklets` threads with no extra overheads.
-    pub fn new(tasklets: usize) -> Self {
-        TaskletPlan {
-            tasklets,
-            barriers: 0,
-            wram_per_tasklet: 0,
-        }
-    }
-
-    /// The paper's default: enough tasklets to fill the pipeline (11 on
-    /// UPMEM silicon; we use 16 as the SDK's sweet spot).
-    pub fn default_for(arch: &PimArch) -> Self {
-        TaskletPlan::new(arch.pipeline_depth.max(16).min(arch.max_tasklets))
-    }
-
-    /// Pipeline efficiency achieved by this plan on `arch`.
-    pub fn efficiency(&self, arch: &PimArch) -> f64 {
-        arch.pipeline_eff(self.tasklets)
-    }
-
-    /// Total private WRAM needed by the plan.
-    pub fn wram_footprint(&self) -> u64 {
-        self.tasklets as u64 * self.wram_per_tasklet
-    }
-}
-
 /// Outcome statistics of the shared top-k queue under a given locking policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LockStats {
@@ -87,31 +47,6 @@ pub enum LockPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_fills_pipeline() {
-        let arch = PimArch::upmem_sc25();
-        let plan = TaskletPlan::default_for(&arch);
-        assert!((plan.efficiency(&arch) - 1.0).abs() < 1e-12);
-        assert!(plan.tasklets <= arch.max_tasklets);
-    }
-
-    #[test]
-    fn single_tasklet_is_pipeline_limited() {
-        let arch = PimArch::upmem_sc25();
-        let plan = TaskletPlan::new(1);
-        assert!((plan.efficiency(&arch) - 1.0 / 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wram_footprint_scales() {
-        let plan = TaskletPlan {
-            tasklets: 16,
-            barriers: 2,
-            wram_per_tasklet: 256,
-        };
-        assert_eq!(plan.wram_footprint(), 4096);
-    }
 
     #[test]
     fn prune_rate() {

@@ -126,13 +126,27 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The SQT is lossless over the whole signed-diff domain.
+    /// The SQT is lossless over the whole signed-diff domain: a one-entry
+    /// LUT built through it is `diff²` exactly.
     #[test]
     fn sqt_lossless(diff in -255i32..=255) {
+        let (residual, codeword) = ([diff.max(0) as u8], [(-diff).max(0) as u8]);
+        let placement = drim_ann::wram::WramPlacement::none();
+        let costs = upmem_sim::IsaCosts::upmem();
+        let ctx = drim_ann::kernels::KernelCtx {
+            costs: &costs,
+            dma_burst: 8,
+            bits: drim_ann::config::DataBits::B8,
+            placement: &placement,
+        };
         let mut sqt = drim_ann::sqt::Sqt::for_u8();
         let mut meter = upmem_sim::meter::PhaseMeter::default();
-        let got = sqt.square(diff, &mut meter, &upmem_sim::IsaCosts::upmem(), 8);
-        prop_assert_eq!(got, (diff as i64 * diff as i64) as u64);
+        let mut lut = Vec::new();
+        drim_ann::kernels::lc::run_bulk(
+            &ctx, &mut meter, &residual, 1, &codeword, 1, 1, 1, Some(&mut sqt), &mut lut,
+        );
+        prop_assert_eq!(lut, vec![(diff * diff) as u32]);
+        prop_assert_eq!((sqt.hits_wram, sqt.hits_mram), (1, 0));
     }
 
     /// Zipf partitions conserve mass for any shape.
@@ -255,9 +269,21 @@ proptest! {
         let a = Matrix::from_rows(m, k, (0..m * k).map(|_| next()).collect());
         let b = Matrix::from_rows(k, n, (0..k * n).map(|_| next()).collect());
         let tiled = a.matmul(&b);
-        let naive = a.matmul_naive(&b);
+        // reference i-k-j product
+        let naive_of = |a: &Matrix, b: &Matrix| {
+            let mut out = Matrix::zeros(m, n);
+            for i in 0..m {
+                for p in 0..k {
+                    for j in 0..n {
+                        out.data[i * n + j] += a.data[i * k + p] * b.data[p * n + j];
+                    }
+                }
+            }
+            out
+        };
+        let naive = naive_of(&a, &b);
         let abs = |x: &Matrix| Matrix::from_rows(x.rows, x.cols, x.data.iter().map(|v| v.abs()).collect());
-        let scale = abs(&a).matmul_naive(&abs(&b));
+        let scale = naive_of(&abs(&a), &abs(&b));
         for i in 0..tiled.data.len() {
             let s = scale.data[i].max(1.0);
             prop_assert!((tiled.data[i] - naive.data[i]).abs() / s <= 1e-5,
