@@ -3,10 +3,10 @@
 //! The paper lists DPQ (Klein & Wolf, CVPR 2019 — *end-to-end supervised
 //! product quantization*) among the PQ variants DRIM-ANN supports. DPQ
 //! proper learns codebooks with label supervision through soft (softmax)
-//! codeword assignments. We have no labels in this reproduction, so — as
-//! recorded in DESIGN.md — we keep DPQ's *mechanism* (soft assignments with
-//! an annealed temperature refining the codebooks end-to-end against the
-//! reconstruction objective) without the supervised loss. The result plugs
+//! codeword assignments. We have no labels in this reproduction, so we
+//! keep DPQ's *mechanism* (soft assignments with an annealed temperature
+//! refining the codebooks end-to-end against the reconstruction
+//! objective) without the supervised loss. The result plugs
 //! into the engine through the identical encode/LUT interface as PQ/OPQ,
 //! which is all the paper's engine requires of the variant.
 

@@ -24,7 +24,7 @@ pub enum PqVariant {
     /// Optimized PQ: learned rotation (Ge et al.).
     Opq,
     /// DPQ-style soft-assignment refinement (Klein & Wolf; unsupervised
-    /// variant, see DESIGN.md).
+    /// variant, as no labels exist here).
     Dpq,
 }
 

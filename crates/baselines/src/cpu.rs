@@ -1,6 +1,6 @@
 //! The Faiss-CPU baseline.
 //!
-//! Two faces, as laid out in DESIGN.md:
+//! Two faces:
 //!
 //! * [`CpuIvfPq`] — a real, runnable multithreaded IVF-PQ scan (the
 //!   workspace thread pool over queries, exactly Faiss's `IndexIVFPQ`

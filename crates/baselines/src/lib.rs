@@ -5,8 +5,8 @@
 //! * [`cpu`] — the Faiss-CPU baseline, in two forms: a *real* multithreaded
 //!   IVF-PQ scan (on the host pool) used for correctness/recall parity, and a
 //!   calibrated roofline timing model of the paper's Xeon Gold 5218 used
-//!   for cross-platform QPS ratios (comparing our laptop's wall clock to a
-//!   simulated PIM would be meaningless — see DESIGN.md);
+//!   for cross-platform QPS ratios (comparing this host's wall clock to a
+//!   simulated PIM would be meaningless);
 //! * [`gpu`] — the Faiss-GPU baseline on an A100 80GB model, with
 //!   out-of-memory detection for billion-scale corpora;
 //! * [`roofline`] — the roofline analysis of paper Fig. 2;

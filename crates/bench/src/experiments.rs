@@ -622,8 +622,9 @@ pub fn fig15(scale: &PaperScale) -> Table {
     t
 }
 
-/// Ablations beyond the paper's figures: the design choices DESIGN.md
-/// calls out, each toggled in isolation on the SIFT100M trace.
+/// Ablations beyond the paper's figures: lock policy, tasklet count,
+/// operand width, allocation and scheduling policy, each toggled in
+/// isolation on the SIFT100M trace.
 pub fn ablations(scale: &PaperScale) -> Table {
     let desc = catalog::sift100m();
     let index = paper_index(1 << 14, 96);

@@ -5,7 +5,7 @@
 //! rows; `tests/paper_shapes.rs` gates the figures' shape claims.
 //! Performance is measured elsewhere, by `benchmark/` (`BENCHMARK.json`).
 //!
-//! Scale notes (see DESIGN.md): paper-scale experiments run in *trace
+//! Scale notes: paper-scale experiments run in *trace
 //! mode* — real layout/scheduling/cost code over statistical workload
 //! shapes — on the full 2,543-DPU UPMEM configuration. Accuracy
 //! experiments run functionally on scaled synthetic corpora.

@@ -12,8 +12,8 @@
 //! GP's probability of meeting the recall constraint. (The paper uses
 //! expected hypervolume improvement over the two objectives; with
 //! performance deterministic under the model, constrained EI explores the
-//! same frontier — the simplification is recorded in DESIGN.md, and
-//! [`bayes::hypervolume_2d`] reports the attained front either way.)
+//! same frontier, and [`bayes::hypervolume_2d`] reports the attained front
+//! either way.)
 
 pub mod bayes;
 pub mod gp;

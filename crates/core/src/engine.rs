@@ -1,12 +1,17 @@
 //! The DRIM-ANN engine: build an IVF-PQ index, lay it out over the DPUs,
 //! and execute query batches through the five-phase pipeline (paper Fig. 4).
 //!
-//! Execution per batch: the host runs cluster locating here, then the
-//! shared dispatch loop (`crate::dispatch`, also trace mode's) schedules
+//! Execution per batch: the host runs cluster locating here. Then, because
+//! LUTs and distances depend only on (query, cluster) and (query, point),
+//! the host computes them once for the whole batch (the `arena`
+//! submodule): per probed cluster, its queries in interleaved blocks, one
+//! LUT build and one pass over the cluster's codes per block. The shared
+//! dispatch loop (`crate::dispatch`, also trace mode's) then schedules
 //! greedily and drives the DPU waves; every DPU (in parallel on the host
-//! thread pool, one work item per DPU) runs RC -> LC -> DC -> TS over its
-//! assigned (query, slice) tasks, reusing the residual and LUT across
-//! slices of the same cluster when they were co-located; finally the
+//! thread pool, one work item per DPU) walks its assigned (query, slice)
+//! tasks exactly as the hardware would — RC, then LC and DC *booked* once
+//! per (query, cluster) group and per slice, reading their values from the
+//! batch's arena, then the tombstone filter and TS for real. Finally the
 //! per-DPU top-k lists are gathered and merged on the host. The returned
 //! [`BatchReport`] carries the simulated wall clock, energy, imbalance and
 //! phase breakdown. Streaming inserts, deletes and maintenance live in the
@@ -27,19 +32,19 @@ use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
 use ann_core::vector::VecSet;
 use std::borrow::Cow;
 use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector};
-use upmem_sim::meter::{DpuMeter, Phase};
+use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
 use upmem_sim::tasklet::LockStats;
 use upmem_sim::{PimArch, SimConfigError};
 
+mod arena;
 mod mutate;
+use arena::Arena;
 pub use mutate::{MaintenanceReport, MutationError};
 
 /// (query, cluster) groups per bulk-LC wave in the per-DPU loop: one
-/// [`lc::run_bulk`] call builds this many LUTs back-to-back, so the
-/// quantized codebook streams once per wave instead of once per group.
-/// Bounds the wave's LUT slab to `LC_GROUP_BLOCK * m * cb` entries.
+/// [`lc::charge_bulk`] call books this many groups' LUT builds.
 const LC_GROUP_BLOCK: usize = 8;
 
 /// Build-time error.
@@ -97,7 +102,8 @@ pub struct DrimEngine {
     pub shape: WorkloadShape,
     /// Quantizer mapping f32 residual space to u8 DPU operands.
     rquant: ScalarQuantizer,
-    /// Quantized codebooks, `m * cb * dsub`.
+    /// Quantized codebooks, `m * cb * dsub`, transposed to `[s][d][j]` as
+    /// LC's build and charge read them ([`lc::transpose`]).
     qcodebooks: Vec<u8>,
     /// Coarse centroids in the PQ's working space: for OPQ these are the
     /// *rotated* centroids, so the DPU residual `R q - R c = R (q - c)`
@@ -141,6 +147,8 @@ pub struct DrimEngine {
     mutation_transfer_s: f64,
     /// Accumulated bytes pushed across the link by mutations.
     mutation_push_bytes: u64,
+    /// The last batch's LUT + DC values (scratch reused across batches).
+    arena: Arena,
 }
 
 impl DrimEngine {
@@ -230,6 +238,7 @@ impl DrimEngine {
             .iter()
             .map(|&v| rquant.encode(v) as u8)
             .collect();
+        let qcodebooks = lc::transpose(&qcodebooks, pq.m, pq.cb, pq.dsub);
 
         // Heat profile from sample traffic (one GEMM-batched CL pass over
         // the whole profile set instead of a per-query scan).
@@ -344,6 +353,7 @@ impl DrimEngine {
             bytes_per_point,
             mutation_transfer_s: 0.0,
             mutation_push_bytes: 0,
+            arena: Arena::default(),
         };
 
         // CI fault matrix: `DRIM_ANN_FAULT_SEED` arms the injector on every
@@ -541,8 +551,9 @@ impl DrimEngine {
 
     /// [`Self::search_batch`] without the dedup pre-pass: every row of
     /// `queries` is executed, duplicates included. Host CL here, then the
-    /// shared dispatch loop ([`dispatch::run`]) over the functional
-    /// kernels, then the host merge.
+    /// batch's LC + DC values ([`Arena::fill`]), then the shared dispatch
+    /// loop ([`dispatch::run`]) over the functional kernels, then the host
+    /// merge.
     fn search_batch_unique(&mut self, queries: &VecSet<f32>) -> (Vec<Vec<Neighbor>>, BatchReport) {
         // --- CL (host): borrowed centroid table + the index's cached
         // norms — no per-batch norm recompute or table clone ---
@@ -584,6 +595,8 @@ impl DrimEngine {
             tombstones: &self.tombstones,
             queries: &dpu_queries,
         };
+        self.arena.fill(&kernels, &cl_out.probes);
+        let arena = &self.arena;
         let (per_query_lists, report) = dispatch::run(
             &mut self.system,
             dispatch::Batch {
@@ -595,7 +608,7 @@ impl DrimEngine {
                 cost: &cost,
                 fault_batch: self.fault_batch,
             },
-            |_, tasks| kernels.run_dpu(tasks),
+            |_, tasks| kernels.run_dpu(arena, tasks),
         );
 
         // --- merge on host ---
@@ -627,8 +640,23 @@ struct DpuKernels<'a> {
 }
 
 impl DpuKernels<'_> {
-    /// Execute one DPU's task list.
-    fn run_dpu(&self, tasks: &[Task]) -> DpuOutput {
+    /// RC for one (query, cluster) group into `meter`: the quantized
+    /// residual, zero-padded to `m * dsub` (PQ pads internally too).
+    fn residual(&self, meter: &mut PhaseMeter, q: u32, cluster: u32, out: &mut Vec<u8>) {
+        rc::run(
+            &self.cost.ctx(),
+            meter,
+            self.queries.get(q as usize),
+            self.dpu_centroids.get(cluster as usize),
+            self.rquant,
+            out,
+        );
+        out.resize(self.cfg.index.m * self.dsub, self.rquant.encode(0.0) as u8);
+    }
+
+    /// Execute one DPU's task list, its LUT and distance values read from
+    /// the batch's `arena`.
+    fn run_dpu(&self, arena: &Arena, tasks: &[Task]) -> DpuOutput {
         let mut meter = DpuMeter::new();
         let ctx = &self.cost.ctx();
         let mut sqt = self.cfg.sqt.then(|| {
@@ -643,9 +671,9 @@ impl DpuKernels<'_> {
         let dsub = self.dsub;
         let k = self.cfg.index.k;
 
-        // RC + LC run once per (query, cluster) group — the data reuse the
-        // allocation exchange pass enables. Groups (hence the per-query
-        // heaps, results and checksum) ascend by query id.
+        // RC + LC are booked once per (query, cluster) group — the data
+        // reuse the allocation exchange pass enables. Groups (hence the
+        // per-query heaps, results and checksum) ascend by query id.
         let mut order = Vec::new();
         let groups: Vec<_> = sched::group_tasks(tasks, self.layout, &mut order).collect();
 
@@ -653,41 +681,24 @@ impl DpuKernels<'_> {
         let mut lock = LockStats::default();
         let mut residual_q = Vec::new();
         let mut residuals = Vec::new();
-        let mut luts = Vec::new();
         let mut scanned = Vec::new();
         let mut push_bytes = 0u64;
         let mut gather_bytes = 0u64;
         let mut tombstone_filtered = 0u64;
 
         // Groups run in LC_GROUP_BLOCK-sized waves: RC fills a residual
-        // slab, one bulk LC builds every LUT of the wave (the codebook
-        // streams once per wave instead of once per group), then DC + TS
-        // consume the LUTs group by group. Charges are identical to the
-        // per-group loop — only the build order is blocked.
+        // slab, one bulk charge books every LUT of the wave, then DC + TS
+        // run group by group over the arena's distances.
         for wave in groups.chunks(LC_GROUP_BLOCK) {
             residuals.clear();
             for group in wave {
                 let (q, cluster, _) = group[0];
-                let query = self.queries.get(q as usize);
-                let centroid = self.dpu_centroids.get(cluster as usize);
                 push_bytes += self.cost.push_bytes(group.len());
-
-                // RC
-                rc::run(
-                    ctx,
-                    meter.phase_mut(Phase::Rc),
-                    query,
-                    centroid,
-                    self.rquant,
-                    &mut residual_q,
-                );
-                // zero-pad residual to m * dsub (PQ pads internally too)
-                residual_q.resize(m * dsub, self.rquant.encode(0.0) as u8);
+                self.residual(meter.phase_mut(Phase::Rc), q, cluster, &mut residual_q);
                 residuals.extend_from_slice(&residual_q);
             }
 
-            // LC (bulk over the wave)
-            lc::run_bulk(
+            lc::charge_bulk(
                 ctx,
                 meter.phase_mut(Phase::Lc),
                 &residuals,
@@ -697,11 +708,10 @@ impl DpuKernels<'_> {
                 cb,
                 dsub,
                 sqt.as_mut(),
-                &mut luts,
             );
 
             // DC + TS per slice
-            for (group, lut) in wave.iter().zip(luts.chunks_exact(m * cb)) {
+            for group in wave {
                 let (q, cluster, _) = group[0];
                 if heaps.last().map(|(last, _)| *last) != Some(q) {
                     heaps.push((q, BoundedMaxHeap::new(k)));
@@ -709,30 +719,17 @@ impl DpuKernels<'_> {
                 let heap = &mut heaps.last_mut().expect("pushed above").1;
                 let tomb = &self.tombstones[cluster as usize];
                 let list = &self.lists[cluster as usize];
+                let dists = arena.run(q, cluster, list.len());
                 for &(_, _, si) in *group {
                     let s = &self.layout.slices[si];
                     let ids = &list.ids[s.start..s.start + s.len];
-                    let codes = &list.codes[s.start * m..(s.start + s.len) * m];
-                    let bound = match self.cfg.lock_policy {
-                        upmem_sim::tasklet::LockPolicy::Forwarding => {
-                            let b = heap.bound();
-                            if b.is_finite() {
-                                b as u64
-                            } else {
-                                u64::MAX
-                            }
-                        }
-                        upmem_sim::tasklet::LockPolicy::LockAlways => u64::MAX,
-                    };
-                    dc::run(
-                        ctx,
-                        meter.phase_mut(Phase::Dc),
-                        codes,
-                        m,
-                        cb,
-                        lut,
-                        bound,
-                        &mut scanned,
+                    dc::charge(ctx, meter.phase_mut(Phase::Dc), s.len as u64, m, cb);
+                    scanned.clear();
+                    scanned.extend(
+                        dists[s.start..s.start + s.len]
+                            .iter()
+                            .enumerate()
+                            .map(|(slot, &d)| (slot as u32, d as u64)),
                     );
                     // Tombstone filter: deleted-but-uncompacted ids drop
                     // here, between scan and top-k, so they can never enter

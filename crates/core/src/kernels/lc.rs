@@ -7,12 +7,15 @@
 //! Cost model: paper Eq. 6-7.
 //!
 //! The SQT is lossless, so the multiply and SQT arms differ only in what a
-//! squaring *costs* — never in the table they build. [`run_bulk`] therefore
-//! has one integer build loop for both, shaped for the host's vector units,
-//! and books the squarings once per call from an exact `(hits, misses)`
-//! count (`sqt_split`) through the same helpers the closed-form [`charge`]
-//! uses. How fast the host simulates LC says nothing about what LC is
-//! charged.
+//! squaring *costs* — never in the table they build. Building and charging
+//! are therefore two functions: `build` is the one integer build loop,
+//! shaped for the host's vector units, and [`charge_bulk`] books a set of
+//! groups' squarings from an exact `(hits, misses)` count (`sqt_split`)
+//! through the same helpers the closed-form [`charge`] uses. [`run_bulk`]
+//! is the two back to back. The engine calls them apart: the batch builds
+//! each probed cluster's LUTs once, several queries interleaved, and every
+//! DPU books its own groups through [`charge_bulk`]. How fast the host
+//! simulates LC says nothing about what LC is charged.
 
 use super::KernelCtx;
 use crate::sqt::Sqt;
@@ -89,15 +92,15 @@ fn charge_nonsquare(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, m: usize, cb: u
 }
 
 /// Exact `(WRAM hits, MRAM spills)` of the `ngroups * m * cb * dsub` SQT
-/// lookups one [`run_bulk`] call performs. Operands are `u8`, so
-/// `|diff| <= 255`: a window of 256 or more entries serves every lookup, an
-/// empty one (table not resident) none, and only a window in between needs
-/// the differences counted.
+/// lookups one [`run_bulk`] call performs, against transposed codewords
+/// (`[s][d][j]`). Operands are `u8`, so `|diff| <= 255`: a window of 256 or
+/// more entries serves every lookup, an empty one (table not resident)
+/// none, and only a window in between needs the differences counted.
 fn sqt_split(
     window: usize,
     residuals: &[u8],
     ngroups: usize,
-    codebooks: &[u8],
+    codebooks_t: &[u8],
     m: usize,
     cb: usize,
     dsub: usize,
@@ -110,17 +113,11 @@ fn sqt_split(
     } else {
         let mut hits = 0u64;
         for residual in residuals.chunks_exact(m * dsub).take(ngroups) {
-            for (r_sub, block) in residual
-                .chunks_exact(dsub)
-                .zip(codebooks.chunks_exact(cb * dsub))
-            {
-                for cw in block.chunks_exact(dsub) {
-                    hits += r_sub
-                        .iter()
-                        .zip(cw)
-                        .filter(|&(&r, &c)| (r.abs_diff(c) as usize) < window)
-                        .count() as u64;
-                }
+            for (&r, components) in residual.iter().zip(codebooks_t.chunks_exact(cb)) {
+                hits += components
+                    .iter()
+                    .filter(|&&c| (r.abs_diff(c) as usize) < window)
+                    .count() as u64;
             }
         }
         hits
@@ -151,20 +148,13 @@ pub fn run(
     run_bulk(ctx, meter, residual, 1, codebooks, m, cb, dsub, sqt, lut);
 }
 
-/// Bulk LUT construction for `ngroups` residuals against one codebook —
-/// the batched form of [`run`] the engine uses for its per-DPU (query,
-/// cluster) groups.
+/// Bulk LUT construction for `ngroups` residuals against one codebook: the
+/// one-lane build of each group in turn, then [`charge_bulk`].
 ///
 /// `residuals` is `ngroups * m * dsub` flat (one padded residual per
-/// group); `luts` receives `ngroups * m * cb` entries, group-major.
-///
-/// Each subspace's codewords are transposed once per call into a `[d][j]`
-/// block (`dsub * cb` bytes), so the `cb` entries of a LUT row are
-/// contiguous vector lanes and the block stays hot across the whole group
-/// wave. Integer sums are associative, so entries are bit-identical to any
-/// other summation order, and the charges are exactly `ngroups` times one
-/// [`charge`] at the call's measured hit rate (the accounting trace mode
-/// replays).
+/// group); `luts` receives `ngroups * m * cb` entries, group-major. The
+/// charges are exactly `ngroups` times one [`charge`] at the call's
+/// measured hit rate (the accounting trace mode replays).
 #[allow(clippy::too_many_arguments)]
 pub fn run_bulk(
     ctx: &KernelCtx<'_>,
@@ -178,50 +168,177 @@ pub fn run_bulk(
     sqt: Option<&mut Sqt>,
     luts: &mut Vec<u32>,
 ) {
-    debug_assert_eq!(codebooks.len(), m * cb * dsub);
-    debug_assert!(residuals.len() >= ngroups * m * dsub);
-    assert!(dsub > 0, "a LUT entry needs at least one squared term");
+    assert!(residuals.len() >= ngroups * m * dsub);
+    let codebooks_t = transpose(codebooks, m, cb, dsub);
+    luts.resize(ngroups * m * cb, 0);
+    // a one-lane table is a plain `[s][j]` one, so group-major output is
+    // one-lane builds back to back
+    for (residual, lut) in residuals
+        .chunks_exact(m * dsub)
+        .zip(luts.chunks_exact_mut(m * cb))
+    {
+        fill::<1, 32>(residual, &codebooks_t, cb, dsub, lut);
+    }
+    charge_bulk(
+        ctx,
+        meter,
+        residuals,
+        ngroups,
+        &codebooks_t,
+        m,
+        cb,
+        dsub,
+        sqt,
+    );
+}
 
-    let lut_w = m * cb;
-    // no zero-fill of reused storage: the first `d` term of every entry
-    // is a plain store, the remaining terms accumulate onto it
-    luts.resize(ngroups * lut_w, 0);
-    let mut lanes = vec![0u8; dsub * cb];
+/// `codebooks` (`[s][j][d]`, `m * cb * dsub` quantized codewords) as
+/// [`build`] reads them: `[s][d][j]`, so the `cb` codewords' `d`-th
+/// components are contiguous.
+pub(crate) fn transpose(codebooks: &[u8], m: usize, cb: usize, dsub: usize) -> Vec<u8> {
+    assert_eq!(codebooks.len(), m * cb * dsub);
+    let mut t = vec![0u8; codebooks.len()];
+    for (block, t_s) in codebooks
+        .chunks_exact(cb * dsub)
+        .zip(t.chunks_exact_mut(cb * dsub))
+    {
+        for (d, row) in t_s.chunks_exact_mut(cb).enumerate() {
+            for (dst, &c) in row.iter_mut().zip(block[d..].iter().step_by(dsub)) {
+                *dst = c;
+            }
+        }
+    }
+    t
+}
+
+/// Build the integer ADC lookup tables of `lanes` residuals at once,
+/// interleaved: entry `(s, j)` of lane `l` lands at
+/// `luts[(s * cb + j) * w + l]`, where the lane stride `w` is
+/// `lane_width(lanes)` and `luts` is `m * cb * w` long; the padding lanes
+/// hold the tables of an all-zero residual.
+///
+/// `residuals` is `lanes * m * dsub` flat (one padded residual per lane);
+/// `codebooks_t` is the [`transpose`] of the `m * cb * dsub` quantized
+/// codewords. Charges nothing — a DPU books the groups it serves through
+/// [`charge_bulk`]. Integer sums are associative, so every entry is
+/// bit-identical to a one-lane build of the same residual.
+pub(crate) fn build(
+    residuals: &[u8],
+    lanes: usize,
+    codebooks_t: &[u8],
+    m: usize,
+    cb: usize,
+    dsub: usize,
+    luts: &mut [u32],
+) {
+    let w = super::lane_width(lanes);
+    let width = m * dsub;
+    assert!(residuals.len() >= lanes * width);
+    assert_eq!(luts.len(), m * cb * w);
+    // the residuals `[s][d][lane]`, so one codeword term serves every lane
+    let mut rt = vec![0u8; width * w];
+    for (l, residual) in residuals.chunks_exact(width).take(lanes).enumerate() {
+        for (e, &r) in residual.iter().enumerate() {
+            rt[e * w + l] = r;
+        }
+    }
+    // `J = 32 / W` codewords per register block (see `fill`)
+    match w {
+        1 => fill::<1, 32>(&rt, codebooks_t, cb, dsub, luts),
+        2 => fill::<2, 16>(&rt, codebooks_t, cb, dsub, luts),
+        4 => fill::<4, 8>(&rt, codebooks_t, cb, dsub, luts),
+        8 => fill::<8, 4>(&rt, codebooks_t, cb, dsub, luts),
+        _ => fill::<16, 2>(&rt, codebooks_t, cb, dsub, luts),
+    }
+}
+
+/// The one LUT build loop, over `W` lanes whose residuals `rt` are laid
+/// out `[s][d][lane]`, against transposed codewords (`[s][d][j]`). Entries
+/// are built `J` codewords x `W` lanes at a time (callers keep `J * W` at
+/// 32 `u32` accumulators): per residual component `d`, `J` contiguous
+/// codeword bytes against the `W` lanes' bytes, so the vector lanes are
+/// codewords at one lane and queries at 16 alike. Each entry is stored
+/// once, so reused `luts` storage needs no zero-fill. Never inlined, for
+/// the reason `dc::scan_lanes` gives: a loop like this one vectorises on
+/// its own, and in some callers' bodies not.
+#[inline(never)]
+fn fill<const W: usize, const J: usize>(
+    rt: &[u8],
+    codebooks_t: &[u8],
+    cb: usize,
+    dsub: usize,
+    luts: &mut [u32],
+) {
+    assert!(dsub > 0, "a LUT entry needs at least one squared term");
+    let (rt, _) = rt.as_chunks::<W>();
+    let (rows, _) = luts.as_chunks_mut::<W>();
+    for ((lut_s, t_s), r_s) in rows
+        .chunks_exact_mut(cb)
+        .zip(codebooks_t.chunks_exact(dsub * cb))
+        .zip(rt.chunks_exact(dsub))
+    {
+        let full = cb / J * J;
+        for j0 in (0..full).step_by(J) {
+            fill_block::<W, J>(r_s, t_s, cb, j0, lut_s);
+        }
+        for j0 in full..cb {
+            fill_block::<W, 1>(r_s, t_s, cb, j0, lut_s);
+        }
+    }
+}
+
+/// Entries `j0..j0 + J` of one subspace's table `lut_s`.
+#[inline(always)]
+fn fill_block<const W: usize, const J: usize>(
+    r_s: &[[u8; W]],
+    t_s: &[u8],
+    cb: usize,
+    j0: usize,
+    lut_s: &mut [[u32; W]],
+) {
     let square = |r: u8, c: u8| {
         let diff = r.abs_diff(c) as u32;
         diff * diff
     };
-    for (s, block) in codebooks.chunks_exact(cb * dsub).enumerate() {
-        for (d, lane) in lanes.chunks_exact_mut(cb).enumerate() {
-            for (dst, &c) in lane.iter_mut().zip(block[d..].iter().step_by(dsub)) {
-                *dst = c;
-            }
-        }
-        for g in 0..ngroups {
-            let r_sub = &residuals[(g * m + s) * dsub..][..dsub];
-            let row = &mut luts[g * lut_w + s * cb..][..cb];
-            let mut terms = r_sub.iter().zip(lanes.chunks_exact(cb));
-            if let Some((&r, lane)) = terms.next() {
-                for (entry, &c) in row.iter_mut().zip(lane) {
-                    *entry = square(r, c);
-                }
-            }
-            for (&r, lane) in terms {
-                for (entry, &c) in row.iter_mut().zip(lane) {
-                    *entry += square(r, c);
-                }
+    let mut acc = [[0u32; W]; J];
+    for (r, components) in r_s.iter().zip(t_s.chunks_exact(cb)) {
+        let c: &[u8; J] = components[j0..j0 + J].try_into().expect("J codewords");
+        for (a, &c) in acc.iter_mut().zip(c) {
+            for (a, &r) in a.iter_mut().zip(r) {
+                *a += square(r, c);
             }
         }
     }
+    lut_s[j0..j0 + J].copy_from_slice(&acc);
+}
 
+/// Book the LC of `ngroups` (query, cluster) groups — exactly what
+/// [`run_bulk`] charges for them, whoever built their tables. `residuals`
+/// are the groups' padded residuals (`ngroups * m * dsub` flat) and
+/// `codebooks_t` the quantized codewords transposed to `[s][d][j]`, both
+/// read only to count a partial SQT window's hits exactly.
+#[allow(clippy::too_many_arguments)]
+pub fn charge_bulk(
+    ctx: &KernelCtx<'_>,
+    meter: &mut PhaseMeter,
+    residuals: &[u8],
+    ngroups: usize,
+    codebooks_t: &[u8],
+    m: usize,
+    cb: usize,
+    dsub: usize,
+    sqt: Option<&mut Sqt>,
+) {
+    debug_assert_eq!(codebooks_t.len(), m * cb * dsub);
+    debug_assert!(residuals.len() >= ngroups * m * dsub);
     match sqt {
-        None => meter.charge_mul((ngroups * lut_w * dsub) as u64, ctx.costs),
+        None => meter.charge_mul((ngroups * m * cb * dsub) as u64, ctx.costs),
         Some(table) => {
             let (hits, misses) = sqt_split(
                 table.wram_window(),
                 residuals,
                 ngroups,
-                codebooks,
+                codebooks_t,
                 m,
                 cb,
                 dsub,
@@ -417,7 +534,7 @@ mod tests {
                 };
                 for dsub in [1usize, 3, 4, 8] {
                     for cb in [16usize, 256] {
-                        for ngroups in [1usize, 3, 8, 9] {
+                        for ngroups in [1usize, 3, 8, 9, crate::kernels::LANES] {
                             let codebooks = bytes(m * cb * dsub);
                             let residuals = bytes(ngroups * m * dsub);
                             let case = format!("{table:?} dsub={dsub} cb={cb} groups={ngroups}");
@@ -462,6 +579,46 @@ mod tests {
                                     assert!(wram > 0 && mram > 0, "{case}: window must split");
                                 }
                             }
+
+                            // the engine's split: the groups as the lanes of
+                            // one interleaved build, entry for entry ...
+                            let w = crate::kernels::lane_width(ngroups);
+                            let mut interleaved = vec![u32::MAX; m * cb * w];
+                            let codebooks_t = transpose(&codebooks, m, cb, dsub);
+                            build(
+                                &residuals,
+                                ngroups,
+                                &codebooks_t,
+                                m,
+                                cb,
+                                dsub,
+                                &mut interleaved,
+                            );
+                            for (g, lut) in luts.chunks_exact(m * cb).enumerate() {
+                                for (e, &want) in lut.iter().enumerate() {
+                                    assert_eq!(
+                                        interleaved[e * w + g],
+                                        want,
+                                        "{case}: group {g} entry {e}"
+                                    );
+                                }
+                            }
+                            // ... and the charge-only half books what run_bulk does
+                            let mut split_sqt = table.clone();
+                            let mut split_meter = PhaseMeter::default();
+                            charge_bulk(
+                                &c,
+                                &mut split_meter,
+                                &residuals,
+                                ngroups,
+                                &codebooks_t,
+                                m,
+                                cb,
+                                dsub,
+                                split_sqt.as_mut(),
+                            );
+                            assert_eq!(split_meter, got_meter, "{case}");
+                            assert_eq!(hits(&split_sqt), hits(&got_sqt), "{case}");
                         }
                     }
                 }

@@ -1,11 +1,18 @@
 //! The five ANNS processing phases (paper Fig. 1), implemented as
 //! functional-plus-metered kernels.
 //!
-//! Every kernel both *computes the real result* on real data and *charges*
-//! the per-DPU meter with the instruction and traffic costs the operation
-//! would incur on the target PIM architecture. The two are decoupled: the
-//! result comes from a plain host loop, the cost from a closed-form charge
-//! function called once per invocation with the counts the loop observed.
+//! Every kernel *computes the real result* on real data and *charges* the
+//! per-DPU meter with the instruction and traffic costs the operation would
+//! incur on the target PIM architecture. The two are decoupled: the result
+//! comes from a plain host loop, the cost from a closed-form charge function
+//! fed the counts the loop observed. RC and TS do both in one call. LC and
+//! DC are values of (query, cluster) and (query, point) alone, so the engine
+//! computes them once per batch, before any DPU runs: several queries of a
+//! probed cluster at a time, their LUTs interleaved into `LANES`-wide
+//! vector lanes (`lc::build`, `dc::scan_lanes`). Each DPU then books its
+//! own groups through [`lc::charge_bulk`] and [`dc::charge`].
+//! [`lc::run_bulk`] and [`dc::run`] remain the one-call form of each (build
+//! or scan, then charge), over the same loop bodies.
 //!
 //! Those four `charge` functions are the only statement of what DPU work
 //! costs. [`GroupCost`] binds them to one configuration and is what every
@@ -33,6 +40,22 @@ use lc::SquareCost;
 use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
 use upmem_sim::tasklet::{LockPolicy, LockStats};
 use upmem_sim::{IsaCosts, PimArch};
+
+/// Queries per block of the batch's LC + DC pass: the most LUTs
+/// [`lc::build`] interleaves and `dc::scan_lanes` scans together. Chosen
+/// by measurement from 8, 16 and 32 (see `CHANGES.md`).
+pub(crate) const LANES: usize = 16;
+
+/// Lane stride of a block of `lanes` interleaved LUTs: `lanes` rounded up
+/// to a power of two, so a ragged block runs at the narrowest vector width
+/// that holds it.
+pub(crate) fn lane_width(lanes: usize) -> usize {
+    assert!(
+        (1..=LANES).contains(&lanes),
+        "a LUT block holds 1..={LANES} lanes, not {lanes}"
+    );
+    lanes.next_power_of_two()
+}
 
 /// Shared kernel context: cost table, DMA shape, operand width and the WRAM
 /// residency decisions.

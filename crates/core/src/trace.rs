@@ -2,7 +2,7 @@
 //! machinery against statistical workload shapes — 100M to 1B points, 2,543
 //! DPUs — without materializing a single vector.
 //!
-//! Rationale (DESIGN.md): the figures that depend on load distribution and
+//! Rationale: the figures that depend on load distribution and
 //! phase balance (paper Figs. 7–11, 13–15, Table 3) are functions of
 //! *cluster sizes*, *query heat* and *per-operation costs*, none of which
 //! require vector payloads. Trace mode samples cluster sizes from a Zipf

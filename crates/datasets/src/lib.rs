@@ -4,7 +4,7 @@
 //!
 //! The paper evaluates on SIFT100M, DEEP100M, SPACEV100M and billion-scale
 //! variants (its Table 1) — corpora far beyond what this environment can
-//! host. Per the substitution plan in `DESIGN.md`, this crate provides:
+//! host. In their place, this crate provides:
 //!
 //! * [`synth`] — deterministic synthetic corpora with the structural
 //!   properties that matter to ANNS cost (dimension, dtype, clustered
