@@ -15,6 +15,11 @@ use crate::pq::{PqParams, ProductQuantizer};
 use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
 
+/// Points per pool item when [`IvfPqIndex::build`] encodes the corpus. A
+/// constant, never derived from the thread count; encoding is per point,
+/// so the chunking only sets the grain of the parallel loop.
+const ENCODE_CHUNK: usize = 4096;
+
 /// Which product-quantization variant encodes the residuals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PqVariant {
@@ -109,10 +114,18 @@ impl PqModel {
 
     /// Encode a residual.
     pub fn encode(&self, r: &[f32]) -> Vec<u16> {
+        let mut code = vec![0u16; self.pq().m];
+        self.encode_into(r, &mut code);
+        code
+    }
+
+    /// Encode a residual into the `m` slots of `out`
+    /// ([`ProductQuantizer::encode_into`], after the rotation for OPQ).
+    pub fn encode_into(&self, r: &[f32], out: &mut [u16]) {
         match self {
-            PqModel::Plain(p) => p.encode(r),
-            PqModel::Rotated(o) => o.encode(r),
-            PqModel::Refined(d) => d.pq.encode(r),
+            PqModel::Plain(p) => p.encode_into(r, out),
+            PqModel::Rotated(o) => o.pq.encode_into(&o.rotate(r), out),
+            PqModel::Refined(d) => d.pq.encode_into(r, out),
         }
     }
 
@@ -230,14 +243,23 @@ impl IvfPqIndex {
             }
         };
 
-        // 4. encode everything into inverted lists
+        // 4. encode every residual on the pool, ENCODE_CHUNK points per
+        // item, then append to the inverted lists in point order
+        let m = params.m;
+        let mut codes = vec![0u16; data.len() * m];
+        rayon::par_chunks_mut(&mut codes, ENCODE_CHUNK * m, |ci, out| {
+            let mut r = vec![0.0f32; dim];
+            for (k, code) in out.chunks_exact_mut(m).enumerate() {
+                let i = ci * ENCODE_CHUNK + k;
+                residual_into(data.get(i), coarse.get(assignments[i] as usize), &mut r);
+                quant.encode_into(&r, code);
+            }
+        });
         let mut lists: Vec<IvfList> = (0..params.nlist).map(|_| IvfList::default()).collect();
-        for (i, &a) in assignments.iter().enumerate() {
-            let c = a as usize;
-            residual_into(data.get(i), coarse.get(c), &mut buf);
-            let code = quant.encode(&buf);
-            lists[c].ids.push(i as u32);
-            lists[c].codes.extend_from_slice(&code);
+        for ((i, &a), code) in assignments.iter().enumerate().zip(codes.chunks_exact(m)) {
+            let list = &mut lists[a as usize];
+            list.ids.push(i as u32);
+            list.codes.extend_from_slice(code);
         }
 
         let coarse_norms = crate::kernels::row_norms_f32(coarse.as_flat(), dim);

@@ -27,9 +27,12 @@
 //!
 //! Numerical contract: the `f32` kernels agree with the scalar reference
 //! to within a few ULPs of reassociation error (tested at 1e-4 relative).
-//! [`l2_sq_batch`] additionally carries the cancellation error of the decomposition (clamped at zero), which is why
-//! PQ encoding's nearest-codeword argmin uses [`l2_sq_rows`] — exact
-//! blocked distances without the decomposition. The ADC LUT build uses the
+//! [`l2_sq_batch`] additionally carries the cancellation error of the
+//! decomposition (clamped at zero), which is why PQ encoding's
+//! nearest-codeword argmin ([`crate::pq::ProductQuantizer::encode_into`])
+//! does not use it: its codeword-blocked kernel computes every distance
+//! with exactly [`l2_sq_f32`]'s expression tree, and the contract is
+//! stated there. The ADC LUT build uses the
 //! decomposition too (GEMM-formulated in `pq`'s `lut_batch` against cached
 //! codeword norms), trading a few ULPs of cancellation for a
 //! reduction-free, batch-amortized construction.
@@ -40,7 +43,7 @@ pub const LANES: usize = 8;
 
 /// Pairwise tree reduction of the lane accumulators.
 #[inline]
-fn reduce8(acc: [f32; LANES]) -> f32 {
+pub(crate) fn reduce8(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }
 
@@ -115,18 +118,6 @@ pub fn row_norms_into(rows_flat: &[f32], dim: usize, out: &mut Vec<f32>) {
     debug_assert!(dim > 0 && rows_flat.len().is_multiple_of(dim));
     out.clear();
     out.extend(rows_flat.chunks_exact(dim).map(norm_sq_f32));
-}
-
-/// Exact one-query-vs-N-rows squared distances (no decomposition): each
-/// row's distance is computed with the unrolled [`l2_sq_f32`].
-///
-/// `out` is cleared and filled with one distance per row. Use this where
-/// exactness against the scalar reference matters (PQ encode / LUT build).
-pub fn l2_sq_rows(q: &[f32], rows_flat: &[f32], dim: usize, out: &mut Vec<f32>) {
-    debug_assert!(dim > 0 && rows_flat.len().is_multiple_of(dim));
-    debug_assert_eq!(q.len(), dim);
-    out.clear();
-    out.extend(rows_flat.chunks_exact(dim).map(|row| l2_sq_f32(q, row)));
 }
 
 /// Fused one-query-vs-N-rows squared distances via the
@@ -313,12 +304,9 @@ mod tests {
             let norms = row_norms_f32(&rows, dim);
             let mut fused = Vec::new();
             l2_sq_batch(&q, &rows, dim, &norms, &mut fused);
-            let mut exact = Vec::new();
-            l2_sq_rows(&q, &rows, dim, &mut exact);
             assert_eq!(fused.len(), 33);
             for (i, row) in rows.chunks_exact(dim).enumerate() {
                 let reference = distance::l2_sq_f32(&q, row);
-                assert_rel_close(exact[i], reference, 1e-4);
                 // the decomposition may cancel; compare against the scale
                 // of the operands rather than the (possibly tiny) result
                 let scale = (norms[i] + reference).max(1.0);
@@ -336,8 +324,6 @@ mod tests {
     fn batch_on_empty_rows_yields_empty() {
         let mut out = vec![1.0f32];
         l2_sq_batch(&[1.0, 2.0], &[], 2, &[], &mut out);
-        assert!(out.is_empty());
-        l2_sq_rows(&[1.0, 2.0], &[], 2, &mut out);
         assert!(out.is_empty());
         assert!(nearest_row(&[1.0, 2.0], &[], 2, &[]).is_none());
     }

@@ -431,17 +431,31 @@ fn gemm_body<B: BSrc>(
 /// `MR x NR` register-tile update: `c[i*ldc + j] += Σ_k ap[k][i] bp[k][j]`
 /// over one packed panel pair; only the `iw x jw` valid corner is written
 /// back (padded lanes accumulate zeros and are discarded).
+///
+/// The four tile rows are named, not looped over. With a loop over rows,
+/// LLVM could vectorise across the rows instead of along them, keeping
+/// the tile on the stack behind a gather and a scatter per `k`, and which
+/// of the two it chose changed with edits elsewhere in the crate. On an
+/// AVX-512 Xeon (2 vCPUs) that choice moved k-means assignment of 100k
+/// points to 64 centroids between 0.03 and 0.27 s, and a 256-query CL
+/// pass between 0.2 and 0.7 ms.
 #[inline]
 fn microkernel(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, iw: usize, jw: usize) {
-    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
-    for (a, b) in ap.chunks_exact(GEMM_MR).zip(bp.chunks_exact(GEMM_NR)) {
-        let a: &[f32; GEMM_MR] = a.try_into().unwrap();
-        let b: &[f32; GEMM_NR] = b.try_into().unwrap();
-        for (acc_row, &ai) in acc.iter_mut().zip(a.iter()) {
-            for (dst, &bj) in acc_row.iter_mut().zip(b.iter()) {
-                *dst += ai * bj;
-            }
+    /// `row += a * b`, one vector lane per column.
+    #[inline(always)]
+    fn axpy(row: &mut [f32; GEMM_NR], a: f32, b: &[f32; GEMM_NR]) {
+        for (dst, &bj) in row.iter_mut().zip(b) {
+            *dst += a * bj;
         }
+    }
+    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+    let [r0, r1, r2, r3] = &mut acc;
+    for (a, b) in ap.chunks_exact(GEMM_MR).zip(bp.chunks_exact(GEMM_NR)) {
+        let b: &[f32; GEMM_NR] = b.try_into().unwrap();
+        axpy(r0, a[0], b);
+        axpy(r1, a[1], b);
+        axpy(r2, a[2], b);
+        axpy(r3, a[3], b);
     }
     for (i, acc_row) in acc.iter().enumerate().take(iw) {
         let base = i * ldc;

@@ -12,6 +12,7 @@
 //! independently of the dataset dimension.
 
 use crate::distance::l2_sq_f32;
+use crate::kernels::{reduce8, LANES};
 use crate::kmeans::{kmeans, KMeansParams};
 use crate::vector::VecSet;
 
@@ -60,18 +61,28 @@ pub struct ProductQuantizer {
     /// [`ProductQuantizer::update_codebook`] re-syncs the mutated
     /// subspace on exit.
     cb_norms: Vec<f32>,
+    /// The codebooks transposed to `[s][d][j]` for the encode kernel: per
+    /// subspace, `dsub` rows of `cb` codeword components padded to a
+    /// multiple of [`ENCODE_BLOCK`] with NaN codewords, which no argmin
+    /// ever picks. Synced exactly where `cb_norms` is.
+    codebooks_t: Vec<f32>,
 }
 
+/// Codewords per block of the nearest-codeword kernel: the width its
+/// distance and argmin loops are vectorised across.
+const ENCODE_BLOCK: usize = 16;
+
 impl ProductQuantizer {
-    /// Train on `data` (typically IVF residuals).
+    /// Train on `data` (typically IVF residuals). The `m` subspaces are
+    /// independent k-means runs, one pool item each; k-means' own
+    /// regions run inline inside them and never read the pool width, so
+    /// the codebooks are identical at every thread count.
     pub fn train(data: &VecSet<f32>, params: &PqParams) -> Self {
         assert!(params.m > 0 && params.cb > 1);
         assert!(!data.is_empty(), "cannot train PQ on empty data");
         let dim = data.dim();
         let dsub = dim.div_ceil(params.m);
-        let mut codebooks = vec![0.0f32; params.m * params.cb * dsub];
-
-        for s in 0..params.m {
+        let per_subspace = rayon::par_map(params.m, |s| {
             // gather the s-th (zero-padded) subvector of every training point
             let mut sub = VecSet::with_capacity(dsub, data.len());
             let mut buf = vec![0.0f32; dsub];
@@ -79,25 +90,19 @@ impl ProductQuantizer {
                 extract_sub(v, s, dsub, &mut buf);
                 sub.push(&buf);
             }
-            let km = kmeans(
+            kmeans(
                 &sub,
                 &KMeansParams::new(params.cb)
                     .iters(params.iters)
                     .seed(params.seed ^ (s as u64).wrapping_mul(0x9E37)),
-            );
-            let dst = &mut codebooks[s * params.cb * dsub..(s + 1) * params.cb * dsub];
-            dst.copy_from_slice(km.centroids.as_flat());
-        }
-
-        let cb_norms = crate::kernels::row_norms_f32(&codebooks, dsub);
-        ProductQuantizer {
-            dim,
-            m: params.m,
-            cb: params.cb,
-            dsub,
-            codebooks,
-            cb_norms,
-        }
+            )
+            .centroids
+        });
+        let codebooks = per_subspace
+            .iter()
+            .flat_map(|c| c.as_flat().iter().copied())
+            .collect();
+        Self::from_codebooks(dim, params.m, params.cb, codebooks)
     }
 
     /// Construct directly from codebooks (used by OPQ/DPQ refinements).
@@ -105,6 +110,14 @@ impl ProductQuantizer {
         let dsub = dim.div_ceil(m);
         assert_eq!(codebooks.len(), m * cb * dsub);
         let cb_norms = crate::kernels::row_norms_f32(&codebooks, dsub);
+        let span_t = dsub * cb.next_multiple_of(ENCODE_BLOCK);
+        let mut codebooks_t = vec![0.0f32; m * span_t];
+        for (src, dst) in codebooks
+            .chunks_exact(cb * dsub)
+            .zip(codebooks_t.chunks_exact_mut(span_t))
+        {
+            transpose_codebook(src, dsub, dst);
+        }
         ProductQuantizer {
             dim,
             m,
@@ -112,6 +125,7 @@ impl ProductQuantizer {
             dsub,
             codebooks,
             cb_norms,
+            codebooks_t,
         }
     }
 
@@ -123,14 +137,21 @@ impl ProductQuantizer {
 
     /// Mutate the codebook of subspace `s` through a closure (DPQ
     /// refinement hooks in here). Scoping the mutation lets the quantizer
-    /// re-sync that subspace's cached codeword norms on exit, so the
-    /// GEMM-formulated LUT build can never observe a stale `‖c‖²` cache.
+    /// re-sync that subspace's cached codeword norms and transposed copy on
+    /// exit, so neither the GEMM-formulated LUT build nor the encode kernel
+    /// can observe a stale cache.
     pub fn update_codebook<R>(&mut self, s: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         let span = self.cb * self.dsub;
         let r = f(&mut self.codebooks[s * span..(s + 1) * span]);
-        let norms =
-            crate::kernels::row_norms_f32(&self.codebooks[s * span..(s + 1) * span], self.dsub);
+        let cbk = &self.codebooks[s * span..(s + 1) * span];
+        let norms = crate::kernels::row_norms_f32(cbk, self.dsub);
         self.cb_norms[s * self.cb..(s + 1) * self.cb].copy_from_slice(&norms);
+        let span_t = self.codebooks_t.len() / self.m;
+        transpose_codebook(
+            cbk,
+            self.dsub,
+            &mut self.codebooks_t[s * span_t..(s + 1) * span_t],
+        );
         r
     }
 
@@ -149,29 +170,37 @@ impl ProductQuantizer {
         }
     }
 
-    /// Encode one vector into `m` codeword indices.
-    ///
-    /// Nearest-codeword distances use the blocked *exact* row kernel
-    /// (`kernels::l2_sq_rows`), not the norm decomposition: the argmin
-    /// must match the scalar reference exactly, and cancellation under the
-    /// decomposition could flip it on near-ties.
+    /// Encode one vector into `m` codeword indices ([`Self::encode_into`]
+    /// into a fresh buffer).
     pub fn encode(&self, v: &[f32]) -> Vec<u16> {
-        assert_eq!(v.len(), self.dim);
-        let mut code = Vec::with_capacity(self.m);
-        let mut buf = vec![0.0f32; self.dsub];
-        let mut dists = Vec::with_capacity(self.cb);
-        for s in 0..self.m {
-            extract_sub(v, s, self.dsub, &mut buf);
-            crate::kernels::l2_sq_rows(&buf, self.codebook(s), self.dsub, &mut dists);
-            let mut best = (0u16, f32::INFINITY);
-            for (j, &d) in dists.iter().enumerate() {
-                if d < best.1 {
-                    best = (j as u16, d);
-                }
-            }
-            code.push(best.0);
-        }
+        let mut code = vec![0u16; self.m];
+        self.encode_into(v, &mut code);
         code
+    }
+
+    /// Encode one vector into the `m` slots of `out`, allocation-free.
+    ///
+    /// Each slot is exactly what a sequential strict-`<` scan from
+    /// `(0, ∞)` over `kernels::l2_sq_f32(sub_s, codeword_j)` returns — the
+    /// lowest index among the smallest non-NaN distances, or 0 when none is
+    /// below `∞` — for every input, ties and non-finite values included.
+    /// The private `nearest_codeword` kernel documents how its
+    /// codeword-blocked loops keep that contract. Distances are exact, not
+    /// the norm decomposition: its cancellation could flip the argmin on
+    /// near-ties.
+    pub fn encode_into(&self, v: &[f32], out: &mut [u16]) {
+        assert_eq!(v.len(), self.dim);
+        assert_eq!(out.len(), self.m);
+        let span_t = self.codebooks_t.len() / self.m;
+        for ((s, slot), table) in out
+            .iter_mut()
+            .enumerate()
+            .zip(self.codebooks_t.chunks_exact(span_t))
+        {
+            let lo = (s * self.dsub).min(self.dim);
+            let hi = (lo + self.dsub).min(self.dim);
+            *slot = nearest_codeword(&v[lo..hi], table, self.dsub);
+        }
     }
 
     /// Decode a code back to the reconstructed vector.
@@ -295,6 +324,89 @@ fn extract_sub(v: &[f32], s: usize, dsub: usize, buf: &mut [f32]) {
             0.0
         };
     }
+}
+
+/// Write one subspace's codebook `src` (`cb × dsub`, codeword-major) into
+/// `dst` as `dsub` rows of `dst.len() / dsub` components, the slots past
+/// `cb` filled with NaN.
+fn transpose_codebook(src: &[f32], dsub: usize, dst: &mut [f32]) {
+    let width = dst.len() / dsub;
+    dst.fill(f32::NAN);
+    for (j, codeword) in src.chunks_exact(dsub).enumerate() {
+        for (d, &c) in codeword.iter().enumerate() {
+            dst[d * width + j] = c;
+        }
+    }
+}
+
+/// Index of the codeword of `table` (one subspace of the `[s][d][j]`
+/// cache) nearest to the subvector `x`, zero-padded to `dsub`.
+///
+/// Codewords go [`ENCODE_BLOCK`] at a time, vectorised across the block
+/// and never across `d`, so every codeword's distance is the exact
+/// expression tree of [`crate::kernels::l2_sq_f32`]: dimension `d` below
+/// the last whole multiple of [`LANES`] accumulates into lane `d % LANES`,
+/// the lanes are summed by `kernels`' pairwise tree, and the left-folded
+/// tail of the remaining dimensions is added last (below `LANES`
+/// dimensions the lanes are all `+0.0` and the distance is `+0.0 + tail`,
+/// the same bits as the tail). The argmin is fused and branchless: each
+/// block position keeps its own first strict-`<` minimum, then one pass
+/// across positions takes the smallest value, ties to the lowest index.
+/// NaN never compares below anything and the NaN padding codewords never
+/// win, so the result is the sequential `d < best` scan's from `(0, ∞)`
+/// for every input.
+///
+/// `#[inline(never)]` like the engine's lane loops (`dc::scan_lanes`,
+/// `lc::fill`): one compiled body, so an edit elsewhere cannot re-roll
+/// how its block loops vectorise.
+#[inline(never)]
+fn nearest_codeword(x: &[f32], table: &[f32], dsub: usize) -> u16 {
+    const J: usize = ENCODE_BLOCK;
+    let width = table.len() / dsub;
+    let full = dsub - dsub % LANES;
+    let x_at = |d: usize| x.get(d).copied().unwrap_or(0.0);
+    let mut best_v = [f32::INFINITY; J];
+    let mut best_i = [0u32; J];
+    for j0 in (0..width).step_by(J) {
+        let column = |d: usize| &table[d * width + j0..d * width + j0 + J];
+        let mut lanes = [0.0f32; J];
+        if full > 0 {
+            let mut acc = [[0.0f32; J]; LANES];
+            for chunk in (0..full).step_by(LANES) {
+                for (l, a) in acc.iter_mut().enumerate() {
+                    let (xd, col) = (x_at(chunk + l), column(chunk + l));
+                    for (a, &c) in a.iter_mut().zip(col) {
+                        let t = xd - c;
+                        *a += t * t;
+                    }
+                }
+            }
+            for (j, s) in lanes.iter_mut().enumerate() {
+                *s = reduce8(std::array::from_fn(|l| acc[l][j]));
+            }
+        }
+        let mut tail = [0.0f32; J];
+        for d in full..dsub {
+            let (xd, col) = (x_at(d), column(d));
+            for (t, &c) in tail.iter_mut().zip(col) {
+                let diff = xd - c;
+                *t += diff * diff;
+            }
+        }
+        for j in 0..J {
+            let dist = lanes[j] + tail[j];
+            let lt = dist < best_v[j];
+            best_v[j] = if lt { dist } else { best_v[j] };
+            best_i[j] = if lt { (j0 + j) as u32 } else { best_i[j] };
+        }
+    }
+    let mut best = (best_v[0], best_i[0]);
+    for (&v, &i) in best_v.iter().zip(&best_i).skip(1) {
+        if v < best.0 || (v == best.0 && i < best.1) {
+            best = (v, i);
+        }
+    }
+    best.1 as u16
 }
 
 #[cfg(test)]

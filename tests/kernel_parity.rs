@@ -5,10 +5,14 @@
 //! the `‖q‖² − 2·q·c + ‖c‖²` decomposition; these tests pin down that none
 //! of that changes *results*: cluster locating, k-means assignment, and
 //! end-to-end IVF-PQ top-k all match an independently written scalar
-//! implementation on real workloads.
+//! implementation on real workloads. PQ encoding is held to more than
+//! results: every code equals a per-row reference bit for bit, on inputs
+//! built so that a one-ULP change in any distance or a wrong tie-break
+//! changes a code.
 
 use ann_core::distance;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
+use ann_core::pq::ProductQuantizer;
 use ann_core::topk::{BoundedMaxHeap, Neighbor};
 use ann_core::vector::VecSet;
 
@@ -298,5 +302,201 @@ fn non_multiple_of_block_dims_and_lengths() {
         let blocked: Vec<u64> = idx.search(q, 6, 7).iter().map(|n| n.id).collect();
         let scalar: Vec<u64> = search_scalar(&idx, q, 6, 7).iter().map(|n| n.id).collect();
         assert_eq!(blocked, scalar, "query {qi}");
+    }
+}
+
+/// Deterministic value stream for the encode oracle.
+struct Stream(u64);
+
+impl Stream {
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        ((self.unit() + 1.0) * 0.5 * n as f32) as usize % n
+    }
+}
+
+/// The encode reference: each zero-padded subvector against each codeword
+/// with `kernels::l2_sq_f32`, one row at a time, then a sequential
+/// strict-`<` scan from `(0, ∞)`.
+fn encode_reference(pq: &ProductQuantizer, v: &[f32]) -> Vec<u16> {
+    (0..pq.m)
+        .map(|s| {
+            let sub: Vec<f32> = (0..pq.dsub)
+                .map(|d| v.get(s * pq.dsub + d).copied().unwrap_or(0.0))
+                .collect();
+            let mut best = (0u16, f32::INFINITY);
+            for (j, row) in pq.codebook(s).chunks_exact(pq.dsub).enumerate() {
+                let d = ann_core::kernels::l2_sq_f32(&sub, row);
+                if d < best.1 {
+                    best = (j as u16, d);
+                }
+            }
+            best.0
+        })
+        .collect()
+}
+
+/// The codebook families of the oracle, `m * cb * dsub` flat.
+fn oracle_codebooks(family: usize, m: usize, cb: usize, dsub: usize, st: &mut Stream) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * cb * dsub);
+    for _ in 0..m {
+        let base: Vec<f32> = (0..dsub)
+            .map(|d| (1.5 + st.unit() * 0.5) * (2.0f32).powi(d as i32 % 5 - 2))
+            .collect();
+        let mut book: Vec<f32> = Vec::with_capacity(cb * dsub);
+        for j in 0..cb {
+            match family {
+                // random codewords; every third repeats a lower-indexed one,
+                // in the same block position or another
+                0 if j % 3 == 2 => {
+                    let src = (j / 3) * dsub;
+                    book.extend_from_within(src..src + dsub);
+                }
+                0 => book.extend((0..dsub).map(|_| st.unit() * 4.0)),
+                // permutations of one vector: equal distances as reals from
+                // any constant subvector, so rounding alone picks the code
+                1 => {
+                    let mut p = base.clone();
+                    for i in (1..dsub).rev() {
+                        p.swap(i, st.below(i + 1));
+                    }
+                    book.extend(p);
+                }
+                // one codeword repeated cb times
+                2 => book.extend_from_slice(&base),
+                // random, with NaN / ±∞ components in some codewords
+                _ => book.extend((0..dsub).map(|_| match st.below(23) {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    _ => st.unit() * 4.0,
+                })),
+            }
+        }
+        out.extend(book);
+    }
+    out
+}
+
+/// Inputs of dimension `dim`: random, constant, one copied codeword per
+/// subspace, and random with NaN / ±∞ components.
+fn oracle_inputs(pq: &ProductQuantizer, st: &mut Stream) -> Vec<Vec<f32>> {
+    let dim = pq.dim;
+    let mut inputs = Vec::new();
+    for i in 0..48 {
+        let v: Vec<f32> = match i % 4 {
+            0 => (0..dim).map(|_| st.unit() * 4.0).collect(),
+            1 => vec![st.unit() * 3.0; dim],
+            2 => (0..pq.m)
+                .flat_map(|s| {
+                    let j = st.below(pq.cb);
+                    pq.codebook(s)[j * pq.dsub..(j + 1) * pq.dsub].to_vec()
+                })
+                .take(dim)
+                .collect(),
+            _ => (0..dim)
+                .map(|_| match st.below(7) {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    _ => st.unit() * 4.0,
+                })
+                .collect(),
+        };
+        inputs.push(v);
+    }
+    inputs
+}
+
+#[test]
+fn encode_matches_the_per_row_reference_bit_for_bit() {
+    // dsub below, at and above the 8-lane width: 0-3 lane chunks (three
+    // tell a reversed chunk order apart) and tails of 0-3 dims; cb around
+    // the 16-codeword block and above u8; dim = 3 * dsub - 1, so the last
+    // subspace is zero-padded
+    let mut st = Stream(0xE4C0DE);
+    let mut high_codes = 0usize;
+    for dsub in [1usize, 2, 3, 4, 7, 8, 9, 11, 16, 17, 19, 26] {
+        for cb in [2usize, 15, 16, 17, 256, 300] {
+            let (m, dim) = (3usize, 3 * dsub - 1);
+            for family in 0..4 {
+                let books = oracle_codebooks(family, m, cb, dsub, &mut st);
+                let pq = ProductQuantizer::from_codebooks(dim, m, cb, books);
+                for (i, v) in oracle_inputs(&pq, &mut st).iter().enumerate() {
+                    let got = pq.encode(v);
+                    assert_eq!(
+                        got,
+                        encode_reference(&pq, v),
+                        "dsub {dsub} cb {cb} family {family} input {i}: {v:?}"
+                    );
+                    high_codes += got.iter().filter(|&&c| c > 255).count();
+                }
+            }
+        }
+    }
+    assert!(high_codes > 0, "cb 300 must produce codes above 255");
+}
+
+#[test]
+fn encode_follows_update_codebook() {
+    // a stale transposed cache would keep encoding against the old
+    // codebook of the mutated subspace
+    let (dim, m, cb) = (13usize, 4usize, 40usize);
+    let mut st = Stream(0x5EC);
+    let books = oracle_codebooks(0, m, cb, dim.div_ceil(m), &mut st);
+    let mut pq = ProductQuantizer::from_codebooks(dim, m, cb, books);
+    let inputs = oracle_inputs(&pq, &mut st);
+    let before: Vec<Vec<u16>> = inputs.iter().map(|v| pq.encode(v)).collect();
+    pq.update_codebook(2, |book| {
+        for x in book.iter_mut() {
+            *x = 0.25 - 1.5 * *x;
+        }
+    });
+    let mut moved = 0usize;
+    for (v, old) in inputs.iter().zip(&before) {
+        let code = pq.encode(v);
+        assert_eq!(code, encode_reference(&pq, v));
+        moved += usize::from(code[2] != old[2]);
+    }
+    assert!(moved > 0, "the mutation must move some subspace-2 code");
+}
+
+#[test]
+fn reloaded_index_assign_encodes_like_the_original() {
+    // persist::load rebuilds the quantizer through from_codebooks, caches
+    // and all; DPQ's codebooks were last written through update_codebook
+    let spec = datasets::SynthSpec::small("kernel-parity", 20, 2000, 151);
+    let data = datasets::generate(&spec);
+    let probes = datasets::queries::generate_queries(
+        &spec,
+        1000,
+        datasets::queries::QuerySkew::InDistribution,
+        3,
+    );
+    for variant in [
+        ann_core::ivf::PqVariant::Pq,
+        ann_core::ivf::PqVariant::Opq,
+        ann_core::ivf::PqVariant::Dpq,
+    ] {
+        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(16).m(6).cb(32).variant(variant));
+        let mut blob = Vec::new();
+        ann_core::persist::save(&idx, &mut blob).unwrap();
+        let back = ann_core::persist::load(&blob[..]).unwrap();
+        for (i, v) in probes.iter().enumerate() {
+            assert_eq!(
+                back.assign_encode(v),
+                idx.assign_encode(v),
+                "{variant:?} vector {i}"
+            );
+        }
     }
 }
