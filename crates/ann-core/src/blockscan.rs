@@ -21,7 +21,8 @@
 //! * **Per-thread scratch** — the cross-term buffer (and the transposed
 //!   buffer plus gather row of the M-split path) live in a thread-local
 //!   slot reused across calls, so per-block work pays no allocation on the
-//!   hot path; pool workers each hold their own slot.
+//!   hot path; a region's helpers each hold their own slot until the
+//!   region ends.
 //! * **Per-block row norms** — query norms come from one
 //!   [`kernels::row_norms_into`] pass per block instead of a
 //!   [`kernels::norm_sq_f32`] call per row. Per-row bits are unchanged
@@ -185,14 +186,6 @@ struct Scratch {
     row: Vec<f32>,
 }
 
-/// Cap on scratch floats retained in the thread-local slot between scans
-/// (1 Mi floats = 4 MiB). Trace-scale M-split buffers (`dots_t` at
-/// nlist ≥ 2^16 is `nlist * BLOCK` floats) are released after the scan
-/// instead of parking many megabytes in every persistent pool worker for
-/// the process lifetime; re-allocating them is noise next to the GEMM
-/// they back.
-const SCRATCH_RETAIN_FLOATS: usize = 1 << 20;
-
 thread_local! {
     static SCRATCH: std::cell::Cell<Option<Box<Scratch>>> = const { std::cell::Cell::new(None) };
 }
@@ -278,11 +271,6 @@ pub fn scan_range(
         }
     }
 
-    for buf in [&mut scratch.dots, &mut scratch.dots_t, &mut scratch.row] {
-        if buf.capacity() > SCRATCH_RETAIN_FLOATS {
-            *buf = Vec::new();
-        }
-    }
     SCRATCH.with(|slot| slot.set(Some(scratch)));
 }
 

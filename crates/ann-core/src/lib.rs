@@ -25,8 +25,6 @@
 //! The crate is deliberately independent of the PIM simulator: it is the
 //! "algorithm" half of the co-design, reusable on any host.
 
-#![forbid(unsafe_code)]
-
 pub mod blockscan;
 pub mod distance;
 pub mod dpq;

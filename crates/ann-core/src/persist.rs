@@ -11,12 +11,17 @@
 //! coarse:    nlist * dim f32 |
 //! codebooks: m * cb * dsub f32 |
 //! [rotation: dim * dim f32]            (OPQ only)
-//! lists: nlist x { len u32 | ids u32[len] | codes u16[len * m] }
+//! lists: nlist x { len u32 | ids u32[len] | codes u16[len * m] } |
+//! checksum u64                         (hash_words over every byte above)
 //! ```
+//!
+//! Every code is below `cb`, and the checksum makes a flipped id or code
+//! an `InvalidData` error instead of a silently different index.
 //!
 //! DPQ indices round-trip as their refined codebooks (the refinement is
 //! baked in); the variant tag is preserved for provenance.
 
+use crate::hash::hash_words;
 use crate::ivf::{IvfList, IvfPqIndex, IvfPqParams, PqModel, PqVariant};
 use crate::linalg::Matrix;
 use crate::opq::Opq;
@@ -25,10 +30,14 @@ use crate::vector::VecSet;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DRIM";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Serialize an index to a writer.
-pub fn save<W: Write>(idx: &IvfPqIndex, mut w: W) -> io::Result<()> {
+pub fn save<W: Write>(idx: &IvfPqIndex, w: W) -> io::Result<()> {
+    let mut w = Hashed {
+        inner: w,
+        digest: 0,
+    };
     w.write_all(MAGIC)?;
     put_u32(&mut w, VERSION)?;
     put_u32(&mut w, idx.dim as u32)?;
@@ -64,7 +73,8 @@ pub fn save<W: Write>(idx: &IvfPqIndex, mut w: W) -> io::Result<()> {
             w.write_all(&c.to_le_bytes())?;
         }
     }
-    Ok(())
+    let sum = w.digest;
+    w.inner.write_all(&sum.to_le_bytes())
 }
 
 /// Deserialize an index from a reader.
@@ -73,8 +83,13 @@ pub fn save<W: Write>(idx: &IvfPqIndex, mut w: W) -> io::Result<()> {
 /// arithmetic and bodies are read through [`Read::take`], so memory grows
 /// only with bytes actually present — a short or hostile stream is an
 /// `Err` (`UnexpectedEof` / `InvalidData`), never a panic or an
-/// allocation the input did not pay for.
-pub fn load<R: Read>(mut r: R) -> io::Result<IvfPqIndex> {
+/// allocation the input did not pay for. An out-of-range PQ code or a
+/// checksum mismatch is `InvalidData`.
+pub fn load<R: Read>(r: R) -> io::Result<IvfPqIndex> {
+    let mut r = Hashed {
+        inner: r,
+        digest: 0,
+    };
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -114,9 +129,18 @@ pub fn load<R: Read>(mut r: R) -> io::Result<IvfPqIndex> {
             let len = get_u32(&mut r)? as usize;
             let ids = get_le(&mut r, &[len], u32::from_le_bytes)?;
             let codes = get_le(&mut r, &[len, m], u16::from_le_bytes)?;
+            if codes.iter().any(|&c| usize::from(c) >= cb) {
+                return Err(bad("PQ code out of range"));
+            }
             Ok(IvfList { ids, codes })
         })
         .collect::<io::Result<Vec<_>>>()?;
+    let sum = r.digest;
+    let mut stored = [0u8; 8];
+    r.inner.read_exact(&mut stored)?;
+    if u64::from_le_bytes(stored) != sum {
+        return Err(bad("checksum mismatch"));
+    }
 
     // derived, not serialized: rebuild the cached centroid norms
     let coarse_norms = crate::kernels::row_norms_f32(coarse.as_flat(), dim);
@@ -128,6 +152,40 @@ pub fn load<R: Read>(mut r: R) -> io::Result<IvfPqIndex> {
         lists,
         quant,
     })
+}
+
+/// A reader or writer that folds every byte passing through it into a
+/// [`hash_words`] digest, so the checksum does not depend on how the
+/// stream is chunked.
+struct Hashed<T> {
+    inner: T,
+    digest: u64,
+}
+
+impl<T> Hashed<T> {
+    fn fold(&mut self, bytes: &[u8]) {
+        self.digest = hash_words(self.digest, bytes.iter().map(|&b| u64::from(b)));
+    }
+}
+
+impl<W: Write> Write for Hashed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.fold(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<R: Read> Read for Hashed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.fold(&buf[..n]);
+        Ok(n)
+    }
 }
 
 fn put_u32<W: Write>(w: &mut W, x: u32) -> io::Result<()> {
@@ -239,7 +297,8 @@ mod tests {
     }
 
     /// Offsets of a saved blob's section boundaries: header end, coarse,
-    /// codebooks, [rotation], then each list's length / ids / codes.
+    /// codebooks, [rotation], each list's length / ids / codes, then the
+    /// checksum.
     fn section_boundaries(idx: &IvfPqIndex) -> Vec<usize> {
         let (dim, m) = (idx.dim, idx.params.m);
         let pq = idx.quant.pq();
@@ -259,6 +318,7 @@ mod tests {
             advance(list.ids.len() * 4);
             advance(list.ids.len() * m * 2);
         }
+        advance(8);
         cuts
     }
 
@@ -336,6 +396,42 @@ mod tests {
         blob.extend_from_slice(&[7u8; 10]);
         let kind = load(&blob[..]).err().map(|e| e.kind());
         assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof));
+    }
+
+    /// A saved 3-list PQ index whose last list is non-empty.
+    fn saved_blob() -> (IvfPqIndex, Vec<u8>) {
+        let data = toy_data(60, 4, 5);
+        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(3).m(2).cb(4));
+        assert!(!idx.lists.last().unwrap().ids.is_empty());
+        let mut buf = Vec::new();
+        save(&idx, &mut buf).unwrap();
+        (idx, buf)
+    }
+
+    #[test]
+    fn out_of_range_code_is_an_error() {
+        let (idx, mut buf) = saved_blob();
+        // the last code of the last list sits just before the checksum;
+        // re-seal so only the range check can reject it
+        let body = buf.len() - 8;
+        buf[body - 2..body].copy_from_slice(&(idx.params.cb as u16).to_le_bytes());
+        let sum = hash_words(0, buf[..body].iter().map(|&b| u64::from(b)));
+        buf[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = load(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("code out of range"), "{err}");
+    }
+
+    #[test]
+    fn flipped_id_byte_fails_the_checksum() {
+        let (idx, mut buf) = saved_blob();
+        let cuts = section_boundaries(&idx);
+        // cuts end with the last list's length, ids, codes, checksum
+        let first_id_of_last_list = cuts[cuts.len() - 4];
+        buf[first_id_of_last_list] ^= 1;
+        let err = load(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]

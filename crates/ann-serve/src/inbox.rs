@@ -5,8 +5,7 @@
 //! push [`Request`]s under a mutex and park on their per-request
 //! [`OneShot`] slot; the single driver thread parks on the inbox condvar
 //! and wakes on arrival or deadline. Nothing here spins and nothing here
-//! is async — the same condvar-parking idiom the persistent worker pool
-//! uses (`rayon::sync`).
+//! is async — the condvar-parking primitives of `rayon::sync`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

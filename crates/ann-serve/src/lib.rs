@@ -31,8 +31,8 @@
 //!
 //! Everything is futures-free: producers park on condvars, the driver
 //! parks on the inbox condvar with a deadline timeout, and the engine
-//! runs on the persistent pinned worker pool. No async runtime, no
-//! spinning.
+//! runs on the host pool's scoped threads per region. No async runtime,
+//! no spinning.
 //!
 //! # Determinism
 //!
@@ -71,8 +71,6 @@
 //! ```
 //!
 //! [`DrimEngine::search_batch`]: drim_ann::engine::DrimEngine::search_batch
-
-#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -264,7 +264,7 @@ impl ServeHandle {
 /// submit single queries; a dedicated driver thread coalesces them into
 /// micro-batches (close at `max_batch` queries or `max_delay` after the
 /// oldest arrival, whichever first), drains tenants weighted-fair, runs
-/// each batch through the engine on the persistent pinned pool, and
+/// each batch through the engine on scoped threads per region, and
 /// demultiplexes per-query results back to parked producers. Everything
 /// is condvar-parking — no async runtime, no spinning.
 ///

@@ -14,8 +14,6 @@
 //!   (closed source; the paper also compares against its published
 //!   figures, Table 3).
 
-#![forbid(unsafe_code)]
-
 pub mod cpu;
 pub mod gpu;
 pub mod memanns;

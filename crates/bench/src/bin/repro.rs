@@ -8,8 +8,6 @@
 //! Output: paper-style text tables on stdout plus CSVs under `results/`.
 //! An unknown target or flag exits with status 2 before anything runs.
 
-#![forbid(unsafe_code)]
-
 use bench::experiments as ex;
 use bench::table::Table;
 use datasets::catalog;

@@ -10,8 +10,6 @@
 //! shapes — on the full 2,543-DPU UPMEM configuration. Accuracy
 //! experiments run functionally on scaled synthetic corpora.
 
-#![forbid(unsafe_code)]
-
 pub mod experiments;
 pub mod table;
 

@@ -14,6 +14,7 @@
 
 use super::DpuKernels;
 use crate::kernels::{dc, lane_width, lc, LANES};
+use rayon::sync::lock_unpoisoned;
 use upmem_sim::meter::PhaseMeter;
 
 /// Per-batch `u32` distances of every probed (query, cluster) pair over
@@ -74,7 +75,7 @@ impl Arena {
             .collect();
         rayon::par_map(items.len(), |i| {
             let (c, block) = items[i];
-            let mut out = rayon::sync::lock_unpoisoned(&outs[i]);
+            let mut out = lock_unpoisoned(&outs[i]);
             kernels.scan_block(c, block.iter().map(|&(q, _)| q), &mut out);
         });
     }
@@ -103,31 +104,35 @@ impl DpuKernels<'_> {
         // RC is booked by the DPUs that serve the groups; this meter is
         // scratch
         let mut unbooked = PhaseMeter::default();
-        SCRATCH.with_borrow_mut(|(residual, residuals, luts)| {
-            residuals.clear();
-            let mut lanes = 0;
-            for q in queries {
-                self.residual(&mut unbooked, q, cluster, residual);
-                residuals.extend_from_slice(residual);
-                lanes += 1;
-            }
-            // a 64-byte aligned table, so a 16-lane entry is one cache line,
-            // never two (measured: half the scan's time)
-            let len = m * cb * lane_width(lanes);
-            luts.resize(len + 15, 0);
-            let start = luts.as_ptr().align_offset(64).min(15);
-            let luts = &mut luts[start..start + len];
-            lc::build(residuals, lanes, self.qcodebooks, m, cb, dsub, luts);
-            dc::scan_lanes(&list.codes, m, cb, luts, lanes, out);
-        });
+        let mut scratch = lock_unpoisoned(&SCRATCH).pop().unwrap_or_default();
+        let (residual, residuals, luts) = &mut scratch;
+        residuals.clear();
+        let mut lanes = 0;
+        for q in queries {
+            self.residual(&mut unbooked, q, cluster, residual);
+            residuals.extend_from_slice(residual);
+            lanes += 1;
+        }
+        // a 64-byte aligned table, so a 16-lane entry is one cache line,
+        // never two (measured: half the scan's time)
+        let len = m * cb * lane_width(lanes);
+        luts.resize(len + 15, 0);
+        let start = luts.as_ptr().align_offset(64).min(15);
+        let luts = &mut luts[start..start + len];
+        lc::build(residuals, lanes, self.qcodebooks, m, cb, dsub, luts);
+        dc::scan_lanes(&list.codes, m, cb, luts, lanes, out);
+        lock_unpoisoned(&SCRATCH).push(scratch);
     }
 }
 
-thread_local! {
-    /// Per-thread scratch of [`DpuKernels::scan_block`]: one residual, the
-    /// block's residual slab and its interleaved LUTs (512 KiB at 16 lanes,
-    /// `m = 32`, `cb = 256`), reused across items and batches — a fresh LUT
-    /// allocation per item cost more in page faults than the build itself.
-    static SCRATCH: std::cell::RefCell<(Vec<u8>, Vec<u8>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
+/// [`DpuKernels::scan_block`]'s scratch: one residual, the block's
+/// residual slab and its interleaved LUTs (512 KiB at 16 lanes, `m = 32`,
+/// `cb = 256`).
+type Scratch = (Vec<u8>, Vec<u8>, Vec<u32>);
+
+/// Free list of [`Scratch`], reused across items, batches and threads — a
+/// fresh LUT allocation per item cost more in page faults than the build
+/// itself. Not a thread-local: a region's helpers are fresh threads, and
+/// cold per-helper buffers cost ≈ 1.2% of a 256-query batch at 2 threads
+/// on a 2-vCPU host.
+static SCRATCH: std::sync::Mutex<Vec<Scratch>> = std::sync::Mutex::new(Vec::new());

@@ -51,8 +51,6 @@
 //! assert!(report.qps > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 mod dispatch;
 pub mod dse;

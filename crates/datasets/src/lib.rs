@@ -20,8 +20,6 @@
 //!   formats so real SIFT/DEEP data can be dropped in when available;
 //! * [`groundtruth`] — exact top-k answers for recall measurement.
 
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod groundtruth;
 pub mod io;

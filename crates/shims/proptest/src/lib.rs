@@ -12,8 +12,6 @@
 //! *shrunk*. For the invariant-style properties in this repo that trade-off
 //! is fine — determinism matters more than minimal counterexamples.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 

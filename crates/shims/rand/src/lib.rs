@@ -10,8 +10,6 @@
 //! does *not* match the stream of the real `StdRng` (ChaCha12); nothing in
 //! this workspace depends on the exact stream, only on determinism.
 
-#![forbid(unsafe_code)]
-
 /// Low-level generator interface.
 pub trait RngCore {
     /// Next raw 64 random bits.

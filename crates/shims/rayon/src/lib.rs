@@ -1,18 +1,18 @@
-//! The workspace's host thread pool: two parallel loops over persistent
-//! parked workers.
+//! The workspace's host thread pool: two parallel loops over scoped
+//! threads per region.
 //!
 //! * [`par_map`]`(n, f)` — `out[i] == f(i)` for `i in 0..n`;
 //! * [`par_chunks_mut`]`(slice, size, f)` — `f(c, chunk)` over the
 //!   disjoint `size`-element `&mut` chunks of a slice.
 //!
 //! Every host-side parallel loop of the workspace (CL's blocked GEMM, the
-//! per-DPU dispatch wave, k-means, ground truth) is one of these. Workers
-//! are spawned lazily on first demand and parked on a condvar between
-//! regions, so dispatching a region costs one publish + wake instead of
-//! per-region thread spawns. Sizing comes from
+//! per-DPU dispatch wave, k-means, ground truth) is one of these. Each
+//! region spawns its helpers with [`std::thread::scope`] and joins them
+//! before it returns, so the pool holds no threads between regions and
+//! needs no `unsafe`. Sizing comes from
 //! [`std::thread::available_parallelism`], overridable via the
 //! `DRIM_ANN_THREADS` env var and [`with_num_threads`]. [`sync`] exports
-//! the pool's condvar-parking idiom for `ann-serve`'s request path.
+//! the condvar-parking idiom of `ann-serve`'s request path.
 //!
 //! **Determinism.** Neither entry point combines items, so a caller cannot
 //! observe how the range was cut or which thread ran which piece: with a
@@ -20,17 +20,14 @@
 //! `out[i] = f(i)`. `tests/parallel_parity.rs` at the workspace root holds
 //! the search/k-means pipelines to that.
 //!
-//! Nested parallel regions run inline on the worker that encounters them
+//! Nested parallel regions run inline on the thread that encounters them
 //! (no thread explosion, trivially deadlock-free), and a panic in any
-//! worker propagates to the thread that dispatched the region after the
+//! helper propagates to the thread that dispatched the region after the
 //! region barrier.
 //!
 //! The package is named `rayon` for the manifests that depend on it by
 //! that name; it shares nothing else with the crates.io crate.
 
-#![deny(unsafe_code)]
-
-#[allow(unsafe_code)]
 mod pool;
 pub mod sync;
 
@@ -94,18 +91,33 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_keeps_serving() {
-        // a panicking region must not wedge the parked workers: subsequent
-        // regions still produce complete, ordered results
+        // the region re-raises the helper's own payload, not the scope's
+        // generic "a scoped thread panicked", and later regions still
+        // produce complete, ordered results. Only the one helper panics; the
+        // barrier holds the dispatcher's first item until the helper has
+        // claimed one of its own.
+        let dispatcher = std::thread::current().id();
+        let met = std::sync::Barrier::new(2);
+        let waited = std::sync::atomic::AtomicBool::new(false);
         let caught = std::panic::catch_unwind(|| {
-            with_num_threads(4, || {
-                par_map(1000, |i| {
-                    if i == 613 {
+            with_num_threads(2, || {
+                par_map(64, |_| {
+                    if std::thread::current().id() != dispatcher {
+                        met.wait();
                         panic!("worker boom");
+                    }
+                    if !waited.swap(true, Ordering::Relaxed) {
+                        met.wait();
                     }
                 });
             });
         });
-        assert!(caught.is_err(), "panic must cross the pool boundary");
+        let payload = caught.expect_err("panic must cross the pool boundary");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("worker boom"));
         for _ in 0..5 {
             let v = with_num_threads(4, || par_map(1000, |i| i * 3));
             assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3) && v.len() == 1000);
@@ -142,30 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_persist_across_regions() {
-        // the pool must not spawn fresh threads per region: once warmed to
-        // the widest demand this test binary can produce (other tests run
-        // concurrently and share the global pool), later regions reuse the
-        // parked workers. Warm width = max(8, hardware) covers both the
-        // explicit with_num_threads(8) tests and default-width regions.
-        let width = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(8);
-        with_num_threads(width, || par_map(256, |_| std::hint::black_box(0u64)));
-        let warmed = super::pool::pool_workers_spawned();
-        assert!(warmed >= width - 1, "pool should have grown to {width} - 1");
-        for _ in 0..50 {
-            with_num_threads(width, || par_map(256, |_| std::hint::black_box(0u64)));
-        }
-        assert_eq!(
-            super::pool::pool_workers_spawned(),
-            warmed,
-            "regions after warm-up must not spawn new workers"
-        );
-    }
-
-    #[test]
     fn every_index_produced_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..997).map(|_| AtomicUsize::new(0)).collect();
         with_num_threads(8, || {
@@ -178,14 +166,13 @@ mod tests {
 
     #[test]
     fn concurrent_dispatchers_each_get_complete_ordered_results() {
-        // Several dispatching threads put more than one `Region` in the
-        // pool's job list at once — what `worker_main`'s oldest-claimable
-        // rule is for, and what `ann-serve`'s driver creates beside any
-        // caller's own engine. Every region must still see all of its own
-        // indices, in order, and none of anyone else's. The barrier inside
-        // item 0 holds each round's four regions open together (whoever
-        // claimed a region's first chunk waits there; its dispatcher and
-        // the other helpers keep draining the rest).
+        // Several dispatching threads run regions at once — what
+        // `ann-serve`'s driver creates beside any caller's own engine.
+        // Every region must still see all of its own indices, in order,
+        // and none of anyone else's. The barrier inside item 0 holds each
+        // round's four regions open together (whoever claimed a region's
+        // first chunk waits there; its dispatcher and the other helpers
+        // keep draining the rest).
         let together = std::sync::Arc::new(std::sync::Barrier::new(4));
         let dispatchers: Vec<_> = (0..4usize)
             .map(|t| {

@@ -1,16 +1,15 @@
-//! Parking primitives shared by the persistent pool and the serving
-//! layer's batch inbox.
+//! Parking primitives for the serving layer's batch inbox, beside the
+//! pool's scoped threads per region.
 //!
-//! The workspace-local home for the condvar-parking idiom the pool
-//! relies on, exported so `ann-serve` can build its futures-free request
-//! path (producers parked on [`OneShot`] response slots, the batch driver
-//! parked on its inbox condvar) on exactly the same machinery instead of
-//! reinventing it.
+//! The workspace-local home for the condvar-parking idiom, exported so
+//! `ann-serve` builds its futures-free request path (producers parked on
+//! [`OneShot`] response slots, the batch driver parked on its inbox
+//! condvar) on these primitives instead of reinventing them.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Lock a mutex, riding through poisoning (a panicking sibling thread
-/// should surface *its* payload, not a `PoisonError`). The pool's workers
+/// should surface *its* payload, not a `PoisonError`). The pool's regions
 /// and every serving-layer queue use this so one panicked producer can
 /// never wedge the shared state.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -20,8 +19,7 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A single-use parked rendezvous slot: one side [`OneShot::put`]s a value
 /// exactly once, the other side blocks in [`OneShot::wait`] until it
 /// arrives. This is the futures-free analogue of a oneshot channel — the
-/// waiting thread parks on a condvar (no spinning) exactly like the pool's
-/// workers park between regions.
+/// waiting thread parks on a condvar (no spinning).
 #[derive(Debug)]
 pub struct OneShot<T> {
     slot: Mutex<Option<T>>,

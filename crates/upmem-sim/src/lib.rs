@@ -46,8 +46,6 @@
 //! assert!(t > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod energy;
 pub mod fault;

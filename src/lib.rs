@@ -13,8 +13,6 @@
 //!   scheduling, fault-tolerant dispatch (`docs/FAULT_MODEL.md`);
 //! * [`baselines`] — Faiss-CPU/GPU models and the MemANNS datapoints.
 
-#![forbid(unsafe_code)]
-
 pub use ann_core;
 pub use baselines;
 pub use datasets;

@@ -1,10 +1,8 @@
 //! Bit-identical results at every host thread count.
 //!
-//! The rayon shim executes on a real thread pool since PR 2 (persistent
-//! pinned workers since PR 4); its
-//! determinism contract is that chunk geometry is a pure function of input
-//! length and all ordered combines run in chunk order, so the thread count
-//! can never change a result. These tests pin that contract down on the
+//! The rayon shim runs every parallel region on scoped threads per region;
+//! its determinism contract is `out[i] = f(i)` with no combining step, so
+//! the thread count can never change a result. These tests pin that contract down on the
 //! actual hot paths: CPU-baseline batch search, the engine's per-DPU
 //! dispatch loop, cluster locating, flat ground truth, and k-means — at
 //! 1/2/4/8 threads, including batch sizes that don't divide evenly into
