@@ -17,7 +17,9 @@
 //! Those four `charge` functions are the only statement of what DPU work
 //! costs. [`GroupCost`] binds them to one configuration and is what every
 //! other consumer goes through: trace mode books its batches with
-//! [`GroupCost::charge`], the scheduler and the split-threshold search
+//! [`GroupCost::charge`]'s two parts ([`GroupCost::charge_group`] and
+//! [`GroupCost::charge_slice`], tabulated once per batch), the scheduler
+//! and the split-threshold search
 //! weigh tasks with [`GroupCost::heat`], and
 //! [`crate::perf_model::predict`] charges a perfectly balanced DPU's share
 //! the same way. How fast the host loops run never moves a simulated
@@ -171,9 +173,10 @@ impl<'a> GroupCost<'a> {
         self.d * 4 + 8 * slices as u64
     }
 
-    /// Book one group into `meter`: RC + LC once, then DC + TS for each of
-    /// its slices (given by length), the [`ts::expected_updates`] estimate
-    /// of each slice's candidates updating the queue — under the forwarding
+    /// Book one group into `meter`: RC + LC once ([`Self::charge_group`]),
+    /// then DC + TS for each of its slices, given by length
+    /// ([`Self::charge_slice`]), the [`ts::expected_updates`] estimate of
+    /// each slice's candidates updating the queue — under the forwarding
     /// policy only those lock, the bound prunes the rest. Returns the
     /// group's lock statistics.
     pub fn charge(
@@ -181,24 +184,41 @@ impl<'a> GroupCost<'a> {
         meter: &mut DpuMeter,
         slice_lens: impl IntoIterator<Item = u64>,
     ) -> LockStats {
+        self.charge_group(meter);
+        let mut lock = LockStats::default();
+        for n in slice_lens {
+            let s = self.charge_slice(meter, n);
+            lock.locked_updates += s.locked_updates;
+            lock.pruned += s.pruned;
+        }
+        lock
+    }
+
+    /// The part of [`Self::charge`] a group books once, whatever its
+    /// slices: RC + LC.
+    pub fn charge_group(&self, meter: &mut DpuMeter) {
         let ctx = self.ctx();
         rc::charge(&ctx, meter.phase_mut(Phase::Rc), self.d);
         let lc = meter.phase_mut(Phase::Lc);
         lc::charge(&ctx, lc, self.m, self.cb, self.dsub, self.square);
-        let mut lock = LockStats::default();
-        for n in slice_lens {
-            let updates = ts::expected_updates(n, self.k);
-            let locked = match self.lock_policy {
-                LockPolicy::LockAlways => n,
-                LockPolicy::Forwarding => updates,
-            };
-            dc::charge(&ctx, meter.phase_mut(Phase::Dc), n, self.m, self.cb);
-            let ts = meter.phase_mut(Phase::Ts);
-            ts::charge(&ctx, ts, n, self.k, self.lock_policy, locked, updates);
-            lock.locked_updates += locked;
-            lock.pruned += n - locked.min(n);
+    }
+
+    /// The part of [`Self::charge`] a group books per slice, for one slice
+    /// of `n` points: DC + TS. Returns the slice's lock statistics.
+    pub fn charge_slice(&self, meter: &mut DpuMeter, n: u64) -> LockStats {
+        let ctx = self.ctx();
+        let updates = ts::expected_updates(n, self.k);
+        let locked = match self.lock_policy {
+            LockPolicy::LockAlways => n,
+            LockPolicy::Forwarding => updates,
+        };
+        dc::charge(&ctx, meter.phase_mut(Phase::Dc), n, self.m, self.cb);
+        let ts = meter.phase_mut(Phase::Ts);
+        ts::charge(&ctx, ts, n, self.k, self.lock_policy, locked, updates);
+        LockStats {
+            locked_updates: locked,
+            pruned: n - locked.min(n),
         }
-        lock
     }
 
     /// The scheduler's heat for this configuration: the compute cycles one

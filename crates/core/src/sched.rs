@@ -13,14 +13,27 @@
 //! and [`task_cost_s`] is the same evaluation for a caller that holds only
 //! index parameters (the benchmark's scheduler probe).
 //!
-//! Known limits, both set by [`task_cost_s`]'s signature, which
-//! `benchmark/` imports and which carries one slice length, no `PimArch`
-//! and no WRAM placement. Heat is compute-only: a configuration whose
-//! phases are bound by MRAM traffic (the buffers-off ablation) is weighed
-//! by its cycles all the same. And a caller of [`task_cost_s`] pays for
-//! the heat rates on every call (five unit charges, ~70 ns) where the
-//! dispatch loop derives them once per batch. Lifting either needs the
-//! benchmark's probe to change first.
+//! [`expand_tasks`] evaluates a task's cost once per slice per call, so a
+//! cost function may be slow: [`task_cost_s`] re-derives the heat rates
+//! (five unit charges) on every call, once per probed slice.
+//!
+//! Known limit, set by [`task_cost_s`]'s signature, which `benchmark/`
+//! imports and which carries one slice length, no `PimArch` and no WRAM
+//! placement: heat is compute-only. A configuration whose phases are bound
+//! by MRAM traffic (the buffers-off ablation) is weighed by its cycles all
+//! the same. Lifting it needs the benchmark's probe to change first.
+//!
+//! The greedy order is exact, and cheap on a trace batch (≈ 240k tasks):
+//!
+//! - *LPT key.* Tasks go heaviest first, ties in task order, by one
+//!   unstable sort of `(!key, index)` pairs, where `key` is the cost's bit
+//!   pattern. Bit patterns of finite costs `>= 0` order as the values do,
+//!   once `-0.0` is read as `+0.0` (the two compare equal, so they tie);
+//!   any other cost panics. The index makes every pair distinct, so the
+//!   unstable sort yields the stable descending order.
+//! - *Coldest replica.* One pass over the task's homes, seeded with the
+//!   first one not banned, takes a home only when it is strictly colder:
+//!   of equally cold homes the first wins, `Iterator::min_by`'s rule.
 
 use crate::config::DataBits;
 use crate::kernels::{square_cost, GroupCost};
@@ -159,9 +172,16 @@ fn schedule_greedy(
         None => vec![0.0f64; ndpus],
     };
 
-    // Schedule heavy tasks first (LPT-style) for a tighter makespan.
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| tasks[b].cost.partial_cmp(&tasks[a].cost).unwrap());
+    // Schedule heavy tasks first (LPT-style) for a tighter makespan:
+    // descending cost, ties in task order.
+    let mut order: Vec<(u64, usize)> = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (!lpt_key(t.cost), i))
+        .collect();
+    order.sort_unstable();
+    // gathered once, so the loop below streams them
+    let order: Vec<Task> = order.into_iter().map(|(_, i)| tasks[i]).collect();
 
     // mean heat if everything were perfectly spread — the th3 reference
     let total_cost: f64 = tasks.iter().map(|t| t.cost).sum::<f64>() + heat.iter().sum::<f64>();
@@ -172,18 +192,11 @@ fn schedule_greedy(
         f64::INFINITY
     };
 
+    let banned = banned.unwrap_or(&[]);
     let mut postponed = Vec::new();
     let mut unplaceable = Vec::new();
-    for idx in order {
-        let t = tasks[idx];
-        let homes = &layout.slice_homes[t.slice];
-        // coldest surviving replica
-        let best = homes
-            .iter()
-            .filter(|&&d| !is_banned(banned, d))
-            .map(|&d| (d, heat[d]))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let Some((best, best_heat)) = best else {
+    for t in order {
+        let Some((best, best_heat)) = coldest(&layout.slice_homes[t.slice], &heat, banned) else {
             unplaceable.push(t);
             continue;
         };
@@ -201,6 +214,39 @@ fn schedule_greedy(
         unplaceable,
         heat,
     }
+}
+
+/// A task cost's LPT sort key: its bit pattern, which orders finite costs
+/// `>= 0` as their values do once `-0.0` is read as `+0.0`. Anything else
+/// has no place in a heat sum, so it panics here.
+fn lpt_key(cost: f64) -> u64 {
+    assert!(
+        cost.is_finite() && cost >= 0.0,
+        "greedy scheduling needs finite task costs >= 0, got {cost}"
+    );
+    if cost == 0.0 {
+        0
+    } else {
+        cost.to_bits()
+    }
+}
+
+/// The coldest of `homes` not banned, and its heat: the first of equally
+/// cold ones (`min_by`'s rule). `None` when every home is banned. A DPU
+/// past the end of `banned` counts as alive, as in [`is_banned`].
+fn coldest(homes: &[usize], heat: &[f64], banned: &[bool]) -> Option<(usize, f64)> {
+    let alive = |d: usize| !banned.get(d).copied().unwrap_or(false);
+    let mut rest = homes.iter();
+    let mut best = *rest.find(|&&d| alive(d))?;
+    let mut best_heat = heat[best];
+    for &d in rest {
+        let h = heat[d];
+        if h < best_heat && alive(d) {
+            best = d;
+            best_heat = h;
+        }
+    }
+    Some((best, best_heat))
 }
 
 /// DPU seconds of compute for one (query, slice) task — the scheduler's
@@ -241,20 +287,31 @@ pub fn task_cost_s(
 ///
 /// Each probed cluster expands into one task per slice (a query must scan
 /// all slices of a cluster; copies are alternatives, slices are not).
-/// `cost_of` predicts scan latency from slice length.
+/// `cost_of` predicts scan latency from slice length; it runs once per
+/// distinct slice.
 pub fn expand_tasks(
     probes_per_query: &[Vec<u32>],
     layout: &LayoutPlan,
     cost_of: impl Fn(usize) -> f64,
 ) -> Vec<Task> {
-    let mut tasks = Vec::new();
+    let slices_of = |c: u32| &layout.cluster_slices[c as usize];
+    let n: usize = probes_per_query
+        .iter()
+        .flatten()
+        .map(|&c| slices_of(c).len())
+        .sum();
+    let mut tasks = Vec::with_capacity(n);
+    // `cost_of` once per slice: lengths are fixed for this call only (an
+    // insert changes them between batches)
+    let mut memo: Vec<Option<f64>> = vec![None; layout.slices.len()];
     for (qi, probes) in probes_per_query.iter().enumerate() {
         for &c in probes {
-            for &si in &layout.cluster_slices[c as usize] {
+            for &si in slices_of(c) {
+                let cost = *memo[si].get_or_insert_with(|| cost_of(layout.slices[si].len));
                 tasks.push(Task {
                     query: qi as u32,
                     slice: si,
-                    cost: cost_of(layout.slices[si].len),
+                    cost,
                 });
             }
         }
@@ -473,6 +530,49 @@ mod tests {
             Some(&none_banned),
         );
         assert_eq!(format!("{a:?}"), format!("{c:?}"));
+    }
+
+    fn greedy_with_cost(cost: f64) {
+        let (_, plan) = layout(4, true);
+        let mut tasks = hot_tasks(3, 0);
+        tasks[1].cost = cost;
+        schedule(&tasks, &plan, 4, Policy::Greedy { th3: 0.5 });
+    }
+
+    #[test]
+    #[should_panic(expected = "finite task costs >= 0, got NaN")]
+    fn greedy_rejects_a_nan_cost() {
+        greedy_with_cost(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite task costs >= 0, got inf")]
+    fn greedy_rejects_an_infinite_cost() {
+        greedy_with_cost(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite task costs >= 0, got -0.5")]
+    fn greedy_rejects_a_negative_cost() {
+        greedy_with_cost(-0.5);
+    }
+
+    #[test]
+    fn greedy_reads_negative_zero_as_zero() {
+        let (_, plan) = layout(4, true);
+        let hot_slice = plan.cluster_slices[0][0];
+        let homes = &plan.slice_homes[hot_slice];
+        let mut tasks = hot_tasks(4, hot_slice);
+        for (t, cost) in tasks.iter_mut().zip([0.0, -0.0, 1.0, -0.0]) {
+            t.cost = cost;
+        }
+        let sp = schedule(&tasks, &plan, 4, Policy::Greedy { th3: f64::INFINITY });
+        let queries = |d: usize| sp.per_dpu[d].iter().map(|t| t.query).collect::<Vec<_>>();
+        // the heavy task first, onto the first of the equally cold homes;
+        // then the three zeros, tied whatever their sign, in task order
+        // onto the first home still at zero heat
+        assert_eq!(queries(homes[0]), [2]);
+        assert_eq!(queries(homes[1]), [0, 1, 3]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::layout::{ClusterInfo, LayoutPlan};
-use drim_ann::sched::{expand_tasks, schedule, Policy};
+use drim_ann::sched::{expand_tasks, schedule, schedule_filtered, Policy, SchedulePlan, Task};
 use proptest::prelude::*;
 
 fn arb_clusters() -> impl Strategy<Value = Vec<ClusterInfo>> {
@@ -30,6 +30,82 @@ fn engine_cfg(partition: bool, duplication: bool) -> EngineConfig {
     cfg.partition = partition;
     cfg.duplication = duplication;
     cfg
+}
+
+/// The greedy scheduler as first written: a stable index sort on
+/// descending cost, then each task to the first coldest surviving home by
+/// `min_by`. The oracle for `schedule_filtered`'s greedy policy.
+fn greedy_reference(
+    tasks: &[Task],
+    layout: &LayoutPlan,
+    ndpus: usize,
+    th3: f64,
+    initial_heat: Option<&[f64]>,
+    banned: Option<&[bool]>,
+) -> SchedulePlan {
+    let is_banned = |d: usize| {
+        banned
+            .map(|b| b.get(d).copied().unwrap_or(false))
+            .unwrap_or(false)
+    };
+    let mut per_dpu: Vec<Vec<Task>> = vec![Vec::new(); ndpus];
+    let mut heat = match initial_heat {
+        Some(h) => h.to_vec(),
+        None => vec![0.0f64; ndpus],
+    };
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by(|&a, &b| tasks[b].cost.partial_cmp(&tasks[a].cost).unwrap());
+    let total_cost: f64 = tasks.iter().map(|t| t.cost).sum::<f64>() + heat.iter().sum::<f64>();
+    let mean = total_cost / ndpus.max(1) as f64;
+    let limit = if th3.is_finite() {
+        mean * (1.0 + th3)
+    } else {
+        f64::INFINITY
+    };
+    let mut postponed = Vec::new();
+    let mut unplaceable = Vec::new();
+    for idx in order {
+        let t = tasks[idx];
+        let best = layout.slice_homes[t.slice]
+            .iter()
+            .filter(|&&d| !is_banned(d))
+            .map(|&d| (d, heat[d]))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        let Some((best, best_heat)) = best else {
+            unplaceable.push(t);
+            continue;
+        };
+        if best_heat + t.cost > limit && best_heat > 0.0 {
+            postponed.push(t);
+            continue;
+        }
+        per_dpu[best].push(t);
+        heat[best] += t.cost;
+    }
+    SchedulePlan {
+        per_dpu,
+        postponed,
+        unplaceable,
+        heat,
+    }
+}
+
+/// Tasks as `(query, slice, cost bits)`.
+type TaskBits = Vec<(u32, usize, u64)>;
+
+/// A plan with every float as its bit pattern: `-0.0` and `0.0` differ.
+fn plan_bits(p: &SchedulePlan) -> (Vec<TaskBits>, TaskBits, TaskBits, Vec<u64>) {
+    let bits = |ts: &[Task]| {
+        ts.iter()
+            .map(|t| (t.query, t.slice, t.cost.to_bits()))
+            .collect()
+    };
+    (
+        p.per_dpu.iter().map(|ts| bits(ts)).collect(),
+        bits(&p.postponed),
+        bits(&p.unplaceable),
+        p.heat.iter().map(|h| h.to_bits()).collect(),
+    )
 }
 
 proptest! {
@@ -79,6 +155,38 @@ proptest! {
                 prop_assert!(plan.slice_homes[t.slice].contains(&d));
             }
         }
+    }
+
+    /// The greedy policy places exactly what its first form (below) placed:
+    /// per-DPU task order, postponed and unplaceable tasks and final heat,
+    /// bit for bit, over tied and signed-zero costs, tied heats,
+    /// pre-existing heat, ban masks (short ones too) and finite or infinite
+    /// `th3`.
+    #[test]
+    fn greedy_matches_its_reference(clusters in arb_clusters(),
+                                    ndpus in 1usize..16,
+                                    raw in prop::collection::vec((0usize..1000, 0usize..8, 0.0f64..4.0), 0..300),
+                                    heat0 in prop::option::of(prop::collection::vec(0usize..4, 1..16)),
+                                    banned in prop::option::of(prop::collection::vec(any::<bool>(), 0..20)),
+                                    th3 in prop::option::of(0.0f64..1.5)) {
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        // half the costs and every initial heat from a tie-prone palette
+        const TIED: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
+        let tasks: Vec<Task> = raw
+            .iter()
+            .enumerate()
+            .map(|(q, &(s, c, x))| Task {
+                query: q as u32 % 7,
+                slice: s % plan.slices.len(),
+                cost: TIED.get(c).copied().unwrap_or(x),
+            })
+            .collect();
+        let heat0: Option<Vec<f64>> = heat0.map(|h| (0..ndpus).map(|d| TIED[h[d % h.len()]]).collect());
+        let th3 = th3.unwrap_or(f64::INFINITY);
+        let policy = Policy::Greedy { th3 };
+        let got = schedule_filtered(&tasks, &plan, ndpus, policy, heat0.as_deref(), banned.as_deref());
+        let want = greedy_reference(&tasks, &plan, ndpus, th3, heat0.as_deref(), banned.as_deref());
+        prop_assert_eq!(plan_bits(&got), plan_bits(&want));
     }
 
     /// Bounded heap == sorted truncation of a full sort, for any input.
