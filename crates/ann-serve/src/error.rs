@@ -27,6 +27,12 @@ pub enum ServeError {
         /// Dimensionality of the submitted query.
         got: usize,
     },
+    /// The vector has a NaN or infinite coordinate. Checked at admission,
+    /// before a cache key is built or a queue slot taken.
+    NonFinite {
+        /// Index of the first non-finite coordinate.
+        at: usize,
+    },
     /// Overload protection shed this submit: the tenant's queued work
     /// already fills its weighted share of the backlog budget
     /// (`max_queue_batches * max_batch`), so serving more of it would
@@ -57,6 +63,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::WrongDim { expected, got } => {
                 write!(f, "query has dim {got}, engine expects {expected}")
+            }
+            ServeError::NonFinite { at } => {
+                write!(f, "coordinate {at} is NaN or infinite")
             }
             ServeError::Overloaded { tenant } => {
                 write!(

@@ -86,7 +86,8 @@ impl ServeHandle {
     /// and the call returns immediately. Rejections are immediate and
     /// typed — [`ServeError::QueueFull`] when the tenant's queue is at
     /// `queue_cap` (backpressure), [`ServeError::UnknownTenant`] /
-    /// [`ServeError::WrongDim`] for malformed submits,
+    /// [`ServeError::WrongDim`] / [`ServeError::NonFinite`] for malformed
+    /// submits,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     ///
     /// With [`ServeConfig::cache`] enabled, a submit whose exact query
@@ -104,12 +105,7 @@ impl ServeHandle {
                 tenants: self.ntenants,
             });
         }
-        if query.len() != self.dim {
-            return Err(ServeError::WrongDim {
-                expected: self.dim,
-                got: query.len(),
-            });
-        }
+        self.check_vector(query)?;
         let slot = Arc::new(OneShot::new());
         // With the cache on: key the query against the driver's last
         // published engine state and probe before taking the inbox lock.
@@ -205,12 +201,7 @@ impl ServeHandle {
     /// Every applied mutation bumps the engine epoch, so cached results
     /// from before the insert are never served after it.
     pub fn insert(&self, id: u32, vector: &[f32]) -> Result<(), ServeError> {
-        if vector.len() != self.dim {
-            return Err(ServeError::WrongDim {
-                expected: self.dim,
-                got: vector.len(),
-            });
-        }
+        self.check_vector(vector)?;
         {
             let mut g = lock_unpoisoned(&self.shared.inbox);
             if !g.open {
@@ -223,6 +214,21 @@ impl ServeHandle {
         }
         self.shared.arrivals.notify_one();
         Ok(())
+    }
+
+    /// Admission check of a query or inserted vector: the engine's
+    /// dimension, every coordinate finite.
+    fn check_vector(&self, v: &[f32]) -> Result<(), ServeError> {
+        if v.len() != self.dim {
+            return Err(ServeError::WrongDim {
+                expected: self.dim,
+                got: v.len(),
+            });
+        }
+        match v.iter().position(|x| !x.is_finite()) {
+            Some(at) => Err(ServeError::NonFinite { at }),
+            None => Ok(()),
+        }
     }
 
     /// Enqueue a streaming delete (tombstone) for `id`; same batch-boundary

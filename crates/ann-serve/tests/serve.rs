@@ -140,6 +140,61 @@ fn malformed_submits_are_typed_errors() {
     }
 }
 
+/// `data.get(0)` with coordinate 5 replaced by each non-finite value.
+fn non_finite_rows(data: &ann_core::VecSet<f32>) -> Vec<Vec<f32>> {
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .map(|bad| {
+            let mut v = data.get(0).to_vec();
+            v[5] = bad;
+            v
+        })
+        .collect()
+}
+
+#[test]
+fn non_finite_submits_are_typed_errors_before_the_cache() {
+    let (engine, data) = small_engine();
+    let cfg = ServeConfig {
+        cache: Some(CacheConfig::default()),
+        ..ServeConfig::default()
+    };
+    let server = AnnServer::start(engine, cfg).unwrap();
+    let handle = server.handle();
+    for v in non_finite_rows(&data) {
+        match handle.submit(0, &v) {
+            Err(ServeError::NonFinite { at: 5 }) => {}
+            other => panic!("expected NonFinite for {}, got {other:?}", v[5]),
+        }
+    }
+    let (_, stats) = server.shutdown();
+    // rejected at admission: no cache probe, no queue slot, no batch
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        0,
+        "{}",
+        stats.summary()
+    );
+    assert_eq!(stats.batches, 0, "{}", stats.summary());
+}
+
+#[test]
+fn non_finite_inserts_are_typed_errors() {
+    let (engine, data) = small_engine();
+    let live0 = engine.live_len();
+    let server = AnnServer::start(engine, ServeConfig::default()).unwrap();
+    let handle = server.handle();
+    for (i, v) in non_finite_rows(&data).iter().enumerate() {
+        match handle.insert(20_000 + i as u32, v) {
+            Err(ServeError::NonFinite { at: 5 }) => {}
+            other => panic!("expected NonFinite for {}, got {other:?}", v[5]),
+        }
+    }
+    let (engine, stats) = server.shutdown();
+    assert_eq!(stats.inserts_applied + stats.mutations_failed, 0);
+    assert_eq!(engine.live_len(), live0, "nothing was enqueued");
+}
+
 #[test]
 fn cold_tenant_is_served_under_a_hot_flood() {
     let (engine, data) = small_engine();

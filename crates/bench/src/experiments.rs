@@ -609,7 +609,13 @@ pub fn fig15(scale: &PaperScale) -> Table {
             let index = paper_index(nlist, 96);
             let cpu = faiss_cpu_qps(&desc, &index, scale.batch);
             let gpu = faiss_gpu_qps(&desc, &index, scale.batch).unwrap_or(f64::NAN);
-            let qps = drim_qps(&desc, EngineConfig::drim(index), platform.arch(), scale);
+            // NaN where the platform's memory cannot hold the index on
+            // `scale.ndpus` units (HBM-PIM's 6 MiB PUs at the quick scale)
+            let mut spec = TraceSpec::for_dataset(&desc, scale.batch);
+            spec.heat_zipf = desc.zipf_s;
+            let cfg = EngineConfig::drim(index);
+            let qps = TraceRunner::try_build(spec, cfg, platform.arch(), scale.ndpus)
+                .map_or(f64::NAN, |mut r| r.mean_qps(scale.batches));
             t.row(vec![
                 platform.name().to_string(),
                 format!("2^{}", nlist.trailing_zeros()),

@@ -129,6 +129,10 @@ pub enum ConfigError {
         /// The index's padded dimension, `m * dsub`.
         padded_dim: usize,
     },
+    /// `bits = DataBits::B16` on the functional engine, whose residuals and
+    /// codewords are `u8`: its 16-bit charges would price traffic it never
+    /// moves. Trace mode models 16-bit operands.
+    WideOperands,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -155,6 +159,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "padded dimension {padded_dim} overflows 32-bit ADC distances (at most {})",
                 crate::kernels::dc::MAX_PADDED_DIM
+            ),
+            ConfigError::WideOperands => write!(
+                f,
+                "16-bit operands are trace-mode only: the functional engine's residuals and codewords are u8"
             ),
         }
     }

@@ -17,17 +17,22 @@
 //!    stragglers past the deadline are hedged, repeat offenders quarantined;
 //! 4. escalates whatever could not be placed to the host-side kernel replay
 //!    (lossless) or degrades with the loss accounted in [`FaultStats`];
-//! 5. folds meters and link-byte totals into the [`BatchReport`].
+//! 5. folds meters and link-byte totals into the [`BatchReport`], whose SQT
+//!    hit rate is the batch's configuration's ([`GroupCost`]).
 //!
 //! Without a (non-inert) injector this is the one-wave case: no
 //! [`DpuHealth`], no ban mask, every outcome healthy, `FaultStats` left at
 //! its default. See `docs/FAULT_MODEL.md` for the recovery state machine.
 //!
-//! The single seam is *where a DPU's wave output comes from*: the `exec`
-//! closure. The engine fills it with the functional RC/LC/DC/TS kernels,
-//! trace mode with the closed-form charge functions (empty results, zero
-//! checksum). The loop mutates the [`PimSystem`] while waves execute, so
-//! `exec` must capture only state disjoint from it.
+//! Both modes book a wave through the same [`ChargeTable::charge`]: it
+//! groups the wave's tasks by `(query, cluster)` and books RC + LC once per
+//! group, DC per slice and the push bytes, from one table of per-group and
+//! per-slice charges built per batch. The single seam is the TS closure it
+//! takes per (group, slice): the engine runs the real top-k selection there
+//! (and returns results), trace mode merges the slice's closed-form TS row
+//! (empty results, zero checksum). Each mode's `exec` closure wraps that
+//! call; the loop mutates the [`PimSystem`] while waves execute, so `exec`
+//! must capture only state disjoint from it.
 
 use crate::config::{EngineConfig, SchedPolicy};
 use crate::kernels::GroupCost;
@@ -37,7 +42,7 @@ use crate::report::{BatchReport, FaultStats};
 use crate::sched::{self, Policy, Task};
 use ann_core::topk::Neighbor;
 use upmem_sim::fault::FaultOutcome;
-use upmem_sim::meter::DpuMeter;
+use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
 use upmem_sim::tasklet::LockStats;
@@ -50,8 +55,6 @@ pub(crate) struct DpuOutput {
     pub meter: DpuMeter,
     /// Top-k lock statistics.
     pub lock: LockStats,
-    /// SQT lookups served from (WRAM, MRAM).
-    pub sqt_hits: (u64, u64),
     /// Host->PIM bytes pushed for the wave (queries + task descriptors).
     pub push_bytes: u64,
     /// PIM->host bytes gathered (the result lists).
@@ -61,6 +64,104 @@ pub(crate) struct DpuOutput {
     /// Detection checksum over the result payload (see
     /// [`upmem_sim::fault::result_checksum`]); charged zero.
     pub checksum: u64,
+}
+
+/// What a group books for one slice: [`GroupCost::charge_slice`]'s DC and
+/// TS phases and lock statistics.
+struct SliceCharge {
+    dc: PhaseMeter,
+    ts: PhaseMeter,
+    lock: LockStats,
+}
+
+/// One batch's [`GroupCost::charge`], tabulated: the RC + LC meter every
+/// `(query, cluster)` group books once, and per slice of the layout what a
+/// group books for it. Every charge is integer counts, so a wave's merges
+/// of table rows equal the per-group charges bit for bit. Built per batch:
+/// slice lengths are the layout's at that batch.
+pub(crate) struct ChargeTable<'a> {
+    pub(crate) cost: &'a GroupCost<'a>,
+    pub(crate) layout: &'a LayoutPlan,
+    group: DpuMeter,
+    slices: Vec<SliceCharge>,
+}
+
+impl<'a> ChargeTable<'a> {
+    fn new(cost: &'a GroupCost<'a>, layout: &'a LayoutPlan) -> Self {
+        let mut group = DpuMeter::new();
+        cost.charge_group(&mut group);
+        let slices = layout
+            .slices
+            .iter()
+            .map(|s| {
+                let mut meter = DpuMeter::new();
+                let lock = cost.charge_slice(&mut meter, s.len as u64);
+                SliceCharge {
+                    dc: *meter.phase(Phase::Dc),
+                    ts: *meter.phase(Phase::Ts),
+                    lock,
+                }
+            })
+            .collect();
+        ChargeTable {
+            cost,
+            layout,
+            group,
+            slices,
+        }
+    }
+
+    /// Book one wave of `tasks`: RC + LC once per `(query, cluster)` group,
+    /// DC per slice and the push bytes, with `ts(query, cluster, slice,
+    /// meter)` called for each slice of each group, groups ascending by
+    /// `(query, cluster)` — TS books itself into `meter` and returns its
+    /// lock statistics. The gather is a full top-k list per query with work
+    /// here (the engine replaces it with its lists' lengths); results,
+    /// tombstone count and checksum are left empty.
+    pub(crate) fn charge<T>(&self, tasks: &[Task], mut ts: T) -> DpuOutput
+    where
+        T: FnMut(u32, u32, usize, &mut PhaseMeter) -> LockStats,
+    {
+        let (mut dc, mut ts_meter) = (PhaseMeter::default(), PhaseMeter::default());
+        let mut lock = LockStats::default();
+        let (mut groups, mut queries, mut push_bytes) = (0u64, 0u64, 0u64);
+        let mut order = Vec::new();
+        let mut last_query = None;
+        for group in sched::group_tasks(tasks, self.layout, &mut order) {
+            let (q, cluster, _) = group[0];
+            if last_query != Some(q) {
+                last_query = Some(q);
+                queries += 1;
+            }
+            groups += 1;
+            push_bytes += self.cost.push_bytes(group.len());
+            for &(_, _, si) in group {
+                dc.merge(&self.slices[si].dc);
+                let s = ts(q, cluster, si, &mut ts_meter);
+                lock.locked_updates += s.locked_updates;
+                lock.pruned += s.pruned;
+            }
+        }
+        let mut meter = self.group.scaled(groups);
+        meter.phase_mut(Phase::Dc).merge(&dc);
+        meter.phase_mut(Phase::Ts).merge(&ts_meter);
+        DpuOutput {
+            results: Vec::new(),
+            meter,
+            lock,
+            push_bytes,
+            gather_bytes: queries * self.cost.k as u64 * 8,
+            tombstone_filtered: 0,
+            checksum: 0,
+        }
+    }
+
+    /// Trace mode's TS for slice `si`: its closed-form row.
+    pub(crate) fn ts_row(&self, si: usize, meter: &mut PhaseMeter) -> LockStats {
+        let row = &self.slices[si];
+        meter.merge(&row.ts);
+        row.lock
+    }
 }
 
 /// One batch's input to [`run`]: what cluster locating produced plus the
@@ -91,18 +192,21 @@ fn wave_of(per_dpu: Vec<Vec<Task>>) -> Vec<(usize, Vec<Task>)> {
         .collect()
 }
 
-/// Execute one batch on `system`. `exec(Some(d), tasks)` produces DPU `d`'s
-/// output for one wave; `exec(None, tasks)` is the host-side replay of
-/// unplaceable tasks through the same kernels. Returns, per query, the
-/// unmerged per-DPU result lists in dispatch order, plus the report.
+/// Execute one batch on `system`. `exec(table, Some(d), tasks)` produces DPU
+/// `d`'s output for one wave from the batch's [`ChargeTable`];
+/// `exec(table, None, tasks)` is the host-side replay of unplaceable tasks
+/// through the same kernels. Returns, per query, the unmerged per-DPU
+/// result lists in dispatch order, plus the report.
 pub(crate) fn run<E>(
     system: &mut PimSystem,
     b: Batch<'_>,
     exec: E,
 ) -> (Vec<Vec<Vec<Neighbor>>>, BatchReport)
 where
-    E: Fn(Option<usize>, &[Task]) -> DpuOutput + Sync,
+    E: Fn(&ChargeTable<'_>, Option<usize>, &[Task]) -> DpuOutput + Sync,
 {
+    let table = ChargeTable::new(b.cost, b.layout);
+    let exec = |who, tasks: &[Task]| exec(&table, who, tasks);
     let ndpus = system.len();
     let nqueries = b.probes.len();
     system.reset_meters();
@@ -174,7 +278,6 @@ where
     // --- dispatch waves with recovery ---
     let mut per_query_lists: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); nqueries];
     let mut lock = LockStats::default();
-    let mut sqt_hits = (0u64, 0u64);
     let mut push_bytes = 0u64;
     let mut gather_bytes = 0u64;
     let mut tombstone_filtered = 0u64;
@@ -257,8 +360,6 @@ where
             system.dpus[d].meter.merge(&out.meter);
             lock.locked_updates += out.lock.locked_updates;
             lock.pruned += out.lock.pruned;
-            sqt_hits.0 += out.sqt_hits.0;
-            sqt_hits.1 += out.sqt_hits.1;
             push_bytes += out.push_bytes;
             gather_bytes += out.gather_bytes;
             tombstone_filtered += out.tombstone_filtered;
@@ -340,11 +441,7 @@ where
     // --- timing & report (exact transfer-byte totals) ---
     let timing = system.batch_timing(b.cl_host_s + extra_host_s, push_bytes, gather_bytes);
     let energy = system.batch_energy(&timing, b.host.power_w);
-    let sqt_rate = if sqt_hits.0 + sqt_hits.1 == 0 {
-        1.0
-    } else {
-        sqt_hits.0 as f64 / (sqt_hits.0 + sqt_hits.1) as f64
-    };
+    let sqt_rate = b.cost.sqt_wram_hit_rate();
     let report = BatchReport::new(nqueries, timing, energy, postponed_count, lock, sqt_rate)
         .with_tombstones(tombstone_filtered)
         .with_fault_stats(stats);
@@ -432,7 +529,7 @@ mod tests {
                 cost: &cost,
                 fault_batch: 0,
             };
-            let (lists, report) = run(&mut self.system, batch, |who, tasks| {
+            let (lists, report) = run(&mut self.system, batch, |_, who, tasks| {
                 log.lock().unwrap().push((who, tasks.to_vec()));
                 let n = tasks.len() as u64;
                 let mut meter = DpuMeter::new();
@@ -452,7 +549,6 @@ mod tests {
                         locked_updates: n,
                         pruned: 0,
                     },
-                    sqt_hits: (n, 0),
                     push_bytes: 10 * n,
                     gather_bytes: 7 * n,
                     tombstone_filtered: 0,

@@ -1,30 +1,33 @@
 //! The DRIM-ANN engine: build an IVF-PQ index, lay it out over the DPUs,
 //! and execute query batches through the five-phase pipeline (paper Fig. 4).
 //!
+//! The index is placed on the DPUs by `crate::deploy`, trace mode's
+//! deployment too, from the lists' sizes and profiled heat.
+//!
 //! Execution per batch: the host runs cluster locating here. Then, because
 //! LUTs and distances depend only on (query, cluster) and (query, point),
 //! the host computes them once for the whole batch (the `arena`
 //! submodule): per probed cluster, its queries in interleaved blocks, one
 //! LUT build and one pass over the cluster's codes per block. The shared
 //! dispatch loop (`crate::dispatch`, also trace mode's) then schedules
-//! greedily and drives the DPU waves; every DPU (in parallel on the host
-//! thread pool, one work item per DPU) walks its assigned (query, slice)
-//! tasks exactly as the hardware would — RC, then LC and DC *booked* once
-//! per (query, cluster) group and per slice, reading their values from the
-//! batch's arena, then the tombstone filter and TS for real. Finally the
-//! per-DPU top-k lists are gathered and merged on the host. The returned
-//! [`BatchReport`] carries the simulated wall clock, energy, imbalance and
-//! phase breakdown. Streaming inserts, deletes and maintenance live in the
-//! `mutate` submodule.
+//! greedily and drives the DPU waves. Every DPU (in parallel on the host
+//! thread pool, one work item per DPU) books its wave from the batch's
+//! charge table — RC and LC once per (query, cluster) group, DC per slice,
+//! the rows trace mode books — and runs the tombstone filter and TS for
+//! real over the arena's distances. Finally the per-DPU top-k lists are
+//! gathered and merged on the host. The returned [`BatchReport`] carries
+//! the simulated wall clock, energy, imbalance and phase breakdown.
+//! Streaming inserts, deletes and maintenance live in the `mutate`
+//! submodule.
 
-use crate::config::{ConfigError, EngineConfig};
-use crate::dispatch::{self, DpuOutput};
+use crate::config::{ConfigError, DataBits, EngineConfig};
+use crate::deploy::{bytes_per_point, deploy};
+use crate::dispatch::{self, ChargeTable, DpuOutput};
 use crate::kernels::{cl, dc, lc, rc, ts, GroupCost};
 use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
-use crate::sched::{self, Task};
-use crate::sqt::Sqt;
+use crate::sched::Task;
 use crate::wram::WramPlacement;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::quantize::ScalarQuantizer;
@@ -32,20 +35,15 @@ use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
 use ann_core::vector::VecSet;
 use std::borrow::Cow;
 use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector};
-use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
+use upmem_sim::meter::PhaseMeter;
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
-use upmem_sim::tasklet::LockStats;
 use upmem_sim::{PimArch, SimConfigError};
 
 mod arena;
 mod mutate;
 use arena::Arena;
 pub use mutate::{MaintenanceReport, MutationError};
-
-/// (query, cluster) groups per bulk-LC wave in the per-DPU loop: one
-/// [`lc::charge_bulk`] call books this many groups' LUT builds.
-const LC_GROUP_BLOCK: usize = 8;
 
 /// Build-time error.
 #[derive(Debug)]
@@ -103,7 +101,7 @@ pub struct DrimEngine {
     /// Quantizer mapping f32 residual space to u8 DPU operands.
     rquant: ScalarQuantizer,
     /// Quantized codebooks, `m * cb * dsub`, transposed to `[s][d][j]` as
-    /// LC's build and charge read them ([`lc::transpose`]).
+    /// the batch's LUT build reads them ([`lc::transpose`]).
     qcodebooks: Vec<u8>,
     /// Coarse centroids in the PQ's working space: for OPQ these are the
     /// *rotated* centroids, so the DPU residual `R q - R c = R (q - c)`
@@ -182,11 +180,11 @@ impl DrimEngine {
         profile_queries: Option<&VecSet<f32>>,
     ) -> Result<DrimEngine, BuildError> {
         cfg.validate()?;
-        // Instantiate the system first: `try_new` front-loads the
-        // misconfiguration checks (zero DPUs, broken architecture) before
-        // any arithmetic can divide by them below.
-        let mut system = PimSystem::try_new(arch.clone(), ndpus)?;
-        system.tasklets = cfg.tasklets;
+        // the operands are u8 (`fit_u8` below): 16-bit charges would price
+        // traffic this engine never moves
+        if cfg.bits != DataBits::B8 {
+            return Err(ConfigError::WideOperands.into());
+        }
         let dim = data.dim();
         let pq = ivf.quant.pq();
         // the DC scan sums a point's LUT entries in 32 bits
@@ -257,11 +255,6 @@ impl DrimEngine {
             cfg.index.nprobe,
         );
 
-        // Layout over the DPUs.
-        let bytes_per_point = (cfg.index.m * pq.code_bytes() + 4) as u64;
-        let reserved =
-            qcodebooks.len() as u64 + (dim as u64 * 4 * cfg.index.nlist as u64 / ndpus as u64);
-        let mram_budget = arch.mram_bytes.saturating_sub(reserved);
         let shape = WorkloadShape::new(
             ivf.len() as u64,
             cfg.batch,
@@ -269,58 +262,8 @@ impl DrimEngine {
             &cfg.index,
             BitWidths::u8_regime(),
         );
-        let heat = GroupCost::layout_heat(&cfg, &arch, &shape, ndpus);
-        let slice_cost = |len| heat(len) as f64;
-        let mut layout = LayoutPlan::build(
-            &clusters,
-            ndpus,
-            &cfg,
-            bytes_per_point,
-            mram_budget,
-            slice_cost,
-        );
-        layout
-            .validate(&clusters)
-            .map_err(BuildError::MramOverflow)?;
-        // Rank topology: a cross-rank replication post-pass guarantees every
-        // slice keeps a home on >= 2 distinct ranks (budget permitting), the
-        // property that makes a whole-rank fail-stop lossless. Slices the
-        // budget could not cover stay single-rank and are accounted by the
-        // degradation path at runtime.
-        if let Some(ranks) = cfg.ranks {
-            let dpus_per_rank = ndpus.div_ceil(ranks);
-            crate::layout::duplication::ensure_rank_coverage(
-                &mut layout.slice_homes,
-                &layout.slices,
-                ndpus,
-                dpus_per_rank,
-                2,
-                bytes_per_point,
-                mram_budget,
-            );
-            layout.recompute_dpu_slices();
-            layout
-                .validate(&clusters)
-                .map_err(BuildError::MramOverflow)?;
-        }
-
-        // MRAM accounting on the already-validated system.
-        for (d, dpu) in system.dpus.iter_mut().enumerate() {
-            dpu.mram
-                .alloc("codebooks", qcodebooks.len() as u64)
-                .map_err(|e| BuildError::MramOverflow(e.to_string()))?;
-            let bytes: u64 = layout.dpu_slices[d]
-                .iter()
-                .map(|&si| layout.slices[si].len as u64 * bytes_per_point)
-                .sum();
-            dpu.mram
-                .alloc("slices", bytes)
-                .map_err(|e| BuildError::MramOverflow(e.to_string()))?;
-        }
-
-        // WRAM plan.
-        let local_clusters = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
-        let placement = crate::wram::plan_for(&cfg, &arch, &shape, local_clusters, ndpus);
+        let (layout, system, placement) = deploy(&clusters, &cfg, arch, ndpus, &shape)?;
+        let bytes_per_point = bytes_per_point(&cfg.index);
 
         // Live-id directory for the mutation paths: every id the build
         // ingested is live, owned by the list that holds it.
@@ -608,7 +551,7 @@ impl DrimEngine {
                 cost: &cost,
                 fault_batch: self.fault_batch,
             },
-            |_, tasks| kernels.run_dpu(arena, tasks),
+            |table, _, tasks| kernels.run_dpu(table, arena, tasks),
         );
 
         // --- merge on host ---
@@ -654,141 +597,55 @@ impl DpuKernels<'_> {
         out.resize(self.cfg.index.m * self.dsub, self.rquant.encode(0.0) as u8);
     }
 
-    /// Execute one DPU's task list, its LUT and distance values read from
-    /// the batch's `arena`.
-    fn run_dpu(&self, arena: &Arena, tasks: &[Task]) -> DpuOutput {
-        let mut meter = DpuMeter::new();
+    /// Execute one DPU's task list: RC, LC and DC booked from the batch's
+    /// `table`, TS run for real over the distances in the batch's `arena`.
+    fn run_dpu(&self, table: &ChargeTable<'_>, arena: &Arena, tasks: &[Task]) -> DpuOutput {
         let ctx = &self.cost.ctx();
-        let mut sqt = self.cfg.sqt.then(|| {
-            Sqt::for_bits_resident_windowed(
-                self.cfg.bits,
-                self.cfg.sqt_window,
-                ctx.placement.is_resident("sqt"),
-            )
-        });
-        let m = self.cfg.index.m;
-        let cb = self.cfg.index.cb;
-        let dsub = self.dsub;
         let k = self.cfg.index.k;
-
-        // RC + LC are booked once per (query, cluster) group — the data
-        // reuse the allocation exchange pass enables. Groups (hence the
-        // per-query heaps, results and checksum) ascend by query id.
-        let mut order = Vec::new();
-        let groups: Vec<_> = sched::group_tasks(tasks, self.layout, &mut order).collect();
-
+        // groups ascend by query, so the per-query heaps (hence results and
+        // checksum) do too
         let mut heaps: Vec<(u32, BoundedMaxHeap)> = Vec::new();
-        let mut lock = LockStats::default();
-        let mut residual_q = Vec::new();
-        let mut residuals = Vec::new();
         let mut scanned = Vec::new();
-        let mut push_bytes = 0u64;
-        let mut gather_bytes = 0u64;
         let mut tombstone_filtered = 0u64;
-
-        // Groups run in LC_GROUP_BLOCK-sized waves: RC fills a residual
-        // slab, one bulk charge books every LUT of the wave, then DC + TS
-        // run group by group over the arena's distances.
-        for wave in groups.chunks(LC_GROUP_BLOCK) {
-            residuals.clear();
-            for group in wave {
-                let (q, cluster, _) = group[0];
-                push_bytes += self.cost.push_bytes(group.len());
-                self.residual(meter.phase_mut(Phase::Rc), q, cluster, &mut residual_q);
-                residuals.extend_from_slice(&residual_q);
+        let mut out = table.charge(tasks, |q, cluster, si, meter| {
+            if heaps.last().map(|(last, _)| *last) != Some(q) {
+                heaps.push((q, BoundedMaxHeap::new(k)));
             }
-
-            lc::charge_bulk(
-                ctx,
-                meter.phase_mut(Phase::Lc),
-                &residuals,
-                wave.len(),
-                self.qcodebooks,
-                m,
-                cb,
-                dsub,
-                sqt.as_mut(),
-            );
-
-            // DC + TS per slice
-            for group in wave {
-                let (q, cluster, _) = group[0];
-                if heaps.last().map(|(last, _)| *last) != Some(q) {
-                    heaps.push((q, BoundedMaxHeap::new(k)));
-                }
-                let heap = &mut heaps.last_mut().expect("pushed above").1;
-                let tomb = &self.tombstones[cluster as usize];
-                let list = &self.lists[cluster as usize];
-                let dists = arena.run(q, cluster, list.len());
-                for &(_, _, si) in *group {
-                    let s = &self.layout.slices[si];
-                    let ids = &list.ids[s.start..s.start + s.len];
-                    dc::charge(ctx, meter.phase_mut(Phase::Dc), s.len as u64, m, cb);
-                    scanned.clear();
-                    scanned.extend(
-                        dists[s.start..s.start + s.len]
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &d)| (slot as u32, d as u64)),
-                    );
-                    // Tombstone filter: deleted-but-uncompacted ids drop
-                    // here, between scan and top-k, so they can never enter
-                    // a queue. Removing a candidate cannot hurt the
-                    // survivors (the TS prune is conservative), so the
-                    // stream the queue sees is exactly the live stream —
-                    // the compaction-neutrality invariant.
-                    if !tomb.is_empty() {
-                        let before = scanned.len();
-                        scanned.retain(|&(slot, _)| !tomb.contains(&ids[slot as usize]));
-                        tombstone_filtered += (before - scanned.len()) as u64;
-                    }
-                    let s = ts::run(
-                        ctx,
-                        meter.phase_mut(Phase::Ts),
-                        &scanned,
-                        ids,
-                        heap,
-                        k,
-                        self.cfg.lock_policy,
-                    );
-                    lock.locked_updates += s.locked_updates;
-                    lock.pruned += s.pruned;
-                }
+            let heap = &mut heaps.last_mut().expect("pushed above").1;
+            let list = &self.lists[cluster as usize];
+            let s = &self.layout.slices[si];
+            let ids = &list.ids[s.start..s.start + s.len];
+            let dists = &arena.run(q, cluster, list.len())[s.start..s.start + s.len];
+            scanned.clear();
+            scanned.extend((0u32..).zip(dists).map(|(slot, &d)| (slot, d as u64)));
+            // Tombstone filter: deleted-but-uncompacted ids drop here,
+            // between scan and top-k, so they can never enter a queue.
+            // Removing a candidate cannot hurt the survivors (the TS prune
+            // is conservative), so the stream the queue sees is exactly the
+            // live stream — the compaction-neutrality invariant.
+            let tomb = &self.tombstones[cluster as usize];
+            if !tomb.is_empty() {
+                let before = scanned.len();
+                scanned.retain(|&(slot, _)| !tomb.contains(&ids[slot as usize]));
+                tombstone_filtered += (before - scanned.len()) as u64;
             }
-        }
+            ts::run(ctx, meter, &scanned, ids, heap, k, self.cfg.lock_policy)
+        });
 
-        let results: Vec<(u32, Vec<Neighbor>)> = heaps
+        out.results = heaps
             .into_iter()
-            .map(|(q, h)| {
-                let list = h.into_sorted();
-                gather_bytes += list.len() as u64 * 8;
-                (q, list)
-            })
+            .map(|(q, h)| (q, h.into_sorted()))
             .collect();
-
-        let sqt_hits = sqt
-            .as_ref()
-            .map(|s| (s.hits_wram, s.hits_mram))
-            .unwrap_or((0, 0));
-
+        out.gather_bytes = out.results.iter().map(|(_, l)| l.len() as u64 * 8).sum();
+        out.tombstone_filtered = tombstone_filtered;
         // Integrity header transmitted alongside the gather (folded into
         // the gather DMA, so it charges no extra cycles or bytes) — the
         // recovery layer recomputes it host-side to detect corruption.
-        let checksum = result_checksum(results.iter().flat_map(|(q, list)| {
+        out.checksum = result_checksum(out.results.iter().flat_map(|(q, list)| {
             std::iter::once(*q as u64)
                 .chain(list.iter().flat_map(|n| [n.id, n.dist.to_bits() as u64]))
         }));
-
-        DpuOutput {
-            results,
-            meter,
-            lock,
-            sqt_hits,
-            push_bytes,
-            gather_bytes,
-            tombstone_filtered,
-            checksum,
-        }
+        out
     }
 }
 
@@ -1179,6 +1036,34 @@ mod tests {
             DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 2, None),
             Err(BuildError::Config(ConfigError::DimTooWide { padded_dim })) if padded_dim == dim
         ));
+    }
+
+    #[test]
+    fn build_rejects_16_bit_operands() {
+        // the engine's operands are u8: B16 is a trace-mode-only model
+        let (data, _) = small_workload();
+        let mut cfg = small_cfg();
+        cfg.bits = DataBits::B16;
+        let err = DrimEngine::build(&data, cfg.clone(), PimArch::upmem_sc25(), 4, None).err();
+        assert!(
+            matches!(err, Some(BuildError::Config(ConfigError::WideOperands))),
+            "{err:?}"
+        );
+        assert!(err.unwrap().to_string().contains("trace-mode only"));
+
+        let spec = crate::trace::TraceSpec {
+            name: "b16".into(),
+            n_points: 100_000,
+            dim: 16,
+            batch: 24,
+            cluster_size_zipf: 0.35,
+            heat_zipf: 1.0,
+            seed: 3,
+        };
+        let mut runner = crate::trace::TraceRunner::build(spec, cfg, PimArch::upmem_sc25(), 4);
+        let rep = runner.run_batch(1);
+        assert!(rep.timing.pim_s() > 0.0);
+        assert_eq!(rep.sqt_wram_hit_rate, 0.9, "the 16-bit window's rate");
     }
 
     #[test]

@@ -17,6 +17,11 @@ pub enum MutationError {
         /// Dimension the engine was built for.
         expected: usize,
     },
+    /// The inserted vector has a NaN or infinite coordinate.
+    NonFinite {
+        /// Index of the first non-finite coordinate.
+        at: usize,
+    },
     /// The id is already live in the index (delete it first).
     DuplicateId(u32),
     /// No home DPU of the target cluster's tail slice has MRAM headroom
@@ -30,6 +35,9 @@ impl std::fmt::Display for MutationError {
         match self {
             MutationError::WrongDim { got, expected } => {
                 write!(f, "inserted vector has dim {got}, index expects {expected}")
+            }
+            MutationError::NonFinite { at } => {
+                write!(f, "inserted vector's coordinate {at} is NaN or infinite")
             }
             MutationError::DuplicateId(id) => write!(f, "id {id} is already live"),
             MutationError::MramFull(c) => {
@@ -79,6 +87,9 @@ impl DrimEngine {
                 got: v.len(),
                 expected: dim,
             });
+        }
+        if let Some(at) = v.iter().position(|x| !x.is_finite()) {
+            return Err(MutationError::NonFinite { at });
         }
         if self.id_cluster.contains_key(&id) {
             return Err(MutationError::DuplicateId(id));
@@ -402,6 +413,24 @@ mod tests {
             e.insert(9_999_999, &[0.0]),
             Err(MutationError::WrongDim { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_insert_is_a_typed_error_and_changes_nothing() {
+        let (data, _) = small_workload();
+        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
+        let (epoch, live) = (e.epoch(), e.live_len());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut v = data.get(0).to_vec();
+            v[3] = bad;
+            assert_eq!(
+                e.insert(9_999_999, &v),
+                Err(MutationError::NonFinite { at: 3 }),
+                "{bad}"
+            );
+        }
+        assert_eq!((e.epoch(), e.live_len()), (epoch, live));
+        assert_eq!(e.mutation_push_bytes(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ const GATHER_BLOCK: usize = 4;
 pub(crate) const MAX_PADDED_DIM: usize = (u32::MAX / (255 * 255)) as usize;
 
 /// Closed-form cost of scanning `n_points` codes — identical totals to
-/// [`run`]. Used by trace mode.
+/// [`run`]. What both modes book a slice's DC with.
 pub fn charge(ctx: &KernelCtx<'_>, meter: &mut PhaseMeter, n_points: u64, m: usize, cb: usize) {
     let code_bytes = if cb <= 256 { 1u64 } else { 2u64 };
     let gathers = n_points * m as u64;

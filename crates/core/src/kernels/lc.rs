@@ -8,14 +8,16 @@
 //!
 //! The SQT is lossless, so the multiply and SQT arms differ only in what a
 //! squaring *costs* — never in the table they build. Building and charging
-//! are therefore two functions: `build` is the one integer build loop,
-//! shaped for the host's vector units, and [`charge_bulk`] books a set of
-//! groups' squarings from an exact `(hits, misses)` count (`sqt_split`)
-//! through the same helpers the closed-form [`charge`] uses. [`run_bulk`]
-//! is the two back to back. The engine calls them apart: the batch builds
-//! each probed cluster's LUTs once, several queries interleaved, and every
-//! DPU books its own groups through [`charge_bulk`]. How fast the host
-//! simulates LC says nothing about what LC is charged.
+//! are therefore apart: `build` is the one integer build loop, shaped for
+//! the host's vector units, and the closed-form [`charge`] books one
+//! group's LC at the hit rate the configuration gives. The engine builds
+//! each probed cluster's LUTs once per batch, several queries interleaved,
+//! and every DPU books its groups through [`charge`] (by way of the batch's
+//! charge table). [`run_bulk`] is the one-call form, a one-lane build per
+//! group and then its private charge half, which counts a partial SQT
+//! window's hits exactly (`sqt_split`) and books them through the same
+//! helpers [`charge`] uses. How fast the host simulates LC says nothing
+//! about what LC is charged.
 
 use super::KernelCtx;
 use crate::sqt::Sqt;
@@ -34,7 +36,8 @@ pub enum SquareCost {
 }
 
 /// Closed-form cost of one LC invocation — identical totals to [`run`] for
-/// the given hit rate (exactly 1.0 in the 8-bit regime). Used by trace mode.
+/// the given hit rate (exactly 1.0 in the 8-bit regime). What both modes
+/// book a group's LC with.
 pub fn charge(
     ctx: &KernelCtx<'_>,
     meter: &mut PhaseMeter,
@@ -149,12 +152,13 @@ pub fn run(
 }
 
 /// Bulk LUT construction for `ngroups` residuals against one codebook: the
-/// one-lane build of each group in turn, then [`charge_bulk`].
+/// one-lane build of each group in turn, then their charge, with a partial
+/// SQT window's hits counted exactly.
 ///
 /// `residuals` is `ngroups * m * dsub` flat (one padded residual per
 /// group); `luts` receives `ngroups * m * cb` entries, group-major. The
 /// charges are exactly `ngroups` times one [`charge`] at the call's
-/// measured hit rate (the accounting trace mode replays).
+/// measured hit rate.
 #[allow(clippy::too_many_arguments)]
 pub fn run_bulk(
     ctx: &KernelCtx<'_>,
@@ -179,17 +183,19 @@ pub fn run_bulk(
     {
         fill::<1, 32>(residual, &codebooks_t, cb, dsub, lut);
     }
-    charge_bulk(
-        ctx,
-        meter,
-        residuals,
-        ngroups,
-        &codebooks_t,
-        m,
-        cb,
-        dsub,
-        sqt,
-    );
+    match sqt {
+        None => meter.charge_mul((ngroups * m * cb * dsub) as u64, ctx.costs),
+        Some(table) => {
+            let window = table.wram_window();
+            let (hits, misses) = sqt_split(window, residuals, ngroups, &codebooks_t, m, cb, dsub);
+            table.hits_wram += hits;
+            table.hits_mram += misses;
+            charge_sqt_lookups(ctx, meter, hits, misses);
+        }
+    }
+    for _ in 0..ngroups {
+        charge_nonsquare(ctx, meter, m, cb, dsub);
+    }
 }
 
 /// `codebooks` (`[s][j][d]`, `m * cb * dsub` quantized codewords) as
@@ -220,7 +226,7 @@ pub(crate) fn transpose(codebooks: &[u8], m: usize, cb: usize, dsub: usize) -> V
 /// `residuals` is `lanes * m * dsub` flat (one padded residual per lane);
 /// `codebooks_t` is the [`transpose`] of the `m * cb * dsub` quantized
 /// codewords. Charges nothing — a DPU books the groups it serves through
-/// [`charge_bulk`]. Integer sums are associative, so every entry is
+/// [`charge`]. Integer sums are associative, so every entry is
 /// bit-identical to a one-lane build of the same residual.
 pub(crate) fn build(
     residuals: &[u8],
@@ -310,47 +316,6 @@ fn fill_block<const W: usize, const J: usize>(
         }
     }
     lut_s[j0..j0 + J].copy_from_slice(&acc);
-}
-
-/// Book the LC of `ngroups` (query, cluster) groups — exactly what
-/// [`run_bulk`] charges for them, whoever built their tables. `residuals`
-/// are the groups' padded residuals (`ngroups * m * dsub` flat) and
-/// `codebooks_t` the quantized codewords transposed to `[s][d][j]`, both
-/// read only to count a partial SQT window's hits exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn charge_bulk(
-    ctx: &KernelCtx<'_>,
-    meter: &mut PhaseMeter,
-    residuals: &[u8],
-    ngroups: usize,
-    codebooks_t: &[u8],
-    m: usize,
-    cb: usize,
-    dsub: usize,
-    sqt: Option<&mut Sqt>,
-) {
-    debug_assert_eq!(codebooks_t.len(), m * cb * dsub);
-    debug_assert!(residuals.len() >= ngroups * m * dsub);
-    match sqt {
-        None => meter.charge_mul((ngroups * m * cb * dsub) as u64, ctx.costs),
-        Some(table) => {
-            let (hits, misses) = sqt_split(
-                table.wram_window(),
-                residuals,
-                ngroups,
-                codebooks_t,
-                m,
-                cb,
-                dsub,
-            );
-            table.hits_wram += hits;
-            table.hits_mram += misses;
-            charge_sqt_lookups(ctx, meter, hits, misses);
-        }
-    }
-    for _ in 0..ngroups {
-        charge_nonsquare(ctx, meter, m, cb, dsub);
-    }
 }
 
 #[cfg(test)]
@@ -580,8 +545,8 @@ mod tests {
                                 }
                             }
 
-                            // the engine's split: the groups as the lanes of
-                            // one interleaved build, entry for entry ...
+                            // the engine's build: the groups as the lanes of
+                            // one interleaved build, entry for entry
                             let w = crate::kernels::lane_width(ngroups);
                             let mut interleaved = vec![u32::MAX; m * cb * w];
                             let codebooks_t = transpose(&codebooks, m, cb, dsub);
@@ -603,22 +568,6 @@ mod tests {
                                     );
                                 }
                             }
-                            // ... and the charge-only half books what run_bulk does
-                            let mut split_sqt = table.clone();
-                            let mut split_meter = PhaseMeter::default();
-                            charge_bulk(
-                                &c,
-                                &mut split_meter,
-                                &residuals,
-                                ngroups,
-                                &codebooks_t,
-                                m,
-                                cb,
-                                dsub,
-                                split_sqt.as_mut(),
-                            );
-                            assert_eq!(split_meter, got_meter, "{case}");
-                            assert_eq!(hits(&split_sqt), hits(&got_sqt), "{case}");
                         }
                     }
                 }

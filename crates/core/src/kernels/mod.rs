@@ -9,22 +9,24 @@
 //! DC are values of (query, cluster) and (query, point) alone, so the engine
 //! computes them once per batch, before any DPU runs: several queries of a
 //! probed cluster at a time, their LUTs interleaved into `LANES`-wide
-//! vector lanes (`lc::build`, `dc::scan_lanes`). Each DPU then books its
-//! own groups through [`lc::charge_bulk`] and [`dc::charge`].
+//! vector lanes (`lc::build`, `dc::scan_lanes`). What a DPU is charged for
+//! them is not counted from those values at all: an 8-bit LC squares only
+//! differences below 256, so its SQT lookups all hit a resident table or
+//! all miss a spilled one, and the closed-form [`lc::charge`] says which.
 //! [`lc::run_bulk`] and [`dc::run`] remain the one-call form of each (build
-//! or scan, then charge), over the same loop bodies.
+//! or scan, then charge), over the same loop bodies; `run_bulk`'s private
+//! charge half counts a partial SQT window's hits exactly.
 //!
-//! Those four `charge` functions are the only statement of what DPU work
-//! costs. [`GroupCost`] binds them to one configuration and is what every
-//! other consumer goes through: trace mode books its batches with
+//! The `charge` functions are the only statement of what DPU work costs.
+//! [`GroupCost`] binds them to one configuration and is what every other
+//! consumer goes through: both modes book their waves with
 //! [`GroupCost::charge`]'s two parts ([`GroupCost::charge_group`] and
-//! [`GroupCost::charge_slice`], tabulated once per batch), the scheduler
-//! and the split-threshold search
-//! weigh tasks with [`GroupCost::heat`], and
-//! [`crate::perf_model::predict`] charges a perfectly balanced DPU's share
-//! the same way. How fast the host loops run never moves a simulated
-//! number; a change to what a gather, a lookup or a lock costs is an edit
-//! to one `charge` function that all of them see.
+//! [`GroupCost::charge_slice`], tabulated once per batch by the dispatch
+//! loop), the scheduler and the split-threshold search weigh tasks with
+//! [`GroupCost::heat`], and [`crate::perf_model::predict`] charges a
+//! perfectly balanced DPU's share the same way. How fast the host loops run
+//! never moves a simulated number; a change to what a gather, a lookup or a
+//! lock costs is an edit to one `charge` function that all of them see.
 //!
 //! Phase placement follows the paper: CL runs on the host ([`cl`]);
 //! RC, LC, DC and TS run on the DPUs ([`rc`], [`lc`], [`dc`], [`ts`]).
@@ -164,6 +166,15 @@ impl<'a> GroupCost<'a> {
             dma_burst: self.dma_burst,
             bits: self.bits,
             placement: self.placement,
+        }
+    }
+
+    /// The fraction of SQT lookups this configuration serves from WRAM;
+    /// 1 when it squares by multiply and looks nothing up.
+    pub fn sqt_wram_hit_rate(&self) -> f64 {
+        match self.square {
+            SquareCost::Multiply => 1.0,
+            SquareCost::SqtLookup { wram_hit_rate } => wram_hit_rate,
         }
     }
 

@@ -213,28 +213,34 @@ impl LayoutPlan {
     }
 
     /// Sanity checks: every slice placed at least once, copies on distinct
-    /// DPUs, the per-DPU lists name exactly the placed copies, slice
-    /// coverage of every cluster is exact and disjoint.
+    /// existing DPUs, the per-DPU lists name exactly the placed copies,
+    /// slice coverage of every cluster is exact and disjoint. Linear in the
+    /// copies, up to sorting each DPU's list.
     pub fn validate(&self, clusters: &[ClusterInfo]) -> Result<(), String> {
+        let ndpus = self.dpu_slices.len();
+        // the per-DPU lists rebuilt from the homes, ascending: a list's last
+        // entry stamps the last slice seen with a copy on that DPU
+        let mut held = vec![Vec::new(); ndpus];
         for (i, homes) in self.slice_homes.iter().enumerate() {
             if homes.is_empty() {
                 return Err(format!("slice {i} has no home"));
             }
-            let set: std::collections::HashSet<_> = homes.iter().collect();
-            if set.len() != homes.len() {
-                return Err(format!("slice {i} has duplicate copies on one DPU"));
+            for &d in homes {
+                let Some(list) = held.get_mut(d) else {
+                    return Err(format!("slice {i} has a copy on DPU {d} of {ndpus}"));
+                };
+                if list.last() == Some(&i) {
+                    return Err(format!("slice {i} has duplicate copies on one DPU"));
+                }
+                list.push(i);
             }
         }
-        let listed: usize = self.dpu_slices.iter().map(Vec::len).sum();
-        if listed != self.total_copies() {
-            return Err(format!(
-                "DPUs list {listed} copies, slices have {}",
-                self.total_copies()
-            ));
-        }
-        for (d, ss) in self.dpu_slices.iter().enumerate() {
-            if let Some(si) = ss.iter().find(|&&si| !self.slice_homes[si].contains(&d)) {
-                return Err(format!("DPU {d} lists slice {si}, which has no copy there"));
+        let mut listed = Vec::new();
+        for (d, (ss, held)) in self.dpu_slices.iter().zip(&held).enumerate() {
+            listed.clone_from(ss);
+            listed.sort_unstable();
+            if listed != *held {
+                return Err(format!("DPU {d} lists slices {listed:?}, holds {held:?}"));
             }
         }
         for c in clusters {
@@ -398,6 +404,51 @@ mod tests {
         // a home table edited behind the plan's back is caught
         plan.slice_homes[new_si][0] = 5;
         assert!(plan.validate(&cs).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_each_broken_rule() {
+        let cs = clusters();
+        // a duplicate budget too small for every DPU to hold every slice
+        let mut c = cfg();
+        c.dup_budget_bytes = Some(100_000);
+        let plan = build(&cs, &c, 1 << 20);
+        // a slice with copies on two DPUs, and a slice the first does not hold
+        let si = (0..plan.slices.len())
+            .find(|&i| plan.slice_homes[i].len() >= 2)
+            .expect("duplication gave some slice two copies");
+        let d = plan.slice_homes[si][0];
+        let unheld = (0..plan.slices.len())
+            .find(|&i| !plan.slice_homes[i].contains(&d))
+            .expect("no DPU holds every slice");
+        type Break = Box<dyn Fn(&mut LayoutPlan)>;
+        let cases: Vec<(&str, Break)> = vec![
+            ("no home", Box::new(move |p| p.slice_homes[si].clear())),
+            (
+                "duplicate copies",
+                Box::new(move |p| p.slice_homes[si][1] = d),
+            ),
+            ("of 8", Box::new(move |p| p.slice_homes[si][0] = 8)),
+            ("holds", Box::new(move |p| p.dpu_slices[d].push(unheld))),
+            (
+                "holds",
+                Box::new(move |p| p.dpu_slices[d].retain(|&x| x != si)),
+            ),
+            (
+                "has a gap",
+                Box::new(|p| p.slices[p.cluster_slices[0][0]].start += 1),
+            ),
+            (
+                "covers",
+                Box::new(|p| p.slices[p.cluster_slices[0][0]].len += 1),
+            ),
+        ];
+        for (want, brk) in cases {
+            let mut broken = plan.clone();
+            brk(&mut broken);
+            let err = broken.validate(&cs).expect_err(want);
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@
 //! ```
 
 pub mod config;
+mod deploy;
 mod dispatch;
 pub mod dse;
 pub mod engine;

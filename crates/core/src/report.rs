@@ -97,7 +97,9 @@ pub struct BatchReport {
     pub tombstone_filtered: u64,
     /// Top-k lock statistics.
     pub lock: LockStats,
-    /// SQT WRAM hit rate (1.0 for the 8-bit table).
+    /// Fraction of LC's SQT lookups served from WRAM under the batch's
+    /// configuration: 1.0 for a resident 8-bit table (or no SQT), 0.0 for
+    /// a spilled one, the window's rate for trace mode's 16-bit operands.
     pub sqt_wram_hit_rate: f64,
     /// Fault/recovery accounting (all-zero without injected faults).
     pub fault: FaultStats,

@@ -163,16 +163,6 @@ impl Sqt {
         }
         (a as u64) * (a as u64)
     }
-
-    /// Fraction of lookups served from WRAM so far.
-    pub fn wram_hit_rate(&self) -> f64 {
-        let total = self.hits_wram + self.hits_mram;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits_wram as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +200,7 @@ mod tests {
         assert_eq!(sqt.hits_mram, 0);
         assert_eq!(m.mram_read, 0);
         assert!(m.wram_read > 0);
-        assert_eq!(sqt.wram_hit_rate(), 1.0);
+        assert_eq!(sqt.hits_wram, 511);
     }
 
     #[test]
@@ -223,7 +213,6 @@ mod tests {
         assert_eq!(sqt.hits_wram, 1);
         assert_eq!(sqt.hits_mram, 1);
         assert!(m.mram_read >= 8, "spill rounds up to a DMA burst");
-        assert!((sqt.wram_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

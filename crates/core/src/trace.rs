@@ -5,32 +5,30 @@
 //! Rationale: the figures that depend on load distribution and
 //! phase balance (paper Figs. 7–11, 13–15, Table 3) are functions of
 //! *cluster sizes*, *query heat* and *per-operation costs*, none of which
-//! require vector payloads. Trace mode samples cluster sizes from a Zipf
-//! partition (k-means over natural data is uneven), samples each query's
-//! probed clusters from a Zipf heat law, and charges the DPU meters through
-//! [`GroupCost::charge`] — the closed-form `charge` functions the
-//! functional kernels book themselves with (`tests/charge_parity.rs` pins
-//! the two to identical totals).
+//! require vector payloads. A runner is built from cluster descriptors
+//! ([`TraceRunner::from_clusters`]) and deployed exactly as the functional
+//! engine deploys its lists (`crate::deploy`); [`TraceRunner::build`] is
+//! the synthetic front end, which samples cluster sizes from a Zipf
+//! partition (k-means over natural data is uneven) and each query's probed
+//! clusters from a Zipf heat law. A batch of probes — sampled, or a
+//! functional engine's own ([`TraceRunner::run_probes`]) — runs the
+//! engine's dispatch loop and books RC, LC and DC from the same charge
+//! table; only TS differs, charged in closed form through
+//! [`GroupCost::charge_slice`] instead of run (`tests/trace_identity.rs`
+//! holds the two modes' RC/LC/DC meters equal).
 //!
 //! What a batch costs the host. No simulated number depends on it, but the
 //! paper-scale sweeps run thousands of batches. One SIFT100M batch on
 //! 2,543 DPUs (2,500 queries × nprobe 96: ≈ 240k tasks on 16,388 slices)
-//! took ≈ 210 ms on a 2-vCPU x86 host. By phase, in ms per batch, mean of
-//! 40 batches at seed 1:
-//!
-//! | phase      | before | after | what changed |
-//! |------------|-------:|------:|--------------|
-//! | sampling   |   53.0 |  13.0 | guide-table [`Discrete`] draws; a scan, not a hash set, for repeats |
-//! | expansion  |   20.7 |   9.1 | one cost evaluation per slice, not per task |
-//! | scheduling |   75.6 |  52.7 | a sort of `(key, index)` pairs; one tight pass over the homes |
-//! | waves      |   61.1 |  17.6 | per-slice charge rows merged, not closed forms re-derived per task |
-//!
-//! "waves" is the rest of `run_batch`: the per-DPU charges on 2 threads,
-//! the fold and the report. The sort of 240k tasks (≈ 17 ms) is the
-//! largest single piece left.
+//! takes ≈ 92 ms on a 2-vCPU x86 host, mean of 40 batches at seed 1:
+//! sampling ≈ 13 ms, expansion ≈ 9, scheduling ≈ 53 (of which the sort of
+//! 240k tasks, ≈ 17 ms, is the largest single piece) and the waves — the
+//! per-DPU charges on 2 threads, the fold and the report — ≈ 18.
 
 use crate::config::{ConfigError, EngineConfig};
-use crate::dispatch::{self, DpuOutput};
+use crate::deploy::deploy;
+use crate::dispatch::{self, ChargeTable, DpuOutput};
+use crate::engine::BuildError;
 use crate::kernels::{cl, GroupCost};
 use crate::layout::{ClusterInfo, LayoutPlan};
 use crate::perf_model::{BitWidths, WorkloadShape};
@@ -41,10 +39,8 @@ use datasets::zipf::{zipf_partition, Discrete};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use upmem_sim::fault::{FaultConfig, FaultInjector};
-use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
-use upmem_sim::tasklet::LockStats;
 use upmem_sim::PimArch;
 
 /// Statistical description of a full-scale workload.
@@ -98,14 +94,27 @@ pub struct TraceRunner {
     pub host: ProcModel,
     /// Closed-form workload shape.
     pub shape: WorkloadShape,
-    /// Probe distribution over clusters (size-proportional x Zipf boost).
+    /// Probe distribution over clusters.
     probe_sampler: Discrete,
 }
 
 impl TraceRunner {
-    /// Build the runner: sample cluster sizes, profile heat, lay out, plan
-    /// WRAM.
+    /// [`Self::try_build`] for a deployment known to fit: panics where that
+    /// returns an error.
     pub fn build(spec: TraceSpec, cfg: EngineConfig, arch: PimArch, ndpus: usize) -> TraceRunner {
+        Self::try_build(spec, cfg, arch, ndpus)
+            .unwrap_or_else(|e| panic!("trace deployment failed: {e}"))
+    }
+
+    /// The synthetic front end: sample cluster sizes and probe weights
+    /// from `spec`, then deploy as [`Self::from_clusters`] does — an error
+    /// for zero DPUs or a layout the DPUs' MRAM cannot hold.
+    pub fn try_build(
+        spec: TraceSpec,
+        cfg: EngineConfig,
+        arch: PimArch,
+        ndpus: usize,
+    ) -> Result<TraceRunner, BuildError> {
         let nlist = cfg.index.nlist;
         let mut sizes = zipf_partition(spec.n_points as usize, nlist, spec.cluster_size_zipf);
         // k-means cluster ids are not size-ordered; shuffle so id-based
@@ -140,7 +149,6 @@ impl TraceRunner {
                 (sizes[c as usize].max(1) as f64).sqrt() * boost[rank] * nlist as f64;
         }
         let total_w: f64 = probe_weights.iter().sum();
-        let probe_sampler = Discrete::new(&probe_weights);
 
         // expected probes per query per cluster -> heat (scanned points)
         let clusters: Vec<ClusterInfo> = (0..nlist)
@@ -153,12 +161,25 @@ impl TraceRunner {
                 }
             })
             .collect();
+        // draws by the weights themselves: `heat / points` would only
+        // approximate them in floating point
+        let mut runner = Self::from_clusters(spec, cfg, arch, ndpus, &clusters)?;
+        runner.probe_sampler = Discrete::new(&probe_weights);
+        Ok(runner)
+    }
 
-        let code_bytes = if cfg.index.cb <= 256 { 1 } else { 2 };
-        let bytes_per_point = (cfg.index.m * code_bytes + 4) as u64;
-        let dsub = spec.dim.div_ceil(cfg.index.m);
-        let codebook_bytes = (cfg.index.m * cfg.index.cb * dsub) as u64;
-        let mram_budget = arch.mram_bytes.saturating_sub(codebook_bytes);
+    /// A runner over cluster descriptors (descriptor `i` is cluster `i`),
+    /// deployed as the engine deploys its own (`layout::heat::cluster_heat`
+    /// over its list sizes). [`Self::sample_probes`] draws each cluster at
+    /// its expected probes per query, `heat / points`. `spec` gives the
+    /// workload shape and the sampling seed; its Zipf exponents go unread.
+    pub fn from_clusters(
+        spec: TraceSpec,
+        cfg: EngineConfig,
+        arch: PimArch,
+        ndpus: usize,
+        clusters: &[ClusterInfo],
+    ) -> Result<TraceRunner, BuildError> {
         let shape = WorkloadShape::new(
             spec.n_points,
             spec.batch,
@@ -166,24 +187,12 @@ impl TraceRunner {
             &cfg.index,
             BitWidths::u8_regime(),
         );
-        let heat = GroupCost::layout_heat(&cfg, &arch, &shape, ndpus);
-        let slice_cost = |len| heat(len) as f64;
-        let layout = LayoutPlan::build(
-            &clusters,
-            ndpus,
-            &cfg,
-            bytes_per_point,
-            mram_budget,
-            slice_cost,
-        );
-
-        let mut system = PimSystem::new(arch.clone(), ndpus);
-        system.tasklets = cfg.tasklets;
-
-        let local = layout.dpu_slices.first().map(|s| s.len()).unwrap_or(0);
-        let placement = crate::wram::plan_for(&cfg, &arch, &shape, local, ndpus);
-
-        TraceRunner {
+        let (layout, system, placement) = deploy(clusters, &cfg, arch, ndpus, &shape)?;
+        let weights: Vec<f64> = clusters
+            .iter()
+            .map(|c| c.heat / c.points.max(1) as f64)
+            .collect();
+        Ok(TraceRunner {
             cfg,
             spec,
             layout,
@@ -191,8 +200,8 @@ impl TraceRunner {
             placement,
             host: upmem_sim::platform::procs::xeon_silver_4216(),
             shape,
-            probe_sampler,
-        }
+            probe_sampler: Discrete::new(&weights),
+        })
     }
 
     /// Sample the probed clusters of one batch of queries.
@@ -218,7 +227,7 @@ impl TraceRunner {
     /// recovery policy as the functional engine, in charge-only form
     /// (faulted work re-charged on replicas, stragglers slowed or hedged,
     /// unplaceable work replayed on the host or dropped with the loss
-    /// accounted). The batch's transient draws key on `batch_seed`.
+    /// accounted). The batch's transient draws key on its `fault_batch`.
     pub fn inject_faults(&mut self, cfg: FaultConfig) -> Result<(), ConfigError> {
         self.system.fault = Some(FaultInjector::new(cfg)?);
         Ok(())
@@ -229,46 +238,47 @@ impl TraceRunner {
         self.system.fault = None;
     }
 
-    /// Execute one batch; `batch_seed` varies the query sample (and keys
-    /// the injector's transient draws). The batch runs through the same
-    /// dispatch loop as the functional engine (`dispatch::run`); only the
-    /// per-DPU wave output differs — closed-form charges, no results.
+    /// Execute one sampled batch: [`Self::sample_probes`] at `batch_seed`,
+    /// then [`Self::run_probes`] with the injector's draws keyed on it too.
     pub fn run_batch(&mut self, batch_seed: u64) -> BatchReport {
-        self.run_batch_with(batch_seed, |table, _, tasks| table.charge(tasks))
+        let probes = self.sample_probes(batch_seed);
+        self.run_probes(&probes, batch_seed)
     }
 
-    /// [`Self::run_batch`] with the per-DPU wave output computed by `exec`
+    /// Execute one batch of `probes` (per query: its probed clusters, as
+    /// cluster locating returns them), the injector's transient draws keyed
+    /// on `fault_batch`. The batch runs the functional engine's dispatch
+    /// loop and charge table; a DPU's TS is the table's closed-form row.
+    pub fn run_probes(&mut self, probes: &[Vec<u32>], fault_batch: u64) -> BatchReport {
+        self.run_probes_with(probes, fault_batch, |table, _, tasks| {
+            table.charge(tasks, |_, _, si, meter| table.ts_row(si, meter))
+        })
+    }
+
+    /// [`Self::run_probes`] with the per-DPU wave output computed by `exec`
     /// from the batch's [`ChargeTable`].
-    fn run_batch_with<E>(&mut self, batch_seed: u64, exec: E) -> BatchReport
+    fn run_probes_with<E>(&mut self, probes: &[Vec<u32>], fault_batch: u64, exec: E) -> BatchReport
     where
         E: Fn(&ChargeTable<'_>, Option<usize>, &[Task]) -> DpuOutput + Sync,
     {
-        let probes = self.sample_probes(batch_seed);
-
         // CL on host (blocked-GEMM model, same as the functional engine)
-        let host_s = cl::host_cl_time(
-            self.spec.batch,
-            self.cfg.index.nlist,
-            &self.shape,
-            &self.host,
-        );
+        let host_s = cl::host_cl_time(probes.len(), self.cfg.index.nlist, &self.shape, &self.host);
 
         // owns its cost table: the dispatch loop mutates `self.system`
         // while the charge closure runs
         let cost = GroupCost::new(&self.cfg, &self.system.arch, &self.placement, self.spec.dim);
-        let table = ChargeTable::new(&cost, &self.layout, self.cfg.index.k);
         dispatch::run(
             &mut self.system,
             dispatch::Batch {
-                probes: &probes,
+                probes,
                 cl_host_s: host_s,
                 cfg: &self.cfg,
                 layout: &self.layout,
                 host: &self.host,
                 cost: &cost,
-                fault_batch: batch_seed,
+                fault_batch,
             },
-            |who, tasks| exec(&table, who, tasks),
+            exec,
         )
         .1
     }
@@ -286,97 +296,12 @@ impl TraceRunner {
     }
 }
 
-/// What a group books for one slice: [`GroupCost::charge_slice`]'s DC and
-/// TS phases and lock statistics.
-struct SliceCharge {
-    dc: PhaseMeter,
-    ts: PhaseMeter,
-    lock: LockStats,
-}
-
-/// One batch's [`GroupCost::charge`], tabulated: the RC + LC meter every
-/// `(query, cluster)` group books once, and per slice of the layout what a
-/// group books for it. Every charge is integer counts, so a wave's merges
-/// of table rows equal the per-group charges bit for bit. Built per batch:
-/// slice lengths are the layout's at that batch.
-struct ChargeTable<'a> {
-    cost: &'a GroupCost<'a>,
-    layout: &'a LayoutPlan,
-    k: u64,
-    group: DpuMeter,
-    slices: Vec<SliceCharge>,
-}
-
-impl<'a> ChargeTable<'a> {
-    fn new(cost: &'a GroupCost<'a>, layout: &'a LayoutPlan, k: usize) -> Self {
-        let mut group = DpuMeter::new();
-        cost.charge_group(&mut group);
-        let slices = layout
-            .slices
-            .iter()
-            .map(|s| {
-                let mut meter = DpuMeter::new();
-                let lock = cost.charge_slice(&mut meter, s.len as u64);
-                SliceCharge {
-                    dc: *meter.phase(Phase::Dc),
-                    ts: *meter.phase(Phase::Ts),
-                    lock,
-                }
-            })
-            .collect();
-        ChargeTable {
-            cost,
-            layout,
-            k: k as u64,
-            group,
-            slices,
-        }
-    }
-
-    /// One wave's tasks -> meter, lock stats and link bytes; no results, so
-    /// nothing to checksum or merge.
-    fn charge(&self, tasks: &[Task]) -> DpuOutput {
-        let (mut dc, mut ts) = (PhaseMeter::default(), PhaseMeter::default());
-        let mut lock = LockStats::default();
-        let (mut groups, mut queries, mut push_bytes) = (0u64, 0u64, 0u64);
-        let mut order = Vec::new();
-        // groups ascend by query: a new query is a transition
-        let mut last_query = None;
-        for group in crate::sched::group_tasks(tasks, self.layout, &mut order) {
-            if last_query != Some(group[0].0) {
-                last_query = Some(group[0].0);
-                queries += 1;
-            }
-            groups += 1;
-            push_bytes += self.cost.push_bytes(group.len());
-            for &(_, _, si) in group {
-                let row = &self.slices[si];
-                dc.merge(&row.dc);
-                ts.merge(&row.ts);
-                lock.locked_updates += row.lock.locked_updates;
-                lock.pruned += row.lock.pruned;
-            }
-        }
-        let mut meter = self.group.scaled(groups);
-        meter.phase_mut(Phase::Dc).merge(&dc);
-        meter.phase_mut(Phase::Ts).merge(&ts);
-        DpuOutput {
-            results: Vec::new(),
-            meter,
-            lock,
-            sqt_hits: (0, 0),
-            push_bytes,
-            gather_bytes: queries * self.k * 8,
-            tombstone_filtered: 0,
-            checksum: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use upmem_sim::meter::DpuMeter;
+    use upmem_sim::tasklet::LockStats;
 
     fn spec(n: u64) -> TraceSpec {
         TraceSpec {
@@ -528,6 +453,7 @@ mod tests {
     /// A wave's charge as one [`GroupCost::charge`] per `(query, cluster)`
     /// group: meter, lock statistics, push and gather bytes.
     fn charge_by_group(table: &ChargeTable<'_>, tasks: &[Task]) -> (DpuMeter, LockStats, u64, u64) {
+        let k = table.cost.k as u64;
         let mut meter = DpuMeter::new();
         let mut lock = LockStats::default();
         let mut push_bytes = 0;
@@ -543,7 +469,7 @@ mod tests {
             lock.locked_updates += s.locked_updates;
             lock.pruned += s.pruned;
         }
-        (meter, lock, push_bytes, queries.len() as u64 * table.k * 8)
+        (meter, lock, push_bytes, queries.len() as u64 * k * 8)
     }
 
     #[test]
@@ -556,8 +482,9 @@ mod tests {
                 runner.inject_faults(f).unwrap();
                 plain.inject_faults(f).unwrap();
             }
-            let rep = runner.run_batch_with(5, |table, who, tasks| {
-                let out = table.charge(tasks);
+            let probes = runner.sample_probes(5);
+            let rep = runner.run_probes_with(&probes, 5, |table, who, tasks| {
+                let out = table.charge(tasks, |_, _, si, meter| table.ts_row(si, meter));
                 let (meter, lock, push_bytes, gather_bytes) = charge_by_group(table, tasks);
                 assert_eq!(out.meter, meter, "{who:?}");
                 assert_eq!(out.lock, lock, "{who:?}");
