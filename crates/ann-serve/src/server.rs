@@ -359,9 +359,9 @@ impl AnnServer {
 /// shutdown.
 fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimEngine {
     let weights: Vec<u32> = cfg.tenants.iter().map(|t| t.weight).collect();
-    // Each micro-batch advances the engine's fault-batch index so an
-    // env-armed injector (DRIM_ANN_FAULT_SEED/RATE) sees a fresh batch of
-    // transient draws per dispatch, exactly like an offline batch stream.
+    // Each micro-batch advances the engine's fault-batch index so an armed
+    // injector sees a fresh batch of transient draws per dispatch, exactly
+    // like an offline batch stream.
     let mut batch_idx: u64 = 0;
     // The nprobe the engine serves at when the queue is healthy; the
     // overload degradation halves down from here and never above it.

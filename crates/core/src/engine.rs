@@ -276,7 +276,7 @@ impl DrimEngine {
         }
         let nlist = ivf.lists.len();
 
-        let mut engine = DrimEngine {
+        Ok(DrimEngine {
             cfg,
             ivf,
             layout,
@@ -297,41 +297,7 @@ impl DrimEngine {
             mutation_transfer_s: 0.0,
             mutation_push_bytes: 0,
             arena: Arena::default(),
-        };
-
-        // CI fault matrix: `DRIM_ANN_FAULT_SEED` arms the injector on every
-        // engine so the whole test suite exercises the recovery path with
-        // no per-test wiring; `DRIM_ANN_FAULT_RATE` tunes severity (1% by
-        // default). `DRIM_ANN_FAULT_RANKS` additionally attaches a rank
-        // topology with seeded whole-rank fail-stop (rate
-        // `DRIM_ANN_FAULT_RANK_RATE`, default 25%, active from batch
-        // `DRIM_ANN_FAULT_RANK_FROM`, default 0) — the CI rank-failure
-        // matrix. Unset (the normal case) leaves the engine untouched.
-        if let Ok(seed) = std::env::var("DRIM_ANN_FAULT_SEED") {
-            if let Ok(seed) = seed.trim().parse::<u64>() {
-                let envf = |key: &str| {
-                    std::env::var(key)
-                        .ok()
-                        .and_then(|v| v.trim().parse::<f64>().ok())
-                };
-                let rate = envf("DRIM_ANN_FAULT_RATE").unwrap_or(0.01);
-                let mut fc = FaultConfig::uniform(seed, rate);
-                if let Some(ranks) = std::env::var("DRIM_ANN_FAULT_RANKS")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .filter(|&r| r > 0)
-                {
-                    fc.dpus_per_rank = engine.system.len().div_ceil(ranks);
-                    fc.rank_fail_stop_rate = envf("DRIM_ANN_FAULT_RANK_RATE").unwrap_or(0.25);
-                    fc.rank_kill_from_batch = std::env::var("DRIM_ANN_FAULT_RANK_FROM")
-                        .ok()
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                        .unwrap_or(0);
-                }
-                engine.inject_faults(fc)?;
-            }
-        }
-        Ok(engine)
+        })
     }
 
     /// Attach a fault injector: subsequent batches run through the
@@ -362,7 +328,7 @@ impl DrimEngine {
     /// fallback, where degradation (which tasks drop) depends on the
     /// per-batch fault draw. With the fallback on, recovery is
     /// bit-identical to zero-fault at every batch index, so caches stay
-    /// warm across batches — the property the CI fault matrices lean on.
+    /// warm across batches.
     pub fn set_fault_batch(&mut self, batch: u64) {
         if batch != self.fault_batch && self.fault_active() && !self.cfg.recovery.host_fallback {
             self.epoch += 1;
@@ -853,9 +819,6 @@ mod tests {
         let (data, queries) = small_workload();
         let mut clean =
             DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        // the CI fault matrix arms every engine via DRIM_ANN_FAULT_SEED;
-        // this baseline must be genuinely fault-free
-        clean.clear_faults();
         let (r0, rep0) = clean.search_batch(&queries);
         assert!(!rep0.fault.active(), "no injector, no fault accounting");
 
@@ -936,11 +899,9 @@ mod tests {
             }
         }
         let mut on = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        on.clear_faults();
         let mut cfg_off = small_cfg();
         cfg_off.dedup = false;
         let mut off = DrimEngine::build(&data, cfg_off, PimArch::upmem_sc25(), 8, None).unwrap();
-        off.clear_faults();
         let (r_on, rep_on) = on.search_batch(&tripled);
         let (r_off, rep_off) = off.search_batch(&tripled);
         assert_eq!(
@@ -960,7 +921,6 @@ mod tests {
     fn epoch_tracks_result_affecting_mutations() {
         let (data, _) = small_workload();
         let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults(); // CI fault matrix may have armed (and bumped)
         let e0 = e.epoch();
 
         // nprobe: bump on change, not on no-op

@@ -94,12 +94,6 @@ impl DrimEngine {
         if self.id_cluster.contains_key(&id) {
             return Err(MutationError::DuplicateId(id));
         }
-        // A tombstoned copy of this id may still sit in some list; purge it
-        // first so the re-insert cannot leave two physical copies (the old
-        // one would resurrect when its tombstone clears).
-        if let Some(&c) = self.tombstoned_cluster.get(&id) {
-            self.compact_cluster(c as usize);
-        }
         let (c, code) = self.ivf.assign_encode(v);
 
         // Every cluster has a tail slice (the build gives even an empty
@@ -115,6 +109,13 @@ impl DrimEngine {
             .any(|&d| self.system.dpus[d].mram.free() < self.bytes_per_point)
         {
             return Err(MutationError::MramFull(c as u32));
+        }
+        // A tombstoned copy of this id may still sit in some list; purge it
+        // so the re-insert cannot leave two physical copies (the old one
+        // would resurrect when its tombstone clears). Compaction keeps
+        // every slice and its homes, so `si` is still the tail slice.
+        if let Some(&old) = self.tombstoned_cluster.get(&id) {
+            self.compact_cluster(old as usize);
         }
         for &d in &homes {
             // each copy crosses the link once
@@ -364,7 +365,6 @@ mod tests {
     fn delete_tombstones_and_insert_appends() {
         let (data, queries) = small_workload();
         let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
         let (r0, _) = e.search_batch(&queries);
         let e0 = e.epoch();
 
@@ -449,7 +449,6 @@ mod tests {
         }
         let mut e =
             DrimEngine::from_index(ivf, &data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
         assert_eq!(e.layout.cluster_slices[empty].len(), 1);
         // fill every DPU to one byte short of a point's worth of headroom
         for dpu in &mut e.system.dpus {
@@ -504,7 +503,6 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.maintenance.compact_tombstone_frac = 1e-9; // compact on any tombstone
         let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
         for id in 0..150u32 {
             assert!(e.delete(id));
         }
@@ -543,7 +541,6 @@ mod tests {
     fn maintain_migrates_under_skew_with_metered_transfer() {
         let (data, queries) = small_workload();
         let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
         // skew the load: a burst of near-identical inserts lands in one
         // cluster's tail slice
         let base = data.get(0).to_vec();

@@ -157,8 +157,8 @@ impl FaultConfig {
         }
     }
 
-    /// Every fault class at `rate` with the default slowdown distribution —
-    /// the CI fault-matrix configuration. Rank faults stay off.
+    /// Every fault class at `rate` with the default slowdown distribution.
+    /// Rank faults stay off.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         FaultConfig {
             seed,

@@ -41,7 +41,6 @@ fn main() {
         None,
     )
     .unwrap();
-    engine.clear_faults(); // ignore any DRIM_ANN_FAULT_SEED in the env
     let (r_clean, rep_clean) = engine.search_batch(&queries);
     let recall = ann_core::recall::mean_recall(&r_clean, &truth, 10);
     println!("clean:    recall@10 {recall:.3}  {}", rep_clean.summary());

@@ -49,8 +49,6 @@ fn engine_digest(
     cfg.batch = 32;
     tweak(&mut cfg);
     let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
-    // the CI fault matrices arm every engine from the environment
-    e.clear_faults();
     if let Some(fc) = faults {
         e.inject_faults(fc).unwrap();
     }
@@ -121,7 +119,6 @@ fn trace_batches_match_the_pre_merge_loop() {
     });
     cfg.batch = 64;
     let mut runner = TraceRunner::build(spec, cfg, PimArch::upmem_sc25(), 32);
-    runner.clear_faults();
     let clean = runner.run_batch(5);
     assert!(!clean.fault.active());
     runner

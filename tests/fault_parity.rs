@@ -5,7 +5,8 @@
 //! 1. **Thread parity under faults** — a fixed fault seed produces
 //!    bit-identical results *and* bit-identical `BatchReport`s at any host
 //!    thread count: every fault draw is a stateless hash, never a shared
-//!    RNG stream.
+//!    RNG stream. The engine's half is checked at every step of the seeded
+//!    model in `tests/mutation_parity.rs`; trace mode's is checked here.
 //! 2. **Disabled-layer parity** — no injector, an inert injector
 //!    (`FaultConfig::none()`), and a cleared injector are all bit-identical
 //!    to each other: the fault layer costs nothing when off.
@@ -14,28 +15,38 @@
 //!    faults and the same recovery, bit-for-bit; advancing `fault_batch`
 //!    redraws the transient faults.
 
+use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::topk::Neighbor;
 use ann_core::vector::VecSet;
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
 use drim_ann::trace::{TraceRunner, TraceSpec};
 use rayon::with_num_threads;
+use std::sync::OnceLock;
 use upmem_sim::fault::{FaultConfig, FaultInjector, SlowdownDist};
 use upmem_sim::PimArch;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const FAULT_SEED: u64 = 0xFA17_5EED;
 
-fn workload() -> (VecSet<f32>, VecSet<f32>) {
-    let spec = datasets::SynthSpec::small("fault-parity", 16, 3000, 31);
-    let data = datasets::generate(&spec);
-    let queries = datasets::queries::generate_queries(
-        &spec,
-        32,
-        datasets::queries::QuerySkew::InDistribution,
-        6,
-    );
-    (data, queries)
+/// The corpus, its queries and the index trained once over it: every
+/// engine is built from a clone of what `DrimEngine::build` would train.
+fn world() -> &'static (VecSet<f32>, VecSet<f32>, IvfPqIndex) {
+    static WORLD: OnceLock<(VecSet<f32>, VecSet<f32>, IvfPqIndex)> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let spec = datasets::SynthSpec::small("fault-parity", 16, 3000, 31);
+        let data = datasets::generate(&spec);
+        let skew = datasets::queries::QuerySkew::InDistribution;
+        let queries = datasets::queries::generate_queries(&spec, 32, skew, 6);
+        let c = cfg().index;
+        let index = IvfPqIndex::build(&data, &IvfPqParams::new(c.nlist).m(c.m).cb(c.cb));
+        (data, queries, index)
+    })
+}
+
+fn build(cfg: EngineConfig) -> DrimEngine {
+    let (data, _, index) = world();
+    DrimEngine::from_index(index.clone(), data, cfg, PimArch::upmem_sc25(), 8, None).unwrap()
 }
 
 fn cfg() -> EngineConfig {
@@ -50,87 +61,47 @@ fn cfg() -> EngineConfig {
     cfg
 }
 
-fn engine(data: &VecSet<f32>) -> DrimEngine {
-    let mut e = DrimEngine::build(data, cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-    // the CI fault matrix arms every engine via DRIM_ANN_FAULT_SEED; these
-    // tests control the injector themselves
-    e.clear_faults();
-    e
-}
-
 /// Bit-exact key for a result set: ids plus raw f32 distance bits.
-type ResultBits = Vec<Vec<(u64, u32)>>;
-
-fn result_bits(rs: &[Vec<Neighbor>]) -> ResultBits {
+fn result_bits(rs: &[Vec<Neighbor>]) -> Vec<Vec<(u64, u32)>> {
     rs.iter()
         .map(|l| l.iter().map(|n| (n.id, n.dist.to_bits())).collect())
         .collect()
 }
 
 #[test]
-fn same_fault_seed_bit_identical_across_thread_counts() {
-    let (data, queries) = workload();
-    let mut reference: Option<(ResultBits, String)> = None;
-    for threads in THREAD_COUNTS {
-        let (bits, report, active) = with_num_threads(threads, || {
-            let mut e = engine(&data);
-            e.inject_faults(FaultConfig::uniform(FAULT_SEED, 0.15))
-                .unwrap();
-            e.set_fault_batch(3);
-            let (r, rep) = e.search_batch(&queries);
-            (result_bits(&r), format!("{rep:?}"), rep.fault.active())
-        });
-        match &reference {
-            None => {
-                // the reference run must actually exercise recovery
-                assert!(
-                    active,
-                    "15% rates over 8 DPUs must fire something: {report}"
-                );
-                reference = Some((bits, report));
-            }
-            Some((ref_bits, ref_report)) => {
-                assert_eq!(&bits, ref_bits, "results differ at {threads} threads");
-                assert_eq!(&report, ref_report, "report differs at {threads} threads");
-            }
-        }
-    }
-}
-
-#[test]
 fn disabled_fault_layer_is_bit_identical_to_no_injector() {
-    let (data, queries) = workload();
+    let (_, queries, _) = world();
     // no injector at all
-    let mut plain = engine(&data);
-    let (r0, rep0) = plain.search_batch(&queries);
+    let mut plain = build(cfg());
+    let (r0, rep0) = plain.search_batch(queries);
     // wired but inert injector
-    let mut inert = engine(&data);
+    let mut inert = build(cfg());
     inert.inject_faults(FaultConfig::none()).unwrap();
     assert!(!inert.fault_active());
-    let (r1, rep1) = inert.search_batch(&queries);
+    let (r1, rep1) = inert.search_batch(queries);
     assert_eq!(result_bits(&r0), result_bits(&r1));
     assert_eq!(format!("{rep0:?}"), format!("{rep1:?}"));
     // armed then cleared
-    let mut cleared = engine(&data);
+    let mut cleared = build(cfg());
     cleared
         .inject_faults(FaultConfig::uniform(FAULT_SEED, 0.2))
         .unwrap();
-    let _ = cleared.search_batch(&queries);
+    let _ = cleared.search_batch(queries);
     cleared.clear_faults();
-    let (r2, rep2) = cleared.search_batch(&queries);
+    let (r2, rep2) = cleared.search_batch(queries);
     assert_eq!(result_bits(&r0), result_bits(&r2));
     assert_eq!(format!("{rep0:?}"), format!("{rep2:?}"));
 }
 
 #[test]
 fn search_batch_is_pure_in_engine_queries_and_fault_batch() {
-    let (data, queries) = workload();
-    let mut e = engine(&data);
+    let (_, queries, _) = world();
+    let mut e = build(cfg());
     e.inject_faults(FaultConfig::uniform(FAULT_SEED, 0.15))
         .unwrap();
     // repeated calls at a fixed fault_batch replay the same faults
-    let (r1, rep1) = e.search_batch(&queries);
-    let (r2, rep2) = e.search_batch(&queries);
+    let (r1, rep1) = e.search_batch(queries);
+    let (r2, rep2) = e.search_batch(queries);
     assert_eq!(result_bits(&r1), result_bits(&r2));
     assert_eq!(format!("{rep1:?}"), format!("{rep2:?}"));
     // advancing fault_batch redraws the transient faults: across enough
@@ -139,7 +110,7 @@ fn search_batch_is_pure_in_engine_queries_and_fault_batch() {
     let mut dead = std::collections::HashSet::new();
     for b in 0..12 {
         e.set_fault_batch(b);
-        let (_, rep) = e.search_batch(&queries);
+        let (_, rep) = e.search_batch(queries);
         transient_signatures.insert((
             rep.fault.stragglers,
             rep.fault.corruptions,
@@ -156,40 +127,18 @@ fn search_batch_is_pure_in_engine_queries_and_fault_batch() {
 }
 
 #[test]
-fn recovery_results_match_zero_fault_results() {
-    // with the host fallback on, every recovery path is lossless: the
-    // faulted engine returns the exact zero-fault answer
-    let (data, queries) = workload();
-    let mut clean = engine(&data);
-    let (r0, _) = clean.search_batch(&queries);
-    for seed in [1u64, 99, 0xABCD] {
-        let mut faulty = engine(&data);
-        faulty
-            .inject_faults(FaultConfig::uniform(seed, 0.25))
-            .unwrap();
-        let (r1, rep) = faulty.search_batch(&queries);
-        assert_eq!(
-            result_bits(&r0),
-            result_bits(&r1),
-            "seed {seed:#x} lost results ({:?})",
-            rep.fault
-        );
-    }
-}
-
-#[test]
 fn repeated_transients_quarantine_a_dpu() {
-    let (data, queries) = workload();
+    let (_, queries, _) = world();
     let mut cfg = cfg();
     cfg.recovery.quarantine_after = 1; // one strike and you're out
     cfg.recovery.hedge = false;
-    let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+    let mut e = build(cfg);
     // corruption-only: every corrupt wave is one strike on that DPU
     let mut fc = FaultConfig::none();
     fc.seed = 0xC0DE;
     fc.corruption_rate = 0.6;
     e.inject_faults(fc).unwrap();
-    let (_, rep) = e.search_batch(&queries);
+    let (_, rep) = e.search_batch(queries);
     assert!(
         rep.fault.corruptions > 0,
         "60% corruption must fire: {:?}",
@@ -202,13 +151,13 @@ fn repeated_transients_quarantine_a_dpu() {
     );
     // quarantine is per-batch state: the next batch starts clean
     e.set_fault_batch(1_000_000);
-    let (_, rep2) = e.search_batch(&queries);
+    let (_, rep2) = e.search_batch(queries);
     assert!(rep2.fault.quarantined_dpus <= rep.fault.quarantined_dpus + 8);
 }
 
 #[test]
 fn hedging_caps_straggler_tail_latency() {
-    let (data, queries) = workload();
+    let (_, queries, _) = world();
     // straggler-heavy, brutal slowdowns, no fail-stop/corruption noise
     let mut fc = FaultConfig::none();
     fc.seed = 0x57A6;
@@ -223,11 +172,9 @@ fn hedging_caps_straggler_tail_latency() {
     let mut retry_cfg = cfg();
     retry_cfg.recovery.hedge = false;
 
-    let mut hedged_engine =
-        DrimEngine::build(&data, hedged_cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+    let mut hedged_engine = build(hedged_cfg);
     hedged_engine.inject_faults(fc).unwrap();
-    let mut retry_engine =
-        DrimEngine::build(&data, retry_cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+    let mut retry_engine = build(retry_cfg);
     retry_engine.inject_faults(fc).unwrap();
 
     let mut hedged_worst = 0.0f64;
@@ -236,8 +183,8 @@ fn hedging_caps_straggler_tail_latency() {
     for b in 0..24 {
         hedged_engine.set_fault_batch(b);
         retry_engine.set_fault_batch(b);
-        let (rh, reph) = hedged_engine.search_batch(&queries);
-        let (rr, repr) = retry_engine.search_batch(&queries);
+        let (rh, reph) = hedged_engine.search_batch(queries);
+        let (rr, repr) = retry_engine.search_batch(queries);
         // hedging changes *when* results arrive, never *what* they are
         assert_eq!(result_bits(&rh), result_bits(&rr), "batch {b}");
         hedged_worst = hedged_worst.max(reph.timing.total_s());
@@ -252,65 +199,14 @@ fn hedging_caps_straggler_tail_latency() {
 }
 
 #[test]
-fn rank_kill_mid_run_is_lossless_and_thread_invariant() {
-    let (data, queries) = workload();
-    let mut clean = engine(&data);
-    let (r0, _) = clean.search_batch(&queries);
-
-    // 8 DPUs in 4 ranks of 2; a 60% rank draw at this seed kills some but
-    // not all ranks, starting mid-run at batch 2.
-    let rank_cfg = FaultConfig::rank_kill(0xD1, 0.6, 2, 2);
-    let mut reference: Option<(ResultBits, String)> = None;
-    for threads in THREAD_COUNTS {
-        let (bits, report, fault) = with_num_threads(threads, || {
-            let mut e = engine(&data);
-            e.inject_faults(rank_cfg).unwrap();
-            e.set_fault_batch(5);
-            let (r, rep) = e.search_batch(&queries);
-            (result_bits(&r), format!("{rep:?}"), rep.fault)
-        });
-        assert!(fault.dead_ranks > 0, "60% must kill a rank: {fault:?}");
-        assert!(fault.dead_ranks < 4, "60% must spare a rank: {fault:?}");
-        assert_eq!(fault.dead_dpus, fault.dead_ranks * 2);
-        // the host fallback makes rank loss lossless: zero failed queries,
-        // results bit-identical to the no-fault run
-        assert_eq!(fault.dropped_tasks, 0, "{fault:?}");
-        assert_eq!(
-            bits,
-            result_bits(&r0),
-            "rank kill lost results at {threads} threads"
-        );
-        match &reference {
-            None => reference = Some((bits, report)),
-            Some((ref_bits, ref_report)) => {
-                assert_eq!(&bits, ref_bits, "results differ at {threads} threads");
-                assert_eq!(&report, ref_report, "report differs at {threads} threads");
-            }
-        }
-    }
-
-    // before the kill batch the same injector is inert rank-wise
-    let mut early = engine(&data);
-    early.inject_faults(rank_cfg).unwrap();
-    early.set_fault_batch(1);
-    let (r1, rep1) = early.search_batch(&queries);
-    assert_eq!(rep1.fault.dead_ranks, 0, "kill gated on batch 2");
-    assert_eq!(result_bits(&r1), result_bits(&r0));
-}
-
-#[test]
 fn rank_coverage_absorbs_a_rank_kill_without_the_host_fallback() {
-    let (data, queries) = workload();
+    let (_, queries, _) = world();
     // replication (not the host fallback) must absorb the rank loss
     let mut cfg = cfg();
     cfg.ranks = Some(4);
     cfg.recovery.host_fallback = false;
-    let build = || {
-        let mut e = DrimEngine::build(&data, cfg.clone(), PimArch::upmem_sc25(), 8, None).unwrap();
-        e.clear_faults();
-        e
-    };
-    let (r0, _) = build().search_batch(&queries);
+    let fresh = || build(cfg.clone());
+    let (r0, _) = fresh().search_batch(queries);
 
     // 8 DPUs in 4 ranks of 2: a draw that takes exactly one rank, so the
     // >= 2-rank slice coverage guarantees every slice a surviving home
@@ -319,11 +215,11 @@ fn rank_coverage_absorbs_a_rank_kill_without_the_host_fallback() {
         .map(|s| FaultConfig::rank_kill(0xD100 + s, 0.3, 2, kill_from))
         .find(|fc| FaultInjector::new(*fc).unwrap().dead_ranks_at(8, kill_from) == 1)
         .expect("some seed kills exactly one rank at 30%");
-    let mut killed = build();
+    let mut killed = fresh();
     killed.inject_faults(kill).unwrap();
     for b in 0..6 {
         killed.set_fault_batch(b);
-        let (r, rep) = killed.search_batch(&queries);
+        let (r, rep) = killed.search_batch(queries);
         assert_eq!(rep.fault.dead_ranks, usize::from(b >= kill_from));
         assert_eq!(rep.fault.dropped_tasks, 0, "batch {b}: {:?}", rep.fault);
         assert_eq!(rep.fault.degraded_queries, 0, "batch {b}: {:?}", rep.fault);

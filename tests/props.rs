@@ -465,131 +465,6 @@ proptest! {
         prop_assert_eq!(rep_off.deduped, 0);
     }
 
-    /// Streaming-mutation safety invariants, under arbitrary interleaved
-    /// insert/delete/search sequences against one long-lived engine:
-    /// a search never returns a tombstoned id, never misses a live
-    /// inserted point when probed with its own vector, and never moves
-    /// the epoch — while every successful mutation strictly bumps it.
-    #[test]
-    fn interleaved_mutations_never_leak_tombstones_or_lose_inserts(
-            ops in prop::collection::vec((0u8..3, 0usize..1024), 1..12)) {
-        use drim_ann::engine::DrimEngine;
-        use std::collections::{HashMap, HashSet};
-        use std::sync::{Mutex, OnceLock};
-        struct MutState {
-            engine: DrimEngine,
-            data: ann_core::VecSet<f32>,
-            fresh: ann_core::VecSet<f32>,
-            next_id: u32,
-            cursor: usize,
-            // Live inserted points: vector + the engine's own distance
-            // for a self-query observed right after insert (None if the
-            // point was immediately outranked). A point's code — and
-            // therefore this distance — never changes while it is live,
-            // across compaction, splits and migrations.
-            live: HashMap<u32, (Vec<f32>, Option<f32>)>,
-            dead: HashSet<u32>,
-            base_deleted: usize,
-        }
-        // One engine evolves across all cases: tombstones, tail appends
-        // and epochs accumulate, so later cases run against an index that
-        // earlier cases already churned — a much deeper state space than
-        // a per-case fresh build could reach.
-        static STATE: OnceLock<Mutex<MutState>> = OnceLock::new();
-        let state = STATE.get_or_init(|| {
-            let data = datasets::synth::generate(
-                &datasets::synth::SynthSpec::small("mut-prop", 16, 400, 11));
-            let fresh = datasets::synth::generate(
-                &datasets::synth::SynthSpec::small("mut-prop-new", 16, 1024, 12));
-            let index = IndexConfig { k: 10, nprobe: 6, nlist: 16, m: 4, cb: 16 };
-            let engine = DrimEngine::build(&data, EngineConfig::drim(index),
-                Default::default(), 8, None).unwrap();
-            Mutex::new(MutState {
-                engine, data, fresh,
-                next_id: 1_000_000, cursor: 0,
-                live: HashMap::new(), dead: HashSet::new(), base_deleted: 0,
-            })
-        });
-        let mut s = state.lock().unwrap();
-        let s = &mut *s;
-        for &(kind, sel) in &ops {
-            let before = s.engine.epoch();
-            match kind {
-                0 => {
-                    // Insert the next unused fresh vector under a new id.
-                    let v = s.fresh.get(s.cursor % s.fresh.len()).to_vec();
-                    s.cursor += 1;
-                    let id = s.next_id;
-                    s.next_id += 1;
-                    s.engine.insert(id, &v).expect("insert fresh id");
-                    prop_assert!(s.engine.epoch() > before, "insert must bump epoch");
-                    // Self-query: the nearest centroid IS the insertion
-                    // cluster, so the point is always in the probed
-                    // candidate set; record the engine's distance for it
-                    // if it makes the top-k right now.
-                    let mut q = ann_core::VecSet::with_capacity(16, 1);
-                    q.push(&v);
-                    let (res, _) = s.engine.search_batch(&q);
-                    let d_obs = res[0].iter().find(|n| n.id == id as u64).map(|n| n.dist);
-                    s.live.insert(id, (v, d_obs));
-                }
-                1 => {
-                    // Delete: a live inserted id when one exists, else the
-                    // next base id; ids are never reused, so `dead` only
-                    // ever grows.
-                    let victim = s.live.keys().min().copied().or_else(|| {
-                        (s.base_deleted < s.data.len()).then(|| {
-                            s.base_deleted += 1;
-                            (s.base_deleted - 1) as u32
-                        })
-                    });
-                    if let Some(id) = victim {
-                        prop_assert!(s.engine.delete(id), "victim {id} is live");
-                        s.live.remove(&id);
-                        s.dead.insert(id);
-                        prop_assert!(s.engine.epoch() > before, "delete must bump epoch");
-                    }
-                    // Deleting an unknown id is a no-op with no bump.
-                    let pre = s.engine.epoch();
-                    prop_assert!(!s.engine.delete(9_999_999));
-                    prop_assert!(s.engine.epoch() == pre,
-                        "failed delete must not bump epoch");
-                }
-                _ => {
-                    let mut q = ann_core::VecSet::with_capacity(16, 1);
-                    q.push(s.data.get(sel % s.data.len()));
-                    let (res, _) = s.engine.search_batch(&q);
-                    for n in &res[0] {
-                        prop_assert!(!s.dead.contains(&(n.id as u32)),
-                            "tombstoned id {} surfaced in results", n.id);
-                    }
-                    prop_assert!(s.engine.epoch() == before,
-                        "search must never move the epoch");
-                }
-            }
-        }
-        // A live inserted point is never *lost*: querying with its own
-        // vector always probes the list holding it, and its code (hence
-        // its engine-computed self-distance) is immutable while live. If
-        // it was in the top-k right after insert, it may only disappear
-        // by being outranked — k results all at distance <= its own —
-        // never by the scan silently dropping it.
-        let ids: Vec<u32> = s.live.keys().copied().take(4).collect();
-        for id in ids {
-            let (v, d_obs) = s.live[&id].clone();
-            let Some(d_obs) = d_obs else { continue };
-            let mut q = ann_core::VecSet::with_capacity(16, 1);
-            q.push(&v);
-            let (res, _) = s.engine.search_batch(&q);
-            if res[0].iter().any(|n| n.id == id as u64) {
-                continue;
-            }
-            let kth = res[0].last().map(|n| n.dist).unwrap_or(f32::INFINITY);
-            prop_assert!(res[0].len() == 10 && kth <= d_obs,
-                "live inserted id {id} dropped: kth dist {kth} > its own dist {d_obs}");
-        }
-    }
-
     /// The perf model is monotone: more probed clusters never cost less.
     #[test]
     fn perf_model_monotone_in_nprobe(nprobe in 1usize..128, extra in 1usize..64) {

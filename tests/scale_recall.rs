@@ -17,7 +17,7 @@ const N: usize = 100_000;
 const K: usize = 10;
 
 #[test]
-#[ignore = "10^5-point harness (~1 min); run with --ignored or the CI thread-matrix leg"]
+#[ignore = "10^5-point harness (~1 min); run with --ignored (CI does, in release)"]
 fn dynamic_stream_keeps_recall_at_scale() {
     let spec = datasets::SynthSpec::small("scale-100k", 16, N, 77);
     let data = datasets::generate(&spec);
@@ -68,7 +68,7 @@ fn dynamic_stream_keeps_recall_at_scale() {
 /// rounds, maintenance after each) must keep recall@10 over the *current
 /// logical corpus* within 0.05 of the pre-churn level.
 #[test]
-#[ignore = "30k-point churn harness (~1 min); run with --ignored or the CI thread-matrix leg"]
+#[ignore = "30k-point churn harness (~1 min); run with --ignored (CI does, in release)"]
 fn churn_stream_bounds_recall_degradation_at_scale() {
     const NC: usize = 30_000;
     const ROUNDS: usize = 5;

@@ -47,8 +47,6 @@ fn check(tweak: impl Fn(&mut EngineConfig)) -> f64 {
     tweak(&mut cfg);
     let arch = PimArch::upmem_sc25();
     let mut engine = DrimEngine::build(&data, cfg.clone(), arch.clone(), NDPUS, None).unwrap();
-    // the CI fault matrices arm every engine from the environment
-    engine.clear_faults();
 
     let clusters = cluster_heat(&engine.ivf.cluster_sizes(), None, cfg.index.nprobe);
     let tspec = TraceSpec {
