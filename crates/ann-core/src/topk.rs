@@ -72,7 +72,12 @@ impl BoundedMaxHeap {
     }
 
     /// Offer a candidate; returns `true` if it was retained.
-    #[inline]
+    ///
+    /// Never inlined: where LLVM inlined it into `flat::exact_search`'s
+    /// loop, that loop's distance kernel dropped from 8-wide to 4-wide
+    /// vectors, and computing the benchmark's ground truth took 40% longer.
+    /// Which callers got it inlined moved with unrelated edits to this file.
+    #[inline(never)]
     pub fn push(&mut self, n: Neighbor) -> bool {
         if self.heap.len() < self.k {
             self.heap.push(n);
@@ -137,14 +142,32 @@ impl BoundedMaxHeap {
 /// Merge several ascending-sorted top-k lists into one global top-k,
 /// deduplicating ids (duplicated cluster slices can report the same vector
 /// from two DPUs).
+///
+/// Dedup contract: **the first occurrence of an id wins**. Candidates are
+/// scanned list by list, front to back, and only an id's first occurrence
+/// is offered to the top-k; every later copy is dropped — whatever its
+/// distance, and even when the first copy was evicted or never retained.
+/// The later copies are found by sorting (id, scan position) pairs, not by
+/// hashing, so ids chosen to collide cannot slow the merge down.
 pub fn merge_topk(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
+    let mut order: Vec<(u64, u32)> = lists
+        .iter()
+        .flatten()
+        .zip(0u32..)
+        .map(|(n, pos)| (n.id, pos))
+        .collect();
+    order.sort_unstable();
+    // within an id's run the first pair is its first occurrence
+    let mut later = vec![false; order.len()];
+    for pair in order.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            later[pair[1].1 as usize] = true;
+        }
+    }
     let mut heap = BoundedMaxHeap::new(k);
-    let mut seen = std::collections::HashSet::new();
-    for list in lists {
-        for &n in list {
-            if seen.insert(n.id) {
-                heap.push(n);
-            }
+    for (&n, later) in lists.iter().flatten().zip(later) {
+        if !later {
+            heap.push(n);
         }
     }
     heap.into_sorted()
@@ -203,6 +226,40 @@ mod tests {
         let merged = merge_topk(&[a, b], 3);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn merge_keeps_the_first_occurrence_of_each_id() {
+        let pairs = |v: Vec<Neighbor>| v.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>();
+        // id 1 enters first, is evicted by 2 and 3, and comes back at a
+        // smaller distance: its first copy decided, so it stays out
+        let a = vec![Neighbor::new(1, 5.0)];
+        let b = vec![Neighbor::new(2, 1.0), Neighbor::new(3, 2.0)];
+        let c = vec![Neighbor::new(1, 0.5)];
+        assert_eq!(
+            pairs(merge_topk(&[a.clone(), b.clone(), c.clone()], 2)),
+            vec![(2, 1.0), (3, 2.0)]
+        );
+        // the same when the first copy was never retained at all
+        assert_eq!(
+            pairs(merge_topk(&[b.clone(), a.clone(), c.clone()], 2)),
+            vec![(2, 1.0), (3, 2.0)]
+        );
+        // without the earlier copies, the small distance wins a place
+        assert_eq!(
+            pairs(merge_topk(&[b.clone(), c], 2)),
+            vec![(1, 0.5), (2, 1.0)]
+        );
+        // an equal-distance copy of a retained id is not a second entry
+        let d = vec![Neighbor::new(3, 2.0), Neighbor::new(4, 3.0)];
+        assert_eq!(
+            pairs(merge_topk(&[b, d], 3)),
+            vec![(2, 1.0), (3, 2.0), (4, 3.0)]
+        );
+        // a later copy at a smaller distance never replaces a retained one
+        let e = vec![Neighbor::new(5, 4.0), Neighbor::new(6, 4.5)];
+        let f = vec![Neighbor::new(6, 0.1)];
+        assert_eq!(pairs(merge_topk(&[e, f], 3)), vec![(5, 4.0), (6, 4.5)]);
     }
 
     #[test]

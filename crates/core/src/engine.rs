@@ -13,9 +13,15 @@
 //! greedily and drives the DPU waves. Every DPU (in parallel on the host
 //! thread pool, one work item per DPU) books its wave from the batch's
 //! charge table — RC and LC once per (query, cluster) group, DC per slice,
-//! the rows trace mode books — and runs the tombstone filter and TS for
-//! real over the arena's distances. Finally the per-DPU top-k lists are
-//! gathered and merged on the host. The returned [`BatchReport`] carries
+//! the rows trace mode books — and runs TS for real over the arena's
+//! distances. TS reads each slice's distances and ids where they lie (a
+//! cluster with pending tombstones first compacts the slice's live pairs
+//! into reused scratch), tests each 32-candidate chunk against the
+//! forwarded bound with one branch-free fold and skips the chunks it
+//! prunes whole, and keeps one packed-key queue per query
+//! (`kernels::ts`'s header argues why the skip cannot change a count).
+//! Finally the per-DPU top-k lists are gathered and merged on the host,
+//! first occurrence of each id winning. The returned [`BatchReport`] carries
 //! the simulated wall clock, energy, imbalance and phase breakdown.
 //! Streaming inserts, deletes and maintenance live in the `mutate`
 //! submodule.
@@ -31,7 +37,7 @@ use crate::sched::Task;
 use crate::wram::WramPlacement;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::quantize::ScalarQuantizer;
-use ann_core::topk::{merge_topk, BoundedMaxHeap, Neighbor};
+use ann_core::topk::{merge_topk, Neighbor};
 use ann_core::vector::VecSet;
 use std::borrow::Cow;
 use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector};
@@ -565,25 +571,33 @@ impl DpuKernels<'_> {
 
     /// Execute one DPU's task list: RC, LC and DC booked from the batch's
     /// `table`, TS run for real over the distances in the batch's `arena`.
+    ///
+    /// TS reads each slice's distances and ids where they lie
+    /// ([`ts::run_in_place`]) into one [`ts::PackedTopk`] per query, and
+    /// skips every 32-candidate chunk the forwarded bound prunes whole.
+    /// The skip cannot change a count: the bound is read once per chunk
+    /// either way, so a chunk with no candidate at or under it would have
+    /// taken no lock and made no update. A cluster with pending tombstones
+    /// first compacts the slice's live (id, distance) pairs into scratch
+    /// reused across the DPU's slices; the same kernel then runs over
+    /// that, so the queue sees exactly the live stream it always did.
     fn run_dpu(&self, table: &ChargeTable<'_>, arena: &Arena, tasks: &[Task]) -> DpuOutput {
         let ctx = &self.cost.ctx();
         let k = self.cfg.index.k;
-        // groups ascend by query, so the per-query heaps (hence results and
-        // checksum) do too
-        let mut heaps: Vec<(u32, BoundedMaxHeap)> = Vec::new();
-        let mut scanned = Vec::new();
+        // groups ascend by query, so the per-query queues (hence results
+        // and checksum) do too
+        let mut queues: Vec<(u32, ts::PackedTopk)> = Vec::new();
+        let (mut live_ids, mut live_dists) = (Vec::new(), Vec::new());
         let mut tombstone_filtered = 0u64;
         let mut out = table.charge(tasks, |q, cluster, si, meter| {
-            if heaps.last().map(|(last, _)| *last) != Some(q) {
-                heaps.push((q, BoundedMaxHeap::new(k)));
+            if queues.last().map(|(last, _)| *last) != Some(q) {
+                queues.push((q, ts::PackedTopk::new(k)));
             }
-            let heap = &mut heaps.last_mut().expect("pushed above").1;
+            let queue = &mut queues.last_mut().expect("pushed above").1;
             let list = &self.lists[cluster as usize];
             let s = &self.layout.slices[si];
-            let ids = &list.ids[s.start..s.start + s.len];
-            let dists = &arena.run(q, cluster, list.len())[s.start..s.start + s.len];
-            scanned.clear();
-            scanned.extend((0u32..).zip(dists).map(|(slot, &d)| (slot, d as u64)));
+            let mut ids = &list.ids[s.start..s.start + s.len];
+            let mut dists = &arena.run(q, cluster, list.len())[s.start..s.start + s.len];
             // Tombstone filter: deleted-but-uncompacted ids drop here,
             // between scan and top-k, so they can never enter a queue.
             // Removing a candidate cannot hurt the survivors (the TS prune
@@ -591,16 +605,23 @@ impl DpuKernels<'_> {
             // live stream — the compaction-neutrality invariant.
             let tomb = &self.tombstones[cluster as usize];
             if !tomb.is_empty() {
-                let before = scanned.len();
-                scanned.retain(|&(slot, _)| !tomb.contains(&ids[slot as usize]));
-                tombstone_filtered += (before - scanned.len()) as u64;
+                live_ids.clear();
+                live_dists.clear();
+                for (&id, &d) in ids.iter().zip(dists) {
+                    if !tomb.contains(&id) {
+                        live_ids.push(id);
+                        live_dists.push(d);
+                    }
+                }
+                tombstone_filtered += (ids.len() - live_ids.len()) as u64;
+                (ids, dists) = (&live_ids, &live_dists);
             }
-            ts::run(ctx, meter, &scanned, ids, heap, k, self.cfg.lock_policy)
+            ts::run_in_place(ctx, meter, dists, ids, queue, k, self.cfg.lock_policy)
         });
 
-        out.results = heaps
+        out.results = queues
             .into_iter()
-            .map(|(q, h)| (q, h.into_sorted()))
+            .map(|(q, queue)| (q, queue.into_sorted()))
             .collect();
         out.gather_bytes = out.results.iter().map(|(_, l)| l.len() as u64 * 8).sum();
         out.tombstone_filtered = tombstone_filtered;

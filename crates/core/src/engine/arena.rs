@@ -9,8 +9,10 @@
 //! does that scan: per cluster, its queries in blocks of up to
 //! [`LANES`], one interleaved LUT build and one pass over the cluster's
 //! codes per block, in parallel over (cluster, block) items. The per-DPU
-//! waves then read their slices' distances here and only book charges and
-//! run TS.
+//! waves then only book charges and run TS, which reads each slice's
+//! window of a run ([`Arena::run`]) in place: nothing is copied out of the
+//! arena, and a chunk the forwarded bound prunes whole costs one pass of
+//! compares over its 32 distances.
 
 use super::DpuKernels;
 use crate::kernels::{dc, lane_width, lc, LANES};

@@ -7,14 +7,36 @@
 //! current k-th record into the DC loop so non-improving candidates never
 //! take the lock. The forwarded bound may be stale — that is safe (it only
 //! admits extra candidates) and is modelled here by refreshing the bound
-//! once per *chunk* rather than per candidate. Pruning is tie-inclusive
-//! (`d <= bound` takes the lock): the retained top-k is then a pure
-//! function of the candidate set, independent of stream order, which is
-//! what makes results invariant under re-slicing and migration.
+//! once per *chunk* of 32 candidates (`FORWARD_CHUNK`) rather than per
+//! candidate. Pruning is tie-inclusive (`d <= bound` takes the lock): the
+//! retained top-k is then a pure function of the candidate set,
+//! independent of stream order, which is what makes results invariant
+//! under re-slicing and migration.
+//!
+//! One loop decides every lock count: `forward`, generic over the queue
+//! ([`Queue`]) and the candidates' layout. [`run`] streams a candidate
+//! list (`(slot, distance)` pairs from DC) into a [`BoundedMaxHeap`];
+//! [`run_in_place`] streams a slice's `u32` distances and ids where they
+//! lie — the engine's per-DPU waves read the batch arena this way, with no
+//! staging copy, into a [`PackedTopk`] per query.
+//!
+//! **Chunk skip.** `forward` tests each chunk against its forwarded bound
+//! with one branch-free fold into a bit mask — bit `j` set when candidate
+//! `j` is at or under the bound — skips the chunk when the mask is zero
+//! and otherwise visits only the set bits, in stream order, so a pruned
+//! candidate never reaches a branch. This cannot change a count: the bound
+//! is read once per chunk whether or not the chunk is skipped, so every
+//! candidate of a chunk is compared with the same value either way. When
+//! no candidate is at or under it, the per-candidate path would have taken
+//! no lock and pushed nothing — the skip adds 0 locks and 0 updates and
+//! leaves the queue, hence every later chunk's bound, as it was. The
+//! candidate count is the stream's length, visited or not. Under
+//! `LockAlways` the bound is `+inf`, which every (finite) candidate
+//! reaches, so no chunk is skipped.
 //!
 //! The cost of a candidate stream is a closed form of three counts —
-//! candidates, lock acquisitions, queue updates — so [`run`] only counts
-//! while it maintains the real queue and books the stream through
+//! candidates, lock acquisitions, queue updates — so the kernels only
+//! count while they maintain the real queue and book the stream through
 //! [`charge`] once, the same function trace mode feeds with
 //! [`expected_updates`] estimates.
 
@@ -84,8 +106,194 @@ pub fn charge(
     }
 }
 
-/// Candidates between two refreshes of the forwarded bound (one DC chunk).
+/// Candidates between two refreshes of the forwarded bound (one DC chunk);
+/// at most 32, the width of a chunk's mask.
 const FORWARD_CHUNK: usize = 32;
+const _: () = assert!(FORWARD_CHUNK <= 32);
+
+/// A per-query top-k queue as TS maintains it: it forwards its bound and
+/// takes candidates one at a time. Retention follows [`BoundedMaxHeap`]:
+/// the `k` smallest by (distance, id), a candidate retained when the queue
+/// is not full or when it orders strictly before the current k-th.
+pub trait Queue {
+    /// The current k-th best distance; `f32::INFINITY` until full.
+    fn bound(&self) -> f32;
+    /// Offer candidate `id` at `dist`; `true` when it was retained.
+    fn offer(&mut self, id: u32, dist: f32) -> bool;
+}
+
+impl Queue for BoundedMaxHeap {
+    #[inline]
+    fn bound(&self) -> f32 {
+        BoundedMaxHeap::bound(self)
+    }
+
+    #[inline]
+    fn offer(&mut self, id: u32, dist: f32) -> bool {
+        self.push(Neighbor::new(u64::from(id), dist))
+    }
+}
+
+/// A top-k queue of packed `u64` keys, `(dist.to_bits() << 32) | id`, kept
+/// as a binary max-heap. For the distances TS sees — non-negative and
+/// finite, converted from integers — the bit pattern orders like the
+/// value, so key order is [`BoundedMaxHeap`]'s (distance, id) order and
+/// "retained" is `key < root`: the same retained multiset, the same sorted
+/// output. A sift compares one integer per level and picks the larger
+/// child without a branch. Chosen over a branch-free sorted run by
+/// measurement at `k` = 10 and `k` = 100 on a 2-vCPU host: on the engine's
+/// kind of stream (a fresh queue per 1,500-candidate slice) the run was up
+/// to 25% faster at `k` = 10 but level or slower at `k` = 100, and with
+/// every candidate locked it was level to 1.5x slower.
+#[derive(Debug, Clone)]
+pub struct PackedTopk {
+    k: usize,
+    /// Max-heap of at most `k` keys.
+    keys: Vec<u64>,
+}
+
+impl PackedTopk {
+    /// An empty queue retaining the `k` smallest candidates.
+    pub fn new(k: usize) -> Self {
+        assert!(k > 0, "k must be positive");
+        PackedTopk {
+            k,
+            keys: Vec::with_capacity(k),
+        }
+    }
+
+    /// The retained candidates by ascending (distance, id), as
+    /// [`BoundedMaxHeap::into_sorted`] returns them.
+    pub fn into_sorted(mut self) -> Vec<Neighbor> {
+        self.keys.sort_unstable();
+        self.keys
+            .into_iter()
+            .map(|key| Neighbor::new(key & 0xFFFF_FFFF, f32::from_bits((key >> 32) as u32)))
+            .collect()
+    }
+}
+
+impl Queue for PackedTopk {
+    #[inline]
+    fn bound(&self) -> f32 {
+        if self.keys.len() < self.k {
+            f32::INFINITY
+        } else {
+            f32::from_bits((self.keys[0] >> 32) as u32)
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, id: u32, dist: f32) -> bool {
+        debug_assert!(dist.is_sign_positive() && !dist.is_nan(), "{dist}");
+        let key = (u64::from(dist.to_bits()) << 32) | u64::from(id);
+        let heap = &mut self.keys;
+        if heap.len() < self.k {
+            // sift up from the new leaf
+            heap.push(key);
+            let mut i = heap.len() - 1;
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                if heap[parent] >= key {
+                    break;
+                }
+                heap[i] = heap[parent];
+                i = parent;
+            }
+            heap[i] = key;
+            true
+        } else if key < heap[0] {
+            // replace the root and sift down
+            let n = heap.len();
+            let mut i = 0;
+            loop {
+                let left = 2 * i + 1;
+                if left >= n {
+                    break;
+                }
+                let child = if left + 1 < n {
+                    left + usize::from(heap[left + 1] > heap[left])
+                } else {
+                    left
+                };
+                if heap[child] <= key {
+                    break;
+                }
+                heap[i] = heap[child];
+                i = child;
+            }
+            heap[i] = key;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// The chunked forwarding loop behind [`run`] and [`run_in_place`]: stream
+/// `cands` (distance `dist(c)`, database id `id(i, c)` for the candidate at
+/// position `i`) into `queue`, reading the forwarded bound once per
+/// `FORWARD_CHUNK` candidates and offering only the candidates at or
+/// under it (the module header argues why skipping the rest is exact).
+/// Returns the lock acquisitions and the queue updates.
+#[inline(always)]
+fn forward<C: Copy, Q: Queue>(
+    cands: &[C],
+    dist: impl Fn(C) -> f32,
+    id: impl Fn(usize, C) -> u32,
+    queue: &mut Q,
+    policy: LockPolicy,
+) -> (u64, u64) {
+    let (mut locked, mut retained) = (0u64, 0u64);
+    for (ci, chunk) in cands.chunks(FORWARD_CHUNK).enumerate() {
+        // The forwarded bound: stale between refreshes, exactly like the
+        // real forwarding. LockAlways has no bound — everything locks.
+        let forwarded = match policy {
+            LockPolicy::LockAlways => f32::INFINITY,
+            LockPolicy::Forwarding => queue.bound(),
+        };
+        // Bit j set: candidate j takes the lock. One branch-free fold; a
+        // zero mask skips the chunk, and otherwise only the set bits are
+        // visited, in stream order.
+        //
+        // `<=` (not `<`): a candidate tying the bound may still be
+        // retained by the queue's (dist, id) tie-break, so pruning it
+        // would make the retained set depend on the order candidates
+        // streamed in. Tie-inclusive pruning keeps the per-queue top-k a
+        // pure function of the candidate *set* — the invariant the
+        // mutation/migration parity suite relies on — at the cost of a
+        // lock on exact ties (rare with 64-bit accumulated distances).
+        // Matches the host-side IVF scan's `<=` prune.
+        let mut reach = chunk.iter().enumerate().fold(0u32, |mask, (j, &c)| {
+            mask | (u32::from(dist(c) <= forwarded) << j)
+        });
+        while reach != 0 {
+            let j = reach.trailing_zeros() as usize;
+            reach &= reach - 1;
+            let c = chunk[j];
+            locked += 1;
+            retained += u64::from(queue.offer(id(ci * FORWARD_CHUNK + j, c), dist(c)));
+        }
+    }
+    (locked, retained)
+}
+
+/// Book a stream of `n` candidates through [`charge`] and report its lock
+/// statistics.
+fn book(
+    ctx: &KernelCtx<'_>,
+    meter: &mut PhaseMeter,
+    n: u64,
+    k: usize,
+    policy: LockPolicy,
+    (locked, retained): (u64, u64),
+) -> LockStats {
+    charge(ctx, meter, n, k, policy, locked, retained);
+    LockStats {
+        locked_updates: locked,
+        pruned: n - locked,
+    }
+}
 
 /// Insert scanned candidates into the per-query top-k queue, charging TS
 /// costs under the chosen lock policy.
@@ -93,10 +301,9 @@ const FORWARD_CHUNK: usize = 32;
 /// `candidates` are `(local_slot, distance)` pairs from DC; `ids` maps local
 /// slots to database ids. Returns updated lock statistics.
 ///
-/// Candidates stream in 32-candidate chunks (`FORWARD_CHUNK`) with the
-/// forwarded bound read once at each chunk start, so between refreshes a
-/// pruned candidate costs the host one compare; the stream is booked by
-/// one [`charge`] call fed the observed lock and update counts.
+/// Candidates stream through the shared chunked forwarding loop (see the
+/// module header), and the stream is booked by one [`charge`] call fed the
+/// observed lock and update counts.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     ctx: &KernelCtx<'_>,
@@ -107,38 +314,32 @@ pub fn run(
     k: usize,
     policy: LockPolicy,
 ) -> LockStats {
-    let n = candidates.len() as u64;
-    let mut locked = 0u64;
-    let mut retained = 0u64;
-    for chunk in candidates.chunks(FORWARD_CHUNK) {
-        // The forwarded bound: stale between refreshes, exactly like the
-        // real forwarding. LockAlways has no bound — everything locks.
-        let forwarded = match policy {
-            LockPolicy::LockAlways => f32::INFINITY,
-            LockPolicy::Forwarding => heap.bound(),
-        };
-        for &(slot, dist) in chunk {
-            let d = dist as f32;
-            // `<=` (not `<`): a candidate tying the bound may still be
-            // retained by the heap's (dist, id) tie-break, so pruning it
-            // would make the retained set depend on the order candidates
-            // streamed in. Tie-inclusive pruning keeps the per-queue
-            // top-k a pure function of the candidate *set* — the
-            // invariant the mutation/migration parity suite relies on —
-            // at the cost of a lock on exact ties (rare with 64-bit
-            // accumulated distances). Matches the host-side IVF scan's
-            // `<=` prune.
-            if d <= forwarded {
-                locked += 1;
-                retained += heap.push(Neighbor::new(ids[slot as usize] as u64, d)) as u64;
-            }
-        }
-    }
-    charge(ctx, meter, n, k, policy, locked, retained);
-    LockStats {
-        locked_updates: locked,
-        pruned: n - locked,
-    }
+    let counts = forward(
+        candidates,
+        |(_, dist)| dist as f32,
+        |_, (slot, _)| ids[slot as usize],
+        heap,
+        policy,
+    );
+    book(ctx, meter, candidates.len() as u64, k, policy, counts)
+}
+
+/// [`run`] over a slice as it lies, into a [`PackedTopk`]: `dists[i]` is
+/// the distance of database id `ids[i]`. The same loop, the same counts,
+/// the same charge and the same retained list as [`run`] over the pairs
+/// `(i, dists[i])` into a [`BoundedMaxHeap`].
+pub fn run_in_place(
+    ctx: &KernelCtx<'_>,
+    meter: &mut PhaseMeter,
+    dists: &[u32],
+    ids: &[u32],
+    queue: &mut PackedTopk,
+    k: usize,
+    policy: LockPolicy,
+) -> LockStats {
+    assert_eq!(dists.len(), ids.len(), "one id per distance");
+    let counts = forward(dists, |d| d as f32, |i, _| ids[i], queue, policy);
+    book(ctx, meter, dists.len() as u64, k, policy, counts)
 }
 
 #[cfg(test)]

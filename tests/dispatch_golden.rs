@@ -14,10 +14,13 @@
 //! to move results or accounting: print the left-hand side of the failing
 //! assert.
 
+use ann_core::topk::Neighbor;
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
+use drim_ann::report::BatchReport;
 use drim_ann::trace::{TraceRunner, TraceSpec};
 use upmem_sim::fault::FaultConfig;
+use upmem_sim::tasklet::LockPolicy;
 use upmem_sim::PimArch;
 
 fn digest(text: &str) -> u64 {
@@ -31,6 +34,24 @@ fn engine_digest(
     fault_batch: u64,
     expect_fault_activity: bool,
 ) -> u64 {
+    let (results, report) = engine_batch(tweak, |_| {}, faults, fault_batch);
+    assert_eq!(
+        report.fault.active(),
+        expect_fault_activity,
+        "{:?}",
+        report.fault
+    );
+    digest(&format!("{results:?}{report:?}"))
+}
+
+/// Build the golden engine, apply `tweak` to its config and `prepare` to
+/// the built engine, arm `faults` and run one batch at `fault_batch`.
+fn engine_batch(
+    tweak: impl Fn(&mut EngineConfig),
+    prepare: impl Fn(&mut DrimEngine),
+    faults: Option<FaultConfig>,
+    fault_batch: u64,
+) -> (Vec<Vec<Neighbor>>, BatchReport) {
     let spec = datasets::SynthSpec::small("dispatch-golden", 16, 3000, 47);
     let data = datasets::generate(&spec);
     let queries = datasets::queries::generate_queries(
@@ -49,18 +70,12 @@ fn engine_digest(
     cfg.batch = 32;
     tweak(&mut cfg);
     let mut e = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
+    prepare(&mut e);
     if let Some(fc) = faults {
         e.inject_faults(fc).unwrap();
     }
     e.set_fault_batch(fault_batch);
-    let (results, report) = e.search_batch(&queries);
-    assert_eq!(
-        report.fault.active(),
-        expect_fault_activity,
-        "{:?}",
-        report.fault
-    );
-    digest(&format!("{results:?}{report:?}"))
+    e.search_batch(&queries)
 }
 
 #[test]
@@ -97,6 +112,47 @@ fn engine_batches_match_the_pre_merge_loops() {
             0x117F_99DE_4001_07AD,
         ]
     );
+}
+
+/// Two legs recorded at the commit before TS stopped staging candidates
+/// (the top-k kernel now reads the arena's distances in place, skips whole
+/// chunks the forwarded bound prunes and keeps packed-key queues): the
+/// naive lock-every-candidate policy, and pending tombstones — deletes
+/// without `maintain()` — placed around the 32-candidate chunk boundaries
+/// of every list, so the filter removes candidates on both sides of them.
+#[test]
+fn engine_batches_match_the_staged_top_k() {
+    let lock_always = engine_batch(|c| c.lock_policy = LockPolicy::LockAlways, |_| {}, None, 0);
+    assert_eq!(
+        lock_always.1.lock.pruned, 0,
+        "LockAlways locks every candidate"
+    );
+    let tombstoned = engine_batch(
+        |_| {},
+        |e| {
+            let victims: Vec<u32> = e
+                .ivf
+                .lists
+                .iter()
+                .flat_map(|l| {
+                    [0, 30, 31, 32, 33, 63, 64, 95]
+                        .into_iter()
+                        .filter_map(|slot| l.ids.get(slot).copied())
+                })
+                .collect();
+            for id in victims {
+                assert!(e.delete(id));
+            }
+        },
+        None,
+        0,
+    );
+    assert!(tombstoned.1.tombstone_filtered > 0);
+    let got = [lock_always, tombstoned].map(|(results, report)| {
+        assert!(!report.fault.active());
+        digest(&format!("{results:?}{report:?}"))
+    });
+    assert_eq!(got, [0x6B22_C282_7407_FF4F, 0xF98F_36F7_003D_5346]);
 }
 
 #[test]

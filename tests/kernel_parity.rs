@@ -8,13 +8,22 @@
 //! implementation on real workloads. PQ encoding is held to more than
 //! results: every code equals a per-row reference bit for bit, on inputs
 //! built so that a one-ULP change in any distance or a wrong tie-break
-//! changes a code.
+//! changes a code. The engine's in-place top-k kernel is held to the
+//! candidate-list kernel the same way: equal lock statistics, meters and
+//! retained lists on every seeded stream.
 
 use ann_core::distance;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::pq::ProductQuantizer;
 use ann_core::topk::{BoundedMaxHeap, Neighbor};
 use ann_core::vector::VecSet;
+use drim_ann::config::DataBits;
+use drim_ann::kernels::{ts, KernelCtx};
+use drim_ann::wram::{WramCandidate, WramPlacement};
+use std::collections::BTreeSet;
+use upmem_sim::meter::PhaseMeter;
+use upmem_sim::tasklet::LockPolicy;
+use upmem_sim::IsaCosts;
 
 fn workload(n: usize, dim: usize, seed: u64) -> (VecSet<f32>, VecSet<f32>) {
     let spec = datasets::SynthSpec::small("kernel-parity", dim, n, seed);
@@ -322,6 +331,12 @@ impl Stream {
     fn below(&mut self, n: usize) -> usize {
         ((self.unit() + 1.0) * 0.5 * n as f32) as usize % n
     }
+
+    /// The next 32 bits.
+    fn word(&mut self) -> u32 {
+        self.unit();
+        (self.0 >> 32) as u32
+    }
 }
 
 /// The encode reference: each zero-padded subvector against each codeword
@@ -499,4 +514,158 @@ fn reloaded_index_assign_encodes_like_the_original() {
             );
         }
     }
+}
+
+/// One slice of a query's TS stream: its distances and ids by list
+/// offset, and the ids pending deletion.
+struct TsSlice {
+    dists: Vec<u32>,
+    ids: Vec<u32>,
+    tomb: BTreeSet<u32>,
+}
+
+/// Stream `slices` into one query's queue both ways, slice after slice: as
+/// the engine stages them for `ts::run` (pairs, tombstones dropped by
+/// `retain`) into a `BoundedMaxHeap`, and as it now runs them — in place,
+/// or over the live pairs compacted into scratch — into a `PackedTopk`.
+/// Lock statistics, meters, bounds and retained lists must agree after
+/// every slice, so a queue pre-filled by earlier slices is covered too.
+fn assert_ts_kernels_agree(
+    case: &str,
+    ctx: &KernelCtx<'_>,
+    k: usize,
+    policy: LockPolicy,
+    slices: &[TsSlice],
+) {
+    let (mut heap, mut packed) = (BoundedMaxHeap::new(k), ts::PackedTopk::new(k));
+    let (mut want_meter, mut got_meter) = (PhaseMeter::default(), PhaseMeter::default());
+    let (mut live_ids, mut live_dists) = (Vec::new(), Vec::new());
+    for (i, s) in slices.iter().enumerate() {
+        let case = format!("{case} slice {i}");
+        let mut staged: Vec<(u32, u64)> = (0u32..)
+            .zip(&s.dists)
+            .map(|(slot, &d)| (slot, d as u64))
+            .collect();
+        staged.retain(|&(slot, _)| !s.tomb.contains(&s.ids[slot as usize]));
+        let want = ts::run(ctx, &mut want_meter, &staged, &s.ids, &mut heap, k, policy);
+
+        let (mut ids, mut dists) = (&s.ids[..], &s.dists[..]);
+        if !s.tomb.is_empty() {
+            live_ids.clear();
+            live_dists.clear();
+            for (&id, &d) in ids.iter().zip(dists) {
+                if !s.tomb.contains(&id) {
+                    live_ids.push(id);
+                    live_dists.push(d);
+                }
+            }
+            (ids, dists) = (&live_ids, &live_dists);
+        }
+        let got = ts::run_in_place(ctx, &mut got_meter, dists, ids, &mut packed, k, policy);
+
+        assert_eq!(got, want, "{case}");
+        assert_eq!(got_meter, want_meter, "{case}");
+        assert_eq!(
+            ts::Queue::bound(&packed).to_bits(),
+            heap.bound().to_bits(),
+            "{case}"
+        );
+        assert_eq!(
+            packed.clone().into_sorted(),
+            heap.clone().into_sorted(),
+            "{case}"
+        );
+    }
+}
+
+/// `n` distances of one shape: `Ties` draws from eight values, so once a
+/// queue fills, many candidates equal its forwarded bound; `Wide` draws
+/// from all of `u32`, where distinct distances above 2^24 round to one
+/// `f32` and tie-break by id; `Descending` retains nearly every candidate.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Ties,
+    Wide,
+    Descending,
+}
+
+fn ts_dists(shape: Shape, n: usize, st: &mut Stream) -> Vec<u32> {
+    match shape {
+        Shape::Ties => (0..n).map(|_| 100 + st.below(8) as u32).collect(),
+        Shape::Wide => (0..n).map(|_| st.word()).collect(),
+        Shape::Descending => (0..n)
+            .map(|i| ((n - i) as u32) << 20 | st.below(1 << 20) as u32)
+            .collect(),
+    }
+}
+
+#[test]
+fn in_place_top_k_matches_the_staged_kernel() {
+    let costs = IsaCosts::upmem();
+    let spilled = WramPlacement::none();
+    let resident = drim_ann::wram::plan(
+        &[WramCandidate {
+            name: "topk",
+            bytes: 800,
+            accesses: 1e9,
+        }],
+        1 << 20,
+    );
+    assert!(resident.is_resident("topk") && !spilled.is_resident("topk"));
+    let mut st = Stream(0x7095_EED5);
+    let mut cases = 0;
+    for placement in [&spilled, &resident] {
+        let ctx = KernelCtx {
+            costs: &costs,
+            dma_burst: 8,
+            bits: DataBits::B8,
+            placement,
+        };
+        for k in [1usize, 10, 100] {
+            for policy in [LockPolicy::Forwarding, LockPolicy::LockAlways] {
+                for shape in [Shape::Ties, Shape::Wide, Shape::Descending] {
+                    // per query: slice lengths (the first queries' total
+                    // stays under k), and whether tombstones are pending
+                    let queries: [(&[usize], bool); 6] = [
+                        (&[0], false),
+                        (&[k / 2, k / 3], false),
+                        (&[31, 32, 33], false),
+                        (&[200, 97, 1], false),
+                        (&[64, 130], true),
+                        (&[700, 65, 300], true),
+                    ];
+                    for (qi, &(lens, tombstoned)) in queries.iter().enumerate() {
+                        let slices: Vec<TsSlice> = lens
+                            .iter()
+                            .map(|&n| {
+                                let dists = ts_dists(shape, n, &mut st);
+                                let ids: Vec<u32> = (0..n).map(|_| st.word()).collect();
+                                let mut tomb = BTreeSet::new();
+                                if tombstoned {
+                                    // both sides of the first chunk
+                                    // boundaries, and a few at random
+                                    for slot in [0, 30, 31, 32, 33, 63, 64, 65, 96] {
+                                        if slot < n {
+                                            tomb.insert(ids[slot]);
+                                        }
+                                    }
+                                    for _ in 0..n / 16 {
+                                        tomb.insert(ids[st.below(n)]);
+                                    }
+                                }
+                                TsSlice { dists, ids, tomb }
+                            })
+                            .collect();
+                        let case = format!(
+                            "k={k} {policy:?} {shape:?} resident={} query {qi}",
+                            placement.is_resident("topk")
+                        );
+                        assert_ts_kernels_agree(&case, &ctx, k, policy, &slices);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * 3 * 2 * 3 * 6);
 }
