@@ -7,10 +7,13 @@
 //! `x - centroid`. Search: locate the `nprobe` nearest clusters (CL),
 //! compute the query residual per cluster (RC), build the ADC lookup table
 //! (LC), accumulate code distances (DC), and keep the top-k (TS).
+//!
+//! The residual quantizer is plain PQ ([`ProductQuantizer`]), the one the
+//! paper's design-space search tunes through `(M, CB)`. Its codebooks are
+//! frozen once the build trains them: inserts encode against them, and
+//! nothing retrains them in place.
 
-use crate::dpq::{Dpq, DpqParams};
 use crate::kmeans::{assign, kmeans, KMeansParams};
-use crate::opq::{Opq, OpqParams};
 use crate::pq::{PqParams, ProductQuantizer};
 use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
@@ -19,19 +22,6 @@ use crate::vector::VecSet;
 /// constant, never derived from the thread count; encoding is per point,
 /// so the chunking only sets the grain of the parallel loop.
 const ENCODE_CHUNK: usize = 4096;
-
-/// Which product-quantization variant encodes the residuals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PqVariant {
-    /// Plain PQ (Jégou et al.).
-    #[default]
-    Pq,
-    /// Optimized PQ: learned rotation (Ge et al.).
-    Opq,
-    /// DPQ-style soft-assignment refinement (Klein & Wolf; unsupervised
-    /// variant, as no labels exist here).
-    Dpq,
-}
 
 /// Index construction parameters.
 #[derive(Debug, Clone)]
@@ -42,8 +32,6 @@ pub struct IvfPqParams {
     pub m: usize,
     /// Codebook entries per subspace (the paper's `CB`; 256 for Faiss).
     pub cb: usize,
-    /// PQ variant.
-    pub variant: PqVariant,
     /// Cap on residuals used for PQ training.
     pub train_sample: usize,
     /// k-means iterations (coarse and PQ).
@@ -59,7 +47,6 @@ impl IvfPqParams {
             nlist,
             m: 16,
             cb: 256,
-            variant: PqVariant::Pq,
             train_sample: 65_536,
             kmeans_iters: 10,
             seed: 0x5C25,
@@ -78,81 +65,10 @@ impl IvfPqParams {
         self
     }
 
-    /// Builder: PQ variant.
-    pub fn variant(mut self, v: PqVariant) -> Self {
-        self.variant = v;
-        self
-    }
-
     /// Builder: seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-}
-
-/// The trained residual quantizer, whichever variant was requested.
-#[derive(Debug, Clone)]
-pub enum PqModel {
-    /// Plain product quantizer.
-    Plain(ProductQuantizer),
-    /// Rotation + PQ.
-    Rotated(Opq),
-    /// Soft-refined PQ.
-    Refined(Dpq),
-}
-
-impl PqModel {
-    /// The underlying axis-aligned quantizer (rotation excluded).
-    pub fn pq(&self) -> &ProductQuantizer {
-        match self {
-            PqModel::Plain(p) => p,
-            PqModel::Rotated(o) => &o.pq,
-            PqModel::Refined(d) => &d.pq,
-        }
-    }
-
-    /// Encode a residual.
-    pub fn encode(&self, r: &[f32]) -> Vec<u16> {
-        let mut code = vec![0u16; self.pq().m];
-        self.encode_into(r, &mut code);
-        code
-    }
-
-    /// Encode a residual into the `m` slots of `out`
-    /// ([`ProductQuantizer::encode_into`], after the rotation for OPQ).
-    pub fn encode_into(&self, r: &[f32], out: &mut [u16]) {
-        match self {
-            PqModel::Plain(p) => p.encode_into(r, out),
-            PqModel::Rotated(o) => o.pq.encode_into(&o.rotate(r), out),
-            PqModel::Refined(d) => d.pq.encode_into(r, out),
-        }
-    }
-
-    /// ADC lookup table for a residual.
-    pub fn lut(&self, r: &[f32]) -> Vec<f32> {
-        match self {
-            PqModel::Plain(p) => p.lut(r),
-            PqModel::Rotated(o) => o.lut(r),
-            PqModel::Refined(d) => d.pq.lut(r),
-        }
-    }
-
-    /// Batched ADC lookup tables for a residual block: one `m * cb` row
-    /// per residual, built with one per-subspace GEMM against the codebook
-    /// (rows bit-identical to per-residual [`Self::lut`] calls).
-    pub fn lut_batch(&self, rs: &VecSet<f32>) -> Vec<f32> {
-        match self {
-            PqModel::Plain(p) => p.lut_batch(rs),
-            PqModel::Rotated(o) => o.lut_batch(rs),
-            PqModel::Refined(d) => d.pq.lut_batch(rs),
-        }
-    }
-
-    /// ADC distance from a prebuilt LUT.
-    #[inline]
-    pub fn adc(&self, lut: &[f32], code: &[u16]) -> f32 {
-        self.pq().adc(lut, code)
     }
 }
 
@@ -192,14 +108,15 @@ pub struct IvfPqIndex {
     pub coarse_norms: Vec<f32>,
     /// Inverted lists, one per cluster.
     pub lists: Vec<IvfList>,
-    /// Residual quantizer.
-    pub quant: PqModel,
+    /// Residual quantizer: plain PQ, codebooks frozen after training.
+    pub quant: ProductQuantizer,
 }
 
 impl IvfPqIndex {
     /// Build the index over `data`.
     pub fn build(data: &VecSet<f32>, params: &IvfPqParams) -> Self {
         assert!(!data.is_empty(), "cannot index an empty dataset");
+        assert!(params.train_sample > 0, "train_sample must be positive");
         let dim = data.dim();
 
         // 1. coarse clustering
@@ -222,26 +139,16 @@ impl IvfPqIndex {
             train.push(&buf);
         }
 
-        // 3. train the requested PQ variant
-        let pq_params = PqParams {
-            m: params.m,
-            cb: params.cb,
-            iters: params.kmeans_iters,
-            seed: params.seed ^ 0xBEEF,
-        };
-        let quant = match params.variant {
-            PqVariant::Pq => PqModel::Plain(ProductQuantizer::train(&train, &pq_params)),
-            PqVariant::Opq => {
-                let mut p = OpqParams::new(params.m, params.cb);
-                p.pq = pq_params;
-                PqModel::Rotated(Opq::train(&train, &p))
-            }
-            PqVariant::Dpq => {
-                let mut p = DpqParams::new(params.m, params.cb);
-                p.pq = pq_params;
-                PqModel::Refined(Dpq::train(&train, &p))
-            }
-        };
+        // 3. train the residual quantizer
+        let quant = ProductQuantizer::train(
+            &train,
+            &PqParams {
+                m: params.m,
+                cb: params.cb,
+                iters: params.kmeans_iters,
+                seed: params.seed ^ 0xBEEF,
+            },
+        );
 
         // 4. encode every residual on the pool, ENCODE_CHUNK points per
         // item, then append to the inverted lists in point order
@@ -354,9 +261,9 @@ impl IvfPqIndex {
     ///
     /// LUTs for all probed (non-empty) clusters of the query are built in
     /// one batched, GEMM-formulated pass over the codebook
-    /// ([`PqModel::lut_batch`]); the per-list scan is the blocked 8-wide
-    /// ADC kernel, and candidates are pruned against the running top-k
-    /// bound before touching the heap (the host-side analogue of the
+    /// ([`ProductQuantizer::lut_batch`]); the per-list scan is the blocked
+    /// 8-wide ADC kernel, and candidates are pruned against the running
+    /// top-k bound before touching the heap (the host-side analogue of the
     /// paper's forwarded-record pruning).
     pub fn search(&self, query: &[f32], nprobe: usize, k: usize) -> Vec<Neighbor> {
         // one scratch buffer serves both the CL distances and the per-list
@@ -561,28 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn opq_variant_builds_and_searches() {
-        let data = clustered_data(600, 8, 13);
-        let idx = IvfPqIndex::build(
-            &data,
-            &IvfPqParams::new(8).m(4).cb(16).variant(PqVariant::Opq),
-        );
-        let res = idx.search(data.get(0), 4, 5);
-        assert_eq!(res.len(), 5);
-    }
-
-    #[test]
-    fn dpq_variant_builds_and_searches() {
-        let data = clustered_data(600, 8, 17);
-        let idx = IvfPqIndex::build(
-            &data,
-            &IvfPqParams::new(8).m(4).cb(16).variant(PqVariant::Dpq),
-        );
-        let res = idx.search(data.get(0), 4, 5);
-        assert_eq!(res.len(), 5);
-    }
-
-    #[test]
     fn mean_cluster_size_is_n_over_nlist() {
         let data = clustered_data(800, 8, 23);
         let idx = IvfPqIndex::build(&data, &IvfPqParams::new(16));
@@ -638,6 +523,15 @@ mod tests {
         let a: Vec<u64> = idx0.search(q, 4, 5).iter().map(|n| n.id).collect();
         let b: Vec<u64> = idx.search(q, 4, 5).iter().map(|n| n.id).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "train_sample must be positive")]
+    fn zero_train_sample_is_rejected() {
+        let data = clustered_data(100, 8, 43);
+        let mut params = IvfPqParams::new(4).m(4).cb(8);
+        params.train_sample = 0;
+        IvfPqIndex::build(&data, &params);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //!   query-vs-quantized form used by IVF-PQ, plus their blocked,
 //!   SIMD-friendly forms ([`kernels`]) that every hot path routes through;
 //! * k-means with k-means++ seeding and empty-cluster repair ([`kmeans`]);
-//! * product quantization ([`pq`]) and its variants OPQ ([`opq`], learned
-//!   rotation via a built-in Jacobi SVD Procrustes solver in [`linalg`])
-//!   and a DPQ-style refinement ([`dpq`]);
+//! * product quantization ([`pq`]), the residual quantizer;
 //! * the IVF-PQ index itself ([`ivf`]): coarse clustering, residual
 //!   encoding, nprobe search;
 //! * exact brute-force search for ground truth ([`flat`]);
@@ -27,14 +25,12 @@
 
 pub mod blockscan;
 pub mod distance;
-pub mod dpq;
 pub mod flat;
 pub mod hash;
 pub mod ivf;
 pub mod kernels;
 pub mod kmeans;
 pub mod linalg;
-pub mod opq;
 pub mod persist;
 pub mod pq;
 pub mod quantize;
@@ -42,7 +38,7 @@ pub mod recall;
 pub mod topk;
 pub mod vector;
 
-pub use ivf::{IvfPqIndex, IvfPqParams, PqVariant};
+pub use ivf::{IvfPqIndex, IvfPqParams};
 pub use pq::ProductQuantizer;
 pub use topk::Neighbor;
 pub use vector::VecSet;

@@ -1,6 +1,5 @@
 //! Dense linear algebra for the host-side hot path: a tiled micro-kernel
-//! GEMM plus the small-matrix machinery OPQ training needs (modified
-//! Gram–Schmidt, one-sided Jacobi SVD, Procrustes).
+//! GEMM.
 //!
 //! # The tiled GEMM
 //!
@@ -63,15 +62,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Wrap a row-major buffer.
     pub fn from_rows(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols);
@@ -82,18 +72,6 @@ impl Matrix {
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.cols + c]
-    }
-
-    /// Element mutator.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Row slice.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Matrix transpose.
@@ -120,15 +98,6 @@ impl Matrix {
     /// Matrix product `self * other` through the tiled micro-kernel GEMM.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         self.view().matmul(&other.view())
-    }
-
-    /// Apply to a vector: `y = self * x`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(self.cols, x.len());
-        self.data
-            .chunks_exact(self.cols)
-            .map(|row| row.iter().zip(x.iter()).map(|(&a, &b)| a * b).sum())
-            .collect()
     }
 }
 
@@ -465,197 +434,9 @@ fn microkernel(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, iw: usize, jw:
     }
 }
 
-/// Modified Gram–Schmidt orthonormalisation of the rows of `m` (in place
-/// conceptually; returns a new matrix). Rows that collapse to ~zero are
-/// replaced with canonical basis vectors to keep the result full-rank.
-pub fn orthonormalize_rows(m: &Matrix) -> Matrix {
-    let mut q = m.clone();
-    for i in 0..q.rows {
-        // subtract projections onto previous rows
-        for j in 0..i {
-            let dot: f32 = (0..q.cols).map(|c| q.get(i, c) * q.get(j, c)).sum();
-            for c in 0..q.cols {
-                let v = q.get(i, c) - dot * q.get(j, c);
-                q.set(i, c, v);
-            }
-        }
-        let norm: f32 = (0..q.cols).map(|c| q.get(i, c).powi(2)).sum::<f32>().sqrt();
-        if norm < 1e-6 {
-            for c in 0..q.cols {
-                q.set(i, c, if c == i % q.cols { 1.0 } else { 0.0 });
-            }
-            // re-orthogonalize the substituted row
-            for j in 0..i {
-                let dot: f32 = (0..q.cols).map(|c| q.get(i, c) * q.get(j, c)).sum();
-                for c in 0..q.cols {
-                    let v = q.get(i, c) - dot * q.get(j, c);
-                    q.set(i, c, v);
-                }
-            }
-            let n2: f32 = (0..q.cols).map(|c| q.get(i, c).powi(2)).sum::<f32>().sqrt();
-            for c in 0..q.cols {
-                q.set(i, c, q.get(i, c) / n2.max(1e-12));
-            }
-        } else {
-            for c in 0..q.cols {
-                q.set(i, c, q.get(i, c) / norm);
-            }
-        }
-    }
-    q
-}
-
-/// Random orthonormal `n x n` matrix from a seeded Gaussian + Gram–Schmidt.
-pub fn random_rotation(n: usize, seed: u64) -> Matrix {
-    // Box–Muller over a splitmix64 stream: deterministic, dependency-free.
-    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next_u64 = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
-    let mut next_f64 = move || (next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    let mut gauss = Vec::with_capacity(n * n);
-    while gauss.len() < n * n {
-        let u1: f64 = next_f64().max(1e-300);
-        let u2: f64 = next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        gauss.push((r * theta.cos()) as f32);
-        if gauss.len() < n * n {
-            gauss.push((r * theta.sin()) as f32);
-        }
-    }
-    orthonormalize_rows(&Matrix::from_rows(n, n, gauss))
-}
-
-/// Result of a singular value decomposition `A = U diag(s) Vᵀ`.
-#[derive(Debug, Clone)]
-pub struct Svd {
-    /// Left singular vectors, `rows x rank` (columns orthonormal).
-    pub u: Matrix,
-    /// Singular values, descending.
-    pub s: Vec<f32>,
-    /// Right singular vectors, `cols x rank` (columns orthonormal).
-    pub v: Matrix,
-}
-
-/// One-sided Jacobi SVD of a (small) dense matrix.
-///
-/// Rotates column pairs until all columns are mutually orthogonal; the
-/// orthogonalized columns are `U * diag(s)`, and the accumulated rotations
-/// form `V`. Adequate for the `d x d` (d <= 256) cross-covariance matrices
-/// OPQ needs.
-pub fn jacobi_svd(a: &Matrix) -> Svd {
-    let mut w = a.clone(); // will become U * diag(s)
-    let n = w.cols;
-    let mut v = Matrix::identity(n);
-    let max_sweeps = 60;
-    let eps = 1e-9f32;
-
-    for _ in 0..max_sweeps {
-        let mut off = 0.0f32;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries over columns p, q
-                let (mut app, mut aqq, mut apq) = (0.0f32, 0.0f32, 0.0f32);
-                for r in 0..w.rows {
-                    let x = w.get(r, p);
-                    let y = w.get(r, q);
-                    app += x * x;
-                    aqq += y * y;
-                    apq += x * y;
-                }
-                off = off.max(apq.abs() / (app * aqq).sqrt().max(1e-30));
-                if apq.abs() <= eps * (app * aqq).sqrt() {
-                    continue;
-                }
-                // Jacobi rotation zeroing the (p,q) Gram entry
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                for r in 0..w.rows {
-                    let x = w.get(r, p);
-                    let y = w.get(r, q);
-                    w.set(r, p, c * x - s * y);
-                    w.set(r, q, s * x + c * y);
-                }
-                for r in 0..n {
-                    let x = v.get(r, p);
-                    let y = v.get(r, q);
-                    v.set(r, p, c * x - s * y);
-                    v.set(r, q, s * x + c * y);
-                }
-            }
-        }
-        if off < 1e-7 {
-            break;
-        }
-    }
-
-    // Extract singular values (column norms) and normalize U.
-    let mut entries: Vec<(f32, usize)> = (0..n)
-        .map(|j| {
-            let norm: f32 = (0..w.rows).map(|r| w.get(r, j).powi(2)).sum::<f32>().sqrt();
-            (norm, j)
-        })
-        .collect();
-    entries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-
-    let mut u = Matrix::zeros(w.rows, n);
-    let mut vv = Matrix::zeros(n, n);
-    let mut s = Vec::with_capacity(n);
-    for (out_j, &(norm, j)) in entries.iter().enumerate() {
-        s.push(norm);
-        for r in 0..w.rows {
-            let val = if norm > 1e-12 {
-                w.get(r, j) / norm
-            } else {
-                0.0
-            };
-            u.set(r, out_j, val);
-        }
-        for r in 0..n {
-            vv.set(r, out_j, v.get(r, j));
-        }
-    }
-    Svd { u, s, v: vv }
-}
-
-/// Orthogonal Procrustes: the rotation `R = U Vᵀ` maximizing `tr(Rᵀ M)`
-/// given `M = U diag(s) Vᵀ`.
-pub fn procrustes(m: &Matrix) -> Matrix {
-    let svd = jacobi_svd(m);
-    svd.u.matmul(&svd.v.transpose())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn assert_close(a: f32, b: f32, tol: f32) {
-        assert!((a - b).abs() <= tol, "{a} vs {b}");
-    }
-
-    fn is_orthonormal(m: &Matrix, tol: f32) -> bool {
-        let g = m.matmul(&m.transpose());
-        for i in 0..m.rows {
-            for j in 0..m.rows {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                if (g.get(i, j) - expect).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 
     #[test]
     fn matmul_known() {
@@ -888,112 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
-        let y = a.matvec(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![7.0, 8.0]);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn random_rotation_is_orthonormal() {
-        for seed in [0u64, 7, 42] {
-            let r = random_rotation(16, seed);
-            assert!(is_orthonormal(&r, 1e-4), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn random_rotation_preserves_norms() {
-        let r = random_rotation(8, 3);
-        let x: Vec<f32> = (0..8).map(|i| i as f32 - 3.5).collect();
-        let y = r.matvec(&x);
-        let nx: f32 = x.iter().map(|v| v * v).sum();
-        let ny: f32 = y.iter().map(|v| v * v).sum();
-        assert_close(nx, ny, 1e-3);
-    }
-
-    #[test]
-    fn svd_reconstructs_diagonal_matrix() {
-        let a = Matrix::from_rows(3, 3, vec![3.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]);
-        let svd = jacobi_svd(&a);
-        assert_close(svd.s[0], 3.0, 1e-5);
-        assert_close(svd.s[1], 2.0, 1e-5);
-        assert_close(svd.s[2], 1.0, 1e-5);
-    }
-
-    #[test]
-    fn svd_reconstruction_error_small() {
-        // deterministic non-trivial matrix
-        let n = 6;
-        let data: Vec<f32> = (0..n * n)
-            .map(|i| ((i * 37 + 11) % 17) as f32 / 17.0 - 0.5)
-            .collect();
-        let a = Matrix::from_rows(n, n, data);
-        let svd = jacobi_svd(&a);
-        // rebuild A = U diag(s) Vᵀ
-        let mut us = svd.u.clone();
-        for r in 0..n {
-            for c in 0..n {
-                us.set(r, c, us.get(r, c) * svd.s[c]);
-            }
-        }
-        let rec = us.matmul(&svd.v.transpose());
-        let mut diff = 0.0f32;
-        for i in 0..n * n {
-            diff += (rec.data[i] - a.data[i]).powi(2);
-        }
-        assert!(diff.sqrt() < 1e-3, "reconstruction err {}", diff.sqrt());
-    }
-
-    #[test]
-    fn svd_singular_values_descending() {
-        let a = random_rotation(8, 5); // singular values all ~1
-        let svd = jacobi_svd(&a);
-        for w in svd.s.windows(2) {
-            assert!(w[0] >= w[1] - 1e-5);
-        }
-    }
-
-    #[test]
-    fn procrustes_recovers_rotation() {
-        // M is itself a rotation -> Procrustes returns it exactly.
-        let r = random_rotation(10, 9);
-        let got = procrustes(&r);
-        let mut diff = 0.0f32;
-        for i in 0..r.data.len() {
-            diff += (got.data[i] - r.data[i]).powi(2);
-        }
-        assert!(diff.sqrt() < 1e-3, "diff {}", diff.sqrt());
-        assert!(is_orthonormal(&got, 1e-3));
-    }
-
-    #[test]
-    fn procrustes_output_is_orthonormal_for_any_m() {
-        let n = 5;
-        let data: Vec<f32> = (0..n * n).map(|i| (i as f32 * 0.7).sin()).collect();
-        let m = Matrix::from_rows(n, n, data);
-        let r = procrustes(&m);
-        assert!(is_orthonormal(&r, 1e-3));
-    }
-
-    #[test]
-    fn orthonormalize_handles_dependent_rows() {
-        let m = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
-        let q = orthonormalize_rows(&m);
-        assert!(is_orthonormal(&q, 1e-4));
     }
 }

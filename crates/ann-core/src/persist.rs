@@ -7,30 +7,29 @@
 //!
 //! ```text
 //! magic "DRIM" | version u32 | dim u32 | nlist u32 | m u32 | cb u32 |
-//! variant u8 | dsub u32 |
+//! dsub u32 |                           (28-byte header)
 //! coarse:    nlist * dim f32 |
 //! codebooks: m * cb * dsub f32 |
-//! [rotation: dim * dim f32]            (OPQ only)
 //! lists: nlist x { len u32 | ids u32[len] | codes u16[len * m] } |
 //! checksum u64                         (hash_words over every byte above)
 //! ```
 //!
-//! Every code is below `cb`, and the checksum makes a flipped id or code
-//! an `InvalidData` error instead of a silently different index.
+//! The residual quantizer is plain PQ, so the codebooks are all there is
+//! to it. A file of any other version is `InvalidData`, version 2 (which
+//! carried a quantizer-variant byte and an optional rotation) included.
 //!
-//! DPQ indices round-trip as their refined codebooks (the refinement is
-//! baked in); the variant tag is preserved for provenance.
+//! `cb` is at most [`MAX_CB`], every code is below `cb`, and the checksum
+//! makes a flipped id or code an `InvalidData` error instead of a
+//! silently different index.
 
 use crate::hash::hash_words;
-use crate::ivf::{IvfList, IvfPqIndex, IvfPqParams, PqModel, PqVariant};
-use crate::linalg::Matrix;
-use crate::opq::Opq;
-use crate::pq::ProductQuantizer;
+use crate::ivf::{IvfList, IvfPqIndex, IvfPqParams};
+use crate::pq::{ProductQuantizer, MAX_CB};
 use crate::vector::VecSet;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DRIM";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Serialize an index to a writer.
 pub fn save<W: Write>(idx: &IvfPqIndex, w: W) -> io::Result<()> {
@@ -44,13 +43,7 @@ pub fn save<W: Write>(idx: &IvfPqIndex, w: W) -> io::Result<()> {
     put_u32(&mut w, idx.params.nlist as u32)?;
     put_u32(&mut w, idx.params.m as u32)?;
     put_u32(&mut w, idx.params.cb as u32)?;
-    let (variant, rotation): (u8, Option<&Matrix>) = match &idx.quant {
-        PqModel::Plain(_) => (0, None),
-        PqModel::Rotated(o) => (1, Some(&o.rotation)),
-        PqModel::Refined(_) => (2, None),
-    };
-    w.write_all(&[variant])?;
-    let pq = idx.quant.pq();
+    let pq = &idx.quant;
     put_u32(&mut w, pq.dsub as u32)?;
 
     for &x in idx.coarse.as_flat() {
@@ -58,11 +51,6 @@ pub fn save<W: Write>(idx: &IvfPqIndex, w: W) -> io::Result<()> {
     }
     for &x in pq.codebooks_flat() {
         w.write_all(&x.to_le_bytes())?;
-    }
-    if let Some(r) = rotation {
-        for &x in &r.data {
-            w.write_all(&x.to_le_bytes())?;
-        }
     }
     for list in &idx.lists {
         put_u32(&mut w, list.ids.len() as u32)?;
@@ -83,8 +71,8 @@ pub fn save<W: Write>(idx: &IvfPqIndex, w: W) -> io::Result<()> {
 /// arithmetic and bodies are read through [`Read::take`], so memory grows
 /// only with bytes actually present — a short or hostile stream is an
 /// `Err` (`UnexpectedEof` / `InvalidData`), never a panic or an
-/// allocation the input did not pay for. An out-of-range PQ code or a
-/// checksum mismatch is `InvalidData`.
+/// allocation the input did not pay for. A `cb` past [`MAX_CB`], an
+/// out-of-range PQ code or a checksum mismatch is `InvalidData`.
 pub fn load<R: Read>(r: R) -> io::Result<IvfPqIndex> {
     let mut r = Hashed {
         inner: r,
@@ -103,26 +91,17 @@ pub fn load<R: Read>(r: R) -> io::Result<IvfPqIndex> {
     let nlist = get_u32(&mut r)? as usize;
     let m = get_u32(&mut r)? as usize;
     let cb = get_u32(&mut r)? as usize;
-    let mut variant_byte = [0u8; 1];
-    r.read_exact(&mut variant_byte)?;
     let dsub = get_u32(&mut r)? as usize;
-    if dim == 0 || nlist == 0 || m == 0 || cb < 2 || dsub != dim.div_ceil(m) {
+    if dim == 0 || nlist == 0 || m == 0 || dsub != dim.div_ceil(m) {
         return Err(bad("implausible header"));
+    }
+    if !(2..=MAX_CB).contains(&cb) {
+        return Err(bad(&format!("cb {cb} outside 2..={MAX_CB}")));
     }
 
     let coarse = VecSet::from_flat(dim, get_le(&mut r, &[nlist, dim], f32::from_le_bytes)?);
     let codebooks = get_le(&mut r, &[m, cb, dsub], f32::from_le_bytes)?;
-    let pq = ProductQuantizer::from_codebooks(dim, m, cb, codebooks);
-
-    let (variant, quant) = match variant_byte[0] {
-        0 => (PqVariant::Pq, PqModel::Plain(pq)),
-        1 => {
-            let rot = Matrix::from_rows(dim, dim, get_le(&mut r, &[dim, dim], f32::from_le_bytes)?);
-            (PqVariant::Opq, PqModel::Rotated(Opq { rotation: rot, pq }))
-        }
-        2 => (PqVariant::Dpq, PqModel::Refined(crate::dpq::Dpq { pq })),
-        other => return Err(bad(&format!("unknown variant tag {other}"))),
-    };
+    let quant = ProductQuantizer::from_codebooks(dim, m, cb, codebooks);
 
     let lists = (0..nlist)
         .map(|_| {
@@ -145,7 +124,7 @@ pub fn load<R: Read>(r: R) -> io::Result<IvfPqIndex> {
     // derived, not serialized: rebuild the cached centroid norms
     let coarse_norms = crate::kernels::row_norms_f32(coarse.as_flat(), dim);
     Ok(IvfPqIndex {
-        params: IvfPqParams::new(nlist).m(m).cb(cb).variant(variant),
+        params: IvfPqParams::new(nlist).m(m).cb(cb),
         dim,
         coarse,
         coarse_norms,
@@ -243,16 +222,16 @@ mod tests {
         s
     }
 
-    fn roundtrip(variant: PqVariant) {
+    #[test]
+    fn pq_roundtrip() {
         let data = toy_data(400, 8, 3);
-        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(8).m(4).cb(16).variant(variant));
+        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(8).m(4).cb(16));
         let mut buf = Vec::new();
         save(&idx, &mut buf).unwrap();
         let back = load(&buf[..]).unwrap();
 
         assert_eq!(back.dim, idx.dim);
         assert_eq!(back.params.nlist, idx.params.nlist);
-        assert_eq!(back.params.variant, variant);
         assert_eq!(back.len(), idx.len());
         // identical search results
         for qi in [0usize, 17, 399] {
@@ -266,23 +245,8 @@ mod tests {
                 .iter()
                 .map(|n| n.id)
                 .collect();
-            assert_eq!(a, b, "variant {variant:?}, query {qi}");
+            assert_eq!(a, b, "query {qi}");
         }
-    }
-
-    #[test]
-    fn pq_roundtrip() {
-        roundtrip(PqVariant::Pq);
-    }
-
-    #[test]
-    fn opq_roundtrip() {
-        roundtrip(PqVariant::Opq);
-    }
-
-    #[test]
-    fn dpq_roundtrip() {
-        roundtrip(PqVariant::Dpq);
     }
 
     #[test]
@@ -297,22 +261,17 @@ mod tests {
     }
 
     /// Offsets of a saved blob's section boundaries: header end, coarse,
-    /// codebooks, [rotation], each list's length / ids / codes, then the
-    /// checksum.
+    /// codebooks, each list's length / ids / codes, then the checksum.
     fn section_boundaries(idx: &IvfPqIndex) -> Vec<usize> {
         let (dim, m) = (idx.dim, idx.params.m);
-        let pq = idx.quant.pq();
-        let mut cuts = vec![4, 8, 29];
-        let mut at = 29;
+        let mut cuts = vec![4, 8, 28];
+        let mut at = 28;
         let mut advance = |bytes: usize| {
             at += bytes;
             cuts.push(at);
         };
         advance(idx.params.nlist * dim * 4);
-        advance(pq.codebooks_flat().len() * 4);
-        if matches!(idx.quant, PqModel::Rotated(_)) {
-            advance(dim * dim * 4);
-        }
+        advance(idx.quant.codebooks_flat().len() * 4);
         for list in &idx.lists {
             advance(4);
             advance(list.ids.len() * 4);
@@ -324,37 +283,38 @@ mod tests {
 
     #[test]
     fn truncation_at_every_section_boundary_is_an_error() {
-        let data = toy_data(60, 4, 5);
-        for variant in [PqVariant::Pq, PqVariant::Opq] {
-            let idx = IvfPqIndex::build(&data, &IvfPqParams::new(3).m(2).cb(4).variant(variant));
-            let mut buf = Vec::new();
-            save(&idx, &mut buf).unwrap();
-            let cuts = section_boundaries(&idx);
-            assert_eq!(
-                *cuts.last().unwrap(),
-                buf.len(),
-                "boundaries cover the blob"
-            );
-            assert!(load(&buf[..]).is_ok());
-            for cut in cuts.into_iter().filter(|&c| c < buf.len()) {
-                for at in [cut.saturating_sub(1), cut, cut + 1] {
-                    let err = load(&buf[..at.min(buf.len() - 1)]).err();
-                    let kind = err.map(|e| e.kind());
-                    assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof), "cut at {at}");
-                }
+        let (idx, buf) = saved_blob();
+        let cuts = section_boundaries(&idx);
+        assert_eq!(
+            *cuts.last().unwrap(),
+            buf.len(),
+            "boundaries cover the blob"
+        );
+        assert!(load(&buf[..]).is_ok());
+        for cut in cuts.into_iter().filter(|&c| c < buf.len()) {
+            for at in [cut.saturating_sub(1), cut, cut + 1] {
+                let err = load(&buf[..at.min(buf.len() - 1)]).err();
+                let kind = err.map(|e| e.kind());
+                assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof), "cut at {at}");
             }
         }
     }
 
-    /// A 29-byte header with the given `dim, nlist, m, cb, dsub`.
-    fn header(dim: u32, nlist: u32, m: u32, cb: u32, variant: u8, dsub: u32) -> Vec<u8> {
+    /// A 28-byte header with the given `dim, nlist, m, cb, dsub`.
+    fn header(dim: u32, nlist: u32, m: u32, cb: u32, dsub: u32) -> Vec<u8> {
         let mut h = MAGIC.to_vec();
-        for x in [VERSION, dim, nlist, m, cb] {
+        for x in [VERSION, dim, nlist, m, cb, dsub] {
             h.extend_from_slice(&x.to_le_bytes());
         }
-        h.push(variant);
-        h.extend_from_slice(&dsub.to_le_bytes());
         h
+    }
+
+    /// `body` with its checksum appended, so only a check before the
+    /// checksum's can reject it.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = hash_words(0, body.iter().map(|&b| u64::from(b)));
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
     }
 
     #[test]
@@ -367,22 +327,20 @@ mod tests {
             (1, u32::MAX, 1, 2),
             (8, 4, 4, u32::MAX),
         ] {
-            for variant in [0, 1, 2] {
-                let dsub = dim.div_ceil(m);
-                let mut blob = header(dim, nlist, m, cb, variant, dsub);
-                assert!(
-                    load(&blob[..]).is_err(),
-                    "bare header {dim} {nlist} {m} {cb}"
-                );
-                blob.extend_from_slice(&[0u8; 64]);
-                assert!(
-                    load(&blob[..]).is_err(),
-                    "header + tail {dim} {nlist} {m} {cb}"
-                );
-            }
+            let dsub = dim.div_ceil(m);
+            let mut blob = header(dim, nlist, m, cb, dsub);
+            assert!(
+                load(&blob[..]).is_err(),
+                "bare header {dim} {nlist} {m} {cb}"
+            );
+            blob.extend_from_slice(&[0u8; 64]);
+            assert!(
+                load(&blob[..]).is_err(),
+                "header + tail {dim} {nlist} {m} {cb}"
+            );
         }
         // a dsub that contradicts dim / m is rejected before any body read
-        assert!(load(&header(8, 4, 4, 16, 0, 3)[..]).is_err());
+        assert!(load(&header(8, 4, 4, 16, 3)[..]).is_err());
     }
 
     #[test]
@@ -390,7 +348,7 @@ mod tests {
         // valid header + coarse + codebooks, then a list claiming
         // u32::MAX entries over a 10-byte tail
         let (dim, nlist, m, cb) = (2u32, 1u32, 2u32, 2u32);
-        let mut blob = header(dim, nlist, m, cb, 0, 1);
+        let mut blob = header(dim, nlist, m, cb, 1);
         blob.extend_from_slice(&vec![0u8; ((nlist * dim + m * cb) * 4) as usize]);
         blob.extend_from_slice(&u32::MAX.to_le_bytes());
         blob.extend_from_slice(&[7u8; 10]);
@@ -413,11 +371,10 @@ mod tests {
         let (idx, mut buf) = saved_blob();
         // the last code of the last list sits just before the checksum;
         // re-seal so only the range check can reject it
-        let body = buf.len() - 8;
+        buf.truncate(buf.len() - 8);
+        let body = buf.len();
         buf[body - 2..body].copy_from_slice(&(idx.params.cb as u16).to_le_bytes());
-        let sum = hash_words(0, buf[..body].iter().map(|&b| u64::from(b)));
-        buf[body..].copy_from_slice(&sum.to_le_bytes());
-        let err = load(&buf[..]).unwrap_err();
+        let err = load(&sealed(buf)[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("code out of range"), "{err}");
     }
@@ -442,5 +399,32 @@ mod tests {
         save(&idx, &mut buf).unwrap();
         buf[4] = 99; // corrupt version
         assert!(load(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn codebook_past_u16_codes_is_invalid_data() {
+        // a complete, correctly sealed one-list index whose header claims
+        // MAX_CB + 1 codewords: rejected from the header, before the
+        // quantizer (which asserts the bound) is built
+        let cb = MAX_CB as u32 + 1;
+        let mut body = header(1, 1, 1, cb, 1);
+        body.extend_from_slice(&vec![0u8; (1 + cb as usize) * 4]);
+        body.extend_from_slice(&0u32.to_le_bytes());
+        let err = load(&sealed(body)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cb"), "{err}");
+    }
+
+    #[test]
+    fn version_2_blob_is_invalid_data() {
+        // the version 2 layout of a plain-PQ index: a variant byte (0)
+        // between cb and dsub, and version 2 in the header
+        let (_, buf) = saved_blob();
+        let mut v2 = buf[..buf.len() - 8].to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        v2.insert(24, 0);
+        let err = load(&sealed(v2)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported version 2"), "{err}");
     }
 }

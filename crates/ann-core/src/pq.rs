@@ -56,29 +56,40 @@ pub struct ProductQuantizer {
     /// Codebooks, `m * cb * dsub` flat (subspace-major).
     codebooks: Vec<f32>,
     /// Cached squared norms of every codeword (`m * cb`, subspace-major) —
-    /// the `‖c‖²` terms of the GEMM-formulated LUT build. Kept in sync
-    /// with `codebooks` automatically: construction computes it and
-    /// [`ProductQuantizer::update_codebook`] re-syncs the mutated
-    /// subspace on exit.
+    /// the `‖c‖²` terms of the GEMM-formulated LUT build. Computed once at
+    /// construction: the codebooks are private and never change after
+    /// [`ProductQuantizer::train`] / [`ProductQuantizer::from_codebooks`],
+    /// so no cache can go stale.
     cb_norms: Vec<f32>,
     /// The codebooks transposed to `[s][d][j]` for the encode kernel: per
     /// subspace, `dsub` rows of `cb` codeword components padded to a
     /// multiple of [`ENCODE_BLOCK`] with NaN codewords, which no argmin
-    /// ever picks. Synced exactly where `cb_norms` is.
+    /// ever picks. Computed once, like `cb_norms`.
     codebooks_t: Vec<f32>,
 }
+
+/// Largest codebook a quantizer accepts: codes are stored as `u16`.
+pub const MAX_CB: usize = 1 << 16;
 
 /// Codewords per block of the nearest-codeword kernel: the width its
 /// distance and argmin loops are vectorised across.
 const ENCODE_BLOCK: usize = 16;
 
 impl ProductQuantizer {
+    /// The quantizer itself, for callers that reach the index's residual
+    /// quantizer as `ivf.quant.pq()` (the end-to-end benchmark's layer
+    /// probes read `dsub` that way).
+    pub fn pq(&self) -> &Self {
+        self
+    }
+
     /// Train on `data` (typically IVF residuals). The `m` subspaces are
     /// independent k-means runs, one pool item each; k-means' own
     /// regions run inline inside them and never read the pool width, so
     /// the codebooks are identical at every thread count.
     pub fn train(data: &VecSet<f32>, params: &PqParams) -> Self {
         assert!(params.m > 0 && params.cb > 1);
+        assert!(params.cb <= MAX_CB, "cb {} exceeds {MAX_CB}", params.cb);
         assert!(!data.is_empty(), "cannot train PQ on empty data");
         let dim = data.dim();
         let dsub = dim.div_ceil(params.m);
@@ -105,8 +116,10 @@ impl ProductQuantizer {
         Self::from_codebooks(dim, params.m, params.cb, codebooks)
     }
 
-    /// Construct directly from codebooks (used by OPQ/DPQ refinements).
+    /// Construct directly from trained codebooks (`m * cb * dsub` flat,
+    /// subspace-major), as [`crate::persist::load`] does.
     pub fn from_codebooks(dim: usize, m: usize, cb: usize, codebooks: Vec<f32>) -> Self {
+        assert!(cb <= MAX_CB, "cb {cb} exceeds {MAX_CB}");
         let dsub = dim.div_ceil(m);
         assert_eq!(codebooks.len(), m * cb * dsub);
         let cb_norms = crate::kernels::row_norms_f32(&codebooks, dsub);
@@ -133,26 +146,6 @@ impl ProductQuantizer {
     #[inline]
     pub fn codebook(&self, s: usize) -> &[f32] {
         &self.codebooks[s * self.cb * self.dsub..(s + 1) * self.cb * self.dsub]
-    }
-
-    /// Mutate the codebook of subspace `s` through a closure (DPQ
-    /// refinement hooks in here). Scoping the mutation lets the quantizer
-    /// re-sync that subspace's cached codeword norms and transposed copy on
-    /// exit, so neither the GEMM-formulated LUT build nor the encode kernel
-    /// can observe a stale cache.
-    pub fn update_codebook<R>(&mut self, s: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        let span = self.cb * self.dsub;
-        let r = f(&mut self.codebooks[s * span..(s + 1) * span]);
-        let cbk = &self.codebooks[s * span..(s + 1) * span];
-        let norms = crate::kernels::row_norms_f32(cbk, self.dsub);
-        self.cb_norms[s * self.cb..(s + 1) * self.cb].copy_from_slice(&norms);
-        let span_t = self.codebooks_t.len() / self.m;
-        transpose_codebook(
-            cbk,
-            self.dsub,
-            &mut self.codebooks_t[s * span_t..(s + 1) * span_t],
-        );
-        r
     }
 
     /// All codebooks flat (`m * cb * dsub`).
@@ -496,6 +489,21 @@ mod tests {
         assert_eq!(small.code_bytes(), 1);
         let big = ProductQuantizer::from_codebooks(8, 4, 300, vec![0.0; 4 * 300 * 2]);
         assert_eq!(big.code_bytes(), 2);
+    }
+
+    #[test]
+    fn largest_codebook_keeps_every_code() {
+        // one 1-dim subspace, codeword j at j: the last code is MAX_CB - 1
+        let codebooks = (0..MAX_CB).map(|j| j as f32).collect();
+        let pq = ProductQuantizer::from_codebooks(1, 1, MAX_CB, codebooks);
+        assert_eq!(pq.encode(&[(MAX_CB - 1) as f32]), [(MAX_CB - 1) as u16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn codebook_past_u16_codes_is_rejected() {
+        let data = toy_data(10, 2);
+        ProductQuantizer::train(&data, &PqParams::new(1, MAX_CB + 1));
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl EngineConfig {
                 nlist: self.index.nlist,
             });
         }
-        if self.index.cb < 2 || self.index.cb > 65536 {
+        if !(2..=ann_core::pq::MAX_CB).contains(&self.index.cb) {
             return Err(ConfigError::BadCb(self.index.cb));
         }
         if self.batch == 0 {

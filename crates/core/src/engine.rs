@@ -39,7 +39,6 @@ use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::quantize::ScalarQuantizer;
 use ann_core::topk::{merge_topk, Neighbor};
 use ann_core::vector::VecSet;
-use std::borrow::Cow;
 use upmem_sim::fault::{result_checksum, FaultConfig, FaultInjector};
 use upmem_sim::meter::PhaseMeter;
 use upmem_sim::proc::ProcModel;
@@ -109,11 +108,6 @@ pub struct DrimEngine {
     /// Quantized codebooks, `m * cb * dsub`, transposed to `[s][d][j]` as
     /// the batch's LUT build reads them ([`lc::transpose`]).
     qcodebooks: Vec<u8>,
-    /// Coarse centroids in the PQ's working space: for OPQ these are the
-    /// *rotated* centroids, so the DPU residual `R q - R c = R (q - c)`
-    /// lands in codebook space without per-pair rotation work (the
-    /// rotation folds into CL on the host).
-    dpu_centroids: VecSet<f32>,
     /// Batch index fed to the fault injector's transient draws. Advanced
     /// only by [`Self::set_fault_batch`] — never implicitly — so
     /// [`Self::search_batch`] stays a pure function of
@@ -192,37 +186,16 @@ impl DrimEngine {
             return Err(ConfigError::WideOperands.into());
         }
         let dim = data.dim();
-        let pq = ivf.quant.pq();
+        let pq = &ivf.quant;
         // the DC scan sums a point's LUT entries in 32 bits
         let padded_dim = pq.m * pq.dsub;
         if padded_dim > dc::MAX_PADDED_DIM {
             return Err(ConfigError::DimTooWide { padded_dim }.into());
         }
 
-        // Centroids in the quantizer's working space: rotated for OPQ,
-        // verbatim otherwise. Rotating centroids once at build time (and
-        // queries once per batch) gives the DPUs rotated residuals for free.
-        let dpu_centroids = match &ivf.quant {
-            ann_core::ivf::PqModel::Rotated(o) => {
-                let mut rc = VecSet::with_capacity(dim, ivf.coarse.len());
-                for c in ivf.coarse.iter() {
-                    rc.push(&o.rotation.matvec(c));
-                }
-                rc
-            }
-            _ => ivf.coarse.clone(),
-        };
-        let to_pq_space = |v: &[f32]| -> Vec<f32> {
-            match &ivf.quant {
-                ann_core::ivf::PqModel::Rotated(o) => o.rotation.matvec(v),
-                _ => v.to_vec(),
-            }
-        };
-
         // Residual-space quantizer: cover residuals and codebook values with
         // one affine codec so integer differences are meaningful. Fit on
-        // the codebook values plus a sample of actual residuals (in PQ
-        // working space).
+        // the codebook values plus a sample of actual residuals.
         let mut extremes = VecSet::new(1);
         for &v in pq.codebooks_flat() {
             extremes.push(&[v]);
@@ -231,7 +204,7 @@ impl DrimEngine {
         let mut rbuf = vec![0.0f32; dim];
         for i in (0..data.len()).step_by(sample_stride) {
             ivf.assign_residual(data.get(i), &mut rbuf);
-            for v in to_pq_space(&rbuf) {
+            for &v in &rbuf {
                 extremes.push(&[v]);
             }
         }
@@ -292,7 +265,6 @@ impl DrimEngine {
             shape,
             rquant,
             qcodebooks,
-            dpu_centroids,
             fault_batch: 0,
             nprobe_override: None,
             epoch: 0,
@@ -481,19 +453,6 @@ impl DrimEngine {
             &self.host,
         );
 
-        // For OPQ the host rotates the query batch once (folded into CL);
-        // DPUs then work entirely in rotated space.
-        let dpu_queries: Cow<'_, VecSet<f32>> = match &self.ivf.quant {
-            ann_core::ivf::PqModel::Rotated(o) => {
-                let mut rq = VecSet::with_capacity(queries.dim(), queries.len());
-                for q in queries.iter() {
-                    rq.push(&o.rotation.matvec(q));
-                }
-                Cow::Owned(rq)
-            }
-            _ => Cow::Borrowed(queries),
-        };
-
         // --- DPU execution: the dispatch loop mutates `self.system` while
         // waves run, so the kernels borrow the rest of the engine field by
         // field, and the batch's cost statement owns its cost table ---
@@ -502,13 +461,13 @@ impl DrimEngine {
             cost: &cost,
             cfg: &self.cfg,
             layout: &self.layout,
-            dsub: self.ivf.quant.pq().dsub,
+            dsub: self.ivf.quant.dsub,
             rquant: &self.rquant,
             qcodebooks: &self.qcodebooks,
             lists: &self.ivf.lists,
-            dpu_centroids: &self.dpu_centroids,
+            centroids: &self.ivf.coarse,
             tombstones: &self.tombstones,
-            queries: &dpu_queries,
+            queries,
         };
         self.arena.fill(&kernels, &cl_out.probes);
         let arena = &self.arena;
@@ -548,9 +507,10 @@ struct DpuKernels<'a> {
     rquant: &'a ScalarQuantizer,
     qcodebooks: &'a [u8],
     lists: &'a [ann_core::ivf::IvfList],
-    dpu_centroids: &'a VecSet<f32>,
+    /// The index's coarse centroids.
+    centroids: &'a VecSet<f32>,
     tombstones: &'a [std::collections::BTreeSet<u32>],
-    /// The batch's queries in PQ working space (rotated for OPQ).
+    /// The batch's queries.
     queries: &'a VecSet<f32>,
 }
 
@@ -562,7 +522,7 @@ impl DpuKernels<'_> {
             &self.cost.ctx(),
             meter,
             self.queries.get(q as usize),
-            self.dpu_centroids.get(cluster as usize),
+            self.centroids.get(cluster as usize),
             self.rquant,
             out,
         );

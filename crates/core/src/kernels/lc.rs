@@ -35,9 +35,9 @@ pub enum SquareCost {
     },
 }
 
-/// Closed-form cost of one LC invocation — identical totals to [`run`] for
-/// the given hit rate (exactly 1.0 in the 8-bit regime). What both modes
-/// book a group's LC with.
+/// Closed-form cost of one LC invocation — identical totals to a one-group
+/// [`run_bulk`] for the given hit rate (exactly 1.0 in the 8-bit regime).
+/// What both modes book a group's LC with.
 pub fn charge(
     ctx: &KernelCtx<'_>,
     meter: &mut PhaseMeter,
@@ -126,29 +126,6 @@ fn sqt_split(
         hits
     };
     (hits, lookups - hits)
-}
-
-/// Build the integer ADC lookup table for one (query, cluster) residual.
-///
-/// `residual` is the quantized residual (`dsub * m` elements after
-/// zero-padding); `codebooks` is `m * cb * dsub` quantized codewords.
-/// When `sqt` is `Some`, squarings are charged as table lookups; otherwise
-/// as native multiplies.
-///
-/// One-group wrapper around [`run_bulk`] (identical output and charges).
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    ctx: &KernelCtx<'_>,
-    meter: &mut PhaseMeter,
-    residual: &[u8],
-    codebooks: &[u8],
-    m: usize,
-    cb: usize,
-    dsub: usize,
-    sqt: Option<&mut Sqt>,
-    lut: &mut Vec<u32>,
-) {
-    run_bulk(ctx, meter, residual, 1, codebooks, m, cb, dsub, sqt, lut);
 }
 
 /// Bulk LUT construction for `ngroups` residuals against one codebook: the
@@ -354,7 +331,7 @@ mod tests {
         let (r, cbk) = toy();
         let mut m = PhaseMeter::default();
         let mut lut = Vec::new();
-        run(&c, &mut m, &r, &cbk, 2, 2, 2, None, &mut lut);
+        run_bulk(&c, &mut m, &r, 1, &cbk, 2, 2, 2, None, &mut lut);
         assert_eq!(lut, vec![0, 500, 0, 1300]);
     }
 
@@ -366,11 +343,22 @@ mod tests {
         let (r, cbk) = toy();
         let mut m1 = PhaseMeter::default();
         let mut lut_mul = Vec::new();
-        run(&c, &mut m1, &r, &cbk, 2, 2, 2, None, &mut lut_mul);
+        run_bulk(&c, &mut m1, &r, 1, &cbk, 2, 2, 2, None, &mut lut_mul);
         let mut m2 = PhaseMeter::default();
         let mut sqt = Sqt::for_u8();
         let mut lut_sqt = Vec::new();
-        run(&c, &mut m2, &r, &cbk, 2, 2, 2, Some(&mut sqt), &mut lut_sqt);
+        run_bulk(
+            &c,
+            &mut m2,
+            &r,
+            1,
+            &cbk,
+            2,
+            2,
+            2,
+            Some(&mut sqt),
+            &mut lut_sqt,
+        );
         assert_eq!(lut_mul, lut_sqt, "SQT must be lossless");
     }
 
@@ -389,13 +377,14 @@ mod tests {
         let (r, cbk) = toy();
         let mut with_mul = PhaseMeter::default();
         let mut lut = Vec::new();
-        run(&c, &mut with_mul, &r, &cbk, 2, 2, 2, None, &mut lut);
+        run_bulk(&c, &mut with_mul, &r, 1, &cbk, 2, 2, 2, None, &mut lut);
         let mut with_sqt = PhaseMeter::default();
         let mut sqt = Sqt::for_u8();
-        run(
+        run_bulk(
             &c,
             &mut with_sqt,
             &r,
+            1,
             &cbk,
             2,
             2,
@@ -584,7 +573,9 @@ mod tests {
         let codebooks = vec![0u8; 4 * 8 * 3];
         let mut m = PhaseMeter::default();
         let mut lut = Vec::new();
-        run(&c, &mut m, &residual, &codebooks, 4, 8, 3, None, &mut lut);
+        run_bulk(
+            &c, &mut m, &residual, 1, &codebooks, 4, 8, 3, None, &mut lut,
+        );
         assert_eq!(lut.len(), 32);
         assert!(lut.iter().all(|&v| v == 0));
     }

@@ -7,7 +7,7 @@
 //! The interesting code lives in the member crates:
 //!
 //! * [`upmem_sim`] — the UPMEM-class DRAM-PIM simulator;
-//! * [`ann_core`] — k-means / PQ / OPQ / DPQ / IVF-PQ / top-k machinery;
+//! * [`ann_core`] — k-means / PQ / IVF-PQ / top-k machinery;
 //! * [`datasets`] — synthetic corpora, query skew models, fvecs I/O;
 //! * [`drim_ann`] — the paper's engine: SQT, perf model, DSE, layout,
 //!   scheduling, fault-tolerant dispatch (`docs/FAULT_MODEL.md`);

@@ -67,10 +67,11 @@ fn lc_charge_matches_run_with_sqt() {
         let mut functional = PhaseMeter::default();
         let mut sqt = Sqt::for_u8();
         let mut lut = Vec::new();
-        lc::run(
+        lc::run_bulk(
             &c,
             &mut functional,
             &residual,
+            1,
             &codebooks,
             m,
             cb,
@@ -103,10 +104,11 @@ fn lc_charge_matches_run_with_multiply() {
 
     let mut functional = PhaseMeter::default();
     let mut lut = Vec::new();
-    lc::run(
+    lc::run_bulk(
         &c,
         &mut functional,
         &residual,
+        1,
         &codebooks,
         m,
         cb,

@@ -158,35 +158,3 @@ fn more_dpus_reduce_batch_latency() {
         "64 DPUs ({t64}s) should be well under half of 8 DPUs ({t8}s)"
     );
 }
-
-#[test]
-fn opq_and_dpq_variants_run_through_the_engine() {
-    let (data, queries, truth) = workload(4_000, 16, 16, 13);
-    for variant in [ann_core::ivf::PqVariant::Opq, ann_core::ivf::PqVariant::Dpq] {
-        let ivf = ann_core::ivf::IvfPqIndex::build(
-            &data,
-            &ann_core::ivf::IvfPqParams::new(64)
-                .m(8)
-                .cb(32)
-                .variant(variant),
-        );
-        let mut engine = DrimEngine::from_index(
-            ivf,
-            &data,
-            EngineConfig::drim(IndexConfig {
-                k: 10,
-                nprobe: 16,
-                nlist: 64,
-                m: 8,
-                cb: 32,
-            }),
-            PimArch::upmem_sc25(),
-            16,
-            None,
-        )
-        .unwrap();
-        let (results, _) = engine.search_batch(&queries);
-        let recall = ann_core::recall::mean_recall(&results, &truth, 10);
-        assert!(recall > 0.5, "{variant:?} recall {recall}");
-    }
-}

@@ -52,7 +52,7 @@ fn locate_scalar(coarse: &VecSet<f32>, q: &[f32], nprobe: usize) -> Vec<u32> {
 /// Scalar reference IVF-PQ search: scalar LUT build, scalar ADC gather sum,
 /// no bound pruning (every candidate offered to the heap).
 fn search_scalar(idx: &IvfPqIndex, q: &[f32], nprobe: usize, k: usize) -> Vec<Neighbor> {
-    let pq = idx.quant.pq();
+    let pq = &idx.quant;
     let (m, cb, dsub) = (idx.params.m, idx.params.cb, pq.dsub);
     let probes = locate_scalar(&idx.coarse, q, nprobe);
     let mut heap = BoundedMaxHeap::new(k);
@@ -175,8 +175,8 @@ fn wide_subvectors_exercise_the_unrolled_chunks() {
 #[test]
 fn lut_batch_rows_bit_identical_to_per_query_lut() {
     // the batched, GEMM-formulated LUT build promises bit-parity with
-    // per-query lut() — for plain PQ and for OPQ (rotation folded in),
-    // including dims that pad (dsub not a multiple of the unroll width)
+    // per-query lut(), including dims that pad (dsub not a multiple of the
+    // unroll width)
     for (dim, m, cb) in [(16usize, 8usize, 32usize), (13, 4, 16), (96, 12, 32)] {
         let (data, queries) = workload(1200, dim, 91 + dim as u64);
         let pq = ann_core::pq::ProductQuantizer::train(&data, &ann_core::pq::PqParams::new(m, cb));
@@ -194,20 +194,6 @@ fn lut_batch_rows_bit_identical_to_per_query_lut() {
             }
         }
     }
-    // OPQ: rotate-then-lut must batch bit-identically too
-    let (data, queries) = workload(800, 16, 131);
-    let opq = ann_core::opq::Opq::train(&data, &ann_core::opq::OpqParams::new(8, 16));
-    let batch = opq.lut_batch(&queries);
-    for qi in 0..queries.len() {
-        let single = opq.lut(queries.get(qi));
-        let row = &batch[qi * single.len()..(qi + 1) * single.len()];
-        assert!(
-            row.iter()
-                .zip(single.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "opq query {qi}"
-        );
-    }
 }
 
 #[test]
@@ -216,7 +202,7 @@ fn adc_results_unchanged_by_batched_luts() {
     // same adc() distances — and the same search top-k — as per-query luts
     let (data, queries) = workload(3000, 16, 77);
     let idx = IvfPqIndex::build(&data, &IvfPqParams::new(48).m(8).cb(32));
-    let pq = idx.quant.pq();
+    let pq = &idx.quant;
     let (m, cb) = (idx.params.m, idx.params.cb);
     for qi in 0..queries.len() {
         let q = queries.get(qi);
@@ -462,33 +448,9 @@ fn encode_matches_the_per_row_reference_bit_for_bit() {
 }
 
 #[test]
-fn encode_follows_update_codebook() {
-    // a stale transposed cache would keep encoding against the old
-    // codebook of the mutated subspace
-    let (dim, m, cb) = (13usize, 4usize, 40usize);
-    let mut st = Stream(0x5EC);
-    let books = oracle_codebooks(0, m, cb, dim.div_ceil(m), &mut st);
-    let mut pq = ProductQuantizer::from_codebooks(dim, m, cb, books);
-    let inputs = oracle_inputs(&pq, &mut st);
-    let before: Vec<Vec<u16>> = inputs.iter().map(|v| pq.encode(v)).collect();
-    pq.update_codebook(2, |book| {
-        for x in book.iter_mut() {
-            *x = 0.25 - 1.5 * *x;
-        }
-    });
-    let mut moved = 0usize;
-    for (v, old) in inputs.iter().zip(&before) {
-        let code = pq.encode(v);
-        assert_eq!(code, encode_reference(&pq, v));
-        moved += usize::from(code[2] != old[2]);
-    }
-    assert!(moved > 0, "the mutation must move some subspace-2 code");
-}
-
-#[test]
 fn reloaded_index_assign_encodes_like_the_original() {
     // persist::load rebuilds the quantizer through from_codebooks, caches
-    // and all; DPQ's codebooks were last written through update_codebook
+    // and all
     let spec = datasets::SynthSpec::small("kernel-parity", 20, 2000, 151);
     let data = datasets::generate(&spec);
     let probes = datasets::queries::generate_queries(
@@ -497,22 +459,12 @@ fn reloaded_index_assign_encodes_like_the_original() {
         datasets::queries::QuerySkew::InDistribution,
         3,
     );
-    for variant in [
-        ann_core::ivf::PqVariant::Pq,
-        ann_core::ivf::PqVariant::Opq,
-        ann_core::ivf::PqVariant::Dpq,
-    ] {
-        let idx = IvfPqIndex::build(&data, &IvfPqParams::new(16).m(6).cb(32).variant(variant));
-        let mut blob = Vec::new();
-        ann_core::persist::save(&idx, &mut blob).unwrap();
-        let back = ann_core::persist::load(&blob[..]).unwrap();
-        for (i, v) in probes.iter().enumerate() {
-            assert_eq!(
-                back.assign_encode(v),
-                idx.assign_encode(v),
-                "{variant:?} vector {i}"
-            );
-        }
+    let idx = IvfPqIndex::build(&data, &IvfPqParams::new(16).m(6).cb(32));
+    let mut blob = Vec::new();
+    ann_core::persist::save(&idx, &mut blob).unwrap();
+    let back = ann_core::persist::load(&blob[..]).unwrap();
+    for (i, v) in probes.iter().enumerate() {
+        assert_eq!(back.assign_encode(v), idx.assign_encode(v), "vector {i}");
     }
 }
 

@@ -191,10 +191,10 @@ fn batched_lut_and_locate_bit_identical_across_thread_counts() {
     let params = IvfPqParams::new(24).m(8).cb(16);
     let idx = with_num_threads(1, || ann_core::ivf::IvfPqIndex::build(&data, &params));
     let lut_bits = |luts: &[f32]| -> Vec<u32> { luts.iter().map(|x| x.to_bits()).collect() };
-    let base_lut = with_num_threads(1, || idx.quant.pq().lut_batch(&queries));
+    let base_lut = with_num_threads(1, || idx.quant.lut_batch(&queries));
     let base_probes = with_num_threads(1, || idx.locate_batch(&queries, 5));
     for threads in THREAD_COUNTS {
-        let lut = with_num_threads(threads, || idx.quant.pq().lut_batch(&queries));
+        let lut = with_num_threads(threads, || idx.quant.lut_batch(&queries));
         assert_eq!(lut_bits(&lut), lut_bits(&base_lut), "threads = {threads}");
         let probes = with_num_threads(threads, || idx.locate_batch(&queries, 5));
         let key = |ps: &Vec<Vec<(u32, f32)>>| -> Vec<Vec<(u32, u32)>> {
