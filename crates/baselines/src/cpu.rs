@@ -1,64 +1,13 @@
-//! The Faiss-CPU baseline.
-//!
-//! Two faces:
-//!
-//! * [`CpuIvfPq`] — a real, runnable multithreaded IVF-PQ scan (the
-//!   workspace thread pool over queries, exactly Faiss's `IndexIVFPQ`
-//!   search structure; `DRIM_ANN_THREADS` sizes the pool). Used for recall
-//!   parity with the engine and for wall-clock measurements on the machine
-//!   running the tests.
-//! * [`CpuModel`] — a roofline timing model of the paper's baseline host
-//!   (Xeon Gold 5218, 16C/32T, AVX2, 6-channel DDR4-2666), used when the
-//!   comparison target is the *paper's* hardware. Per-phase compute and
-//!   traffic follow the same Eq. 1-11 counts as everything else; per-phase
-//!   efficiency factors capture what distinguishes a CPU: SIMD lanes with
-//!   lane waste on sub-vectors that don't fill a register (the paper's
-//!   DEEP100M observation), cache-resident codebooks/LUTs, and
-//!   gather-bound ADC scans.
+//! The Faiss-CPU baseline: [`CpuModel`], a roofline timing model of the
+//! paper's baseline host (Xeon Gold 5218, 16C/32T, AVX2, 6-channel
+//! DDR4-2666), used when the comparison target is the *paper's* hardware.
+//! Per-phase compute and traffic follow the same Eq. 1-11 counts as
+//! everything else; per-phase efficiency factors capture what distinguishes
+//! a CPU: SIMD lanes with lane waste on sub-vectors that don't fill a
+//! register (the paper's DEEP100M observation), cache-resident
+//! codebooks/LUTs, and gather-bound ADC scans.
 
-use ann_core::ivf::{IvfPqIndex, IvfPqParams};
-use ann_core::topk::Neighbor;
-use ann_core::vector::VecSet;
 use drim_ann::perf_model::WorkloadShape;
-
-/// A real multithreaded IVF-PQ searcher (the functional Faiss-CPU
-/// stand-in).
-///
-/// The per-query pipeline runs entirely on the blocked kernel layer
-/// (`ann_core::kernels` + the tiled GEMM in `ann_core::linalg`): cluster
-/// locating uses the fused norm-decomposition batch kernel with the
-/// index's cached centroid norms, ADC lookup tables for all probed
-/// clusters of a query are built in one GEMM-formulated `lut_batch` pass
-/// over the codebook, and the list scans use the 8-wide blocked ADC kernel
-/// with top-k bound pruning — the same structure Faiss's `IndexIVFPQ` uses
-/// on AVX2. Batch search stays per-query-parallel (OpenMP-style) so its
-/// results are bit-identical to single-query `IvfPqIndex::search` calls,
-/// which `tests/baseline_parity.rs` pins down.
-pub struct CpuIvfPq {
-    /// The underlying index.
-    pub index: IvfPqIndex,
-}
-
-impl CpuIvfPq {
-    /// Build over `data`.
-    pub fn build(data: &VecSet<f32>, params: &IvfPqParams) -> Self {
-        CpuIvfPq {
-            index: IvfPqIndex::build(data, params),
-        }
-    }
-
-    /// Batch search, parallel over queries (OpenMP-style, like Faiss).
-    pub fn search_batch(
-        &self,
-        queries: &VecSet<f32>,
-        nprobe: usize,
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        rayon::par_map(queries.len(), |qi| {
-            self.index.search(queries.get(qi), nprobe, k)
-        })
-    }
-}
 
 /// Roofline timing model of a Faiss-style CPU.
 #[derive(Debug, Clone)]
@@ -178,6 +127,7 @@ impl CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ann_core::ivf::{IvfPqIndex, IvfPqParams};
     use drim_ann::config::IndexConfig;
     use drim_ann::perf_model::BitWidths;
 
@@ -266,8 +216,8 @@ mod tests {
             datasets::queries::QuerySkew::InDistribution,
             9,
         );
-        let cpu = CpuIvfPq::build(&data, &IvfPqParams::new(32).m(8).cb(32));
-        let results = cpu.search_batch(&queries, 8, 10);
+        let index = IvfPqIndex::build(&data, &IvfPqParams::new(32).m(8).cb(32));
+        let results = rayon::par_map(queries.len(), |qi| index.search(queries.get(qi), 8, 10));
         let truth = ann_core::flat::ground_truth(&queries, &data, 10);
         let recall = ann_core::recall::mean_recall(&results, &truth, 10);
         assert!(recall > 0.6, "recall {recall}");

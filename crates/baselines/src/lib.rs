@@ -2,11 +2,10 @@
 //!
 //! The comparison systems of the DRIM-ANN evaluation:
 //!
-//! * [`cpu`] — the Faiss-CPU baseline, in two forms: a *real* multithreaded
-//!   IVF-PQ scan (on the host pool) used for correctness/recall parity, and a
-//!   calibrated roofline timing model of the paper's Xeon Gold 5218 used
-//!   for cross-platform QPS ratios (comparing this host's wall clock to a
-//!   simulated PIM would be meaningless);
+//! * [`cpu`] — the Faiss-CPU baseline: a calibrated roofline timing model
+//!   of the paper's Xeon Gold 5218 used for cross-platform QPS ratios
+//!   (comparing this host's wall clock to a simulated PIM would be
+//!   meaningless);
 //! * [`gpu`] — the Faiss-GPU baseline on an A100 80GB model, with
 //!   out-of-memory detection for billion-scale corpora;
 //! * [`roofline`] — the roofline analysis of paper Fig. 2;
@@ -19,5 +18,5 @@ pub mod gpu;
 pub mod memanns;
 pub mod roofline;
 
-pub use cpu::{CpuIvfPq, CpuModel};
+pub use cpu::CpuModel;
 pub use gpu::GpuModel;

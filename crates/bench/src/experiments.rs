@@ -436,7 +436,6 @@ pub fn fig12a(scale: &PaperScale) -> Table {
                 &upmem_sim::platform::procs::xeon_silver_4216(),
                 &mut proxy,
                 floor,
-                16,
             );
             let qps = drim_qps(
                 &desc,
@@ -734,7 +733,6 @@ pub fn table3(scale: &PaperScale) -> Table {
         &upmem_sim::platform::procs::xeon_silver_4216(),
         &mut proxy,
         0.8,
-        16,
     );
     let with_dse = drim_qps(
         &desc,

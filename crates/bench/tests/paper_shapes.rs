@@ -174,7 +174,6 @@ fn fig12_dse_meets_its_recall_floor_and_buffers_help_within_the_bandwidth_bound(
         &upmem_sim::platform::procs::xeon_silver_4216(),
         &mut proxy,
         DSE_RECALL_FLOOR,
-        16,
     );
     assert!(res.best_recall >= DSE_RECALL_FLOOR, "{}", res.best_recall);
 

@@ -36,11 +36,11 @@ pub struct ParamSpace {
     /// Codebook sizes `CB` (Faiss caps at 256; DRIM-ANN explores beyond).
     pub cb: Vec<usize>,
     /// Candidate 16-bit SQT WRAM windows (table entries). Orthogonal to
-    /// recall and to the analytic phase charges, so it is *not* part of the
-    /// GP's search axes ([`Self::normalize`] stays 5-D); instead the DSE
-    /// co-optimizes it with the buffer planner after the index search
-    /// (`crate::wram::choose_sqt_window`) and reports the pick in
-    /// `DseResult::best_sqt_window`.
+    /// recall and to the analytic phase charges, so it is *not* one of the
+    /// scanned axes; instead the DSE co-optimizes it with the buffer
+    /// planner after the index search (`crate::wram::choose_sqt_window`)
+    /// and reports the pick in `DseResult::best_sqt_window`. Must not be
+    /// empty.
     pub sqt_window: Vec<usize>,
     /// The optimization objective among feasible configurations.
     pub objective: DseObjective,
@@ -111,27 +111,6 @@ impl ParamSpace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Normalize a configuration into `[0, 1]^5` (log-scaled where the
-    /// candidates are log-spaced) for the GP's distance metric.
-    pub fn normalize(&self, cfg: &IndexConfig) -> [f64; 5] {
-        [
-            norm_log(cfg.k as f64, &self.k),
-            norm_log(cfg.nprobe as f64, &self.nprobe),
-            norm_log(cfg.nlist as f64, &self.nlist),
-            norm_log(cfg.m as f64, &self.m),
-            norm_log(cfg.cb as f64, &self.cb),
-        ]
-    }
-}
-
-fn norm_log(v: f64, candidates: &[usize]) -> f64 {
-    let lo = *candidates.iter().min().unwrap_or(&1) as f64;
-    let hi = *candidates.iter().max().unwrap_or(&1) as f64;
-    if hi <= lo {
-        return 0.5;
-    }
-    (v.ln() - lo.ln()) / (hi.ln() - lo.ln())
 }
 
 #[cfg(test)]
@@ -160,33 +139,6 @@ mod tests {
         };
         assert!(s.enumerate().is_empty());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn normalize_maps_extremes_to_unit_interval() {
-        let s = ParamSpace::paper_default();
-        let lo = IndexConfig {
-            k: 10,
-            nprobe: 16,
-            nlist: 1 << 13,
-            m: 8,
-            cb: 128,
-        };
-        let hi = IndexConfig {
-            k: 10,
-            nprobe: 128,
-            nlist: 1 << 16,
-            m: 32,
-            cb: 1024,
-        };
-        let nl = s.normalize(&lo);
-        let nh = s.normalize(&hi);
-        for i in 1..5 {
-            assert!((nl[i] - 0.0).abs() < 1e-9, "lo[{i}] = {}", nl[i]);
-            assert!((nh[i] - 1.0).abs() < 1e-9, "hi[{i}] = {}", nh[i]);
-        }
-        // degenerate k axis maps to a constant
-        assert_eq!(nl[0], 0.5);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Given a recall floor, the design-space exploration searches
 //! `(K, P, C, M, CB)` with the analytic performance model as the throughput
 //! oracle and *measured* recall on a scaled workload as the accuracy
-//! oracle, exactly the loop of paper Fig. 6.
+//! oracle (paper Fig. 6), scanning candidates in descending predicted
+//! throughput until one meets the floor.
 //!
 //! ```text
 //! cargo run --release --example autotune
@@ -75,7 +76,6 @@ fn main() {
         &procs::xeon_silver_4216(),
         &mut accuracy,
         0.80,
-        12,
     );
 
     println!("\nchosen configuration:");
@@ -88,11 +88,7 @@ fn main() {
         result.best_qps,
         result.best_recall
     );
-    println!(
-        "  {} evaluations, attained hypervolume {:.3}",
-        result.evaluations.len(),
-        result.hypervolume()
-    );
+    println!("  {} evaluations", result.evaluations.len());
     println!(
         "  16-bit SQT WRAM window (planner co-optimized): {} entries",
         result.best_sqt_window
@@ -102,5 +98,5 @@ fn main() {
         result.best_energy_j * 1e3,
         result.best_qpj
     );
-    assert!(result.best_recall >= 0.8 || result.evaluations.len() >= 10);
+    assert!(result.best_recall >= 0.8);
 }

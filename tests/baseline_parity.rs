@@ -2,7 +2,8 @@
 //! search must agree on quality, and the cross-platform models must keep
 //! the paper's ordering.
 
-use baselines::cpu::{CpuIvfPq, CpuModel};
+use ann_core::ivf::{IvfPqIndex, IvfPqParams};
+use baselines::cpu::CpuModel;
 use baselines::gpu::GpuModel;
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
@@ -19,10 +20,10 @@ fn cpu_reference_equals_index_search_exactly() {
         datasets::queries::QuerySkew::InDistribution,
         5,
     );
-    let params = ann_core::ivf::IvfPqParams::new(64).m(8).cb(32);
-    let cpu = CpuIvfPq::build(&data, &params);
-    let direct = ann_core::ivf::IvfPqIndex::build(&data, &params);
-    let batch = cpu.search_batch(&queries, 8, 10);
+    let params = IvfPqParams::new(64).m(8).cb(32);
+    let index = IvfPqIndex::build(&data, &params);
+    let direct = IvfPqIndex::build(&data, &params);
+    let batch = rayon::par_map(queries.len(), |qi| index.search(queries.get(qi), 8, 10));
     for (qi, batch_result) in batch.iter().enumerate() {
         let single = direct.search(queries.get(qi), 8, 10);
         let a: Vec<u64> = batch_result.iter().map(|n| n.id).collect();
@@ -49,17 +50,19 @@ fn engine_recall_close_to_cpu_baseline_recall() {
         m: 8,
         cb: 64,
     };
-    let params = ann_core::ivf::IvfPqParams::new(index.nlist)
-        .m(index.m)
-        .cb(index.cb);
-    let cpu = CpuIvfPq::build(&data, &params);
+    let ivf = IvfPqIndex::build(
+        &data,
+        &IvfPqParams::new(index.nlist).m(index.m).cb(index.cb),
+    );
     let cpu_recall = ann_core::recall::mean_recall(
-        &cpu.search_batch(&queries, index.nprobe, index.k),
+        &rayon::par_map(queries.len(), |qi| {
+            ivf.search(queries.get(qi), index.nprobe, index.k)
+        }),
         &truth,
         10,
     );
     let mut engine = DrimEngine::from_index(
-        cpu.index.clone(),
+        ivf,
         &data,
         EngineConfig::drim(index),
         PimArch::upmem_sc25(),

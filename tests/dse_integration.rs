@@ -1,8 +1,11 @@
-//! DSE integration: the Bayesian loop with a *measured* accuracy oracle on
-//! a real (scaled) workload, plus calibration checks of the analytic proxy.
+//! DSE integration: the exact scan with a *measured* accuracy oracle on a
+//! real (scaled) workload, its pick checked against a brute force over the
+//! whole space, plus direction checks of the analytic proxy.
 
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
-use drim_ann::dse::{optimize, ParamSpace, ProxyAccuracy};
+use drim_ann::config::EngineConfig;
+use drim_ann::dse::{optimize, AccuracyEval, DseObjective, ParamSpace, ProxyAccuracy};
+use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
 use drim_ann::IndexConfig;
 use upmem_sim::platform::procs;
 use upmem_sim::PimArch;
@@ -67,7 +70,6 @@ fn dse_with_measured_accuracy_meets_constraint() {
         &procs::xeon_silver_4216(),
         &mut oracle,
         0.7,
-        8,
     );
     assert!(
         res.best_recall >= 0.7,
@@ -86,13 +88,11 @@ fn dse_with_measured_accuracy_meets_constraint() {
 
 #[test]
 fn proxy_and_measured_recall_agree_on_direction() {
-    // calibration property recorded in EXPERIMENTS.md: the proxy need not
-    // match measured recall absolutely, but must order configurations the
-    // same way along each axis
+    // the proxy need not match measured recall absolutely, but must order
+    // configurations the same way along each axis
     let fx = fixture();
     let mut cache = Default::default();
     let mut proxy = ProxyAccuracy::for_dim(fx.data.dim());
-    use drim_ann::dse::bayes::AccuracyEval;
 
     let base = IndexConfig {
         k: 10,
@@ -133,9 +133,7 @@ fn dse_beats_the_default_config_on_throughput() {
         &procs::xeon_silver_4216(),
         &mut proxy,
         0.8,
-        16,
     );
-    use drim_ann::dse::bayes::AccuracyEval;
     use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
     let default_cfg = IndexConfig {
         k: 10,
@@ -163,5 +161,155 @@ fn dse_beats_the_default_config_on_throughput() {
         "DSE {:.0} should beat default {:.0}",
         res.best_qps,
         default_qps
+    );
+}
+
+/// The scalar `optimize` maximizes under `space.objective`, recomputed from
+/// the analytic model.
+fn model_score(space: &ParamSpace, n: u64, dim: usize, batch: usize, cfg: &IndexConfig) -> f64 {
+    let p = predict(
+        &WorkloadShape::new(n, batch, dim, cfg, BitWidths::u8_regime()),
+        &EngineConfig::drim(*cfg),
+        &PimArch::upmem_sc25(),
+        &procs::xeon_silver_4216(),
+    );
+    match space.objective {
+        DseObjective::Throughput => p.qps,
+        DseObjective::QueriesPerJoule => p.queries_per_joule(batch as f64),
+        DseObjective::EnergyDelayProduct => 1.0 / p.edp_js().max(1e-18),
+    }
+}
+
+/// Brute-forces every candidate of `space` (model score and accuracy) and
+/// checks that `optimize` picks the first feasible candidate, in
+/// enumeration order, with the maximal score.
+fn assert_exact_argmax(
+    case: &str,
+    space: &ParamSpace,
+    (n, dim, batch): (u64, usize, usize),
+    accuracy: &mut dyn AccuracyEval,
+    floor: f64,
+) {
+    let scored: Vec<(IndexConfig, f64, f64)> = space
+        .enumerate()
+        .into_iter()
+        .map(|cfg| {
+            let score = model_score(space, n, dim, batch, &cfg);
+            (cfg, score, accuracy.eval(&cfg))
+        })
+        .collect();
+    let top = scored
+        .iter()
+        .filter(|c| c.2 >= floor)
+        .map(|c| c.1)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let winner = scored
+        .iter()
+        .position(|c| c.2 >= floor && c.1 == top)
+        .unwrap_or_else(|| panic!("{case}: no feasible candidate"));
+
+    let res = optimize(
+        space,
+        n,
+        dim,
+        batch,
+        &PimArch::upmem_sc25(),
+        &procs::xeon_silver_4216(),
+        accuracy,
+        floor,
+    );
+    assert_eq!(res.best, scored[winner].0, "{case}: not the exact argmax");
+
+    // minimality: every evaluation before the winner is infeasible and
+    // scores at least as high, and nothing else was evaluated
+    let (last, ahead) = res.evaluations.split_last().unwrap();
+    assert_eq!(
+        last.cfg, res.best,
+        "{case}: the winner is not the last evaluation"
+    );
+    for e in ahead {
+        assert!(
+            e.recall < floor,
+            "{case}: feasible {:?} evaluated ahead",
+            e.cfg
+        );
+        let score = model_score(space, n, dim, batch, &e.cfg);
+        assert!(score >= top, "{case}: {:?} scores below the winner", e.cfg);
+    }
+    let ordered_ahead = scored
+        .iter()
+        .enumerate()
+        .filter(|&(i, c)| c.1 > top || (c.1 == top && i < winner))
+        .count();
+    assert_eq!(res.evaluations.len(), ordered_ahead + 1, "{case}");
+}
+
+#[test]
+fn optimize_picks_the_exact_feasible_argmax() {
+    use datasets::catalog;
+    for batch in [256, 2_000] {
+        for desc in [
+            catalog::sift100m(),
+            catalog::deep100m(),
+            catalog::spacev100m(),
+        ] {
+            for floor in [0.65, 0.70, 0.75, 0.80] {
+                assert_exact_argmax(
+                    &format!("{} floor {floor} batch {batch}", desc.name),
+                    &ParamSpace::paper_default(),
+                    (desc.n_full, desc.dim, batch),
+                    &mut ProxyAccuracy::for_dim(desc.dim),
+                    floor,
+                );
+            }
+        }
+        let sift1b = catalog::sift1b();
+        assert_exact_argmax(
+            &format!("SIFT1B floor 0.8 batch {batch}"),
+            &ParamSpace::paper_default(),
+            (sift1b.n_full, sift1b.dim, batch),
+            &mut ProxyAccuracy::for_dim(sift1b.dim),
+            0.8,
+        );
+    }
+    assert_exact_argmax(
+        "1e9 x 128-d, batch 2000, floor 0.8",
+        &ParamSpace::paper_default(),
+        (1_000_000_000, 128, 2_000),
+        &mut ProxyAccuracy::for_dim(128),
+        0.8,
+    );
+    for objective in [
+        DseObjective::Throughput,
+        DseObjective::QueriesPerJoule,
+        DseObjective::EnergyDelayProduct,
+    ] {
+        for floor in [0.4, 0.5] {
+            let space = ParamSpace {
+                objective,
+                ..ParamSpace::small()
+            };
+            assert_exact_argmax(
+                &format!("small {objective:?} floor {floor}"),
+                &space,
+                (1_000_000, 32, 256),
+                &mut ProxyAccuracy::for_dim(32),
+                floor,
+            );
+        }
+    }
+    let fx = fixture();
+    let mut cache = Default::default();
+    let mut oracle = |cfg: &IndexConfig| measured_recall(&fx, cfg, &mut cache);
+    // the space of `dse_with_measured_accuracy_meets_constraint`
+    assert_exact_argmax(
+        "measured fixture floor 0.7",
+        &ParamSpace {
+            nlist: vec![32, 64],
+            ..ParamSpace::small()
+        },
+        (fx.data.len() as u64, fx.data.dim(), 64),
+        &mut oracle,
+        0.7,
     );
 }

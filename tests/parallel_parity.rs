@@ -3,15 +3,14 @@
 //! The rayon shim runs every parallel region on scoped threads per region;
 //! its determinism contract is `out[i] = f(i)` with no combining step, so
 //! the thread count can never change a result. These tests pin that contract down on the
-//! actual hot paths: CPU-baseline batch search, the engine's per-DPU
+//! actual hot paths: pooled IVF-PQ batch search, the engine's per-DPU
 //! dispatch loop, cluster locating, flat ground truth, and k-means — at
 //! 1/2/4/8 threads, including batch sizes that don't divide evenly into
 //! chunks, and empty batches.
 
-use ann_core::ivf::IvfPqParams;
+use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use ann_core::topk::Neighbor;
 use ann_core::vector::VecSet;
-use baselines::cpu::CpuIvfPq;
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
 use drim_ann::kernels::cl;
@@ -47,16 +46,17 @@ fn subset(queries: &VecSet<f32>, n: usize) -> VecSet<f32> {
 #[test]
 fn cpu_search_batch_bit_identical_across_thread_counts() {
     let (data, queries) = workload(2000, 64);
-    let cpu = with_num_threads(1, || {
-        CpuIvfPq::build(&data, &IvfPqParams::new(48).m(8).cb(32))
+    let index = with_num_threads(1, || {
+        IvfPqIndex::build(&data, &IvfPqParams::new(48).m(8).cb(32))
     });
+    let search = |qs: &VecSet<f32>| rayon::par_map(qs.len(), |qi| index.search(qs.get(qi), 8, 10));
     // batch sizes chosen to not divide evenly into pool chunks, plus a
     // single-query batch
     for nq in [1usize, 7, 33, 64] {
         let qs = subset(&queries, nq);
-        let baseline = result_bits(&with_num_threads(1, || cpu.search_batch(&qs, 8, 10)));
+        let baseline = result_bits(&with_num_threads(1, || search(&qs)));
         for threads in THREAD_COUNTS {
-            let got = result_bits(&with_num_threads(threads, || cpu.search_batch(&qs, 8, 10)));
+            let got = result_bits(&with_num_threads(threads, || search(&qs)));
             assert_eq!(got, baseline, "nq = {nq}, threads = {threads}");
         }
     }
@@ -65,10 +65,12 @@ fn cpu_search_batch_bit_identical_across_thread_counts() {
 #[test]
 fn cpu_search_batch_handles_empty_batch() {
     let (data, _) = workload(600, 4);
-    let cpu = CpuIvfPq::build(&data, &IvfPqParams::new(16).m(4).cb(16));
+    let index = IvfPqIndex::build(&data, &IvfPqParams::new(16).m(4).cb(16));
     let empty = VecSet::new(data.dim());
     for threads in [1, 4] {
-        let out = with_num_threads(threads, || cpu.search_batch(&empty, 4, 5));
+        let out = with_num_threads(threads, || {
+            rayon::par_map(empty.len(), |qi| index.search(empty.get(qi), 4, 5))
+        });
         assert!(out.is_empty(), "threads = {threads}");
     }
 }
