@@ -3,16 +3,19 @@
 //!
 //! # The tiled GEMM
 //!
-//! [`Matrix::matmul`] (and the borrowed [`MatrixView`] entry points) run a
+//! Every product the host computes is `A·Bᵀ` with both operands stored
+//! row-major — queries against centroids (CL, k-means assignment,
+//! `blockscan`) and residuals against codewords (the LUT build).
+//! [`MatrixView::matmul_t`] and its strided ([`MatrixView::matmul_t_into`])
+//! and pool-backed ([`MatrixView::matmul_t_into_par`]) forms run it as a
 //! real blocked GEMM rather than a naive triple loop:
 //!
 //! * **Packing** — A is repacked into [`GEMM_MR`]-row panels (k-major,
-//!   row-interleaved) and B into [`GEMM_NR`]-column panels (k-major,
+//!   row-interleaved) and Bᵀ into [`GEMM_NR`]-column panels (k-major,
 //!   column-interleaved), so the micro-kernel reads both operands as
-//!   contiguous streams regardless of the original layouts. Packing is
-//!   also where `A·Bᵀ` ([`MatrixView::matmul_t`]) is absorbed: the
-//!   transposed operand is packed straight from its row-major storage, so
-//!   callers never materialize a transposed copy.
+//!   contiguous streams. The transpose is absorbed here: Bᵀ's panels are
+//!   packed straight from B's row-major storage, so callers never
+//!   materialize a transposed copy.
 //! * **Micro-kernel** — an `MR x NR` ([`GEMM_MR`] x [`GEMM_NR`] = 4 x 16, exactly one 16-register SIMD file of accumulators) register tile of C
 //!   accumulates over the packed panels: `MR * NR` independent
 //!   multiply-add chains that LLVM maps onto SIMD registers (the same
@@ -74,17 +77,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        t
-    }
-
     /// Borrowed view of this matrix (no copy).
     #[inline]
     pub fn view(&self) -> MatrixView<'_> {
@@ -93,11 +85,6 @@ impl Matrix {
             cols: self.cols,
             data: &self.data,
         }
-    }
-
-    /// Matrix product `self * other` through the tiled micro-kernel GEMM.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.view().matmul(&other.view())
     }
 }
 
@@ -128,14 +115,6 @@ impl<'a> MatrixView<'a> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Tiled product `self * other` (`other` is `k x n` row-major).
-    pub fn matmul(&self, other: &MatrixView<'_>) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out.data, other.cols);
-        out
-    }
-
     /// Tiled product `self * otherᵀ` (`other` is `n x k` row-major). The
     /// transpose is absorbed into the packing pass — no transposed copy of
     /// `other` is ever materialized.
@@ -146,43 +125,14 @@ impl<'a> MatrixView<'a> {
         out
     }
 
-    /// `out[i * ldc + j] += (self * other)[i][j]` — accumulate the tiled
-    /// product into a caller-owned strided buffer (`out` must cover row
-    /// `self.rows - 1` up to column `other.cols`, and the touched slots
-    /// must start zeroed for a plain product).
-    pub fn matmul_into(&self, other: &MatrixView<'_>, out: &mut [f32], ldc: usize) {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        gemm(
-            self.rows,
-            other.cols,
-            self.cols,
-            self.data,
-            self.cols,
-            &BNormal {
-                data: other.data,
-                ld: other.cols,
-            },
-            out,
-            ldc,
-        );
-    }
-
-    /// `out[i * ldc + j] += (self * otherᵀ)[i][j]` — the strided-output
-    /// form of [`Self::matmul_t`] (same zero-init expectation as
-    /// [`Self::matmul_into`]).
+    /// `out[i * ldc + j] += (self * otherᵀ)[i][j]` — accumulate the tiled
+    /// product of [`Self::matmul_t`] into a caller-owned strided buffer
+    /// (`out` must cover row `self.rows - 1` up to column `other.rows`, and
+    /// the touched slots must start zeroed for a plain product).
     pub fn matmul_t_into(&self, other: &MatrixView<'_>, out: &mut [f32], ldc: usize) {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
         gemm(
-            self.rows,
-            other.rows,
-            self.cols,
-            self.data,
-            self.cols,
-            &BTrans {
-                data: other.data,
-                ld: other.cols,
-            },
-            out,
+            self.rows, other.rows, self.cols, self.data, self.cols, other.data, other.cols, out,
             ldc,
         );
     }
@@ -258,39 +208,6 @@ const GEMM_MC: usize = 128;
 /// N-dimension cache block.
 const GEMM_NC: usize = 512;
 
-/// Element source for the B operand during packing: abstracts normal vs
-/// transposed access so `A·B` and `A·Bᵀ` share one GEMM body.
-trait BSrc {
-    /// Element at inner-dimension index `k`, output column `j`.
-    fn at(&self, k: usize, j: usize) -> f32;
-}
-
-/// `B` stored `k x n` row-major.
-struct BNormal<'a> {
-    data: &'a [f32],
-    ld: usize,
-}
-
-impl BSrc for BNormal<'_> {
-    #[inline(always)]
-    fn at(&self, k: usize, j: usize) -> f32 {
-        self.data[k * self.ld + j]
-    }
-}
-
-/// `B` logically transposed: stored `n x k` row-major.
-struct BTrans<'a> {
-    data: &'a [f32],
-    ld: usize,
-}
-
-impl BSrc for BTrans<'_> {
-    #[inline(always)]
-    fn at(&self, k: usize, j: usize) -> f32 {
-        self.data[j * self.ld + k]
-    }
-}
-
 thread_local! {
     /// Per-thread pack-buffer scratch reused across [`gemm`] calls: the
     /// packing pass overwrites every slot the micro-kernel reads (padding
@@ -302,16 +219,18 @@ thread_local! {
 }
 
 /// The packed, register-blocked GEMM body: `out[i*ldc + j] += Σ_k a[i][k]
-/// b[k][j]`. See the module docs for the tiling scheme and the determinism
-/// contract (ascending-`k` accumulation, zero-padded tile edges).
+/// b[j][k]`, with `b` stored `n x k` row-major at stride `ldb`. See the
+/// module docs for the tiling scheme and the determinism contract
+/// (ascending-`k` accumulation, zero-padded tile edges).
 #[allow(clippy::too_many_arguments)]
-fn gemm<B: BSrc>(
+fn gemm(
     m: usize,
     n: usize,
     kk: usize,
     a: &[f32],
     lda: usize,
-    b: &B,
+    b: &[f32],
+    ldb: usize,
     out: &mut [f32],
     ldc: usize,
 ) {
@@ -333,19 +252,20 @@ fn gemm<B: BSrc>(
         if bpack.len() < b_need {
             bpack.resize(b_need, 0.0);
         }
-        gemm_body(m, n, kk, a, lda, b, out, ldc, apack, bpack);
+        gemm_body(m, n, kk, a, lda, b, ldb, out, ldc, apack, bpack);
     });
 }
 
 /// [`gemm`] with caller-provided (already sized) pack buffers.
 #[allow(clippy::too_many_arguments)]
-fn gemm_body<B: BSrc>(
+fn gemm_body(
     m: usize,
     n: usize,
     kk: usize,
     a: &[f32],
     lda: usize,
-    b: &B,
+    b: &[f32],
+    ldb: usize,
     out: &mut [f32],
     ldc: usize,
     apack: &mut [f32],
@@ -356,13 +276,17 @@ fn gemm_body<B: BSrc>(
         let nc_panels = nc.div_ceil(GEMM_NR);
         for pc in (0..kk).step_by(GEMM_KC) {
             let kc = (kk - pc).min(GEMM_KC);
-            // pack B: NR-column panels, k-major, zero-padded at the edge
+            // pack Bᵀ: NR-column panels, k-major, zero-padded at the edge
             for (p, dstp) in bpack.chunks_mut(kc * GEMM_NR).take(nc_panels).enumerate() {
                 let j0 = jc + p * GEMM_NR;
                 let jw = (n - j0).min(GEMM_NR);
                 for (k, dstk) in dstp.chunks_exact_mut(GEMM_NR).enumerate() {
                     for (jj, dst) in dstk.iter_mut().enumerate() {
-                        *dst = if jj < jw { b.at(pc + k, j0 + jj) } else { 0.0 };
+                        *dst = if jj < jw {
+                            b[(j0 + jj) * ldb + pc + k]
+                        } else {
+                            0.0
+                        };
                     }
                 }
             }
@@ -441,29 +365,21 @@ mod tests {
     #[test]
     fn matmul_known() {
         let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_rows(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.matmul(&b);
+        let b = Matrix::from_rows(2, 2, vec![5.0, 7.0, 6.0, 8.0]);
+        let c = a.view().matmul_t(&b.view());
         assert_eq!(c.data, vec![19.0, 22.0, 43.0, 50.0]);
-        assert_eq!(matmul_naive(&a, &b).data, c.data);
+        assert_eq!(matmul_t_naive(&a, &b).data, c.data);
     }
 
-    /// Reference i-k-j product (the pre-tiling implementation): the parity
-    /// baseline for the tiled GEMM.
-    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(a.rows, b.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
+    /// Reference dot-product `A·Bᵀ` (`b` is `n x k`): the parity baseline
+    /// for the tiled GEMM.
+    fn matmul_t_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.cols, "inner dimensions must agree");
+        let mut out = Matrix::zeros(a.rows, b.rows);
         for i in 0..a.rows {
-            for k in 0..a.cols {
-                let x = a.data[i * a.cols + k];
-                if x == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[k * b.cols..(k + 1) * b.cols];
-                let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
-                for (o, &y) in out_row.iter_mut().zip(brow.iter()) {
-                    *o += x * y;
-                }
+            for j in 0..b.rows {
+                let (ar, br) = (a.view().row(i), b.view().row(j));
+                out.data[i * b.rows + j] = ar.iter().zip(br).map(|(x, y)| x * y).sum();
             }
         }
         out
@@ -492,7 +408,7 @@ mod tests {
         let abs = |m: &Matrix| {
             Matrix::from_rows(m.rows, m.cols, m.data.iter().map(|x| x.abs()).collect())
         };
-        let scale = matmul_naive(&abs(a), &abs(b));
+        let scale = matmul_t_naive(&abs(a), &abs(b));
         for i in 0..got.data.len() {
             let s = scale.data[i].max(1.0);
             assert!(
@@ -520,9 +436,9 @@ mod tests {
         ];
         for (si, &(m, k, n)) in shapes.iter().enumerate() {
             let a = prand_matrix(m, k, 11 + si as u64);
-            let b = prand_matrix(k, n, 97 + si as u64);
-            let tiled = a.matmul(&b);
-            let naive = matmul_naive(&a, &b);
+            let b = prand_matrix(n, k, 97 + si as u64);
+            let tiled = a.view().matmul_t(&b.view());
+            let naive = matmul_t_naive(&a, &b);
             assert_products_close(&a, &b, &tiled, &naive);
         }
     }
@@ -530,39 +446,18 @@ mod tests {
     #[test]
     fn tiled_handles_empty_shapes() {
         let a = prand_matrix(3, 4, 1);
-        let b = Matrix::zeros(4, 0);
-        let c = a.matmul(&b);
+        let b = Matrix::zeros(0, 4);
+        let c = a.view().matmul_t(&b.view());
         assert_eq!((c.rows, c.cols), (3, 0));
         let a0 = Matrix::zeros(0, 4);
-        let b4 = prand_matrix(4, 5, 2);
-        let c0 = a0.matmul(&b4);
+        let b4 = prand_matrix(5, 4, 2);
+        let c0 = a0.view().matmul_t(&b4.view());
         assert_eq!((c0.rows, c0.cols), (0, 5));
         assert!(c0.data.is_empty());
         // zero inner dimension: well-defined all-zeros product
         let az = Matrix::zeros(3, 0);
-        let bz = Matrix::zeros(0, 2);
-        assert_eq!(az.matmul(&bz).data, vec![0.0; 6]);
-    }
-
-    #[test]
-    fn matmul_t_bit_identical_to_explicit_transpose() {
-        // A·Bᵀ through the packing-absorbed path must equal A·(Bᵀ) through
-        // the normal path bit-for-bit: identical accumulation order
-        for &(m, k, n) in &[(37usize, 96usize, 32usize), (5, 3, 7), (130, 300, 18)] {
-            let a = prand_matrix(m, k, 3);
-            let b = prand_matrix(n, k, 5); // n x k, transposed operand
-            let fused = a.view().matmul_t(&b.view());
-            let explicit = a.matmul(&b.transpose());
-            assert_eq!(fused.rows, explicit.rows);
-            assert_eq!(fused.cols, explicit.cols);
-            for i in 0..fused.data.len() {
-                assert_eq!(
-                    fused.data[i].to_bits(),
-                    explicit.data[i].to_bits(),
-                    "elem {i}"
-                );
-            }
-        }
+        let bz = Matrix::zeros(2, 0);
+        assert_eq!(az.view().matmul_t(&bz.view()).data, vec![0.0; 6]);
     }
 
     #[test]
@@ -650,27 +545,22 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_accumulates_with_stride() {
+    fn matmul_t_into_accumulates_with_stride() {
         let a = prand_matrix(3, 4, 31);
-        let b = prand_matrix(4, 2, 33);
-        let want = a.matmul(&b);
+        let b = prand_matrix(2, 4, 33);
+        let want = matmul_t_naive(&a, &b);
         // strided output buffer with untouched gutter columns
         let ldc = 5;
         let mut out = vec![0.0f32; 3 * ldc];
-        a.view().matmul_into(&b.view(), &mut out, ldc);
+        a.view().matmul_t_into(&b.view(), &mut out, ldc);
         for i in 0..3 {
             for j in 0..2 {
-                assert_eq!(out[i * ldc + j].to_bits(), want.get(i, j).to_bits());
+                let got = out[i * ldc + j];
+                assert!((got - want.get(i, j)).abs() <= 1e-5, "{i},{j}: {got}");
             }
             for j in 2..ldc {
                 assert_eq!(out[i * ldc + j], 0.0, "gutter touched at {i},{j}");
             }
         }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
     }
 }

@@ -10,9 +10,10 @@
 //! "At a fixed engine state" is the load-bearing clause, and it is
 //! enforced structurally rather than by invalidation callbacks: the
 //! [`CacheKey`] embeds the engine's result-validity
-//! [`epoch`](drim_ann::engine::DrimEngine::epoch) (and the effective
-//! `nprobe` and `k`), so any mutation that could change results bumps the
-//! epoch and every previously cached entry simply stops matching. Stale
+//! [`epoch`](drim_ann::engine::DrimEngine::epoch), so any mutation that
+//! could change results bumps the epoch and every previously cached entry
+//! simply stops matching. One cache serves one engine, whose `k` and
+//! `nprobe` are fixed for its life, so neither is part of the key. Stale
 //! entries are garbage, not hazards; [`ResultCache::purge_stale`] reclaims
 //! their space when the driver notices an epoch change.
 //!
@@ -56,9 +57,9 @@ impl Default for CacheConfig {
 /// from the other `ann_core::hash` consumers (checksums, trace draws).
 const KEY_SALT: u64 = 0xCAC4_E4E7_0000_0000;
 
-/// Exact-match cache key: the query's f32 *bit patterns* plus everything
-/// else a result depends on — `k`, the effective `nprobe`, and the
-/// engine's result-validity epoch.
+/// Exact-match cache key: the query's f32 *bit patterns* plus the
+/// engine's result-validity epoch — everything a result of one engine
+/// depends on.
 ///
 /// Equality compares the full key (bit patterns included), so hash
 /// collisions can never alias two different queries; the precomputed hash
@@ -66,40 +67,21 @@ const KEY_SALT: u64 = 0xCAC4_E4E7_0000_0000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     qbits: Box<[u32]>,
-    k: usize,
-    nprobe: usize,
     epoch: u64,
     hash: u64,
 }
 
 impl CacheKey {
-    /// Build the key for `query` at the given result-determining state.
-    pub fn new(query: &[f32], k: usize, nprobe: usize, epoch: u64) -> Self {
+    /// Build the key for `query` at the engine's result epoch `epoch`.
+    pub fn new(query: &[f32], epoch: u64) -> Self {
         let qbits: Box<[u32]> = query.iter().map(|v| v.to_bits()).collect();
-        let hash = hash_words(
-            KEY_SALT ^ epoch,
-            qbits
-                .iter()
-                .map(|&b| b as u64)
-                .chain([k as u64, nprobe as u64]),
-        );
-        CacheKey {
-            qbits,
-            k,
-            nprobe,
-            epoch,
-            hash,
-        }
+        let hash = hash_words(KEY_SALT ^ epoch, qbits.iter().map(|&b| b as u64));
+        CacheKey { qbits, epoch, hash }
     }
 
     /// The engine epoch this key was built against.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The effective probe depth this key was built against.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
     }
 }
 
@@ -264,7 +246,7 @@ mod tests {
     }
 
     fn key(x: f32, epoch: u64) -> CacheKey {
-        CacheKey::new(&[x, 2.0 * x], 5, 4, epoch)
+        CacheKey::new(&[x, 2.0 * x], epoch)
     }
 
     #[test]
@@ -278,19 +260,9 @@ mod tests {
         // any differing key component misses
         assert_eq!(cache.get(&key(1.5, 0)), None, "different query bits");
         assert_eq!(cache.get(&key(1.0, 1)), None, "different epoch");
-        assert_eq!(
-            cache.get(&CacheKey::new(&[1.0, 2.0], 6, 4, 0)),
-            None,
-            "different k"
-        );
-        assert_eq!(
-            cache.get(&CacheKey::new(&[1.0, 2.0], 5, 8, 0)),
-            None,
-            "different nprobe"
-        );
         // -0.0 and +0.0 are distinct bit patterns: exact-match semantics
-        cache.insert(CacheKey::new(&[0.0], 1, 1, 0), nb(1));
-        assert_eq!(cache.get(&CacheKey::new(&[-0.0], 1, 1, 0)), None);
+        cache.insert(CacheKey::new(&[0.0], 0), nb(1));
+        assert_eq!(cache.get(&CacheKey::new(&[-0.0], 0)), None);
     }
 
     #[test]

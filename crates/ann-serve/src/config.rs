@@ -47,17 +47,6 @@ pub enum OverloadPolicy {
     /// [`ServeError::Overloaded`](crate::ServeError::Overloaded). A hot
     /// tenant is shed while a cold one is still admitted.
     Shed,
-    /// Degrade quality instead of availability: when the backlog left
-    /// *after* a drain still holds `b` full batches, the dispatched batch
-    /// runs with `nprobe >> b` (clamped below by `floor` and the engine's
-    /// configured nprobe above), and every query served at reduced nprobe
-    /// is counted in
-    /// [`ServeStats::nprobe_degraded`](crate::ServeStats::nprobe_degraded).
-    /// The override clears as soon as the backlog drains.
-    DegradeNprobe {
-        /// Lowest nprobe the degradation may reach (must be at least 1).
-        floor: usize,
-    },
 }
 
 /// Configuration of the micro-batching server.
@@ -160,9 +149,6 @@ impl ServeConfig {
         if self.max_queue_batches == 0 {
             return Err(ServeConfigError::ZeroQueueBatches);
         }
-        if self.overload == (OverloadPolicy::DegradeNprobe { floor: 0 }) {
-            return Err(ServeConfigError::ZeroNprobeFloor);
-        }
         if let Some(c) = &self.cache {
             if c.capacity == 0 {
                 return Err(ServeConfigError::ZeroCacheCapacity);
@@ -197,9 +183,6 @@ pub enum ServeConfigError {
     /// `max_queue_batches` was 0 — the overload budget would be empty and
     /// every admission decision degenerate.
     ZeroQueueBatches,
-    /// [`OverloadPolicy::DegradeNprobe`] had `floor: 0` — nprobe can never
-    /// drop below 1.
-    ZeroNprobeFloor,
     /// The cache was enabled with `capacity: 0` — nothing could ever be
     /// stored.
     ZeroCacheCapacity,
@@ -227,9 +210,6 @@ impl fmt::Display for ServeConfigError {
             }
             ServeConfigError::ZeroQueueBatches => {
                 write!(f, "max_queue_batches must be at least 1")
-            }
-            ServeConfigError::ZeroNprobeFloor => {
-                write!(f, "the nprobe degradation floor must be at least 1")
             }
             ServeConfigError::ZeroCacheCapacity => {
                 write!(f, "cache capacity must be at least 1 when enabled")
@@ -287,10 +267,6 @@ mod tests {
             Err(ServeConfigError::ZeroQueueBatches)
         );
         assert_eq!(
-            with(&|c| c.overload = OverloadPolicy::DegradeNprobe { floor: 0 }).validate(),
-            Err(ServeConfigError::ZeroNprobeFloor)
-        );
-        assert_eq!(
             with(&|c| c.cache = Some(CacheConfig {
                 capacity: 0,
                 shards: 8
@@ -320,12 +296,10 @@ mod tests {
     #[test]
     fn overload_defaults_to_none_and_policies_validate() {
         assert_eq!(ServeConfig::default().overload, OverloadPolicy::None);
-        let mut c = ServeConfig {
+        let c = ServeConfig {
             overload: OverloadPolicy::Shed,
             ..ServeConfig::default()
         };
-        assert_eq!(c.validate(), Ok(()));
-        c.overload = OverloadPolicy::DegradeNprobe { floor: 2 };
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -38,8 +38,11 @@
 //!
 //! Served results are **bit-identical** to offline
 //! [`DrimEngine::search_batch`] over the same queries, regardless of how
-//! arrivals were grouped into micro-batches and of the host thread
-//! count. The engine's per-query work is independent of its batch-mates
+//! arrivals were grouped into micro-batches, of the host thread count and
+//! of every other [`ServeConfig`] knob: overload protection
+//! ([`OverloadPolicy::Shed`]) rejects submits but never changes an
+//! answer, and the engine probes its configured `nprobe` for its whole
+//! life. The engine's per-query work is independent of its batch-mates
 //! (GEMM-backed phases compute per-element values that do not depend on
 //! the batch composition, and top-k selection breaks ties by id), so
 //! batch composition — which *is* timing-dependent online — cannot leak

@@ -29,12 +29,8 @@ struct Shared {
     cache: Option<ResultCache>,
     /// The engine's result-validity epoch as of the last dispatch,
     /// published by the driver so producers can build cache keys without
-    /// touching the engine. A torn `(epoch, nprobe)` read is harmless:
-    /// every nprobe change bumps the epoch, so a mixed pair matches no
-    /// state the driver would ever insert under — at worst a miss.
+    /// touching the engine.
     epoch: AtomicU64,
-    /// The engine's effective nprobe, published alongside `epoch`.
-    nprobe: AtomicU64,
 }
 
 /// A claim on one submitted query's result.
@@ -69,8 +65,6 @@ impl Ticket {
 pub struct ServeHandle {
     shared: Arc<Shared>,
     dim: usize,
-    /// Neighbors per query (`engine.k()`), a cache-key component.
-    k: usize,
     queue_cap: usize,
     ntenants: usize,
     /// Per-tenant overload caps (weighted shares of the backlog budget
@@ -108,14 +102,9 @@ impl ServeHandle {
         self.check_vector(query)?;
         let slot = Arc::new(OneShot::new());
         // With the cache on: key the query against the driver's last
-        // published engine state and probe before taking the inbox lock.
+        // published epoch and probe before taking the inbox lock.
         let key = self.shared.cache.as_ref().map(|cache| {
-            let key = CacheKey::new(
-                query,
-                self.k,
-                self.shared.nprobe.load(Ordering::Acquire) as usize,
-                self.shared.epoch.load(Ordering::Acquire),
-            );
+            let key = CacheKey::new(query, self.shared.epoch.load(Ordering::Acquire));
             (cache, key)
         });
         if let Some((cache, key)) = &key {
@@ -291,32 +280,34 @@ impl AnnServer {
     pub fn start(engine: DrimEngine, cfg: ServeConfig) -> Result<AnnServer, ServeError> {
         cfg.validate()?;
         let dim = engine.dim();
-        let k = engine.k();
         let shared = Arc::new(Shared {
             inbox: Mutex::new(InboxState::new(cfg.tenants.len())),
             arrivals: Condvar::new(),
             stats: Mutex::new(ServeStats::new(cfg.tenants.len())),
             cache: cfg.cache.as_ref().map(ResultCache::new),
             epoch: AtomicU64::new(engine.epoch()),
-            nprobe: AtomicU64::new(engine.effective_nprobe() as u64),
         });
         let tenant_caps: Arc<[usize]> = match cfg.overload {
             OverloadPolicy::Shed => {
                 // Weighted shares of the backlog budget, floored at 1 so
-                // every tenant can always queue at least one query.
-                let total: u64 = cfg.tenants.iter().map(|t| u64::from(t.weight)).sum();
-                let budget = (cfg.max_queue_batches * cfg.max_batch) as u64;
+                // every tenant can always queue at least one query. Wide
+                // and saturating: a deadline-only config (`max_batch:
+                // usize::MAX`) has a budget past any queue, not a wrapped one.
+                let total: u128 = cfg.tenants.iter().map(|t| u128::from(t.weight)).sum();
+                let budget = cfg.max_queue_batches as u128 * cfg.max_batch as u128;
                 cfg.tenants
                     .iter()
-                    .map(|t| ((budget * u64::from(t.weight) / total).max(1)) as usize)
+                    .map(|t| {
+                        let share = budget.saturating_mul(u128::from(t.weight)) / total;
+                        share.clamp(1, usize::MAX as u128) as usize
+                    })
                     .collect()
             }
-            _ => cfg.tenants.iter().map(|_| usize::MAX).collect(),
+            OverloadPolicy::None => cfg.tenants.iter().map(|_| usize::MAX).collect(),
         };
         let handle = ServeHandle {
             shared: Arc::clone(&shared),
             dim,
-            k,
             queue_cap: cfg.queue_cap,
             ntenants: cfg.tenants.len(),
             tenant_caps,
@@ -363,14 +354,11 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
     // injector sees a fresh batch of transient draws per dispatch, exactly
     // like an offline batch stream.
     let mut batch_idx: u64 = 0;
-    // The nprobe the engine serves at when the queue is healthy; the
-    // overload degradation halves down from here and never above it.
-    let base_nprobe = engine.effective_nprobe();
     // Last epoch the cache was purged at; a change drops stale entries
     // eagerly instead of letting CLOCK churn them out one miss at a time.
     let mut last_epoch = engine.epoch();
     loop {
-        let (reqs, reason, backlog, muts) = {
+        let (reqs, reason, muts) = {
             let mut g = lock_unpoisoned(&shared.inbox);
             let reason = loop {
                 if g.queued >= cfg.max_batch {
@@ -384,7 +372,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                         let muts: Vec<Mutation> = g.mutations.drain(..).collect();
                         drop(g);
                         apply_mutations(&mut engine, muts, &shared);
-                        let _ = engine.set_nprobe_override(None);
                         return engine;
                     }
                     // Shutdown flush: dispatch what is queued without
@@ -412,15 +399,14 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
             let reqs = drain_fair(&mut g.queues, &weights, cfg.max_batch);
             g.queued -= reqs.len();
             g.refresh_opened_at();
-            let backlog = g.queued;
             let muts: Vec<Mutation> = g.mutations.drain(..).collect();
-            (reqs, reason, backlog, muts)
+            (reqs, reason, muts)
         };
         debug_assert!(!reqs.is_empty(), "every close reason implies queued >= 1");
 
         // Apply pending mutations before this dispatch: the epoch bumps
         // they cause land *before* `dispatch_epoch` is read below, so the
-        // cache purge and the published atomics cover them — a result
+        // cache purge and the published epoch cover them — a result
         // computed pre-mutation can never be cached or replayed under the
         // post-mutation epoch (and vice versa).
         apply_mutations(&mut engine, muts, &shared);
@@ -441,27 +427,9 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
         engine.set_fault_batch(batch_idx);
         batch_idx += 1;
 
-        // Overload degradation: each full batch still waiting after this
-        // drain halves the probe set of the batch being dispatched,
-        // clamped below by the configured floor. The override clears on
-        // the first dispatch with an empty backlog, so quality recovers
-        // as soon as the queue drains.
-        let mut nprobe_degraded_now = 0u64;
-        if let OverloadPolicy::DegradeNprobe { floor } = cfg.overload {
-            let halvings = (backlog / cfg.max_batch).min(usize::BITS as usize - 1);
-            let degraded = (base_nprobe >> halvings).max(floor.min(base_nprobe)).max(1);
-            let over = (degraded < base_nprobe).then_some(degraded);
-            if over.is_some() {
-                nprobe_degraded_now = reqs.len() as u64;
-            }
-            engine
-                .set_nprobe_override(over)
-                .expect("degraded nprobe stays within 1..=nlist");
-        }
-
-        // Publish the state this dispatch runs under — producers build
-        // cache keys from these atomics — and drop cache entries from any
-        // superseded epoch.
+        // Publish the epoch this dispatch runs under — producers build
+        // cache keys from it — and drop cache entries from any superseded
+        // epoch.
         let dispatch_epoch = engine.epoch();
         if dispatch_epoch != last_epoch {
             if let Some(cache) = &shared.cache {
@@ -470,9 +438,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
             last_epoch = dispatch_epoch;
         }
         shared.epoch.store(dispatch_epoch, Ordering::Release);
-        shared
-            .nprobe
-            .store(engine.effective_nprobe() as u64, Ordering::Release);
 
         let outcome = catch_unwind(AssertUnwindSafe(|| match cfg.host_threads {
             // The shim's thread override is thread-local; re-apply it here
@@ -504,7 +469,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                     s.sim_time_s += report.timing.total_s();
                     s.sim_energy_j += report.energy_j;
                     s.degraded_queries += report.fault.degraded_queries as u64;
-                    s.nprobe_degraded += nprobe_degraded_now;
                     s.deduped_in_batch += report.deduped as u64;
                 }
                 if let Some(cache) = &shared.cache {
@@ -515,16 +479,15 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                     // insert, then finds no inflight entry and re-queues)
                     // loses only the optimisation, never correctness.
                     let epoch_now = engine.epoch();
-                    let nprobe_now = engine.effective_nprobe();
                     let mut evicted = 0u64;
                     for (req, res) in reqs.iter().zip(&results) {
                         if let Some(key) = &req.cache_key {
-                            // A key from a superseded engine state (the
-                            // epoch or nprobe moved between its admission
-                            // and this dispatch) is not cached: the result
-                            // is valid for the producer but must not be
-                            // replayed under the old key.
-                            if key.epoch() == epoch_now && key.nprobe() == nprobe_now {
+                            // A key from a superseded epoch (a mutation
+                            // landed between its admission and this
+                            // dispatch) is not cached: the result is valid
+                            // for the producer but must not be replayed
+                            // under the old key.
+                            if key.epoch() == epoch_now {
                                 evicted += cache.insert(key.clone(), res.clone());
                             }
                         }

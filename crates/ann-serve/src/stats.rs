@@ -25,9 +25,6 @@ pub struct ServeStats {
     /// dropped tasks (sum of `FaultStats::degraded_queries` across
     /// dispatches; 0 without an armed injector).
     pub degraded_queries: u64,
-    /// Queries served at an overload-reduced nprobe by
-    /// `OverloadPolicy::DegradeNprobe`.
-    pub nprobe_degraded: u64,
     /// Batches closed by the size trigger (`max_batch` queued).
     pub closed_by_size: u64,
     /// Batches closed by the deadline trigger (`max_delay` elapsed).
@@ -117,7 +114,7 @@ impl ServeStats {
             "{} queries in {} batches (mean {:.1}, min {}, max {}; \
              closes: {} size / {} deadline / {} drain; \
              {} rejected / {} shed, per-tenant {:?}; \
-             degraded: {} fault / {} nprobe; \
+             {} fault-degraded; \
              cache: {} hit / {} miss (rate {:.2}), {} collapsed, \
              {} deduped, {} evicted; \
              mutations: {} inserted / {} deleted / {} failed, \
@@ -134,7 +131,6 @@ impl ServeStats {
             self.shed,
             self.per_tenant_rejected,
             self.degraded_queries,
-            self.nprobe_degraded,
             self.cache_hits,
             self.cache_misses,
             self.hit_rate(),
@@ -205,11 +201,9 @@ mod tests {
         s.shed = 4;
         s.per_tenant_rejected = vec![4, 0];
         s.degraded_queries = 2;
-        s.nprobe_degraded = 6;
         let line = s.summary();
         assert!(line.contains("4 shed"), "{line}");
         assert!(line.contains("per-tenant [4, 0]"), "{line}");
-        assert!(line.contains("2 fault"), "{line}");
-        assert!(line.contains("6 nprobe"), "{line}");
+        assert!(line.contains("2 fault-degraded"), "{line}");
     }
 }

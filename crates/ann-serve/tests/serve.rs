@@ -290,62 +290,48 @@ fn shed_policy_caps_each_tenant_at_its_weighted_share() {
     assert_eq!(stats.per_tenant_rejected, vec![0, 1]);
 }
 
+/// The `Shed` shares are computed wide and saturate: a deadline-only
+/// config (`max_batch: usize::MAX`) or a huge `max_queue_batches` has a
+/// backlog budget past any queue, never an overflow panic at start or a
+/// wrapped budget that caps every tenant at one query.
 #[test]
-fn degrade_policy_sheds_quality_under_backlog_and_recovers() {
-    let (mut engine, data) = small_engine();
-    let offline_bits = {
-        let mut q = ann_core::VecSet::with_capacity(16, 1);
-        q.push(data.get(400));
-        let (res, _) = engine.search_batch(&q);
-        format!("{:?}", res[0])
-    };
-
-    // max_batch = 1: every dispatch serves one query, so a burst of
-    // submissions leaves a backlog and the driver halves nprobe (4 -> 2
-    // at one waiting batch, floor 2 below that) until the queue drains.
-    let cfg = ServeConfig {
-        max_batch: 1,
-        max_delay: Duration::from_secs(60),
-        queue_cap: 256,
-        overload: OverloadPolicy::DegradeNprobe { floor: 2 },
-        ..ServeConfig::default()
-    };
-    let server = AnnServer::start(engine, cfg).unwrap();
-    let handle = server.handle();
-
-    let tickets: Vec<_> = (0..24)
-        .map(|i| handle.submit(0, data.get(i)).unwrap())
-        .collect();
-    for t in tickets {
-        // Degraded queries still get k results — quality is shed, not
-        // availability.
-        assert_eq!(t.wait().unwrap().len(), 5);
+fn shed_budget_saturates_instead_of_overflowing() {
+    for (max_batch, max_queue_batches) in [(usize::MAX, 8), (4, 1 << 62)] {
+        let (engine, data) = small_engine();
+        let cfg = ServeConfig {
+            max_batch,
+            max_delay: Duration::from_secs(60),
+            tenants: vec![TenantConfig::with_weight(3), TenantConfig::with_weight(1)],
+            overload: OverloadPolicy::Shed,
+            max_queue_batches,
+            ..ServeConfig::default()
+        };
+        let server = AnnServer::start(engine, cfg).unwrap();
+        let handle = server.handle();
+        // Neither trigger fires: both queries stay queued until shutdown.
+        let tickets = [
+            handle.submit(1, data.get(0)).unwrap(),
+            handle.submit(1, data.get(1)).unwrap(),
+        ];
+        let (_engine, stats) = server.shutdown();
+        for t in tickets {
+            assert_eq!(t.wait().unwrap().len(), 5);
+        }
+        assert_eq!(stats.shed, 0, "{}", stats.summary());
+        assert_eq!(stats.served, 2);
     }
-
-    // The queue is empty now, so the override has cleared: a lone query
-    // is served at full nprobe, bit-identical to the offline path.
-    let recovered = handle.search(0, data.get(400)).unwrap();
-    assert_eq!(format!("{recovered:?}"), offline_bits);
-
-    let (_engine, stats) = server.shutdown();
-    assert_eq!(stats.served, 25);
-    assert!(
-        stats.nprobe_degraded > 0,
-        "a 24-query burst at max_batch=1 must leave a backlog: {}",
-        stats.summary()
-    );
-    assert!(stats.nprobe_degraded < 25, "{}", stats.summary());
-    assert_eq!(stats.shed, 0);
 }
 
 /// Acceptance criterion: a served micro-batch stream returns bit-identical
 /// per-query results to one offline `search_batch` — at host thread counts
-/// 1, 2, 4 and 8, under 1% uniform faults and under a mid-run rank kill
-/// (host-fallback recovery is lossless), each with the result cache off and
-/// on — with multiple concurrent producers and arbitrary micro-batch
-/// compositions. The trace is duplicate-heavy (Zipf 1.2 over a 64-row
-/// pool), so the cached legs answer most of it from the cache or a
-/// single-flight leader and must still return every row's offline bits.
+/// 1, 2, 4 and 8, under 1% uniform faults, under a mid-run rank kill
+/// (host-fallback recovery is lossless) and under `OverloadPolicy::Shed`,
+/// each with the result cache off and on — with multiple concurrent
+/// producers and arbitrary micro-batch compositions. The trace is
+/// duplicate-heavy (Zipf 1.2 over a 64-row pool), so the cached legs
+/// answer most of it from the cache or a single-flight leader and must
+/// still return every row's offline bits. Under `Shed` a row is either
+/// rejected at submit or answered with those bits.
 #[test]
 fn served_results_match_offline_bits_across_thread_counts() {
     const POOL: usize = 64;
@@ -371,15 +357,24 @@ fn served_results_match_offline_bits_across_thread_counts() {
         "the rank-kill leg must actually kill a rank"
     );
     let legs = [
-        (Some(1usize), None),
-        (Some(2), None),
-        (Some(4), None),
-        (Some(8), None),
-        (None, Some(FaultConfig::uniform(2025, 0.01))),
-        (None, Some(rank_kill)),
+        (Some(1usize), None, OverloadPolicy::None),
+        (Some(2), None, OverloadPolicy::None),
+        (Some(4), None, OverloadPolicy::None),
+        (Some(8), None, OverloadPolicy::None),
+        (
+            None,
+            Some(FaultConfig::uniform(2025, 0.01)),
+            OverloadPolicy::None,
+        ),
+        (None, Some(rank_kill), OverloadPolicy::None),
+        (None, None, OverloadPolicy::Shed),
     ];
-    for (threads, fault) in legs {
-        let leg = format!("host_threads={threads:?} fault={}", fault.is_some());
+    for (threads, fault, overload) in legs {
+        let shedding = overload == OverloadPolicy::Shed;
+        let leg = format!(
+            "host_threads={threads:?} fault={} overload={overload:?}",
+            fault.is_some()
+        );
         if let Some(f) = fault {
             engine.inject_faults(f).expect("fault config");
         }
@@ -394,6 +389,10 @@ fn served_results_match_offline_bits_across_thread_counts() {
                 queue_cap: 256,
                 tenants: vec![TenantConfig::default()],
                 host_threads: threads,
+                overload,
+                // Sizes only Shed's budget: one batch's worth (5 rows), so
+                // the producers' burst outruns it.
+                max_queue_batches: 1,
                 cache,
                 ..ServeConfig::default()
             };
@@ -407,11 +406,15 @@ fn served_results_match_offline_bits_across_thread_counts() {
                     std::thread::spawn(move || {
                         let tickets: Vec<_> = chunk
                             .iter()
-                            .map(|q| handle.submit(0, q).expect("submit"))
+                            .map(|q| match handle.submit(0, q) {
+                                Ok(t) => Some(t),
+                                Err(ServeError::Overloaded { tenant: 0 }) => None,
+                                Err(e) => panic!("submit: {e:?}"),
+                            })
                             .collect();
                         tickets
                             .into_iter()
-                            .map(|t| t.wait().expect("serve"))
+                            .map(|t| t.map(|t| t.wait().expect("serve")))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -421,6 +424,7 @@ fn served_results_match_offline_bits_across_thread_counts() {
                 let got = producer.join().unwrap();
                 for (j, res) in got.iter().enumerate() {
                     let row = trace[p * PER_PRODUCER + j];
+                    let Some(res) = res else { continue };
                     assert_eq!(
                         format!("{res:?}"),
                         offline_bits[row],
@@ -431,21 +435,28 @@ fn served_results_match_offline_bits_across_thread_counts() {
 
             let (eng, stats) = server.shutdown();
             engine = eng;
-            let answered = stats.cache_hits + stats.collapsed + stats.served;
+            let answered = stats.cache_hits + stats.collapsed + stats.served + stats.shed;
             assert_eq!(answered, trace.len() as u64, "{}", stats.summary());
-            if cached {
-                // Simulated energy is deterministic per dispatched query, so
-                // collapsing duplicates must strictly cut it.
-                assert!(stats.served < trace.len() as u64, "{}", stats.summary());
-                assert!(
-                    stats.sim_energy_j < uncached_energy_j,
-                    "{leg}: cached run dispatched {} J, uncached {uncached_energy_j} J",
-                    stats.sim_energy_j
-                );
-            } else {
-                assert_eq!(stats.served, trace.len() as u64);
-                assert!(stats.batches >= 32, "{}", stats.summary());
-                uncached_energy_j = stats.sim_energy_j;
+            assert_eq!(stats.shed > 0, shedding, "{leg}: {}", stats.summary());
+            match (shedding, cached) {
+                // Shed rows are neither dispatched nor cached: only the
+                // parity and the count above hold.
+                (true, _) => assert!(stats.served > 0, "{}", stats.summary()),
+                (false, true) => {
+                    // Simulated energy is deterministic per dispatched query,
+                    // so collapsing duplicates must strictly cut it.
+                    assert!(stats.served < trace.len() as u64, "{}", stats.summary());
+                    assert!(
+                        stats.sim_energy_j < uncached_energy_j,
+                        "{leg}: cached run dispatched {} J, uncached {uncached_energy_j} J",
+                        stats.sim_energy_j
+                    );
+                }
+                (false, false) => {
+                    assert_eq!(stats.served, trace.len() as u64);
+                    assert!(stats.batches >= 32, "{}", stats.summary());
+                    uncached_energy_j = stats.sim_energy_j;
+                }
             }
         }
         if fault.is_some() {
@@ -552,48 +563,10 @@ fn handle_search(server: &AnnServer, q: &[f32]) -> Vec<ann_core::topk::Neighbor>
 }
 
 /// Epoch invalidation: a cached result from before a result-affecting
-/// engine mutation is unreachable after it. `set_nprobe_override` bumps
-/// the engine's epoch, the epoch is baked into the cache key, and the
-/// driver's `purge_stale` drops superseded entries outright.
-#[test]
-fn nprobe_override_invalidates_cached_results() {
-    let (mut engine, data) = small_engine();
-    let cache = ResultCache::new(&CacheConfig::default());
-
-    let q = data.get(123);
-    let mut queries = ann_core::VecSet::with_capacity(16, 1);
-    queries.push(q);
-    let (res, _) = engine.search_batch(&queries);
-
-    let key0 = CacheKey::new(q, engine.k(), engine.effective_nprobe(), engine.epoch());
-    assert_eq!(cache.insert(key0.clone(), res[0].clone()), 0);
-    assert!(cache.get(&key0).is_some());
-
-    let epoch0 = engine.epoch();
-    engine.set_nprobe_override(Some(2)).unwrap();
-    assert!(engine.epoch() > epoch0, "nprobe change must bump the epoch");
-
-    // The key for the new state differs, so the stale entry can never be
-    // returned for a post-override submit…
-    let key1 = CacheKey::new(q, engine.k(), engine.effective_nprobe(), engine.epoch());
-    assert_ne!(key0, key1);
-    assert!(cache.get(&key1).is_none());
-
-    // …and the driver's per-dispatch purge drops it outright.
-    cache.purge_stale(engine.epoch());
-    assert!(cache.is_empty());
-
-    // Epochs only move forward: reverting the override is itself a new
-    // state, so even the original key stays dead.
-    engine.set_nprobe_override(None).unwrap();
-    assert!(engine.epoch() > epoch0 + 1);
-    assert!(cache.get(&key0).is_none());
-}
-
-/// Index mutations bump the epoch exactly like a knob change, so the
-/// cache-key scheme from `nprobe_override_invalidates_cached_results`
-/// extends to them for free: a result cached before an insert or delete
-/// is unreachable after it and dropped by the per-dispatch purge.
+/// engine mutation is unreachable after it. An insert or delete bumps the
+/// engine's epoch, the epoch is baked into the cache key, and the
+/// driver's `purge_stale` drops superseded entries outright. Epochs only
+/// move forward, so even the original key stays dead.
 #[test]
 fn mutation_epoch_bumps_invalidate_cache_keys() {
     let (mut engine, data) = small_engine();
@@ -604,7 +577,7 @@ fn mutation_epoch_bumps_invalidate_cache_keys() {
     queries.push(q);
     let (res, _) = engine.search_batch(&queries);
 
-    let key0 = CacheKey::new(q, engine.k(), engine.effective_nprobe(), engine.epoch());
+    let key0 = CacheKey::new(q, engine.epoch());
     cache.insert(key0.clone(), res[0].clone());
 
     let epoch0 = engine.epoch();
@@ -613,7 +586,7 @@ fn mutation_epoch_bumps_invalidate_cache_keys() {
         "top neighbour is a live id"
     );
     assert!(engine.epoch() > epoch0, "delete must bump the epoch");
-    let key1 = CacheKey::new(q, engine.k(), engine.effective_nprobe(), engine.epoch());
+    let key1 = CacheKey::new(q, engine.epoch());
     assert_ne!(key0, key1);
     assert!(cache.get(&key1).is_none());
     cache.purge_stale(engine.epoch());

@@ -114,11 +114,6 @@ pub struct DrimEngine {
     /// `(engine, queries, fault_batch)` (the determinism contract of
     /// `docs/FAULT_MODEL.md`).
     fault_batch: u64,
-    /// Temporary `nprobe` override for adaptive degradation (ann-serve's
-    /// overload protection): when set, batches probe this many clusters
-    /// instead of `cfg.index.nprobe`. Never touches the stored config, so
-    /// clearing it restores bit-identical behavior.
-    nprobe_override: Option<usize>,
     /// Monotone result-validity epoch: bumped by every mutation that can
     /// change what [`Self::search_batch`] returns for a given query (see
     /// [`Self::epoch`]). Result caches key on it to invalidate exactly
@@ -266,7 +261,6 @@ impl DrimEngine {
             rquant,
             qcodebooks,
             fault_batch: 0,
-            nprobe_override: None,
             epoch: 0,
             tombstones: vec![std::collections::BTreeSet::new(); nlist],
             id_cluster,
@@ -319,41 +313,20 @@ impl DrimEngine {
         self.fault_batch
     }
 
-    /// Set (or clear) the adaptive `nprobe` override. Serving layers use
-    /// this to degrade probe depth under overload instead of blowing the
-    /// batching deadline; `None` restores the configured `nprobe`.
-    /// Rejects values outside `1..=nlist`. Bumps the result epoch when the
-    /// effective probe depth actually changes.
-    pub fn set_nprobe_override(&mut self, nprobe: Option<usize>) -> Result<(), ConfigError> {
-        if let Some(p) = nprobe {
-            if p == 0 || p > self.cfg.index.nlist {
-                return Err(ConfigError::BadNprobe {
-                    nprobe: p,
-                    nlist: self.cfg.index.nlist,
-                });
-            }
-        }
-        let before = self.effective_nprobe();
-        self.nprobe_override = nprobe;
-        if self.effective_nprobe() != before {
-            self.epoch += 1;
-        }
-        Ok(())
-    }
-
     /// Monotone result-validity epoch. Two [`Self::search_batch`] calls at
     /// the same epoch return bit-identical results for bit-identical
-    /// queries; any mutation that could break that — an effective-`nprobe`
-    /// change, fault-injector arming or clearing, a lossy-mode fault-batch
-    /// advance — bumps it first. Result caches (ann-serve's hot-query
-    /// cache) key entries on the epoch and drop them on mismatch.
+    /// queries; any mutation that could break that — an insert, a delete, a
+    /// maintenance split or migration, fault-injector arming or clearing, a
+    /// lossy-mode fault-batch advance — bumps it first. Result caches
+    /// (ann-serve's hot-query cache) key entries on the epoch and drop them
+    /// on mismatch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The probe depth the next batch will use (override or configured).
+    /// The probe depth every batch uses: the configured `cfg.index.nprobe`.
     pub fn effective_nprobe(&self) -> usize {
-        self.nprobe_override.unwrap_or(self.cfg.index.nprobe)
+        self.cfg.index.nprobe
     }
 
     /// Number of live (inserted and not deleted) points.
@@ -424,7 +397,18 @@ impl DrimEngine {
     /// per-query results are a pure function of the query alone (GEMM
     /// ascending-k per-element purity — batch-mates never influence a
     /// result), so the deduped batch is bit-identical to the full one.
+    ///
+    /// # Panics
+    ///
+    /// If a query has a NaN or ±∞ coordinate: no probe set or distance is
+    /// defined for it. Serving and mutation check this at admission and
+    /// answer with a typed error (`ServeError::NonFinite`,
+    /// [`MutationError::NonFinite`]); callers of this entry point check it
+    /// themselves.
     pub fn search_batch(&mut self, queries: &VecSet<f32>) -> (Vec<Vec<Neighbor>>, BatchReport) {
+        if let Some(at) = queries.as_flat().iter().position(|x| !x.is_finite()) {
+            panic!("query {} has a non-finite coordinate", at / queries.dim());
+        }
         if self.cfg.dedup && queries.len() >= 2 {
             if let Some((map, distinct)) = dedup_plan(queries) {
                 let (dres, report) = self.search_batch_unique(&distinct);
@@ -904,23 +888,13 @@ mod tests {
         let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
         let e0 = e.epoch();
 
-        // nprobe: bump on change, not on no-op
-        e.set_nprobe_override(Some(8)).unwrap();
-        assert_eq!(e.epoch(), e0 + 1);
-        e.set_nprobe_override(Some(8)).unwrap();
-        assert_eq!(e.epoch(), e0 + 1, "same effective nprobe, no bump");
-        e.set_nprobe_override(None).unwrap();
-        assert_eq!(e.epoch(), e0 + 2);
-        e.set_nprobe_override(Some(e.cfg.index.nprobe)).unwrap();
-        assert_eq!(e.epoch(), e0 + 2, "override equal to the config, no bump");
-
         // fault arming / clearing
         e.inject_faults(FaultConfig::uniform(1, 0.1)).unwrap();
-        assert_eq!(e.epoch(), e0 + 3);
+        assert_eq!(e.epoch(), e0 + 1);
         e.clear_faults();
-        assert_eq!(e.epoch(), e0 + 4);
+        assert_eq!(e.epoch(), e0 + 2);
         e.clear_faults();
-        assert_eq!(e.epoch(), e0 + 4, "clearing nothing is a no-op");
+        assert_eq!(e.epoch(), e0 + 2, "clearing nothing is a no-op");
 
         // fault-batch advance: free with the lossless fallback...
         e.inject_faults(FaultConfig::uniform(1, 0.1)).unwrap();
@@ -933,6 +907,16 @@ mod tests {
         assert_eq!(e.epoch(), armed + 1);
         e.set_fault_batch(8);
         assert_eq!(e.epoch(), armed + 1, "same batch index, no bump");
+    }
+
+    #[test]
+    #[should_panic(expected = "query 1 has a non-finite coordinate")]
+    fn search_batch_panics_on_a_non_finite_query() {
+        let (data, queries) = small_workload();
+        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
+        let mut batch = queries.select(&[0, 1, 2]);
+        batch.get_mut(1)[3] = f32::NAN;
+        e.search_batch(&batch);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The stateful model test: seeded and scripted op sequences over a live
 //! engine — inserts (new ids, re-inserts), deletes (live, unknown, dead),
 //! maintenance, uniform faults at 1/15/25%, mid-run rank kills, clearing,
-//! nprobe overrides, fault-batch advances and MRAM exhaustion.
+//! fault-batch advances and MRAM exhaustion.
 //!
 //! After every op the epoch moved by exactly what the op's contract says,
 //! the slices tile the lists and every DPU's MRAM accounts its windows. At
 //! every `Check` the engine answers bit for bit like a fault-free engine
 //! built over the same logical corpus (the once-trained index, cloned, with
-//! the logical inserts and deletes replayed, at the same nprobe override),
-//! and its results and report are identical at 1 and 4 host threads (and
-//! at 2 and 8 while faults are armed). That holds because mutation changes
-//! only the physical layout (the TS prune is tie-inclusive, DC scans every
-//! candidate, the merge is partition-invariant) and the host fallback
-//! replays the exact kernel path.
+//! the logical inserts and deletes replayed), and its results and report
+//! are identical at 1 and 4 host threads (and at 2 and 8 while faults are
+//! armed). That holds because mutation changes only the physical layout
+//! (the TS prune is tie-inclusive, DC scans every candidate, the merge is
+//! partition-invariant) and the host fallback replays the exact kernel
+//! path.
 //!
 //! A failing sequence is shrunk (drop one op at a time, then halve) and
 //! printed with its seed.
@@ -83,7 +83,6 @@ enum Op {
     Maintain,
     InjectFaults(FaultConfig),
     ClearFaults,
-    SetNprobe(Option<usize>),
     SetFaultBatch(u64),
     /// Fill (`true`) or free (`false`) every DPU's remaining MRAM.
     ExhaustMram(bool),
@@ -103,7 +102,6 @@ struct Model {
     engine: DrimEngine,
     /// The trained index with the logical inserts and deletes replayed.
     mirror: IvfPqIndex,
-    nprobe: Option<usize>,
     exhausted: bool,
     tally: Tally,
     maintained: Vec<MaintenanceReport>,
@@ -153,7 +151,6 @@ impl Model {
             engine: build(world().index.clone(), &cfg),
             cfg,
             mirror: world().index.clone(),
-            nprobe: None,
             exhausted: false,
             tally: Tally::new(),
             maintained: Vec::new(),
@@ -215,14 +212,6 @@ impl Model {
                 e.clear_faults();
                 armed as u64
             }
-            Op::SetNprobe(p) => {
-                let before = e.effective_nprobe();
-                e.set_nprobe_override(*p).expect("nprobe in 1..=nlist");
-                self.nprobe = *p;
-                let changed = e.effective_nprobe() != before;
-                count(&mut self.tally, "nprobe changes", changed as usize);
-                changed as u64
-            }
             // lossless recovery: the batch index never changes results
             Op::SetFaultBatch(b) => {
                 e.set_fault_batch(*b);
@@ -259,7 +248,6 @@ impl Model {
     fn check(&mut self) {
         let queries = &world().queries;
         let mut fresh = build(self.mirror.clone(), &self.cfg);
-        fresh.set_nprobe_override(self.nprobe).unwrap();
         let (want, _) = with_num_threads(1, || fresh.search_batch(queries));
         let (r1, rep1) = with_num_threads(1, || self.engine.search_batch(queries));
         let (got, want) = (result_bits(&r1), result_bits(&want));
@@ -411,7 +399,7 @@ fn generate(seed: u64, steps: usize) -> Vec<Op> {
             }
             48..=51 => {
                 // drain the corpus points of a query's nearest cluster
-                // below k and probe only it
+                // below k (an engine probing one cluster answers short)
                 let q = w.queries.get(rng.gen_range(0..w.queries.len()));
                 let keep = rng.gen_range(0..c.k);
                 for &id in w.index.lists[w.index.assign_encode(q).0]
@@ -423,7 +411,7 @@ fn generate(seed: u64, steps: usize) -> Vec<Op> {
                     dead.push(id);
                     ops.push(Op::Delete(id));
                 }
-                ops.extend([Op::SetNprobe(Some(1)), Op::Check]);
+                ops.push(Op::Check);
             }
             52..=61 => ops.push(Op::Maintain),
             62..=69 => {
@@ -441,10 +429,7 @@ fn generate(seed: u64, steps: usize) -> Vec<Op> {
                 ops.extend([Op::SetFaultBatch(from), Op::Check]);
             }
             74..=76 => ops.push(Op::ClearFaults),
-            77..=82 => ops.push(Op::SetNprobe(
-                rng.gen_bool(0.7).then(|| rng.gen_range(1..=c.nlist)),
-            )),
-            83..=88 => {
+            77..=88 => {
                 fault_batch += rng.gen_range(0..3);
                 ops.push(Op::SetFaultBatch(fault_batch));
             }
@@ -476,17 +461,20 @@ fn seeded_sequences_match_a_fault_free_fresh_build() {
     cfg.maintenance.compact_tombstone_frac = 0.05;
     cfg.maintenance.overgrown_factor = 1.2;
     cfg.maintenance.max_migrations = 2;
+    let nprobe = cfg.index.nprobe;
     let mut tally = Tally::new();
     for seed in [1u64, 2, 3] {
         // one home per slice (migrations need a DPU without the slice) or
         // hot clusters replicated
         cfg.duplication = seed != 2;
+        // seed 3 probes one cluster, so a drained cluster answers short
+        cfg.index.nprobe = if seed == 3 { 1 } else { nprobe };
         for (path, n) in run(&format!("seed {seed}"), &cfg, &generate(seed, 80)).tally {
             count(&mut tally, path, n);
         }
     }
-    // every path the model counts, all eight, was taken
-    assert_eq!(tally.len(), 8, "{tally:?}");
+    // every path the model counts, all seven, was taken
+    assert_eq!(tally.len(), 7, "{tally:?}");
     assert!(
         tally.values().all(|&n| n > 0),
         "a path never taken: {tally:?}"
@@ -591,18 +579,21 @@ fn rank_kill_mid_run_is_lossless_and_thread_invariant() {
 
 /// `k` above the live points probed answers short (distinct and ordered:
 /// every check asserts that), and a fully tombstoned probed cluster
-/// answers empty, before and after compaction.
+/// answers empty, before and after compaction. The engine probes one
+/// cluster.
 #[test]
 fn k_above_the_live_points_and_a_tombstoned_cluster_answer_short() {
     let w = world();
     let q = w.queries.get(0);
     let ids = &w.index.lists[w.index.assign_encode(q).0].ids;
+    let mut cfg = cfg();
+    cfg.index.nprobe = 1;
     let mut ops: Vec<Op> = ids[3..].iter().map(|&id| Op::Delete(id)).collect();
-    ops.extend([Op::SetNprobe(Some(1)), Op::Check]);
+    ops.push(Op::Check);
     ops.extend(ids[..3].iter().map(|&id| Op::Delete(id)));
     ops.extend([Op::Check, Op::Maintain, Op::Check]);
     ops.extend([Op::Insert(4_000_000, q.to_vec()), Op::Check]);
-    let model = run("short answers", &cfg(), &ops);
+    let model = run("short answers", &cfg, &ops);
     let answer = |i: usize| -> Vec<u64> { model.checks[i].0[0].iter().map(|n| n.id).collect() };
     assert_eq!(answer(0).len(), 3, "three live points probed");
     assert!(answer(1).is_empty() && answer(2).is_empty());

@@ -363,9 +363,9 @@ proptest! {
         }
     }
 
-    /// The tiled micro-kernel GEMM matches the naive i-k-j reference on
-    /// arbitrary (including ragged/degenerate) shapes, to reassociation
-    /// error measured against the |A||B| operand scale.
+    /// The tiled micro-kernel GEMM `A·Bᵀ` matches the naive dot-product
+    /// reference on arbitrary (including ragged/degenerate) shapes, to
+    /// reassociation error measured against the |A||B| operand scale.
     #[test]
     fn tiled_gemm_matches_naive(m in 0usize..40, k in 0usize..40, n in 0usize..40, seed in 0u64..1000) {
         use ann_core::linalg::Matrix;
@@ -375,15 +375,15 @@ proptest! {
             ((state >> 33) as f32 / u32::MAX as f32) * 20.0 - 10.0
         };
         let a = Matrix::from_rows(m, k, (0..m * k).map(|_| next()).collect());
-        let b = Matrix::from_rows(k, n, (0..k * n).map(|_| next()).collect());
-        let tiled = a.matmul(&b);
-        // reference i-k-j product
+        let b = Matrix::from_rows(n, k, (0..n * k).map(|_| next()).collect());
+        let tiled = a.view().matmul_t(&b.view());
+        // reference dot-product A·Bᵀ
         let naive_of = |a: &Matrix, b: &Matrix| {
             let mut out = Matrix::zeros(m, n);
             for i in 0..m {
-                for p in 0..k {
-                    for j in 0..n {
-                        out.data[i * n + j] += a.data[i * k + p] * b.data[p * n + j];
+                for j in 0..n {
+                    for p in 0..k {
+                        out.data[i * n + j] += a.data[i * k + p] * b.data[j * k + p];
                     }
                 }
             }
