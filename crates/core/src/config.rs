@@ -114,8 +114,6 @@ pub enum ConfigError {
     BadTh3(f64),
     /// The SQT WRAM window must be at least 1 entry.
     ZeroSqtWindow,
-    /// Recovery parameters are malformed; the payload names the field.
-    BadRecovery(&'static str),
     /// Maintenance parameters are malformed; the payload names the field.
     BadMaintenance(&'static str),
     /// Fault-injection parameters were rejected by the simulator.
@@ -149,7 +147,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroTasklets => write!(f, "at least one tasklet must be resident"),
             ConfigError::BadTh3(v) => write!(f, "th3 {v} must be non-negative"),
             ConfigError::ZeroSqtWindow => write!(f, "sqt_window must be at least 1 entry"),
-            ConfigError::BadRecovery(field) => write!(f, "invalid recovery parameter: {field}"),
             ConfigError::BadMaintenance(field) => {
                 write!(f, "invalid maintenance parameter: {field}")
             }
@@ -173,54 +170,6 @@ impl std::error::Error for ConfigError {}
 impl From<upmem_sim::fault::FaultConfigError> for ConfigError {
     fn from(e: upmem_sim::fault::FaultConfigError) -> Self {
         ConfigError::BadFault(e)
-    }
-}
-
-/// Recovery policy of the fault-tolerant dispatch layer (inert unless a
-/// fault injector is attached to the engine's [`upmem_sim::system::PimSystem`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// Re-dispatch waves after the initial one before escalating to the
-    /// host fallback (or dropping, if the fallback is off).
-    pub max_retries: usize,
-    /// Consecutive transient faults (within a batch) before a DPU is
-    /// quarantined for the remainder of that batch.
-    pub quarantine_after: u32,
-    /// Hedge stragglers: when a slowed DPU would overshoot the deadline,
-    /// stop waiting and re-issue its tasks on replicas.
-    pub hedge: bool,
-    /// Deadline as a multiple of the predicted batch makespan (the
-    /// scheduler's max heat). Straggler completion estimates beyond it
-    /// trigger hedged re-dispatch.
-    pub hedge_deadline_factor: f64,
-    /// Replay unrecoverable tasks on the host through the exact DPU kernel
-    /// path (lossless). Off = graceful degradation: complete the query on
-    /// the surviving probe set and account the loss.
-    pub host_fallback: bool,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 2,
-            quarantine_after: 3,
-            hedge: true,
-            hedge_deadline_factor: 1.5,
-            host_fallback: true,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Validity check folded into [`EngineConfig::validate`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.quarantine_after == 0 {
-            return Err(ConfigError::BadRecovery("quarantine_after"));
-        }
-        if self.hedge_deadline_factor < 1.0 || self.hedge_deadline_factor.is_nan() {
-            return Err(ConfigError::BadRecovery("hedge_deadline_factor"));
-        }
-        Ok(())
     }
 }
 
@@ -316,8 +265,12 @@ pub struct EngineConfig {
     /// per-query purity contract (results are independent of batch-mates),
     /// so the only observable difference is the skipped work.
     pub dedup: bool,
-    /// Fault-recovery policy (active only when faults are injected).
-    pub recovery: RecoveryConfig,
+    /// Fault recovery's last resort (active only when faults are
+    /// injected): replay tasks no surviving replica can take on the host
+    /// through the exact DPU kernel path (lossless). Off = graceful
+    /// degradation: complete the query on the surviving probe set and
+    /// account the loss.
+    pub host_fallback: bool,
     /// Background-maintenance policy for streaming mutation (compaction,
     /// slice splitting, migration).
     pub maintenance: MaintenanceConfig,
@@ -350,7 +303,7 @@ impl EngineConfig {
             tasklets: 16,
             batch: 256,
             dedup: true,
-            recovery: RecoveryConfig::default(),
+            host_fallback: true,
             maintenance: MaintenanceConfig::default(),
             ranks: None,
         }
@@ -376,7 +329,7 @@ impl EngineConfig {
             tasklets: 16,
             batch: 256,
             dedup: false,
-            recovery: RecoveryConfig::default(),
+            host_fallback: true,
             maintenance: MaintenanceConfig::default(),
             ranks: None,
         }
@@ -419,7 +372,6 @@ impl EngineConfig {
         if self.ranks == Some(0) {
             return Err(ConfigError::ZeroRanks);
         }
-        self.recovery.validate()?;
         self.maintenance.validate()
     }
 }
@@ -507,14 +459,6 @@ mod tests {
             Err(ConfigError::BadTh3(_))
         ));
         assert_eq!(with(&|c| c.sqt_window = 0), Err(ConfigError::ZeroSqtWindow));
-        assert_eq!(
-            with(&|c| c.recovery.quarantine_after = 0),
-            Err(ConfigError::BadRecovery("quarantine_after"))
-        );
-        assert_eq!(
-            with(&|c| c.recovery.hedge_deadline_factor = 0.5),
-            Err(ConfigError::BadRecovery("hedge_deadline_factor"))
-        );
         assert_eq!(with(&|c| c.ranks = Some(0)), Err(ConfigError::ZeroRanks));
         assert!(with(&|c| c.ranks = Some(4)).is_ok());
         assert_eq!(

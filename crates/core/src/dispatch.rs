@@ -11,18 +11,19 @@
 //!    scheduler arithmetic identical to the unfiltered form);
 //! 2. drains `th3`-postponed tasks onto the DPUs still cold after the main
 //!    wave;
-//! 3. runs dispatch waves: every wave's per-DPU outcome is checked (checksum
-//!    for corruption, completion estimate for stragglers), faulted work is
-//!    re-dispatched to surviving replicas up to `recovery.max_retries`,
-//!    stragglers past the deadline are hedged, repeat offenders quarantined;
+//! 3. runs at most [`WAVES`] dispatch waves: every wave's per-DPU outcome is
+//!    checked (checksum for corruption, completion estimate for
+//!    stragglers); a straggler past [`HEDGE_DEADLINE`] times the predicted
+//!    barrier is hedged, and corrupt and hedged work is re-dispatched once,
+//!    to surviving replicas, around the dead mask ORed with the hedged mask;
 //! 4. escalates whatever could not be placed to the host-side kernel replay
 //!    (lossless) or degrades with the loss accounted in [`FaultStats`];
 //! 5. folds meters and link-byte totals into the [`BatchReport`], whose SQT
 //!    hit rate is the batch's configuration's ([`GroupCost`]).
 //!
-//! Without a (non-inert) injector this is the one-wave case: no
-//! [`DpuHealth`], no ban mask, every outcome healthy, `FaultStats` left at
-//! its default. See `docs/FAULT_MODEL.md` for the recovery state machine.
+//! Without a (non-inert) injector this is the one-wave case: no dead mask,
+//! every outcome healthy, `FaultStats` left at its default. See
+//! `docs/FAULT_MODEL.md` for the recovery policy.
 //!
 //! Both modes book a wave through the same [`ChargeTable::charge`]: it
 //! groups the wave's tasks by `(query, cluster)` and books RC + LC once per
@@ -37,15 +38,32 @@
 use crate::config::{EngineConfig, SchedPolicy};
 use crate::kernels::GroupCost;
 use crate::layout::LayoutPlan;
-use crate::recovery::DpuHealth;
 use crate::report::{BatchReport, FaultStats};
 use crate::sched::{self, Policy, Task};
 use ann_core::topk::Neighbor;
-use upmem_sim::fault::FaultOutcome;
+use upmem_sim::fault::{FaultInjector, FaultOutcome};
 use upmem_sim::meter::{DpuMeter, Phase, PhaseMeter};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
 use upmem_sim::tasklet::LockStats;
+
+/// Dispatch waves per batch: the first, plus one retry of its faulted work
+/// on surviving replicas. Work still unrecovered after the last wave goes to
+/// the host fallback (or is dropped).
+const WAVES: u32 = 2;
+
+/// The host stops waiting for a straggler whose estimated completion
+/// exceeds this multiple of the predicted barrier (the scheduler's max
+/// heat), and re-issues its tasks on replicas.
+const HEDGE_DEADLINE: f64 = 1.5;
+
+/// The DPUs `inj` has fail-stopped by batch `batch` — the driver's
+/// allocation-time rank scan. Rebuilt per batch, so a batch's results
+/// depend only on `(engine, queries, batch)`; dead DPUs never receive work
+/// or data.
+pub(crate) fn dead_mask(inj: &FaultInjector, ndpus: usize, batch: u64) -> Vec<bool> {
+    (0..ndpus).map(|d| inj.is_fail_stop_at(d, batch)).collect()
+}
 
 /// What one DPU returns for one wave of tasks.
 pub(crate) struct DpuOutput {
@@ -171,7 +189,7 @@ pub(crate) struct Batch<'a> {
     pub probes: &'a [Vec<u32>],
     /// Host seconds cluster locating cost.
     pub cl_host_s: f64,
-    /// Engine configuration (index shape, scheduling policy, recovery).
+    /// Engine configuration (index shape, scheduling policy, host fallback).
     pub cfg: &'a EngineConfig,
     /// The layout plan in force.
     pub layout: &'a LayoutPlan,
@@ -210,19 +228,16 @@ where
     let ndpus = system.len();
     let nqueries = b.probes.len();
     system.reset_meters();
-    let rec = b.cfg.recovery;
     let batch = b.fault_batch;
-    // An armed injector travels with the health state built from it. Health
-    // is rebuilt per batch (determinism contract); the injector's static
-    // fail-stop set is the driver's allocation-time rank scan, so dead DPUs
-    // never receive work in the first place.
-    let mut armed = system
+    // An armed injector travels with its dead mask at this batch, so dead
+    // DPUs never receive work in the first place.
+    let armed = system
         .fault
         .clone()
         .filter(|inj| !inj.is_inert())
         .map(|inj| {
-            let health = DpuHealth::from_injector_at(&inj, ndpus, batch);
-            (inj, health)
+            let dead = dead_mask(&inj, ndpus, batch);
+            (inj, dead)
         });
     let mut stats = FaultStats::default();
 
@@ -240,9 +255,8 @@ where
         SchedPolicy::Greedy => Policy::Greedy { th3: b.cfg.th3 },
     };
     let reissue = Policy::Greedy { th3: f64::INFINITY };
-    let banned = armed.as_ref().map(|(_, health)| health.banned());
-    let mut plan =
-        sched::schedule_filtered(&tasks, b.layout, ndpus, policy, None, banned.as_deref());
+    let banned = armed.as_ref().map(|(_, dead)| dead.as_slice());
+    let mut plan = sched::schedule_filtered(&tasks, b.layout, ndpus, policy, None, banned);
     let postponed_count = plan.postponed.len();
     let mut fallback: Vec<Task> = std::mem::take(&mut plan.unplaceable);
     // Postponed tasks run in a follow-up wave (the "next batch" of the
@@ -255,7 +269,7 @@ where
             ndpus,
             reissue,
             Some(&plan.heat),
-            banned.as_deref(),
+            banned,
         );
         for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
             plan.per_dpu[d].extend(ts_);
@@ -265,12 +279,9 @@ where
         fallback.extend(extra.unplaceable);
     }
 
-    // Hedging deadline: the host stops waiting for a straggler once its
-    // estimated completion exceeds this multiple of the predicted barrier
-    // (the scheduler's max heat).
     let max_heat = plan.heat.iter().cloned().fold(0.0, f64::max);
     let deadline = if max_heat > 0.0 {
-        rec.hedge_deadline_factor * max_heat
+        HEDGE_DEADLINE * max_heat
     } else {
         f64::INFINITY
     };
@@ -299,34 +310,22 @@ where
         let mut to_recover: Vec<Task> = Vec::new();
         for ((d, wtasks), out) in wave.iter().zip(outputs) {
             let d = *d;
-            if let Some((inj, health)) = &mut armed {
+            if let Some((inj, _)) = &armed {
                 // Host-side integrity check: the link XORs the transmitted
                 // checksum on a corrupt dispatch, so recomputing it over
                 // the gathered payload exposes the damage.
                 let wire = out.checksum ^ inj.corrupt_mask(d, batch, attempt);
                 let corrupt_detected = wire != out.checksum;
                 match inj.outcome(d, batch, attempt) {
-                    FaultOutcome::Healthy => {
-                        debug_assert!(!corrupt_detected);
-                        health.record_healthy(d);
-                    }
+                    FaultOutcome::Healthy => debug_assert!(!corrupt_detected),
                     FaultOutcome::FailStop => {
-                        // Unreachable under the allocation-time scan (dead
-                        // DPUs are pre-banned), kept as a defensive path
-                        // for injectors whose dead set is discovered late.
-                        health.record_fail_stop(d);
-                        stats.fail_stop_events += 1;
-                        stats.retried_tasks += wtasks.len();
-                        push_bytes += out.push_bytes; // the push happened
-                        to_recover.extend_from_slice(wtasks);
-                        continue;
+                        unreachable!("dead DPUs are banned before dispatch")
                     }
                     FaultOutcome::Straggler(f) => {
                         stats.stragglers += 1;
-                        health.record_transient(d, rec.quarantine_after);
                         let wave_s = out.meter.time(&system.arch, system.tasklets);
                         system.set_dpu_slowdown(d, f);
-                        if rec.hedge && wave_s * f > deadline {
+                        if wave_s * f > deadline {
                             // hedge: stop waiting at the deadline, re-issue
                             // on replicas; the straggler's energy is still
                             // spent but its results never arrive
@@ -344,7 +343,6 @@ where
                         debug_assert!(corrupt_detected);
                         stats.corruptions += 1;
                         stats.retried_tasks += wtasks.len();
-                        health.record_transient(d, rec.quarantine_after);
                         // charges stand: the DPU did the work and the
                         // damaged payload crossed the link before the
                         // checksum exposed it
@@ -372,18 +370,15 @@ where
             break;
         }
         attempt += 1;
-        if attempt as usize >= rec.max_retries {
+        if attempt >= WAVES {
             fallback.extend_from_slice(&to_recover);
             break;
         }
         // Re-dispatch to surviving replicas, also avoiding DPUs this batch
         // already hedged away from. The host pays a small re-issue cost per
         // task (descriptor re-pack + trigger).
-        let (_, health) = armed.as_ref().expect("only faults leave work to recover");
-        let mut banned_now = health.banned();
-        for (ban, &h) in banned_now.iter_mut().zip(&hedged) {
-            *ban |= h;
-        }
+        let (_, dead) = armed.as_ref().expect("only faults leave work to recover");
+        let banned_now: Vec<bool> = dead.iter().zip(&hedged).map(|(&x, &h)| x || h).collect();
         let rplan = sched::schedule_filtered(
             &to_recover,
             b.layout,
@@ -406,7 +401,7 @@ where
 
     // --- escalation: host-side kernel replay, or graceful degradation ---
     if !fallback.is_empty() {
-        if rec.host_fallback {
+        if b.cfg.host_fallback {
             // Replay the exact DPU kernel path on the host, so the
             // recovered results are bit-identical to what the lost DPUs
             // would have produced. The meter is converted to host seconds
@@ -432,9 +427,8 @@ where
             stats.degraded_queries += degraded.len();
         }
     }
-    if let Some((inj, health)) = &armed {
-        stats.dead_dpus = health.dead_count();
-        stats.quarantined_dpus = health.quarantined_count();
+    if let Some((inj, dead)) = &armed {
+        stats.dead_dpus = dead.iter().filter(|&&x| x).count();
         stats.dead_ranks = inj.dead_ranks_at(ndpus, batch);
     }
 
@@ -612,6 +606,20 @@ mod tests {
         }
         let (log, _, report) = rig.run();
         assert!(report.fault.hedged_tasks > 0);
+        // the host stops waiting at the one common deadline, long before a
+        // single task's charge would have finished
+        let mut one_task = DpuMeter::new();
+        let costs = &rig.system.arch.costs;
+        one_task
+            .phase_mut(Phase::Dc)
+            .charge_add_c(CYCLES_PER_TASK, costs);
+        let task_s = one_task.time(&rig.system.arch, rig.system.tasklets);
+        let capped: Vec<f64> = hedged(seed)
+            .iter()
+            .map(|&d| report.timing.dpu_s[d])
+            .collect();
+        assert!(capped.iter().all(|&s| s == capped[0]), "{capped:?}");
+        assert!(capped[0] < task_s, "{} >= {task_s}", capped[0]);
         for d in hedged(seed) {
             let calls = calls_to(&log, Some(d));
             assert_eq!(calls.len(), 1, "DPU {d} was dispatched to again");
@@ -642,22 +650,6 @@ mod tests {
         // ...but only the host replay's results and counters are kept
         assert!(lists.iter().flatten().flatten().all(|n| n.id == HOST));
         assert_eq!(report.lock.locked_updates, 0);
-        assert_eq!(report.fault.host_fallback_tasks, rig.ntasks());
-    }
-
-    #[test]
-    fn zero_retries_escalates_after_the_first_wave() {
-        let mut rig = rig(Some(FaultConfig {
-            corruption_rate: 1.0,
-            ..FaultConfig::none()
-        }));
-        rig.cfg.recovery.max_retries = 0;
-        let (log, _, report) = rig.run();
-        assert_eq!(tasks_on_dpus(&log), rig.ntasks() as u64, "one wave");
-        let replayed = calls_to(&log, None);
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].len(), rig.ntasks());
-        assert_eq!(report.fault.retried_tasks, rig.ntasks());
         assert_eq!(report.fault.host_fallback_tasks, rig.ntasks());
     }
 

@@ -296,13 +296,14 @@ impl DrimEngine {
     /// fault pattern (what the parity tests exploit).
     ///
     /// Bumps the result epoch only when the batch index can actually
-    /// change results: a live injector *without* the lossless host
-    /// fallback, where degradation (which tasks drop) depends on the
-    /// per-batch fault draw. With the fallback on, recovery is
-    /// bit-identical to zero-fault at every batch index, so caches stay
-    /// warm across batches.
+    /// change results: a live injector with
+    /// [`EngineConfig::host_fallback`] off, where degradation (which tasks
+    /// drop) depends on the per-batch fault draw — the dead mask (a rank
+    /// kill takes effect from its batch) and the transient faults. With the
+    /// fallback on, recovery is bit-identical to zero-fault at every batch
+    /// index, so caches stay warm across batches.
     pub fn set_fault_batch(&mut self, batch: u64) {
-        if batch != self.fault_batch && self.fault_active() && !self.cfg.recovery.host_fallback {
+        if batch != self.fault_batch && self.fault_active() && !self.cfg.host_fallback {
             self.epoch += 1;
         }
         self.fault_batch = batch;
@@ -819,7 +820,7 @@ mod tests {
     fn degradation_without_fallback_is_accounted_and_bounded() {
         let (data, queries) = small_workload();
         let mut cfg = small_cfg();
-        cfg.recovery.host_fallback = false;
+        cfg.host_fallback = false;
         let mut engine =
             DrimEngine::build(&data, cfg.clone(), PimArch::upmem_sc25(), 8, None).unwrap();
         // heavy fail-stop: some slices are likely to lose every home
@@ -902,7 +903,7 @@ mod tests {
         e.set_fault_batch(7);
         assert_eq!(e.epoch(), armed, "host_fallback recovery is lossless");
         // ...but bumps in lossy mode, where the draw decides what drops
-        e.cfg.recovery.host_fallback = false;
+        e.cfg.host_fallback = false;
         e.set_fault_batch(8);
         assert_eq!(e.epoch(), armed + 1);
         e.set_fault_batch(8);

@@ -4,7 +4,6 @@
 //! `docs/MUTATION.md`.
 
 use super::DrimEngine;
-use crate::recovery::DpuHealth;
 use upmem_sim::system::PimSystem;
 
 /// Streaming-mutation error ([`DrimEngine::insert`]).
@@ -239,9 +238,7 @@ impl DrimEngine {
 
         // DPUs an armed injector has already failed must not receive data.
         let banned = match &self.system.fault {
-            Some(inj) => {
-                DpuHealth::from_injector_at(inj, self.system.len(), self.fault_batch).banned()
-            }
+            Some(inj) => crate::dispatch::dead_mask(inj, self.system.len(), self.fault_batch),
             None => vec![false; self.system.len()],
         };
 

@@ -24,9 +24,10 @@
 //!
 //! Every batch — clean, faulted, or trace — runs through one crate-private
 //! `dispatch` loop: schedule, per-DPU waves, host-side accounting. On top
-//! of the paper's design it carries the recovery state machine
-//! ([`recovery`]) that tolerates fail-stop DPUs, stragglers, and result
-//! corruption injected by [`upmem_sim::fault`] — see `docs/FAULT_MODEL.md`.
+//! of the paper's design it carries one fixed recovery policy — a ban on
+//! dead DPUs, hedging, one retry wave, then the host fallback — that
+//! tolerates fail-stop DPUs, stragglers, and result corruption injected by
+//! [`upmem_sim::fault`] — see `docs/FAULT_MODEL.md`.
 //!
 //! [`engine::DrimEngine`] assembles everything for functional runs on real
 //! vectors (`engine/mutate.rs` holds its streaming insert/delete and
@@ -60,14 +61,13 @@ pub mod engine;
 pub mod kernels;
 pub mod layout;
 pub mod perf_model;
-pub mod recovery;
 pub mod report;
 pub mod sched;
 pub mod sqt;
 pub mod trace;
 pub mod wram;
 
-pub use config::{ConfigError, EngineConfig, IndexConfig, MaintenanceConfig, RecoveryConfig};
+pub use config::{ConfigError, EngineConfig, IndexConfig, MaintenanceConfig};
 pub use engine::{DrimEngine, MaintenanceReport, MutationError};
 pub use report::{BatchReport, FaultStats};
 pub use upmem_sim::meter::Phase;

@@ -9,21 +9,19 @@ use upmem_sim::tasklet::LockStats;
 /// layer is disabled or nothing fired).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultStats {
-    /// Known fail-stopped DPUs (allocation-time scan + runtime discovery).
+    /// Fail-stopped DPUs: the injector's dead set at this batch, banned
+    /// before dispatch.
     pub dead_dpus: usize,
     /// Whole ranks dead under the injector's rank topology this batch
     /// (their DPUs are included in `dead_dpus`). 0 without a topology.
     pub dead_ranks: usize,
-    /// DPUs quarantined during this batch after repeated transient faults.
-    pub quarantined_dpus: usize,
-    /// Dispatch waves that hit a dead DPU at runtime (0 when the dead set
-    /// was scanned up front).
-    pub fail_stop_events: usize,
     /// Straggler faults observed.
     pub stragglers: usize,
     /// Corruption faults detected by the result checksum.
     pub corruptions: usize,
-    /// Tasks re-dispatched to a replica after a fault.
+    /// Tasks of every discarded (corrupt) wave. Each is re-dispatched to a
+    /// replica, or, after the last wave, replayed on the host or dropped;
+    /// so a task corrupted in both waves counts twice.
     pub retried_tasks: usize,
     /// Straggler tasks the host re-issued before completion (hedging).
     pub hedged_tasks: usize,
@@ -182,10 +180,9 @@ impl BatchReport {
     pub fn summary(&self) -> String {
         let fault = if self.fault.active() {
             format!(
-                " faults[dead={} ranks={} quar={} straggle={} corrupt={} retried={} hedged={} fallback={} dropped={} loss<={:.4}]",
+                " faults[dead={} ranks={} straggle={} corrupt={} retried={} hedged={} fallback={} dropped={} loss<={:.4}]",
                 self.fault.dead_dpus,
                 self.fault.dead_ranks,
-                self.fault.quarantined_dpus,
                 self.fault.stragglers,
                 self.fault.corruptions,
                 self.fault.retried_tasks,

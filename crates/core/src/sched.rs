@@ -59,7 +59,7 @@ pub struct SchedulePlan {
     pub per_dpu: Vec<Vec<Task>>,
     /// Tasks postponed to the next batch (th3 overflow).
     pub postponed: Vec<Task>,
-    /// Tasks whose every home DPU is banned (dead or quarantined) — the
+    /// Tasks whose every home DPU is banned (dead or hedged) — the
     /// recovery layer routes these to the host fallback or degrades.
     /// Always empty when scheduling without a ban mask.
     pub unplaceable: Vec<Task>,
@@ -101,7 +101,7 @@ pub fn schedule(tasks: &[Task], layout: &LayoutPlan, ndpus: usize, policy: Polic
 /// [`schedule`] continuing from pre-existing per-DPU heat (`initial_heat`:
 /// postponed and re-issued work lands on the DPUs still cold *after* the
 /// main wave) and with an optional per-DPU ban mask: banned DPUs
-/// (fail-stopped or quarantined) receive no work, and tasks whose every
+/// (fail-stopped or hedged) receive no work, and tasks whose every
 /// replica home is banned land in [`SchedulePlan::unplaceable`]. With
 /// `banned = None` the arithmetic is identical to the unfiltered scheduler,
 /// so the zero-fault path stays bit-for-bit unchanged.

@@ -68,7 +68,7 @@ fn main() {
     //    replica home is gone are dropped, and the report carries a sound
     //    recall-loss bound for the degradation.
     let mut cfg = EngineConfig::drim(index);
-    cfg.recovery.host_fallback = false;
+    cfg.host_fallback = false;
     let mut degraded = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), ndpus, None).unwrap();
     let mut harsh = fc;
     harsh.fail_stop_rate = 0.4; // enough dead DPUs to overwhelm duplication

@@ -127,35 +127,6 @@ fn search_batch_is_pure_in_engine_queries_and_fault_batch() {
 }
 
 #[test]
-fn repeated_transients_quarantine_a_dpu() {
-    let (_, queries, _) = world();
-    let mut cfg = cfg();
-    cfg.recovery.quarantine_after = 1; // one strike and you're out
-    cfg.recovery.hedge = false;
-    let mut e = build(cfg);
-    // corruption-only: every corrupt wave is one strike on that DPU
-    let mut fc = FaultConfig::none();
-    fc.seed = 0xC0DE;
-    fc.corruption_rate = 0.6;
-    e.inject_faults(fc).unwrap();
-    let (_, rep) = e.search_batch(queries);
-    assert!(
-        rep.fault.corruptions > 0,
-        "60% corruption must fire: {:?}",
-        rep.fault
-    );
-    assert!(
-        rep.fault.quarantined_dpus > 0,
-        "quarantine_after=1 must quarantine every corrupting DPU: {:?}",
-        rep.fault
-    );
-    // quarantine is per-batch state: the next batch starts clean
-    e.set_fault_batch(1_000_000);
-    let (_, rep2) = e.search_batch(queries);
-    assert!(rep2.fault.quarantined_dpus <= rep.fault.quarantined_dpus + 8);
-}
-
-#[test]
 fn hedging_caps_straggler_tail_latency() {
     let (_, queries, _) = world();
     // straggler-heavy, brutal slowdowns, no fail-stop/corruption noise
@@ -167,35 +138,21 @@ fn hedging_caps_straggler_tail_latency() {
         alpha: 1.1,
         cap: 64.0,
     };
-    let mut hedged_cfg = cfg();
-    hedged_cfg.recovery.hedge = true;
-    let mut retry_cfg = cfg();
-    retry_cfg.recovery.hedge = false;
+    // the cap itself (every hedged DPU stops at the one deadline) is held
+    // by `dispatch`'s `hedged_dpu_never_gets_its_own_work_back`
+    let (r0, _) = build(cfg()).search_batch(queries);
+    let mut e = build(cfg());
+    e.inject_faults(fc).unwrap();
 
-    let mut hedged_engine = build(hedged_cfg);
-    hedged_engine.inject_faults(fc).unwrap();
-    let mut retry_engine = build(retry_cfg);
-    retry_engine.inject_faults(fc).unwrap();
-
-    let mut hedged_worst = 0.0f64;
-    let mut retry_worst = 0.0f64;
     let mut total_hedged = 0usize;
     for b in 0..24 {
-        hedged_engine.set_fault_batch(b);
-        retry_engine.set_fault_batch(b);
-        let (rh, reph) = hedged_engine.search_batch(queries);
-        let (rr, repr) = retry_engine.search_batch(queries);
+        e.set_fault_batch(b);
+        let (r, rep) = e.search_batch(queries);
         // hedging changes *when* results arrive, never *what* they are
-        assert_eq!(result_bits(&rh), result_bits(&rr), "batch {b}");
-        hedged_worst = hedged_worst.max(reph.timing.total_s());
-        retry_worst = retry_worst.max(repr.timing.total_s());
-        total_hedged += reph.fault.hedged_tasks;
+        assert_eq!(result_bits(&r), result_bits(&r0), "batch {b}");
+        total_hedged += rep.fault.hedged_tasks;
     }
     assert!(total_hedged > 0, "Pareto tail at 30% must trigger hedging");
-    assert!(
-        hedged_worst < retry_worst,
-        "hedging must beat waiting on the tail: hedged {hedged_worst} vs retry {retry_worst}"
-    );
 }
 
 #[test]
@@ -204,7 +161,7 @@ fn rank_coverage_absorbs_a_rank_kill_without_the_host_fallback() {
     // replication (not the host fallback) must absorb the rank loss
     let mut cfg = cfg();
     cfg.ranks = Some(4);
-    cfg.recovery.host_fallback = false;
+    cfg.host_fallback = false;
     let fresh = || build(cfg.clone());
     let (r0, _) = fresh().search_batch(queries);
 

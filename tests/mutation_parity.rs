@@ -146,7 +146,7 @@ fn snapshot(e: &DrimEngine) -> String {
 
 impl Model {
     fn new(cfg: EngineConfig) -> Model {
-        assert!(cfg.recovery.host_fallback, "the oracle is fault-free");
+        assert!(cfg.host_fallback, "the oracle is fault-free");
         Model {
             engine: build(world().index.clone(), &cfg),
             cfg,
