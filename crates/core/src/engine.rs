@@ -59,6 +59,15 @@ pub enum BuildError {
     Config(ConfigError),
     /// The simulated system was rejected (zero DPUs, broken architecture).
     Sim(SimConfigError),
+    /// Trace mode's cluster descriptors give fewer clusters a positive
+    /// heat than a query probes, so no query could ever draw `nprobe`
+    /// distinct clusters.
+    SparseHeat {
+        /// Clusters with positive heat.
+        hot: usize,
+        /// Distinct clusters each query probes.
+        nprobe: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -67,6 +76,10 @@ impl std::fmt::Display for BuildError {
             BuildError::MramOverflow(msg) => write!(f, "MRAM overflow: {msg}"),
             BuildError::Config(e) => write!(f, "bad engine configuration: {e}"),
             BuildError::Sim(e) => write!(f, "bad simulator configuration: {e}"),
+            BuildError::SparseHeat { hot, nprobe } => write!(
+                f,
+                "only {hot} clusters have positive heat, fewer than nprobe = {nprobe}"
+            ),
         }
     }
 }

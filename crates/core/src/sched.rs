@@ -13,9 +13,9 @@
 //! and [`task_cost_s`] is the same evaluation for a caller that holds only
 //! index parameters (the benchmark's scheduler probe).
 //!
-//! [`expand_tasks`] evaluates a task's cost once per slice per call, so a
-//! cost function may be slow: [`task_cost_s`] re-derives the heat rates
-//! (five unit charges) on every call, once per probed slice.
+//! [`expand_tasks`] evaluates a task's cost once per probed slice per
+//! call, so a cost function may be slow: [`task_cost_s`] re-derives the
+//! heat rates (five unit charges) on every call, once per probed slice.
 //!
 //! Known limit, set by [`task_cost_s`]'s signature, which `benchmark/`
 //! imports and which carries one slice length, no `PimArch` and no WRAM
@@ -25,15 +25,31 @@
 //!
 //! The greedy order is exact, and cheap on a trace batch (≈ 240k tasks):
 //!
-//! - *LPT key.* Tasks go heaviest first, ties in task order, by one
-//!   unstable sort of `(!key, index)` pairs, where `key` is the cost's bit
-//!   pattern. Bit patterns of finite costs `>= 0` order as the values do,
-//!   once `-0.0` is read as `+0.0` (the two compare equal, so they tie);
-//!   any other cost panics. The index makes every pair distinct, so the
-//!   unstable sort yields the stable descending order.
+//! - *LPT key.* Tasks go heaviest first, ties in task order. A task's key
+//!   is its cost's bit pattern: bit patterns of finite costs `>= 0` order
+//!   as the values do, once `-0.0` is read as `+0.0` (the two compare
+//!   equal, so they tie); any other cost panics.
+//! - *Expanded in that order.* [`expand_tasks`] emits the batch's tasks
+//!   already in LPT order over the query-major list (by query, then
+//!   probe, then the cluster's slices): a stable counting sort over the
+//!   distinct keys of the probed slices. The scheduler still sorts any
+//!   input by `(!key, index)` pairs — the index makes every pair distinct,
+//!   so the unstable sort yields the stable descending order — and on
+//!   presorted input that sort is one linear check.
 //! - *Coldest replica.* One pass over the task's homes, seeded with the
 //!   first one not banned, takes a home only when it is strictly colder:
-//!   of equally cold homes the first wins, `Iterator::min_by`'s rule.
+//!   of equally cold homes the first wins, `Iterator::min_by`'s rule. The
+//!   homes come from a flat per-call copy of [`LayoutPlan::slice_homes`],
+//!   and with no DPU banned the pass reads no mask.
+//! - *Place, then copy.* The loop records every task's destination; the
+//!   per-DPU lists are then filled at their exact lengths.
+//!
+//! The static policy places tasks in the order given, so on
+//! [`expand_tasks`]' output a DPU's list is in LPT order as well. Within a
+//! `(query, cluster)` group, the unit the kernels charge, that is still
+//! the cluster's slice order wherever costs do not grow along the
+//! cluster: the kernels' heat grows with slice length, and a fresh
+//! partition's slices never grow along a cluster.
 
 use crate::config::DataBits;
 use crate::kernels::{square_cost, GroupCost};
@@ -166,22 +182,20 @@ fn schedule_greedy(
     initial_heat: Option<&[f64]>,
     banned: Option<&[bool]>,
 ) -> SchedulePlan {
-    let mut per_dpu: Vec<Vec<Task>> = vec![Vec::new(); ndpus];
     let mut heat = match initial_heat {
         Some(h) => h.to_vec(),
         None => vec![0.0f64; ndpus],
     };
 
     // Schedule heavy tasks first (LPT-style) for a tighter makespan:
-    // descending cost, ties in task order.
+    // descending cost, ties in task order. `expand_tasks` emits this order,
+    // so on its output the sort is one linear check.
     let mut order: Vec<(u64, usize)> = tasks
         .iter()
         .enumerate()
         .map(|(i, t)| (!lpt_key(t.cost), i))
         .collect();
     order.sort_unstable();
-    // gathered once, so the loop below streams them
-    let order: Vec<Task> = order.into_iter().map(|(_, i)| tasks[i]).collect();
 
     // mean heat if everything were perfectly spread — the th3 reference
     let total_cost: f64 = tasks.iter().map(|t| t.cost).sum::<f64>() + heat.iter().sum::<f64>();
@@ -192,20 +206,30 @@ fn schedule_greedy(
         f64::INFINITY
     };
 
+    // Place first, recording each task's destination; then copy the tasks
+    // out into vectors of exact length.
+    assert!(ndpus < UNPLACEABLE as usize, "at most {UNPLACEABLE} DPUs");
+    let homes = Homes::new(&layout.slice_homes);
+    let mut counts = vec![0usize; ndpus];
     let banned = banned.unwrap_or(&[]);
+    let dest = if banned.is_empty() {
+        // every home alive: no mask lookups in the hot loop
+        let alive = |_| true;
+        place(&order, tasks, &homes, limit, &mut heat, &mut counts, alive)
+    } else {
+        let alive = |d: usize| !is_banned(Some(banned), d);
+        place(&order, tasks, &homes, limit, &mut heat, &mut counts, alive)
+    };
+
+    let mut per_dpu: Vec<Vec<Task>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut postponed = Vec::new();
     let mut unplaceable = Vec::new();
-    for t in order {
-        let Some((best, best_heat)) = coldest(&layout.slice_homes[t.slice], &heat, banned) else {
-            unplaceable.push(t);
-            continue;
-        };
-        if best_heat + t.cost > limit && best_heat > 0.0 {
-            postponed.push(t);
-            continue;
+    for (&(_, i), &d) in order.iter().zip(&dest) {
+        match d {
+            POSTPONED => postponed.push(tasks[i]),
+            UNPLACEABLE => unplaceable.push(tasks[i]),
+            d => per_dpu[d as usize].push(tasks[i]),
         }
-        per_dpu[best].push(t);
-        heat[best] += t.cost;
     }
 
     SchedulePlan {
@@ -213,6 +237,69 @@ fn schedule_greedy(
         postponed,
         unplaceable,
         heat,
+    }
+}
+
+/// The greedy placement of `tasks` in `order`: each to its coldest `alive`
+/// home, unless that would take the home past `limit` from a nonzero heat.
+/// Returns each task's destination in `order`: a DPU, [`POSTPONED`] or
+/// [`UNPLACEABLE`]; `heat` and `counts` (tasks per DPU) grow as it goes.
+fn place(
+    order: &[(u64, usize)],
+    tasks: &[Task],
+    homes: &Homes,
+    limit: f64,
+    heat: &mut [f64],
+    counts: &mut [usize],
+    alive: impl Fn(usize) -> bool,
+) -> Vec<u32> {
+    order
+        .iter()
+        .map(|&(_, i)| {
+            let t = &tasks[i];
+            let Some((best, best_heat)) = coldest(homes.of(t.slice), heat, &alive) else {
+                return UNPLACEABLE;
+            };
+            if best_heat + t.cost > limit && best_heat > 0.0 {
+                return POSTPONED;
+            }
+            heat[best] += t.cost;
+            counts[best] += 1;
+            best as u32
+        })
+        .collect()
+}
+
+/// A greedy destination meaning "postponed" (th3 overflow).
+const POSTPONED: u32 = u32::MAX;
+/// A greedy destination meaning "every home banned".
+const UNPLACEABLE: u32 = u32::MAX - 1;
+
+/// [`LayoutPlan::slice_homes`] flattened for one scheduling call: slice
+/// `s`'s homes are `homes[offsets[s]..offsets[s + 1]]`. Built per call, so
+/// it cannot go stale when the layout changes between batches.
+struct Homes {
+    offsets: Vec<u32>,
+    homes: Vec<u32>,
+}
+
+impl Homes {
+    fn new(slice_homes: &[Vec<usize>]) -> Self {
+        let mut offsets = Vec::with_capacity(slice_homes.len() + 1);
+        let mut homes = Vec::with_capacity(slice_homes.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for hs in slice_homes {
+            homes.extend(
+                hs.iter()
+                    .map(|&d| u32::try_from(d).expect("DPU ids fit a u32")),
+            );
+            offsets.push(u32::try_from(homes.len()).expect("at most u32::MAX homes"));
+        }
+        Homes { offsets, homes }
+    }
+
+    fn of(&self, slice: usize) -> &[u32] {
+        &self.homes[self.offsets[slice] as usize..self.offsets[slice + 1] as usize]
     }
 }
 
@@ -231,15 +318,13 @@ fn lpt_key(cost: f64) -> u64 {
     }
 }
 
-/// The coldest of `homes` not banned, and its heat: the first of equally
-/// cold ones (`min_by`'s rule). `None` when every home is banned. A DPU
-/// past the end of `banned` counts as alive, as in [`is_banned`].
-fn coldest(homes: &[usize], heat: &[f64], banned: &[bool]) -> Option<(usize, f64)> {
-    let alive = |d: usize| !banned.get(d).copied().unwrap_or(false);
-    let mut rest = homes.iter();
-    let mut best = *rest.find(|&&d| alive(d))?;
+/// The coldest of `homes` that are `alive`, and its heat: the first of
+/// equally cold ones (`min_by`'s rule). `None` when no home is alive.
+fn coldest(homes: &[u32], heat: &[f64], alive: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
+    let mut rest = homes.iter().map(|&d| d as usize);
+    let mut best = rest.find(|&d| alive(d))?;
     let mut best_heat = heat[best];
-    for &d in rest {
+    for d in rest {
         let h = heat[d];
         if h < best_heat && alive(d) {
             best = d;
@@ -283,40 +368,103 @@ pub fn task_cost_s(
     cost.heat()(slice_len) as f64 / freq_hz
 }
 
-/// Build the task list for a batch given per-query probed clusters.
+/// Build the task list for a batch given per-query probed clusters, in the
+/// order the greedy policy places them.
 ///
 /// Each probed cluster expands into one task per slice (a query must scan
 /// all slices of a cluster; copies are alternatives, slices are not).
 /// `cost_of` predicts scan latency from slice length; it runs once per
-/// distinct slice.
+/// distinct probed slice.
+///
+/// Order: descending cost (heaviest first), and tasks of equal cost in
+/// query-major order — by query, then the query's probe order, then the
+/// cluster's slice order. That is the greedy scheduler's LPT order over
+/// the query-major list, so its sort finds the tasks already in place.
+/// A stable counting sort over the distinct costs builds it: one pass
+/// counts each probed slice's tasks, and a second writes every task at
+/// its cost class's cursor.
+///
+/// Panics on a cost that is not finite and `>= 0`, which no schedule can
+/// order (`-0.0` is `0.0`'s equal).
 pub fn expand_tasks(
     probes_per_query: &[Vec<u32>],
     layout: &LayoutPlan,
     cost_of: impl Fn(usize) -> f64,
 ) -> Vec<Task> {
-    let slices_of = |c: u32| &layout.cluster_slices[c as usize];
-    let n: usize = probes_per_query
-        .iter()
-        .flatten()
-        .map(|&c| slices_of(c).len())
-        .sum();
-    let mut tasks = Vec::with_capacity(n);
-    // `cost_of` once per slice: lengths are fixed for this call only (an
-    // insert changes them between batches)
-    let mut memo: Vec<Option<f64>> = vec![None; layout.slices.len()];
-    for (qi, probes) in probes_per_query.iter().enumerate() {
-        for &c in probes {
-            for &si in slices_of(c) {
-                let cost = *memo[si].get_or_insert_with(|| cost_of(layout.slices[si].len));
-                tasks.push(Task {
-                    query: qi as u32,
+    // pass 1: each cluster's probe count
+    let nclusters = layout.cluster_slices.len();
+    let mut probes_of = vec![0usize; nclusters];
+    for &c in probes_per_query.iter().flatten() {
+        probes_of[c as usize] += 1;
+    }
+    // each probed slice once, in one flat array by cluster (cluster `c`'s
+    // at `at[c]..at[c + 1]`), with `cost_of` — lengths are fixed for this
+    // call only (an insert changes them between batches)
+    let mut at = Vec::with_capacity(nclusters + 1);
+    let mut slices: Vec<ProbedSlice> = Vec::new();
+    at.push(0);
+    for (c, &n) in probes_of.iter().enumerate() {
+        if n > 0 {
+            slices.extend(layout.cluster_slices[c].iter().map(|&si| {
+                let cost = cost_of(layout.slices[si].len);
+                ProbedSlice {
                     slice: si,
                     cost,
-                });
+                    class: 0,
+                }
+            }));
+        }
+        at.push(slices.len());
+    }
+    // one class per distinct LPT key, heaviest first; a class's tasks start
+    // where the heavier classes' end
+    let mut keys: Vec<u64> = slices.iter().map(|s| !lpt_key(s.cost)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut cursor = vec![0usize; keys.len()];
+    for (c, &n) in probes_of.iter().enumerate() {
+        for s in &mut slices[at[c]..at[c + 1]] {
+            let k = keys
+                .binary_search(&!lpt_key(s.cost))
+                .expect("a class per key");
+            s.class = k as u32;
+            cursor[k] += n;
+        }
+    }
+    let mut n = 0;
+    for c in &mut cursor {
+        (*c, n) = (n, n + *c);
+    }
+    // pass 2: query-major, each task to its class's next slot
+    let mut tasks = vec![
+        Task {
+            query: 0,
+            slice: 0,
+            cost: 0.0,
+        };
+        n
+    ];
+    for (qi, probes) in probes_per_query.iter().enumerate() {
+        for &c in probes {
+            for s in &slices[at[c as usize]..at[c as usize + 1]] {
+                let slot = &mut cursor[s.class as usize];
+                tasks[*slot] = Task {
+                    query: qi as u32,
+                    slice: s.slice,
+                    cost: s.cost,
+                };
+                *slot += 1;
             }
         }
     }
     tasks
+}
+
+/// A slice [`expand_tasks`] expands, with its task cost and cost class.
+struct ProbedSlice {
+    slice: usize,
+    cost: f64,
+    class: u32,
 }
 
 /// Sort one DPU's tasks into `order` as `(query, cluster, slice)` and

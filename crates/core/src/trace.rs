@@ -19,11 +19,29 @@
 //!
 //! What a batch costs the host. No simulated number depends on it, but the
 //! paper-scale sweeps run thousands of batches. One SIFT100M batch on
-//! 2,543 DPUs (2,500 queries × nprobe 96: ≈ 240k tasks on 16,388 slices)
-//! takes ≈ 92 ms on a 2-vCPU x86 host, mean of 40 batches at seed 1:
-//! sampling ≈ 13 ms, expansion ≈ 9, scheduling ≈ 53 (of which the sort of
-//! 240k tasks, ≈ 17 ms, is the largest single piece) and the waves — the
-//! per-DPU charges on 2 threads, the fold and the report — ≈ 18.
+//! 2,543 DPUs (2,500 queries × nprobe 96: ≈ 240k tasks on 16,388 slices,
+//! whose homes the scheduler scans ≈ 5.2M times), in ms on a 2-vCPU x86
+//! host: each figure is the mean of 40 batches at seed 1, the median of
+//! five such runs alternating between the two builds. *Before*, expansion
+//! emitted query-major order, the scheduler sorted and gathered all tasks
+//! every batch and sampling found repeats by scanning the query's probes;
+//! *after*, expansion emits the scheduler's order, placement reads a flat
+//! copy of the homes without a ban mask when none is set, and sampling
+//! stamps each drawn cluster with its query.
+//!
+//! | phase                      | before | after |
+//! |----------------------------|-------:|------:|
+//! | sampling                   |   12.5 |   8.4 |
+//! | expansion                  |   13.4 |  12.5 |
+//! | charge table               |    2.4 |   2.4 |
+//! | scheduling                 |   60.0 |  29.7 |
+//! | waves (2 threads) + report |   16.4 |  15.5 |
+//! | batch                      |  106.1 |  68.7 |
+//!
+//! Of the scheduling that is left, the coldest-home scan takes ≈ 15 ms and
+//! the copy into per-DPU lists ≈ 9. In the waves, grouping each DPU's tasks
+//! by `(query, cluster)` (a stable sort per DPU) takes about two thirds of
+//! the thread time.
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::deploy::deploy;
@@ -173,6 +191,9 @@ impl TraceRunner {
     /// over its list sizes). [`Self::sample_probes`] draws each cluster at
     /// its expected probes per query, `heat / points`. `spec` gives the
     /// workload shape and the sampling seed; its Zipf exponents go unread.
+    /// An error if fewer clusters have positive heat than a query probes
+    /// (`nprobe`, at most `nlist`): no query could draw that many distinct
+    /// clusters.
     pub fn from_clusters(
         spec: TraceSpec,
         cfg: EngineConfig,
@@ -180,6 +201,15 @@ impl TraceRunner {
         ndpus: usize,
         clusters: &[ClusterInfo],
     ) -> Result<TraceRunner, BuildError> {
+        let weights: Vec<f64> = clusters
+            .iter()
+            .map(|c| c.heat / c.points.max(1) as f64)
+            .collect();
+        let hot = weights.iter().filter(|&&w| w > 0.0).count();
+        let nprobe = cfg.index.nprobe.min(cfg.index.nlist);
+        if hot < nprobe {
+            return Err(BuildError::SparseHeat { hot, nprobe });
+        }
         let shape = WorkloadShape::new(
             spec.n_points,
             spec.batch,
@@ -188,10 +218,6 @@ impl TraceRunner {
             BitWidths::u8_regime(),
         );
         let (layout, system, placement) = deploy(clusters, &cfg, arch, ndpus, &shape)?;
-        let weights: Vec<f64> = clusters
-            .iter()
-            .map(|c| c.heat / c.points.max(1) as f64)
-            .collect();
         Ok(TraceRunner {
             cfg,
             spec,
@@ -208,13 +234,16 @@ impl TraceRunner {
     pub fn sample_probes(&self, batch_seed: u64) -> Vec<Vec<u32>> {
         let nprobe = self.cfg.index.nprobe.min(self.cfg.index.nlist);
         let mut rng = StdRng::seed_from_u64(self.spec.seed ^ batch_seed.wrapping_mul(0x9E37));
-        (0..self.spec.batch)
-            .map(|_| {
+        // `seen[c]`: the last query that drew cluster `c`, so a repeat
+        // costs one load whatever `nprobe` is
+        let mut seen = vec![u32::MAX; self.layout.cluster_slices.len()];
+        (0..self.spec.batch as u32)
+            .map(|q| {
                 let mut probed = Vec::with_capacity(nprobe);
                 while probed.len() < nprobe {
                     let c = self.probe_sampler.sample(&mut rng) as u32;
-                    // at most nprobe entries: a scan beats hashing
-                    if !probed.contains(&c) {
+                    if seen[c as usize] != q {
+                        seen[c as usize] = q;
                         probed.push(c);
                     }
                 }
@@ -347,6 +376,65 @@ mod tests {
             assert_eq!(set.len(), p.len());
             assert!(p.iter().all(|&c| (c as usize) < 256));
         }
+    }
+
+    #[test]
+    fn probes_match_a_scan_for_repeats() {
+        let runner = TraceRunner::build(spec(100_000), cfg(), PimArch::upmem_sc25(), 16);
+        let nprobe = runner.cfg.index.nprobe;
+        for batch_seed in [0u64, 1, 7, 0xDEAD_BEEF] {
+            let mut rng = StdRng::seed_from_u64(runner.spec.seed ^ batch_seed.wrapping_mul(0x9E37));
+            let want: Vec<Vec<u32>> = (0..runner.spec.batch)
+                .map(|_| {
+                    let mut probed = Vec::new();
+                    while probed.len() < nprobe {
+                        let c = runner.probe_sampler.sample(&mut rng) as u32;
+                        if !probed.contains(&c) {
+                            probed.push(c);
+                        }
+                    }
+                    probed
+                })
+                .collect();
+            assert_eq!(
+                runner.sample_probes(batch_seed),
+                want,
+                "batch seed {batch_seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn too_few_hot_clusters_is_an_error() {
+        // 2 of 8 clusters have heat and a query probes 4: sampling could
+        // never finish a query
+        let clusters: Vec<ClusterInfo> = (0..8)
+            .map(|i| ClusterInfo {
+                id: i,
+                points: 1000,
+                heat: if i < 2 { 10.0 } else { 0.0 },
+            })
+            .collect();
+        let mut c = cfg();
+        c.index.nlist = 8;
+        c.index.nprobe = 4;
+        let arch = PimArch::upmem_sc25();
+        let err = TraceRunner::from_clusters(spec(8000), c.clone(), arch.clone(), 4, &clusters)
+            .err()
+            .expect("sparse heat must be rejected");
+        assert!(
+            matches!(err, BuildError::SparseHeat { hot: 2, nprobe: 4 }),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("only 2 clusters") && msg.contains("nprobe = 4"),
+            "{msg}"
+        );
+        // as many hot clusters as probes is enough
+        c.index.nprobe = 2;
+        let mut runner = TraceRunner::from_clusters(spec(8000), c, arch, 4, &clusters).unwrap();
+        assert_eq!(runner.run_batch(1).queries, 64);
     }
 
     #[test]

@@ -90,6 +90,55 @@ fn greedy_reference(
     }
 }
 
+/// Clusters from a small palette of sizes: the partition cuts equal
+/// clusters into equal slices, so many slices share a length and a cost.
+fn arb_tied_clusters() -> impl Strategy<Value = Vec<ClusterInfo>> {
+    const POINTS: [usize; 4] = [64, 64, 300, 1200];
+    prop::collection::vec((0usize..4, 0.0f64..100.0), 1..40).prop_map(|v| {
+        v.into_iter()
+            .enumerate()
+            .map(|(i, (p, heat))| ClusterInfo {
+                id: i as u32,
+                points: POINTS[p],
+                heat: heat + 0.01,
+            })
+            .collect()
+    })
+}
+
+/// The task list in query-major order — by query, then probe, then the
+/// cluster's slice order — each slice's cost from `cost_of`: the list
+/// whose stable LPT sort `expand_tasks` must emit.
+fn query_major(
+    probes: &[Vec<u32>],
+    layout: &LayoutPlan,
+    cost_of: impl Fn(usize) -> f64,
+) -> Vec<Task> {
+    let mut tasks = Vec::new();
+    for (q, probed) in probes.iter().enumerate() {
+        for &c in probed {
+            for &slice in &layout.cluster_slices[c as usize] {
+                tasks.push(Task {
+                    query: q as u32,
+                    slice,
+                    cost: cost_of(layout.slices[slice].len),
+                });
+            }
+        }
+    }
+    tasks
+}
+
+/// A tie-prone cost per slice length: zero (of either sign) for some
+/// lengths, a few coarse steps for the rest.
+fn tied_cost(len: usize) -> f64 {
+    match len % 5 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => (len / 200) as f64 + 0.5,
+    }
+}
+
 /// Tasks as `(query, slice, cost bits)`.
 type TaskBits = Vec<(u32, usize, u64)>;
 
@@ -186,6 +235,53 @@ proptest! {
         let policy = Policy::Greedy { th3 };
         let got = schedule_filtered(&tasks, &plan, ndpus, policy, heat0.as_deref(), banned.as_deref());
         let want = greedy_reference(&tasks, &plan, ndpus, th3, heat0.as_deref(), banned.as_deref());
+        prop_assert_eq!(plan_bits(&got), plan_bits(&want));
+    }
+
+    /// `expand_tasks` emits the query-major task list stably sorted by
+    /// descending cost: non-increasing in cost, query-major among equal
+    /// costs (`-0.0` equal to `0.0`), every cost bit as `cost_of` gave it.
+    #[test]
+    fn expand_tasks_emits_lpt_order(clusters in arb_tied_clusters(),
+                                    ndpus in 1usize..16,
+                                    probes in prop::collection::vec(prop::collection::vec(0u32..64, 0..6), 0..30)) {
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let n = clusters.len() as u32;
+        let probes: Vec<Vec<u32>> = probes.iter().map(|p| p.iter().map(|&c| c % n).collect()).collect();
+        let got = expand_tasks(&probes, &plan, tied_cost);
+        let mut want = query_major(&probes, &plan, tied_cost);
+        want.sort_by(|a, b| b.cost.partial_cmp(&a.cost).unwrap());
+        let bits = |ts: &[Task]| ts.iter().map(|t| (t.query, t.slice, t.cost.to_bits())).collect::<TaskBits>();
+        prop_assert_eq!(bits(&got), bits(&want));
+        for w in got.windows(2) {
+            prop_assert!(w[0].cost >= w[1].cost);
+            if w[0].cost == w[1].cost {
+                prop_assert!(w[0].query <= w[1].query);
+            }
+        }
+    }
+
+    /// Scheduling `expand_tasks`' output places exactly what the first
+    /// greedy scheduler placed from the query-major list: per-DPU order,
+    /// postponed and unplaceable tasks and final heat, bit for bit, with
+    /// ties across equal slices, initial heat, ban masks and finite `th3`.
+    #[test]
+    fn greedy_order_survives_expansion(clusters in arb_tied_clusters(),
+                                       ndpus in 1usize..16,
+                                       probes in prop::collection::vec(prop::collection::vec(0u32..64, 1..6), 1..30),
+                                       heat0 in prop::option::of(prop::collection::vec(0usize..4, 1..16)),
+                                       banned in prop::option::of(prop::collection::vec(any::<bool>(), 0..20)),
+                                       th3 in prop::option::of(0.0f64..1.5)) {
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let n = clusters.len() as u32;
+        let probes: Vec<Vec<u32>> = probes.iter().map(|p| p.iter().map(|&c| c % n).collect()).collect();
+        const TIED: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
+        let heat0: Option<Vec<f64>> = heat0.map(|h| (0..ndpus).map(|d| TIED[h[d % h.len()]]).collect());
+        let th3 = th3.unwrap_or(f64::INFINITY);
+        let got = schedule_filtered(&expand_tasks(&probes, &plan, tied_cost), &plan, ndpus,
+                                    Policy::Greedy { th3 }, heat0.as_deref(), banned.as_deref());
+        let want = greedy_reference(&query_major(&probes, &plan, tied_cost), &plan, ndpus, th3,
+                                    heat0.as_deref(), banned.as_deref());
         prop_assert_eq!(plan_bits(&got), plan_bits(&want));
     }
 
