@@ -34,6 +34,16 @@
 //! (empty results, zero checksum). Each mode's `exec` closure wraps that
 //! call; the loop mutates the [`PimSystem`] while waves execute, so `exec`
 //! must capture only state disjoint from it.
+//!
+//! A batch fills the same large buffers every time: the expanded task
+//! list, the scheduler's flat homes and per-DPU task lists, and the charge
+//! table's per-slice rows. [`run`] takes them from a [`Scratch`] that its
+//! caller owns across batches, one per `DrimEngine` and one per
+//! `TraceRunner`, and hands the per-DPU lists back to it after the waves.
+//! Every buffer is cleared before it is filled, so only capacity carries
+//! from one batch to the next, and an owner keeps its largest batch's
+//! buffers (≈ 12 MB at the `trace_paper` shape). The scratch is no
+//! option and reaches no report.
 
 use crate::config::{EngineConfig, SchedPolicy};
 use crate::kernels::GroupCost;
@@ -86,7 +96,10 @@ pub(crate) struct DpuOutput {
 
 /// What a group books for one slice: [`GroupCost::charge_slice`]'s DC and
 /// TS phases and lock statistics.
+#[derive(Clone, Copy)]
 struct SliceCharge {
+    /// The slice's cluster, read where the waves group tasks.
+    cluster: u32,
     dc: PhaseMeter,
     ts: PhaseMeter,
     lock: LockStats,
@@ -95,37 +108,38 @@ struct SliceCharge {
 /// One batch's [`GroupCost::charge`], tabulated: the RC + LC meter every
 /// `(query, cluster)` group books once, and per slice of the layout what a
 /// group books for it. Every charge is integer counts, so a wave's merges
-/// of table rows equal the per-group charges bit for bit. Built per batch:
-/// slice lengths are the layout's at that batch.
+/// of table rows equal the per-group charges bit for bit. Built per batch
+/// (slice lengths are the layout's at that batch), into rows the
+/// [`Scratch`] keeps.
 pub(crate) struct ChargeTable<'a> {
     pub(crate) cost: &'a GroupCost<'a>,
-    pub(crate) layout: &'a LayoutPlan,
     group: DpuMeter,
-    slices: Vec<SliceCharge>,
+    slices: &'a [SliceCharge],
 }
 
 impl<'a> ChargeTable<'a> {
-    fn new(cost: &'a GroupCost<'a>, layout: &'a LayoutPlan) -> Self {
+    fn new(
+        cost: &'a GroupCost<'a>,
+        layout: &'a LayoutPlan,
+        rows: &'a mut Vec<SliceCharge>,
+    ) -> Self {
         let mut group = DpuMeter::new();
         cost.charge_group(&mut group);
-        let slices = layout
-            .slices
-            .iter()
-            .map(|s| {
-                let mut meter = DpuMeter::new();
-                let lock = cost.charge_slice(&mut meter, s.len as u64);
-                SliceCharge {
-                    dc: *meter.phase(Phase::Dc),
-                    ts: *meter.phase(Phase::Ts),
-                    lock,
-                }
-            })
-            .collect();
+        rows.clear();
+        rows.extend(layout.slices.iter().map(|s| {
+            let mut meter = DpuMeter::new();
+            let lock = cost.charge_slice(&mut meter, s.len as u64);
+            SliceCharge {
+                cluster: s.cluster,
+                dc: *meter.phase(Phase::Dc),
+                ts: *meter.phase(Phase::Ts),
+                lock,
+            }
+        }));
         ChargeTable {
             cost,
-            layout,
             group,
-            slices,
+            slices: rows,
         }
     }
 
@@ -145,7 +159,8 @@ impl<'a> ChargeTable<'a> {
         let (mut groups, mut queries, mut push_bytes) = (0u64, 0u64, 0u64);
         let mut order = Vec::new();
         let mut last_query = None;
-        for group in sched::group_tasks(tasks, self.layout, &mut order) {
+        let cluster_of = |si: u32| self.slices[si as usize].cluster;
+        for group in sched::group_tasks(tasks, cluster_of, &mut order) {
             let (q, cluster, _) = group[0];
             if last_query != Some(q) {
                 last_query = Some(q);
@@ -154,6 +169,7 @@ impl<'a> ChargeTable<'a> {
             groups += 1;
             push_bytes += self.cost.push_bytes(group.len());
             for &(_, _, si) in group {
+                let si = si as usize;
                 dc.merge(&self.slices[si].dc);
                 let s = ts(q, cluster, si, &mut ts_meter);
                 lock.locked_updates += s.locked_updates;
@@ -201,29 +217,45 @@ pub(crate) struct Batch<'a> {
     pub fault_batch: u64,
 }
 
-/// The DPUs a schedule gave work to, paired with their task lists.
-fn wave_of(per_dpu: Vec<Vec<Task>>) -> Vec<(usize, Vec<Task>)> {
-    per_dpu
-        .into_iter()
-        .enumerate()
-        .filter(|(_, t)| !t.is_empty())
+/// The buffers [`run`] fills every batch, owned by the caller across
+/// batches — the expanded task list, the scheduler's buffers and per-DPU
+/// tables, and the charge table's per-slice rows. Every one is cleared
+/// before it is filled, so what it holds never reaches a result.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    tasks: Vec<Task>,
+    sched: sched::Scratch,
+    rows: Vec<SliceCharge>,
+}
+
+/// The DPUs a schedule gave work to.
+fn busy(per_dpu: &[Vec<Task>]) -> Vec<usize> {
+    (0..per_dpu.len())
+        .filter(|&d| !per_dpu[d].is_empty())
         .collect()
 }
 
-/// Execute one batch on `system`. `exec(table, Some(d), tasks)` produces DPU
-/// `d`'s output for one wave from the batch's [`ChargeTable`];
-/// `exec(table, None, tasks)` is the host-side replay of unplaceable tasks
-/// through the same kernels. Returns, per query, the unmerged per-DPU
-/// result lists in dispatch order, plus the report.
+/// Execute one batch on `system`, in `scratch`'s buffers. `exec(table,
+/// Some(d), tasks)` produces DPU `d`'s output for one wave from the
+/// batch's [`ChargeTable`]; `exec(table, None, tasks)` is the host-side
+/// replay of unplaceable tasks through the same kernels. Returns, per
+/// query, the unmerged per-DPU result lists in dispatch order, plus the
+/// report.
 pub(crate) fn run<E>(
     system: &mut PimSystem,
     b: Batch<'_>,
+    scratch: &mut Scratch,
     exec: E,
 ) -> (Vec<Vec<Vec<Neighbor>>>, BatchReport)
 where
     E: Fn(&ChargeTable<'_>, Option<usize>, &[Task]) -> DpuOutput + Sync,
 {
-    let table = ChargeTable::new(b.cost, b.layout);
+    let Scratch {
+        tasks,
+        sched: buffers,
+        rows,
+    } = scratch;
+    let table = ChargeTable::new(b.cost, b.layout, rows);
     let exec = |who, tasks: &[Task]| exec(&table, who, tasks);
     let ndpus = system.len();
     let nqueries = b.probes.len();
@@ -243,11 +275,11 @@ where
 
     // --- schedule (around the dead set, if any) ---
     let (heat, freq_hz) = (b.cost.heat(), system.arch.freq_hz);
-    let tasks = sched::expand_tasks(b.probes, b.layout, |len| heat(len) as f64 / freq_hz);
+    sched::expand_tasks_into(b.probes, b.layout, |len| heat(len) as f64 / freq_hz, tasks);
     if armed.is_some() {
         stats.scheduled_points = tasks
             .iter()
-            .map(|t| b.layout.slices[t.slice].len as u64)
+            .map(|t| b.layout.slices[t.slice as usize].len as u64)
             .sum();
     }
     let policy = match b.cfg.scheduling {
@@ -256,24 +288,26 @@ where
     };
     let reissue = Policy::Greedy { th3: f64::INFINITY };
     let banned = armed.as_ref().map(|(_, dead)| dead.as_slice());
-    let mut plan = sched::schedule_filtered(&tasks, b.layout, ndpus, policy, None, banned);
+    let mut plan = sched::schedule_with(tasks, b.layout, ndpus, policy, None, banned, buffers);
     let postponed_count = plan.postponed.len();
     let mut fallback: Vec<Task> = std::mem::take(&mut plan.unplaceable);
     // Postponed tasks run in a follow-up wave (the "next batch" of the
     // paper); for result correctness we execute them now, on the same
     // meters — the report still records how many were deferred.
     while !plan.postponed.is_empty() {
-        let extra = sched::schedule_filtered(
+        let extra = sched::schedule_with(
             &plan.postponed,
             b.layout,
             ndpus,
             reissue,
             Some(&plan.heat),
             banned,
+            buffers,
         );
-        for (d, ts_) in extra.per_dpu.into_iter().enumerate() {
-            plan.per_dpu[d].extend(ts_);
+        for (list, more) in plan.per_dpu.iter_mut().zip(&extra.per_dpu) {
+            list.extend_from_slice(more);
         }
+        buffers.recycle(extra.per_dpu);
         plan.heat = extra.heat;
         plan.postponed = extra.postponed;
         fallback.extend(extra.unplaceable);
@@ -296,20 +330,22 @@ where
     let mut heat = plan.heat;
     // DPUs already hedged this batch never get the same work re-issued
     let mut hedged = vec![false; ndpus];
-    let mut wave = wave_of(plan.per_dpu);
+    // the wave's per-DPU lists, and the DPUs among them with work
+    let mut lists = plan.per_dpu;
+    let mut wave = busy(&lists);
     let mut attempt: u32 = 0;
 
     loop {
         // parallel over DPUs; the ordered collect keeps the fold below
         // deterministic at any host thread count
         let outputs: Vec<DpuOutput> = rayon::par_map(wave.len(), |w| {
-            let (d, wtasks) = &wave[w];
-            exec(Some(*d), wtasks)
+            let d = wave[w];
+            exec(Some(d), &lists[d])
         });
 
         let mut to_recover: Vec<Task> = Vec::new();
-        for ((d, wtasks), out) in wave.iter().zip(outputs) {
-            let d = *d;
+        for (&d, out) in wave.iter().zip(outputs) {
+            let wtasks = &lists[d];
             if let Some((inj, _)) = &armed {
                 // Host-side integrity check: the link XORs the transmitted
                 // checksum on a corrupt dispatch, so recomputing it over
@@ -379,13 +415,14 @@ where
         // task (descriptor re-pack + trigger).
         let (_, dead) = armed.as_ref().expect("only faults leave work to recover");
         let banned_now: Vec<bool> = dead.iter().zip(&hedged).map(|(&x, &h)| x || h).collect();
-        let rplan = sched::schedule_filtered(
+        let rplan = sched::schedule_with(
             &to_recover,
             b.layout,
             ndpus,
             reissue,
             Some(&heat),
             Some(&banned_now),
+            buffers,
         );
         extra_host_s += b.host.time(
             32.0 * to_recover.len() as f64,
@@ -393,11 +430,13 @@ where
         );
         heat = rplan.heat;
         fallback.extend(rplan.unplaceable);
-        wave = wave_of(rplan.per_dpu);
+        buffers.recycle(std::mem::replace(&mut lists, rplan.per_dpu));
+        wave = busy(&lists);
         if wave.is_empty() {
             break;
         }
     }
+    buffers.recycle(lists);
 
     // --- escalation: host-side kernel replay, or graceful degradation ---
     if !fallback.is_empty() {
@@ -421,7 +460,7 @@ where
             stats.dropped_tasks += fallback.len();
             let mut degraded: std::collections::BTreeSet<u32> = Default::default();
             for t in &fallback {
-                stats.dropped_points += b.layout.slices[t.slice].len as u64;
+                stats.dropped_points += b.layout.slices[t.slice as usize].len as u64;
                 degraded.insert(t.query);
             }
             stats.degraded_queries += degraded.len();
@@ -523,7 +562,8 @@ mod tests {
                 cost: &cost,
                 fault_batch: 0,
             };
-            let (lists, report) = run(&mut self.system, batch, |_, who, tasks| {
+            let scratch = &mut Scratch::default();
+            let (lists, report) = run(&mut self.system, batch, scratch, |_, who, tasks| {
                 log.lock().unwrap().push((who, tasks.to_vec()));
                 let n = tasks.len() as u64;
                 let mut meter = DpuMeter::new();
@@ -674,7 +714,7 @@ mod tests {
             homes.truncate(1);
         }
         let (log, _, report) = rig.run();
-        let orphaned = |t: &Task| dead[rig.layout.slice_homes[t.slice][0]];
+        let orphaned = |t: &Task| dead[rig.layout.slice_homes[t.slice as usize][0]];
         for (d, &is_dead) in dead.iter().enumerate() {
             assert!(!is_dead || calls_to(&log, Some(d)).is_empty());
         }

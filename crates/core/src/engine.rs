@@ -155,6 +155,8 @@ pub struct DrimEngine {
     mutation_push_bytes: u64,
     /// The last batch's LUT + DC values (scratch reused across batches).
     arena: Arena,
+    /// The dispatch loop's per-batch buffers, reused across batches.
+    dispatch: dispatch::Scratch,
 }
 
 impl DrimEngine {
@@ -282,6 +284,7 @@ impl DrimEngine {
             mutation_transfer_s: 0.0,
             mutation_push_bytes: 0,
             arena: Arena::default(),
+            dispatch: dispatch::Scratch::default(),
         })
     }
 
@@ -480,6 +483,7 @@ impl DrimEngine {
                 cost: &cost,
                 fault_batch: self.fault_batch,
             },
+            &mut self.dispatch,
             |table, _, tasks| kernels.run_dpu(table, arena, tasks),
         );
 

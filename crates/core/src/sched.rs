@@ -32,17 +32,21 @@
 //! - *Expanded in that order.* [`expand_tasks`] emits the batch's tasks
 //!   already in LPT order over the query-major list (by query, then
 //!   probe, then the cluster's slices): a stable counting sort over the
-//!   distinct keys of the probed slices. The scheduler still sorts any
-//!   input by `(!key, index)` pairs — the index makes every pair distinct,
-//!   so the unstable sort yields the stable descending order — and on
-//!   presorted input that sort is one linear check.
+//!   distinct keys of the probed slices. The scheduler places input that
+//!   is in LPT order as it stands, after one linear check of its keys
+//!   (which also rejects a bad cost), and anything else from a stably
+//!   sorted copy. Postponed work keeps the order; only re-issued work is
+//!   sorted.
 //! - *Coldest replica.* One pass over the task's homes, seeded with the
 //!   first one not banned, takes a home only when it is strictly colder:
 //!   of equally cold homes the first wins, `Iterator::min_by`'s rule. The
-//!   homes come from a flat per-call copy of [`LayoutPlan::slice_homes`],
-//!   and with no DPU banned the pass reads no mask.
-//! - *Place, then copy.* The loop records every task's destination; the
-//!   per-DPU lists are then filled at their exact lengths.
+//!   homes come from a flat copy of [`LayoutPlan::slice_homes`], refilled
+//!   per call, and with no DPU banned the pass reads no mask.
+//! - *Placed where it goes.* Each task is pushed straight onto its DPU's
+//!   list. The dispatch loop hands every plan's lists back to buffers it
+//!   keeps across batches, so the lists keep their capacity and a steady
+//!   stream of batches allocates none; [`schedule_filtered`] starts from
+//!   empty lists.
 //!
 //! The static policy places tasks in the order given, so on
 //! [`expand_tasks`]' output a DPU's list is in LPT order as well. Within a
@@ -55,6 +59,7 @@ use crate::config::DataBits;
 use crate::kernels::{square_cost, GroupCost};
 use crate::layout::LayoutPlan;
 use crate::wram::WramPlacement;
+use std::borrow::Cow;
 use upmem_sim::tasklet::LockPolicy;
 
 /// One unit of schedulable work: scan `slice` for `query`.
@@ -63,7 +68,7 @@ pub struct Task {
     /// Query index within the batch.
     pub query: u32,
     /// Canonical slice index into [`LayoutPlan::slices`].
-    pub slice: usize,
+    pub slice: u32,
     /// Predicted DPU seconds of the scan (see [`task_cost_s`]).
     pub cost: f64,
 }
@@ -129,9 +134,58 @@ pub fn schedule_filtered(
     initial_heat: Option<&[f64]>,
     banned: Option<&[bool]>,
 ) -> SchedulePlan {
+    let scratch = &mut Scratch::default();
+    schedule_with(tasks, layout, ndpus, policy, initial_heat, banned, scratch)
+}
+
+/// What [`schedule_with`] fills on every call, kept by the caller so the
+/// next call refills it instead of allocating: the flat homes, and spare
+/// per-DPU tables handed back through [`Scratch::recycle`]. Every buffer
+/// is cleared before it is filled, so what it holds never reaches a
+/// result.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    homes: Homes,
+    tables: Vec<Vec<Vec<Task>>>,
+}
+
+impl Scratch {
+    /// `ndpus` empty task lists: a recycled table when there is one.
+    fn table(&mut self, ndpus: usize) -> Vec<Vec<Task>> {
+        let mut table = self.tables.pop().unwrap_or_default();
+        table.resize_with(ndpus, Vec::new);
+        table.iter_mut().for_each(Vec::clear);
+        table
+    }
+
+    /// Hand a plan's [`SchedulePlan::per_dpu`] back for a later call to
+    /// refill, its lists' capacity intact.
+    pub(crate) fn recycle(&mut self, table: Vec<Vec<Task>>) {
+        self.tables.push(table);
+    }
+}
+
+/// [`schedule_filtered`] filling `scratch`'s buffers: its per-DPU lists
+/// are a table [`Scratch::recycle`] got back, when there is one.
+pub(crate) fn schedule_with(
+    tasks: &[Task],
+    layout: &LayoutPlan,
+    ndpus: usize,
+    policy: Policy,
+    initial_heat: Option<&[f64]>,
+    banned: Option<&[bool]>,
+    scratch: &mut Scratch,
+) -> SchedulePlan {
+    let heat = match initial_heat {
+        Some(h) => h.to_vec(),
+        None => vec![0.0f64; ndpus],
+    };
+    let per_dpu = scratch.table(ndpus);
     match policy {
-        Policy::Static => schedule_static(tasks, layout, ndpus, banned),
-        Policy::Greedy { th3 } => schedule_greedy(tasks, layout, ndpus, th3, initial_heat, banned),
+        Policy::Static => schedule_static(tasks, layout, per_dpu, heat, banned),
+        Policy::Greedy { th3 } => {
+            schedule_greedy(tasks, layout, per_dpu, heat, th3, banned, scratch)
+        }
     }
 }
 
@@ -147,15 +201,14 @@ fn is_banned(banned: Option<&[bool]>, d: usize) -> bool {
 fn schedule_static(
     tasks: &[Task],
     layout: &LayoutPlan,
-    ndpus: usize,
+    mut per_dpu: Vec<Vec<Task>>,
+    mut heat: Vec<f64>,
     banned: Option<&[bool]>,
 ) -> SchedulePlan {
-    let mut per_dpu = vec![Vec::new(); ndpus];
-    let mut heat = vec![0.0f64; ndpus];
     let mut unplaceable = Vec::new();
     for &t in tasks {
         // first surviving home (the primary, unless it is banned)
-        match layout.slice_homes[t.slice]
+        match layout.slice_homes[t.slice as usize]
             .iter()
             .find(|&&d| !is_banned(banned, d))
         {
@@ -177,25 +230,24 @@ fn schedule_static(
 fn schedule_greedy(
     tasks: &[Task],
     layout: &LayoutPlan,
-    ndpus: usize,
+    per_dpu: Vec<Vec<Task>>,
+    heat: Vec<f64>,
     th3: f64,
-    initial_heat: Option<&[f64]>,
     banned: Option<&[bool]>,
+    scratch: &mut Scratch,
 ) -> SchedulePlan {
-    let mut heat = match initial_heat {
-        Some(h) => h.to_vec(),
-        None => vec![0.0f64; ndpus],
-    };
-
+    let ndpus = per_dpu.len();
     // Schedule heavy tasks first (LPT-style) for a tighter makespan:
-    // descending cost, ties in task order. `expand_tasks` emits this order,
-    // so on its output the sort is one linear check.
-    let mut order: Vec<(u64, usize)> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (!lpt_key(t.cost), i))
-        .collect();
-    order.sort_unstable();
+    // descending cost, ties in task order. `expand_tasks` emits this order
+    // and postponement keeps it, so such input is placed as it stands;
+    // anything else is placed from a stably sorted copy.
+    let lpt: Cow<[Task]> = if is_lpt_order(tasks) {
+        Cow::Borrowed(tasks)
+    } else {
+        let mut sorted = tasks.to_vec();
+        sorted.sort_by_key(|t| !lpt_key(t.cost));
+        Cow::Owned(sorted)
+    };
 
     // mean heat if everything were perfectly spread — the th3 reference
     let total_cost: f64 = tasks.iter().map(|t| t.cost).sum::<f64>() + heat.iter().sum::<f64>();
@@ -206,100 +258,88 @@ fn schedule_greedy(
         f64::INFINITY
     };
 
-    // Place first, recording each task's destination; then copy the tasks
-    // out into vectors of exact length.
-    assert!(ndpus < UNPLACEABLE as usize, "at most {UNPLACEABLE} DPUs");
-    let homes = Homes::new(&layout.slice_homes);
-    let mut counts = vec![0usize; ndpus];
-    let banned = banned.unwrap_or(&[]);
-    let dest = if banned.is_empty() {
-        // every home alive: no mask lookups in the hot loop
-        let alive = |_| true;
-        place(&order, tasks, &homes, limit, &mut heat, &mut counts, alive)
-    } else {
-        let alive = |d: usize| !is_banned(Some(banned), d);
-        place(&order, tasks, &homes, limit, &mut heat, &mut counts, alive)
+    // Each task straight into its DPU's list: a recycled list keeps its
+    // capacity, so a steady stream of batches grows none.
+    scratch.homes.fill(&layout.slice_homes);
+    let mut plan = SchedulePlan {
+        per_dpu,
+        postponed: Vec::new(),
+        unplaceable: Vec::new(),
+        heat,
     };
-
-    let mut per_dpu: Vec<Vec<Task>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let mut postponed = Vec::new();
-    let mut unplaceable = Vec::new();
-    for (&(_, i), &d) in order.iter().zip(&dest) {
-        match d {
-            POSTPONED => postponed.push(tasks[i]),
-            UNPLACEABLE => unplaceable.push(tasks[i]),
-            d => per_dpu[d as usize].push(tasks[i]),
+    match banned {
+        // every home alive: no mask lookups in the hot loop
+        None | Some([]) => place(&lpt, &scratch.homes, limit, &mut plan, |_| true),
+        Some(banned) => {
+            let alive = |d: usize| !is_banned(Some(banned), d);
+            place(&lpt, &scratch.homes, limit, &mut plan, alive);
         }
     }
-
-    SchedulePlan {
-        per_dpu,
-        postponed,
-        unplaceable,
-        heat,
-    }
+    plan
 }
 
-/// The greedy placement of `tasks` in `order`: each to its coldest `alive`
-/// home, unless that would take the home past `limit` from a nonzero heat.
-/// Returns each task's destination in `order`: a DPU, [`POSTPONED`] or
-/// [`UNPLACEABLE`]; `heat` and `counts` (tasks per DPU) grow as it goes.
+/// Whether `tasks` are in LPT order already: keys non-increasing. Reads
+/// every task's key, so a cost no schedule can order panics here.
+fn is_lpt_order(tasks: &[Task]) -> bool {
+    let mut sorted = true;
+    let mut prev = u64::MAX;
+    for t in tasks {
+        let key = lpt_key(t.cost);
+        sorted &= key <= prev;
+        prev = key;
+    }
+    sorted
+}
+
+/// The greedy placement of `tasks`, in order, into `plan`: each to its
+/// coldest `alive` home, postponed if that would take the home past
+/// `limit` from a nonzero heat, unplaceable if no home is alive.
 fn place(
-    order: &[(u64, usize)],
     tasks: &[Task],
     homes: &Homes,
     limit: f64,
-    heat: &mut [f64],
-    counts: &mut [usize],
+    plan: &mut SchedulePlan,
     alive: impl Fn(usize) -> bool,
-) -> Vec<u32> {
-    order
-        .iter()
-        .map(|&(_, i)| {
-            let t = &tasks[i];
-            let Some((best, best_heat)) = coldest(homes.of(t.slice), heat, &alive) else {
-                return UNPLACEABLE;
-            };
-            if best_heat + t.cost > limit && best_heat > 0.0 {
-                return POSTPONED;
+) {
+    for &t in tasks {
+        match coldest(homes.of(t.slice), &plan.heat, &alive) {
+            None => plan.unplaceable.push(t),
+            Some((_, heat)) if heat + t.cost > limit && heat > 0.0 => plan.postponed.push(t),
+            Some((best, _)) => {
+                plan.heat[best] += t.cost;
+                plan.per_dpu[best].push(t);
             }
-            heat[best] += t.cost;
-            counts[best] += 1;
-            best as u32
-        })
-        .collect()
+        }
+    }
 }
 
-/// A greedy destination meaning "postponed" (th3 overflow).
-const POSTPONED: u32 = u32::MAX;
-/// A greedy destination meaning "every home banned".
-const UNPLACEABLE: u32 = u32::MAX - 1;
-
 /// [`LayoutPlan::slice_homes`] flattened for one scheduling call: slice
-/// `s`'s homes are `homes[offsets[s]..offsets[s + 1]]`. Built per call, so
-/// it cannot go stale when the layout changes between batches.
+/// `s`'s homes are `homes[offsets[s]..offsets[s + 1]]`. Refilled per call,
+/// so it cannot go stale when the layout changes between batches.
+#[derive(Default)]
 struct Homes {
     offsets: Vec<u32>,
     homes: Vec<u32>,
 }
 
 impl Homes {
-    fn new(slice_homes: &[Vec<usize>]) -> Self {
-        let mut offsets = Vec::with_capacity(slice_homes.len() + 1);
-        let mut homes = Vec::with_capacity(slice_homes.iter().map(Vec::len).sum());
-        offsets.push(0);
+    fn fill(&mut self, slice_homes: &[Vec<usize>]) {
+        self.offsets.clear();
+        self.homes.clear();
+        self.offsets.push(0);
         for hs in slice_homes {
-            homes.extend(
+            self.homes.extend(
                 hs.iter()
                     .map(|&d| u32::try_from(d).expect("DPU ids fit a u32")),
             );
-            offsets.push(u32::try_from(homes.len()).expect("at most u32::MAX homes"));
+            let end = u32::try_from(self.homes.len()).expect("at most u32::MAX homes");
+            self.offsets.push(end);
         }
-        Homes { offsets, homes }
     }
 
-    fn of(&self, slice: usize) -> &[u32] {
-        &self.homes[self.offsets[slice] as usize..self.offsets[slice + 1] as usize]
+    fn of(&self, slice: u32) -> &[u32] {
+        let s = slice as usize;
+        &self.homes[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 }
 
@@ -391,6 +431,18 @@ pub fn expand_tasks(
     layout: &LayoutPlan,
     cost_of: impl Fn(usize) -> f64,
 ) -> Vec<Task> {
+    let mut tasks = Vec::new();
+    expand_tasks_into(probes_per_query, layout, cost_of, &mut tasks);
+    tasks
+}
+
+/// [`expand_tasks`] into `tasks`, whatever it held before.
+pub(crate) fn expand_tasks_into(
+    probes_per_query: &[Vec<u32>],
+    layout: &LayoutPlan,
+    cost_of: impl Fn(usize) -> f64,
+    tasks: &mut Vec<Task>,
+) {
     // pass 1: each cluster's probe count
     let nclusters = layout.cluster_slices.len();
     let mut probes_of = vec![0usize; nclusters];
@@ -408,7 +460,7 @@ pub fn expand_tasks(
             slices.extend(layout.cluster_slices[c].iter().map(|&si| {
                 let cost = cost_of(layout.slices[si].len);
                 ProbedSlice {
-                    slice: si,
+                    slice: u32::try_from(si).expect("slice ids fit a u32"),
                     cost,
                     class: 0,
                 }
@@ -436,14 +488,13 @@ pub fn expand_tasks(
         (*c, n) = (n, n + *c);
     }
     // pass 2: query-major, each task to its class's next slot
-    let mut tasks = vec![
-        Task {
-            query: 0,
-            slice: 0,
-            cost: 0.0,
-        };
-        n
-    ];
+    let blank = Task {
+        query: 0,
+        slice: 0,
+        cost: 0.0,
+    };
+    tasks.clear();
+    tasks.resize(n, blank);
     for (qi, probes) in probes_per_query.iter().enumerate() {
         for &c in probes {
             for s in &slices[at[c as usize]..at[c as usize + 1]] {
@@ -457,34 +508,40 @@ pub fn expand_tasks(
             }
         }
     }
-    tasks
 }
 
 /// A slice [`expand_tasks`] expands, with its task cost and cost class.
 struct ProbedSlice {
-    slice: usize,
+    slice: u32,
     cost: f64,
     class: u32,
 }
 
 /// Sort one DPU's tasks into `order` as `(query, cluster, slice)` and
 /// return its `(query, cluster)` groups — the unit RC + LC run once for.
-/// Groups ascend by `(query, cluster)`; the sort is stable, so a group's
-/// slices keep their task order. The functional engine and trace mode
-/// both walk tasks through here, so they charge the same groups in the
-/// same order.
+/// Groups ascend by `(query, cluster)`, and a group's slices keep their
+/// task order: the sort keys each task by `(query, cluster, position)`,
+/// which ties nowhere, so the unstable sort yields exactly the stable
+/// order; each position is then replaced by its task's slice. The
+/// functional engine and trace mode both walk tasks through here, so they
+/// charge the same groups in the same order.
 pub(crate) fn group_tasks<'a>(
     tasks: &[Task],
-    layout: &LayoutPlan,
-    order: &'a mut Vec<(u32, u32, usize)>,
-) -> impl Iterator<Item = &'a [(u32, u32, usize)]> {
+    cluster_of: impl Fn(u32) -> u32,
+    order: &'a mut Vec<(u32, u32, u32)>,
+) -> impl Iterator<Item = &'a [(u32, u32, u32)]> {
+    let n = u32::try_from(tasks.len()).expect("at most u32::MAX tasks per DPU");
     order.clear();
     order.extend(
         tasks
             .iter()
-            .map(|t| (t.query, layout.slices[t.slice].cluster, t.slice)),
+            .zip(0..n)
+            .map(|(t, i)| (t.query, cluster_of(t.slice), i)),
     );
-    order.sort_by_key(|&(q, cluster, _)| (q, cluster));
+    order.sort_unstable();
+    for entry in order.iter_mut() {
+        entry.2 = tasks[entry.2 as usize].slice;
+    }
     order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
 }
 
@@ -493,6 +550,8 @@ mod tests {
     use super::*;
     use crate::config::{EngineConfig, IndexConfig};
     use crate::layout::{ClusterInfo, LayoutPlan};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn layout(ndpus: usize, dup: bool) -> (Vec<ClusterInfo>, LayoutPlan) {
         let clusters: Vec<ClusterInfo> = (0..8)
@@ -521,7 +580,7 @@ mod tests {
         (0..n)
             .map(|q| Task {
                 query: q as u32,
-                slice,
+                slice: slice as u32,
                 cost: 1.0,
             })
             .collect()
@@ -576,7 +635,7 @@ mod tests {
             for s in 0..plan.slices.len() {
                 tasks.push(Task {
                     query: q,
-                    slice: s,
+                    slice: s as u32,
                     cost: 0.5 + (s as f64) * 0.1,
                 });
             }
@@ -587,10 +646,10 @@ mod tests {
         for (d, ts) in sp.per_dpu.iter().enumerate() {
             for t in ts {
                 assert!(
-                    plan.slice_homes[t.slice].contains(&d),
+                    plan.slice_homes[t.slice as usize].contains(&d),
                     "task on dpu {d} but slice {} lives on {:?}",
                     t.slice,
-                    plan.slice_homes[t.slice]
+                    plan.slice_homes[t.slice as usize]
                 );
             }
         }
@@ -660,7 +719,7 @@ mod tests {
             for s in 0..plan.slices.len() {
                 tasks.push(Task {
                     query: q,
-                    slice: s,
+                    slice: s as u32,
                     cost: 0.3 + (s as f64) * 0.05,
                 });
             }
@@ -724,6 +783,100 @@ mod tests {
     }
 
     #[test]
+    fn static_policy_continues_from_initial_heat() {
+        let (_, plan) = layout(4, true);
+        let mut tasks = Vec::new();
+        for q in 0..6u32 {
+            for s in 0..plan.slices.len() as u32 {
+                let cost = 0.25 * f64::from(1 + (q + s) % 4);
+                tasks.push(Task {
+                    query: q,
+                    slice: s,
+                    cost,
+                });
+            }
+        }
+        let h = [0.5, 1.0, 2.0, 0.125];
+        let sp = schedule_filtered(&tasks, &plan, 4, Policy::Static, Some(&h), None);
+        assert_eq!(sp.scheduled(), tasks.len());
+        for (d, list) in sp.per_dpu.iter().enumerate() {
+            let placed = list.iter().fold(h[d], |heat, t| heat + t.cost);
+            assert_eq!(sp.heat[d].to_bits(), placed.to_bits(), "DPU {d}");
+        }
+    }
+
+    /// Per-DPU task lists over clusters of the given slices, with every
+    /// probed cluster's slices in descending slice order and some `(query,
+    /// cluster)` groups split across the list: in LPT order (cost
+    /// descending, stable) and shuffled.
+    fn dpu_lists(rng: &mut StdRng, cluster_slices: &[Vec<u32>]) -> Vec<Vec<Task>> {
+        let mut lists = Vec::new();
+        for _ in 0..8 {
+            let mut tasks = Vec::new();
+            for _ in 0..rng.gen_range(1..40usize) {
+                let q = rng.gen_range(0..6u32);
+                // a repeat of the group re-adds some slice of it later on
+                let slices = &cluster_slices[rng.gen_range(0..cluster_slices.len())];
+                let take = rng.gen_range(1..=slices.len());
+                for &slice in slices[..take].iter().rev() {
+                    tasks.push(Task {
+                        query: q,
+                        slice,
+                        cost: f64::from(rng.gen_range(0..3u32)),
+                    });
+                }
+            }
+            let mut lpt = tasks.clone();
+            lpt.sort_by(|a, b| b.cost.partial_cmp(&a.cost).unwrap());
+            for i in (1..tasks.len()).rev() {
+                tasks.swap(i, rng.gen_range(0..=i));
+            }
+            lists.push(lpt);
+            lists.push(tasks);
+        }
+        lists
+    }
+
+    #[test]
+    fn group_tasks_is_the_stable_query_cluster_sort() {
+        // clusters of 1, 2, 3, 4 and 1 slices, slice ids interleaved
+        let shape = [1, 2, 3, 4, 1];
+        let mut clusters = Vec::new();
+        let mut cluster_slices = vec![Vec::new(); shape.len()];
+        for round in 0..4 {
+            for (c, &n) in shape.iter().enumerate() {
+                if round < n {
+                    cluster_slices[c].push(clusters.len() as u32);
+                    clusters.push(c as u32);
+                }
+            }
+        }
+        let cluster_of = |slice: u32| clusters[slice as usize];
+        let mut rng = StdRng::seed_from_u64(0x6A0F);
+        let mut order = Vec::new();
+        let (mut repeated, mut multi_slice) = (0, 0);
+        for tasks in dpu_lists(&mut rng, &cluster_slices) {
+            let mut want: Vec<(u32, u32, u32)> = tasks
+                .iter()
+                .map(|t| (t.query, cluster_of(t.slice), t.slice))
+                .collect();
+            want.sort_by_key(|&(q, c, _)| (q, c));
+            let want: Vec<&[(u32, u32, u32)]> =
+                want.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1).collect();
+            let got: Vec<&[(u32, u32, u32)]> =
+                group_tasks(&tasks, cluster_of, &mut order).collect();
+            assert_eq!(got, want);
+            // a group whose slices ascend somewhere holds two of its runs
+            repeated += got
+                .iter()
+                .filter(|g| g.windows(2).any(|w| w[0].2 <= w[1].2))
+                .count();
+            multi_slice += got.iter().filter(|g| g.len() >= 3).count();
+        }
+        assert!(repeated > 0 && multi_slice > 0, "{repeated} {multi_slice}");
+    }
+
+    #[test]
     fn greedy_beats_static_makespan_under_skew() {
         let (_, plan) = layout(4, true);
         let hot_slice = plan.cluster_slices[0][0];
@@ -731,7 +884,7 @@ mod tests {
         for q in 0..4u32 {
             tasks.push(Task {
                 query: q,
-                slice: plan.cluster_slices[2][0],
+                slice: plan.cluster_slices[2][0] as u32,
                 cost: 1.0,
             });
         }

@@ -21,27 +21,32 @@
 //! paper-scale sweeps run thousands of batches. One SIFT100M batch on
 //! 2,543 DPUs (2,500 queries × nprobe 96: ≈ 240k tasks on 16,388 slices,
 //! whose homes the scheduler scans ≈ 5.2M times), in ms on a 2-vCPU x86
-//! host: each figure is the mean of 40 batches at seed 1, the median of
-//! five such runs alternating between the two builds. *Before*, expansion
-//! emitted query-major order, the scheduler sorted and gathered all tasks
-//! every batch and sampling found repeats by scanning the query's probes;
-//! *after*, expansion emits the scheduler's order, placement reads a flat
-//! copy of the homes without a ban mask when none is set, and sampling
-//! stamps each drawn cluster with its query.
+//! host: each phase is the mean of 40 batches at seed 1 and the batch row
+//! their median, each the median of five runs alternating between the two
+//! builds. *Before*, every batch allocated its task list, the scheduler's
+//! `(key, index)` pairs and destinations, the per-DPU lists and the
+//! charge table's rows afresh (≈ 3,700 minor page faults a batch), and
+//! grouped each DPU's tasks with a stable sort; *after*, a runner keeps
+//! those buffers across batches (a steady-state batch faults no page in),
+//! a task is 16 bytes, placement reads the LPT-ordered task list as it
+//! stands and pushes each task straight onto its DPU's list, and grouping
+//! sorts distinct keys.
 //!
 //! | phase                      | before | after |
 //! |----------------------------|-------:|------:|
-//! | sampling                   |   12.5 |   8.4 |
-//! | expansion                  |   13.4 |  12.5 |
-//! | charge table               |    2.4 |   2.4 |
-//! | scheduling                 |   60.0 |  29.7 |
-//! | waves (2 threads) + report |   16.4 |  15.5 |
-//! | batch                      |  106.1 |  68.7 |
+//! | sampling                   |    5.0 |   4.8 |
+//! | expansion                  |    5.7 |   3.6 |
+//! | charge table               |    1.1 |   1.1 |
+//! | scheduling                 |   16.1 |  10.6 |
+//! | waves (2 threads) + report |    4.7 |   4.4 |
+//! | batch (median)             |   33.5 |  24.6 |
 //!
-//! Of the scheduling that is left, the coldest-home scan takes ≈ 15 ms and
-//! the copy into per-DPU lists ≈ 9. In the waves, grouping each DPU's tasks
-//! by `(query, cluster)` (a stable sort per DPU) takes about two thirds of
-//! the thread time.
+//! Placement is ≈ 10 ms of the scheduling left: the coldest-home scan, ≈
+//! 2 ns a home visit, bound by its loads of the DPUs' heat (a four-lane
+//! minimum and a heap over a run of one slice's homes were tried and were
+//! no faster), and the pushes onto the per-DPU lists. The same host ran
+//! these batches up to ≈ 1.7× slower in its busy phases, so only
+//! alternating runs compare.
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::deploy::deploy;
@@ -114,6 +119,8 @@ pub struct TraceRunner {
     pub shape: WorkloadShape,
     /// Probe distribution over clusters.
     probe_sampler: Discrete,
+    /// The dispatch loop's per-batch buffers, reused across batches.
+    dispatch: dispatch::Scratch,
 }
 
 impl TraceRunner {
@@ -227,6 +234,7 @@ impl TraceRunner {
             host: upmem_sim::platform::procs::xeon_silver_4216(),
             shape,
             probe_sampler: Discrete::new(&weights),
+            dispatch: dispatch::Scratch::default(),
         })
     }
 
@@ -307,6 +315,7 @@ impl TraceRunner {
                 cost: &cost,
                 fault_batch,
             },
+            &mut self.dispatch,
             exec,
         )
         .1
@@ -540,19 +549,24 @@ mod tests {
 
     /// A wave's charge as one [`GroupCost::charge`] per `(query, cluster)`
     /// group: meter, lock statistics, push and gather bytes.
-    fn charge_by_group(table: &ChargeTable<'_>, tasks: &[Task]) -> (DpuMeter, LockStats, u64, u64) {
+    fn charge_by_group(
+        table: &ChargeTable<'_>,
+        layout: &LayoutPlan,
+        tasks: &[Task],
+    ) -> (DpuMeter, LockStats, u64, u64) {
         let k = table.cost.k as u64;
         let mut meter = DpuMeter::new();
         let mut lock = LockStats::default();
         let mut push_bytes = 0;
         let mut order = Vec::new();
         let mut queries = std::collections::HashSet::new();
-        for group in crate::sched::group_tasks(tasks, table.layout, &mut order) {
+        let cluster_of = |si: u32| layout.slices[si as usize].cluster;
+        for group in crate::sched::group_tasks(tasks, cluster_of, &mut order) {
             queries.insert(group[0].0);
             push_bytes += table.cost.push_bytes(group.len());
             let lens = group
                 .iter()
-                .map(|&(_, _, si)| table.layout.slices[si].len as u64);
+                .map(|&(_, _, si)| layout.slices[si as usize].len as u64);
             let s = table.cost.charge(&mut meter, lens);
             lock.locked_updates += s.locked_updates;
             lock.pruned += s.pruned;
@@ -571,9 +585,11 @@ mod tests {
                 plain.inject_faults(f).unwrap();
             }
             let probes = runner.sample_probes(5);
+            let layout = runner.layout.clone();
             let rep = runner.run_probes_with(&probes, 5, |table, who, tasks| {
                 let out = table.charge(tasks, |_, _, si, meter| table.ts_row(si, meter));
-                let (meter, lock, push_bytes, gather_bytes) = charge_by_group(table, tasks);
+                let (meter, lock, push_bytes, gather_bytes) =
+                    charge_by_group(table, &layout, tasks);
                 assert_eq!(out.meter, meter, "{who:?}");
                 assert_eq!(out.lock, lock, "{who:?}");
                 assert_eq!(out.push_bytes, push_bytes, "{who:?}");
@@ -591,6 +607,47 @@ mod tests {
                 assert!(rep.fault.host_fallback_tasks > 0, "{:?}", rep.fault);
             }
         }
+    }
+
+    #[test]
+    fn buffers_carried_between_batches_change_nothing() {
+        // a tight th3, so that some work is postponed
+        let mut tight = cfg();
+        tight.th3 = 0.05;
+        let build = || TraceRunner::build(spec(500_000), tight.clone(), PimArch::upmem_sc25(), 32);
+        let faults = FaultConfig::uniform(0xBEEF, 0.12);
+        let debug = |rep: BatchReport| format!("{rep:?}");
+        let mut carried = build();
+
+        // a faulted batch: postponed work, re-issued waves, a host replay
+        carried.inject_faults(faults).unwrap();
+        let rep = carried.run_batch(5);
+        let redone = rep.fault.retried_tasks + rep.fault.hedged_tasks;
+        assert!(rep.postponed > 0, "{rep:?}");
+        assert!(
+            redone > 0 && rep.fault.host_fallback_tasks > 0,
+            "{:?}",
+            rep.fault
+        );
+        let mut fresh = build();
+        fresh.inject_faults(faults).unwrap();
+        assert_eq!(debug(rep), debug(fresh.run_batch(5)));
+
+        // clean batches at other seeds
+        carried.clear_faults();
+        for seed in [1, 9, 2] {
+            let rep = carried.run_batch(seed);
+            assert_eq!(debug(rep), debug(build().run_batch(seed)), "seed {seed}");
+        }
+
+        // far fewer queries than the batch before
+        let few = &carried.sample_probes(3)[..3];
+        let rep = carried.run_probes(few, 3);
+        assert_eq!(rep.queries, 3);
+        assert_eq!(debug(rep), debug(build().run_probes(few, 3)));
+
+        // and batch 1 again
+        assert_eq!(debug(carried.run_batch(1)), debug(build().run_batch(1)));
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn scheduler_heat_is_what_trace_mode_charges() {
         for (d, tasks) in plan.per_dpu.iter().enumerate() {
             let predicted: u64 = tasks
                 .iter()
-                .map(|t| heat(runner.layout.slices[t.slice].len))
+                .map(|t| heat(runner.layout.slices[t.slice as usize].len))
                 .sum();
             let charged = runner.system.dpus[d].meter.total();
             assert_eq!(

@@ -66,7 +66,7 @@ fn greedy_reference(
     let mut unplaceable = Vec::new();
     for idx in order {
         let t = tasks[idx];
-        let best = layout.slice_homes[t.slice]
+        let best = layout.slice_homes[t.slice as usize]
             .iter()
             .filter(|&&d| !is_banned(d))
             .map(|&d| (d, heat[d]))
@@ -120,7 +120,7 @@ fn query_major(
             for &slice in &layout.cluster_slices[c as usize] {
                 tasks.push(Task {
                     query: q as u32,
-                    slice,
+                    slice: slice as u32,
                     cost: cost_of(layout.slices[slice].len),
                 });
             }
@@ -140,7 +140,7 @@ fn tied_cost(len: usize) -> f64 {
 }
 
 /// Tasks as `(query, slice, cost bits)`.
-type TaskBits = Vec<(u32, usize, u64)>;
+type TaskBits = Vec<(u32, u32, u64)>;
 
 /// A plan with every float as its bit pattern: `-0.0` and `0.0` differ.
 fn plan_bits(p: &SchedulePlan) -> (Vec<TaskBits>, TaskBits, TaskBits, Vec<u64>) {
@@ -201,7 +201,7 @@ proptest! {
         prop_assert_eq!(sp.scheduled() + sp.postponed.len(), tasks.len());
         for (d, ts) in sp.per_dpu.iter().enumerate() {
             for t in ts {
-                prop_assert!(plan.slice_homes[t.slice].contains(&d));
+                prop_assert!(plan.slice_homes[t.slice as usize].contains(&d));
             }
         }
     }
@@ -226,7 +226,7 @@ proptest! {
             .enumerate()
             .map(|(q, &(s, c, x))| Task {
                 query: q as u32 % 7,
-                slice: s % plan.slices.len(),
+                slice: (s % plan.slices.len()) as u32,
                 cost: TIED.get(c).copied().unwrap_or(x),
             })
             .collect();
