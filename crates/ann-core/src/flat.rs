@@ -1,9 +1,46 @@
 //! Exact (brute-force) nearest-neighbor search, used for ground truth and
-//! recall measurement. Parallelized over queries on the host pool.
+//! recall measurement.
+//!
+//! [`exact_search`] is the reference: one query, every row in id order,
+//! each offered to a [`BoundedMaxHeap`]. [`exact_search_batch`] returns
+//! exactly its lists — ids, and the bits of every distance that is not NaN
+//! — for every query, but reads the corpus once per block of
+//! [`QUERY_BLOCK`] queries instead of once per query.
+//!
+//! **Tiling.** Blocks run in parallel on the host pool. A block copies its
+//! queries into [`kernels::to_groups`]' layout (16 queries per group, one
+//! coordinate of all 16 contiguous) and scans the corpus in row tiles of
+//! about [`TILE_BYTES`], which stay in cache while every group of the
+//! block passes over them. [`kernels::l2_sq_group`] computes one row's
+//! distances to a group's 16 queries in a loop vectorised across the
+//! queries; each is `kernels::l2_sq_f32(query, row)` to the bit, NaN
+//! payloads aside (that kernel's expression tree, stated in its docs). Per
+//! query the rows still arrive in ascending id order. A NaN compares the
+//! same whatever its payload, so every heap makes the same choices.
+//!
+//! **The gate.** The batch path calls `push` only where
+//! [`BoundedMaxHeap::admits_next`] says yes: while the heap is not full, or
+//! when `d < heap.bound()`. That is `push`'s own acceptance test for
+//! ascending ids: a full heap takes a candidate iff it orders before the
+//! root by `(dist, id)`, and since the candidate's id is above every
+//! retained id, an equal distance — or a NaN on either side, which the
+//! order reads as equal — leaves the id to decide, and the id says no.
+//! `d < bound` is false in exactly those cases. A skipped push is one that
+//! would have returned `false` without touching the heap, so every heap
+//! goes through the same states as in [`exact_search`].
 
-use crate::kernels::l2_sq_f32;
+use crate::kernels::{self, l2_sq_f32};
 use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
+
+/// Queries per parallel block of [`exact_search_batch`] (a multiple of
+/// [`kernels::GROUP`]): the corpus is streamed once per block.
+pub const QUERY_BLOCK: usize = 64;
+const _: () = assert!(QUERY_BLOCK.is_multiple_of(kernels::GROUP));
+
+/// Bytes of corpus rows per tile of [`exact_search_batch`], sized to stay
+/// in a core's L2 while every query group of a block scans it.
+pub const TILE_BYTES: usize = 128 * 1024;
 
 /// Exact top-k of `query` against every vector in `data`.
 pub fn exact_search(query: &[f32], data: &VecSet<f32>, k: usize) -> Vec<Neighbor> {
@@ -14,13 +51,44 @@ pub fn exact_search(query: &[f32], data: &VecSet<f32>, k: usize) -> Vec<Neighbor
     heap.into_sorted()
 }
 
-/// Exact top-k for a whole query set, parallel over queries.
+/// Exact top-k for a whole query set: [`exact_search`]'s lists per query
+/// (NaN payloads aside), parallel over query blocks, the corpus scanned in
+/// row tiles (see the module docs).
 pub fn exact_search_batch(
     queries: &VecSet<f32>,
     data: &VecSet<f32>,
     k: usize,
 ) -> Vec<Vec<Neighbor>> {
-    rayon::par_map(queries.len(), |qi| exact_search(queries.get(qi), data, k))
+    assert_eq!(queries.dim(), data.dim(), "query and corpus dims differ");
+    let dim = data.dim();
+    let tile = (TILE_BYTES / (4 * dim)).max(1);
+    let blocks = rayon::par_map(queries.len().div_ceil(QUERY_BLOCK), |b| {
+        let qs = b * QUERY_BLOCK..((b + 1) * QUERY_BLOCK).min(queries.len());
+        let groups = kernels::to_groups(&queries.as_flat()[qs.start * dim..qs.end * dim], dim);
+        let mut heaps: Vec<BoundedMaxHeap> = qs.map(|_| BoundedMaxHeap::new(k)).collect();
+        for lo in (0..data.len()).step_by(tile) {
+            let rows = lo..(lo + tile).min(data.len());
+            for (group, heaps) in groups
+                .chunks_exact(kernels::GROUP * dim)
+                .zip(heaps.chunks_mut(kernels::GROUP))
+            {
+                for i in rows.clone() {
+                    let dists = kernels::l2_sq_group(group, data.get(i));
+                    for (heap, &d) in heaps.iter_mut().zip(&dists) {
+                        if heap.admits_next(d) {
+                            heap.push(Neighbor::new(i as u64, d));
+                        }
+                    }
+                }
+            }
+        }
+        heaps
+    });
+    blocks
+        .into_iter()
+        .flatten()
+        .map(BoundedMaxHeap::into_sorted)
+        .collect()
 }
 
 /// Ground-truth id lists (`queries.len() x k`).

@@ -4,7 +4,7 @@
 //! fold (`acc += d * d`), which forms one serial dependency chain: without
 //! `-ffast-math` the compiler may not reassociate float adds, so the loop
 //! retires one accumulation per FP-add latency and never vectorizes. The
-//! kernels here restructure the same arithmetic three ways:
+//! kernels here restructure the same arithmetic four ways:
 //!
 //! 1. **Multi-accumulator unrolling** — [`l2_sq_f32`] and [`dot_f32`]
 //!    keep [`LANES`] independent partial sums, one per vector lane, so
@@ -24,6 +24,11 @@
 //!    eight points at a time with the subspace loop outermost, so one LUT
 //!    row (`cb` entries, subspace-major layout) stays hot in L1 across
 //!    eight gathers and the eight accumulators are independent.
+//! 4. **Transposed row groups** — [`l2_sq_group`] computes [`l2_sq_f32`]
+//!    for 16 rows at once over a copy transposed by [`to_groups`], with the
+//!    loops running across the rows, so each row keeps the per-row
+//!    kernel's exact expression tree. k-means++ seeding (rows = training
+//!    points) and exact search (rows = a block's queries) use it.
 //!
 //! Numerical contract: the `f32` kernels agree with the scalar reference
 //! to within a few ULPs of reassociation error (tested at 1e-4 relative).
@@ -71,6 +76,74 @@ pub fn l2_sq_f32(a: &[f32], b: &[f32]) -> f32 {
         tail += d * d;
     }
     reduce8(acc) + tail
+}
+
+/// Rows per group of the transposed layout that [`to_groups`] writes and
+/// [`l2_sq_group`] reads: the width their loops are vectorised across.
+pub const GROUP: usize = 16;
+
+/// Rows of `dim` floats (`rows_flat`, row-major) transposed per group of
+/// [`GROUP`] rows: element `g·dim·GROUP + j·GROUP + p` is coordinate `j` of
+/// row `g·GROUP + p`. The last group is padded with zero rows.
+pub fn to_groups(rows_flat: &[f32], dim: usize) -> Vec<f32> {
+    let span = dim * GROUP;
+    let mut out = vec![0.0f32; (rows_flat.len() / dim).div_ceil(GROUP) * span];
+    for (i, row) in rows_flat.chunks_exact(dim).enumerate() {
+        let group = &mut out[i / GROUP * span..][..span];
+        for (j, &x) in row.iter().enumerate() {
+            group[j * GROUP + i % GROUP] = x;
+        }
+    }
+    out
+}
+
+/// `l2_sq_f32(row, v)` for each of the [`GROUP`] rows of one group of
+/// [`to_groups`]' layout, vectorised across the rows: the same bits for
+/// every result that is not NaN, and NaN where that is NaN (Rust leaves a
+/// NaN result's payload unspecified, and it follows the operand order the
+/// compiler picks at each call site).
+///
+/// **Exact-tree contract.** Each row keeps [`l2_sq_f32`]'s expression
+/// tree: with `d = row[j] − v[j]`, lane `l` sums `d²` over dims `l, l + 8,
+/// …` below the last multiple of [`LANES`], in order, from `+0.0`; the
+/// lanes meet in `reduce8`'s pairwise tree; the tail dims fold left from
+/// `+0.0` and are added last (below 8 dims the lanes are all `+0.0` and the
+/// distance is `+0.0 + tail`, the same bits as the tail). No sum is
+/// reassociated, so the bits do not depend on the vector width, and ties
+/// and ±∞ come out exactly as the per-row kernel's.
+#[inline]
+pub fn l2_sq_group(group: &[f32], v: &[f32]) -> [f32; GROUP] {
+    let column = |j: usize| -> &[f32; GROUP] {
+        group[j * GROUP..][..GROUP]
+            .try_into()
+            .expect("a slice of GROUP floats is a [f32; GROUP]")
+    };
+    let full = v.len() - v.len() % LANES;
+    let mut lanes = [0.0f32; GROUP];
+    if full > 0 {
+        let mut acc = [[0.0f32; GROUP]; LANES];
+        for chunk in (0..full).step_by(LANES) {
+            for (l, a) in acc.iter_mut().enumerate() {
+                let (x, s) = (column(chunk + l), v[chunk + l]);
+                for p in 0..GROUP {
+                    let d = x[p] - s;
+                    a[p] += d * d;
+                }
+            }
+        }
+        for (p, s) in lanes.iter_mut().enumerate() {
+            *s = reduce8(std::array::from_fn(|l| acc[l][p]));
+        }
+    }
+    let mut tail = [0.0f32; GROUP];
+    for (j, &s) in v.iter().enumerate().skip(full) {
+        let x = column(j);
+        for p in 0..GROUP {
+            let d = x[p] - s;
+            tail[p] += d * d;
+        }
+    }
+    std::array::from_fn(|p| lanes[p] + tail[p])
 }
 
 /// Inner product of two `f32` slices (multi-accumulator form).
@@ -232,6 +305,37 @@ pub fn adc_scan_f32(codes: &[u16], m: usize, cb: usize, lut: &[f32], out: &mut V
 mod tests {
     use super::*;
     use crate::distance;
+
+    #[test]
+    fn l2_sq_group_is_l2_sq_f32_bit_for_bit() {
+        // magnitudes from 1e-3 to 1e3 in one vector, so summing the
+        // squares in any other association rounds differently; 37 rows,
+        // so the last group is padded
+        let mut lcg = 0x5EED_u64;
+        let mut val = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (lcg >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+            unit * 10f32.powi(((lcg >> 20) % 7) as i32 - 3)
+        };
+        for dim in [1usize, 2, 3, 7, 8, 9, 11, 16, 17, 19, 26, 96, 99] {
+            for _ in 0..4 {
+                let rows: Vec<f32> = (0..37 * dim).map(|_| val()).collect();
+                let v: Vec<f32> = (0..dim).map(|_| val()).collect();
+                let groups = to_groups(&rows, dim);
+                assert_eq!(groups.len(), 3 * GROUP * dim);
+                for (i, row) in rows.chunks_exact(dim).enumerate() {
+                    let got = l2_sq_group(&groups[i / GROUP * GROUP * dim..][..GROUP * dim], &v);
+                    assert_eq!(
+                        got[i % GROUP].to_bits(),
+                        l2_sq_f32(row, &v).to_bits(),
+                        "dim {dim} row {i}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Deterministic pseudo-random f32 stream in [-1, 1).
     fn prand_f32(n: usize, seed: u64) -> Vec<f32> {

@@ -6,7 +6,7 @@
 //! procedures Faiss runs, so recall comparisons against the baseline are
 //! apples-to-apples.
 
-use crate::kernels::{self, l2_sq_f32};
+use crate::kernels;
 use crate::vector::VecSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -306,18 +306,51 @@ pub fn nearest_centroid_with_norms(
     (i as u32, d)
 }
 
-/// Points per parallel task of the seeding's nearest-seed update.
+/// Points per parallel task of the seeding's nearest-seed update (a
+/// multiple of [`kernels::GROUP`]).
 const SEED_CHUNK: usize = 1024;
+const _: () = assert!(SEED_CHUNK.is_multiple_of(kernels::GROUP));
 
 /// k-means++ seeding: first centroid uniform, then D²-weighted sampling.
-fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> {
+///
+/// `d2[i]`, point `i`'s squared distance to its nearest seed so far, is
+/// updated across points: `data` is copied once into
+/// [`kernels::to_groups`]' layout, transposed per group of 16 points, and
+/// [`kernels::l2_sq_group`] computes a group's distances to the new seed
+/// with one coordinate fixed per loop. The copy is `n · dim` floats (at
+/// most `k · 256 · dim` under [`KMeansParams::new`]'s training cap). That
+/// kernel keeps [`kernels::l2_sq_f32`]'s exact expression tree for every
+/// point (its docs state the contract), and the `total` sum and the target
+/// scan stay sequential, so every seed is the one a per-point
+/// `l2_sq_f32(point, seed)` loop picks, for every input — ties, NaN and ±∞
+/// included.
+pub fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> {
     let dim = data.dim();
     let n = data.len();
     let mut centroids = VecSet::with_capacity(dim, k);
     let first = rng.gen_range(0..n);
     centroids.push(data.get(first));
 
-    let mut d2: Vec<f32> = rayon::par_map(n, |i| l2_sq_f32(data.get(i), centroids.get(0)));
+    let span = dim * kernels::GROUP;
+    let groups = kernels::to_groups(data.as_flat(), dim);
+    let mut d2 = vec![0.0f32; n];
+    let update = |d2: &mut [f32], seed: &[f32], first: bool| {
+        rayon::par_chunks_mut(d2, SEED_CHUNK, |c, chunk| {
+            let groups = &groups[c * (SEED_CHUNK / kernels::GROUP) * span..];
+            for (out, group) in chunk
+                .chunks_mut(kernels::GROUP)
+                .zip(groups.chunks_exact(span))
+            {
+                let nd = kernels::l2_sq_group(group, seed);
+                for (d, &nd) in out.iter_mut().zip(&nd) {
+                    if first || nd < *d {
+                        *d = nd;
+                    }
+                }
+            }
+        });
+    };
+    update(&mut d2, centroids.get(0), true);
 
     for _ in 1..k {
         let total: f64 = d2.iter().map(|&d| d as f64).sum();
@@ -336,15 +369,7 @@ fn kmeanspp_init(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> 
             picked
         };
         centroids.push(data.get(choice));
-        let new_c = centroids.len() - 1;
-        rayon::par_chunks_mut(&mut d2, SEED_CHUNK, |c, chunk| {
-            for (o, d) in chunk.iter_mut().enumerate() {
-                let nd = l2_sq_f32(data.get(c * SEED_CHUNK + o), centroids.get(new_c));
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        });
+        update(&mut d2, data.get(choice), false);
     }
     centroids
 }
@@ -367,6 +392,7 @@ fn sample_without_replacement(rng: &mut StdRng, n: usize, count: usize) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::l2_sq_f32;
 
     /// Three well-separated blobs in 2-D.
     fn blobs() -> VecSet<f32> {

@@ -71,12 +71,24 @@ impl BoundedMaxHeap {
         }
     }
 
+    /// Whether [`Self::push`] would retain a candidate at `dist` whose id
+    /// is above every id offered so far — the case of a scan in ascending
+    /// id order, which can test this inline and skip the call. Exact for
+    /// every `dist`: on an equal distance, or a NaN on either side (which
+    /// the heap's order reads as equal), the higher id loses, and `<` is
+    /// false in exactly those cases.
+    #[inline]
+    pub fn admits_next(&self, dist: f32) -> bool {
+        self.heap.len() < self.k || dist < self.heap[0].dist
+    }
+
     /// Offer a candidate; returns `true` if it was retained.
     ///
-    /// Never inlined: where LLVM inlined it into `flat::exact_search`'s
-    /// loop, that loop's distance kernel dropped from 8-wide to 4-wide
-    /// vectors, and computing the benchmark's ground truth took 40% longer.
-    /// Which callers got it inlined moved with unrelated edits to this file.
+    /// Never inlined: inlined into `flat::exact_search`'s loop, it made
+    /// that loop ≈ 1.5× slower (256 queries over 100k random 96-d rows on
+    /// 2 threads: 0.46–0.54 s against 0.31–0.34 s). Which callers got it
+    /// inlined, and which of their loops lost vector width for it, moved
+    /// with unrelated edits to this file.
     #[inline(never)]
     pub fn push(&mut self, n: Neighbor) -> bool {
         if self.heap.len() < self.k {

@@ -10,7 +10,10 @@
 //! built so that a one-ULP change in any distance or a wrong tie-break
 //! changes a code. The engine's in-place top-k kernel is held to the
 //! candidate-list kernel the same way: equal lock statistics, meters and
-//! retained lists on every seeded stream.
+//! retained lists on every seeded stream. Exact search and k-means++
+//! seeding, both vectorised across rows of a transposed copy, are held to
+//! their per-query and per-point loops (ids and distance bits, seed bits),
+//! and a pinned digest holds every bit of a small `IvfPqIndex::build`.
 
 use ann_core::distance;
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
@@ -20,6 +23,8 @@ use ann_core::vector::VecSet;
 use drim_ann::config::DataBits;
 use drim_ann::kernels::{ts, KernelCtx};
 use drim_ann::wram::{WramCandidate, WramPlacement};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use upmem_sim::meter::PhaseMeter;
 use upmem_sim::tasklet::LockPolicy;
@@ -620,4 +625,206 @@ fn in_place_top_k_matches_the_staged_kernel() {
         }
     }
     assert_eq!(cases, 2 * 3 * 2 * 3 * 6);
+}
+
+/// Inputs of the exact-search and seeding oracles: `n` points of `dim`
+/// coordinates on a coarse grid, so many distances tie; every fifth point
+/// repeats an earlier one, and with `specials` some coordinates are NaN or
+/// ±∞.
+fn grid_points(n: usize, dim: usize, specials: bool, st: &mut Stream) -> VecSet<f32> {
+    let mut out = VecSet::with_capacity(dim, n);
+    for i in 0..n {
+        if i % 5 == 4 {
+            let src = out.get(st.below(i)).to_vec();
+            out.push(&src);
+            continue;
+        }
+        let v: Vec<f32> = (0..dim)
+            .map(|_| match st.below(if specials { 41 } else { 1 << 20 }) {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => (st.below(7) as f32 - 3.0) * 0.5,
+            })
+            .collect();
+        out.push(&v);
+    }
+    out
+}
+
+/// Ids and distance bits, with every NaN distance read as one NaN: Rust
+/// leaves the sign and payload of a NaN result unspecified, and which of
+/// two NaN operands a sum passes on follows the operand order the compiler
+/// chose at that call site.
+fn neighbor_bits(ns: &[Neighbor]) -> Vec<(u64, u32)> {
+    let bits = |d: f32| if d.is_nan() { f32::NAN } else { d }.to_bits();
+    ns.iter().map(|n| (n.id, bits(n.dist))).collect()
+}
+
+#[test]
+fn exact_search_batch_matches_per_query_exact_search() {
+    use ann_core::flat::{exact_search, exact_search_batch, QUERY_BLOCK, TILE_BYTES};
+    // query counts around the block; corpora below k, inside one tile and
+    // across a tile boundary (never a multiple of the tile); grid values,
+    // duplicate rows, and NaN / ±∞ in rows and queries. The pool width
+    // cycles through 1, 2 and 4 threads from case to case
+    let mut st = Stream(0xE7AC7);
+    let mut cases = 0;
+    for dim in [3usize, 13] {
+        let tile = TILE_BYTES / (4 * dim);
+        for (n, ks) in [
+            (7usize, &[1usize, 10][..]),
+            (300, &[1, 10]),
+            (tile + 5, &[10]),
+        ] {
+            for specials in [false, true] {
+                let data = grid_points(n, dim, specials, &mut st);
+                for nq in [1, QUERY_BLOCK - 1, QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 3] {
+                    let queries = grid_points(nq, dim, specials, &mut st);
+                    for &k in ks {
+                        let threads = [1, 2, 4][cases % 3];
+                        let got: Vec<_> = rayon::with_num_threads(threads, || {
+                            exact_search_batch(&queries, &data, k)
+                        })
+                        .iter()
+                        .map(|ns| neighbor_bits(ns))
+                        .collect();
+                        let want: Vec<_> = (0..nq)
+                            .map(|qi| neighbor_bits(&exact_search(queries.get(qi), &data, k)))
+                            .collect();
+                        assert_eq!(
+                            got, want,
+                            "dim {dim} n {n} specials {specials} queries {nq} k {k} \
+                             threads {threads}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * 5 * 2 * 4);
+}
+
+#[test]
+fn heap_gate_is_push_acceptance_in_ascending_id_order() {
+    // `admits_next` is the test `exact_search_batch` runs before `push`:
+    // on every candidate of ascending-id scans over grid values (ties),
+    // duplicate rows and NaN / ±∞, it must say exactly what `push` does
+    let mut st = Stream(0x6A7E);
+    for specials in [false, true] {
+        let data = grid_points(600, 5, specials, &mut st);
+        let queries = grid_points(6, 5, specials, &mut st);
+        for k in [1usize, 10, 700] {
+            for (qi, q) in queries.iter().enumerate() {
+                let mut heap = BoundedMaxHeap::new(k);
+                for (i, row) in data.iter().enumerate() {
+                    let n = Neighbor::new(i as u64, ann_core::kernels::l2_sq_f32(q, row));
+                    let gate = heap.admits_next(n.dist);
+                    assert_eq!(
+                        gate,
+                        heap.push(n),
+                        "specials {specials} k {k} query {qi} row {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The per-point k-means++ seeding loop that `kmeanspp_init` replaced: one
+/// `kernels::l2_sq_f32(point, seed)` per point and round, min-updated in
+/// place.
+fn kmeanspp_reference(data: &VecSet<f32>, k: usize, rng: &mut StdRng) -> VecSet<f32> {
+    let n = data.len();
+    let mut seeds = VecSet::with_capacity(data.dim(), k);
+    seeds.push(data.get(rng.gen_range(0..n)));
+    let mut d2: Vec<f32> = (0..n)
+        .map(|i| ann_core::kernels::l2_sq_f32(data.get(i), seeds.get(0)))
+        .collect();
+    for _ in 1..k {
+        let total: f64 = d2.iter().map(|&d| d as f64).sum();
+        let choice = if total <= 0.0 {
+            rng.gen_range(0..n)
+        } else {
+            let mut target = rng.gen::<f64>() * total;
+            let mut picked = n - 1;
+            for (i, &d) in d2.iter().enumerate() {
+                target -= d as f64;
+                if target <= 0.0 {
+                    picked = i;
+                    break;
+                }
+            }
+            picked
+        };
+        seeds.push(data.get(choice));
+        let seed = seeds.get(seeds.len() - 1);
+        for (i, d) in d2.iter_mut().enumerate() {
+            let nd = ann_core::kernels::l2_sq_f32(data.get(i), seed);
+            if nd < *d {
+                *d = nd;
+            }
+        }
+    }
+    seeds
+}
+
+#[test]
+fn kmeanspp_seeds_match_the_per_point_loop() {
+    // dims below, at and above the 8 lanes (tails of 0-7 dims, 0-12 lane
+    // chunks); more points than one parallel chunk, never a multiple of
+    // the 16-point group; random, all-identical (the `total <= 0` draw)
+    // and with one NaN coordinate
+    let mut st = Stream(0x5EED5);
+    for dim in [1usize, 2, 3, 7, 8, 9, 17, 19, 96] {
+        let random = VecSet::from_flat(dim, (0..1500 * dim).map(|_| st.unit() * 3.0).collect());
+        let same = VecSet::from_flat(dim, [0.25f32].repeat(300 * dim));
+        let mut nan = random.clone();
+        nan.get_mut(700)[dim / 2] = f32::NAN;
+        for (name, data) in [("random", &random), ("identical", &same), ("nan", &nan)] {
+            let k = 24;
+            let want = kmeanspp_reference(data, k, &mut StdRng::seed_from_u64(dim as u64));
+            for threads in [1, 2] {
+                let got = rayon::with_num_threads(threads, || {
+                    ann_core::kmeans::kmeanspp_init(data, k, &mut StdRng::seed_from_u64(dim as u64))
+                });
+                let bits =
+                    |s: &VecSet<f32>| s.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "dim {dim} {name} threads {threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ivf_pq_build_digest_is_pinned() {
+    // dim 24, m 8: dsub 3, the benchmark's subvector width, where both the
+    // seeding and the encoder run on their tail paths. The digest covers
+    // every coarse centroid and codeword bit, list id and code, so any
+    // change to seeding, Lloyd, assignment or encoding shows here. The
+    // value was recorded with the per-point seeding loop
+    // (`kmeanspp_reference` above)
+    let (data, _) = workload(3000, 24, 91);
+    let idx = IvfPqIndex::build(&data, &IvfPqParams::new(24).m(8).cb(64));
+    let floats = idx
+        .coarse
+        .as_flat()
+        .iter()
+        .chain(idx.quant.codebooks_flat());
+    let words = floats
+        .map(|x| u64::from(x.to_bits()))
+        .chain(idx.lists.iter().flat_map(|l| {
+            std::iter::once(l.len() as u64)
+                .chain(l.ids.iter().map(|&id| u64::from(id)))
+                .chain(l.codes.iter().map(|&c| u64::from(c)))
+        }));
+    assert_eq!(
+        ann_core::hash::hash_words(0xB17D, words),
+        3848415315859050938
+    );
 }
