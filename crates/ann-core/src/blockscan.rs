@@ -67,7 +67,7 @@
 //! 1/2/4/8 threads, odd batch sizes, and tables straddling both path
 //! thresholds.
 
-use crate::kernels;
+use crate::kernels::{self, GROUP};
 use crate::linalg::MatrixView;
 use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
@@ -101,6 +101,16 @@ pub trait RowConsumer {
 /// Same argmin semantics as [`kernels::nearest_row`]: the `‖q‖²` term is
 /// constant per query, so the argmin runs on `‖c‖² − 2·q·c` and the winner
 /// gets the norm added back (clamped at zero against cancellation).
+///
+/// The scan over the scores is position-blocked (`kernels::first_min`):
+/// each position of a 16-wide block keeps its own first strict-`<`
+/// minimum, vectorised across positions; the smallest position value wins,
+/// ties to the lowest index, and the ragged tail finishes sequentially.
+/// That is exactly the first strict minimum a sequential `score < best`
+/// scan from `(0, ∞)` finds, so the pushed `(index, (best + qn).max(0.0))`
+/// has the sequential scan's bits for every input: NaN scores never win,
+/// `−0.0` and `+0.0` tie and go to the lower index, and a row with no
+/// score below `∞` gives index 0.
 pub struct Argmin<'a> {
     /// Destination for the per-query `(assignment, distance)` pairs.
     pub out: &'a mut Vec<(u32, f32)>,
@@ -108,14 +118,22 @@ pub struct Argmin<'a> {
 
 impl RowConsumer for Argmin<'_> {
     fn row(&mut self, _row: usize, qn: f32, table_norms: &[f32], dots: &[f32]) {
-        let mut best = (0usize, f32::INFINITY);
-        for (j, (&cn, &dp)) in table_norms.iter().zip(dots).enumerate() {
-            let score = cn - 2.0 * dp;
-            if score < best.1 {
-                best = (j, score);
-            }
-        }
-        self.out.push((best.0 as u32, (best.1 + qn).max(0.0)));
+        let n = table_norms.len().min(dots.len());
+        let (best, score) = kernels::first_min(
+            n,
+            |j0| {
+                let (cn, dp) = (&table_norms[j0..j0 + GROUP], &dots[j0..j0 + GROUP]);
+                // an index loop, not `array::from_fn`, which unoptimised
+                // test builds run as an iterator per block
+                let mut scores = [0.0f32; GROUP];
+                for p in 0..GROUP {
+                    scores[p] = cn[p] - 2.0 * dp[p];
+                }
+                scores
+            },
+            |j| table_norms[j] - 2.0 * dots[j],
+        );
+        self.out.push((best as u32, (score + qn).max(0.0)));
     }
 }
 

@@ -19,8 +19,9 @@ use crate::topk::{BoundedMaxHeap, Neighbor};
 use crate::vector::VecSet;
 
 /// Points per pool item when [`IvfPqIndex::build`] encodes the corpus. A
-/// constant, never derived from the thread count; encoding is per point,
-/// so the chunking only sets the grain of the parallel loop.
+/// constant, never derived from the thread count; every code is the same
+/// however the points are blocked, so the chunking only sets the grain of
+/// the parallel loop.
 const ENCODE_CHUNK: usize = 4096;
 
 /// Index construction parameters.
@@ -151,16 +152,18 @@ impl IvfPqIndex {
         );
 
         // 4. encode every residual on the pool, ENCODE_CHUNK points per
-        // item, then append to the inverted lists in point order
+        // item (16 at a time within it, `encode_batch_into`), then append
+        // to the inverted lists in point order
         let m = params.m;
         let mut codes = vec![0u16; data.len() * m];
         rayon::par_chunks_mut(&mut codes, ENCODE_CHUNK * m, |ci, out| {
-            let mut r = vec![0.0f32; dim];
-            for (k, code) in out.chunks_exact_mut(m).enumerate() {
-                let i = ci * ENCODE_CHUNK + k;
-                residual_into(data.get(i), coarse.get(assignments[i] as usize), &mut r);
-                quant.encode_into(&r, code);
+            let lo = ci * ENCODE_CHUNK;
+            let mut residuals = vec![0.0f32; out.len() / m * dim];
+            for (k, r) in residuals.chunks_exact_mut(dim).enumerate() {
+                let i = lo + k;
+                residual_into(data.get(i), coarse.get(assignments[i] as usize), r);
             }
+            quant.encode_batch_into(&residuals, out);
         });
         let mut lists: Vec<IvfList> = (0..params.nlist).map(|_| IvfList::default()).collect();
         for ((i, &a), code) in assignments.iter().enumerate().zip(codes.chunks_exact(m)) {

@@ -28,17 +28,20 @@
 //!    for 16 rows at once over a copy transposed by [`to_groups`], with the
 //!    loops running across the rows, so each row keeps the per-row
 //!    kernel's exact expression tree. k-means++ seeding (rows = training
-//!    points) and exact search (rows = a block's queries) use it.
+//!    points), exact search (rows = a block's queries) and PQ encoding
+//!    (rows = 16 residuals' subvectors, or one subspace's codewords for a
+//!    single row) use it; `first_min` is the matching argmin over
+//!    16-wide blocks of scores.
 //!
 //! Numerical contract: the `f32` kernels agree with the scalar reference
 //! to within a few ULPs of reassociation error (tested at 1e-4 relative).
 //! [`l2_sq_batch`] additionally carries the cancellation error of the
 //! decomposition (clamped at zero), which is why PQ encoding's
-//! nearest-codeword argmin ([`crate::pq::ProductQuantizer::encode_into`])
-//! does not use it: its codeword-blocked kernel computes every distance
-//! with exactly [`l2_sq_f32`]'s expression tree, and the contract is
-//! stated there. The ADC LUT build uses the
-//! decomposition too (GEMM-formulated in `pq`'s `lut_batch` against cached
+//! nearest-codeword argmin
+//! ([`crate::pq::ProductQuantizer::encode_batch_into`]) does not use it:
+//! it computes every distance with [`l2_sq_group`], [`l2_sq_f32`]'s exact
+//! expression tree, and the contract is stated there. The ADC LUT build
+//! uses the decomposition too (GEMM-formulated in `pq`'s `lut_batch` against cached
 //! codeword norms), trading a few ULPs of cancellation for a
 //! reduction-free, batch-amortized construction.
 
@@ -111,8 +114,14 @@ pub fn to_groups(rows_flat: &[f32], dim: usize) -> Vec<f32> {
 /// distance is `+0.0 + tail`, the same bits as the tail). No sum is
 /// reassociated, so the bits do not depend on the vector width, and ties
 /// and ±∞ come out exactly as the per-row kernel's.
-#[inline]
+///
+/// `#[inline(always)]`: a call per row group through memory costs more
+/// than the distances themselves at narrow widths (PQ encoding's
+/// 3-dimensional subspaces ran 2× slower once a fourth caller tipped
+/// LLVM's inliner), so every caller gets its own copy of the loops.
+#[inline(always)]
 pub fn l2_sq_group(group: &[f32], v: &[f32]) -> [f32; GROUP] {
+    let group = &group[..v.len() * GROUP];
     let column = |j: usize| -> &[f32; GROUP] {
         group[j * GROUP..][..GROUP]
             .try_into()
@@ -132,7 +141,10 @@ pub fn l2_sq_group(group: &[f32], v: &[f32]) -> [f32; GROUP] {
             }
         }
         for (p, s) in lanes.iter_mut().enumerate() {
-            *s = reduce8(std::array::from_fn(|l| acc[l][p]));
+            let a = &acc;
+            *s = reduce8([
+                a[0][p], a[1][p], a[2][p], a[3][p], a[4][p], a[5][p], a[6][p], a[7][p],
+            ]);
         }
     }
     let mut tail = [0.0f32; GROUP];
@@ -143,7 +155,75 @@ pub fn l2_sq_group(group: &[f32], v: &[f32]) -> [f32; GROUP] {
             tail[p] += d * d;
         }
     }
-    std::array::from_fn(|p| lanes[p] + tail[p])
+    // index loops, not `array::from_fn`: unoptimised test builds call this
+    // once per codeword of every encoded 16-row block
+    for p in 0..GROUP {
+        lanes[p] += tail[p];
+    }
+    lanes
+}
+
+/// Index and value of the first strict minimum of `n` scores: what the
+/// sequential scan `if score(j) < best.1 { best = (j, score(j)) }` from
+/// `(0, ∞)` returns, bit for bit, for every input.
+///
+/// `block(j0)` gives the scores `j0 .. j0 + GROUP` of each whole block and
+/// `one(j)` each score of the ragged tail. Each block position keeps its
+/// own first strict-`<` minimum with a branch-free select, so the block
+/// loop vectorises across positions. **Exactness:** the sequential scan
+/// returns the lowest index whose score equals (`==`) the smallest
+/// non-NaN score below `∞`; each position holds the lowest such index of
+/// its own subsequence, so taking the smallest position value, ties to
+/// the lowest index, recovers it, and the tail (all higher indices) then
+/// continues the scan with strict `<`. NaN never compares below anything,
+/// `−0.0 == +0.0` is a tie settled by index (the winner's own bits are
+/// returned), and with no score below `∞` every position still holds `∞`,
+/// so the tie goes to position 0's index 0 and the result is `(0, ∞)`.
+#[inline]
+pub(crate) fn first_min(
+    n: usize,
+    mut block: impl FnMut(usize) -> [f32; GROUP],
+    mut one: impl FnMut(usize) -> f32,
+) -> (usize, f32) {
+    let full = n - n % GROUP;
+    // per position: its smallest value and the start of the block it
+    // came from (a broadcast, not a per-lane index, keeps the select one
+    // vector blend)
+    let mut best_v = [f32::INFINITY; GROUP];
+    let mut best_j0 = [0u32; GROUP];
+    for j0 in (0..full).step_by(GROUP) {
+        let v = block(j0);
+        for p in 0..GROUP {
+            let lt = v[p] < best_v[p];
+            best_v[p] = if lt { v[p] } else { best_v[p] };
+            best_j0[p] = if lt { j0 as u32 } else { best_j0[p] };
+        }
+    }
+    let mut best = first_of_positions(&best_v, &best_j0);
+    for j in full..n {
+        let v = one(j);
+        if v < best.1 {
+            best = (j, v);
+        }
+    }
+    best
+}
+
+/// [`first_min`]'s merge of its positions: the smallest value, ties to the
+/// lowest index `j0[p] + p`. A position that never took a value reads
+/// `(p, ∞)`, which can only tie an `∞` best, where position 0's index 0 is
+/// lower. Out of line, so the scalar walk over the lanes does not leak into
+/// how the block loop before it vectorises.
+#[inline(never)]
+fn first_of_positions(best_v: &[f32; GROUP], best_j0: &[u32; GROUP]) -> (usize, f32) {
+    let mut best = (best_j0[0] as usize, best_v[0]);
+    for p in 1..GROUP {
+        let (v, i) = (best_v[p], best_j0[p] as usize + p);
+        if v < best.1 || (v == best.1 && i < best.0) {
+            best = (i, v);
+        }
+    }
+    best
 }
 
 /// Inner product of two `f32` slices (multi-accumulator form).

@@ -113,7 +113,14 @@ pub fn kmeans(data: &VecSet<f32>, params: &KMeansParams) -> KMeansResult {
         // counts / inertia. Chunk partials are then combined in ascending
         // chunk order — the chunk count is fixed (never a function of the
         // thread count), so the f64 sums are bit-identical at any pool
-        // width. `tests/parallel_parity.rs` relies on exactly this.
+        // width. `tests/parallel_parity.rs` relies on exactly this. Each
+        // point's argmin over `‖c‖² − 2·x·c` runs position-blocked
+        // (`blockscan::Argmin`, 16 centroids per vector step), which
+        // returns the first strict minimum a sequential scan finds: each
+        // position keeps its own first minimum, the smallest position
+        // wins with ties to the lowest index, and the ragged tail
+        // continues the scan — so assignments, distances and hence every
+        // centroid bit are the sequential loop's, NaN and ±0.0 included.
         let cnorms = kernels::row_norms_f32(centroids.as_flat(), dim);
         let partials = assign_partials(&train, &centroids, &cnorms, params.k);
 

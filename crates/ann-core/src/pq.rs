@@ -12,7 +12,7 @@
 //! independently of the dataset dimension.
 
 use crate::distance::l2_sq_f32;
-use crate::kernels::{reduce8, LANES};
+use crate::kernels::{self, GROUP};
 use crate::kmeans::{kmeans, KMeansParams};
 use crate::vector::VecSet;
 
@@ -61,19 +61,14 @@ pub struct ProductQuantizer {
     /// [`ProductQuantizer::train`] / [`ProductQuantizer::from_codebooks`],
     /// so no cache can go stale.
     cb_norms: Vec<f32>,
-    /// The codebooks transposed to `[s][d][j]` for the encode kernel: per
-    /// subspace, `dsub` rows of `cb` codeword components padded to a
-    /// multiple of [`ENCODE_BLOCK`] with NaN codewords, which no argmin
-    /// ever picks. Computed once, like `cb_norms`.
-    codebooks_t: Vec<f32>,
+    /// Each subspace's codebook in [`kernels::to_groups`]' layout (16
+    /// codewords per group, the last zero-padded), for the one-row encode
+    /// path. Computed once, like `cb_norms`.
+    codebook_groups: Vec<f32>,
 }
 
 /// Largest codebook a quantizer accepts: codes are stored as `u16`.
 pub const MAX_CB: usize = 1 << 16;
-
-/// Codewords per block of the nearest-codeword kernel: the width its
-/// distance and argmin loops are vectorised across.
-const ENCODE_BLOCK: usize = 16;
 
 impl ProductQuantizer {
     /// The quantizer itself, for callers that reach the index's residual
@@ -122,15 +117,11 @@ impl ProductQuantizer {
         assert!(cb <= MAX_CB, "cb {cb} exceeds {MAX_CB}");
         let dsub = dim.div_ceil(m);
         assert_eq!(codebooks.len(), m * cb * dsub);
-        let cb_norms = crate::kernels::row_norms_f32(&codebooks, dsub);
-        let span_t = dsub * cb.next_multiple_of(ENCODE_BLOCK);
-        let mut codebooks_t = vec![0.0f32; m * span_t];
-        for (src, dst) in codebooks
+        let cb_norms = kernels::row_norms_f32(&codebooks, dsub);
+        let codebook_groups = codebooks
             .chunks_exact(cb * dsub)
-            .zip(codebooks_t.chunks_exact_mut(span_t))
-        {
-            transpose_codebook(src, dsub, dst);
-        }
+            .flat_map(|book| kernels::to_groups(book, dsub))
+            .collect();
         ProductQuantizer {
             dim,
             m,
@@ -138,7 +129,7 @@ impl ProductQuantizer {
             dsub,
             codebooks,
             cb_norms,
-            codebooks_t,
+            codebook_groups,
         }
     }
 
@@ -171,28 +162,72 @@ impl ProductQuantizer {
         code
     }
 
-    /// Encode one vector into the `m` slots of `out`, allocation-free.
+    /// Encode one vector into the `m` slots of `out`, with the same code
+    /// bits as [`Self::encode_batch_into`] on that row.
+    ///
+    /// Each slot is exactly what a sequential strict-`<` scan from
+    /// `(0, ∞)` over `kernels::l2_sq_f32(sub_s, codeword_j)` returns (see
+    /// [`Self::encode_batch_into`]). One row leaves no rows to vectorise
+    /// across, so here the codewords are the lanes: each group of 16
+    /// codewords of the cached [`kernels::to_groups`] copy gets its
+    /// distances from [`kernels::l2_sq_group`], which are
+    /// `l2_sq_f32(codeword, sub)`'s exact tree, and `(c − x)²` is
+    /// `(x − c)²` bit for bit. The position-blocked `kernels::first_min`
+    /// then returns the sequential scan's first strict minimum over the
+    /// `cb` real codewords (its docs give the argument); the zero padding
+    /// of the last group is never read. Running the 16-row kernel for one
+    /// row instead would compute 15 lanes for nothing: on the 96-dim,
+    /// `m` 32, `cb` 256 benchmark index that made an insert ≈ 10× slower.
+    pub fn encode_into(&self, v: &[f32], out: &mut [u16]) {
+        assert_eq!(v.len(), self.dim);
+        assert_eq!(out.len(), self.m);
+        let (cb, dsub) = (self.cb, self.dsub);
+        let span = cb.div_ceil(GROUP) * GROUP * dsub;
+        let mut sub = vec![0.0f32; dsub];
+        let mut dists = vec![0.0f32; span / dsub];
+        for ((s, slot), groups) in out
+            .iter_mut()
+            .enumerate()
+            .zip(self.codebook_groups.chunks_exact(span))
+        {
+            extract_sub(v, s, dsub, &mut sub);
+            *slot = nearest_codeword(&sub, groups, cb, &mut dists);
+        }
+    }
+
+    /// Encode `rows_flat` (`n * dim`, row-major) into `out` (`n * m`, one
+    /// code per row), [`GROUP`] rows at a time.
     ///
     /// Each slot is exactly what a sequential strict-`<` scan from
     /// `(0, ∞)` over `kernels::l2_sq_f32(sub_s, codeword_j)` returns — the
     /// lowest index among the smallest non-NaN distances, or 0 when none is
     /// below `∞` — for every input, ties and non-finite values included.
-    /// The private `nearest_codeword` kernel documents how its
-    /// codeword-blocked loops keep that contract. Distances are exact, not
-    /// the norm decomposition: its cancellation could flip the argmin on
-    /// near-ties.
-    pub fn encode_into(&self, v: &[f32], out: &mut [u16]) {
-        assert_eq!(v.len(), self.dim);
-        assert_eq!(out.len(), self.m);
-        let span_t = self.codebooks_t.len() / self.m;
-        for ((s, slot), table) in out
-            .iter_mut()
-            .enumerate()
-            .zip(self.codebooks_t.chunks_exact(span_t))
-        {
-            let lo = (s * self.dsub).min(self.dim);
-            let hi = (lo + self.dsub).min(self.dim);
-            *slot = nearest_codeword(&v[lo..hi], table, self.dsub);
+    /// A block of rows is transposed once into [`kernels::to_groups`]'
+    /// layout, zero-padded to `m * dsub` coordinates, so subspace `s` of
+    /// all its rows is one contiguous `dsub × GROUP` slab; the private
+    /// `nearest_codewords` kernel documents how it keeps the contract for
+    /// every row of the slab. Distances are exact, not the norm
+    /// decomposition: its cancellation could flip the argmin on near-ties.
+    pub fn encode_batch_into(&self, rows_flat: &[f32], out: &mut [u16]) {
+        let (dim, m, dsub) = (self.dim, self.m, self.dsub);
+        assert_eq!(rows_flat.len() % dim, 0);
+        assert_eq!(out.len(), rows_flat.len() / dim * m);
+        let span = dsub * GROUP;
+        let mut group = vec![0.0f32; m * span];
+        for (rows, codes) in rows_flat.chunks(GROUP * dim).zip(out.chunks_mut(GROUP * m)) {
+            // lanes past the block's rows keep the previous block's values;
+            // their codes are never read
+            for (p, row) in rows.chunks_exact(dim).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    group[j * GROUP + p] = x;
+                }
+            }
+            for (s, slab) in group.chunks_exact(span).enumerate() {
+                let nearest = nearest_codewords(slab, self.codebook(s), dsub);
+                for (code, &c) in codes.chunks_exact_mut(m).zip(&nearest) {
+                    code[s] = c;
+                }
+            }
         }
     }
 
@@ -265,7 +300,7 @@ impl ProductQuantizer {
                 extract_sub(q, s, dsub, &mut qsub[qi * dsub..(qi + 1) * dsub]);
             }
             for (n, sub) in qnorm.iter_mut().zip(qsub.chunks_exact(dsub)) {
-                *n = crate::kernels::norm_sq_f32(sub);
+                *n = kernels::norm_sq_f32(sub);
             }
             // cross terms: Q_s (nq x dsub) · C_sᵀ (dsub x cb) straight into
             // the LUT slots of subspace s (row stride = whole LUT row)
@@ -319,87 +354,67 @@ fn extract_sub(v: &[f32], s: usize, dsub: usize, buf: &mut [f32]) {
     }
 }
 
-/// Write one subspace's codebook `src` (`cb × dsub`, codeword-major) into
-/// `dst` as `dsub` rows of `dst.len() / dsub` components, the slots past
-/// `cb` filled with NaN.
-fn transpose_codebook(src: &[f32], dsub: usize, dst: &mut [f32]) {
-    let width = dst.len() / dsub;
-    dst.fill(f32::NAN);
-    for (j, codeword) in src.chunks_exact(dsub).enumerate() {
-        for (d, &c) in codeword.iter().enumerate() {
-            dst[d * width + j] = c;
-        }
+/// Index of the codeword nearest to the subvector `sub` among the `cb`
+/// codewords of `groups` (one codebook in [`kernels::to_groups`]' layout),
+/// with `dists` as scratch for one distance per group slot.
+/// [`ProductQuantizer::encode_into`] states the contract.
+///
+/// The distances are computed for every group first and the argmin runs
+/// over them after, so each loop vectorises on its own. `#[inline(never)]`,
+/// like `nearest_codewords`.
+#[inline(never)]
+fn nearest_codeword(sub: &[f32], groups: &[f32], cb: usize, dists: &mut [f32]) -> u16 {
+    for (d, group) in dists
+        .chunks_exact_mut(GROUP)
+        .zip(groups.chunks_exact(GROUP * sub.len()))
+    {
+        d.copy_from_slice(&kernels::l2_sq_group(group, sub));
     }
+    let (j, _) = kernels::first_min(
+        cb,
+        |j0| {
+            dists[j0..j0 + GROUP]
+                .try_into()
+                .expect("a slice of GROUP floats is a [f32; GROUP]")
+        },
+        |j| dists[j],
+    );
+    j as u16
 }
 
-/// Index of the codeword of `table` (one subspace of the `[s][d][j]`
-/// cache) nearest to the subvector `x`, zero-padded to `dsub`.
+/// Index of the codeword of `codebook` (`cb × dsub`, codeword-major)
+/// nearest to each of the [`GROUP`] subvectors of `slab` (`dsub × GROUP`,
+/// [`kernels::to_groups`]' layout).
 ///
-/// Codewords go [`ENCODE_BLOCK`] at a time, vectorised across the block
-/// and never across `d`, so every codeword's distance is the exact
-/// expression tree of [`crate::kernels::l2_sq_f32`]: dimension `d` below
-/// the last whole multiple of [`LANES`] accumulates into lane `d % LANES`,
-/// the lanes are summed by `kernels`' pairwise tree, and the left-folded
-/// tail of the remaining dimensions is added last (below `LANES`
-/// dimensions the lanes are all `+0.0` and the distance is `+0.0 + tail`,
-/// the same bits as the tail). The argmin is fused and branchless: each
-/// block position keeps its own first strict-`<` minimum, then one pass
-/// across positions takes the smallest value, ties to the lowest index.
-/// NaN never compares below anything and the NaN padding codewords never
-/// win, so the result is the sequential `d < best` scan's from `(0, ∞)`
-/// for every input.
+/// Codewords go one at a time, and each one's distances are computed for
+/// the whole slab by [`kernels::l2_sq_group`], vectorised across the rows
+/// and never across `d`. Each row therefore keeps
+/// [`kernels::l2_sq_f32`]'s exact expression tree: dimension `d` below the
+/// last whole multiple of 8 accumulates into lane `d % 8`, the lanes meet
+/// in `reduce8`'s pairwise tree, and the left-folded tail of the remaining
+/// dimensions is added last (below 8 dimensions the distance is
+/// `+0.0 + tail`, the same bits as the tail). `(x − c)²` and `(c − x)²`
+/// are the same bits, so the operand order does not matter either. Each
+/// row then keeps its own sequential strict-`<` argmin over the codewords
+/// in index order, with a branch-free select, from `(0, ∞)`: every code is
+/// the reference scan's, ties to the lowest index, NaN never winning.
 ///
 /// `#[inline(never)]` like the engine's lane loops (`dc::scan_lanes`,
 /// `lc::fill`): one compiled body, so an edit elsewhere cannot re-roll
-/// how its block loops vectorise.
+/// how its loops vectorise.
 #[inline(never)]
-fn nearest_codeword(x: &[f32], table: &[f32], dsub: usize) -> u16 {
-    const J: usize = ENCODE_BLOCK;
-    let width = table.len() / dsub;
-    let full = dsub - dsub % LANES;
-    let x_at = |d: usize| x.get(d).copied().unwrap_or(0.0);
-    let mut best_v = [f32::INFINITY; J];
-    let mut best_i = [0u32; J];
-    for j0 in (0..width).step_by(J) {
-        let column = |d: usize| &table[d * width + j0..d * width + j0 + J];
-        let mut lanes = [0.0f32; J];
-        if full > 0 {
-            let mut acc = [[0.0f32; J]; LANES];
-            for chunk in (0..full).step_by(LANES) {
-                for (l, a) in acc.iter_mut().enumerate() {
-                    let (xd, col) = (x_at(chunk + l), column(chunk + l));
-                    for (a, &c) in a.iter_mut().zip(col) {
-                        let t = xd - c;
-                        *a += t * t;
-                    }
-                }
-            }
-            for (j, s) in lanes.iter_mut().enumerate() {
-                *s = reduce8(std::array::from_fn(|l| acc[l][j]));
-            }
-        }
-        let mut tail = [0.0f32; J];
-        for d in full..dsub {
-            let (xd, col) = (x_at(d), column(d));
-            for (t, &c) in tail.iter_mut().zip(col) {
-                let diff = xd - c;
-                *t += diff * diff;
-            }
-        }
-        for j in 0..J {
-            let dist = lanes[j] + tail[j];
-            let lt = dist < best_v[j];
-            best_v[j] = if lt { dist } else { best_v[j] };
-            best_i[j] = if lt { (j0 + j) as u32 } else { best_i[j] };
+fn nearest_codewords(slab: &[f32], codebook: &[f32], dsub: usize) -> [u16; GROUP] {
+    let mut best_v = [f32::INFINITY; GROUP];
+    let mut best_i = [0u32; GROUP];
+    for (j, codeword) in codebook.chunks_exact(dsub).enumerate() {
+        let dist = kernels::l2_sq_group(slab, codeword);
+        for p in 0..GROUP {
+            let lt = dist[p] < best_v[p];
+            best_v[p] = if lt { dist[p] } else { best_v[p] };
+            best_i[p] = if lt { j as u32 } else { best_i[p] };
         }
     }
-    let mut best = (best_v[0], best_i[0]);
-    for (&v, &i) in best_v.iter().zip(&best_i).skip(1) {
-        if v < best.0 || (v == best.0 && i < best.1) {
-            best = (v, i);
-        }
-    }
-    best.1 as u16
+    best_i.map(|i| i as u16)
 }
 
 #[cfg(test)]

@@ -333,3 +333,102 @@ fn msplit_parallel_gemm_boundary_matches_serial_bitwise() {
         }
     }
 }
+
+/// `blockscan::Argmin` through the driver against `ref_assign`'s
+/// sequential strict-`<` scan: index and distance bits per point.
+fn assert_argmin_is_sequential(
+    points: &VecSet<f32>,
+    table: &VecSet<f32>,
+    cnorms: &[f32],
+    what: &str,
+) {
+    let want = ref_assign(points, table, cnorms);
+    let mut got = Vec::new();
+    blockscan::scan(
+        points,
+        MatrixView::new(table.len(), table.dim(), table.as_flat()),
+        cnorms,
+        &mut blockscan::Argmin { out: &mut got },
+    );
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.0, w.0, "{what}: point {i}");
+        assert_eq!(g.1.to_bits(), w.1.to_bits(), "{what}: point {i}");
+    }
+}
+
+#[test]
+fn blocked_argmin_is_the_sequential_scan() {
+    // Against an all-zero table every finite point's cross terms are +0.0,
+    // so its scores are exactly the given centroid norms: ties, signed
+    // zeros, NaN and ∞ land at chosen positions of the 16-wide blocks and
+    // of the ragged tail. A NaN or ∞ point scores NaN everywhere, a row
+    // with no finite score, which must give index 0.
+    let dim = 5;
+    let mut points = prand_set(24, dim, 77);
+    points.push(&[0.0; 5]);
+    points.push(&[f32::NAN, 0.5, 0.5, 0.5, 0.5]);
+    points.push(&[0.5, f32::INFINITY, 0.5, 0.5, 0.5]);
+    for nt in [1usize, 15, 16, 17, 33, 256] {
+        let zeros = VecSet::from_flat(dim, vec![0.0; nt * dim]);
+        let mut cases: Vec<(String, Vec<f32>)> = Vec::new();
+        // the smallest value at period 7: its copies sit at every block
+        // position, so only "lowest index" picks the right one
+        for r in 0..7 {
+            let norms = (0..nt).map(|j| ((j + r) * 5 % 7) as f32).collect();
+            cases.push((format!("ties r {r}"), norms));
+        }
+        // −0.0 and +0.0 as the only zeros, in both orders, in one block,
+        // across blocks and in the tail
+        for (a, b) in [(0, 1), (1, 0), (3, 18), (18, 3), (20, 5), (5, 32), (32, 16)] {
+            if a.max(b) < nt {
+                let mut norms = vec![1.0f32; nt];
+                norms[a] = -0.0;
+                norms[b] = 0.0;
+                cases.push((format!("signed zeros {a} {b}"), norms));
+            }
+        }
+        // NaN scores around the minimum, index 0 included
+        let norms = (0..nt)
+            .map(|j| {
+                if j % 3 == 0 {
+                    f32::NAN
+                } else {
+                    2.0 + (j % 5) as f32
+                }
+            })
+            .collect();
+        cases.push(("NaN scores".into(), norms));
+        // no score below ∞: every row gives index 0
+        let norms = (0..nt)
+            .map(|j| if j % 2 == 0 { f32::INFINITY } else { f32::NAN })
+            .collect();
+        cases.push(("none finite".into(), norms));
+        for (what, norms) in &cases {
+            assert_argmin_is_sequential(&points, &zeros, norms, &format!("nt {nt} {what}"));
+        }
+        let mut got = Vec::new();
+        blockscan::scan(
+            &points,
+            MatrixView::new(nt, dim, zeros.as_flat()),
+            &vec![f32::INFINITY; nt],
+            &mut blockscan::Argmin { out: &mut got },
+        );
+        assert!(got.iter().all(|&(a, _)| a == 0), "nt {nt}: no finite score");
+
+        // real tables: duplicated rows at period 7, and NaN in some rows
+        let base = prand_set(nt, dim, 300 + nt as u64);
+        let dup = VecSet::from_flat(
+            dim,
+            (0..nt).flat_map(|j| base.get(j % 7).to_vec()).collect(),
+        );
+        let mut nan = base.clone();
+        for j in (0..nt).step_by(4) {
+            nan.get_mut(j)[j % dim] = f32::NAN;
+        }
+        for (what, table) in [("random", &base), ("duplicates", &dup), ("NaN rows", &nan)] {
+            let norms = kernels::row_norms_f32(table.as_flat(), dim);
+            assert_argmin_is_sequential(&points, table, &norms, &format!("nt {nt} {what}"));
+        }
+    }
+}

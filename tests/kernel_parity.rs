@@ -828,3 +828,67 @@ fn ivf_pq_build_digest_is_pinned() {
         3848415315859050938
     );
 }
+
+#[test]
+fn block_encode_matches_the_per_row_reference_bit_for_bit() {
+    // `encode_batch_into` runs 16 rows per pass; block sizes around that
+    // width leave partial blocks, whose idle lanes must not leak into a
+    // code. dim = 3 * dsub - 1, so the last subspace is zero-padded
+    let mut st = Stream(0xB10C);
+    for dsub in [1usize, 2, 3, 7, 8, 9, 16, 17] {
+        for cb in [2usize, 17, 256] {
+            let (m, dim) = (3usize, 3 * dsub - 1);
+            for family in 0..4 {
+                let books = oracle_codebooks(family, m, cb, dsub, &mut st);
+                let pq = ProductQuantizer::from_codebooks(dim, m, cb, books);
+                let inputs = oracle_inputs(&pq, &mut st);
+                let want: Vec<Vec<u16>> = inputs.iter().map(|v| encode_reference(&pq, v)).collect();
+                for n in [1usize, 15, 16, 17, 33] {
+                    let rows: Vec<f32> = inputs[..n].concat();
+                    for threads in [1, 2] {
+                        let mut codes = vec![0u16; n * m];
+                        rayon::with_num_threads(threads, || {
+                            pq.encode_batch_into(&rows, &mut codes)
+                        });
+                        for (i, code) in codes.chunks_exact(m).enumerate() {
+                            assert_eq!(
+                                code,
+                                &want[i][..],
+                                "dsub {dsub} cb {cb} family {family} rows {n} threads {threads} \
+                                 row {i}: {:?}",
+                                inputs[i]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn build_codes_are_the_per_row_reference_at_any_thread_count() {
+    // 4,200 points: the build encodes in 4,096-point pool items, 16 rows
+    // per pass, so the second item (104 = 6 · 16 + 8 points) is partial
+    // and ends on a partial pass
+    let (data, _) = workload(4200, 12, 93);
+    for threads in [1, 2] {
+        let idx = rayon::with_num_threads(threads, || {
+            IvfPqIndex::build(&data, &IvfPqParams::new(16).m(4).cb(32))
+        });
+        let mut residual = vec![0.0f32; 12];
+        for (c, list) in idx.lists.iter().enumerate() {
+            for (&id, code) in list.ids.iter().zip(list.codes.chunks_exact(4)) {
+                let v = data.get(id as usize);
+                for ((r, &x), &y) in residual.iter_mut().zip(v).zip(idx.coarse.get(c)) {
+                    *r = x - y;
+                }
+                assert_eq!(
+                    code,
+                    &encode_reference(&idx.quant, &residual)[..],
+                    "threads {threads} id {id}"
+                );
+            }
+        }
+    }
+}
