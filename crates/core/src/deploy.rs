@@ -6,11 +6,15 @@
 use crate::config::{EngineConfig, IndexConfig};
 use crate::engine::BuildError;
 use crate::kernels::GroupCost;
-use crate::layout::{duplication, ClusterInfo, LayoutPlan};
+use crate::layout::{duplication, ClusterInfo, LayoutPlan, LayoutProfile};
 use crate::perf_model::WorkloadShape;
 use crate::wram::WramPlacement;
 use upmem_sim::system::PimSystem;
 use upmem_sim::PimArch;
+
+/// What [`deploy`] returns: the layout, the simulated system, the WRAM plan
+/// and the layout build's profile.
+pub(crate) type Deployment = (LayoutPlan, PimSystem, WramPlacement, LayoutProfile);
 
 /// MRAM bytes of one stored point: its PQ code and its `u32` id.
 pub(crate) fn bytes_per_point(index: &IndexConfig) -> u64 {
@@ -21,16 +25,17 @@ pub(crate) fn bytes_per_point(index: &IndexConfig) -> u64 {
 /// Place `clusters` on `ndpus` DPUs of `arch` under `cfg` for the workload
 /// `shape`: the layout (partition, duplication, allocation), the
 /// cross-rank post-pass when `cfg.ranks` is set, the layout's validation,
-/// the simulated system with every DPU's MRAM accounted, and the WRAM
-/// plan. Every DPU first reserves the quantized codebooks and its share of
-/// the coarse centroids; the slices get the rest of its MRAM.
+/// the simulated system with every DPU's MRAM accounted, the WRAM plan,
+/// and the layout build's profile. Every DPU first reserves the quantized
+/// codebooks and its share of the coarse centroids; the slices get the
+/// rest of its MRAM.
 pub(crate) fn deploy(
     clusters: &[ClusterInfo],
     cfg: &EngineConfig,
     arch: PimArch,
     ndpus: usize,
     shape: &WorkloadShape,
-) -> Result<(LayoutPlan, PimSystem, WramPlacement), BuildError> {
+) -> Result<Deployment, BuildError> {
     // first, so zero DPUs or a broken architecture is an error before any
     // arithmetic below divides by them
     let mut system = PimSystem::try_new(arch, ndpus)?;
@@ -46,9 +51,10 @@ pub(crate) fn deploy(
         .saturating_sub(codebook_bytes + centroid_bytes);
 
     let heat = GroupCost::layout_heat(cfg, arch, shape, ndpus);
-    let mut layout = LayoutPlan::build(clusters, ndpus, cfg, bytes_per_point, mram_budget, |len| {
-        heat(len) as f64
-    });
+    let (mut layout, profile) =
+        LayoutPlan::build(clusters, ndpus, cfg, bytes_per_point, mram_budget, |len| {
+            heat(len) as f64
+        });
     // Rank topology: the post-pass gives every slice a home on >= 2
     // distinct ranks (budget permitting), which makes a whole-rank
     // fail-stop lossless. Slices the budget could not cover stay
@@ -83,5 +89,5 @@ pub(crate) fn deploy(
 
     let local_clusters = layout.dpu_slices.first().map_or(0, Vec::len);
     let placement = crate::wram::plan_for(cfg, arch, shape, local_clusters, ndpus);
-    Ok((layout, system, placement))
+    Ok((layout, system, placement, profile))
 }

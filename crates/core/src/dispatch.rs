@@ -529,7 +529,8 @@ mod tests {
         let mut system = PimSystem::new(PimArch::upmem_sc25(), NDPUS);
         let layout = LayoutPlan::build(&clusters, NDPUS, &cfg, 8, 1 << 20, |len| {
             sched::task_cost_s(len, 4, 16, 4, 10, true, &system.arch.costs, 1.0)
-        });
+        })
+        .0;
         system.fault = faults.map(|fc| FaultInjector::new(fc).unwrap());
         Rig {
             cfg,

@@ -30,7 +30,7 @@ use crate::config::{ConfigError, DataBits, EngineConfig};
 use crate::deploy::{bytes_per_point, deploy};
 use crate::dispatch::{self, ChargeTable, DpuOutput};
 use crate::kernels::{cl, dc, lc, rc, ts, GroupCost};
-use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan};
+use crate::layout::{heat::HeatProfile, ClusterInfo, LayoutPlan, LayoutProfile};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
 use crate::sched::Task;
@@ -157,6 +157,8 @@ pub struct DrimEngine {
     arena: Arena,
     /// The dispatch loop's per-batch buffers, reused across batches.
     dispatch: dispatch::Scratch,
+    /// What the build's layout pass decided and how long it took.
+    layout_profile: LayoutProfile,
 }
 
 impl DrimEngine {
@@ -251,7 +253,8 @@ impl DrimEngine {
             &cfg.index,
             BitWidths::u8_regime(),
         );
-        let (layout, system, placement) = deploy(&clusters, &cfg, arch, ndpus, &shape)?;
+        let (layout, system, placement, layout_profile) =
+            deploy(&clusters, &cfg, arch, ndpus, &shape)?;
         let bytes_per_point = bytes_per_point(&cfg.index);
 
         // Live-id directory for the mutation paths: every id the build
@@ -285,7 +288,14 @@ impl DrimEngine {
             mutation_push_bytes: 0,
             arena: Arena::default(),
             dispatch: dispatch::Scratch::default(),
+            layout_profile,
         })
+    }
+
+    /// What the build's layout pass decided and how long its steps took.
+    /// Maintenance edits the layout in place and leaves this as built.
+    pub fn layout_profile(&self) -> &LayoutProfile {
+        &self.layout_profile
     }
 
     /// Attach a fault injector: subsequent batches run through the

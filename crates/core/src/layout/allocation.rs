@@ -8,7 +8,7 @@
 //! chosen to keep the heat balance intact. Copies of the *same* slice must
 //! stay on distinct DPUs (they exist to give the scheduler alternatives).
 
-use super::Slice;
+use super::{LayoutProfile, Slice, Stopwatch};
 
 /// Per-DPU byte budget tracking shared by both policies.
 struct Capacity {
@@ -48,7 +48,7 @@ pub fn round_robin(
     ndpus: usize,
     bytes_per_point: u64,
     budget: u64,
-) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+) -> Vec<Vec<usize>> {
     let mut slice_homes = vec![Vec::new(); slices.len()];
     let mut cap = Capacity::new(ndpus, budget, bytes_per_point);
     let mut cursor = 0usize;
@@ -64,7 +64,7 @@ pub fn round_robin(
         }
         cursor = (cursor + 1) % ndpus;
     }
-    (slice_homes.clone(), invert(&slice_homes, ndpus))
+    slice_homes
 }
 
 /// Lazy min-heap over DPU loads: pop candidates cheapest-first, skipping
@@ -138,14 +138,18 @@ impl ColdHeap {
     }
 }
 
-/// Heat-balanced greedy allocation + co-location exchange.
-pub fn heat_balanced(
+/// Heat-balanced greedy allocation + co-location exchange. Each of the
+/// three steps takes a `clock` lap into `prof`'s times, and its decisions
+/// go into `prof`'s counts.
+pub(crate) fn heat_balanced(
     slices: &[Slice],
     copies: &[usize],
     ndpus: usize,
     bytes_per_point: u64,
     budget: u64,
-) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    prof: &mut LayoutProfile,
+    clock: &mut Stopwatch,
+) -> Vec<Vec<usize>> {
     let mut slice_homes = vec![Vec::new(); slices.len()];
     let mut load = vec![0.0f64; ndpus];
     let mut cap = Capacity::new(ndpus, budget, bytes_per_point);
@@ -163,6 +167,7 @@ pub fn heat_balanced(
             .or_else(|| {
                 // capacity exhausted everywhere: least-loaded-in-bytes DPU
                 // (the MRAM tracker reports genuine overflow at build time)
+                prof.counts.capacity_fallbacks += 1;
                 (0..ndpus).min_by_key(|&d| cap.bytes[d])
             })
             .expect("at least one DPU");
@@ -171,6 +176,7 @@ pub fn heat_balanced(
         cap.place(home, s);
         cold.update(home, load[home]);
     }
+    prof.times.alloc_primary_s = clock.lap();
 
     // Phase 2: duplicates, dropped when no DPU has room.
     for &i in &order {
@@ -188,14 +194,17 @@ pub fn heat_balanced(
             cap.place(home, s);
             cold.update(home, load[home]);
         }
+        prof.counts.dropped_copies += n - slice_homes[i].len();
     }
+    prof.times.alloc_duplicates_s = clock.lap();
 
-    exchange_for_colocation(slices, &mut slice_homes, &mut load, &mut cap);
-
-    (slice_homes.clone(), invert(&slice_homes, ndpus))
+    prof.counts.swaps = exchange_for_colocation(slices, &mut slice_homes, &mut load, &mut cap);
+    prof.times.exchange_s = clock.lap();
+    slice_homes
 }
 
-fn invert(slice_homes: &[Vec<usize>], ndpus: usize) -> Vec<Vec<usize>> {
+/// The per-DPU slice lists of `slice_homes`, each ascending.
+pub(super) fn invert(slice_homes: &[Vec<usize>], ndpus: usize) -> Vec<Vec<usize>> {
     let mut dpu_slices = vec![Vec::new(); ndpus];
     for (i, homes) in slice_homes.iter().enumerate() {
         for &d in homes {
@@ -209,13 +218,14 @@ fn invert(slice_homes: &[Vec<usize>], ndpus: usize) -> Vec<Vec<usize>> {
 /// DPU by *swapping* primary copies with similarly-hot slices of
 /// single-slice clusters, which preserves both heat balance and capacity to
 /// first order. Partner lookup is indexed per DPU so the pass stays linear
-/// in the slice count.
+/// in the slice count. Returns the number of swaps.
 fn exchange_for_colocation(
     slices: &[Slice],
     slice_homes: &mut [Vec<usize>],
     load: &mut [f64],
     cap: &mut Capacity,
-) {
+) -> usize {
+    let mut swaps = 0;
     // group canonical slices by cluster
     let mut by_cluster: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
     for (i, s) in slices.iter().enumerate() {
@@ -302,10 +312,12 @@ fn exchange_for_colocation(
                 // keep the swap index consistent: j now lives on `cur`
                 singles_by_dpu[target].retain(|&x| x != j);
                 singles_by_dpu[cur].push(j);
+                swaps += 1;
                 let _ = cluster;
             }
         }
     }
+    swaps
 }
 
 #[cfg(test)]
@@ -343,12 +355,25 @@ mod tests {
 
     const BIG: u64 = 1 << 40;
 
+    fn balanced(slices: &[Slice], copies: &[usize], ndpus: usize, budget: u64) -> Vec<Vec<usize>> {
+        let mut prof = LayoutProfile::default();
+        heat_balanced(
+            slices,
+            copies,
+            ndpus,
+            1,
+            budget,
+            &mut prof,
+            &mut Stopwatch::start(),
+        )
+    }
+
     #[test]
     fn copies_land_on_distinct_dpus() {
         let slices = vec![mk(0, 10, 8.0), mk(1, 10, 4.0)];
         let copies = vec![3usize, 2];
-        for (homes, _) in [
-            heat_balanced(&slices, &copies, 4, 1, BIG),
+        for homes in [
+            balanced(&slices, &copies, 4, BIG),
             round_robin(&slices, &copies, 4, 1, BIG),
         ] {
             for h in &homes {
@@ -366,8 +391,8 @@ mod tests {
             slices.push(mk(i, 100, 1.0));
         }
         let copies = vec![1usize; 8];
-        let (hb, _) = heat_balanced(&slices, &copies, 4, 1, BIG);
-        let (rr, _) = round_robin(&slices, &copies, 4, 1, BIG);
+        let hb = balanced(&slices, &copies, 4, BIG);
+        let rr = round_robin(&slices, &copies, 4, 1, BIG);
         let imb_hb = imbalance(&loads(&slices, &hb, 4));
         let imb_rr = imbalance(&loads(&slices, &rr, 4));
         assert!(imb_hb <= imb_rr + 1e-9, "hb {imb_hb} rr {imb_rr}");
@@ -381,7 +406,7 @@ mod tests {
             slices.push(mk(i, 25, 1.0));
         }
         let copies = vec![1usize; slices.len()];
-        let (homes, _) = heat_balanced(&slices, &copies, 4, 1, BIG);
+        let homes = balanced(&slices, &copies, 4, BIG);
         // swap-based exchange with equal-heat partners should gather most
         // of the cluster (slices 0..3) on one DPU
         let h = [homes[0][0], homes[1][0], homes[2][0]];
@@ -396,7 +421,7 @@ mod tests {
         // budget fits 2 slices per DPU; the hot slice wants 4 copies
         let slices = vec![mk(0, 100, 50.0), mk(1, 100, 1.0), mk(2, 100, 1.0)];
         let copies = vec![4usize, 1, 1];
-        let (homes, _) = heat_balanced(&slices, &copies, 2, 1, 200);
+        let homes = balanced(&slices, &copies, 2, 200);
         let mut bytes = [0u64; 2];
         for (i, hs) in homes.iter().enumerate() {
             for &d in hs {
@@ -412,14 +437,14 @@ mod tests {
     fn round_robin_covers_all_dpus() {
         let slices: Vec<Slice> = (0..8).map(|i| mk(i, 10, 1.0)).collect();
         let copies = vec![1usize; 8];
-        let (_, dpu_slices) = round_robin(&slices, &copies, 4, 1, BIG);
+        let dpu_slices = invert(&round_robin(&slices, &copies, 4, 1, BIG), 4);
         assert!(dpu_slices.iter().all(|s| s.len() == 2));
     }
 
     #[test]
     fn more_copies_than_dpus_is_clamped() {
         let slices = vec![mk(0, 10, 5.0)];
-        let (homes, _) = heat_balanced(&slices, &[10], 3, 1, BIG);
+        let homes = balanced(&slices, &[10], 3, BIG);
         assert_eq!(homes[0].len(), 3);
     }
 }

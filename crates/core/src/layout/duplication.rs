@@ -5,7 +5,7 @@
 //! duplication proceeds until PIM memory (or an explicit budget) is
 //! exhausted — more copies mean more scheduling freedom at runtime.
 
-use super::{ClusterInfo, Slice};
+use super::{ClusterInfo, LayoutCounts, Slice};
 
 /// Decide the copy count of every slice (>= 1 each).
 ///
@@ -21,6 +21,7 @@ pub fn plan_copies(
     bytes_per_point: u64,
     mram_budget_per_dpu: u64,
     dup_budget_per_dpu: Option<u64>,
+    counts: &mut LayoutCounts,
 ) -> Vec<usize> {
     let mut copies = vec![1usize; slices.len()];
     if slices.is_empty() || ndpus < 2 {
@@ -78,13 +79,16 @@ pub fn plan_copies(
         if spent + cost > dup_budget_total {
             // budget exhausted for this slice size; smaller slices may still
             // fit, so keep draining candidates
+            counts.budget_stops += 1;
             continue;
         }
         if copies[c.idx] >= ndpus {
+            counts.saturated_stops += 1;
             continue; // a copy per DPU is the useful maximum
         }
         spent += cost;
         copies[c.idx] += 1;
+        counts.copies_granted += 1;
         let new_score = s.heat / (copies[c.idx] + 1) as f64;
         // stop refining slices whose marginal value collapsed to noise
         if new_score > f64::EPSILON {
@@ -92,6 +96,8 @@ pub fn plan_copies(
                 score: new_score,
                 idx: c.idx,
             });
+        } else {
+            counts.saturated_stops += 1;
         }
     }
     copies
@@ -258,7 +264,15 @@ mod tests {
     #[test]
     fn everyone_gets_at_least_one_copy() {
         let slices = vec![mk_slice(0, 100, 10.0), mk_slice(1, 100, 0.0)];
-        let copies = plan_copies(&slices, &[], 4, 1, u64::MAX, Some(0));
+        let copies = plan_copies(
+            &slices,
+            &[],
+            4,
+            1,
+            u64::MAX,
+            Some(0),
+            &mut LayoutCounts::default(),
+        );
         assert_eq!(copies, vec![1, 1]);
     }
 
@@ -269,7 +283,15 @@ mod tests {
             mk_slice(1, 100, 1.0),
             mk_slice(2, 100, 1.0),
         ];
-        let copies = plan_copies(&slices, &[], 8, 1, u64::MAX, Some(100));
+        let copies = plan_copies(
+            &slices,
+            &[],
+            8,
+            1,
+            u64::MAX,
+            Some(100),
+            &mut LayoutCounts::default(),
+        );
         // budget: 800 extra bytes total across 8 dpus = 8 copies of len-100
         assert!(copies[0] > copies[1], "copies {copies:?}");
         assert!(copies[0] > copies[2]);
@@ -278,14 +300,30 @@ mod tests {
     #[test]
     fn copies_capped_at_ndpus() {
         let slices = vec![mk_slice(0, 10, 1000.0)];
-        let copies = plan_copies(&slices, &[], 4, 1, u64::MAX, None);
+        let copies = plan_copies(
+            &slices,
+            &[],
+            4,
+            1,
+            u64::MAX,
+            None,
+            &mut LayoutCounts::default(),
+        );
         assert!(copies[0] <= 4);
     }
 
     #[test]
     fn budget_zero_means_no_duplicates() {
         let slices = vec![mk_slice(0, 100, 50.0), mk_slice(1, 50, 25.0)];
-        let copies = plan_copies(&slices, &[], 8, 4, u64::MAX, Some(0));
+        let copies = plan_copies(
+            &slices,
+            &[],
+            8,
+            4,
+            u64::MAX,
+            Some(0),
+            &mut LayoutCounts::default(),
+        );
         assert!(copies.iter().all(|&c| c == 1));
     }
 
@@ -293,7 +331,7 @@ mod tests {
     fn mram_capacity_bounds_duplicates() {
         // 2 DPUs x 1000 B budget; base = 2 x 400 B -> headroom 1200 B
         let slices = vec![mk_slice(0, 400, 10.0), mk_slice(1, 400, 8.0)];
-        let copies = plan_copies(&slices, &[], 2, 1, 1000, None);
+        let copies = plan_copies(&slices, &[], 2, 1, 1000, None, &mut LayoutCounts::default());
         let extra: usize = copies.iter().map(|&c| c - 1).sum();
         assert!(extra <= 3, "copies {copies:?}"); // 1200/400 = 3 extra max
     }
@@ -371,7 +409,15 @@ mod tests {
     #[test]
     fn single_dpu_never_duplicates() {
         let slices = vec![mk_slice(0, 10, 99.0)];
-        let copies = plan_copies(&slices, &[], 1, 1, u64::MAX, None);
+        let copies = plan_copies(
+            &slices,
+            &[],
+            1,
+            1,
+            u64::MAX,
+            None,
+            &mut LayoutCounts::default(),
+        );
         assert_eq!(copies, vec![1]);
     }
 }

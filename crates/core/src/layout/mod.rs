@@ -23,6 +23,7 @@ pub mod heat;
 pub mod partition;
 
 use crate::config::{AllocPolicy, EngineConfig};
+use std::time::Instant;
 
 /// Per-cluster workload descriptor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,8 +64,84 @@ pub struct LayoutPlan {
     pub th1: usize,
 }
 
+/// What one [`LayoutPlan::build`] decided and how long each of its steps
+/// took on the host: the set-up side of the layout's profile. The counts
+/// are exact, a pure function of the build's inputs; the times are wall
+/// seconds, and reading them costs 8 `Instant::now()` calls per
+/// heat-balanced build (6 under round-robin).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LayoutProfile {
+    /// Wall time of each step.
+    pub times: LayoutTimes,
+    /// Decisions taken.
+    pub counts: LayoutCounts,
+}
+
+/// Wall seconds of each step of [`LayoutPlan::build`]; they sum to the
+/// build. A step the configuration turns off reads the few nanoseconds
+/// between its two clock reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LayoutTimes {
+    /// The `th1` search ([`partition::search_th1`]).
+    pub th1_search_s: f64,
+    /// Cutting the clusters at `th1` ([`partition::partition`]).
+    pub partition_s: f64,
+    /// Copy counts ([`duplication::plan_copies`]).
+    pub duplication_s: f64,
+    /// Allocation of every slice's first copy (all of round-robin).
+    pub alloc_primary_s: f64,
+    /// Allocation of the duplicates.
+    pub alloc_duplicates_s: f64,
+    /// The co-location exchange.
+    pub exchange_s: f64,
+    /// The per-DPU and per-cluster slice tables.
+    pub tables_s: f64,
+}
+
+/// Exact decision counts of one [`LayoutPlan::build`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct LayoutCounts {
+    /// `th1` candidates priced by the search.
+    pub th1_evaluated: usize,
+    /// `th1` candidates skipped: their slice metadata exceeds the WRAM
+    /// budget.
+    pub th1_skipped: usize,
+    /// Duplicate copies granted.
+    pub copies_granted: usize,
+    /// Slices whose duplication stopped on the duplicate budget.
+    pub budget_stops: usize,
+    /// Slices whose duplication stopped at a copy per DPU or at a score
+    /// no larger than `f64::EPSILON`.
+    pub saturated_stops: usize,
+    /// Granted duplicates that allocation dropped: no DPU had room.
+    pub dropped_copies: usize,
+    /// First copies placed on the DPU with the fewest bytes because no
+    /// DPU had room.
+    pub capacity_fallbacks: usize,
+    /// Swaps made by the co-location exchange.
+    pub swaps: usize,
+}
+
+/// The layout's step clock.
+pub(crate) struct Stopwatch(Instant);
+
+impl Stopwatch {
+    pub(crate) fn start() -> Self {
+        Stopwatch(Instant::now())
+    }
+
+    /// Seconds since the previous lap, or since the start.
+    pub(crate) fn lap(&mut self) -> f64 {
+        let now = Instant::now();
+        let s = (now - self.0).as_secs_f64();
+        self.0 = now;
+        s
+    }
+}
+
 impl LayoutPlan {
-    /// Build the full plan from cluster descriptors under `cfg`.
+    /// Build the full plan from cluster descriptors under `cfg`, with the
+    /// build's [`LayoutProfile`].
     ///
     /// `ndpus` is the DPU count; `bytes_per_point` converts slice sizes to
     /// MRAM footprints; `mram_budget` bounds per-DPU bytes. `slice_cost`
@@ -80,15 +157,20 @@ impl LayoutPlan {
         bytes_per_point: u64,
         mram_budget: u64,
         slice_cost: impl Fn(usize) -> f64,
-    ) -> LayoutPlan {
+    ) -> (LayoutPlan, LayoutProfile) {
+        let mut prof = LayoutProfile::default();
+        let mut clock = Stopwatch::start();
         // 1. partition
         let th1 = if cfg.partition {
-            cfg.split_granularity
-                .unwrap_or_else(|| partition::search_th1(clusters, ndpus, slice_cost))
+            cfg.split_granularity.unwrap_or_else(|| {
+                partition::search_th1(clusters, ndpus, slice_cost, &mut prof.counts)
+            })
         } else {
             usize::MAX
         };
+        prof.times.th1_search_s = clock.lap();
         let slices = partition::partition(clusters, th1);
+        prof.times.partition_s = clock.lap();
 
         // 2. duplication
         let copies = if cfg.duplication {
@@ -112,20 +194,32 @@ impl LayoutPlan {
                 bytes_per_point,
                 mram_budget,
                 dup_budget,
+                &mut prof.counts,
             )
         } else {
             vec![1usize; slices.len()]
         };
+        prof.times.duplication_s = clock.lap();
 
         // 3. allocation
-        let (slice_homes, dpu_slices) = match cfg.allocation {
+        let slice_homes = match cfg.allocation {
             AllocPolicy::RoundRobin => {
-                allocation::round_robin(&slices, &copies, ndpus, bytes_per_point, mram_budget)
+                let homes =
+                    allocation::round_robin(&slices, &copies, ndpus, bytes_per_point, mram_budget);
+                prof.times.alloc_primary_s = clock.lap();
+                homes
             }
-            AllocPolicy::HeatBalanced => {
-                allocation::heat_balanced(&slices, &copies, ndpus, bytes_per_point, mram_budget)
-            }
+            AllocPolicy::HeatBalanced => allocation::heat_balanced(
+                &slices,
+                &copies,
+                ndpus,
+                bytes_per_point,
+                mram_budget,
+                &mut prof,
+                &mut clock,
+            ),
         };
+        let dpu_slices = allocation::invert(&slice_homes, ndpus);
 
         let n_clusters = clusters
             .iter()
@@ -136,14 +230,16 @@ impl LayoutPlan {
         for (i, s) in slices.iter().enumerate() {
             cluster_slices[s.cluster as usize].push(i);
         }
+        prof.times.tables_s = clock.lap();
 
-        LayoutPlan {
+        let plan = LayoutPlan {
             slices,
             slice_homes,
             dpu_slices,
             cluster_slices,
             th1,
-        }
+        };
+        (plan, prof)
     }
 
     /// Rebuild the per-DPU slice lists from `slice_homes` — required after
@@ -301,7 +397,7 @@ mod tests {
     /// The plan over 8 DPUs at 20 bytes per point, priced at `dsub = 8` on
     /// UPMEM costs.
     fn build(cs: &[ClusterInfo], cfg: &EngineConfig, budget: u64) -> LayoutPlan {
-        LayoutPlan::build(cs, 8, cfg, 20, budget, heat(cfg, 8, &IsaCosts::upmem()))
+        LayoutPlan::build(cs, 8, cfg, 20, budget, heat(cfg, 8, &IsaCosts::upmem())).0
     }
 
     #[test]
@@ -466,7 +562,9 @@ mod tests {
         let mut cfg = cfg();
         (cfg.index.m, cfg.index.cb) = (16, 256);
         let th1 = |dsub, costs: &IsaCosts| {
-            LayoutPlan::build(&cs, 16, &cfg, 20, u64::MAX / 2, heat(&cfg, dsub, costs)).th1
+            LayoutPlan::build(&cs, 16, &cfg, 20, u64::MAX / 2, heat(&cfg, dsub, costs))
+                .0
+                .th1
         };
         let (upmem, mac) = (IsaCosts::upmem(), IsaCosts::with_hw_multiplier());
         // a dsub-2 LUT is cheap to rebuild, so the giant splits finer ...

@@ -9,7 +9,7 @@
 //! were spread greedily over the DPUs, how long would the hottest DPU take,
 //! and what does the extra metadata cost?".
 
-use super::{ClusterInfo, Slice};
+use super::{ClusterInfo, LayoutCounts, Slice};
 
 /// Split every cluster into slices of at most `th1` points.
 ///
@@ -58,8 +58,14 @@ pub const SLICE_META_BYTES: u64 = 24;
 /// of its points, every extra slice of a probed cluster re-runs LC, so fine
 /// splits trade balance against duplicated LUT construction — which is why
 /// the useful granularity sits in the 10^4-point range (paper Fig. 14a),
-/// not at a few hundred points.
-pub fn search_th1(clusters: &[ClusterInfo], ndpus: usize, cost_of: impl Fn(usize) -> f64) -> usize {
+/// not at a few hundred points. Counts the candidates it prices and skips
+/// in `counts`.
+pub fn search_th1(
+    clusters: &[ClusterInfo],
+    ndpus: usize,
+    cost_of: impl Fn(usize) -> f64,
+    counts: &mut LayoutCounts,
+) -> usize {
     let min_size = clusters
         .iter()
         .map(|c| c.points)
@@ -88,8 +94,10 @@ pub fn search_th1(clusters: &[ClusterInfo], ndpus: usize, cost_of: impl Fn(usize
         let slices = partition(clusters, cand);
         let meta_bytes = slices.len() as u64 * SLICE_META_BYTES;
         if meta_bytes > meta_budget {
+            counts.th1_skipped += 1;
             continue;
         }
+        counts.th1_evaluated += 1;
         // Per-probe cost of one slice under *random* (uniform) query
         // distribution — the paper profiles th1 exactly this way; query
         // skew is duplication's job, not partition's.
@@ -194,7 +202,7 @@ mod tests {
         // the giant so its load can spread
         let mut cs: Vec<ClusterInfo> = (1..32).map(|i| mk(i, 100, 1.0)).collect();
         cs.push(mk(0, 10_000, 100.0));
-        let th1 = search_th1(&cs, 8, |len| len as f64);
+        let th1 = search_th1(&cs, 8, |len| len as f64, &mut LayoutCounts::default());
         assert!(th1 < 10_000, "th1 {th1} should split the giant cluster");
         // and the resulting makespan improves over no-split
         let makespan = |th1| {
@@ -208,7 +216,7 @@ mod tests {
     #[test]
     fn search_th1_keeps_uniform_clusters_whole() {
         let cs: Vec<ClusterInfo> = (0..64).map(|i| mk(i, 100, 1.0)).collect();
-        let th1 = search_th1(&cs, 8, |len| len as f64);
+        let th1 = search_th1(&cs, 8, |len| len as f64, &mut LayoutCounts::default());
         // uniform small clusters: no benefit from splitting below their size
         assert!(th1 >= 100, "th1 {th1}");
     }

@@ -572,7 +572,8 @@ mod tests {
         let costs = upmem_sim::IsaCosts::upmem();
         let plan = LayoutPlan::build(&clusters, ndpus, &cfg, 8, 1 << 20, |len| {
             task_cost_s(len, 4, 16, 8, 10, true, &costs, 1.0)
-        });
+        })
+        .0;
         (clusters, plan)
     }
 

@@ -53,7 +53,7 @@ use crate::deploy::deploy;
 use crate::dispatch::{self, ChargeTable, DpuOutput};
 use crate::engine::BuildError;
 use crate::kernels::{cl, GroupCost};
-use crate::layout::{ClusterInfo, LayoutPlan};
+use crate::layout::{ClusterInfo, LayoutPlan, LayoutProfile};
 use crate::perf_model::{BitWidths, WorkloadShape};
 use crate::report::BatchReport;
 use crate::sched::Task;
@@ -121,6 +121,8 @@ pub struct TraceRunner {
     probe_sampler: Discrete,
     /// The dispatch loop's per-batch buffers, reused across batches.
     dispatch: dispatch::Scratch,
+    /// What the layout build decided and how long it took.
+    layout_profile: LayoutProfile,
 }
 
 impl TraceRunner {
@@ -224,7 +226,8 @@ impl TraceRunner {
             &cfg.index,
             BitWidths::u8_regime(),
         );
-        let (layout, system, placement) = deploy(clusters, &cfg, arch, ndpus, &shape)?;
+        let (layout, system, placement, layout_profile) =
+            deploy(clusters, &cfg, arch, ndpus, &shape)?;
         Ok(TraceRunner {
             cfg,
             spec,
@@ -235,7 +238,14 @@ impl TraceRunner {
             shape,
             probe_sampler: Discrete::new(&weights),
             dispatch: dispatch::Scratch::default(),
+            layout_profile,
         })
+    }
+
+    /// What the deployment's layout build decided and how long its steps
+    /// took.
+    pub fn layout_profile(&self) -> &LayoutProfile {
+        &self.layout_profile
     }
 
     /// Sample the probed clusters of one batch of queries.

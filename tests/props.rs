@@ -169,7 +169,7 @@ proptest! {
                            duplication in any::<bool>()) {
         let total_points: usize = clusters.iter().map(|c| c.points).sum();
         let budget = ((total_points * 8 / ndpus) as u64 + 4096) * 2;
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(partition, duplication), 8, budget, |len| len as f64);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(partition, duplication), 8, budget, |len| len as f64).0;
         prop_assert!(plan.validate(&clusters).is_ok(), "{:?}", plan.validate(&clusters));
         // duplicates never exceed one copy per DPU
         for homes in &plan.slice_homes {
@@ -184,7 +184,7 @@ proptest! {
                               ndpus in 1usize..16,
                               nq in 1usize..20,
                               th3 in prop::option::of(0.01f64..2.0)) {
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64).0;
         let probes: Vec<Vec<u32>> = (0..nq)
             .map(|q| {
                 let a = (q % clusters.len()) as u32;
@@ -218,7 +218,7 @@ proptest! {
                                     heat0 in prop::option::of(prop::collection::vec(0usize..4, 1..16)),
                                     banned in prop::option::of(prop::collection::vec(any::<bool>(), 0..20)),
                                     th3 in prop::option::of(0.0f64..1.5)) {
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64).0;
         // half the costs and every initial heat from a tie-prone palette
         const TIED: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
         let tasks: Vec<Task> = raw
@@ -245,7 +245,7 @@ proptest! {
     fn expand_tasks_emits_lpt_order(clusters in arb_tied_clusters(),
                                     ndpus in 1usize..16,
                                     probes in prop::collection::vec(prop::collection::vec(0u32..64, 0..6), 0..30)) {
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64).0;
         let n = clusters.len() as u32;
         let probes: Vec<Vec<u32>> = probes.iter().map(|p| p.iter().map(|&c| c % n).collect()).collect();
         let got = expand_tasks(&probes, &plan, tied_cost);
@@ -272,7 +272,7 @@ proptest! {
                                        heat0 in prop::option::of(prop::collection::vec(0usize..4, 1..16)),
                                        banned in prop::option::of(prop::collection::vec(any::<bool>(), 0..20)),
                                        th3 in prop::option::of(0.0f64..1.5)) {
-        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64);
+        let plan = LayoutPlan::build(&clusters, ndpus, &engine_cfg(true, true), 8, u64::MAX / 2, |len| len as f64).0;
         let n = clusters.len() as u32;
         let probes: Vec<Vec<u32>> = probes.iter().map(|p| p.iter().map(|&c| c % n).collect()).collect();
         const TIED: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
