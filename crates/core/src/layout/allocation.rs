@@ -7,8 +7,19 @@
 //! computed for a (query, cluster) pair are reused), with swap partners
 //! chosen to keep the heat balance intact. Copies of the *same* slice must
 //! stay on distinct DPUs (they exist to give the scheduler alternatives).
+//!
+//! The greedy placement keeps a lazy queue over DPU loads ([`Cold`]): an
+//! entry records a DPU's load when it was queued, and an entry off from
+//! the live load by more than `1e-12` is stale and re-queued at the live
+//! load when it reaches the front. What the loop decides depends only on
+//! the multiset of entries, which the queue orders totally by (load, DPU).
+//! Placing on the front entry re-keys it in place; that is the same
+//! multiset as popping it and pushing the new load. Entries rejected on the
+//! way (a DPU full, or already holding the slice) go back unchanged, as a
+//! pop and a push would leave them. A placement costs one sift of a
+//! 2,543-entry heap at paper scale, `O(copies log ndpus)` in all.
 
-use super::{LayoutProfile, Slice, Stopwatch};
+use super::{key, pack, unpack, value, LayoutProfile, MinQueue, Slice, Stopwatch};
 
 /// Per-DPU byte budget tracking shared by both policies.
 struct Capacity {
@@ -67,74 +78,59 @@ pub fn round_robin(
     slice_homes
 }
 
-/// Lazy min-heap over DPU loads: pop candidates cheapest-first, skipping
-/// stale entries. Keeps greedy allocation at O(copies log ndpus) instead of
-/// a linear scan per placement (which is hopeless at 65k slices x 2.5k
-/// DPUs).
-struct ColdHeap {
-    heap: std::collections::BinaryHeap<HeapEntry>,
+/// The lazy min-queue over DPU loads, with the stash of entries the
+/// current search rejected.
+struct Cold {
+    /// [`pack`]ed `(key(load), dpu)` entries.
+    queue: MinQueue<u128>,
+    stash: Vec<u128>,
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    load: f64,
-    dpu: usize,
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed on load: min-heap behaviour from BinaryHeap
-        other
-            .load
-            .partial_cmp(&self.load)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.dpu.cmp(&self.dpu))
-    }
-}
-
-impl ColdHeap {
+impl Cold {
     fn new(ndpus: usize) -> Self {
-        ColdHeap {
-            heap: (0..ndpus).map(|dpu| HeapEntry { load: 0.0, dpu }).collect(),
+        Cold {
+            queue: MinQueue::new((0..ndpus).map(|d| pack(key(0.0), d))),
+            stash: Vec::new(),
         }
     }
 
-    /// Coldest DPU satisfying `ok`, given the authoritative `load` array.
-    /// Stale heap entries are discarded; rejected-but-fresh entries are
-    /// reinserted.
-    fn pop_coldest(&mut self, load: &[f64], ok: impl Fn(usize) -> bool) -> Option<usize> {
-        let mut stash = Vec::new();
-        let mut found = None;
-        while let Some(e) = self.heap.pop() {
-            if (e.load - load[e.dpu]).abs() > 1e-12 {
-                // stale: reinsert with the current load and keep looking
-                self.heap.push(HeapEntry {
-                    load: load[e.dpu],
-                    dpu: e.dpu,
-                });
-                continue;
+    /// Coldest DPU satisfying `ok`, given the authoritative `load` array,
+    /// left at the front for [`Self::place`]. Stale entries are re-keyed
+    /// at the live load; fresh rejected ones wait in the stash. With no
+    /// such DPU the stash goes back and `None` is returned.
+    fn coldest(&mut self, load: &[f64], ok: impl Fn(usize) -> bool) -> Option<usize> {
+        while let Some(e) = self.queue.peek() {
+            let (k, d) = unpack(e);
+            if (value(k) - load[d]).abs() > 1e-12 {
+                self.queue.replace_top(pack(key(load[d]), d));
+            } else if ok(d) {
+                return Some(d);
+            } else {
+                self.stash.push(e);
+                self.queue.pop();
             }
-            if ok(e.dpu) {
-                found = Some(e.dpu);
-                break;
-            }
-            stash.push(e);
-            // bounded rejection: with `taken` of size <= ndpus this ends
         }
-        for e in stash {
-            self.heap.push(e);
-        }
-        found
+        self.unstash();
+        None
     }
 
-    /// Record the new load of `dpu` after a placement.
-    fn update(&mut self, dpu: usize, load: f64) {
-        self.heap.push(HeapEntry { load, dpu });
+    /// Re-key the DPU [`Self::coldest`] returned at its new `load`, and
+    /// return the rejected entries.
+    fn place(&mut self, dpu: usize, load: f64) {
+        self.queue.replace_top(pack(key(load), dpu));
+        self.unstash();
+    }
+
+    /// Queue one more entry for `dpu`: the capacity fallback's placement,
+    /// whose DPU keeps its old entry too.
+    fn push(&mut self, dpu: usize, load: f64) {
+        self.queue.push(pack(key(load), dpu));
+    }
+
+    fn unstash(&mut self) {
+        for e in self.stash.drain(..) {
+            self.queue.push(e);
+        }
     }
 }
 
@@ -150,49 +146,67 @@ pub(crate) fn heat_balanced(
     prof: &mut LayoutProfile,
     clock: &mut Stopwatch,
 ) -> Vec<Vec<usize>> {
-    let mut slice_homes = vec![Vec::new(); slices.len()];
+    let mut slice_homes: Vec<Vec<usize>> = copies
+        .iter()
+        .map(|&n| Vec::with_capacity(n.min(ndpus).max(1)))
+        .collect();
     let mut load = vec![0.0f64; ndpus];
     let mut cap = Capacity::new(ndpus, budget, bytes_per_point);
-    let mut cold = ColdHeap::new(ndpus);
+    let mut cold = Cold::new(ndpus);
 
-    // Phase 1: every slice's mandatory copy, hottest first onto the coldest
-    // feasible DPU — reserving capacity before any duplicate lands.
-    let mut order: Vec<usize> = (0..slices.len()).collect();
-    order.sort_by(|&a, &b| slices[b].heat.partial_cmp(&slices[a].heat).unwrap());
+    // Phase 1: every slice's mandatory copy, hottest first (ties by index)
+    // onto the coldest feasible DPU — reserving capacity before any
+    // duplicate lands.
+    let mut order: Vec<(u64, usize)> = slices
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (!key(s.heat), i))
+        .collect();
+    order.sort_unstable();
+    let order: Vec<usize> = order.into_iter().map(|(_, i)| i).collect();
     for &i in &order {
         let s = &slices[i];
         let share = s.heat / copies[i].min(ndpus).max(1) as f64;
-        let home = cold
-            .pop_coldest(&load, |d| cap.fits(d, s))
-            .or_else(|| {
+        let home = match cold.coldest(&load, |d| cap.fits(d, s)) {
+            Some(home) => {
+                load[home] += share;
+                cold.place(home, load[home]);
+                home
+            }
+            None => {
                 // capacity exhausted everywhere: least-loaded-in-bytes DPU
                 // (the MRAM tracker reports genuine overflow at build time)
                 prof.counts.capacity_fallbacks += 1;
-                (0..ndpus).min_by_key(|&d| cap.bytes[d])
-            })
-            .expect("at least one DPU");
+                let home = (0..ndpus)
+                    .min_by_key(|&d| cap.bytes[d])
+                    .expect("at least one DPU");
+                load[home] += share;
+                cold.push(home, load[home]);
+                home
+            }
+        };
         slice_homes[i].push(home);
-        load[home] += share;
         cap.place(home, s);
-        cold.update(home, load[home]);
     }
     prof.times.alloc_primary_s = clock.lap();
 
-    // Phase 2: duplicates, dropped when no DPU has room.
+    // Phase 2: duplicates, dropped when no DPU has room. `holder[d]` is
+    // the last slice given a copy on DPU `d`.
+    let mut holder = vec![usize::MAX; ndpus];
     for &i in &order {
         let s = &slices[i];
         let n = copies[i].min(ndpus).max(1);
         let share = s.heat / n as f64;
+        holder[slice_homes[i][0]] = i;
         for _ in 1..n {
-            let taken = slice_homes[i].clone();
-            let Some(home) = cold.pop_coldest(&load, |d| !taken.contains(&d) && cap.fits(d, s))
-            else {
+            let Some(home) = cold.coldest(&load, |d| holder[d] != i && cap.fits(d, s)) else {
                 break; // out of capacity for this slice size
             };
             slice_homes[i].push(home);
+            holder[home] = i;
             load[home] += share;
             cap.place(home, s);
-            cold.update(home, load[home]);
+            cold.place(home, load[home]);
         }
         prof.counts.dropped_copies += n - slice_homes[i].len();
     }
@@ -205,7 +219,11 @@ pub(crate) fn heat_balanced(
 
 /// The per-DPU slice lists of `slice_homes`, each ascending.
 pub(super) fn invert(slice_homes: &[Vec<usize>], ndpus: usize) -> Vec<Vec<usize>> {
-    let mut dpu_slices = vec![Vec::new(); ndpus];
+    let mut held = vec![0usize; ndpus];
+    for &d in slice_homes.iter().flatten() {
+        held[d] += 1;
+    }
+    let mut dpu_slices: Vec<Vec<usize>> = held.into_iter().map(Vec::with_capacity).collect();
     for (i, homes) in slice_homes.iter().enumerate() {
         for &d in homes {
             dpu_slices[d].push(i);
@@ -225,32 +243,36 @@ fn exchange_for_colocation(
     load: &mut [f64],
     cap: &mut Capacity,
 ) -> usize {
-    let mut swaps = 0;
-    // group canonical slices by cluster
-    let mut by_cluster: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
-    for (i, s) in slices.iter().enumerate() {
-        by_cluster.entry(s.cluster).or_default().push(i);
-    }
-    let multi_slice: std::collections::HashSet<u32> = by_cluster
+    // canonical slices grouped by cluster: clusters ascending, each
+    // cluster's slices in index order
+    let mut by_cluster: Vec<(u32, usize)> = slices
         .iter()
-        .filter(|(_, m)| m.len() > 1)
-        .map(|(&c, _)| c)
+        .enumerate()
+        .map(|(i, s)| (s.cluster, i))
         .collect();
+    by_cluster.sort_unstable();
+    let multi_slice: Vec<&[(u32, usize)]> = by_cluster
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|m| m.len() > 1)
+        .collect();
+    let mut single = vec![true; slices.len()];
+    for &(_, i) in multi_slice.iter().copied().flatten() {
+        single[i] = false;
+    }
 
     // swap-candidate index: per DPU, the single-cluster slices whose
     // primary copy lives there
     let mut singles_by_dpu: Vec<Vec<usize>> = vec![Vec::new(); load.len()];
-    for (i, s) in slices.iter().enumerate() {
-        if !multi_slice.contains(&s.cluster) {
-            singles_by_dpu[slice_homes[i][0]].push(i);
-        }
+    for (i, _) in single.iter().enumerate().filter(|(_, &one)| one) {
+        singles_by_dpu[slice_homes[i][0]].push(i);
     }
 
-    for (&cluster, members) in by_cluster.iter().filter(|(_, m)| m.len() > 1) {
+    let mut swaps = 0;
+    for members in multi_slice {
         // target: the DPU already hosting the most primary copies
         // (deterministic tie-break on the lowest DPU id)
         let mut counts: std::collections::BTreeMap<usize, usize> = Default::default();
-        for &i in members {
+        for &(_, i) in members {
             *counts.entry(slice_homes[i][0]).or_insert(0) += 1;
         }
         let (&target, _) = counts
@@ -258,7 +280,7 @@ fn exchange_for_colocation(
             .max_by_key(|(&d, &c)| (c, std::cmp::Reverse(d)))
             .unwrap();
 
-        for &i in members {
+        for &(_, i) in members {
             let cur = slice_homes[i][0];
             if cur == target || slice_homes[i].iter().skip(1).any(|&d| d == target) {
                 continue;
@@ -313,7 +335,6 @@ fn exchange_for_colocation(
                 singles_by_dpu[target].retain(|&x| x != j);
                 singles_by_dpu[cur].push(j);
                 swaps += 1;
-                let _ = cluster;
             }
         }
     }

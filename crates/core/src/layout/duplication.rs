@@ -4,16 +4,130 @@
 //! heat and ... in inverse proportion to its amount of split slices", and
 //! duplication proceeds until PIM memory (or an explicit budget) is
 //! exhausted — more copies mean more scheduling freedom at runtime.
+//!
+//! [`plan_copies`] is a greedy loop over a priority queue of slices, and it
+//! grants most copies without the queue. A slice's queue entries form a
+//! fixed sequence of scores: `heat`, then `heat / (c + 1) as f64` for each
+//! count `c` it has reached. So the number of its entries above any
+//! threshold is found by dividing, with the loop's own expression.
+//! Every entry above a threshold `t` comes off the queue before every
+//! entry at or below it. If the copies granted above `t` leave room for the
+//! largest slice, no entry above `t` can meet the budget. Those copies are
+//! granted in one pass, with their budget checks and their stops counted as
+//! the loop takes them. The queue then runs the rest, from the same state.
+//! The pops come in the same order, so every copy count is the loop's.
 
-use super::{ClusterInfo, LayoutCounts, Slice};
+use super::{key, pack, unpack, ClusterInfo, LayoutCounts, MinQueue, Slice};
+
+/// A slice the greedy loop can duplicate.
+struct Cand {
+    idx: usize,
+    heat: f64,
+    /// Bytes of one copy.
+    cost: u64,
+    /// Its queue entries: `entries_above(heat, 0.0, ndpus)`.
+    entries: usize,
+}
+
+/// How many queue entries of a slice of `heat` score above `t`, at most
+/// `ndpus`: its k-th entry scores `heat` for k = 1 and
+/// `heat / (k + 1) as f64` after, and exists only while that score is above
+/// `f64::EPSILON`.
+fn entries_above(heat: f64, t: f64, ndpus: usize) -> usize {
+    if heat <= t {
+        return 0;
+    }
+    let t = t.max(f64::EPSILON);
+    // In exact arithmetic, entry k >= 2 scores above `t` while k + 1 < r,
+    // so the last is at ceil(r) - 2. That holds in floating point too
+    // unless `r` sits within rounding of an integer: then divide.
+    let r = heat / t;
+    if r >= (ndpus + 2) as f64 {
+        return ndpus;
+    }
+    if (r - r.round()).abs() > 1e-9 * r {
+        return (r.ceil() as usize).saturating_sub(2).max(1);
+    }
+    let score = |k: usize| heat / (k + 1) as f64;
+    let mut k = (r.round() as usize).saturating_sub(1).clamp(1, ndpus);
+    while k < ndpus && score(k + 1) > t {
+        k += 1;
+    }
+    while k > 1 && score(k) <= t {
+        k -= 1;
+    }
+    k
+}
+
+/// A score threshold `t` whose copies (the entries above it, each a grant
+/// until a slice has `ndpus` copies) cost at most `room` bytes, as low as a
+/// few evaluations find; `f64::INFINITY` if none is found. Secant steps
+/// on `1 / t`, where the cost grows about linearly, aim between `room -
+/// slack` and `room`.
+fn bulk_threshold(cands: &[Cand], ndpus: usize, room: u64, slack: u64) -> f64 {
+    let spend = |t: f64| {
+        cands.iter().fold(0u64, |sum, c| {
+            let grants = entries_above(c.heat, t, ndpus).min(ndpus - 1) as u64;
+            sum.saturating_add(c.cost.saturating_mul(grants))
+        })
+    };
+    if spend(0.0) <= room {
+        return 0.0;
+    }
+    let weighted: f64 = cands.iter().map(|c| c.cost as f64 * c.heat).sum();
+    let total: f64 = cands.iter().map(|c| c.cost as f64).sum();
+    let aim = room.saturating_sub(slack / 2) as f64;
+    // `x = 1 / t`; `safe` costs at most `room`, `over` more
+    let (mut safe, mut safe_cost) = (0.0f64, 0u64);
+    let mut over: Option<(f64, u64)> = None;
+    let mut x = (aim + total) / weighted;
+    let mut last_safe = None;
+    for _ in 0..64 {
+        if !(x.is_finite() && x > safe && over.is_none_or(|(o, _)| x < o)) {
+            break;
+        }
+        let cost = spend(1.0 / x);
+        let is_safe = cost <= room;
+        if is_safe {
+            (safe, safe_cost) = (x, cost);
+            if cost.saturating_add(slack) >= room {
+                break;
+            }
+        } else {
+            over = Some((x, cost));
+        }
+        let again = last_safe.replace(is_safe) == Some(is_safe);
+        x = match over {
+            None => 2.0 * x,
+            // one side moved twice in a row: bisect instead
+            Some((o, _)) if again => 0.5 * (safe + o),
+            Some((o, o_cost)) => {
+                let f = (aim - safe_cost as f64) / (o_cost - safe_cost) as f64;
+                safe + (o - safe) * f
+            }
+        };
+    }
+    if safe > 0.0 {
+        1.0 / safe
+    } else {
+        f64::INFINITY
+    }
+}
 
 /// Decide the copy count of every slice (>= 1 each).
 ///
 /// Greedy water-filling: repeatedly give one more copy to the slice with the
-/// highest *heat per existing copy*, while the aggregate duplicate footprint
-/// stays within budget. The per-cluster slice count is naturally accounted
-/// for because a cluster's heat is already divided among its slices by
-/// [`super::partition::partition`].
+/// highest score, while the aggregate duplicate footprint stays within
+/// budget; ties go to the lower slice index. A slice with `c` copies
+/// scores `heat` while `c` is 1 and `heat / (c + 1)` after (so its first
+/// duplicate is priced at its whole heat and its second at a third of it:
+/// `heat / 2` never occurs). A slice stops at a copy per DPU, once its next
+/// score is at most `f64::EPSILON`, or the first time its next copy does
+/// not fit the budget (the budget only fills, so it never would). The
+/// per-cluster slice count is naturally accounted for because a cluster's
+/// heat is already divided among its slices by
+/// [`super::partition::partition`]. Records its grants and stops in
+/// `counts`.
 pub fn plan_copies(
     slices: &[Slice],
     _clusters: &[ClusterInfo],
@@ -37,67 +151,82 @@ pub fn plan_copies(
         .unwrap_or(u64::MAX)
         .min(headroom_total);
 
-    // max-heap on heat-per-copy
-    use std::cmp::Ordering;
-    #[derive(PartialEq)]
-    struct Cand {
-        score: f64,
-        idx: usize,
-    }
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.score
-                .partial_cmp(&other.score)
-                .unwrap_or(Ordering::Equal)
-                .then(other.idx.cmp(&self.idx))
-        }
-    }
-
-    let mut heap: std::collections::BinaryHeap<Cand> = slices
+    // a slice of zero bytes would leave the queue at its first pop
+    let cands: Vec<Cand> = slices
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.len > 0 && s.heat > 0.0)
-        .map(|(i, s)| Cand {
-            score: s.heat, // heat per single copy
-            idx: i,
+        .filter(|(_, s)| s.len > 0 && s.heat > 0.0 && bytes_per_point > 0)
+        .map(|(idx, s)| Cand {
+            idx,
+            heat: s.heat,
+            cost: s.len as u64 * bytes_per_point,
+            entries: entries_above(s.heat, 0.0, ndpus),
         })
         .collect();
+    let largest = cands.iter().map(|c| c.cost).max().unwrap_or(0);
 
+    // Bulk: every entry above `t`, none of which can meet the budget.
+    let t = match dup_budget_total.checked_sub(largest) {
+        Some(room) => bulk_threshold(&cands, ndpus, room, largest),
+        None => f64::INFINITY,
+    };
     let mut spent = 0u64;
-    while let Some(c) = heap.pop() {
-        let s = &slices[c.idx];
-        let cost = s.len as u64 * bytes_per_point;
-        if cost == 0 {
-            continue;
+    let mut tail = Vec::new();
+    for c in &cands {
+        let taken = entries_above(c.heat, t, ndpus);
+        let grants = taken.min(ndpus - 1);
+        copies[c.idx] += grants;
+        spent += c.cost * grants as u64;
+        counts.copies_granted += grants;
+        if taken == c.entries {
+            counts.saturated_stops += 1; // its last entry came off the queue
+        } else {
+            let next = if taken == 0 {
+                c.heat
+            } else {
+                c.heat / (taken + 2) as f64
+            };
+            tail.push(pack(!key(next), c.idx));
         }
+    }
+
+    // The queue, highest score first, then lowest index. An entry costing
+    // more than the budget has left can only meet it, whenever it comes.
+    let cost = |idx: usize| slices[idx].len as u64 * bytes_per_point;
+    let room = dup_budget_total - spent;
+    let queued = tail.len();
+    tail.retain(|&e| cost(unpack(e).1) <= room);
+    counts.budget_stops += queued - tail.len();
+    let cheapest = tail.iter().map(|&e| cost(unpack(e).1)).min().unwrap_or(0);
+    let mut queue = MinQueue::new(tail);
+    while let Some((_, idx)) = queue.peek().map(unpack) {
+        if dup_budget_total - spent < cheapest {
+            counts.budget_stops += queue.len();
+            break;
+        }
+        let cost = cost(idx);
         if spent + cost > dup_budget_total {
             // budget exhausted for this slice size; smaller slices may still
             // fit, so keep draining candidates
             counts.budget_stops += 1;
+            queue.pop();
             continue;
         }
-        if copies[c.idx] >= ndpus {
+        if copies[idx] >= ndpus {
             counts.saturated_stops += 1;
+            queue.pop();
             continue; // a copy per DPU is the useful maximum
         }
         spent += cost;
-        copies[c.idx] += 1;
+        copies[idx] += 1;
         counts.copies_granted += 1;
-        let new_score = s.heat / (copies[c.idx] + 1) as f64;
+        let new_score = slices[idx].heat / (copies[idx] + 1) as f64;
         // stop refining slices whose marginal value collapsed to noise
         if new_score > f64::EPSILON {
-            heap.push(Cand {
-                score: new_score,
-                idx: c.idx,
-            });
+            queue.replace_top(pack(!key(new_score), idx));
         } else {
             counts.saturated_stops += 1;
+            queue.pop();
         }
     }
     copies

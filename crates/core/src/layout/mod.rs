@@ -122,6 +122,128 @@ pub struct LayoutCounts {
     pub swaps: usize,
 }
 
+/// The order-preserving map of an `f64` onto a `u64`: `a < b` exactly
+/// when `key(a) < key(b)`, and `-0.0` keys as `0.0`, so keys compare as
+/// `partial_cmp` does on every non-NaN value.
+pub(crate) fn key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The value [`key`] mapped (`0.0` for `-0.0`).
+pub(crate) fn value(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// `(key, id)` packed into one `u128`, which orders by key, then by id.
+pub(crate) fn pack(key: u64, id: usize) -> u128 {
+    (key as u128) << 64 | id as u128
+}
+
+/// The `(key, id)` of [`pack`].
+pub(crate) fn unpack(e: u128) -> (u64, usize) {
+    ((e >> 64) as u64, e as u64 as usize)
+}
+
+/// A binary min-heap: the priority queue of the layout's three greedy
+/// loops (the LPT makespan of the `th1` search over load [`key`]s,
+/// duplication's tail and allocation's coldest DPU over [`pack`]ed pairs).
+/// [`Self::replace_top`] re-keys the minimum with one sift instead of a pop
+/// and a push. A sift walks the hole down to a leaf along the smaller
+/// children, a select per level rather than a branch, and then back up to
+/// where the new element belongs. The elements are integers, so equal ones
+/// are identical and the loops' decisions depend only on the multiset
+/// queued, not on how the heap lays it out.
+pub(crate) struct MinQueue<T>(Vec<T>);
+
+impl<T: Ord + Copy> MinQueue<T> {
+    /// A queue holding `entries`.
+    pub(crate) fn new(entries: impl IntoIterator<Item = T>) -> Self {
+        let mut q = MinQueue(entries.into_iter().collect::<Vec<T>>());
+        for pos in (0..q.0.len() / 2).rev() {
+            q.sift_down(pos);
+        }
+        q
+    }
+
+    /// Elements queued.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The elements queued, in no particular order.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        self.0
+    }
+
+    /// The least element.
+    pub(crate) fn peek(&self) -> Option<T> {
+        self.0.first().copied()
+    }
+
+    /// Remove the least element.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        let last = self.0.pop()?;
+        let Some(top) = self.0.first_mut() else {
+            return Some(last);
+        };
+        let top = std::mem::replace(top, last);
+        self.sift_down(0);
+        Some(top)
+    }
+
+    /// Add an element.
+    pub(crate) fn push(&mut self, e: T) {
+        self.0.push(e);
+        self.sift_up(0, self.0.len() - 1);
+    }
+
+    /// Replace the least element with `e`: a pop and a push in one sift.
+    /// The queue must not be empty.
+    pub(crate) fn replace_top(&mut self, e: T) {
+        self.0[0] = e;
+        self.sift_down(0);
+    }
+
+    fn sift_down(&mut self, pos: usize) {
+        let h = &mut self.0;
+        let e = h[pos];
+        let mut hole = pos;
+        let mut child = 2 * hole + 1;
+        while child + 1 < h.len() {
+            child += usize::from(h[child + 1] < h[child]);
+            h[hole] = h[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child < h.len() {
+            h[hole] = h[child];
+            hole = child;
+        }
+        h[hole] = e;
+        self.sift_up(pos, hole);
+    }
+
+    /// Move the element at `hole` up towards `top` to where it belongs.
+    fn sift_up(&mut self, top: usize, mut hole: usize) {
+        let h = &mut self.0;
+        let e = h[hole];
+        while hole > top {
+            let parent = (hole - 1) / 2;
+            if h[parent] <= e {
+                break;
+            }
+            h[hole] = h[parent];
+            hole = parent;
+        }
+        h[hole] = e;
+    }
+}
+
 /// The layout's step clock.
 pub(crate) struct Stopwatch(Instant);
 
@@ -156,7 +278,7 @@ impl LayoutPlan {
         cfg: &EngineConfig,
         bytes_per_point: u64,
         mram_budget: u64,
-        slice_cost: impl Fn(usize) -> f64,
+        slice_cost: impl Fn(usize) -> f64 + Sync,
     ) -> (LayoutPlan, LayoutProfile) {
         let mut prof = LayoutProfile::default();
         let mut clock = Stopwatch::start();

@@ -9,7 +9,17 @@
 //! were spread greedily over the DPUs, how long would the hottest DPU take,
 //! and what does the extra metadata cost?".
 
-use super::{ClusterInfo, LayoutCounts, Slice};
+use super::{key, value, ClusterInfo, LayoutCounts, MinQueue, Slice};
+
+/// The slice lengths of a cluster of `points` points cut at `th1`
+/// (`th1 >= 1`), in offset order: `n = ceil(points / th1)` slices of
+/// `ceil(points / n)` points, the last one shorter; one empty slice for an
+/// empty cluster.
+fn cut(points: usize, th1: usize) -> impl Iterator<Item = usize> {
+    let cap = points.div_ceil(points.div_ceil(th1).max(1));
+    let n = points.div_ceil(cap.max(1)).max(1);
+    (0..n).map(move |i| cap.min(points - i * cap))
+}
 
 /// Split every cluster into slices of at most `th1` points.
 ///
@@ -28,11 +38,8 @@ pub fn partition(clusters: &[ClusterInfo], th1: usize) -> Vec<Slice> {
             });
             continue;
         }
-        let n_slices = c.points.div_ceil(th1);
-        let cap = c.points.div_ceil(n_slices);
         let mut start = 0usize;
-        while start < c.points {
-            let len = cap.min(c.points - start);
+        for len in cut(c.points, th1) {
             out.push(Slice {
                 cluster: c.id,
                 start,
@@ -60,10 +67,16 @@ pub const SLICE_META_BYTES: u64 = 24;
 /// the useful granularity sits in the 10^4-point range (paper Fig. 14a),
 /// not at a few hundred points. Counts the candidates it prices and skips
 /// in `counts`.
+///
+/// The candidates are priced on the pool, one item each, and the best is
+/// taken in candidate order by strict `<`, as a sequential scan would:
+/// the same `th1` at every pool width. A candidate's slices are priced
+/// once per distinct length (`cost_of` is a function of the length alone)
+/// and fed to [`lpt_makespan_weights`]' loop in descending order.
 pub fn search_th1(
     clusters: &[ClusterInfo],
     ndpus: usize,
-    cost_of: impl Fn(usize) -> f64,
+    cost_of: impl Fn(usize) -> f64 + Sync,
     counts: &mut LayoutCounts,
 ) -> usize {
     let min_size = clusters
@@ -89,20 +102,52 @@ pub fn search_th1(
     // allow half of a 64 KiB WRAM for it
     let meta_budget = (32u64 << 10) * ndpus as u64;
 
-    let mut best = (usize::MAX, f64::INFINITY);
-    for &cand in &candidates {
-        let slices = partition(clusters, cand);
-        let meta_bytes = slices.len() as u64 * SLICE_META_BYTES;
-        if meta_bytes > meta_budget {
-            counts.th1_skipped += 1;
-            continue;
+    // A candidate's unsplit clusters are a prefix of the sizes in
+    // ascending order, and one slice each.
+    let mut sizes: Vec<usize> = clusters.iter().map(|c| c.points).collect();
+    sizes.sort_unstable();
+    // `None` for a candidate whose slice metadata is over the budget
+    let makespans = rayon::par_map(candidates.len(), |c| {
+        let th1 = candidates[c].max(1);
+        let whole = sizes.partition_point(|&p| p <= th1);
+        let mut pieces: Vec<usize> = sizes[whole..].iter().flat_map(|&p| cut(p, th1)).collect();
+        if (whole + pieces.len()) as u64 * SLICE_META_BYTES > meta_budget {
+            return None;
         }
-        counts.th1_evaluated += 1;
+        pieces.sort_unstable();
         // Per-probe cost of one slice under *random* (uniform) query
         // distribution — the paper profiles th1 exactly this way; query
-        // skew is duplication's job, not partition's.
-        let weights: Vec<f64> = slices.iter().map(|s| cost_of(s.len)).collect();
-        let makespan = lpt_makespan_weights(&weights, ndpus);
+        // skew is duplication's job, not partition's. Every slice length
+        // in ascending order (the unsplit sizes merged with the pieces),
+        // priced once per distinct length.
+        let (sizes, mut i, mut j) = (&sizes[..whole], 0, 0);
+        let mut keys = Vec::with_capacity(whole + pieces.len());
+        let mut last = None;
+        while i < sizes.len() || j < pieces.len() {
+            let len = if j == pieces.len() || (i < sizes.len() && sizes[i] <= pieces[j]) {
+                i += 1;
+                sizes[i - 1]
+            } else {
+                j += 1;
+                pieces[j - 1]
+            };
+            let k = match last {
+                Some((l, k)) if l == len => k,
+                _ => key(cost_of(len)),
+            };
+            last = Some((len, k));
+            keys.push(k);
+        }
+        keys.sort_unstable(); // in order already where the cost grows with the length
+        Some(lpt_makespan(&keys, ndpus))
+    });
+    let mut best = (usize::MAX, f64::INFINITY);
+    for (&cand, makespan) in candidates.iter().zip(makespans) {
+        let Some(makespan) = makespan else {
+            counts.th1_skipped += 1;
+            continue;
+        };
+        counts.th1_evaluated += 1;
         if makespan < best.1 {
             best = (cand, makespan);
         }
@@ -110,33 +155,36 @@ pub fn search_th1(
     best.0.min(max_size).max(1)
 }
 
-/// LPT makespan over raw weights.
+/// LPT makespan over raw weights: heaviest first, each onto the machine
+/// with the least load.
 pub fn lpt_makespan_weights(weights: &[f64], ndpus: usize) -> f64 {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+    let mut keys: Vec<u64> = weights.iter().map(|&w| key(w)).collect();
+    keys.sort_unstable();
+    lpt_makespan(&keys, ndpus)
+}
 
-    #[derive(PartialEq)]
-    struct MinLoad(f64);
-    impl Eq for MinLoad {}
-    impl PartialOrd for MinLoad {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
+/// The LPT loop over the [`key`]s of the weights in ascending order, taken
+/// from the heaviest. Whichever of several equally loaded machines a
+/// weight lands on, the loads form the same multiset after every step, so
+/// the queue holds loads alone, and every load is the same left fold of
+/// the same weights as under any other tie-break. While no weight is
+/// negative, the heaviest `ndpus` land on one empty machine each.
+fn lpt_makespan(asc: &[u64], ndpus: usize) -> f64 {
+    let ndpus = ndpus.max(1);
+    let split = asc.len().saturating_sub(ndpus);
+    let (rest, heaviest) = if asc.get(split).is_none_or(|&k| k >= key(0.0)) {
+        asc.split_at(split)
+    } else {
+        (asc, &[][..])
+    };
+    let mut loads = heaviest.to_vec();
+    loads.resize(ndpus, key(0.0));
+    let mut queue = MinQueue::new(loads);
+    for &w in rest.iter().rev() {
+        let least = queue.peek().expect("at least one machine");
+        queue.replace_top(key(value(least) + value(w)));
     }
-    impl Ord for MinLoad {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
-        }
-    }
-
-    let mut ws = weights.to_vec();
-    ws.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    let mut heap: BinaryHeap<MinLoad> = (0..ndpus.max(1)).map(|_| MinLoad(0.0)).collect();
-    for w in ws {
-        let MinLoad(min) = heap.pop().unwrap();
-        heap.push(MinLoad(min + w));
-    }
-    heap.into_iter().map(|MinLoad(l)| l).fold(0.0, f64::max)
+    queue.into_vec().into_iter().map(value).fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -240,6 +240,31 @@ fn tight_layout_matches_its_pin() {
     assert_eq!(prof.counts, want);
 }
 
+/// Sixteen equally hot clusters of 1,000 points and a duplicate budget of
+/// twelve copies: among equal scores the lower slice index goes first.
+#[test]
+fn tied_duplicates_go_to_the_lower_index() {
+    let cs: Vec<ClusterInfo> = (0..16)
+        .map(|id| ClusterInfo {
+            id,
+            points: 1_000,
+            heat: 10.0,
+        })
+        .collect();
+    let mut cfg = EngineConfig::drim(index());
+    cfg.partition = false;
+    cfg.dup_budget_bytes = Some(1_500);
+    let (plan, prof) = LayoutPlan::build(&cs, 8, &cfg, 1, 1 << 20, |len| len as f64);
+    let copies: Vec<usize> = plan.slice_homes.iter().map(Vec::len).collect();
+    assert_eq!(copies, [vec![2; 12], vec![1; 4]].concat());
+    let want = LayoutCounts {
+        copies_granted: 12,
+        budget_stops: 16,
+        ..LayoutCounts::default()
+    };
+    assert_eq!(prof.counts, want);
+}
+
 #[test]
 fn round_robin_and_unpartitioned_layouts_match_their_pins() {
     let mut rr = EngineConfig::drim(index());
