@@ -433,31 +433,49 @@ impl LayoutPlan {
     /// Sanity checks: every slice placed at least once, copies on distinct
     /// existing DPUs, the per-DPU lists name exactly the placed copies,
     /// slice coverage of every cluster is exact and disjoint. Linear in the
-    /// copies, up to sorting each DPU's list.
+    /// copies, up to sorting a DPU's list that is out of order.
     pub fn validate(&self, clusters: &[ClusterInfo]) -> Result<(), String> {
         let ndpus = self.dpu_slices.len();
-        // the per-DPU lists rebuilt from the homes, ascending: a list's last
-        // entry stamps the last slice seen with a copy on that DPU
-        let mut held = vec![Vec::new(); ndpus];
+        // The per-DPU lists rebuilt from the homes, ascending, in one flat
+        // array: DPU `d`'s is `held[start[d]..start[d + 1]]`. `last[d]` is
+        // the last slice seen with a copy on `d`.
+        let mut start = vec![0usize; ndpus + 1];
+        let mut last = vec![usize::MAX; ndpus];
         for (i, homes) in self.slice_homes.iter().enumerate() {
             if homes.is_empty() {
                 return Err(format!("slice {i} has no home"));
             }
             for &d in homes {
-                let Some(list) = held.get_mut(d) else {
+                if d >= ndpus {
                     return Err(format!("slice {i} has a copy on DPU {d} of {ndpus}"));
-                };
-                if list.last() == Some(&i) {
+                }
+                if last[d] == i {
                     return Err(format!("slice {i} has duplicate copies on one DPU"));
                 }
-                list.push(i);
+                last[d] = i;
+                start[d + 1] += 1;
+            }
+        }
+        for d in 0..ndpus {
+            start[d + 1] += start[d];
+        }
+        let mut held = vec![0usize; start[ndpus]];
+        let mut next = start.clone();
+        for (i, homes) in self.slice_homes.iter().enumerate() {
+            for &d in homes {
+                held[next[d]] = i;
+                next[d] += 1;
             }
         }
         let mut listed = Vec::new();
-        for (d, (ss, held)) in self.dpu_slices.iter().zip(&held).enumerate() {
+        for (d, ss) in self.dpu_slices.iter().enumerate() {
+            let held = &held[start[d]..start[d + 1]];
+            if ss == held {
+                continue;
+            }
             listed.clone_from(ss);
             listed.sort_unstable();
-            if listed != *held {
+            if listed != held {
                 return Err(format!("DPU {d} lists slices {listed:?}, holds {held:?}"));
             }
         }

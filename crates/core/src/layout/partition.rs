@@ -8,13 +8,21 @@
 //! makespan objective: for each candidate threshold it asks "if these slices
 //! were spread greedily over the DPUs, how long would the hottest DPU take,
 //! and what does the extra metadata cost?".
+//!
+//! The search prices its candidates on the pool and picks among them in
+//! candidate order, so `th1` is the same at every pool width. A candidate's
+//! makespan is exact too: the LPT loop hands each weight, heaviest first,
+//! to a least-loaded machine, and which of several equally loaded machines
+//! takes it changes no load. The loads form the same multiset after every
+//! step, so each machine's load is the same left fold of the same weights
+//! whatever the queue's tie-break, and the makespan is the same maximum.
 
 use super::{key, value, ClusterInfo, LayoutCounts, MinQueue, Slice};
 
 /// The slice lengths of a cluster of `points` points cut at `th1`
-/// (`th1 >= 1`), in offset order: `n = ceil(points / th1)` slices of
-/// `ceil(points / n)` points, the last one shorter; one empty slice for an
-/// empty cluster.
+/// (`th1 >= 1`), in offset order: slices of `ceil(points / n)` points for
+/// `n = ceil(points / th1)`, the last one possibly shorter; one empty slice
+/// for an empty cluster.
 fn cut(points: usize, th1: usize) -> impl Iterator<Item = usize> {
     let cap = points.div_ceil(points.div_ceil(th1).max(1));
     let n = points.div_ceil(cap.max(1)).max(1);
