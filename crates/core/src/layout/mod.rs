@@ -99,7 +99,7 @@ pub struct LayoutTimes {
 }
 
 /// Exact decision counts of one [`LayoutPlan::build`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutCounts {
     /// `th1` candidates priced by the search.
     pub th1_evaluated: usize,
