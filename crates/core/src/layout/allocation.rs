@@ -8,7 +8,7 @@
 //! chosen to keep the heat balance intact. Copies of the *same* slice must
 //! stay on distinct DPUs (they exist to give the scheduler alternatives).
 //!
-//! The greedy placement keeps a lazy queue over DPU loads ([`Cold`]): an
+//! The greedy placement keeps a lazy queue over DPU loads (`Cold`): an
 //! entry records a DPU's load when it was queued, and an entry off from
 //! the live load by more than `1e-12` is stale and re-queued at the live
 //! load when it reaches the front. What the loop decides depends only on
