@@ -265,6 +265,36 @@ fn tied_duplicates_go_to_the_lower_index() {
     assert_eq!(prof.counts, want);
 }
 
+/// The synthetic front end's probe draws are pinned at two batch seeds:
+/// `try_build` must hand `sample_probes` the sampler of its own probe
+/// weights, and `sample_probes` must draw from it as it always has.
+#[test]
+fn sampled_probes_match_their_pin() {
+    let mut spec = hot_spec();
+    spec.batch = 64;
+    let runner = TraceRunner::try_build(
+        spec,
+        EngineConfig::drim(index()),
+        PimArch::upmem_sc25(),
+        128,
+    )
+    .unwrap();
+    for (batch_seed, want) in [
+        (1u64, 0x6e17_432e_d640_0969u64),
+        (0xDEAD_BEEF, 0x7ef7_28da_7912_a26f),
+    ] {
+        let probes = runner.sample_probes(batch_seed);
+        let got = probes
+            .iter()
+            .flat_map(|p| std::iter::once(p.len() as u32).chain(p.iter().copied()))
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(got, want, "batch seed {batch_seed:#x}: {got:#x}");
+    }
+}
+
 #[test]
 fn round_robin_and_unpartitioned_layouts_match_their_pins() {
     let mut rr = EngineConfig::drim(index());
