@@ -15,14 +15,9 @@
 //! * [`queries`] — query generators, including the skewed ("hot topic")
 //!   distributions that trigger the load imbalance DRIM-ANN's layout
 //!   optimizer targets;
-//! * [`zipf`] — the Zipf sampler behind both;
-//! * [`io`] — readers/writers for the standard `fvecs`/`bvecs`/`ivecs`
-//!   formats so real SIFT/DEEP data can be dropped in when available;
-//! * [`groundtruth`] — exact top-k answers for recall measurement.
+//! * [`zipf`] — the Zipf sampler behind both.
 
 pub mod catalog;
-pub mod groundtruth;
-pub mod io;
 pub mod queries;
 pub mod synth;
 pub mod zipf;

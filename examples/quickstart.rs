@@ -11,8 +11,7 @@ use upmem_sim::PimArch;
 
 fn main() {
     // 1. A corpus: 20k vectors of 32 dims, SIFT-like value range, plus 64
-    //    in-distribution queries. Swap in real data via `datasets::io`
-    //    (fvecs/bvecs readers) if you have it.
+    //    in-distribution queries.
     let spec = datasets::SynthSpec::small("quickstart", 32, 20_000, 42);
     let data = datasets::generate(&spec);
     let queries = datasets::queries::generate_queries(

@@ -8,7 +8,7 @@
 //!
 //! * [`upmem_sim`] — the UPMEM-class DRAM-PIM simulator;
 //! * [`ann_core`] — k-means / PQ / IVF-PQ / top-k machinery;
-//! * [`datasets`] — synthetic corpora, query skew models, fvecs I/O;
+//! * [`datasets`] — synthetic corpora, query skew models, Zipf partitions;
 //! * [`drim_ann`] — the paper's engine: SQT, perf model, DSE, layout,
 //!   scheduling, fault-tolerant dispatch (`docs/FAULT_MODEL.md`);
 //! * [`baselines`] — Faiss-CPU/GPU models and the MemANNS datapoints.

@@ -1,6 +1,5 @@
-//! Larger-scale recall harness (ROADMAP item): a ~10^5-point synthetic
-//! corpus through the dynamic-stream path, plus an fvecs round-trip of the
-//! corpus through a real temp file.
+//! Larger-scale recall harnesses: a ~10^5-point synthetic corpus through
+//! the dynamic-stream path, and a live engine under insert+delete churn.
 //!
 //! Ignored by default — roughly a minute of single-core work — so tier-1
 //! `cargo test -q` stays fast. Run with:
@@ -27,21 +26,6 @@ fn dynamic_stream_keeps_recall_at_scale() {
         datasets::queries::QuerySkew::InDistribution,
         9,
     );
-
-    // fvecs round-trip through an actual file: the readers must hand back
-    // the exact corpus at this scale
-    let path = std::env::temp_dir().join("drim_ann_scale_recall.fvecs");
-    {
-        let f = std::fs::File::create(&path).unwrap();
-        datasets::io::write_fvecs(std::io::BufWriter::new(f), &data).unwrap();
-    }
-    let reread = {
-        let f = std::fs::File::open(&path).unwrap();
-        datasets::io::read_fvecs(std::io::BufReader::new(f)).unwrap()
-    };
-    std::fs::remove_file(&path).ok();
-    assert_eq!(reread.len(), N);
-    assert_eq!(reread, data, "fvecs round-trip must be lossless");
 
     // dynamic-stream path: index the first half, stream in the second
     let half = data.len() / 2;
