@@ -265,9 +265,9 @@ fn tied_duplicates_go_to_the_lower_index() {
     assert_eq!(prof.counts, want);
 }
 
-/// The synthetic front end's probe draws are pinned at two batch seeds:
-/// `try_build` must hand `sample_probes` the sampler of its own probe
-/// weights, and `sample_probes` must draw from it as it always has.
+/// The synthetic front end's probe draws are pinned at two batch seeds: a
+/// change to `try_build`'s cluster sizes or probe weights, or to how
+/// `sample_probes` seeds and draws, moves them.
 #[test]
 fn sampled_probes_match_their_pin() {
     let mut spec = hot_spec();

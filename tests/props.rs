@@ -182,9 +182,9 @@ fn query_major(
 }
 
 /// A tie-prone cost per slice length: zero (of either sign) for some
-/// lengths, a few coarse steps for the rest. `arb_tied_clusters`' slices
-/// are 48 to 400 points long, each of them 0, 3 or 4 modulo 5, so each of
-/// the three arms is taken.
+/// lengths, a few coarse steps for the rest. The slices cut from
+/// `arb_tied_clusters` are 48 to 400 points long and 0, 3 or 4 modulo 5
+/// (none is 1 or 2), so `-0.0` keys on 3.
 fn tied_cost(len: usize) -> f64 {
     match len % 5 {
         0 => 0.0,
@@ -312,7 +312,7 @@ fn greedy_matches_its_reference() {
             )
         });
         let plan = roomy_plan(&clusters, ndpus);
-        // half the costs, and every initial heat, from the tie-prone palette
+        // half the costs from the tie-prone palette
         let tasks: Vec<Task> = raw
             .iter()
             .enumerate()
