@@ -101,12 +101,6 @@ impl TraceSpec {
     }
 }
 
-/// A cluster's expected probes per query: its heat (expected points
-/// scanned) over its points.
-fn per_point_heat(c: &ClusterInfo) -> f64 {
-    c.heat / c.points.max(1) as f64
-}
-
 /// A ready-to-run full-scale simulation.
 pub struct TraceRunner {
     /// Engine configuration in force.
@@ -194,9 +188,7 @@ impl TraceRunner {
                 }
             })
             .collect();
-        // draws by the weights themselves: `heat / points` would only
-        // approximate them in floating point
-        Self::deploy_sampling(spec, cfg, arch, ndpus, &clusters, &probe_weights)
+        Self::from_clusters(spec, cfg, arch, ndpus, &clusters)
     }
 
     /// A runner over cluster descriptors (descriptor `i` is cluster `i`),
@@ -214,22 +206,11 @@ impl TraceRunner {
         ndpus: usize,
         clusters: &[ClusterInfo],
     ) -> Result<TraceRunner, BuildError> {
-        let weights: Vec<f64> = clusters.iter().map(per_point_heat).collect();
-        Self::deploy_sampling(spec, cfg, arch, ndpus, clusters, &weights)
-    }
-
-    /// [`Self::from_clusters`] with [`Self::sample_probes`] drawing cluster
-    /// `i` by `probe_weights[i]`. Hot clusters are still those of positive
-    /// `heat / points`.
-    fn deploy_sampling(
-        spec: TraceSpec,
-        cfg: EngineConfig,
-        arch: PimArch,
-        ndpus: usize,
-        clusters: &[ClusterInfo],
-        probe_weights: &[f64],
-    ) -> Result<TraceRunner, BuildError> {
-        let hot = clusters.iter().filter(|c| per_point_heat(c) > 0.0).count();
+        let weights: Vec<f64> = clusters
+            .iter()
+            .map(|c| c.heat / c.points.max(1) as f64)
+            .collect();
+        let hot = weights.iter().filter(|&&w| w > 0.0).count();
         let nprobe = cfg.index.nprobe.min(cfg.index.nlist);
         if hot < nprobe {
             return Err(BuildError::SparseHeat { hot, nprobe });
@@ -251,7 +232,7 @@ impl TraceRunner {
             placement,
             host: upmem_sim::platform::procs::xeon_silver_4216(),
             shape,
-            probe_sampler: Discrete::new(probe_weights),
+            probe_sampler: Discrete::new(&weights),
             dispatch: dispatch::Scratch::default(),
             layout_profile,
         })
