@@ -182,15 +182,22 @@ fn query_major(
 }
 
 /// A tie-prone cost per slice length: zero (of either sign) for some
-/// lengths, a few coarse steps for the rest. The slices cut from
-/// `arb_tied_clusters` are 48 to 400 points long and 0, 3 or 4 modulo 5
-/// (none is 1 or 2), so `-0.0` keys on 3.
+/// lengths, a few coarse steps for the rest. The properties that cost by
+/// it assert that some case saw a `-0.0`.
 fn tied_cost(len: usize) -> f64 {
     match len % 5 {
         0 => 0.0,
         3 => -0.0,
         _ => (len / 200) as f64 + 0.5,
     }
+}
+
+/// How many of `tasks` cost `-0.0`.
+fn negative_zeros(tasks: &[Task]) -> usize {
+    tasks
+        .iter()
+        .filter(|t| t.cost.to_bits() == (-0.0f64).to_bits())
+        .count()
 }
 
 /// Tasks as `(query, slice, cost bits)`.
@@ -331,6 +338,7 @@ fn greedy_matches_its_reference() {
 /// costs (`-0.0` equal to `0.0`), every cost bit as `cost_of` gave it.
 #[test]
 fn expand_tasks_emits_lpt_order() {
+    let mut seen = 0;
     check("expand_tasks_emits_lpt_order", |rng| {
         let clusters = arb_tied_clusters(rng);
         let ndpus = rng.gen_range(1..16usize);
@@ -354,7 +362,9 @@ fn expand_tasks_emits_lpt_order() {
                 assert!(w[0].query <= w[1].query);
             }
         }
+        seen += negative_zeros(&got);
     });
+    assert!(seen > 0, "no case drew a -0.0 cost");
 }
 
 /// Scheduling `expand_tasks`' output places exactly what the first
@@ -363,6 +373,7 @@ fn expand_tasks_emits_lpt_order() {
 /// ties across equal slices, initial heat, ban masks and finite `th3`.
 #[test]
 fn greedy_order_survives_expansion() {
+    let mut seen = 0;
     check("greedy_order_survives_expansion", |rng| {
         let clusters = arb_tied_clusters(rng);
         let ndpus = rng.gen_range(1..16usize);
@@ -374,7 +385,9 @@ fn greedy_order_survives_expansion() {
         let tasks = expand_tasks(&probes, &plan, tied_cost);
         let reference = query_major(&probes, &plan, tied_cost);
         assert_greedy_agrees(rng, &plan, ndpus, &tasks, &reference);
+        seen += negative_zeros(&tasks);
     });
+    assert!(seen > 0, "no case drew a -0.0 cost");
 }
 
 /// Bounded heap == sorted truncation of a full sort, for any input.
