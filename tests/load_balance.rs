@@ -152,12 +152,14 @@ fn layout_digest(plan: &LayoutPlan) -> u64 {
         }
     }
     words.push(plan.th1 as u64);
-    words
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-        })
+    fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// `trace_paper`'s deployment: SIFT100M shapes, the paper's index, 2,543
@@ -284,13 +286,12 @@ fn sampled_probes_match_their_pin() {
         (0xDEAD_BEEF, 0x7ef7_28da_7912_a26f),
     ] {
         let probes = runner.sample_probes(batch_seed);
-        let got = probes
-            .iter()
-            .flat_map(|p| std::iter::once(p.len() as u32).chain(p.iter().copied()))
-            .flat_map(|w| w.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-            });
+        let got = fnv1a(
+            probes
+                .iter()
+                .flat_map(|p| std::iter::once(p.len() as u32).chain(p.iter().copied()))
+                .flat_map(|w| w.to_le_bytes()),
+        );
         assert_eq!(got, want, "batch seed {batch_seed:#x}: {got:#x}");
     }
 }
