@@ -5,32 +5,6 @@ use std::time::Duration;
 
 use crate::cache::CacheConfig;
 
-/// Per-tenant admission settings.
-///
-/// Tenants are identified by their index into [`ServeConfig::tenants`];
-/// the id a producer passes to `submit` is that index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantConfig {
-    /// Weighted-fair share: in each drain cycle a backlogged tenant
-    /// contributes up to `weight` queries to the forming micro-batch, so
-    /// two saturated tenants with weights 3 and 1 split a batch 3:1.
-    /// Must be at least 1.
-    pub weight: u32,
-}
-
-impl TenantConfig {
-    /// A tenant with the given fair-share weight.
-    pub fn with_weight(weight: u32) -> Self {
-        TenantConfig { weight }
-    }
-}
-
-impl Default for TenantConfig {
-    fn default() -> Self {
-        TenantConfig { weight: 1 }
-    }
-}
-
 /// What the server does when the backlog projects past the batching
 /// deadline — i.e. when queued-but-undispatched queries exceed what the
 /// next [`max_queue_batches`](ServeConfig::max_queue_batches) dispatches
@@ -40,12 +14,10 @@ pub enum OverloadPolicy {
     /// No overload protection: admit until `queue_cap` (the default).
     #[default]
     None,
-    /// Shed load per-tenant: each tenant's queue is capped at its
-    /// weighted share of the projected backlog budget
-    /// (`max_queue_batches * max_batch`), and a submit beyond that share
-    /// is rejected with
-    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded). A hot
-    /// tenant is shed while a cold one is still admitted.
+    /// Shed load: the queue is capped at the projected backlog budget
+    /// (`max_queue_batches * max_batch`), and a submit beyond it is
+    /// rejected with
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded).
     Shed,
 }
 
@@ -63,15 +35,14 @@ pub struct ServeConfig {
     /// Deadline trigger: close the batch this long after its oldest query
     /// arrived, even if fewer than `max_batch` queries are queued.
     /// `Duration::ZERO` is valid and means "dispatch immediately"
-    /// (pure latency mode, batches of whatever is present).
+    /// (pure latency mode, batches of whatever is present); a delay too
+    /// large for `Instant` to add means the deadline never fires.
     pub max_delay: Duration,
-    /// Bounded-queue backpressure: per-tenant cap on queued-but-undispatched
+    /// Bounded-queue backpressure: cap on queued-but-undispatched
     /// queries. A submit that would exceed it is rejected with
     /// [`ServeError::QueueFull`](crate::ServeError::QueueFull) instead of
     /// blocking the producer.
     pub queue_cap: usize,
-    /// The tenant table. Index = tenant id.
-    pub tenants: Vec<TenantConfig>,
     /// Host threads the driver uses for each `search_batch` call.
     /// `None` inherits the process-wide setting (`DRIM_ANN_THREADS`).
     /// The pool's thread override is
@@ -84,7 +55,7 @@ pub struct ServeConfig {
     pub overload: OverloadPolicy,
     /// Backlog budget in batches: the queue is considered overloaded once
     /// it holds more than this many `max_batch`-sized dispatches' worth of
-    /// queries. Sizes the per-tenant shares of [`OverloadPolicy::Shed`].
+    /// queries. Sets the backlog cap of [`OverloadPolicy::Shed`].
     /// Must be at least 1.
     pub max_queue_batches: usize,
     /// Hot-query result cache: `Some(..)` enables exact-match caching and
@@ -108,7 +79,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             max_delay: Duration::from_micros(500),
             queue_cap: 1024,
-            tenants: vec![TenantConfig::default()],
             host_threads: None,
             overload: OverloadPolicy::None,
             max_queue_batches: 8,
@@ -119,15 +89,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A single-tenant config with the given batching knobs.
-    pub fn single_tenant(max_batch: usize, max_delay: Duration) -> Self {
-        ServeConfig {
-            max_batch,
-            max_delay,
-            ..ServeConfig::default()
-        }
-    }
-
     /// Validate the configuration. Called by
     /// [`AnnServer::start`](crate::AnnServer::start).
     pub fn validate(&self) -> Result<(), ServeConfigError> {
@@ -136,12 +97,6 @@ impl ServeConfig {
         }
         if self.queue_cap == 0 {
             return Err(ServeConfigError::ZeroQueueCap);
-        }
-        if self.tenants.is_empty() {
-            return Err(ServeConfigError::NoTenants);
-        }
-        if let Some(t) = self.tenants.iter().position(|t| t.weight == 0) {
-            return Err(ServeConfigError::ZeroWeight { tenant: t });
         }
         if self.host_threads == Some(0) {
             return Err(ServeConfigError::ZeroHostThreads);
@@ -171,13 +126,6 @@ pub enum ServeConfigError {
     ZeroMaxBatch,
     /// `queue_cap` was 0 — every submit would be rejected.
     ZeroQueueCap,
-    /// The tenant table was empty — no producer could ever be admitted.
-    NoTenants,
-    /// A tenant had fair-share weight 0 and would starve forever.
-    ZeroWeight {
-        /// Index of the offending tenant.
-        tenant: usize,
-    },
     /// `host_threads` was `Some(0)`; the pool needs at least one thread.
     ZeroHostThreads,
     /// `max_queue_batches` was 0 — the overload budget would be empty and
@@ -198,13 +146,6 @@ impl fmt::Display for ServeConfigError {
         match self {
             ServeConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
             ServeConfigError::ZeroQueueCap => write!(f, "queue_cap must be at least 1"),
-            ServeConfigError::NoTenants => write!(f, "tenant table must be non-empty"),
-            ServeConfigError::ZeroWeight { tenant } => {
-                write!(
-                    f,
-                    "tenant {tenant} has weight 0; weights must be at least 1"
-                )
-            }
             ServeConfigError::ZeroHostThreads => {
                 write!(f, "host_threads must be at least 1 when set")
             }
@@ -249,14 +190,6 @@ mod tests {
         assert_eq!(
             with(&|c| c.queue_cap = 0).validate(),
             Err(ServeConfigError::ZeroQueueCap)
-        );
-        assert_eq!(
-            with(&|c| c.tenants.clear()).validate(),
-            Err(ServeConfigError::NoTenants)
-        );
-        assert_eq!(
-            with(&|c| c.tenants.push(TenantConfig::with_weight(0))).validate(),
-            Err(ServeConfigError::ZeroWeight { tenant: 1 })
         );
         assert_eq!(
             with(&|c| c.host_threads = Some(0)).validate(),
@@ -305,7 +238,11 @@ mod tests {
 
     #[test]
     fn zero_delay_is_valid_latency_mode() {
-        let c = ServeConfig::single_tenant(8, Duration::ZERO);
+        let c = ServeConfig {
+            max_batch: 8,
+            max_delay: Duration::ZERO,
+            ..ServeConfig::default()
+        };
         assert_eq!(c.validate(), Ok(()));
     }
 }

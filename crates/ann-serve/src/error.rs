@@ -7,18 +7,14 @@ use crate::config::ServeConfigError;
 /// Why a query could not be served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// The tenant's bounded queue is at `queue_cap`; the submit was
-    /// rejected immediately (backpressure — retry later or shed load).
-    QueueFull {
-        /// The tenant whose queue is full.
-        tenant: usize,
-    },
-    /// The tenant id is not in the server's tenant table.
+    /// The bounded queue is at `queue_cap`; the submit was rejected
+    /// immediately (backpressure — retry later or shed load).
+    QueueFull,
+    /// `submit` was called with a tenant id other than 0, the only one
+    /// the server admits.
     UnknownTenant {
         /// The offending tenant id.
         tenant: usize,
-        /// Number of configured tenants (valid ids are `0..tenants`).
-        tenants: usize,
     },
     /// The query's dimensionality does not match the engine's.
     WrongDim {
@@ -33,15 +29,12 @@ pub enum ServeError {
         /// Index of the first non-finite coordinate.
         at: usize,
     },
-    /// Overload protection shed this submit: the tenant's queued work
-    /// already fills its weighted share of the backlog budget
-    /// (`max_queue_batches * max_batch`), so serving more of it would
-    /// push dispatches past the batching deadline. Distinct from
-    /// [`QueueFull`](Self::QueueFull), which is the hard per-tenant cap.
-    Overloaded {
-        /// The tenant whose share is exhausted.
-        tenant: usize,
-    },
+    /// Overload protection shed this submit: the queued work already
+    /// fills the backlog budget (`max_queue_batches * max_batch`), so
+    /// serving more of it would push dispatches past the batching
+    /// deadline. Distinct from [`QueueFull`](Self::QueueFull), which is
+    /// the hard cap.
+    Overloaded,
     /// The server is shutting down and no longer admits queries.
     /// Queries admitted *before* shutdown are still served (drained).
     ShuttingDown,
@@ -55,11 +48,9 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::QueueFull { tenant } => {
-                write!(f, "tenant {tenant}'s queue is full (backpressure)")
-            }
-            ServeError::UnknownTenant { tenant, tenants } => {
-                write!(f, "unknown tenant {tenant} (configured: 0..{tenants})")
+            ServeError::QueueFull => write!(f, "queue is full (backpressure)"),
+            ServeError::UnknownTenant { tenant } => {
+                write!(f, "unknown tenant {tenant} (only tenant 0 is admitted)")
             }
             ServeError::WrongDim { expected, got } => {
                 write!(f, "query has dim {got}, engine expects {expected}")
@@ -67,11 +58,8 @@ impl fmt::Display for ServeError {
             ServeError::NonFinite { at } => {
                 write!(f, "coordinate {at} is NaN or infinite")
             }
-            ServeError::Overloaded { tenant } => {
-                write!(
-                    f,
-                    "tenant {tenant} shed: its backlog share projects past the batch deadline"
-                )
+            ServeError::Overloaded => {
+                write!(f, "shed: the backlog projects past the batch deadline")
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::EngineFailed => write!(f, "engine failed while serving a batch"),

@@ -1,5 +1,5 @@
-//! The batch inbox: bounded per-tenant queues plus the weighted-fair
-//! drain that assembles micro-batches.
+//! The batch inbox: one bounded FIFO plus the close rule that decides
+//! when the driver cuts a micro-batch from it.
 //!
 //! The inbox is the futures-free heart of the serving layer. Producers
 //! push [`Request`]s under a mutex and park on their per-request
@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ann_core::topk::Neighbor;
 use rayon::sync::OneShot;
@@ -26,10 +26,8 @@ pub(crate) type ResultSlot = Arc<OneShot<Result<Vec<Neighbor>, ServeError>>>;
 pub(crate) struct Request {
     /// The query vector (owned; the producer's slice is copied at submit).
     pub query: Vec<f32>,
-    /// Tenant that submitted it (index into the tenant table).
-    pub tenant: usize,
     /// When the submit was admitted — the batching deadline for a forming
-    /// batch is the oldest queued request's `admitted_at` plus `max_delay`.
+    /// batch is the queue front's `admitted_at` plus `max_delay`.
     pub admitted_at: Instant,
     /// Where the driver deposits this query's result; the producer's
     /// [`Ticket`](crate::Ticket) parks on the other side.
@@ -62,13 +60,10 @@ pub(crate) enum Mutation {
 /// Mutable inbox state, guarded by the server's mutex.
 #[derive(Debug)]
 pub(crate) struct InboxState {
-    /// One bounded FIFO per tenant.
-    pub queues: Vec<VecDeque<Request>>,
-    /// Total queued requests across all tenants (denormalised count).
-    pub queued: usize,
-    /// Arrival time of the oldest queued request, i.e. when the forming
-    /// batch "opened". `None` when the inbox is empty.
-    pub opened_at: Option<Instant>,
+    /// The bounded FIFO of admitted queries. Requests are pushed under
+    /// the inbox lock, so it is in admission order and its front's
+    /// `admitted_at` is when the forming batch opened.
+    pub queue: VecDeque<Request>,
     /// False once shutdown begins: no new admissions, driver drains and
     /// exits.
     pub open: bool,
@@ -86,27 +81,20 @@ pub(crate) struct InboxState {
 }
 
 impl InboxState {
-    pub(crate) fn new(tenants: usize) -> Self {
+    pub(crate) fn new() -> Self {
         InboxState {
-            queues: (0..tenants).map(|_| VecDeque::new()).collect(),
-            queued: 0,
-            opened_at: None,
+            queue: VecDeque::new(),
             open: true,
             inflight: HashMap::new(),
             mutations: VecDeque::new(),
         }
     }
 
-    /// Recompute `opened_at` from the queue fronts after a drain. The
-    /// front of each FIFO is its oldest entry, so the minimum over fronts
-    /// is the oldest request still queued.
-    pub(crate) fn refresh_opened_at(&mut self) {
-        self.opened_at = self
-            .queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|r| r.admitted_at)
-            .min();
+    /// Cut the next micro-batch: the first `max_batch` queued requests,
+    /// in admission order, or all of them if fewer are queued.
+    pub(crate) fn cut_batch(&mut self, max_batch: usize) -> Vec<Request> {
+        let take = self.queue.len().min(max_batch);
+        self.queue.drain(..take).collect()
     }
 }
 
@@ -122,104 +110,122 @@ pub(crate) enum CloseReason {
     Drain,
 }
 
-/// Drain up to `budget` items from `queues` in weighted round-robin
-/// order.
+/// What the driver does next, given the inbox's state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Cut a micro-batch of up to `max_batch` queries from the queue front.
+    Close(CloseReason),
+    /// Park until this instant (the forming batch's deadline) or an
+    /// arrival, whichever comes first.
+    WaitUntil(Instant),
+    /// Park until an arrival: the queue is empty.
+    WaitForArrival,
+    /// Shutdown with an empty queue: flush pending mutations and return
+    /// the engine.
+    Exit,
+}
+
+/// The close rule: the size trigger first, then the shutdown flush, then
+/// the deadline (`max_delay` after the queue front's admission).
 ///
-/// Grant cycles: visiting tenants in index order, each takes up to
-/// `weights[t]` items per cycle; cycles repeat until the budget is spent
-/// or the queues are empty. Backlogged tenants therefore share a batch in
-/// proportion to their weights — a hot tenant with weight 1 cannot crowd
-/// out a cold tenant with weight 1 beyond a half share — while idle
-/// tenants' unused grants flow to whoever has work (work-conserving).
-///
-/// Deterministic: the output order is a pure function of queue contents
-/// and weights, which is what makes served results reproducible
-/// batch-for-batch.
-pub(crate) fn drain_fair<T>(queues: &mut [VecDeque<T>], weights: &[u32], budget: usize) -> Vec<T> {
-    debug_assert_eq!(queues.len(), weights.len());
-    let mut out = Vec::with_capacity(budget.min(queues.iter().map(VecDeque::len).sum()));
-    while out.len() < budget && queues.iter().any(|q| !q.is_empty()) {
-        for (q, &w) in queues.iter_mut().zip(weights) {
-            for _ in 0..w {
-                if out.len() >= budget {
-                    return out;
-                }
-                match q.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-        }
+/// `queued` is the queue's length and `front` its front's `admitted_at`
+/// (`None` exactly when `queued == 0`); `open` is false once shutdown
+/// began. A deadline past what `Instant` can hold never comes: the
+/// driver waits for arrivals (the size trigger) or shutdown instead of
+/// panicking on the addition. Pure, so every arm is unit-tested without
+/// a clock or a thread.
+pub(crate) fn close_rule(
+    queued: usize,
+    front: Option<Instant>,
+    open: bool,
+    now: Instant,
+    max_batch: usize,
+    max_delay: Duration,
+) -> Step {
+    if queued >= max_batch {
+        return Step::Close(CloseReason::Size);
     }
-    out
+    if !open {
+        return if queued == 0 {
+            Step::Exit
+        } else {
+            Step::Close(CloseReason::Drain)
+        };
+    }
+    match front.and_then(|t0| t0.checked_add(max_delay)) {
+        None => Step::WaitForArrival,
+        Some(deadline) if now >= deadline => Step::Close(CloseReason::Deadline),
+        Some(deadline) => Step::WaitUntil(deadline),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn queues_of(backlogs: &[&[u32]]) -> Vec<VecDeque<u32>> {
-        backlogs
-            .iter()
-            .map(|b| b.iter().copied().collect())
-            .collect()
-    }
-
-    fn count_from(drained: &[u32], tenant_tag: u32) -> usize {
-        drained.iter().filter(|&&x| x / 1000 == tenant_tag).count()
+    #[test]
+    fn cut_batch_takes_the_oldest_first() {
+        let mut inbox = InboxState::new();
+        for i in 0..5 {
+            inbox.queue.push_back(Request {
+                query: vec![i as f32],
+                admitted_at: Instant::now(),
+                slot: Arc::new(OneShot::new()),
+                cache_key: None,
+            });
+        }
+        let cut = |inbox: &mut InboxState| -> Vec<f32> {
+            inbox.cut_batch(3).iter().map(|r| r.query[0]).collect()
+        };
+        assert_eq!(cut(&mut inbox), [0.0, 1.0, 2.0]);
+        // Fewer than `max_batch` left: the batch takes them all.
+        assert_eq!(cut(&mut inbox), [3.0, 4.0]);
+        assert!(inbox.queue.is_empty());
     }
 
     #[test]
-    fn equal_weights_split_a_batch_evenly_under_a_hot_tenant() {
-        // Hot tenant 0 has 100 queued, cold tenant 1 has 10; with equal
-        // weights a budget of 20 must split 10/10 — the hot tenant cannot
-        // starve the cold one.
-        let hot: Vec<u32> = (0..100).collect();
-        let cold: Vec<u32> = (0..10).map(|x| 1000 + x).collect();
-        let mut queues = queues_of(&[&hot, &cold]);
-        let got = drain_fair(&mut queues, &[1, 1], 20);
-        assert_eq!(got.len(), 20);
-        assert_eq!(count_from(&got, 0), 10);
-        assert_eq!(count_from(&got, 1), 10);
-    }
-
-    #[test]
-    fn weights_set_the_share_ratio() {
-        // Both tenants saturated; weights 3:1 over a budget of 20 give
-        // 15:5.
-        let a: Vec<u32> = (0..100).collect();
-        let b: Vec<u32> = (0..100).map(|x| 1000 + x).collect();
-        let mut queues = queues_of(&[&a, &b]);
-        let got = drain_fair(&mut queues, &[3, 1], 20);
-        assert_eq!(count_from(&got, 0), 15);
-        assert_eq!(count_from(&got, 1), 5);
-    }
-
-    #[test]
-    fn idle_tenants_donate_their_share() {
-        // Tenant 1 has nothing queued; tenant 0 takes the whole budget
-        // (work-conserving, not strict reservation).
-        let a: Vec<u32> = (0..50).collect();
-        let mut queues = queues_of(&[&a, &[]]);
-        let got = drain_fair(&mut queues, &[1, 1], 16);
-        assert_eq!(got.len(), 16);
-        assert_eq!(count_from(&got, 0), 16);
-    }
-
-    #[test]
-    fn drain_is_fifo_within_a_tenant() {
-        let a: Vec<u32> = vec![5, 6, 7, 8];
-        let mut queues = queues_of(&[&a]);
-        let got = drain_fair(&mut queues, &[2], 3);
-        assert_eq!(got, vec![5, 6, 7]);
-        assert_eq!(queues[0], VecDeque::from(vec![8]));
-    }
-
-    #[test]
-    fn drain_stops_when_queues_empty_before_budget() {
-        let mut queues = queues_of(&[&[1, 2], &[1001]]);
-        let got = drain_fair(&mut queues, &[1, 1], 64);
-        assert_eq!(got.len(), 3);
-        assert!(queues.iter().all(VecDeque::is_empty));
+    fn close_rule_covers_every_arm() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let rule = |queued, open, now, max_delay| {
+            let front = (queued > 0).then_some(t0);
+            close_rule(queued, front, open, now, 4, max_delay)
+        };
+        // Size: a full queue closes at once, before the deadline and
+        // during shutdown alike.
+        assert_eq!(rule(4, true, t0, ms(5)), Step::Close(CloseReason::Size));
+        assert_eq!(rule(9, true, t0, ms(5)), Step::Close(CloseReason::Size));
+        assert_eq!(rule(4, false, t0, ms(5)), Step::Close(CloseReason::Size));
+        // Shutdown: a non-empty queue is flushed without waiting out the
+        // deadline; an empty one exits.
+        assert_eq!(rule(3, false, t0, ms(5)), Step::Close(CloseReason::Drain));
+        assert_eq!(rule(0, false, t0, ms(5)), Step::Exit);
+        // Open and empty: wait for an arrival.
+        assert_eq!(rule(0, true, t0, ms(5)), Step::WaitForArrival);
+        // Open, partial: wait until the front's deadline, close at it.
+        assert_eq!(rule(3, true, t0, ms(5)), Step::WaitUntil(t0 + ms(5)));
+        assert_eq!(
+            rule(3, true, t0 + ms(4), ms(5)),
+            Step::WaitUntil(t0 + ms(5))
+        );
+        assert_eq!(
+            rule(3, true, t0 + ms(5), ms(5)),
+            Step::Close(CloseReason::Deadline)
+        );
+        assert_eq!(
+            rule(3, true, t0 + ms(6), ms(5)),
+            Step::Close(CloseReason::Deadline)
+        );
+        // max_delay = 0: a partial batch closes the moment it opens.
+        assert_eq!(
+            rule(1, true, t0, Duration::ZERO),
+            Step::Close(CloseReason::Deadline)
+        );
+        // A deadline `Instant` cannot hold never comes: wait for arrivals.
+        assert_eq!(rule(3, true, t0, Duration::MAX), Step::WaitForArrival);
+        assert_eq!(
+            rule(4, true, t0, Duration::MAX),
+            Step::Close(CloseReason::Size)
+        );
     }
 }

@@ -8,17 +8,15 @@
 //! efficiency. This crate implements that front-end:
 //!
 //! * **Admission** — producers call [`ServeHandle::submit`] (or the
-//!   blocking [`ServeHandle::search`]) with a tenant id and a query.
-//!   Admission is validated (tenant, dimensionality) and bounded: each
-//!   tenant has a `queue_cap`-deep FIFO, and a submit that would overflow
+//!   blocking [`ServeHandle::search`]) with a query. Admission is
+//!   validated (dimensionality, finite coordinates) and bounded: the
+//!   queue is a `queue_cap`-deep FIFO, and a submit that would overflow
 //!   it is rejected immediately with [`ServeError::QueueFull`] rather
 //!   than blocking — backpressure is typed and explicit.
 //! * **Micro-batching** — a single driver thread closes a batch when
 //!   `max_batch` queries are queued **or** `max_delay` has elapsed since
-//!   the oldest one arrived, whichever comes first.
-//! * **Weighted-fair drain** — the batch is filled from tenant queues in
-//!   weighted round-robin grant cycles, so a hot tenant cannot starve a
-//!   cold one, and idle tenants' shares flow to whoever has work.
+//!   the oldest one arrived, whichever comes first, and fills it from the
+//!   queue front in admission order.
 //! * **Demultiplexing** — per-query results are deposited into per-request
 //!   [`rayon::sync::OneShot`] slots where producers park ([`Ticket`]).
 //! * **Hot-query caching** (opt-in via [`ServeConfig::cache`]) — an
@@ -62,12 +60,14 @@
 //! let cfg = EngineConfig::drim(index);
 //! let engine = DrimEngine::build(&data, cfg, Default::default(), 4, None).unwrap();
 //!
-//! let server = AnnServer::start(
-//!     engine,
-//!     ServeConfig::single_tenant(8, Duration::from_millis(1)),
-//! ).unwrap();
+//! let cfg = ServeConfig {
+//!     max_batch: 8,
+//!     max_delay: Duration::from_millis(1),
+//!     ..ServeConfig::default()
+//! };
+//! let server = AnnServer::start(engine, cfg).unwrap();
 //! let handle = server.handle();
-//! let neighbors = handle.search(0, data.get(0)).unwrap();
+//! let neighbors = handle.search(data.get(0)).unwrap();
 //! assert_eq!(neighbors.len(), 4);
 //! let (_engine, stats) = server.shutdown();
 //! assert_eq!(stats.served, 1);
@@ -83,7 +83,7 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{CacheConfig, CacheKey, ResultCache};
-pub use config::{OverloadPolicy, ServeConfig, ServeConfigError, TenantConfig};
+pub use config::{OverloadPolicy, ServeConfig, ServeConfigError};
 pub use error::ServeError;
 pub use server::{AnnServer, ServeHandle, Ticket};
 pub use stats::ServeStats;

@@ -15,7 +15,7 @@ use rayon::sync::{lock_unpoisoned, OneShot};
 use crate::cache::{CacheKey, ResultCache};
 use crate::config::{OverloadPolicy, ServeConfig};
 use crate::error::ServeError;
-use crate::inbox::{drain_fair, CloseReason, InboxState, Mutation, Request};
+use crate::inbox::{close_rule, CloseReason, InboxState, Mutation, Request, Step};
 use crate::stats::ServeStats;
 
 /// State shared between producer handles and the driver thread.
@@ -66,20 +66,19 @@ pub struct ServeHandle {
     shared: Arc<Shared>,
     dim: usize,
     queue_cap: usize,
-    ntenants: usize,
-    /// Per-tenant overload caps (weighted shares of the backlog budget
-    /// under [`OverloadPolicy::Shed`]; `usize::MAX` otherwise).
-    tenant_caps: Arc<[usize]>,
+    /// The overload cap (the backlog budget under
+    /// [`OverloadPolicy::Shed`]; `usize::MAX` otherwise).
+    shed_cap: usize,
 }
 
 impl ServeHandle {
-    /// Admit one query for `tenant`, returning a [`Ticket`] for its
-    /// result.
+    /// Admit one query, returning a [`Ticket`] for its result. `tenant`
+    /// must be 0: the server has one queue.
     ///
-    /// Non-blocking: the query is copied into the tenant's bounded queue
-    /// and the call returns immediately. Rejections are immediate and
-    /// typed — [`ServeError::QueueFull`] when the tenant's queue is at
-    /// `queue_cap` (backpressure), [`ServeError::UnknownTenant`] /
+    /// Non-blocking: the query is copied into the bounded queue and the
+    /// call returns immediately. Rejections are immediate and typed —
+    /// [`ServeError::QueueFull`] when the queue is at `queue_cap`
+    /// (backpressure), [`ServeError::UnknownTenant`] /
     /// [`ServeError::WrongDim`] / [`ServeError::NonFinite`] for malformed
     /// submits,
     /// [`ServeError::ShuttingDown`] after shutdown began.
@@ -93,11 +92,8 @@ impl ServeHandle {
     /// (single-flight); followers consume no queue slot, so they bypass
     /// `queue_cap` and the shed policy.
     pub fn submit(&self, tenant: usize, query: &[f32]) -> Result<Ticket, ServeError> {
-        if tenant >= self.ntenants {
-            return Err(ServeError::UnknownTenant {
-                tenant,
-                tenants: self.ntenants,
-            });
+        if tenant != 0 {
+            return Err(ServeError::UnknownTenant { tenant });
         }
         self.check_vector(query)?;
         let slot = Arc::new(OneShot::new());
@@ -132,39 +128,27 @@ impl ServeHandle {
                     return Ok(Ticket { slot });
                 }
             }
-            if g.queues[tenant].len() >= self.queue_cap {
+            if g.queue.len() >= self.queue_cap {
                 drop(g);
-                let mut s = lock_unpoisoned(&self.shared.stats);
-                s.rejected += 1;
-                s.per_tenant_rejected[tenant] += 1;
-                return Err(ServeError::QueueFull { tenant });
+                lock_unpoisoned(&self.shared.stats).rejected += 1;
+                return Err(ServeError::QueueFull);
             }
-            if g.queues[tenant].len() >= self.tenant_caps[tenant] {
+            if g.queue.len() >= self.shed_cap {
                 drop(g);
-                let mut s = lock_unpoisoned(&self.shared.stats);
-                s.shed += 1;
-                s.per_tenant_rejected[tenant] += 1;
-                return Err(ServeError::Overloaded { tenant });
-            }
-            let now = Instant::now();
-            // First query into an empty inbox opens the forming batch:
-            // its arrival starts the max_delay clock.
-            if g.opened_at.is_none() {
-                g.opened_at = Some(now);
+                lock_unpoisoned(&self.shared.stats).shed += 1;
+                return Err(ServeError::Overloaded);
             }
             let cache_key = key.map(|(_, k)| k);
             if let Some(k) = &cache_key {
                 // This submit leads the single-flight for its key.
                 g.inflight.insert(k.clone(), Vec::new());
             }
-            g.queues[tenant].push_back(Request {
+            g.queue.push_back(Request {
                 query: query.to_vec(),
-                tenant,
-                admitted_at: now,
+                admitted_at: Instant::now(),
                 slot: Arc::clone(&slot),
                 cache_key,
             });
-            g.queued += 1;
         }
         if self.shared.cache.is_some() {
             lock_unpoisoned(&self.shared.stats).cache_misses += 1;
@@ -174,9 +158,9 @@ impl ServeHandle {
     }
 
     /// Submit and park until the result arrives — the one-call form of
-    /// `submit(..)?.wait()`.
-    pub fn search(&self, tenant: usize, query: &[f32]) -> Result<Vec<Neighbor>, ServeError> {
-        self.submit(tenant, query)?.wait()
+    /// `submit(0, ..)?.wait()`.
+    pub fn search(&self, query: &[f32]) -> Result<Vec<Neighbor>, ServeError> {
+        self.submit(0, query)?.wait()
     }
 
     /// Enqueue a streaming insert: the vector joins the index at the next
@@ -244,11 +228,6 @@ impl ServeHandle {
     pub fn dim(&self) -> usize {
         self.dim
     }
-
-    /// Number of configured tenants (valid ids are `0..tenants()`).
-    pub fn tenants(&self) -> usize {
-        self.ntenants
-    }
 }
 
 /// The serving front-end: owns the engine (via its driver thread) and the
@@ -258,10 +237,10 @@ impl ServeHandle {
 /// [`DrimEngine::search_batch`] path. Producers on any number of threads
 /// submit single queries; a dedicated driver thread coalesces them into
 /// micro-batches (close at `max_batch` queries or `max_delay` after the
-/// oldest arrival, whichever first), drains tenants weighted-fair, runs
-/// each batch through the engine on scoped threads per region, and
-/// demultiplexes per-query results back to parked producers. Everything
-/// is condvar-parking — no async runtime, no spinning.
+/// oldest arrival, whichever first), runs each batch through the engine
+/// on scoped threads per region, and demultiplexes per-query results back
+/// to parked producers. Everything is condvar-parking — no async runtime,
+/// no spinning.
 ///
 /// Determinism: per-query results are bit-identical to an offline
 /// `search_batch` over the same queries, independent of how arrivals got
@@ -281,36 +260,24 @@ impl AnnServer {
         cfg.validate()?;
         let dim = engine.dim();
         let shared = Arc::new(Shared {
-            inbox: Mutex::new(InboxState::new(cfg.tenants.len())),
+            inbox: Mutex::new(InboxState::new()),
             arrivals: Condvar::new(),
-            stats: Mutex::new(ServeStats::new(cfg.tenants.len())),
+            stats: Mutex::new(ServeStats::default()),
             cache: cfg.cache.as_ref().map(ResultCache::new),
             epoch: AtomicU64::new(engine.epoch()),
         });
-        let tenant_caps: Arc<[usize]> = match cfg.overload {
-            OverloadPolicy::Shed => {
-                // Weighted shares of the backlog budget, floored at 1 so
-                // every tenant can always queue at least one query. Wide
-                // and saturating: a deadline-only config (`max_batch:
-                // usize::MAX`) has a budget past any queue, not a wrapped one.
-                let total: u128 = cfg.tenants.iter().map(|t| u128::from(t.weight)).sum();
-                let budget = cfg.max_queue_batches as u128 * cfg.max_batch as u128;
-                cfg.tenants
-                    .iter()
-                    .map(|t| {
-                        let share = budget.saturating_mul(u128::from(t.weight)) / total;
-                        share.clamp(1, usize::MAX as u128) as usize
-                    })
-                    .collect()
-            }
-            OverloadPolicy::None => cfg.tenants.iter().map(|_| usize::MAX).collect(),
+        let shed_cap = match cfg.overload {
+            // Saturating: a deadline-only config (`max_batch: usize::MAX`)
+            // has a budget past any queue, not a wrapped one. Floored at 1
+            // so a query can always be queued.
+            OverloadPolicy::Shed => cfg.max_queue_batches.saturating_mul(cfg.max_batch).max(1),
+            OverloadPolicy::None => usize::MAX,
         };
         let handle = ServeHandle {
             shared: Arc::clone(&shared),
             dim,
             queue_cap: cfg.queue_cap,
-            ntenants: cfg.tenants.len(),
-            tenant_caps,
+            shed_cap,
         };
         let driver = std::thread::Builder::new()
             .name("ann-serve-driver".into())
@@ -349,7 +316,6 @@ impl AnnServer {
 /// demultiplex. Returns the engine when the inbox is drained after
 /// shutdown.
 fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimEngine {
-    let weights: Vec<u32> = cfg.tenants.iter().map(|t| t.weight).collect();
     // Each micro-batch advances the engine's fault-batch index so an armed
     // injector sees a fresh batch of transient draws per dispatch, exactly
     // like an offline batch stream.
@@ -361,33 +327,29 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
         let (reqs, reason, muts) = {
             let mut g = lock_unpoisoned(&shared.inbox);
             let reason = loop {
-                if g.queued >= cfg.max_batch {
-                    break CloseReason::Size;
-                }
-                if !g.open {
-                    if g.queued == 0 {
-                        // Shutdown with an empty inbox: flush pending
-                        // mutations first so none are lost, then hand the
-                        // engine back.
+                let now = Instant::now();
+                let front = g.queue.front().map(|r| r.admitted_at);
+                match close_rule(
+                    g.queue.len(),
+                    front,
+                    g.open,
+                    now,
+                    cfg.max_batch,
+                    cfg.max_delay,
+                ) {
+                    Step::Close(reason) => break reason,
+                    Step::Exit => {
+                        // Flush pending mutations first so none are lost,
+                        // then hand the engine back.
                         let muts: Vec<Mutation> = g.mutations.drain(..).collect();
                         drop(g);
                         apply_mutations(&mut engine, muts, &shared);
                         return engine;
                     }
-                    // Shutdown flush: dispatch what is queued without
-                    // waiting out the deadline.
-                    break CloseReason::Drain;
-                }
-                match g.opened_at {
-                    None => {
+                    Step::WaitForArrival => {
                         g = shared.arrivals.wait(g).unwrap_or_else(|p| p.into_inner());
                     }
-                    Some(t0) => {
-                        let deadline = t0 + cfg.max_delay;
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break CloseReason::Deadline;
-                        }
+                    Step::WaitUntil(deadline) => {
                         let (g2, _) = shared
                             .arrivals
                             .wait_timeout(g, deadline - now)
@@ -396,9 +358,7 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                     }
                 }
             };
-            let reqs = drain_fair(&mut g.queues, &weights, cfg.max_batch);
-            g.queued -= reqs.len();
-            g.refresh_opened_at();
+            let reqs = g.cut_batch(cfg.max_batch);
             let muts: Vec<Mutation> = g.mutations.drain(..).collect();
             (reqs, reason, muts)
         };
@@ -463,9 +423,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                     } else {
                         s.smallest_batch.min(reqs.len())
                     };
-                    for r in &reqs {
-                        s.per_tenant_served[r.tenant] += 1;
-                    }
                     s.sim_time_s += report.timing.total_s();
                     s.sim_energy_j += report.energy_j;
                     s.degraded_queries += report.fault.degraded_queries as u64;
@@ -526,10 +483,8 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                 }
                 let mut g = lock_unpoisoned(&shared.inbox);
                 g.open = false;
-                for q in g.queues.iter_mut() {
-                    while let Some(r) = q.pop_front() {
-                        r.slot.put(Err(ServeError::EngineFailed));
-                    }
+                for r in g.queue.drain(..) {
+                    r.slot.put(Err(ServeError::EngineFailed));
                 }
                 // Single-flight followers parked on the failed batch (or
                 // on queued leaders just drained above) are failed too —
@@ -539,8 +494,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                         f.put(Err(ServeError::EngineFailed));
                     }
                 }
-                g.queued = 0;
-                g.opened_at = None;
                 drop(g);
                 resume_unwind(payload);
             }

@@ -18,9 +18,6 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Submits rejected with `Overloaded` by the shed policy.
     pub shed: u64,
-    /// Rejections per tenant (`QueueFull` + `Overloaded`), indexed like
-    /// the tenant table.
-    pub per_tenant_rejected: Vec<u64>,
     /// Queries the *engine* served on a reduced probe set because a fault
     /// dropped tasks (sum of `FaultStats::degraded_queries` across
     /// dispatches; 0 without an armed injector).
@@ -35,8 +32,6 @@ pub struct ServeStats {
     pub largest_batch: usize,
     /// Smallest micro-batch dispatched (0 if none).
     pub smallest_batch: usize,
-    /// Queries served per tenant, indexed like the tenant table.
-    pub per_tenant_served: Vec<u64>,
     /// Accumulated *simulated* DPU batch time across all dispatches, in
     /// seconds (sum of each batch report's phase-total).
     pub sim_time_s: f64,
@@ -79,14 +74,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    pub(crate) fn new(tenants: usize) -> Self {
-        ServeStats {
-            per_tenant_served: vec![0; tenants],
-            per_tenant_rejected: vec![0; tenants],
-            ..ServeStats::default()
-        }
-    }
-
     /// Mean micro-batch size (0.0 if nothing was dispatched).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -113,7 +100,7 @@ impl ServeStats {
         format!(
             "{} queries in {} batches (mean {:.1}, min {}, max {}; \
              closes: {} size / {} deadline / {} drain; \
-             {} rejected / {} shed, per-tenant {:?}; \
+             {} rejected / {} shed; \
              {} fault-degraded; \
              cache: {} hit / {} miss (rate {:.2}), {} collapsed, \
              {} deduped, {} evicted; \
@@ -129,7 +116,6 @@ impl ServeStats {
             self.closed_by_drain,
             self.rejected,
             self.shed,
-            self.per_tenant_rejected,
             self.degraded_queries,
             self.cache_hits,
             self.cache_misses,
@@ -151,16 +137,18 @@ mod tests {
 
     #[test]
     fn mean_batch_handles_zero_batches() {
-        assert_eq!(ServeStats::new(1).mean_batch(), 0.0);
+        assert_eq!(ServeStats::default().mean_batch(), 0.0);
     }
 
     #[test]
     fn summary_mentions_close_reasons() {
-        let mut s = ServeStats::new(2);
-        s.batches = 3;
-        s.served = 10;
-        s.closed_by_size = 2;
-        s.closed_by_deadline = 1;
+        let s = ServeStats {
+            batches: 3,
+            served: 10,
+            closed_by_size: 2,
+            closed_by_deadline: 1,
+            ..ServeStats::default()
+        };
         let line = s.summary();
         assert!(line.contains("2 size"), "{line}");
         assert!(line.contains("1 deadline"), "{line}");
@@ -168,7 +156,7 @@ mod tests {
 
     #[test]
     fn hit_rate_handles_empty_and_counts() {
-        let mut s = ServeStats::new(1);
+        let mut s = ServeStats::default();
         assert_eq!(s.hit_rate(), 0.0);
         s.cache_hits = 3;
         s.cache_misses = 1;
@@ -185,11 +173,13 @@ mod tests {
 
     #[test]
     fn summary_mentions_mutation_counters() {
-        let mut s = ServeStats::new(1);
-        s.inserts_applied = 7;
-        s.deletes_applied = 3;
-        s.mutations_failed = 1;
-        s.maintenance_runs = 2;
+        let s = ServeStats {
+            inserts_applied: 7,
+            deletes_applied: 3,
+            mutations_failed: 1,
+            maintenance_runs: 2,
+            ..ServeStats::default()
+        };
         let line = s.summary();
         assert!(line.contains("7 inserted / 3 deleted / 1 failed"), "{line}");
         assert!(line.contains("2 maintenance runs"), "{line}");
@@ -197,13 +187,13 @@ mod tests {
 
     #[test]
     fn summary_mentions_overload_counters() {
-        let mut s = ServeStats::new(2);
-        s.shed = 4;
-        s.per_tenant_rejected = vec![4, 0];
-        s.degraded_queries = 2;
+        let s = ServeStats {
+            shed: 4,
+            degraded_queries: 2,
+            ..ServeStats::default()
+        };
         let line = s.summary();
         assert!(line.contains("4 shed"), "{line}");
-        assert!(line.contains("per-tenant [4, 0]"), "{line}");
         assert!(line.contains("2 fault-degraded"), "{line}");
     }
 }

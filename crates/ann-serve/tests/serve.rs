@@ -1,13 +1,10 @@
 //! End-to-end serving tests: batch-close semantics, backpressure,
-//! fairness under a hot tenant, and bit-parity with the offline path.
+//! overload shedding, and bit-parity with the offline path.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use ann_serve::{
     AnnServer, CacheConfig, CacheKey, OverloadPolicy, ResultCache, ServeConfig, ServeError,
-    TenantConfig,
 };
 use datasets::synth::{generate, SynthSpec};
 use drim_ann::config::{EngineConfig, IndexConfig};
@@ -36,27 +33,35 @@ fn small_engine() -> (DrimEngine, ann_core::VecSet<f32>) {
 
 #[test]
 fn size_trigger_closes_full_batches() {
-    let (engine, data) = small_engine();
-    // Deadline far away: only the size trigger (or the final drain) can
-    // close a batch.
-    let mut cfg = ServeConfig::single_tenant(6, Duration::from_secs(60));
-    cfg.queue_cap = 64;
-    let server = AnnServer::start(engine, cfg).unwrap();
-    let handle = server.handle();
+    let (mut engine, data) = small_engine();
+    // Deadline far away, or past what `Instant` can hold: only the size
+    // trigger (or the final drain) can close a batch.
+    for max_delay in [Duration::from_secs(60), Duration::MAX] {
+        let cfg = ServeConfig {
+            max_batch: 6,
+            max_delay,
+            queue_cap: 64,
+            ..ServeConfig::default()
+        };
+        let server = AnnServer::start(engine, cfg).unwrap();
+        let handle = server.handle();
 
-    let tickets: Vec<_> = (0..12)
-        .map(|i| handle.submit(0, data.get(i)).unwrap())
-        .collect();
-    for t in tickets {
-        assert_eq!(t.wait().unwrap().len(), 5);
+        let tickets: Vec<_> = (0..12)
+            .map(|i| handle.submit(0, data.get(i)).unwrap())
+            .collect();
+        for t in tickets {
+            assert_eq!(t.wait().unwrap().len(), 5);
+        }
+
+        let (eng, stats) = server.shutdown();
+        engine = eng;
+        let summary = format!("{max_delay:?}: {}", stats.summary());
+        assert_eq!(stats.served, 12, "{summary}");
+        assert_eq!(stats.closed_by_size, 2, "{summary}");
+        assert_eq!(stats.closed_by_deadline, 0, "{summary}");
+        assert_eq!(stats.largest_batch, 6, "{summary}");
+        assert_eq!(stats.smallest_batch, 6, "{summary}");
     }
-
-    let (_engine, stats) = server.shutdown();
-    assert_eq!(stats.served, 12);
-    assert_eq!(stats.closed_by_size, 2, "{}", stats.summary());
-    assert_eq!(stats.closed_by_deadline, 0, "{}", stats.summary());
-    assert_eq!(stats.largest_batch, 6);
-    assert_eq!(stats.smallest_batch, 6);
 }
 
 #[test]
@@ -64,8 +69,12 @@ fn deadline_trigger_closes_partial_batches() {
     let (engine, data) = small_engine();
     // Size trigger unreachable (100 > submitted queries): the 50 ms
     // deadline must close the batch.
-    let mut cfg = ServeConfig::single_tenant(100, Duration::from_millis(50));
-    cfg.queue_cap = 128;
+    let cfg = ServeConfig {
+        max_batch: 100,
+        max_delay: Duration::from_millis(50),
+        queue_cap: 128,
+        ..ServeConfig::default()
+    };
     let server = AnnServer::start(engine, cfg).unwrap();
     let handle = server.handle();
 
@@ -89,8 +98,12 @@ fn backpressure_rejects_when_queue_full() {
     let (engine, data) = small_engine();
     // queue_cap below max_batch and an unreachable deadline: admitted
     // queries sit queued, so the 5th submit must bounce.
-    let mut cfg = ServeConfig::single_tenant(8, Duration::from_secs(60));
-    cfg.queue_cap = 4;
+    let cfg = ServeConfig {
+        max_batch: 8,
+        max_delay: Duration::from_secs(60),
+        queue_cap: 4,
+        ..ServeConfig::default()
+    };
     let server = AnnServer::start(engine, cfg).unwrap();
     let handle = server.handle();
 
@@ -98,7 +111,7 @@ fn backpressure_rejects_when_queue_full() {
         .map(|i| handle.submit(0, data.get(i)).unwrap())
         .collect();
     match handle.submit(0, data.get(4)) {
-        Err(ServeError::QueueFull { tenant: 0 }) => {}
+        Err(ServeError::QueueFull) => {}
         other => panic!("expected QueueFull, got {other:?}"),
     }
 
@@ -119,10 +132,7 @@ fn malformed_submits_are_typed_errors() {
     let handle = server.handle();
 
     match handle.submit(7, data.get(0)) {
-        Err(ServeError::UnknownTenant {
-            tenant: 7,
-            tenants: 1,
-        }) => {}
+        Err(ServeError::UnknownTenant { tenant: 7 }) => {}
         other => panic!("expected UnknownTenant, got {other:?}"),
     }
     match handle.submit(0, &[1.0; 3]) {
@@ -195,105 +205,10 @@ fn non_finite_inserts_are_typed_errors() {
     assert_eq!(engine.live_len(), live0, "nothing was enqueued");
 }
 
-#[test]
-fn cold_tenant_is_served_under_a_hot_flood() {
-    let (engine, data) = small_engine();
-    let cfg = ServeConfig {
-        max_batch: 16,
-        max_delay: Duration::from_millis(1),
-        queue_cap: 256,
-        tenants: vec![TenantConfig::with_weight(1), TenantConfig::with_weight(1)],
-        ..ServeConfig::default()
-    };
-    let server = AnnServer::start(engine, cfg).unwrap();
-
-    // Tenant 0 floods continuously from its own thread (QueueFull is
-    // expected and fine — that's backpressure doing its job); tenant 1
-    // issues ten blocking searches that must all complete promptly
-    // despite the flood.
-    let stop = Arc::new(AtomicBool::new(false));
-    let flooder = {
-        let handle = server.handle();
-        let stop = Arc::clone(&stop);
-        let q: Vec<f32> = data.get(0).to_vec();
-        std::thread::spawn(move || {
-            let mut admitted = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if let Ok(t) = handle.submit(0, &q) {
-                    admitted += 1;
-                    // Park only occasionally so the flood stays hot; a
-                    // dropped ticket just discards its result.
-                    if admitted.is_multiple_of(64) {
-                        let _ = t.wait();
-                    }
-                }
-            }
-            admitted
-        })
-    };
-
-    let handle = server.handle();
-    for i in 0..10 {
-        let got = handle
-            .search(1, data.get(100 + i))
-            .expect("cold tenant starved");
-        assert_eq!(got.len(), 5);
-    }
-    stop.store(true, Ordering::Relaxed);
-    let admitted = flooder.join().unwrap();
-    assert!(admitted > 0);
-
-    let (_engine, stats) = server.shutdown();
-    assert_eq!(stats.per_tenant_served[1], 10);
-    assert!(stats.per_tenant_served[0] > 0);
-}
-
-#[test]
-fn shed_policy_caps_each_tenant_at_its_weighted_share() {
-    let (engine, data) = small_engine();
-    // Backlog budget = max_queue_batches * max_batch = 8; weights 3:1
-    // give tenant 0 a share of 6 and tenant 1 a share of 2. The deadline
-    // is unreachable and fewer than max_batch queries are admitted, so
-    // everything sits queued while we probe the admission decisions.
-    let cfg = ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_secs(60),
-        queue_cap: 64,
-        tenants: vec![TenantConfig::with_weight(3), TenantConfig::with_weight(1)],
-        overload: OverloadPolicy::Shed,
-        max_queue_batches: 1,
-        ..ServeConfig::default()
-    };
-    let server = AnnServer::start(engine, cfg).unwrap();
-    let handle = server.handle();
-
-    let mut tickets = vec![
-        handle.submit(1, data.get(0)).unwrap(),
-        handle.submit(1, data.get(1)).unwrap(),
-    ];
-    // Tenant 1's share (2) is exhausted: the third submit is shed with a
-    // typed rejection, well below queue_cap.
-    match handle.submit(1, data.get(2)) {
-        Err(ServeError::Overloaded { tenant: 1 }) => {}
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    // Tenant 0 is unaffected — shedding is per-tenant, not global.
-    tickets.push(handle.submit(0, data.get(3)).unwrap());
-
-    let (_engine, stats) = server.shutdown();
-    for t in tickets {
-        assert_eq!(t.wait().unwrap().len(), 5);
-    }
-    assert_eq!(stats.served, 3);
-    assert_eq!(stats.shed, 1, "{}", stats.summary());
-    assert_eq!(stats.rejected, 0, "shed is not QueueFull");
-    assert_eq!(stats.per_tenant_rejected, vec![0, 1]);
-}
-
-/// The `Shed` shares are computed wide and saturate: a deadline-only
-/// config (`max_batch: usize::MAX`) or a huge `max_queue_batches` has a
-/// backlog budget past any queue, never an overflow panic at start or a
-/// wrapped budget that caps every tenant at one query.
+/// The `Shed` budget saturates: a deadline-only config (`max_batch:
+/// usize::MAX`) or a huge `max_queue_batches` has a backlog budget past
+/// any queue, never an overflow panic at start or a wrapped budget that
+/// caps the queue at one query.
 #[test]
 fn shed_budget_saturates_instead_of_overflowing() {
     for (max_batch, max_queue_batches) in [(usize::MAX, 8), (4, 1 << 62)] {
@@ -301,7 +216,6 @@ fn shed_budget_saturates_instead_of_overflowing() {
         let cfg = ServeConfig {
             max_batch,
             max_delay: Duration::from_secs(60),
-            tenants: vec![TenantConfig::with_weight(3), TenantConfig::with_weight(1)],
             overload: OverloadPolicy::Shed,
             max_queue_batches,
             ..ServeConfig::default()
@@ -310,8 +224,8 @@ fn shed_budget_saturates_instead_of_overflowing() {
         let handle = server.handle();
         // Neither trigger fires: both queries stay queued until shutdown.
         let tickets = [
-            handle.submit(1, data.get(0)).unwrap(),
-            handle.submit(1, data.get(1)).unwrap(),
+            handle.submit(0, data.get(0)).unwrap(),
+            handle.submit(0, data.get(1)).unwrap(),
         ];
         let (_engine, stats) = server.shutdown();
         for t in tickets {
@@ -387,7 +301,6 @@ fn served_results_match_offline_bits_across_thread_counts() {
                 max_batch: 5,
                 max_delay: Duration::from_micros(200),
                 queue_cap: 256,
-                tenants: vec![TenantConfig::default()],
                 host_threads: threads,
                 overload,
                 // Sizes only Shed's budget: one batch's worth (5 rows), so
@@ -408,7 +321,7 @@ fn served_results_match_offline_bits_across_thread_counts() {
                             .iter()
                             .map(|q| match handle.submit(0, q) {
                                 Ok(t) => Some(t),
-                                Err(ServeError::Overloaded { tenant: 0 }) => None,
+                                Err(ServeError::Overloaded) => None,
                                 Err(e) => panic!("submit: {e:?}"),
                             })
                             .collect();
@@ -559,7 +472,7 @@ fn single_flight_and_cache_collapse_a_hot_set() {
 }
 
 fn handle_search(server: &AnnServer, q: &[f32]) -> Vec<ann_core::topk::Neighbor> {
-    server.handle().search(0, q).expect("serve")
+    server.handle().search(q).expect("serve")
 }
 
 /// Epoch invalidation: a cached result from before a result-affecting
@@ -619,10 +532,10 @@ fn streaming_mutations_invalidate_cached_results() {
     let handle = server.handle();
 
     let q = data.get(123).to_vec();
-    let before = handle.search(0, &q).unwrap();
+    let before = handle.search(&q).unwrap();
     let before_bits = format!("{before:?}");
     // Same query again: an admission-time cache hit with identical bits.
-    let again = handle.search(0, &q).unwrap();
+    let again = handle.search(&q).unwrap();
     assert_eq!(format!("{again:?}"), before_bits);
     assert!(handle.stats().cache_hits >= 1);
 
@@ -631,11 +544,11 @@ fn streaming_mutations_invalidate_cached_results() {
     // query both applies it and purges the now-stale cache entries.
     let victim = before[0].id as u32;
     handle.delete(victim).unwrap();
-    let _ = handle.search(0, data.get(7)).unwrap();
+    let _ = handle.search(data.get(7)).unwrap();
 
     // The stale entry must be unreachable now: this re-dispatch sees the
     // post-delete engine and must not surface the tombstoned id.
-    let after = handle.search(0, &q).unwrap();
+    let after = handle.search(&q).unwrap();
     assert!(
         after.iter().all(|n| n.id != victim as u64),
         "tombstoned id {victim} served from a stale cache entry: {after:?}"
@@ -646,8 +559,8 @@ fn streaming_mutations_invalidate_cached_results() {
     // logical corpus is back to the original, so the original result —
     // and not the cached post-delete one — must be served.
     handle.insert(victim, data.get(victim as usize)).unwrap();
-    let _ = handle.search(0, data.get(9)).unwrap();
-    let restored = handle.search(0, &q).unwrap();
+    let _ = handle.search(data.get(9)).unwrap();
+    let restored = handle.search(&q).unwrap();
     assert_eq!(format!("{restored:?}"), before_bits);
 
     let (engine, stats) = server.shutdown();

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use ann_serve::{AnnServer, CacheConfig, ServeConfig, ServeError, TenantConfig};
+use ann_serve::{AnnServer, CacheConfig, ServeConfig, ServeError};
 use drim_ann::config::{EngineConfig, IndexConfig};
 use drim_ann::engine::DrimEngine;
 use upmem_sim::PimArch;
@@ -35,21 +35,18 @@ fn main() {
     .expect("engine build");
 
     // 2. Start serving: batches close at 16 queries or 500 µs after the
-    //    oldest arrival, whichever comes first. Two tenants with a 3:1
-    //    fair share; each tenant's queue is bounded (overflow => typed
-    //    QueueFull rejection, not blocking).
+    //    oldest arrival, whichever comes first. The queue is bounded
+    //    (overflow => typed QueueFull rejection, not blocking).
     let cfg = ServeConfig {
         max_batch: 16,
         max_delay: Duration::from_micros(500),
         queue_cap: 256,
-        tenants: vec![TenantConfig::with_weight(3), TenantConfig::with_weight(1)],
-        host_threads: None,
         ..ServeConfig::default()
     };
     let server = AnnServer::start(engine, cfg).expect("server start");
 
-    // 3. Producers: four threads, alternating tenants, each submitting
-    //    single queries and parking on its tickets.
+    // 3. Producers: four threads, each submitting single queries and
+    //    parking on its tickets.
     let queries = datasets::queries::generate_queries(
         &spec,
         128,
@@ -62,21 +59,20 @@ fn main() {
             let handle = server.handle();
             let mine: Vec<Vec<f32>> = (0..32).map(|i| queries.get(4 * i + p).to_vec()).collect();
             std::thread::spawn(move || {
-                let tenant = p % 2;
                 let mut slowest = Duration::ZERO;
                 for q in &mine {
                     let t0 = Instant::now();
-                    let neighbors = handle.search(tenant, q).expect("serve");
+                    let neighbors = handle.search(q).expect("serve");
                     slowest = slowest.max(t0.elapsed());
                     assert_eq!(neighbors.len(), 10);
                 }
-                (tenant, slowest)
+                slowest
             })
         })
         .collect();
-    for prod in producers {
-        let (tenant, slowest) = prod.join().unwrap();
-        println!("producer (tenant {tenant}): slowest query {slowest:?}");
+    for (p, prod) in producers.into_iter().enumerate() {
+        let slowest = prod.join().unwrap();
+        println!("producer {p}: slowest query {slowest:?}");
     }
     println!("128 queries served in {:?}", started.elapsed());
 
@@ -124,7 +120,7 @@ fn main() {
             let hot: Vec<Vec<f32>> = (0..8).map(|i| queries.get(i).to_vec()).collect();
             std::thread::spawn(move || {
                 for r in 0..32 {
-                    let neighbors = handle.search(0, &hot[(p + r) % hot.len()]).expect("serve");
+                    let neighbors = handle.search(&hot[(p + r) % hot.len()]).expect("serve");
                     assert_eq!(neighbors.len(), 10);
                 }
             })
