@@ -104,8 +104,7 @@ pub struct IvfPqIndex {
     /// Coarse centroids (`nlist x dim`).
     pub coarse: VecSet<f32>,
     /// Cached squared norms of the coarse centroids (`‖c‖²` terms of the
-    /// fused cluster-locating kernel). Kept in sync with `coarse`; rebuild
-    /// with [`IvfPqIndex::refresh_coarse_norms`] after mutating centroids.
+    /// fused cluster-locating kernel). Kept in sync with `coarse`.
     pub coarse_norms: Vec<f32>,
     /// Inverted lists, one per cluster.
     pub lists: Vec<IvfList>,
@@ -181,11 +180,6 @@ impl IvfPqIndex {
             lists,
             quant,
         }
-    }
-
-    /// Recompute the cached centroid norms (call after mutating `coarse`).
-    pub fn refresh_coarse_norms(&mut self) {
-        self.coarse_norms = crate::kernels::row_norms_f32(self.coarse.as_flat(), self.dim);
     }
 
     /// Number of indexed vectors.

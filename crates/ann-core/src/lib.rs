@@ -14,8 +14,9 @@
 //! * the IVF-PQ index itself ([`ivf`]): coarse clustering, residual
 //!   encoding, nprobe search;
 //! * exact brute-force search for ground truth ([`flat`]);
-//! * top-k machinery ([`topk`]): bounded heaps and bitonic networks — the
-//!   two sorters the paper's TS phase chooses between;
+//! * top-k machinery ([`topk`]): the bounded max-heap DRIM-ANN's TS phase
+//!   keeps per DPU (the paper's alternative, a bitonic network, is not
+//!   used), and the merge of sorted partial lists;
 //! * scalar quantization to 8/16-bit integers ([`quantize`]), the data
 //!   width regime where DRIM-ANN's squaring lookup table applies;
 //! * recall metrics ([`recall`]).
@@ -31,7 +32,6 @@ pub mod ivf;
 pub mod kernels;
 pub mod kmeans;
 pub mod linalg;
-pub mod persist;
 pub mod pq;
 pub mod quantize;
 pub mod recall;

@@ -112,7 +112,8 @@ impl ProductQuantizer {
     }
 
     /// Construct directly from trained codebooks (`m * cb * dsub` flat,
-    /// subspace-major), as [`crate::persist::load`] does.
+    /// subspace-major), computing the codeword norms and the 16-lane
+    /// codeword groups the encoding kernels read.
     pub fn from_codebooks(dim: usize, m: usize, cb: usize, codebooks: Vec<f32>) -> Self {
         assert!(cb <= MAX_CB, "cb {cb} exceeds {MAX_CB}");
         let dsub = dim.div_ceil(m);

@@ -452,27 +452,6 @@ fn encode_matches_the_per_row_reference_bit_for_bit() {
     assert!(high_codes > 0, "cb 300 must produce codes above 255");
 }
 
-#[test]
-fn reloaded_index_assign_encodes_like_the_original() {
-    // persist::load rebuilds the quantizer through from_codebooks, caches
-    // and all
-    let spec = datasets::SynthSpec::small("kernel-parity", 20, 2000, 151);
-    let data = datasets::generate(&spec);
-    let probes = datasets::queries::generate_queries(
-        &spec,
-        1000,
-        datasets::queries::QuerySkew::InDistribution,
-        3,
-    );
-    let idx = IvfPqIndex::build(&data, &IvfPqParams::new(16).m(6).cb(32));
-    let mut blob = Vec::new();
-    ann_core::persist::save(&idx, &mut blob).unwrap();
-    let back = ann_core::persist::load(&blob[..]).unwrap();
-    for (i, v) in probes.iter().enumerate() {
-        assert_eq!(back.assign_encode(v), idx.assign_encode(v), "vector {i}");
-    }
-}
-
 /// One slice of a query's TS stream: its distances and ids by list
 /// offset, and the ids pending deletion.
 struct TsSlice {
