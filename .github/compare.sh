@@ -1,6 +1,6 @@
 #!/bin/sh
 # Parent-vs-change runs of the end-to-end benchmark: the protocol behind a
-# perf PR's before/after table in CHANGES.md (ROADMAP item 5(b)).
+# perf PR's before/after table in CHANGES.md.
 #
 #   sh .github/compare.sh <parent-rev> [seeds]       (default seeds: 1 .. 10)
 #

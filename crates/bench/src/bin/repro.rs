@@ -5,8 +5,11 @@
 //!        fig12a|fig12b|fig13|fig14|fig15|table3|ablations|all]
 //! ```
 //!
-//! Output: paper-style text tables on stdout plus CSVs under `results/`.
-//! An unknown target or flag exits with status 2 before anything runs.
+//! Output: paper-style text tables on stdout (numbers rounded) plus one CSV
+//! per figure (numbers exact) under `results/<scale>/`, where `<scale>` is
+//! `default`, `quick` or `full` after the flag that chose it. An unknown
+//! target or flag exits with status 2 before anything runs; a CSV that
+//! cannot be written makes the run exit 1 after the remaining targets.
 
 use bench::experiments as ex;
 use bench::table::Table;
@@ -32,16 +35,19 @@ const TARGETS: [&str; 15] = [
     "ablations",
 ];
 
+/// A scale and the name of its output directory.
+type Scale = (&'static str, ex::PaperScale);
+
 /// Scale and target list from the command line. Nothing runs unless every
 /// argument is known: a typo must not look like a successful regeneration.
-fn parse_args(args: &[String]) -> Result<(ex::PaperScale, Vec<&'static str>), String> {
-    let mut scale = ex::PaperScale::default();
+fn parse_args(args: &[String]) -> Result<(Scale, Vec<&'static str>), String> {
+    let mut scale = ("default", ex::PaperScale::default());
     let mut targets = Vec::new();
     let mut all = false;
     for a in args {
         match a.as_str() {
-            "--full" => scale = ex::PaperScale::full(),
-            "--quick" => scale = ex::PaperScale::quick(),
+            "--full" => scale = ("full", ex::PaperScale::full()),
+            "--quick" => scale = ("quick", ex::PaperScale::quick()),
             "all" => all = true,
             other => match TARGETS.iter().find(|t| **t == other) {
                 Some(t) => targets.push(*t),
@@ -65,16 +71,18 @@ fn parse_args(args: &[String]) -> Result<(ex::PaperScale, Vec<&'static str>), St
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, targets) = parse_args(&args).unwrap_or_else(|e| {
+    let ((scale_name, scale), targets) = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("repro: {e}");
         std::process::exit(2);
     });
 
-    let outdir = PathBuf::from("results");
-    let emit = |name: &str, t: Table| {
+    let outdir = PathBuf::from("results").join(scale_name);
+    let mut write_failed = false;
+    let mut emit = |name: &str, t: Table| {
         println!("{}", t.render());
         if let Err(e) = t.write_csv(&outdir, name) {
-            eprintln!("warning: could not write {name}.csv: {e}");
+            eprintln!("repro: could not write {name}.csv: {e}");
+            write_failed = true;
         }
     };
 
@@ -103,23 +111,34 @@ fn main() {
         }
         eprintln!("[{target} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
+    if write_failed {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<(ex::PaperScale, Vec<&'static str>), String> {
+    fn parse(args: &[&str]) -> Result<(Scale, Vec<&'static str>), String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn unknown_targets_and_flags_are_rejected_before_anything_runs() {
-        let (scale, targets) = parse(&["--quick", "fig12b", "table1"]).unwrap();
-        assert_eq!(scale.batch, ex::PaperScale::quick().batch);
+        let ((name, scale), targets) = parse(&["--quick", "fig12b", "table1"]).unwrap();
+        assert_eq!(
+            (name, scale.batch),
+            ("quick", ex::PaperScale::quick().batch)
+        );
         assert_eq!(targets, ["fig12b", "table1"]);
+        assert_eq!(parse(&[]).unwrap().0 .0, "default");
         assert_eq!(parse(&[]).unwrap().1, TARGETS);
-        assert_eq!(parse(&["--full"]).unwrap().1, TARGETS);
+        let ((name, scale), targets) = parse(&["--full"]).unwrap();
+        assert_eq!(
+            (name, scale.batch, targets),
+            ("full", 10_000, TARGETS.to_vec())
+        );
         assert_eq!(parse(&["fig9", "all"]).unwrap().1, TARGETS);
 
         // one bad argument rejects the whole line, valid neighbours included

@@ -6,12 +6,13 @@ use baselines::cpu::CpuModel;
 use baselines::gpu::GpuModel;
 use datasets::catalog;
 use datasets::DatasetDescriptor;
-use drim_ann::config::{AllocPolicy, EngineConfig, IndexConfig, SchedPolicy};
+use drim_ann::config::{AllocPolicy, DataBits, EngineConfig, IndexConfig, SchedPolicy};
 use drim_ann::dse::{self, ParamSpace};
 use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
 use drim_ann::trace::{TraceRunner, TraceSpec};
 use upmem_sim::platform::Platform;
 use upmem_sim::stats::geomean;
+use upmem_sim::tasklet::LockPolicy;
 use upmem_sim::PimArch;
 
 /// Harness scale knobs. `PaperScale::default()` balances fidelity and
@@ -99,6 +100,13 @@ pub fn drim_report(
     runner.run_batch(1)
 }
 
+/// PIM time of one UPMEM trace batch ([`drim_report`]).
+fn pim_s(desc: &DatasetDescriptor, cfg: EngineConfig, scale: &PaperScale) -> f64 {
+    drim_report(desc, cfg, PimArch::upmem_sc25(), scale)
+        .timing
+        .pim_s()
+}
+
 /// Size-weighted effective mean cluster size factor: in-distribution
 /// queries probe clusters proportionally to their point mass, so the
 /// expected points scanned per probe is `E[p^2]/E[p] = factor x (N/nlist)`.
@@ -147,11 +155,11 @@ pub fn table1() -> Table {
     );
     for d in catalog::table1() {
         t.row(vec![
-            d.name.to_string(),
-            format!("{:.0e}", d.n_full as f64),
-            d.dim.to_string(),
-            format!("{:?}", d.dtype),
-            d.n_queries.to_string(),
+            d.name.into(),
+            format!("{:.0e}", d.n_full as f64).into(),
+            d.dim.to_string().into(),
+            format!("{:?}", d.dtype).into(),
+            d.n_queries.to_string().into(),
             f(d.raw_bytes() as f64 / 1e9, 1),
         ]);
     }
@@ -172,8 +180,8 @@ pub fn fig2() -> Table {
     );
     for p in baselines::roofline::fig2_points() {
         t.row(vec![
-            p.platform,
-            p.dataset,
+            p.platform.into(),
+            p.dataset.into(),
             f(p.intensity, 2),
             f(p.gops, 1),
             if p.oom { "x".into() } else { "".into() },
@@ -204,7 +212,7 @@ pub fn fig7_8(desc: &DatasetDescriptor, scale: &PaperScale) -> Table {
         speedups.push(drim / cpu);
         t.row(vec![
             "nprobe".into(),
-            nprobe.to_string(),
+            nprobe.to_string().into(),
             i(cpu),
             i(drim),
             f(drim / cpu, 2),
@@ -222,7 +230,7 @@ pub fn fig7_8(desc: &DatasetDescriptor, scale: &PaperScale) -> Table {
         speedups.push(drim / cpu);
         t.row(vec![
             "nlist".into(),
-            format!("2^{}", nlist.trailing_zeros()),
+            format!("2^{}", nlist.trailing_zeros()).into(),
             i(cpu),
             i(drim),
             f(drim / cpu, 2),
@@ -304,7 +312,7 @@ pub fn fig9(scale: &PaperScale) -> Table {
         let rep = &p.report;
         t.row(vec![
             p.sweep.into(),
-            p.label(),
+            p.label().into(),
             f(rep.fraction(Phase::Rc), 3),
             f(rep.fraction(Phase::Lc), 3),
             f(rep.fraction(Phase::Dc), 3),
@@ -326,7 +334,7 @@ pub fn fig10(scale: &PaperScale) -> Table {
         ratios.push(p.cpu_j_10k / p.drim_j_10k);
         t.row(vec![
             p.sweep.into(),
-            p.label(),
+            p.label().into(),
             f(p.cpu_j_10k, 0),
             f(p.drim_j_10k, 0),
             f(p.cpu_j_10k / p.drim_j_10k, 2),
@@ -361,8 +369,8 @@ pub fn fig11a(scale: &PaperScale) -> Table {
             let lc_on = rep_on.timing.phase_s[Phase::Lc.idx()];
             let lc_off = rep_off.timing.phase_s[Phase::Lc.idx()];
             t.row(vec![
-                desc.name.to_string(),
-                nprobe.to_string(),
+                desc.name.into(),
+                nprobe.to_string().into(),
                 f(lc_off / lc_on.max(1e-12), 2),
                 f(rep_off.timing.pim_s() / rep_on.timing.pim_s().max(1e-12), 2),
             ]);
@@ -395,8 +403,8 @@ pub fn fig11b(scale: &PaperScale) -> Table {
             let ideal = predict(&shape, &cfg, &arch, &host).qps;
             let actual = drim_qps(&desc, cfg, arch, scale);
             t.row(vec![
-                desc.name.to_string(),
-                format!("2^{}", nlist.trailing_zeros()),
+                desc.name.into(),
+                format!("2^{}", nlist.trailing_zeros()).into(),
                 i(ideal),
                 i(actual),
                 f(actual / ideal, 3),
@@ -444,7 +452,7 @@ pub fn fig12a(scale: &PaperScale) -> Table {
                 scale,
             );
             t.row(vec![
-                desc.name.to_string(),
+                desc.name.into(),
                 f(floor, 2),
                 i(qps),
                 f(qps / ref_qps, 2),
@@ -469,16 +477,14 @@ pub fn fig12b(scale: &PaperScale) -> Table {
             on.wram_buffers = true;
             let mut off = EngineConfig::drim(index);
             off.wram_buffers = false;
-            let rep_on = drim_report(&desc, on, PimArch::upmem_sc25(), scale);
-            let rep_off = drim_report(&desc, off, PimArch::upmem_sc25(), scale);
-            let s = rep_off.timing.pim_s() / rep_on.timing.pim_s().max(1e-12);
+            let s = pim_s(&desc, off, scale) / pim_s(&desc, on, scale).max(1e-12);
             sp.push(s);
-            t.row(vec![desc.name.to_string(), nprobe.to_string(), f(s, 2)]);
+            t.row(vec![desc.name.into(), nprobe.to_string().into(), f(s, 2)]);
         }
         per_ds.push((desc.name.to_string(), sp));
     }
     for (name, sp) in per_ds {
-        t.row(vec![name, "geomean".into(), f(geomean(&sp), 2)]);
+        t.row(vec![name.into(), "geomean".into(), f(geomean(&sp), 2)]);
     }
     t
 }
@@ -519,18 +525,12 @@ pub fn fig13(scale: &PaperScale) -> Table {
             // allocation replaced by round-robin placement
             let mut full_rr = EngineConfig::drim(index);
             full_rr.allocation = AllocPolicy::RoundRobin;
-            let t_naive = drim_report(&desc, naive, PimArch::upmem_sc25(), scale)
-                .timing
-                .pim_s();
-            let t_full_rr = drim_report(&desc, full_rr, PimArch::upmem_sc25(), scale)
-                .timing
-                .pim_s();
-            let t_full = drim_report(&desc, full, PimArch::upmem_sc25(), scale)
-                .timing
-                .pim_s();
+            let t_naive = pim_s(&desc, naive, scale);
+            let t_full_rr = pim_s(&desc, full_rr, scale);
+            let t_full = pim_s(&desc, full, scale);
             t.row(vec![
-                desc.name.to_string(),
-                format!("2^{}", nlist.trailing_zeros()),
+                desc.name.into(),
+                format!("2^{}", nlist.trailing_zeros()).into(),
                 f(t_naive / t_full.max(1e-12), 2),
                 f(t_full_rr / t_full.max(1e-12), 2),
             ]);
@@ -550,16 +550,12 @@ pub fn fig14a(scale: &PaperScale) -> Table {
     let mut base = EngineConfig::naive(index);
     base.allocation = AllocPolicy::HeatBalanced;
     base.scheduling = SchedPolicy::Greedy;
-    let t_nosplit = drim_report(&desc, base.clone(), PimArch::upmem_sc25(), scale)
-        .timing
-        .pim_s();
+    let t_nosplit = pim_s(&desc, base.clone(), scale);
     for gran in [10_000usize, 15_000, 20_000, 25_000, 30_000, 35_000, 40_000] {
         let mut cfg = base.clone();
         cfg.partition = true;
         cfg.split_granularity = Some(gran);
-        let tt = drim_report(&desc, cfg, PimArch::upmem_sc25(), scale)
-            .timing
-            .pim_s();
+        let tt = pim_s(&desc, cfg, scale);
         t.row(vec![
             f(gran as f64 / 1e4, 1),
             f(t_nosplit / tt.max(1e-12), 2),
@@ -578,16 +574,12 @@ pub fn fig14b(scale: &PaperScale) -> Table {
     let index = paper_index(1 << 14, 96);
     let mut base = EngineConfig::drim(index);
     base.duplication = false;
-    let t_nodup = drim_report(&desc, base.clone(), PimArch::upmem_sc25(), scale)
-        .timing
-        .pim_s();
+    let t_nodup = pim_s(&desc, base.clone(), scale);
     for kb in [16u64, 32, 64, 128, 256, 512] {
         let mut cfg = base.clone();
         cfg.duplication = true;
         cfg.dup_budget_bytes = Some(kb << 10);
-        let tt = drim_report(&desc, cfg, PimArch::upmem_sc25(), scale)
-            .timing
-            .pim_s();
+        let tt = pim_s(&desc, cfg, scale);
         t.row(vec![
             f(kb as f64 / 1024.0, 3),
             f(t_nodup / tt.max(1e-12), 2),
@@ -616,8 +608,8 @@ pub fn fig15(scale: &PaperScale) -> Table {
             let qps = TraceRunner::try_build(spec, cfg, platform.arch(), scale.ndpus)
                 .map_or(f64::NAN, |mut r| r.mean_qps(scale.batches));
             t.row(vec![
-                platform.name().to_string(),
-                format!("2^{}", nlist.trailing_zeros()),
+                platform.name().into(),
+                format!("2^{}", nlist.trailing_zeros()).into(),
                 i(qps),
                 f(qps / cpu, 2),
                 f(qps / gpu, 2),
@@ -632,58 +624,34 @@ pub fn fig15(scale: &PaperScale) -> Table {
 /// isolation on the SIFT100M trace.
 pub fn ablations(scale: &PaperScale) -> Table {
     let desc = catalog::sift100m();
-    let index = paper_index(1 << 14, 96);
-    let base = EngineConfig::drim(index);
-    let pim = |cfg: EngineConfig| {
-        drim_report(&desc, cfg, PimArch::upmem_sc25(), scale)
-            .timing
-            .pim_s()
-    };
-    let t_base = pim(base.clone());
+    let base = EngineConfig::drim(paper_index(1 << 14, 96));
+    let t_base = pim_s(&desc, base.clone(), scale);
 
     let mut t = Table::new(
         "Ablations (SIFT100M, nlist=2^14, nprobe=96): slowdown vs full DRIM-ANN",
         &["Variant", "PIM time ratio"],
     );
     t.row(vec!["full DRIM-ANN".into(), f(1.0, 2)]);
-
-    let mut lock_always = base.clone();
-    lock_always.lock_policy = upmem_sim::tasklet::LockPolicy::LockAlways;
-    t.row(vec![
-        "lock every TS candidate".into(),
-        f(pim(lock_always) / t_base, 2),
-    ]);
-
-    for tasklets in [1usize, 8] {
+    type Edit = fn(&mut EngineConfig);
+    let variants: [(&str, Edit); 6] = [
+        ("lock every TS candidate", |c| {
+            c.lock_policy = LockPolicy::LockAlways
+        }),
+        ("1 tasklets (pipeline starved)", |c| c.tasklets = 1),
+        ("8 tasklets (pipeline starved)", |c| c.tasklets = 8),
+        ("16-bit operands (SQT window spills)", |c| {
+            c.bits = DataBits::B16
+        }),
+        ("round-robin allocation", |c| {
+            c.allocation = AllocPolicy::RoundRobin
+        }),
+        ("static scheduling", |c| c.scheduling = SchedPolicy::Static),
+    ];
+    for (name, edit) in variants {
         let mut cfg = base.clone();
-        cfg.tasklets = tasklets;
-        t.row(vec![
-            format!("{tasklets} tasklets (pipeline starved)"),
-            f(pim(cfg) / t_base, 2),
-        ]);
+        edit(&mut cfg);
+        t.row(vec![name.into(), f(pim_s(&desc, cfg, scale) / t_base, 2)]);
     }
-
-    let mut b16 = base.clone();
-    b16.bits = drim_ann::config::DataBits::B16;
-    t.row(vec![
-        "16-bit operands (SQT window spills)".into(),
-        f(pim(b16) / t_base, 2),
-    ]);
-
-    let mut rr = base.clone();
-    rr.allocation = AllocPolicy::RoundRobin;
-    t.row(vec![
-        "round-robin allocation".into(),
-        f(pim(rr) / t_base, 2),
-    ]);
-
-    let mut static_sched = base.clone();
-    static_sched.scheduling = SchedPolicy::Static;
-    t.row(vec![
-        "static scheduling".into(),
-        f(pim(static_sched) / t_base, 2),
-    ]);
-
     t
 }
 
@@ -698,12 +666,12 @@ pub fn table3(scale: &PaperScale) -> Table {
     let mem = baselines::memanns::sift1b_reported();
     t.row(vec![
         "MemANNS (reported)".into(),
-        mem.dpus.to_string(),
+        mem.dpus.to_string().into(),
         i(mem.qps),
     ]);
     t.row(vec![
         "MemANNS (linear-scaled)".into(),
-        ndpus.to_string(),
+        ndpus.to_string().into(),
         i(mem.scaled_to(ndpus)),
     ]);
 
@@ -718,7 +686,7 @@ pub fn table3(scale: &PaperScale) -> Table {
     );
     t.row(vec![
         "DRIM-ANN (without DSE)".into(),
-        ndpus.to_string(),
+        ndpus.to_string().into(),
         i(no_dse),
     ]);
 
@@ -747,8 +715,9 @@ pub fn table3(scale: &PaperScale) -> Table {
             res.best.nlist.trailing_zeros(),
             res.best.m,
             res.best.cb
-        ),
-        ndpus.to_string(),
+        )
+        .into(),
+        ndpus.to_string().into(),
         i(with_dse),
     ]);
     t
@@ -777,7 +746,7 @@ mod tests {
         let t = fig7_8(&catalog::sift100m(), &quick());
         assert_eq!(t.rows.len(), 9); // 4 + 4 + geomean
         for row in &t.rows[..8] {
-            let speedup: f64 = row[4].parse().unwrap();
+            let speedup: f64 = row[4].value().unwrap();
             assert!(speedup > 0.0);
         }
     }
@@ -786,7 +755,7 @@ mod tests {
     fn fig9_fractions_are_fractions() {
         let t = fig9(&quick());
         for row in &t.rows {
-            let total: f64 = row[2..].iter().map(|c| c.parse::<f64>().unwrap()).sum();
+            let total: f64 = row[2..].iter().map(|c| c.value().unwrap()).sum();
             assert!((total - 1.0).abs() < 0.02, "row {row:?} sums to {total}");
         }
     }

@@ -152,7 +152,7 @@ fn fig11b_every_point_lands_in_the_papers_model_accuracy_band() {
     let outside: Vec<String> = table
         .rows
         .iter()
-        .filter(|row| !MODEL_ACCURACY_BAND.contains(&row[4].parse::<f64>().unwrap()))
+        .filter(|row| !MODEL_ACCURACY_BAND.contains(&row[4].value().unwrap()))
         .map(|row| format!("{} nlist {}: {}", row[0], row[1], row[4]))
         .collect();
     assert!(
