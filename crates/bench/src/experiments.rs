@@ -9,7 +9,7 @@ use datasets::DatasetDescriptor;
 use drim_ann::config::{AllocPolicy, DataBits, EngineConfig, IndexConfig, SchedPolicy};
 use drim_ann::dse::{self, ParamSpace};
 use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
-use drim_ann::trace::{TraceRunner, TraceSpec};
+use drim_ann::trace::{TraceRunner, TraceSpec, CLUSTER_SIZE_ZIPF};
 use upmem_sim::platform::Platform;
 use upmem_sim::stats::geomean;
 use upmem_sim::tasklet::LockPolicy;
@@ -116,7 +116,7 @@ fn pim_s(desc: &DatasetDescriptor, cfg: EngineConfig, scale: &PaperScale) -> f64
 pub fn effective_c_factor(desc: &DatasetDescriptor, nlist: usize) -> f64 {
     // probe weight ~ sqrt(points) (see drim_ann::trace): expected scan per
     // probe = sum(p^1.5) / sum(p^0.5); factor normalizes by N/nlist
-    let sizes = datasets::zipf::zipf_partition(desc.n_full as usize, nlist, 0.35);
+    let sizes = datasets::zipf::zipf_partition(desc.n_full as usize, nlist, CLUSTER_SIZE_ZIPF);
     let n: f64 = desc.n_full as f64;
     let sum_15: f64 = sizes.iter().map(|&p| (p as f64).powf(1.5)).sum();
     let sum_05: f64 = sizes.iter().map(|&p| (p as f64).sqrt()).sum();

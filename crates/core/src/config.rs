@@ -228,10 +228,10 @@ pub struct EngineConfig {
     /// Replace squarings with the SQT (multiplier-less conversion,
     /// Section 3.1). Off = native 32-cycle multiplies.
     pub sqt: bool,
-    /// WRAM window of the 16-bit SQT, in table entries — a swept parameter
-    /// of the DSE and the buffer planner (see
-    /// `crate::wram::choose_sqt_window`). Inert in the 8-bit regime, where
-    /// the full 256-entry table always fits.
+    /// WRAM window of the 16-bit SQT, in table entries; the presets set
+    /// [`crate::sqt::DEFAULT_U16_WINDOW`]. Inert in the 8-bit regime, where
+    /// the full 256-entry table always fits, so only trace mode's 16-bit
+    /// operands read it.
     pub sqt_window: usize,
     /// Operand width on the DPUs.
     pub bits: DataBits,

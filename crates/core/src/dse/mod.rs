@@ -2,8 +2,7 @@
 //! parameters `(K, P, C, M, CB)` under an accuracy constraint (paper
 //! Section 4).
 //!
-//! The objective (paper Eq. 14) is to maximize predicted throughput — or
-//! queries per joule, or inverse energy-delay product ([`DseObjective`]) —
+//! The objective (paper Eq. 14) is to maximize predicted throughput
 //! subject to `accuracy >= constraint`. Performance comes from the analytic
 //! model ([`crate::perf_model`]) exactly as in the paper ("the proposed
 //! performance model serves as the performance estimation part of the
@@ -26,10 +25,10 @@
 
 pub mod space;
 
-pub use space::{DseObjective, ParamSpace};
+pub use space::ParamSpace;
 
 use crate::config::{EngineConfig, IndexConfig};
-use crate::perf_model::{predict, BitWidths, Prediction, WorkloadShape};
+use crate::perf_model::{predict, BitWidths, WorkloadShape};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::PimArch;
 
@@ -97,8 +96,6 @@ pub struct Evaluation {
     pub cfg: IndexConfig,
     /// Model-predicted throughput (QPS).
     pub qps: f64,
-    /// Model-predicted batch energy, joules.
-    pub energy_j: f64,
     /// Measured/estimated recall.
     pub recall: f64,
 }
@@ -106,22 +103,12 @@ pub struct Evaluation {
 /// DSE outcome.
 #[derive(Debug, Clone)]
 pub struct DseResult {
-    /// Best feasible configuration found (under the space's
-    /// [`DseObjective`]).
+    /// Best feasible configuration found.
     pub best: IndexConfig,
     /// Its predicted QPS.
     pub best_qps: f64,
     /// Its recall.
     pub best_recall: f64,
-    /// Its predicted batch energy, joules.
-    pub best_energy_j: f64,
-    /// Its predicted queries per joule (co-reported regardless of the
-    /// objective, as Fig. 10 reads energy off the latency winner too).
-    pub best_qpj: f64,
-    /// The 16-bit SQT WRAM window (entries) co-optimized with the buffer
-    /// planner for the winning configuration — feed it to
-    /// `EngineConfig::sqt_window`.
-    pub best_sqt_window: usize,
     /// Every evaluation performed, in order.
     pub evaluations: Vec<Evaluation>,
 }
@@ -130,7 +117,7 @@ pub struct DseResult {
 /// `recall >= accuracy_constraint`, or the highest-recall one when nothing
 /// is feasible.
 ///
-/// Accuracy is evaluated in descending model score (ties in enumeration
+/// Accuracy is evaluated in descending predicted QPS (ties in enumeration
 /// order) up to the first feasible candidate, so `evaluations` ends with
 /// the winner and holds exactly the candidates ordered ahead of it; when
 /// nothing is feasible it holds the whole space.
@@ -147,36 +134,24 @@ pub fn optimize(
 ) -> DseResult {
     let candidates = space.enumerate();
     assert!(!candidates.is_empty(), "empty design space");
-    assert!(!space.sqt_window.is_empty(), "no SQT window candidates");
 
     // The model is deterministic, so every candidate is predicted once.
-    let preds: Vec<Prediction> = candidates
+    let qps: Vec<f64> = candidates
         .iter()
         .map(|cfg| {
             let shape = WorkloadShape::new(n_points, batch, dim, cfg, BitWidths::u8_regime());
-            predict(&shape, &EngineConfig::drim(*cfg), arch, host)
-        })
-        .collect();
-    // One scalar to maximize among feasible configurations: QPS,
-    // queries-per-joule, or inverse EDP depending on the space's objective.
-    let scores: Vec<f64> = preds
-        .iter()
-        .map(|p| match space.objective {
-            DseObjective::Throughput => p.qps,
-            DseObjective::QueriesPerJoule => p.queries_per_joule(batch as f64),
-            DseObjective::EnergyDelayProduct => 1.0 / p.edp_js().max(1e-18),
+            predict(&shape, &EngineConfig::drim(*cfg), arch, host).qps
         })
         .collect();
     let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a])); // stable: ties keep enumeration order
+    order.sort_by(|&a, &b| qps[b].total_cmp(&qps[a])); // stable: ties keep enumeration order
 
     let mut evals: Vec<Evaluation> = Vec::new();
     for i in order {
         let recall = accuracy.eval(&candidates[i]);
         evals.push(Evaluation {
             cfg: candidates[i],
-            qps: preds[i].qps,
-            energy_j: preds[i].energy_j,
+            qps: qps[i],
             recall,
         });
         if recall >= accuracy_constraint {
@@ -193,28 +168,10 @@ pub fn optimize(
             .expect("at least one evaluation"),
     };
 
-    // Co-optimize the 16-bit SQT window with the buffer planner for the
-    // winner: the window is orthogonal to recall and to the analytic phase
-    // charges, so it is swept once here rather than multiplying the
-    // searched space. This is a *pre-layout* estimate (slice metadata and
-    // the DPU census are layout facts the DSE never sees — hence
-    // local_clusters = 0, ndpus = 1, and the default engine tasklet
-    // count); the engine's planner re-runs the greedy placement with the
-    // real layout at build time and, if the estimate no longer fits
-    // there, the window spills to MRAM rather than evicting anything.
-    let shape = WorkloadShape::new(n_points, batch, dim, &chosen.cfg, BitWidths::u8_regime());
-    let capacity = arch
-        .wram_bytes
-        .saturating_sub(EngineConfig::drim(chosen.cfg).tasklets as u64 * 1024);
-    let best_sqt_window = crate::wram::choose_sqt_window(&shape, &space.sqt_window, capacity, 0, 1);
-
     DseResult {
         best: chosen.cfg,
         best_qps: chosen.qps,
         best_recall: chosen.recall,
-        best_energy_j: chosen.energy_j,
-        best_qpj: batch as f64 / chosen.energy_j.max(1e-12),
-        best_sqt_window,
         evaluations: evals,
     }
 }
@@ -298,97 +255,6 @@ mod tests {
             "best {} should beat corner {}",
             res.best_qps,
             corner_qps
-        );
-    }
-
-    #[test]
-    fn dse_sweeps_the_sqt_window_from_the_space() {
-        let mut space = ParamSpace::small();
-        space.sqt_window = vec![1 << 10, 2 << 10, 4 << 10];
-        let res = run(&space, 0.5);
-        assert!(
-            space.sqt_window.contains(&res.best_sqt_window),
-            "window {} not from the sweep",
-            res.best_sqt_window
-        );
-        // UPMEM-sized WRAM fits the 4Ki-entry (16 KiB) window alongside
-        // the hot set, so the co-optimizer should take the largest
-        assert_eq!(res.best_sqt_window, 4 << 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "no SQT window candidates")]
-    fn empty_sqt_window_panics_before_any_accuracy_evaluation() {
-        let space = ParamSpace {
-            sqt_window: Vec::new(),
-            ..ParamSpace::small()
-        };
-        let mut oracle = |_: &IndexConfig| -> f64 { panic!("accuracy evaluated") };
-        optimize(
-            &space,
-            1_000_000,
-            32,
-            256,
-            &PimArch::upmem_sc25(),
-            &procs::xeon_silver_4216(),
-            &mut oracle,
-            0.5,
-        );
-    }
-
-    #[test]
-    fn energy_objectives_respect_constraint_and_report_energy() {
-        for objective in [
-            DseObjective::QueriesPerJoule,
-            DseObjective::EnergyDelayProduct,
-        ] {
-            let mut space = ParamSpace::small();
-            space.objective = objective;
-            let res = run(&space, 0.5);
-            assert!(res.best_recall >= 0.5, "{objective:?}: infeasible winner");
-            assert!(res.best_energy_j > 0.0);
-            assert!(
-                (res.best_qpj - 256.0 / res.best_energy_j).abs() / res.best_qpj < 1e-9,
-                "{objective:?}: qpj inconsistent"
-            );
-            // the winner is the qpj-best feasible *evaluation* (for the
-            // EDP objective the check is the analogous EDP ordering)
-            for e in res.evaluations.iter().filter(|e| e.recall >= 0.5) {
-                match objective {
-                    DseObjective::QueriesPerJoule => assert!(
-                        256.0 / e.energy_j <= res.best_qpj * (1.0 + 1e-9),
-                        "feasible eval beats winner on qpj"
-                    ),
-                    DseObjective::EnergyDelayProduct => {
-                        let edp = |qps: f64, energy: f64| energy * 256.0 / qps;
-                        assert!(
-                            edp(e.qps, e.energy_j)
-                                >= edp(res.best_qps, res.best_energy_j) * (1.0 - 1e-9),
-                            "feasible eval beats winner on EDP"
-                        );
-                    }
-                    DseObjective::Throughput => unreachable!(),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn qpj_objective_never_picks_a_feasible_config_with_worse_qpj_than_throughput_winner() {
-        // queries-per-joule and throughput mostly agree on this model
-        // (energy is time-dominated), but the qpj winner must be at least
-        // as energy-efficient as the throughput winner.
-        let mut thr_space = ParamSpace::small();
-        thr_space.objective = DseObjective::Throughput;
-        let mut qpj_space = ParamSpace::small();
-        qpj_space.objective = DseObjective::QueriesPerJoule;
-        let thr = run(&thr_space, 0.5);
-        let qpj = run(&qpj_space, 0.5);
-        assert!(
-            qpj.best_qpj >= thr.best_qpj * (1.0 - 1e-9),
-            "qpj winner {} less efficient than throughput winner {}",
-            qpj.best_qpj,
-            thr.best_qpj
         );
     }
 

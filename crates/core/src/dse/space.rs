@@ -1,24 +1,6 @@
-//! The tunable parameter space and objective of the design-space
-//! exploration.
+//! The tunable parameter space of the design-space exploration.
 
 use crate::config::IndexConfig;
-
-/// What the DSE maximizes among configurations meeting the recall
-/// constraint. The paper optimizes latency alone (Eq. 14); the
-/// energy-aware objectives reuse the same analytic model with the
-/// phase-resolved energy estimate ([`crate::perf_model::Prediction`]),
-/// reflecting the Fig. 10 finding that the PIM server's energy win comes
-/// from *time*, not power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DseObjective {
-    /// Maximize predicted queries per second (the paper's Eq. 14).
-    #[default]
-    Throughput,
-    /// Maximize predicted queries per joule.
-    QueriesPerJoule,
-    /// Minimize the energy-delay product `E × t` (balances the two).
-    EnergyDelayProduct,
-}
 
 /// Candidate values per index parameter. The cartesian product is the
 /// search space; the paper notes that "when the design space is small, the
@@ -35,15 +17,6 @@ pub struct ParamSpace {
     pub m: Vec<usize>,
     /// Codebook sizes `CB` (Faiss caps at 256; DRIM-ANN explores beyond).
     pub cb: Vec<usize>,
-    /// Candidate 16-bit SQT WRAM windows (table entries). Orthogonal to
-    /// recall and to the analytic phase charges, so it is *not* one of the
-    /// scanned axes; instead the DSE co-optimizes it with the buffer
-    /// planner after the index search (`crate::wram::choose_sqt_window`)
-    /// and reports the pick in `DseResult::best_sqt_window`. Must not be
-    /// empty.
-    pub sqt_window: Vec<usize>,
-    /// The optimization objective among feasible configurations.
-    pub objective: DseObjective,
 }
 
 impl ParamSpace {
@@ -56,10 +29,6 @@ impl ParamSpace {
             nlist: vec![1 << 13, 1 << 14, 1 << 15, 1 << 16],
             m: vec![8, 16, 32],
             cb: vec![128, 256, 512, 1024],
-            // 4 KiB up to the 32 KiB half-scratchpad default; oversized
-            // candidates are rejected by the planner, never placed
-            sqt_window: vec![1 << 10, 2 << 10, 4 << 10, 8 << 10],
-            objective: DseObjective::Throughput,
         }
     }
 
@@ -71,8 +40,6 @@ impl ParamSpace {
             nlist: vec![64, 128],
             m: vec![4, 8],
             cb: vec![16, 32],
-            sqt_window: vec![crate::sqt::DEFAULT_U16_WINDOW],
-            objective: DseObjective::Throughput,
         }
     }
 
@@ -134,8 +101,6 @@ mod tests {
             nlist: vec![50],
             m: vec![4],
             cb: vec![16],
-            sqt_window: vec![crate::sqt::DEFAULT_U16_WINDOW],
-            objective: DseObjective::Throughput,
         };
         assert!(s.enumerate().is_empty());
         assert!(s.is_empty());

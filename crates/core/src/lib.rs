@@ -10,12 +10,10 @@
 //!
 //! * **Multiplier-less conversion** — [`sqt`]: squarings in L2 distances
 //!   become lossless lookups sized to the 64 KiB WRAM scratchpad.
-//! * **PIM-aware algorithm tuning** — [`perf_model`] (the paper's Eq. 1-13,
-//!   plus the analytic energy estimate) and [`dse`] (an exact scan over
-//!   `(K, P, C, M, CB)` under a recall constraint, maximizing QPS,
-//!   queries-per-joule or inverse energy-delay product per
-//!   [`dse::DseObjective`], in place of the paper's Bayesian
-//!   optimization).
+//! * **PIM-aware algorithm tuning** — [`perf_model`] (the paper's Eq. 1-13)
+//!   and [`dse`] (an exact scan over `(K, P, C, M, CB)` maximizing
+//!   predicted QPS under a recall constraint, in place of the paper's
+//!   Bayesian optimization).
 //! * **Load-balanced data layout** — [`layout`]: cluster partition,
 //!   heat-proportional duplication, and heat-balanced allocation with
 //!   co-location exchange.

@@ -36,7 +36,7 @@ use crate::kernels::{cl, GroupCost};
 use upmem_sim::meter::{DpuMeter, Phase};
 use upmem_sim::proc::ProcModel;
 use upmem_sim::system::BatchTiming;
-use upmem_sim::{EnergyModel, HostLink, PimArch};
+use upmem_sim::{HostLink, PimArch};
 
 /// Element byte-widths of the paper's Table 2 (`B_c`, `B_q`, ...).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,37 +233,12 @@ pub struct Prediction {
     pub total_s: f64,
     /// Predicted queries per second.
     pub qps: f64,
-    /// Predicted batch energy, joules: [`EnergyModel::breakdown`] of the
-    /// batch's charges — the simulator's own accounting, on the balanced
-    /// machine — which is what makes it a usable DSE energy surrogate
-    /// (validated in `tests/model_vs_sim.rs`).
-    pub energy_j: f64,
 }
 
 impl Prediction {
     /// The PIM-side sum.
     pub fn pim_s(&self) -> f64 {
         self.pim_phase_s.iter().sum()
-    }
-
-    /// Index of the slowest PIM phase (0=RC, 1=LC, 2=DC, 3=TS).
-    pub fn bottleneck(&self) -> usize {
-        self.pim_phase_s
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Predicted queries per joule for a batch of `q` queries.
-    pub fn queries_per_joule(&self, q: f64) -> f64 {
-        q / self.energy_j.max(1e-12)
-    }
-
-    /// Predicted energy-delay product, J·s.
-    pub fn edp_js(&self) -> f64 {
-        self.energy_j * self.total_s
     }
 }
 
@@ -313,20 +288,11 @@ pub fn predict(
         phase_s,
     };
     let total_s = timing.total_s();
-    let energy = EnergyModel::for_arch(arch).breakdown(
-        &batch,
-        &arch.costs,
-        total_s,
-        host_s,
-        host.power_w,
-        push_bytes + gather_bytes,
-    );
     Prediction {
         host_s,
         pim_phase_s: [Phase::Rc, Phase::Lc, Phase::Dc, Phase::Ts].map(|p| phase_s[p.idx()]),
         total_s,
         qps: shape.q / total_s.max(1e-12),
-        energy_j: energy.total_j(),
     }
 }
 
@@ -452,33 +418,5 @@ mod tests {
         let s = sift_shape(1 << 14, 96);
         // LC does 3 ops per byte-ish; DC is gather-dominated
         assert!(s.c2io(crate::Phase::Lc) > s.c2io(crate::Phase::Dc));
-    }
-
-    #[test]
-    fn prediction_bottleneck_reports_argmax() {
-        let p = Prediction {
-            host_s: 0.0,
-            pim_phase_s: [0.1, 0.5, 0.3, 0.05],
-            total_s: 1.0,
-            qps: 1.0,
-            energy_j: 2.0,
-        };
-        assert_eq!(p.bottleneck(), 1);
-        assert!((p.queries_per_joule(10.0) - 5.0).abs() < 1e-12);
-        assert!((p.edp_js() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predicted_energy_scales_with_work_and_beats_flat_bound() {
-        let arch = PimArch::upmem_sc25();
-        let small = predict_sift(1 << 14, 32, &arch, true);
-        let large = predict_sift(1 << 14, 128, &arch, true);
-        // 4x the probes: strictly more energy, less energy-efficient
-        assert!(large.energy_j > small.energy_j);
-        assert!(small.queries_per_joule(10_000.0) > large.queries_per_joule(10_000.0));
-        // the phase-resolved estimate stays below every-DIMM-at-full-power
-        let e = upmem_sim::EnergyModel::for_arch(&arch);
-        assert!(small.energy_j < e.energy_j(small.total_s));
-        assert!(large.energy_j < e.energy_j(large.total_s));
     }
 }

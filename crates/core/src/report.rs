@@ -165,8 +165,7 @@ impl BatchReport {
         self.phase_fraction[p.idx()]
     }
 
-    /// Queries served per joule of total batch energy (the energy-aware
-    /// DSE's primary objective).
+    /// Queries served per joule of total batch energy.
     pub fn queries_per_joule(&self) -> f64 {
         self.energy.queries_per_joule(self.queries)
     }

@@ -27,9 +27,8 @@ use crate::config::DataBits;
 use upmem_sim::{meter::PhaseMeter, IsaCosts};
 
 /// Default 16-bit WRAM window: 8Ki entries = 32 KiB, half the scratchpad
-/// (16Ki entries = 64 KiB would exceed WRAM). The starting point of the
-/// DSE's window sweep ([`crate::wram::choose_sqt_window`]), not a hard
-/// constant — `EngineConfig::sqt_window` carries the tuned value.
+/// (16Ki entries = 64 KiB would exceed WRAM). Every `EngineConfig` preset
+/// sets `EngineConfig::sqt_window` to it; nothing tunes the window.
 pub const DEFAULT_U16_WINDOW: usize = 8 << 10;
 
 /// A squaring lookup table with WRAM/MRAM placement awareness.
@@ -72,8 +71,7 @@ impl Sqt {
     }
 
     /// Build for a bit regime with an explicit 16-bit WRAM window (in
-    /// table entries). The window is a swept parameter of the DSE and the
-    /// buffer planner (`EngineConfig::sqt_window`); 8-bit tables always
+    /// table entries, `EngineConfig::sqt_window`); 8-bit tables always
     /// hold the full 256 entries regardless, so the parameter is inert in
     /// the 8-bit regime.
     pub fn for_bits_windowed(bits: DataBits, window_entries: usize) -> Self {

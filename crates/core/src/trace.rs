@@ -66,6 +66,14 @@ use upmem_sim::proc::ProcModel;
 use upmem_sim::system::PimSystem;
 use upmem_sim::PimArch;
 
+/// Zipf exponent of cluster sizes that k-means leaves on natural data, the
+/// shape [`TraceSpec::for_dataset`] gives every catalogued dataset. The
+/// closed-form CPU/GPU baselines compared against those traces must scan
+/// clusters of this same shape (`bench`'s `effective_c_factor`): probes
+/// favour large clusters, so a baseline priced on uniform `N / nlist`
+/// clusters would scan fewer points per probe than the trace does.
+pub const CLUSTER_SIZE_ZIPF: f64 = 0.35;
+
 /// Statistical description of a full-scale workload.
 #[derive(Debug, Clone)]
 pub struct TraceSpec {
@@ -77,7 +85,8 @@ pub struct TraceSpec {
     pub dim: usize,
     /// Queries per batch.
     pub batch: usize,
-    /// Zipf exponent of cluster sizes (k-means on natural data: ~0.35).
+    /// Zipf exponent of cluster sizes (k-means on natural data:
+    /// [`CLUSTER_SIZE_ZIPF`]).
     pub cluster_size_zipf: f64,
     /// Zipf exponent of query heat over clusters (~0.9 in-distribution;
     /// 1.2+ for hot-topic traffic).
@@ -94,7 +103,7 @@ impl TraceSpec {
             n_points: d.n_full,
             dim: d.dim,
             batch,
-            cluster_size_zipf: 0.35,
+            cluster_size_zipf: CLUSTER_SIZE_ZIPF,
             heat_zipf: d.zipf_s,
             seed: 0x7ACE,
         }
@@ -353,7 +362,7 @@ mod tests {
             n_points: n,
             dim: 32,
             batch: 64,
-            cluster_size_zipf: 0.35,
+            cluster_size_zipf: CLUSTER_SIZE_ZIPF,
             heat_zipf: 1.0,
             seed: 42,
         }

@@ -56,11 +56,6 @@ impl WramPlacement {
         self.resident.values().sum()
     }
 
-    /// Resident class names in name order.
-    pub fn residents(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.resident.keys().copied()
-    }
-
     /// Nothing resident (the Fig. 12b "without WRAM" baseline).
     pub fn none() -> Self {
         WramPlacement::default()
@@ -161,61 +156,6 @@ pub fn plan_for(
     )
 }
 
-/// Co-optimize the 16-bit SQT WRAM window with the buffer planner: among
-/// `windows` (candidate entry counts, any order), pick the **largest**
-/// window whose greedy placement still
-///
-/// 1. keeps the SQT itself WRAM-resident, and
-/// 2. keeps every *other* class resident that the smallest candidate's
-///    placement keeps resident — growing the squaring table must never
-///    evict a hotter buffer to make room.
-///
-/// A bigger window converts MRAM spill lookups (a full DMA burst each)
-/// into 1-cycle-class WRAM hits, so under those two constraints larger is
-/// strictly better. Falls back to the smallest candidate when nothing
-/// satisfies them (e.g. a capacity so small the SQT never fits — the
-/// engine then runs with the window spilled, exactly as before).
-///
-/// This is the DSE's window-sweep kernel: `dse::optimize` calls it with
-/// the winning index configuration's [`WorkloadShape`] and the
-/// `ParamSpace::sqt_window` candidates, and records the choice in
-/// `DseResult::best_sqt_window`. The no-eviction guarantee holds for the
-/// `(capacity, local_clusters, ndpus)` this function is given; a caller
-/// planning against different layout facts later (the engine knows its
-/// real slice census only after `LayoutPlan::build`) re-runs the greedy
-/// [`plan`] there, where an over-estimated window degrades to an MRAM
-/// spill — it can never displace a hotter class retroactively.
-pub fn choose_sqt_window(
-    shape: &WorkloadShape,
-    windows: &[usize],
-    capacity: u64,
-    local_clusters: usize,
-    ndpus: usize,
-) -> usize {
-    assert!(!windows.is_empty(), "no SQT window candidates");
-    let mut sorted: Vec<usize> = windows.to_vec();
-    sorted.sort_unstable();
-    let smallest = sorted[0];
-
-    let placement_for = |window: usize| {
-        let bytes = Sqt::for_u16(window).wram_bytes();
-        plan(
-            &standard_candidates(shape, bytes, local_clusters, ndpus),
-            capacity,
-        )
-    };
-    let baseline = placement_for(smallest);
-    let baseline_others: Vec<&'static str> = baseline.residents().filter(|&n| n != "sqt").collect();
-
-    for &window in sorted.iter().rev() {
-        let p = placement_for(window);
-        if p.is_resident("sqt") && baseline_others.iter().all(|n| p.is_resident(n)) {
-            return window;
-        }
-    }
-    smallest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,54 +234,6 @@ mod tests {
         let by_name = |n: &str| cands.iter().find(|c| c.name == n).unwrap().heat();
         assert!(by_name("sqt") > by_name("codebook"));
         assert!(by_name("residual") > by_name("codebook"));
-    }
-
-    #[test]
-    fn window_sweep_prefers_largest_fitting_window() {
-        // plenty of capacity: every candidate keeps the whole hot set
-        // resident, so the sweep lands on the largest window
-        let windows = [1usize << 10, 2 << 10, 4 << 10, 8 << 10];
-        let w = choose_sqt_window(&shape(), &windows, 128 << 10, 64, 64);
-        assert_eq!(w, 8 << 10);
-        // at the real 48 KiB budget the 32 KiB window would evict a
-        // smaller-window co-resident, so the sweep must not pick it
-        let w48 = choose_sqt_window(&shape(), &windows, 48 << 10, 64, 64);
-        assert!(w48 < 8 << 10, "48 KiB budget chose {w48}");
-        // constraint check: the chosen window's placement keeps every
-        // class the smallest candidate's placement keeps
-        let smallest = plan(
-            &standard_candidates(&shape(), Sqt::for_u16(1 << 10).wram_bytes(), 64, 64),
-            48 << 10,
-        );
-        let chosen = plan(
-            &standard_candidates(&shape(), Sqt::for_u16(w48).wram_bytes(), 64, 64),
-            48 << 10,
-        );
-        for name in smallest.residents() {
-            assert!(chosen.is_resident(name), "{name} evicted by the sweep");
-        }
-    }
-
-    #[test]
-    fn window_sweep_backs_off_when_capacity_shrinks() {
-        // 8Ki entries = 32 KiB cannot fit a 32 KiB-ish budget next to the
-        // rest of the hot set; the sweep must back off to a window that
-        // leaves the smallest candidate's co-residents in place
-        let windows = [1usize << 10, 2 << 10, 4 << 10, 8 << 10];
-        let tight = choose_sqt_window(&shape(), &windows, 34 << 10, 64, 64);
-        assert!(tight < 8 << 10, "window {tight} should have backed off");
-        // and the chosen placement really keeps the SQT resident
-        let bytes = Sqt::for_u16(tight).wram_bytes();
-        let p = plan(&standard_candidates(&shape(), bytes, 64, 64), 34 << 10);
-        assert!(p.is_resident("sqt"));
-    }
-
-    #[test]
-    fn window_sweep_falls_back_to_smallest_when_nothing_fits() {
-        let windows = [4usize << 10, 8 << 10];
-        // capacity below even the smallest window's bytes
-        let w = choose_sqt_window(&shape(), &windows, 1 << 10, 64, 64);
-        assert_eq!(w, 4 << 10);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```
 
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
-use drim_ann::dse::{optimize, DseObjective, ParamSpace};
+use drim_ann::dse::{optimize, ParamSpace};
 use upmem_sim::platform::procs;
 use upmem_sim::PimArch;
 
@@ -57,10 +57,6 @@ fn main() {
         nlist: vec![64, 128, 256],
         m: vec![4, 8, 16],
         cb: vec![16, 32, 64],
-        sqt_window: vec![2 << 10, 4 << 10, 8 << 10],
-        // swap to QueriesPerJoule / EnergyDelayProduct to tune for the
-        // Fig. 10 efficiency story instead of raw QPS
-        objective: DseObjective::Throughput,
     };
     println!(
         "design space: {} candidates; constraint: recall@10 >= 0.8\n",
@@ -89,14 +85,5 @@ fn main() {
         result.best_recall
     );
     println!("  {} evaluations", result.evaluations.len());
-    println!(
-        "  16-bit SQT WRAM window (planner co-optimized): {} entries",
-        result.best_sqt_window
-    );
-    println!(
-        "  predicted batch energy {:.2} mJ ({:.1} queries/J)",
-        result.best_energy_j * 1e3,
-        result.best_qpj
-    );
     assert!(result.best_recall >= 0.8);
 }

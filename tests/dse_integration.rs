@@ -4,7 +4,7 @@
 
 use ann_core::ivf::{IvfPqIndex, IvfPqParams};
 use drim_ann::config::EngineConfig;
-use drim_ann::dse::{optimize, AccuracyEval, DseObjective, ParamSpace, ProxyAccuracy};
+use drim_ann::dse::{optimize, AccuracyEval, ParamSpace, ProxyAccuracy};
 use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
 use drim_ann::IndexConfig;
 use upmem_sim::platform::procs;
@@ -53,13 +53,8 @@ fn dse_with_measured_accuracy_meets_constraint() {
     let mut cache = Default::default();
     let mut oracle = |cfg: &IndexConfig| measured_recall(&fx, cfg, &mut cache);
     let space = ParamSpace {
-        k: vec![10],
-        nprobe: vec![4, 8, 16],
         nlist: vec![32, 64],
-        m: vec![4, 8],
-        cb: vec![16, 32],
-        sqt_window: vec![2 << 10, 4 << 10, 8 << 10],
-        objective: drim_ann::dse::DseObjective::Throughput,
+        ..ParamSpace::small()
     };
     let res = optimize(
         &space,
@@ -134,7 +129,6 @@ fn dse_beats_the_default_config_on_throughput() {
         &mut proxy,
         0.8,
     );
-    use drim_ann::perf_model::{predict, BitWidths, WorkloadShape};
     let default_cfg = IndexConfig {
         k: 10,
         nprobe: 96,
@@ -150,7 +144,7 @@ fn dse_beats_the_default_config_on_throughput() {
             &default_cfg,
             BitWidths::u8_regime(),
         ),
-        &drim_ann::config::EngineConfig::drim(default_cfg),
+        &EngineConfig::drim(default_cfg),
         &PimArch::upmem_sc25(),
         &procs::xeon_silver_4216(),
     )
@@ -164,20 +158,16 @@ fn dse_beats_the_default_config_on_throughput() {
     );
 }
 
-/// The scalar `optimize` maximizes under `space.objective`, recomputed from
-/// the analytic model.
-fn model_score(space: &ParamSpace, n: u64, dim: usize, batch: usize, cfg: &IndexConfig) -> f64 {
-    let p = predict(
+/// The scalar `optimize` maximizes: predicted QPS, recomputed from the
+/// analytic model.
+fn model_score(n: u64, dim: usize, batch: usize, cfg: &IndexConfig) -> f64 {
+    predict(
         &WorkloadShape::new(n, batch, dim, cfg, BitWidths::u8_regime()),
         &EngineConfig::drim(*cfg),
         &PimArch::upmem_sc25(),
         &procs::xeon_silver_4216(),
-    );
-    match space.objective {
-        DseObjective::Throughput => p.qps,
-        DseObjective::QueriesPerJoule => p.queries_per_joule(batch as f64),
-        DseObjective::EnergyDelayProduct => 1.0 / p.edp_js().max(1e-18),
-    }
+    )
+    .qps
 }
 
 /// Brute-forces every candidate of `space` (model score and accuracy) and
@@ -194,7 +184,7 @@ fn assert_exact_argmax(
         .enumerate()
         .into_iter()
         .map(|cfg| {
-            let score = model_score(space, n, dim, batch, &cfg);
+            let score = model_score(n, dim, batch, &cfg);
             (cfg, score, accuracy.eval(&cfg))
         })
         .collect();
@@ -233,7 +223,7 @@ fn assert_exact_argmax(
             "{case}: feasible {:?} evaluated ahead",
             e.cfg
         );
-        let score = model_score(space, n, dim, batch, &e.cfg);
+        let score = model_score(n, dim, batch, &e.cfg);
         assert!(score >= top, "{case}: {:?} scores below the winner", e.cfg);
     }
     let ordered_ahead = scored
@@ -279,24 +269,14 @@ fn optimize_picks_the_exact_feasible_argmax() {
         &mut ProxyAccuracy::for_dim(128),
         0.8,
     );
-    for objective in [
-        DseObjective::Throughput,
-        DseObjective::QueriesPerJoule,
-        DseObjective::EnergyDelayProduct,
-    ] {
-        for floor in [0.4, 0.5] {
-            let space = ParamSpace {
-                objective,
-                ..ParamSpace::small()
-            };
-            assert_exact_argmax(
-                &format!("small {objective:?} floor {floor}"),
-                &space,
-                (1_000_000, 32, 256),
-                &mut ProxyAccuracy::for_dim(32),
-                floor,
-            );
-        }
+    for floor in [0.4, 0.5] {
+        assert_exact_argmax(
+            &format!("small floor {floor}"),
+            &ParamSpace::small(),
+            (1_000_000, 32, 256),
+            &mut ProxyAccuracy::for_dim(32),
+            floor,
+        );
     }
     let fx = fixture();
     let mut cache = Default::default();
