@@ -425,7 +425,6 @@ fn drive(mut engine: DrimEngine, shared: Arc<Shared>, cfg: ServeConfig) -> DrimE
                     };
                     s.sim_time_s += report.timing.total_s();
                     s.sim_energy_j += report.energy_j;
-                    s.degraded_queries += report.fault.degraded_queries as u64;
                     s.deduped_in_batch += report.deduped as u64;
                 }
                 if let Some(cache) = &shared.cache {

@@ -18,10 +18,6 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Submits rejected with `Overloaded` by the shed policy.
     pub shed: u64,
-    /// Queries the *engine* served on a reduced probe set because a fault
-    /// dropped tasks (sum of `FaultStats::degraded_queries` across
-    /// dispatches; 0 without an armed injector).
-    pub degraded_queries: u64,
     /// Batches closed by the size trigger (`max_batch` queued).
     pub closed_by_size: u64,
     /// Batches closed by the deadline trigger (`max_delay` elapsed).
@@ -101,7 +97,6 @@ impl ServeStats {
             "{} queries in {} batches (mean {:.1}, min {}, max {}; \
              closes: {} size / {} deadline / {} drain; \
              {} rejected / {} shed; \
-             {} fault-degraded; \
              cache: {} hit / {} miss (rate {:.2}), {} collapsed, \
              {} deduped, {} evicted; \
              mutations: {} inserted / {} deleted / {} failed, \
@@ -116,7 +111,6 @@ impl ServeStats {
             self.closed_by_drain,
             self.rejected,
             self.shed,
-            self.degraded_queries,
             self.cache_hits,
             self.cache_misses,
             self.hit_rate(),
@@ -189,11 +183,9 @@ mod tests {
     fn summary_mentions_overload_counters() {
         let s = ServeStats {
             shed: 4,
-            degraded_queries: 2,
             ..ServeStats::default()
         };
         let line = s.summary();
         assert!(line.contains("4 shed"), "{line}");
-        assert!(line.contains("2 fault-degraded"), "{line}");
     }
 }

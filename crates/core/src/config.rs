@@ -260,17 +260,6 @@ pub struct EngineConfig {
     pub tasklets: usize,
     /// Queries per batch.
     pub batch: usize,
-    /// In-batch dedup: bit-identical queries within a batch are computed
-    /// once and their results scattered back. Lossless by the engine's
-    /// per-query purity contract (results are independent of batch-mates),
-    /// so the only observable difference is the skipped work.
-    pub dedup: bool,
-    /// Fault recovery's last resort (active only when faults are
-    /// injected): replay tasks no surviving replica can take on the host
-    /// through the exact DPU kernel path (lossless). Off = graceful
-    /// degradation: complete the query on the surviving probe set and
-    /// account the loss.
-    pub host_fallback: bool,
     /// Background-maintenance policy for streaming mutation (compaction,
     /// slice splitting, migration).
     pub maintenance: MaintenanceConfig,
@@ -302,8 +291,6 @@ impl EngineConfig {
             lock_policy: LockPolicy::Forwarding,
             tasklets: 16,
             batch: 256,
-            dedup: true,
-            host_fallback: true,
             maintenance: MaintenanceConfig::default(),
             ranks: None,
         }
@@ -328,8 +315,6 @@ impl EngineConfig {
             lock_policy: LockPolicy::LockAlways,
             tasklets: 16,
             batch: 256,
-            dedup: false,
-            host_fallback: true,
             maintenance: MaintenanceConfig::default(),
             ranks: None,
         }
@@ -399,7 +384,7 @@ mod tests {
     #[test]
     fn drim_config_enables_everything() {
         let cfg = EngineConfig::drim(IndexConfig::paper_default());
-        assert!(cfg.sqt && cfg.wram_buffers && cfg.partition && cfg.duplication && cfg.dedup);
+        assert!(cfg.sqt && cfg.wram_buffers && cfg.partition && cfg.duplication);
         assert_eq!(cfg.allocation, AllocPolicy::HeatBalanced);
         assert_eq!(cfg.scheduling, SchedPolicy::Greedy);
         assert_eq!(cfg.lock_policy, LockPolicy::Forwarding);
@@ -408,7 +393,7 @@ mod tests {
     #[test]
     fn naive_config_disables_everything() {
         let cfg = EngineConfig::naive(IndexConfig::paper_default());
-        assert!(!cfg.sqt && !cfg.wram_buffers && !cfg.partition && !cfg.duplication && !cfg.dedup);
+        assert!(!cfg.sqt && !cfg.wram_buffers && !cfg.partition && !cfg.duplication);
         assert_eq!(cfg.allocation, AllocPolicy::RoundRobin);
         assert_eq!(cfg.scheduling, SchedPolicy::Static);
     }

@@ -56,9 +56,9 @@ pub(crate) fn deploy(
             heat(len) as f64
         });
     // Rank topology: the post-pass gives every slice a home on >= 2
-    // distinct ranks (budget permitting), which makes a whole-rank
-    // fail-stop lossless. Slices the budget could not cover stay
-    // single-rank; the degradation path accounts them at runtime.
+    // distinct ranks (budget permitting), so a whole-rank fail-stop is
+    // absorbed by replicas. Slices the budget could not cover stay
+    // single-rank; the host fallback replays them at runtime.
     if let Some(ranks) = cfg.ranks {
         duplication::ensure_rank_coverage(
             &mut layout.slice_homes,

@@ -16,8 +16,8 @@
 //!    stragglers); a straggler past [`HEDGE_DEADLINE`] times the predicted
 //!    barrier is hedged, and corrupt and hedged work is re-dispatched once,
 //!    to surviving replicas, around the dead mask ORed with the hedged mask;
-//! 4. escalates whatever could not be placed to the host-side kernel replay
-//!    (lossless) or degrades with the loss accounted in [`FaultStats`];
+//! 4. escalates whatever could not be placed to the host-side kernel replay,
+//!    which is lossless, and counts it in [`FaultStats`];
 //! 5. folds meters and link-byte totals into the [`BatchReport`], whose SQT
 //!    hit rate is the batch's configuration's ([`GroupCost`]).
 //!
@@ -59,7 +59,7 @@ use upmem_sim::tasklet::LockStats;
 
 /// Dispatch waves per batch: the first, plus one retry of its faulted work
 /// on surviving replicas. Work still unrecovered after the last wave goes to
-/// the host fallback (or is dropped).
+/// the host fallback.
 const WAVES: u32 = 2;
 
 /// The host stops waiting for a straggler whose estimated completion
@@ -276,12 +276,6 @@ where
     // --- schedule (around the dead set, if any) ---
     let (heat, freq_hz) = (b.cost.heat(), system.arch.freq_hz);
     sched::expand_tasks_into(b.probes, b.layout, |len| heat(len) as f64 / freq_hz, tasks);
-    if armed.is_some() {
-        stats.scheduled_points = tasks
-            .iter()
-            .map(|t| b.layout.slices[t.slice as usize].len as u64)
-            .sum();
-    }
     let policy = match b.cfg.scheduling {
         SchedPolicy::Static => Policy::Static,
         SchedPolicy::Greedy => Policy::Greedy { th3: b.cfg.th3 },
@@ -438,32 +432,19 @@ where
     }
     buffers.recycle(lists);
 
-    // --- escalation: host-side kernel replay, or graceful degradation ---
+    // --- escalation: host-side kernel replay ---
+    // Replay the exact DPU kernel path on the host, so the recovered
+    // results are bit-identical to what the lost DPUs would have produced.
+    // The meter is converted to host seconds through the host's ProcModel
+    // and never touches the PIM-side accounting; no link bytes move.
     if !fallback.is_empty() {
-        if b.cfg.host_fallback {
-            // Replay the exact DPU kernel path on the host, so the
-            // recovered results are bit-identical to what the lost DPUs
-            // would have produced. The meter is converted to host seconds
-            // through the host's ProcModel and never touches the PIM-side
-            // accounting; no link bytes move.
-            stats.host_fallback_tasks += fallback.len();
-            let out = exec(None, &fallback);
-            let total = out.meter.total();
-            extra_host_s += b.host.time(total.cycles as f64, total.total_bytes() as f64);
-            tombstone_filtered += out.tombstone_filtered;
-            for (q, list) in out.results {
-                per_query_lists[q as usize].push(list);
-            }
-        } else {
-            // Graceful degradation: complete on the surviving probe set
-            // and account the dropped candidate mass.
-            stats.dropped_tasks += fallback.len();
-            let mut degraded: std::collections::BTreeSet<u32> = Default::default();
-            for t in &fallback {
-                stats.dropped_points += b.layout.slices[t.slice as usize].len as u64;
-                degraded.insert(t.query);
-            }
-            stats.degraded_queries += degraded.len();
+        stats.host_fallback_tasks += fallback.len();
+        let out = exec(None, &fallback);
+        let total = out.meter.total();
+        extra_host_s += b.host.time(total.cycles as f64, total.total_bytes() as f64);
+        tombstone_filtered += out.tombstone_filtered;
+        for (q, list) in out.results {
+            per_query_lists[q as usize].push(list);
         }
     }
     if let Some((inj, dead)) = &armed {
@@ -730,6 +711,5 @@ mod tests {
             all.iter().filter(|t| orphaned(t)).count()
         );
         assert_eq!(report.fault.host_fallback_tasks, replayed[0].len());
-        assert_eq!(report.fault.dropped_tasks, 0);
     }
 }

@@ -300,8 +300,8 @@ impl DrimEngine {
 
     /// Attach a fault injector: subsequent batches run through the
     /// recovery pipeline. Rejects malformed rates/distributions.
-    /// Bumps the result epoch (conservatively — with the host fallback on,
-    /// recovery is lossless and results would not actually change).
+    /// Bumps the result epoch (conservatively — recovery is lossless, so
+    /// results would not actually change).
     pub fn inject_faults(&mut self, cfg: FaultConfig) -> Result<(), ConfigError> {
         self.system.fault = Some(FaultInjector::new(cfg)?);
         self.epoch += 1;
@@ -321,17 +321,10 @@ impl DrimEngine {
     /// [`Self::search_batch`] calls; leaving it fixed replays the same
     /// fault pattern (what the parity tests exploit).
     ///
-    /// Bumps the result epoch only when the batch index can actually
-    /// change results: a live injector with
-    /// [`EngineConfig::host_fallback`] off, where degradation (which tasks
-    /// drop) depends on the per-batch fault draw — the dead mask (a rank
-    /// kill takes effect from its batch) and the transient faults. With the
-    /// fallback on, recovery is bit-identical to zero-fault at every batch
-    /// index, so caches stay warm across batches.
+    /// Never bumps the result epoch: recovery ends in the lossless host
+    /// replay, so results are bit-identical to zero-fault at every batch
+    /// index and caches stay warm across batches.
     pub fn set_fault_batch(&mut self, batch: u64) {
-        if batch != self.fault_batch && self.fault_active() && !self.cfg.host_fallback {
-            self.epoch += 1;
-        }
         self.fault_batch = batch;
     }
 
@@ -386,15 +379,6 @@ impl DrimEngine {
             .unwrap_or(0)
     }
 
-    /// True when a non-inert fault injector is attached.
-    pub fn fault_active(&self) -> bool {
-        self.system
-            .fault
-            .as_ref()
-            .map(|f| !f.is_inert())
-            .unwrap_or(false)
-    }
-
     /// Number of DPUs in the simulated system.
     pub fn ndpus(&self) -> usize {
         self.system.len()
@@ -418,12 +402,12 @@ impl DrimEngine {
     /// recovery pipeline engages; without one it is the one-wave case,
     /// bit-identical to an engine that never had an injector.
     ///
-    /// With `cfg.dedup` on, bit-identical queries within the batch are
-    /// computed once and their results scattered back
-    /// (`report.deduped` counts the skipped copies). This is lossless:
-    /// per-query results are a pure function of the query alone (GEMM
-    /// ascending-k per-element purity — batch-mates never influence a
-    /// result), so the deduped batch is bit-identical to the full one.
+    /// Bit-identical queries within the batch are computed once and their
+    /// results scattered back (`report.deduped` counts the skipped copies).
+    /// This is lossless: per-query results are a pure function of the query
+    /// alone (GEMM ascending-k per-element purity — batch-mates never
+    /// influence a result), so the deduped batch is bit-identical to the
+    /// full one.
     ///
     /// # Panics
     ///
@@ -436,7 +420,7 @@ impl DrimEngine {
         if let Some(at) = queries.as_flat().iter().position(|x| !x.is_finite()) {
             panic!("query {} has a non-finite coordinate", at / queries.dim());
         }
-        if self.cfg.dedup && queries.len() >= 2 {
+        if queries.len() >= 2 {
             if let Some((map, distinct)) = dedup_plan(queries) {
                 let (dres, report) = self.search_batch_unique(&distinct);
                 let deduped = queries.len() - distinct.len();
@@ -820,14 +804,12 @@ mod tests {
         faulty
             .inject_faults(FaultConfig::uniform(0xF00D, 0.2))
             .unwrap();
-        assert!(faulty.fault_active());
         let (r1, rep1) = faulty.search_batch(&queries);
         assert!(
             rep1.fault.active(),
             "20% rates over 8 DPUs must fire something: {:?}",
             rep1.fault
         );
-        assert_eq!(rep1.fault.dropped_tasks, 0, "fallback path never drops");
         assert_eq!(
             format!("{r0:?}"),
             format!("{r1:?}"),
@@ -844,44 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_without_fallback_is_accounted_and_bounded() {
-        let (data, queries) = small_workload();
-        let mut cfg = small_cfg();
-        cfg.host_fallback = false;
-        let mut engine =
-            DrimEngine::build(&data, cfg.clone(), PimArch::upmem_sc25(), 8, None).unwrap();
-        // heavy fail-stop: some slices are likely to lose every home
-        let mut fc = FaultConfig::none();
-        fc.seed = 0xDE6;
-        fc.fail_stop_rate = 0.45;
-        engine.inject_faults(fc).unwrap();
-        let (results, report) = engine.search_batch(&queries);
-        // every query still gets an answer, degraded or not
-        assert_eq!(results.len(), queries.len());
-        assert!(results.iter().all(|r| !r.is_empty()));
-        let f = &report.fault;
-        assert!(f.dead_dpus > 0, "45% fail-stop must kill some of 8 DPUs");
-        if f.degraded() {
-            assert!(f.dropped_points > 0 && f.degraded_queries > 0);
-            assert!(f.recall_loss_bound() > 0.0 && f.recall_loss_bound() <= 1.0);
-            // the dropped candidate mass is mirrored in the summary line
-            assert!(report.summary().contains("loss<="));
-        }
-        // and the loss bound is honest: recall against a clean engine drops
-        // by at most the bound (plus quantization noise already present)
-        let mut clean = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).unwrap();
-        let (clean_results, _) = clean.search_batch(&queries);
-        let truth = ann_core::flat::ground_truth(&queries, &data, 10);
-        let degraded_recall = ann_core::recall::mean_recall(&results, &truth, 10);
-        let clean_recall = ann_core::recall::mean_recall(&clean_results, &truth, 10);
-        assert!(
-            degraded_recall >= clean_recall - f.recall_loss_bound() - 0.05,
-            "degraded {degraded_recall} clean {clean_recall} bound {}",
-            f.recall_loss_bound()
-        );
-    }
-
-    #[test]
     fn in_batch_dedup_is_lossless_and_counted() {
         let (data, queries) = small_workload();
         // a batch where every query appears three times
@@ -891,12 +835,9 @@ mod tests {
                 tripled.push(queries.get(i));
             }
         }
-        let mut on = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
-        let mut cfg_off = small_cfg();
-        cfg_off.dedup = false;
-        let mut off = DrimEngine::build(&data, cfg_off, PimArch::upmem_sc25(), 8, None).unwrap();
-        let (r_on, rep_on) = on.search_batch(&tripled);
-        let (r_off, rep_off) = off.search_batch(&tripled);
+        let mut e = DrimEngine::build(&data, small_cfg(), PimArch::upmem_sc25(), 8, None).unwrap();
+        let (r_on, rep_on) = e.search_batch(&tripled);
+        let (r_off, rep_off) = e.search_batch_unique(&tripled);
         assert_eq!(
             format!("{r_on:?}"),
             format!("{r_off:?}"),
@@ -924,17 +865,13 @@ mod tests {
         e.clear_faults();
         assert_eq!(e.epoch(), e0 + 2, "clearing nothing is a no-op");
 
-        // fault-batch advance: free with the lossless fallback...
+        // fault-batch advance: free, since recovery is lossless
         e.inject_faults(FaultConfig::uniform(1, 0.1)).unwrap();
         let armed = e.epoch();
         e.set_fault_batch(7);
-        assert_eq!(e.epoch(), armed, "host_fallback recovery is lossless");
-        // ...but bumps in lossy mode, where the draw decides what drops
-        e.cfg.host_fallback = false;
         e.set_fault_batch(8);
-        assert_eq!(e.epoch(), armed + 1);
         e.set_fault_batch(8);
-        assert_eq!(e.epoch(), armed + 1, "same batch index, no bump");
+        assert_eq!(e.epoch(), armed, "host replay recovery is lossless");
     }
 
     #[test]

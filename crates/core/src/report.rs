@@ -20,48 +20,19 @@ pub struct FaultStats {
     /// Corruption faults detected by the result checksum.
     pub corruptions: usize,
     /// Tasks of every discarded (corrupt) wave. Each is re-dispatched to a
-    /// replica, or, after the last wave, replayed on the host or dropped;
-    /// so a task corrupted in both waves counts twice.
+    /// replica or, after the last wave, replayed on the host; so a task
+    /// corrupted in both waves counts twice.
     pub retried_tasks: usize,
     /// Straggler tasks the host re-issued before completion (hedging).
     pub hedged_tasks: usize,
     /// Tasks replayed on the host through the exact DPU kernel path.
     pub host_fallback_tasks: usize,
-    /// Tasks dropped because no replica survived and the host fallback is
-    /// off — the source of recall degradation.
-    pub dropped_tasks: usize,
-    /// Queries that lost at least one probe task.
-    pub degraded_queries: usize,
-    /// Candidate points in dropped tasks.
-    pub dropped_points: u64,
-    /// Candidate points across all scheduled tasks (the degradation
-    /// denominator).
-    pub scheduled_points: u64,
 }
 
 impl FaultStats {
     /// Did anything fault-related happen this batch?
     pub fn active(&self) -> bool {
         *self != FaultStats::default()
-    }
-
-    /// True when results were completed on a reduced probe set.
-    pub fn degraded(&self) -> bool {
-        self.dropped_tasks > 0
-    }
-
-    /// Upper bound on the expected recall loss of this batch: the fraction
-    /// of scheduled candidate mass that was dropped. A true neighbor is
-    /// lost only if it lived in a dropped slice, so the expected recall@k
-    /// drop cannot exceed the dropped candidate fraction (measured recall
-    /// typically sits well below the bound because probe ranks correlate
-    /// with neighbor mass).
-    pub fn recall_loss_bound(&self) -> f64 {
-        if self.scheduled_points == 0 {
-            0.0
-        } else {
-            self.dropped_points as f64 / self.scheduled_points as f64
-        }
     }
 }
 
@@ -170,16 +141,11 @@ impl BatchReport {
         self.energy.queries_per_joule(self.queries)
     }
 
-    /// Energy-delay product of the batch, J·s.
-    pub fn edp_js(&self) -> f64 {
-        self.energy.edp_js(self.timing.total_s())
-    }
-
     /// Pretty single-line summary for harness output.
     pub fn summary(&self) -> String {
         let fault = if self.fault.active() {
             format!(
-                " faults[dead={} ranks={} straggle={} corrupt={} retried={} hedged={} fallback={} dropped={} loss<={:.4}]",
+                " faults[dead={} ranks={} straggle={} corrupt={} retried={} hedged={} fallback={}]",
                 self.fault.dead_dpus,
                 self.fault.dead_ranks,
                 self.fault.stragglers,
@@ -187,8 +153,6 @@ impl BatchReport {
                 self.fault.retried_tasks,
                 self.fault.hedged_tasks,
                 self.fault.host_fallback_tasks,
-                self.fault.dropped_tasks,
-                self.fault.recall_loss_bound(),
             )
         } else {
             String::new()
@@ -271,7 +235,6 @@ mod tests {
         assert_eq!(r.energy_j.to_bits(), r.energy.total_j().to_bits());
         assert!((r.energy_j - 1.0).abs() < 1e-12);
         assert!((r.queries_per_joule() - 64.0).abs() < 1e-9);
-        assert!((r.edp_js() - r.timing.total_s()).abs() < 1e-12);
     }
 
     #[test]
@@ -317,35 +280,28 @@ mod tests {
     fn fault_stats_default_is_inert() {
         let f = FaultStats::default();
         assert!(!f.active());
-        assert!(!f.degraded());
-        assert_eq!(f.recall_loss_bound(), 0.0);
         let r = BatchReport::new(64, timing(), energy(), 0, LockStats::default(), 1.0);
         assert_eq!(r.fault, FaultStats::default());
     }
 
     #[test]
-    fn fault_stats_bound_and_summary() {
+    fn fault_stats_summary() {
         let f = FaultStats {
             dead_dpus: 1,
             stragglers: 2,
             corruptions: 1,
             retried_tasks: 4,
             hedged_tasks: 3,
-            dropped_tasks: 2,
-            degraded_queries: 2,
-            dropped_points: 250,
-            scheduled_points: 10_000,
+            host_fallback_tasks: 2,
             ..FaultStats::default()
         };
         assert!(f.active());
-        assert!(f.degraded());
-        assert!((f.recall_loss_bound() - 0.025).abs() < 1e-12);
         let r = BatchReport::new(64, timing(), energy(), 0, LockStats::default(), 1.0)
             .with_fault_stats(f);
         let s = r.summary();
         assert!(s.contains("faults["), "summary: {s}");
         assert!(s.contains("dead=1"));
         assert!(s.contains("hedged=3"));
-        assert!(s.contains("loss<=0.0250"));
+        assert!(s.contains("fallback=2"));
     }
 }

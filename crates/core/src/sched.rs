@@ -81,7 +81,7 @@ pub struct SchedulePlan {
     /// Tasks postponed to the next batch (th3 overflow).
     pub postponed: Vec<Task>,
     /// Tasks whose every home DPU is banned (dead or hedged) — the
-    /// recovery layer routes these to the host fallback or degrades.
+    /// recovery layer routes these to the host fallback.
     /// Always empty when scheduling without a ban mask.
     pub unplaceable: Vec<Task>,
     /// Final predicted heat per DPU.

@@ -549,8 +549,11 @@ mod tests {
         assert!(after.fault.dead_ranks < 4, "not all ranks die at 60%");
         assert_eq!(after.fault.dead_dpus, after.fault.dead_ranks * 8);
         // the duplicated layout absorbs the loss: work lands on survivors,
-        // nothing is dropped, and the run stays deterministic
-        assert_eq!(after.fault.dropped_tasks, 0, "replicas cover dead ranks");
+        // nothing reaches the host fallback, and the run stays deterministic
+        assert_eq!(
+            after.fault.host_fallback_tasks, 0,
+            "replicas cover dead ranks"
+        );
         assert_eq!(after.queries, 64);
         let mut b = build();
         b.inject_faults(rank_cfg).unwrap();

@@ -161,11 +161,6 @@ impl EnergyBreakdown {
     pub fn queries_per_joule(&self, queries: usize) -> f64 {
         queries as f64 / self.total_j().max(1e-12)
     }
-
-    /// Energy-delay product (J·s) for a batch that took `total_s`.
-    pub fn edp_js(&self, total_s: f64) -> f64 {
-        self.total_j() * total_s
-    }
 }
 
 /// System-level power/energy model for a PIM server.
@@ -416,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn qpj_and_edp_read_off_the_breakdown() {
+    fn qpj_reads_off_the_breakdown() {
         let b = EnergyBreakdown {
             dpu_pipeline_j: 1.0,
             dpu_mram_j: 1.0,
@@ -428,6 +423,5 @@ mod tests {
         };
         assert!((b.total_j() - 5.0).abs() < 1e-12);
         assert!((b.queries_per_joule(100) - 20.0).abs() < 1e-9);
-        assert!((b.edp_js(2.0) - 10.0).abs() < 1e-12);
     }
 }

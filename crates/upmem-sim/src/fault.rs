@@ -1,14 +1,15 @@
 //! Deterministic, seeded fault injection for the simulated PIM system.
 //!
-//! Three fault classes, mirroring what DIMM-scale deployments actually see:
+//! Four fault classes, mirroring what DIMM-scale deployments actually see:
 //!
 //! * **Fail-stop** — a DPU is permanently dead. The set is drawn once from
 //!   the seed (a function of the DPU id only), modeling devices that a
 //!   driver-side health scan finds dead at allocation time or that die and
 //!   stay dead.
 //! * **Straggler** — a DPU completes a batch, but slower by a factor drawn
-//!   from a configurable [`SlowdownDist`] (thermal throttling, refresh
-//!   interference, a slow rank). Transient: redrawn per `(batch, attempt)`.
+//!   uniformly from a configurable [`SlowdownDist`] range (thermal
+//!   throttling, refresh interference, a slow rank). Transient: redrawn per
+//!   `(batch, attempt)`.
 //! * **Corruption** — a DPU's gathered results arrive damaged; detectable
 //!   because every result block carries a [`result_checksum`]. Transient,
 //!   redrawn per `(batch, attempt)`.
@@ -26,51 +27,25 @@
 //! yields `Healthy` everywhere and zero masks, making a wired-but-idle
 //! injector indistinguishable from no injector at all.
 
-/// Distribution of straggler slowdown factors (all factors are >= 1).
+/// Straggler slowdown factors, uniform in `[min, max]` (all factors are
+/// >= 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SlowdownDist {
-    /// Uniform in `[min, max]`.
-    Uniform {
-        /// Smallest slowdown factor (>= 1).
-        min: f64,
-        /// Largest slowdown factor (>= min).
-        max: f64,
-    },
-    /// Bounded Pareto: heavy-tailed slowdowns (`scale` is the minimum,
-    /// `alpha` the tail exponent), clipped at `cap` — the empirical shape
-    /// of timeout-class stragglers.
-    Pareto {
-        /// Minimum slowdown factor (>= 1).
-        scale: f64,
-        /// Tail exponent (> 0); smaller = heavier tail.
-        alpha: f64,
-        /// Upper clip on the factor (>= scale).
-        cap: f64,
-    },
+pub struct SlowdownDist {
+    /// Smallest slowdown factor (>= 1).
+    pub min: f64,
+    /// Largest slowdown factor (>= min).
+    pub max: f64,
 }
 
 impl SlowdownDist {
     /// Map a uniform variate `u` in `[0,1)` to a slowdown factor.
     pub fn factor(&self, u: f64) -> f64 {
-        match *self {
-            SlowdownDist::Uniform { min, max } => min + u * (max - min),
-            SlowdownDist::Pareto { scale, alpha, cap } => {
-                // inverse CDF of Pareto(scale, alpha), clipped
-                let x = scale / (1.0 - u).powf(1.0 / alpha);
-                x.min(cap)
-            }
-        }
+        self.min + u * (self.max - self.min)
     }
 
     /// Validity check used by [`FaultConfig::validate`].
     fn validate(&self) -> Result<(), FaultConfigError> {
-        let ok = match *self {
-            SlowdownDist::Uniform { min, max } => min >= 1.0 && max >= min && max.is_finite(),
-            SlowdownDist::Pareto { scale, alpha, cap } => {
-                scale >= 1.0 && alpha > 0.0 && cap >= scale && cap.is_finite()
-            }
-        };
-        if ok {
+        if self.min >= 1.0 && self.max >= self.min && self.max.is_finite() {
             Ok(())
         } else {
             Err(FaultConfigError::BadSlowdown)
@@ -80,7 +55,7 @@ impl SlowdownDist {
 
 impl Default for SlowdownDist {
     fn default() -> Self {
-        SlowdownDist::Uniform { min: 1.5, max: 3.0 }
+        SlowdownDist { min: 1.5, max: 3.0 }
     }
 }
 
@@ -399,7 +374,7 @@ mod tests {
     fn straggler_factors_respect_distribution() {
         let mut cfg = FaultConfig::uniform(7, 0.0);
         cfg.straggler_rate = 1.0;
-        cfg.slowdown = SlowdownDist::Uniform { min: 2.0, max: 4.0 };
+        cfg.slowdown = SlowdownDist { min: 2.0, max: 4.0 };
         let inj = FaultInjector::new(cfg).unwrap();
         for d in 0..256 {
             match inj.outcome(d, 0, 0) {
@@ -407,27 +382,6 @@ mod tests {
                 o => panic!("expected straggler, got {o:?}"),
             }
         }
-        let mut cfg = FaultConfig::uniform(7, 0.0);
-        cfg.straggler_rate = 1.0;
-        cfg.slowdown = SlowdownDist::Pareto {
-            scale: 1.5,
-            alpha: 1.2,
-            cap: 16.0,
-        };
-        let inj = FaultInjector::new(cfg).unwrap();
-        let mut maxed = 0;
-        for d in 0..4096 {
-            match inj.outcome(d, 0, 0) {
-                FaultOutcome::Straggler(f) => {
-                    assert!((1.5..=16.0).contains(&f), "factor {f}");
-                    if f > 8.0 {
-                        maxed += 1;
-                    }
-                }
-                o => panic!("expected straggler, got {o:?}"),
-            }
-        }
-        assert!(maxed > 0, "Pareto tail should reach past 8x");
     }
 
     #[test]
@@ -507,14 +461,10 @@ mod tests {
         cfg.corruption_rate = -0.1;
         assert_eq!(cfg.validate(), Err(FaultConfigError::BadRate));
         let mut cfg = FaultConfig::none();
-        cfg.slowdown = SlowdownDist::Uniform { min: 0.5, max: 2.0 };
+        cfg.slowdown = SlowdownDist { min: 0.5, max: 2.0 };
         assert_eq!(cfg.validate(), Err(FaultConfigError::BadSlowdown));
         let mut cfg = FaultConfig::none();
-        cfg.slowdown = SlowdownDist::Pareto {
-            scale: 2.0,
-            alpha: 1.0,
-            cap: 1.0,
-        };
+        cfg.slowdown = SlowdownDist { min: 2.0, max: 1.0 };
         assert!(FaultInjector::new(cfg).is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! Fault tolerance: inject DPU faults into the simulated system and watch
-//! the engine recover — losslessly with the host fallback, gracefully
-//! degraded without it, and with hedged re-dispatch capping straggler
-//! tails. See `docs/FAULT_MODEL.md` for the model and its determinism
-//! contract.
+//! the engine recover losslessly, with hedged re-dispatch capping
+//! straggler tails and the host replaying what no replica can take. See
+//! `docs/FAULT_MODEL.md` for the model and its determinism contract.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -45,54 +44,24 @@ fn main() {
     let recall = ann_core::recall::mean_recall(&r_clean, &truth, 10);
     println!("clean:    recall@10 {recall:.3}  {}", rep_clean.summary());
 
-    // 2. 5% of everything: fail-stop DPUs, Pareto stragglers, corrupted
-    //    gathers. With the host fallback on (the default), recovery is
-    //    lossless — the results are bit-identical, the faults only cost
-    //    time and energy.
+    // 2. 5% of everything: fail-stop DPUs, 2-24x stragglers, corrupted
+    //    gathers. Recovery is lossless — the results are bit-identical,
+    //    the faults only cost time and energy.
     let mut fc = FaultConfig::uniform(0xD1A6, 0.05);
-    fc.slowdown = SlowdownDist::Pareto {
-        scale: 2.0,
-        alpha: 1.2,
-        cap: 24.0,
+    fc.slowdown = SlowdownDist {
+        min: 2.0,
+        max: 24.0,
     };
     engine.inject_faults(fc).unwrap();
     let (r_faulted, rep) = engine.search_batch(&queries);
     assert_eq!(
         format!("{r_clean:?}"),
         format!("{r_faulted:?}"),
-        "host-fallback recovery reproduces the zero-fault answer bit-for-bit"
+        "recovery reproduces the zero-fault answer bit-for-bit"
     );
     println!("faulted:  lossless recovery  {}", rep.summary());
 
-    // 3. The host fallback off, on a layout without duplication, and 40%
-    //    of the DPUs fail-stopped: every slice has one home, so the slices
-    //    on dead DPUs are dropped, and the report carries a recall-loss
-    //    bound for the degradation. (The default layout copies every
-    //    slice of this small index onto all 32 DPUs, so under it no
-    //    fail-stop rate short of all 32 drops anything.)
-    let mut cfg = EngineConfig::drim(index);
-    cfg.host_fallback = false;
-    cfg.duplication = false;
-    let mut degraded = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), ndpus, None).unwrap();
-    assert!(degraded.layout.slice_homes.iter().all(|h| h.len() == 1));
-    let mut harsh = fc;
-    harsh.fail_stop_rate = 0.4;
-    degraded.inject_faults(harsh).unwrap();
-    let (r_deg, rep_deg) = degraded.search_batch(&queries);
-    let deg_recall = ann_core::recall::mean_recall(&r_deg, &truth, 10);
-    let bound = rep_deg.fault.recall_loss_bound();
-    println!(
-        "degraded: recall@10 {deg_recall:.3} (bound on loss {bound:.4})  {}",
-        rep_deg.summary()
-    );
-    assert!(
-        rep_deg.fault.dropped_tasks > 0,
-        "the degraded leg must drop work"
-    );
-    assert!(bound > 0.0);
-    assert!(recall - deg_recall <= bound);
-
-    // 4. The same fault seed replays the same story, bit-for-bit — at any
+    // 3. The same fault seed replays the same story, bit-for-bit — at any
     //    host thread count (tests/fault_parity.rs pins this at 1/2/4/8).
     let (_, rep_again) = engine.search_batch(&queries);
     assert_eq!(format!("{rep:?}"), format!("{rep_again:?}"));

@@ -21,6 +21,14 @@
 //! `digest` was made to hash each leg's text with those two fields'
 //! `<name>: 0, ` entries removed, asserting neither name was left; every
 //! new hash equals that value.
+//!
+//! All seven were re-recorded again when recovery lost its lossy arm (the
+//! graceful-degradation leg went with it) and `FaultStats` lost the four
+//! counters only that arm and its loss bound read (`dropped_tasks`,
+//! `degraded_queries`, `dropped_points`, `scheduled_points`). On an
+//! uncommitted copy of the tree before that change, `digest` was made to
+//! hash each leg's text with those four fields' `name: value` entries
+//! removed, asserting no name was left; every new hash equals that value.
 
 use ann_core::topk::Neighbor;
 use drim_ann::config::{EngineConfig, IndexConfig};
@@ -88,9 +96,6 @@ fn engine_batch(
 
 #[test]
 fn engine_batches_match_the_pre_merge_loops() {
-    // heavy fail-stop without the host fallback: the degrade branch
-    let mut lossy = FaultConfig::uniform(0xDE6, 0.05);
-    lossy.fail_stop_rate = 0.45;
     let got = [
         // no injector
         engine_digest(|_| {}, None, 0, false),
@@ -109,15 +114,13 @@ fn engine_batches_match_the_pre_merge_loops() {
             5,
             true,
         ),
-        engine_digest(|c| c.host_fallback = false, Some(lossy), 1, true),
     ];
     assert_eq!(
         got,
         [
-            0x7C7C_20A0_300E_F528,
-            0xABED_4710_066D_37B8,
-            0x2798_6E63_9E73_1F40,
-            0x6E0B_227F_6E3B_40C0,
+            0x9267_0696_A5BB_8104,
+            0x85F4_0946_0542_ABB6,
+            0xC7C8_D508_3AE1_9E85,
         ]
     );
 }
@@ -160,7 +163,7 @@ fn engine_batches_match_the_staged_top_k() {
         assert!(!report.fault.active());
         digest(&format!("{results:?}{report:?}"))
     });
-    assert_eq!(got, [0x4735_DE9D_4BE9_F4E7, 0xBD8E_FA7F_9562_21FB]);
+    assert_eq!(got, [0x6779_B0C7_4801_43D7, 0xF5C1_2DFA_CC22_766D]);
 }
 
 #[test]
@@ -192,5 +195,5 @@ fn trace_batches_match_the_pre_merge_loop() {
     assert!(faulty.fault.active());
     // no injector, uniform 12% faults
     let got = [format!("{clean:?}"), format!("{faulty:?}")].map(|t| digest(&t));
-    assert_eq!(got, [0xB978_17CE_67E2_66F1, 0xAF3C_A7BF_587A_4E12]);
+    assert_eq!(got, [0x71D3_23A8_827F_9B20, 0xB978_F6FA_BBC6_395E]);
 }

@@ -27,16 +27,13 @@ const L: usize = 16;
 fn engine(k: usize, nprobe: usize) -> (VecSet<f32>, DrimEngine) {
     let spec = datasets::SynthSpec::small("lane-blocks", 16, 3000, 41);
     let data = datasets::generate(&spec);
-    let mut cfg = EngineConfig::drim(IndexConfig {
+    let cfg = EngineConfig::drim(IndexConfig {
         k,
         nprobe,
         nlist: 32,
         m: 8,
         cb: 32,
     });
-    // dedup would merge nothing here (no two queries are equal), but the
-    // batch under test must be the batch the engine runs
-    cfg.dedup = false;
     let engine = DrimEngine::build(&data, cfg, PimArch::upmem_sc25(), 8, None).expect("engine");
     (data, engine)
 }
@@ -87,6 +84,9 @@ fn assert_composition_free(engine: &mut DrimEngine, queries: &VecSet<f32>) -> Ve
         .collect();
     let (one, report_one) = with_num_threads(1, || engine.search_batch(queries));
     let (four, report_four) = with_num_threads(4, || engine.search_batch(queries));
+    // no two queries are equal, so dedup merges nothing: the batch under
+    // test is the batch the engine runs
+    assert_eq!(report_one.deduped, 0);
     assert_eq!(bits(&one), bits(&solo), "batch of {n} vs its queries alone");
     assert_eq!(
         bits(&four),

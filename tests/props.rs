@@ -694,15 +694,15 @@ fn gemm_column_subsets_are_bit_pure() {
 }
 
 /// In-batch dedup is invisible in results: for any duplication pattern
-/// (none, partial, or total duplication of an 8-query pool) a
-/// dedup-enabled engine returns bit-identical neighbors to a
-/// dedup-disabled one and reports exactly the number of skipped
-/// duplicate rows.
+/// (none, partial, or total duplication of an 8-query pool) the engine
+/// returns, for every row, the bit-identical neighbors of the pool batch
+/// (8 distinct rows, so computed in full) and reports exactly the number
+/// of skipped duplicate rows.
 #[test]
 fn in_batch_dedup_is_bit_invisible() {
     use drim_ann::engine::DrimEngine;
-    // One engine pair for every case: builds dominate the search cost and
-    // the engines are stateless across batches here.
+    // One engine for every case: builds dominate the search cost and the
+    // engine is stateless across batches here.
     let data =
         datasets::synth::generate(&datasets::synth::SynthSpec::small("dedup-prop", 16, 256, 9));
     let index = IndexConfig {
@@ -712,7 +712,7 @@ fn in_batch_dedup_is_bit_invisible() {
         m: 4,
         cb: 16,
     };
-    let mut on = DrimEngine::build(
+    let mut e = DrimEngine::build(
         &data,
         EngineConfig::drim(index),
         Default::default(),
@@ -720,22 +720,24 @@ fn in_batch_dedup_is_bit_invisible() {
         None,
     )
     .unwrap();
-    let mut cfg_off = EngineConfig::drim(index);
-    cfg_off.dedup = false;
-    let mut off = DrimEngine::build(&data, cfg_off, Default::default(), 8, None).unwrap();
+    let mut pool = ann_core::VecSet::with_capacity(16, 8);
+    for i in 0..8 {
+        pool.push(data.get(i * 13));
+    }
+    let (full, rep_full) = e.search_batch(&pool);
+    assert_eq!(rep_full.deduped, 0, "the pool rows are distinct");
     check("in_batch_dedup_is_bit_invisible", |rng| {
         let pattern = vec_of(rng, 1..24, |rng| rng.gen_range(0..8usize));
         let mut queries = ann_core::VecSet::with_capacity(16, pattern.len());
         for &i in &pattern {
-            queries.push(data.get(i * 13));
+            queries.push(pool.get(i));
         }
-        let (r_on, rep_on) = on.search_batch(&queries);
-        let (r_off, rep_off) = off.search_batch(&queries);
-        assert_eq!(format!("{:?}", r_on), format!("{:?}", r_off));
+        let (r, rep) = e.search_batch(&queries);
+        let expect: Vec<_> = pattern.iter().map(|&i| &full[i]).collect();
+        assert_eq!(format!("{r:?}"), format!("{expect:?}"));
         let distinct: std::collections::HashSet<usize> = pattern.iter().copied().collect();
-        assert_eq!(rep_on.deduped, pattern.len() - distinct.len());
-        assert_eq!(rep_on.queries, pattern.len());
-        assert_eq!(rep_off.deduped, 0);
+        assert_eq!(rep.deduped, pattern.len() - distinct.len());
+        assert_eq!(rep.queries, pattern.len());
     });
 }
 

@@ -43,7 +43,6 @@ fn check(tweak: impl Fn(&mut EngineConfig)) -> f64 {
         cb: 32,
     });
     cfg.batch = queries.len();
-    cfg.dedup = false;
     tweak(&mut cfg);
     let arch = PimArch::upmem_sc25();
     let mut engine = DrimEngine::build(&data, cfg.clone(), arch.clone(), NDPUS, None).unwrap();
